@@ -10,26 +10,32 @@
 //               the query's true k-NN distance (the bound a k-NN search
 //               reaches at steady state) -> early abandoning kicks in.
 //
-// Part 2 runs identical k-NN workloads against two trees built from the
-// same data, one with HybridTreeOptions::disable_batch_kernels (the scalar
-// reference path) and one with the default batched path, cross-checks that
-// the results are byte-identical, and reports QPS.
+// Part 2 runs one k-NN workload against one tree twice: with the kernels
+// forced to the scalar dispatch tier (kernels::ForceTier, the reference
+// tier — it also turns the quantized sidecars off) and at the best tier
+// this CPU supports. It cross-checks that the answers are byte-identical
+// and reports QPS.
 //
 // Machine-readable output: BENCH_hotpath.json in the working directory.
+// Exit status is nonzero if the two tiers' answers differ (identity gate —
+// run under CI via --smoke).
 //
 // Env overrides (on top of bench_common.h): HT_BENCH_N (default 100000).
+// Flags: --smoke (small n, few queries; same checks).
 
 #include "bench_common.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/timing.h"
 #include "core/bulk_load.h"
 #include "core/hybrid_tree.h"
 #include "core/node.h"
+#include "geometry/kernels/kernels.h"
 #include "geometry/metrics.h"
 
 using namespace ht;
@@ -75,9 +81,14 @@ double Checksum(const std::vector<double>& v, double bound) {
 
 }  // namespace
 
-int main() {
-  const size_t n = EnvSize("HT_BENCH_N", 100000);
-  const size_t n_queries = Queries();
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const size_t n = smoke ? 20000 : EnvSize("HT_BENCH_N", 100000);
+  const size_t n_queries = smoke ? 20 : Queries();
+  const kernels::SimdTier best = kernels::BestSupportedTier();
   PrintHeader(
       "Extension: batched distance kernels + zero-allocation k-NN path",
       "beyond the paper: data-page scan throughput, scalar vs batch vs "
@@ -85,26 +96,24 @@ int main() {
       "FOURIER 16-d, n=" + std::to_string(n) + ", page=" +
           std::to_string(kPageSize) + "B, queries=" +
           std::to_string(n_queries) + ", k=" + std::to_string(kKnnK) +
-          ", L2 metric");
+          ", L2 metric, best tier=" + kernels::TierName(best));
 
   Rng rng(20260806);
   Dataset data = GenFourier(n, kDim, rng);
   auto centers = MakeQueryCenters(data, n_queries, rng);
   L2Metric l2;
 
-  // Trees for part 2 (and for the true k-NN bounds used in part 1).
+  // The tree for part 2 (and for the true k-NN bounds used in part 1).
   HybridTreeOptions opts;
   opts.dim = kDim;
   opts.page_size = kPageSize;
-  MemPagedFile file_batch(kPageSize), file_scalar(kPageSize);
-  auto tree_batch = BulkLoad(opts, &file_batch, data).ValueOrDie();
-  opts.disable_batch_kernels = true;
-  auto tree_scalar = BulkLoad(opts, &file_scalar, data).ValueOrDie();
+  MemPagedFile file(kPageSize);
+  auto tree = BulkLoad(opts, &file, data).ValueOrDie();
 
   // Per-query k-NN distances = the steady-state search bound.
   std::vector<double> knn_bound(centers.size());
   for (size_t q = 0; q < centers.size(); ++q) {
-    auto nn = tree_batch->SearchKnn(centers[q], kKnnK, l2).ValueOrDie();
+    auto nn = tree->SearchKnn(centers[q], kKnnK, l2).ValueOrDie();
     knn_bound[q] = nn.back().first;
   }
 
@@ -161,44 +170,46 @@ int main() {
   kernel_table.Print();
 
   // -------------------------------------------------------------------
-  // Part 2: end-to-end k-NN QPS, scalar reference path vs batched path.
+  // Part 2: end-to-end k-NN QPS, scalar dispatch tier vs the best tier.
   // -------------------------------------------------------------------
+  const kernels::SimdTier tiers[2] = {kernels::SimdTier::kScalar, best};
   SearchScratch scratch;
-  std::vector<std::pair<double, uint64_t>> nn, ref;
+  std::vector<std::pair<double, uint64_t>> nn;
+  std::vector<std::vector<std::pair<double, uint64_t>>> ref(centers.size());
   bool identical = true;
   double qps[2] = {0, 0};
-  HybridTree* trees[2] = {tree_scalar.get(), tree_batch.get()};
   for (int which = 0; which < 2; ++which) {
-    // Warm-up pass (buffer pool, node cache, scratch).
+    kernels::ForceTier(tiers[which]);
+    // Warm-up pass (buffer pool, node cache, sidecars, scratch).
     for (size_t q = 0; q < centers.size(); ++q) {
-      HT_CHECK_OK(
-          trees[which]->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
+      HT_CHECK_OK(tree->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
     }
+    // Cross-check against the scalar tier's answers.
     for (size_t q = 0; q < centers.size(); ++q) {
-      HT_CHECK_OK(
-          trees[which]->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
-      // Cross-check against the scalar reference answer.
-      HT_CHECK_OK(trees[0]->SearchKnnInto(centers[q], kKnnK, l2, nullptr,
-                                          &ref));
-      if (nn != ref) identical = false;
+      HT_CHECK_OK(tree->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
+      if (which == 0) {
+        ref[q] = nn;
+      } else if (nn != ref[q]) {
+        identical = false;
+      }
     }
     WallTimer pure;
     for (size_t q = 0; q < centers.size(); ++q) {
-      HT_CHECK_OK(
-          trees[which]->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
+      HT_CHECK_OK(tree->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
     }
     qps[which] = static_cast<double>(centers.size()) / pure.Seconds();
   }
+  kernels::ClearForcedTier();
 
   std::printf("\nEnd-to-end k-NN (k=%zu, %zu queries):\n", kKnnK,
               centers.size());
-  TablePrinter knn_table({"path", "QPS", "speedup"});
-  knn_table.AddRow({"scalar reference", TablePrinter::Num(qps[0], 0), "1.00"});
-  knn_table.AddRow({"batched kernels", TablePrinter::Num(qps[1], 0),
+  TablePrinter knn_table({"tier", "QPS", "speedup"});
+  knn_table.AddRow({"scalar", TablePrinter::Num(qps[0], 0), "1.00"});
+  knn_table.AddRow({kernels::TierName(best), TablePrinter::Num(qps[1], 0),
                     TablePrinter::Num(qps[1] / qps[0], 2)});
   knn_table.Print();
-  std::printf("Cross-check: batched results %s\n",
-              identical ? "byte-identical to the scalar path"
+  std::printf("Cross-check: %s results %s\n", kernels::TierName(best),
+              identical ? "byte-identical to the scalar tier"
                         : "MISMATCH (BUG)");
   std::printf("(checksum %.6f)\n", sink);
 
@@ -221,15 +232,17 @@ int main() {
                  "  },\n"
                  "  \"scan_speedup_batch\": %.3f,\n"
                  "  \"scan_speedup_batch_bound\": %.3f,\n"
-                 "  \"knn_qps\": {\"scalar\": %.1f, \"batch\": %.1f},\n"
+                 "  \"best_tier\": \"%s\",\n"
+                 "  \"knn_qps\": {\"scalar\": %.1f, \"best\": %.1f},\n"
                  "  \"knn_speedup\": %.3f,\n"
                  "  \"results_identical\": %s\n"
                  "}\n",
                  kDim, n, centers.size(), kKnnK, kPageSize,
                  points_per_sec[0], points_per_sec[1], points_per_sec[2],
                  points_per_sec[1] / points_per_sec[0],
-                 points_per_sec[2] / points_per_sec[0], qps[0], qps[1],
-                 qps[1] / qps[0], identical ? "true" : "false");
+                 points_per_sec[2] / points_per_sec[0],
+                 kernels::TierName(best), qps[0], qps[1], qps[1] / qps[0],
+                 identical ? "true" : "false");
     std::fclose(json);
     std::printf("Wrote BENCH_hotpath.json\n");
   }

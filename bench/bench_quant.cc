@@ -25,8 +25,9 @@
 // Flags: --smoke (small n, few queries; same checks); --cursor
 // (additionally measures k-NN through the bound-carrying KnnCursor —
 // OpenKnnCursor with limit=k, pulling k entries — per config, with its
-// own identity gate against the baseline and the cursor-path filter
-// counters in a "cursor" JSON section).
+// own identity gate against the baseline and the cursor pass's filter
+// counters — the shared scan counters over that pass alone — in a
+// "cursor" JSON section).
 
 #include "bench_common.h"
 
@@ -63,7 +64,7 @@ struct Measured {
   uint64_t pruned = 0;
   // --cursor mode only: k-NN through the bound-carrying KnnCursor.
   double cursor_qps = 0.0;
-  uint64_t cursor_scan_points = 0;
+  uint64_t cursor_scanned = 0;
   uint64_t cursor_refined = 0;
   uint64_t cursor_pruned = 0;
 };
@@ -207,6 +208,12 @@ int main(int argc, char** argv) {
       const double kqps = static_cast<double>(centers.size()) / kt.Seconds();
       if (rqps > m[c].range_qps) m[c].range_qps = rqps;
       if (kqps > m[c].knn_qps) m[c].knn_qps = kqps;
+      // Every search path charges the same scan counters, so each pass's
+      // share is the snapshot difference around it.
+      const IoStats batch = tree->pool().StatsSnapshot();
+      m[c].scan_points = batch.scan_points;
+      m[c].refined = batch.quant_refined;
+      m[c].pruned = batch.quant_pruned;
       if (cursor_mode) {
         WallTimer ct;
         for (size_t q = 0; q < centers.size(); ++q) {
@@ -215,14 +222,11 @@ int main(int argc, char** argv) {
         const double cqps =
             static_cast<double>(centers.size()) / ct.Seconds();
         if (cqps > m[c].cursor_qps) m[c].cursor_qps = cqps;
+        const IoStats cur = tree->pool().StatsSnapshot().Delta(batch);
+        m[c].cursor_scanned = cur.scan_points;
+        m[c].cursor_refined = cur.quant_refined;
+        m[c].cursor_pruned = cur.quant_pruned;
       }
-      const IoStats s = tree->pool().StatsSnapshot();
-      m[c].scan_points = s.scan_points;
-      m[c].refined = s.quant_refined;
-      m[c].pruned = s.quant_pruned;
-      m[c].cursor_scan_points = s.cursor_scan_points;
-      m[c].cursor_refined = s.cursor_quant_refined;
-      m[c].cursor_pruned = s.cursor_quant_pruned;
     }
   }
   kernels::ClearForcedTier();
@@ -250,9 +254,9 @@ int main(int argc, char** argv) {
                          "cursor filter rate"});
     for (size_t c = 0; c < n_configs; ++c) {
       const double crate =
-          m[c].cursor_scan_points > 0
+          m[c].cursor_scanned > 0
               ? static_cast<double>(m[c].cursor_pruned) /
-                    static_cast<double>(m[c].cursor_scan_points)
+                    static_cast<double>(m[c].cursor_scanned)
               : 0.0;
       ctable.AddRow({configs[c].name, TablePrinter::Num(m[c].cursor_qps, 0),
                      TablePrinter::Num(m[c].cursor_qps / m[0].cursor_qps, 2),
@@ -317,12 +321,12 @@ int main(int argc, char** argv) {
           m[0].cursor_qps, m[1].cursor_qps, m[2].cursor_qps,
           m[1].cursor_qps / m[0].cursor_qps,
           m[2].cursor_qps / m[0].cursor_qps,
-          static_cast<unsigned long long>(m[2].cursor_scan_points),
+          static_cast<unsigned long long>(m[2].cursor_scanned),
           static_cast<unsigned long long>(m[2].cursor_refined),
           static_cast<unsigned long long>(m[2].cursor_pruned),
-          m[2].cursor_scan_points > 0
+          m[2].cursor_scanned > 0
               ? static_cast<double>(m[2].cursor_pruned) /
-                    static_cast<double>(m[2].cursor_scan_points)
+                    static_cast<double>(m[2].cursor_scanned)
               : 0.0);
     } else {
       std::fprintf(json, "\n");

@@ -840,6 +840,79 @@ Result<HybridTree::SplitResult> HybridTree::SplitIndexNode(PageId page,
 // Search
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Which children of an internal kd node a walk enters.
+struct KdSides {
+  bool left;
+  bool right;
+};
+
+/// Route of the walks that prune only at the leaves (range, k-NN, the
+/// cursor, ScanAll): every internal node enters both sides.
+constexpr auto kBothSides = [](const KdNode& /*n*/) {
+  return KdSides{true, true};
+};
+
+/// The intra-node kd search (§3.1) every read path shares: an iterative
+/// preorder, left-first walk of one index node's kd tree that asks
+/// `route` which sides of each internal node to enter and hands each
+/// reached leaf to `leaf`. Preorder matches the recursive formulation, so
+/// every caller sees its leaves — and pushes its frontier entries — in
+/// one fixed order. `stack` is caller-owned; the walk only pops entries
+/// above the size it found, so nested page descents can share one stack.
+template <typename Route, typename Leaf>
+void WalkKdLeaves(const KdNode* root, std::vector<const KdNode*>* stack,
+                  const Route& route, const Leaf& leaf) {
+  const size_t base = stack->size();
+  stack->push_back(root);
+  while (stack->size() > base) {
+    const KdNode* n = stack->back();
+    stack->pop_back();
+    if (n->IsLeaf()) {
+      leaf(*n);
+      continue;
+    }
+    const KdSides sides = route(*n);
+    // Push right before left so the left subtree is processed first.
+    if (sides.right) stack->push_back(n->right.get());
+    if (sides.left) stack->push_back(n->left.get());
+  }
+}
+
+/// A depth-first traversal's verdict on one kd leaf (see CollectDescents).
+enum class Admit : uint8_t {
+  kSkip,       // no result can lie below the leaf
+  kDescend,    // visit the child and test its entries
+  kContained,  // visit the child; every entry below it qualifies
+};
+
+}  // namespace
+
+template <typename RouteFn, typename AdmitFn>
+size_t HybridTree::CollectDescents(const IndexNode& node, const RouteFn& route,
+                                   const AdmitFn& admit,
+                                   SearchScratch* scratch) const {
+  auto& descents = scratch->descents;
+  const size_t first = descents.size();
+  const auto collect = [&](const KdNode& leaf) {
+    const Admit verdict = admit(leaf);
+    if (verdict == Admit::kSkip) return;
+    descents.push_back(
+        SearchScratch::Descent{leaf.child, verdict == Admit::kContained});
+  };
+  WalkKdLeaves(node.root.get(), &scratch->stack, route, collect);
+  if (options_.prefetch_depth > 0 && descents.size() - first > 1) {
+    auto& ids = scratch->prefetch_ids;
+    ids.clear();
+    for (size_t i = first; i < descents.size(); ++i) {
+      ids.push_back(descents[i].page);
+    }
+    pool_->Prefetch(ids);
+  }
+  return first;
+}
+
 Result<std::vector<uint64_t>> HybridTree::SearchBox(const Box& query) const {
   std::vector<uint64_t> out;
   HT_RETURN_NOT_OK(SearchBoxInto(query, /*scratch=*/nullptr, &out));
@@ -887,57 +960,31 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
 
   // Intra-node search is 1-d interval tests on the kd tree (the paper's
   // CPU advantage); the §3.4 two-step check uses the leaf's precomputed
-  // decoded live box. Iterative preorder (left first, matching the
-  // recursive formulation) over the shared scratch stack: this level only
-  // pops entries above its own base, so nested page descents can reuse the
-  // same stack. Qualifying children are collected first and descended
-  // second, so the whole batch can be prefetched in one round trip; the
-  // descent order is the walk's preorder, keeping results byte-identical
-  // with prefetch on or off.
-  auto& stack = scratch->stack;
-  auto& descents = scratch->descents;
-  const size_t base = stack.size();
-  const size_t dbase = descents.size();
-  stack.push_back(node->root.get());
-  while (stack.size() > base) {
-    const KdNode* n = stack.back();
-    stack.pop_back();
-    if (n->IsLeaf()) {
-      bool child_contained = contained;
-      if (!contained) {
-        if (els_enabled() && !query.Intersects(n->cached_live)) continue;
-        // cached_live is the decoded live box (ELS on) or the kd region
-        // (ELS off); either way all data below lies inside it, so full
-        // containment lets the whole subtree skip per-point tests.
-        child_contained = !options_.disable_batch_kernels &&
-                          query.ContainsBox(n->cached_live);
-      }
-      descents.push_back(SearchScratch::Descent{n->child, child_contained});
-      continue;
+  // decoded live box.
+  const auto route = [&](const KdNode& n) {
+    const uint32_t d = n.split_dim;
+    return KdSides{contained || query.lo(d) <= n.lsp,
+                   contained || query.hi(d) >= n.rsp};
+  };
+  const auto admit = [&](const KdNode& leaf) {
+    if (contained) return Admit::kContained;
+    if (els_enabled() && !query.Intersects(leaf.cached_live)) {
+      return Admit::kSkip;
     }
-    const uint32_t d = n->split_dim;
-    // Push right before left so the left subtree is processed first.
-    if (contained || query.hi(d) >= n->rsp) stack.push_back(n->right.get());
-    if (contained || query.lo(d) <= n->lsp) stack.push_back(n->left.get());
+    // cached_live is the decoded live box (ELS on) or the kd region
+    // (ELS off); either way all data below lies inside it, so full
+    // containment lets the whole subtree skip per-point tests.
+    return query.ContainsBox(leaf.cached_live) ? Admit::kContained
+                                               : Admit::kDescend;
+  };
+  const size_t first = CollectDescents(*node, route, admit, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
+    const SearchScratch::Descent c = scratch->descents[i];
+    st = SearchBoxRec(c.page, query, c.contained, scratch, out);
   }
-  if (options_.prefetch_depth > 0 && descents.size() - dbase > 1) {
-    auto& ids = scratch->prefetch_ids;
-    ids.clear();
-    for (size_t i = dbase; i < descents.size(); ++i) {
-      ids.push_back(descents[i].page);
-    }
-    pool_->Prefetch(ids);
-  }
-  for (size_t i = dbase; i < descents.size(); ++i) {
-    const Status st = SearchBoxRec(descents[i].page, query,
-                                   descents[i].contained, scratch, out);
-    if (!st.ok()) {
-      descents.resize(dbase);  // drop this level's pending entries
-      return st;
-    }
-  }
-  descents.resize(dbase);
-  return Status::OK();
+  scratch->descents.resize(first);
+  return st;
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchPoint(
@@ -960,12 +1007,14 @@ Status HybridTree::ScanAll(
   // SLRU pool admits its pages to the probationary segment only and the
   // query working set survives (see storage/buffer_pool.h).
   AccessClassScope ac(AccessClass::kScan);
-  return ScanAllRec(root_, visit);
+  SearchScratch scratch;
+  return ScanAllRec(root_, visit, &scratch);
 }
 
 Status HybridTree::ScanAllRec(
     PageId page,
-    const std::function<void(uint64_t, std::span<const float>)>& visit) const {
+    const std::function<void(uint64_t, std::span<const float>)>& visit,
+    SearchScratch* scratch) const {
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
   const NodeKind kind = PeekNodeKind(h.data());
   if (kind == NodeKind::kData) {
@@ -979,25 +1028,17 @@ Status HybridTree::ScanAllRec(
   HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
                       ReadIndexNodeCached(page, h.data(), h.size()));
   h.Release();
-  // Read-ahead: an index node commits to visiting every child, so batch
-  // the whole fanout into one prefetch round trip before descending
-  // (bulk-loaded trees allocate children contiguously, so this coalesces
-  // into sequential vectored reads).
-  std::vector<PageId> children;
-  std::function<void(const KdNode*)> collect = [&](const KdNode* n) {
-    if (n->IsLeaf()) {
-      children.push_back(n->child);
-      return;
-    }
-    collect(n->left.get());
-    collect(n->right.get());
-  };
-  collect(node->root.get());
-  if (options_.prefetch_depth > 0 && children.size() > 1) {
-    pool_->Prefetch(children);
+  // An index node commits to visiting every child, so the whole fanout is
+  // one prefetch batch (bulk-loaded trees allocate children contiguously,
+  // so this coalesces into sequential vectored reads).
+  const auto admit_all = [](const KdNode& /*leaf*/) { return Admit::kDescend; };
+  const size_t first = CollectDescents(*node, kBothSides, admit_all, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
+    st = ScanAllRec(scratch->descents[i].page, visit, scratch);
   }
-  for (PageId child : children) HT_RETURN_NOT_OK(ScanAllRec(child, visit));
-  return Status::OK();
+  scratch->descents.resize(first);
+  return st;
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchRange(
@@ -1058,8 +1099,8 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
                              size_t n, std::span<const float> center,
                              const DistanceMetric& metric, double bound,
                              SearchScratch* scratch,
-                             std::shared_ptr<const QuantizedPage>* qp_out,
-                             bool cursor_path) const {
+                             std::shared_ptr<const QuantizedPage>* qp_out)
+    const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
   // would save, and the transposed float mirror only accelerates SIMD
@@ -1069,59 +1110,96 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
   // QuadraticForm fallback) takes the same exit BEFORE the sidecar lookup:
   // building codes it can never filter with would only fill QuantStore
   // with useless pages.
-  if (!options_.quant_sidecars || blk == nullptr || n == 0 ||
-      !metric.SupportsCodeFilter() ||
+  if (!options_.quant_sidecars || n == 0 || !metric.SupportsCodeFilter() ||
       kernels::ActiveTier() == kernels::SimdTier::kScalar) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
+    pool_->CountScan(page, n, n, /*filtered=*/false);
     return false;
   }
   // The sidecar is fetched (and lazily built) even when code filtering is
   // off the table: its transposed mirror speeds up the exact batch pass
   // regardless of the bound.
-  std::shared_ptr<const QuantizedPage> qp =
-      quant_store_.GetOrBuild(page, blk, stride, n, options_.dim,
-                              concurrent_reads_);
-  if (qp_out != nullptr) *qp_out = qp;
+  *qp_out = quant_store_.GetOrBuild(page, blk, stride, n, options_.dim,
+                                    concurrent_reads_);
+  const QuantizedPage* qp = qp_out->get();
   // Code filtering is pointless when the bound prunes nothing (k-NN heap
-  // not yet full): every row would survive.
-  if (qp == nullptr || bound >= std::numeric_limits<double>::max()) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
+  // not yet full): every row would survive. The fused mask kernels decide
+  // survival in-register and hand back one bit per row — on a 99%-pruned
+  // scan the decode below touches one mostly-zero byte per 8 rows. Every
+  // metric with SupportsCodeFilter() has a mask kernel; one without would
+  // simply scan unfiltered.
+  const size_t nmask = (n + kernels::kTBlock - 1) / kernels::kTBlock;
+  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
+  if (qp == nullptr || bound >= std::numeric_limits<double>::max() ||
+      !metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
+                              scratch->masks.data())) {
+    pool_->CountScan(page, n, n, /*filtered=*/false);
     return false;
   }
   // Survivors in ascending row order, so refinement replays the exact
   // per-row decision sequence of the unfiltered scan.
   auto& surv = scratch->survivors;
   surv.clear();
-  // Fast path: the fused mask kernels decide survival in-register and hand
-  // back one bit per row — on a 99%-pruned scan the decode below touches
-  // one mostly-zero byte per 8 rows instead of 8 double bounds.
-  const size_t nmask = (n + kernels::kTBlock - 1) / kernels::kTBlock;
-  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
-                             scratch->masks.data())) {
-    for (size_t b = 0; b < nmask; ++b) {
-      unsigned m = scratch->masks[b];
-      while (m != 0) {
-        surv.push_back(static_cast<uint32_t>(
-            b * kernels::kTBlock + static_cast<size_t>(std::countr_zero(m))));
-        m &= m - 1;
-      }
+  for (size_t b = 0; b < nmask; ++b) {
+    unsigned m = scratch->masks[b];
+    while (m != 0) {
+      surv.push_back(static_cast<uint32_t>(
+          b * kernels::kTBlock + static_cast<size_t>(std::countr_zero(m))));
+      m &= m - 1;
     }
-    pool_->CountScan(page, n, surv.size(), /*filtered=*/true, cursor_path);
-    return true;
   }
-  if (scratch->lb.size() < n) scratch->lb.resize(n);
-  if (!metric.CodeLowerBounds(center, qp->view(), &scratch->quant,
-                              scratch->lb.data())) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
-    return false;
-  }
-  const double* lb = scratch->lb.data();
-  for (size_t i = 0; i < n; ++i) {
-    if (lb[i] <= bound) surv.push_back(static_cast<uint32_t>(i));
-  }
-  pool_->CountScan(page, n, surv.size(), /*filtered=*/true, cursor_path);
+  pool_->CountScan(page, n, surv.size(), /*filtered=*/true);
   return true;
+}
+
+template <typename Emit>
+Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
+                                std::span<const float> center,
+                                const DistanceMetric& metric, double bound,
+                                SearchScratch* scratch,
+                                const Emit& emit) const {
+  DataPageScan scan(data, size, options_.dim);
+  if (!scan.ok()) return Status::Corruption("expected data node page");
+  const size_t n = scan.count();
+  const float* blk = scan.block();
+  if (blk == nullptr) {
+    // Big-endian host: no in-place float block for the kernels or the
+    // sidecar, so every row gets a plain exact distance.
+    pool_->CountScan(page, n, n, /*filtered=*/false);
+    for (size_t i = 0; i < n; ++i) {
+      emit(metric.Distance(center, scan.vec(i)), scan.id(i));
+    }
+    return Status::OK();
+  }
+  const size_t stride = scan.stride_floats();
+  std::shared_ptr<const QuantizedPage> qp;
+  const bool filtered =
+      QuantFilter(page, blk, stride, n, center, metric, bound, scratch, &qp);
+  // A pruned row has a code lower bound above `bound`, hence a true
+  // distance above it: emitting it could not have changed any caller's
+  // decision. Survivors are refined in ascending row order, so the emits
+  // replay the unfiltered scan's decision sequence exactly.
+  const auto& surv = scratch->survivors;
+  if (filtered && surv.size() * 4 <= n) {
+    // Sparse survivors: per-row exact distances (Distance() accumulates
+    // exactly like an unabandoned kernel row).
+    for (const uint32_t i : surv) {
+      emit(metric.Distance(center, scan.vec(i)), scan.id(i));
+    }
+    return Status::OK();
+  }
+  // Dense survivors, or no filter: one bounded batch pass over the page
+  // (cheaper than many strided per-row calls). Rows whose partial sum
+  // exceeds `bound` are abandoned with an output above it.
+  if (scratch->dist.size() < n) scratch->dist.resize(n);
+  BatchPageDistances(metric, center, qp.get(), blk, stride, n, bound,
+                     scratch->dist.data());
+  const double* dist = scratch->dist.data();
+  if (filtered) {
+    for (const uint32_t i : surv) emit(dist[i], scan.id(i));
+  } else {
+    for (size_t i = 0; i < n; ++i) emit(dist[i], scan.id(i));
+  }
+  return Status::OK();
 }
 
 Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
@@ -1131,99 +1209,31 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
   const NodeKind kind = PeekNodeKind(h.data());
   if (kind == NodeKind::kData) {
-    DataPageScan scan(h.data(), h.size(), options_.dim);
-    if (!scan.ok()) return Status::Corruption("expected data node page");
-    const size_t n = scan.count();
-    const float* blk =
-        options_.disable_batch_kernels ? nullptr : scan.block();
-    std::shared_ptr<const QuantizedPage> qp;
-    if (QuantFilter(page, blk, scan.stride_floats(), n, center, metric,
-                    radius, scratch, &qp)) {
-      // Pruned rows have lb > radius, hence distance > radius: they could
-      // not have been reported. Survivors are tested exactly like the
-      // unfiltered scan, so `out` is byte-identical. Sparse survivor sets
-      // refine with per-row exact distances; dense ones fall back to the
-      // full-page batch kernel (cheaper than many strided scalar rows).
-      const auto& surv = scratch->survivors;
-      if (surv.size() * 4 <= n) {
-        for (const uint32_t i : surv) {
-          if (metric.Distance(center, scan.vec(i)) <= radius) {
-            out->push_back(scan.id(i));
-          }
-        }
-      } else {
-        if (scratch->dist.size() < n) scratch->dist.resize(n);
-        BatchPageDistances(metric, center, qp.get(), blk,
-                           scan.stride_floats(), n, radius,
-                           scratch->dist.data());
-        const double* dist = scratch->dist.data();
-        for (const uint32_t i : surv) {
-          if (dist[i] <= radius) out->push_back(scan.id(i));
-        }
-      }
-      return Status::OK();
-    }
-    if (blk != nullptr) {
-      // One virtual call per page; rows whose partial sum exceeds the
-      // radius are abandoned (their output is > radius, which is all the
-      // filter below looks at).
-      if (scratch->dist.size() < n) scratch->dist.resize(n);
-      BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                         n, radius, scratch->dist.data());
-      const double* dist = scratch->dist.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (dist[i] <= radius) out->push_back(scan.id(i));
-      }
-      return Status::OK();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (metric.Distance(center, scan.vec(i)) <= radius) {
-        out->push_back(scan.id(i));
-      }
-    }
-    return Status::OK();
+    const auto emit = [&](double d, uint64_t id) {
+      if (d <= radius) out->push_back(id);
+    };
+    return ScanDataPage(page, h.data(), h.size(), center, metric, radius,
+                        scratch, emit);
   }
   HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
                       ReadIndexNodeCached(page, h.data(), h.size()));
   h.Release();
 
   // Pruning happens at the leaves' live boxes (MINDIST > radius); internal
-  // kd nodes only route the left-first preorder walk. As in SearchBoxRec,
-  // children are collected, batch-prefetched, then descended in preorder.
-  auto& stack = scratch->stack;
-  auto& descents = scratch->descents;
-  const size_t base = stack.size();
-  const size_t dbase = descents.size();
-  stack.push_back(node->root.get());
-  while (stack.size() > base) {
-    const KdNode* n = stack.back();
-    stack.pop_back();
-    if (n->IsLeaf()) {
-      if (metric.MinDistToBox(center, n->cached_live) > radius) continue;
-      descents.push_back(SearchScratch::Descent{n->child, false});
-      continue;
-    }
-    stack.push_back(n->right.get());
-    stack.push_back(n->left.get());
+  // kd nodes only route the walk.
+  const auto admit = [&](const KdNode& leaf) {
+    return metric.MinDistToBox(center, leaf.cached_live) > radius
+               ? Admit::kSkip
+               : Admit::kDescend;
+  };
+  const size_t first = CollectDescents(*node, kBothSides, admit, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
+    st = SearchRangeRec(scratch->descents[i].page, center, radius, metric,
+                        scratch, out);
   }
-  if (options_.prefetch_depth > 0 && descents.size() - dbase > 1) {
-    auto& ids = scratch->prefetch_ids;
-    ids.clear();
-    for (size_t i = dbase; i < descents.size(); ++i) {
-      ids.push_back(descents[i].page);
-    }
-    pool_->Prefetch(ids);
-  }
-  for (size_t i = dbase; i < descents.size(); ++i) {
-    const Status st = SearchRangeRec(descents[i].page, center, radius, metric,
-                                     scratch, out);
-    if (!st.ok()) {
-      descents.resize(dbase);
-      return st;
-    }
-  }
-  descents.resize(dbase);
-  return Status::OK();
+  scratch->descents.resize(first);
+  return st;
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnn(
@@ -1235,10 +1245,11 @@ Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnn(
 Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnnApprox(
     std::span<const float> center, size_t k, const DistanceMetric& metric,
     double epsilon) const {
+  KnnSearchLimits limits;
+  limits.epsilon = epsilon;
   std::vector<std::pair<double, uint64_t>> out;
-  HT_RETURN_NOT_OK(
-      SearchKnnApproxInto(center, k, metric, epsilon, /*scratch=*/nullptr,
-                          &out));
+  HT_RETURN_NOT_OK(SearchKnnBoundedInto(center, k, metric, limits,
+                                        /*scratch=*/nullptr, &out));
   return out;
 }
 
@@ -1248,15 +1259,6 @@ Status HybridTree::SearchKnnInto(
     std::vector<std::pair<double, uint64_t>>* out) const {
   return SearchKnnBoundedInto(center, k, metric, KnnSearchLimits{}, scratch,
                               out);
-}
-
-Status HybridTree::SearchKnnApproxInto(
-    std::span<const float> center, size_t k, const DistanceMetric& metric,
-    double epsilon, SearchScratch* scratch,
-    std::vector<std::pair<double, uint64_t>>* out) const {
-  KnnSearchLimits limits;
-  limits.epsilon = epsilon;
-  return SearchKnnBoundedInto(center, k, metric, limits, scratch, out);
 }
 
 Status HybridTree::SearchKnnBoundedInto(
@@ -1287,7 +1289,6 @@ Status HybridTree::SearchKnnBoundedInto(
                                 : limits.max_leaf_visits;
   uint64_t leaf_visits = 0;
   bool early_terminated = false;
-  const bool use_batch = !options_.disable_batch_kernels;
 
   // Best-first branch-and-bound (Hjaltason–Samet): a min-heap of pending
   // subtrees ordered by MINDIST to their live region, and a bounded
@@ -1358,51 +1359,13 @@ Status HybridTree::SearchKnnBoundedInto(
     HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
     const NodeKind kind = PeekNodeKind(h.data());
     if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), options_.dim);
-      if (!scan.ok()) return Status::Corruption("expected data node page");
-      const size_t n = scan.count();
-      const float* blk = use_batch ? scan.block() : nullptr;
-      std::shared_ptr<const QuantizedPage> qp;
-      if (QuantFilter(item.page, blk, scan.stride_floats(), n, center, metric,
-                      kth(), scratch, &qp)) {
-        // A pruned row has lb > bound (the k-th distance at page entry),
-        // hence a true distance strictly above every bound the heap will
-        // hold during this page: its offer would have been a no-op — the
-        // replacement test is a strict `<`, and the id tie-break needs
-        // d == kth, excluded by strictness. Offering only the survivors
-        // (ascending) therefore replays the exact heap evolution. Sparse
-        // survivor sets refine row-by-row (Distance() accumulates exactly
-        // like an unabandoned kernel row); dense ones rerun the full-page
-        // kernel with the same entry bound the unfiltered scan would use.
-        const auto& surv = scratch->survivors;
-        if (surv.size() * 4 <= n) {
-          for (const uint32_t i : surv) {
-            offer(metric.Distance(center, scan.vec(i)), scan.id(i));
-          }
-        } else {
-          if (scratch->dist.size() < n) scratch->dist.resize(n);
-          BatchPageDistances(metric, center, qp.get(), blk,
-                             scan.stride_floats(), n, kth(),
-                             scratch->dist.data());
-          const double* dist = scratch->dist.data();
-          for (const uint32_t i : surv) offer(dist[i], scan.id(i));
-        }
-      } else if (blk != nullptr) {
-        // The bound at page entry is the k-th distance before this page;
-        // it can only shrink while scanning, so any row abandoned against
-        // it could never have entered the heap (and while the heap is not
-        // full the bound is +max, i.e. nothing is abandoned). The offers
-        // below therefore make exactly the scalar path's decisions.
-        if (scratch->dist.size() < n) scratch->dist.resize(n);
-        BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                           n, kth(), scratch->dist.data());
-        const double* dist = scratch->dist.data();
-        for (size_t i = 0; i < n; ++i) offer(dist[i], scan.id(i));
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          offer(metric.Distance(center, scan.vec(i)), scan.id(i));
-        }
-      }
+      // The bound is the k-th distance at page entry. It only shrinks
+      // while the page is scanned, so a row the scan skips or reports
+      // above it could never have entered the heap — the replacement test
+      // is a strict `<`, and the id tie-break needs d == kth — and the
+      // offers make exactly the decisions of an exact per-row scan.
+      HT_RETURN_NOT_OK(ScanDataPage(item.page, h.data(), h.size(), center,
+                                    metric, kth(), scratch, offer));
       ++leaf_visits;
       if (leaf_visits >= max_leaves) {
         // Budget exhausted: stop with the best candidates so far. It
@@ -1416,29 +1379,18 @@ Status HybridTree::SearchKnnBoundedInto(
     HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
                         ReadIndexNodeCached(item.page, h.data(), h.size()));
     h.Release();
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(node->root.get());
-    while (!stack.empty()) {
-      const KdNode* n = stack.back();
-      stack.pop_back();
-      if (n->IsLeaf()) {
-        const double d = metric.MinDistToBox(center, n->cached_live);
-        if (d * prune_factor <= kth()) {
-          frontier.push_back(SearchScratch::PageRef{d, n->child});
-          std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
-        } else if (eps_active && d <= kth()) {
-          // The epsilon rule skipped a subtree the exact gate would have
-          // admitted — the result is now (1+epsilon)-approximate.
-          early_terminated = true;
-        }
-        continue;
+    const auto enqueue = [&](const KdNode& leaf) {
+      const double d = metric.MinDistToBox(center, leaf.cached_live);
+      if (d * prune_factor <= kth()) {
+        frontier.push_back(SearchScratch::PageRef{d, leaf.child});
+        std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
+      } else if (eps_active && d <= kth()) {
+        // The epsilon rule skipped a subtree the exact gate would have
+        // admitted — the result is now (1+epsilon)-approximate.
+        early_terminated = true;
       }
-      // Left first (preorder), matching the recursive formulation so the
-      // frontier receives pushes in the same order.
-      stack.push_back(n->right.get());
-      stack.push_back(n->left.get());
-    }
+    };
+    WalkKdLeaves(node->root.get(), &scratch->stack, kBothSides, enqueue);
   }
   // Natural loop exit under epsilon: if the frontier's best subtree passes
   // the exact gate but failed the epsilon gate, the stop was approximate.
@@ -1847,70 +1799,6 @@ HybridTree::KnnCursor HybridTree::OpenKnnCursor(
   return KnnCursor(this, center, &metric, opts);
 }
 
-Status HybridTree::ScanDataPageForCursor(KnnCursor* cursor, PageId page,
-                                         const uint8_t* data,
-                                         size_t size) const {
-  DataPageScan scan(data, size, options_.dim);
-  if (!scan.ok()) return Status::Corruption("expected data node page");
-  const size_t n = scan.count();
-  const float* blk = options_.disable_batch_kernels ? nullptr : scan.block();
-  const DistanceMetric& metric = *cursor->metric_;
-  const std::span<const float> center(cursor->center_);
-  // The running bound at page entry: the cursor's own k-th distance,
-  // tightened by the shared cross-shard radius. An entry strictly beyond
-  // it can never be used by a consumer honoring the declared limit (there
-  // are already `limit` entries at or under the bound, all emitted first),
-  // so it is pruned; ties at the bound are kept so downstream id
-  // tie-breaking sees every boundary candidate. With no declared bound
-  // this is +inf: every entry is enqueued with its exact distance — the
-  // legacy cursor scan, bit for bit.
-  const double bound = cursor->ScanBound();
-  SearchScratch* scratch = &cursor->scratch_;
-  const auto push_entry = [&](double d, uint64_t id) {
-    if (d <= bound) {
-      cursor->RecordEntry(d);
-      cursor->queue_.push(KnnCursor::Item{d, true, id, kInvalidPageId});
-    }
-  };
-  std::shared_ptr<const QuantizedPage> qp;
-  if (QuantFilter(page, blk, scan.stride_floats(), n, center, metric, bound,
-                  scratch, &qp, /*cursor_path=*/true)) {
-    // A pruned row has lb > bound, hence a true distance strictly above
-    // the bound: push_entry would have dropped it anyway. Refinement
-    // mirrors the batch k-NN path: sparse survivor sets row-by-row, dense
-    // ones through the full-page kernel with the same entry bound.
-    const auto& surv = scratch->survivors;
-    if (surv.size() * 4 <= n) {
-      for (const uint32_t i : surv) {
-        push_entry(metric.Distance(center, scan.vec(i)), scan.id(i));
-      }
-    } else {
-      if (scratch->dist.size() < n) scratch->dist.resize(n);
-      BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                         n, bound, scratch->dist.data());
-      const double* dist = scratch->dist.data();
-      for (const uint32_t i : surv) push_entry(dist[i], scan.id(i));
-    }
-    return Status::OK();
-  }
-  if (blk != nullptr) {
-    // Unfiltered batch scan. With an infinite bound the kernels never
-    // abandon a row, so the distances match the unbounded batch kernel
-    // bit for bit; with a finite bound an abandoned row's +inf output and
-    // its exact distance make the same push_entry decision.
-    if (scratch->dist.size() < n) scratch->dist.resize(n);
-    BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(), n,
-                       bound, scratch->dist.data());
-    const double* dist = scratch->dist.data();
-    for (size_t i = 0; i < n; ++i) push_entry(dist[i], scan.id(i));
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      push_entry(metric.Distance(center, scan.vec(i)), scan.id(i));
-    }
-  }
-  return Status::OK();
-}
-
 Result<std::optional<std::pair<double, uint64_t>>>
 HybridTree::KnnCursor::Next() {
   // The cursor is a read-path client: each pull runs under the tree's
@@ -1952,31 +1840,38 @@ HybridTree::KnnCursor::Next() {
     const NodeKind kind = PeekNodeKind(h.data());
     if (kind == NodeKind::kData) {
       ++leaf_visits_;
-      HT_RETURN_NOT_OK(
-          tree_->ScanDataPageForCursor(this, item.page, h.data(), h.size()));
+      // The running bound at page entry: the cursor's own k-th distance,
+      // tightened by the shared cross-shard radius. An entry strictly
+      // beyond it can never be used by a consumer honoring the declared
+      // limit (there are already `limit` entries at or under the bound,
+      // all emitted first), so it is dropped; ties at the bound are kept
+      // so downstream id tie-breaking sees every boundary candidate. With
+      // no declared bound this is +inf and every entry is enqueued with
+      // its exact distance.
+      const double bound = ScanBound();
+      const auto emit = [&](double d, uint64_t id) {
+        if (d > bound) return;
+        RecordEntry(d);
+        queue_.push(Item{d, true, id, kInvalidPageId});
+      };
+      HT_RETURN_NOT_OK(tree_->ScanDataPage(item.page, h.data(), h.size(),
+                                           center_, *metric_, bound,
+                                           &scratch_, emit));
       continue;
     }
     HT_ASSIGN_OR_RETURN(
         std::shared_ptr<const IndexNode> node,
         tree_->ReadIndexNodeCached(item.page, h.data(), h.size()));
     h.Release();
-    stack_.clear();
-    stack_.push_back(node->root.get());
-    while (!stack_.empty()) {
-      const KdNode* n = stack_.back();
-      stack_.pop_back();
-      if (n->IsLeaf()) {
-        const double d = metric_->MinDistToBox(center_, n->cached_live);
-        if (d * (1.0 + opts_.epsilon) <= eb) {
-          queue_.push(Item{d, false, 0, n->child});
-        } else if (opts_.epsilon > 0.0 && d <= eb) {
-          early_terminated_ = true;
-        }
-        continue;
+    const auto enqueue = [&](const KdNode& leaf) {
+      const double d = metric_->MinDistToBox(center_, leaf.cached_live);
+      if (d * (1.0 + opts_.epsilon) <= eb) {
+        queue_.push(Item{d, false, 0, leaf.child});
+      } else if (opts_.epsilon > 0.0 && d <= eb) {
+        early_terminated_ = true;
       }
-      stack_.push_back(n->right.get());
-      stack_.push_back(n->left.get());
-    }
+    };
+    WalkKdLeaves(node->root.get(), &stack_, kBothSides, enqueue);
   }
   return std::optional<std::pair<double, uint64_t>>();
 }

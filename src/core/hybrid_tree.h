@@ -27,7 +27,7 @@
 // see storage/buffer_pool.h). Mutation (Insert, Delete, Flush, RebuildEls)
 // requires exclusive access: the caller must guarantee no query is in
 // flight — the exclusive-write half of the protocol is enforced by the
-// caller (e.g. exec::QueryExecutor runs only reads), not by this class.
+// caller (e.g. the read-only ShardedIndex in serve/), not by this class.
 // Mode switches themselves require the same exclusivity. The protocol is
 // expressed to Clang's thread-safety analysis through the annotation-only
 // rw_contract_ capability (see DESIGN.md §12): read entry points acquire
@@ -196,12 +196,6 @@ class HybridTree {
   Status SearchKnnInto(std::span<const float> center, size_t k,
                        const DistanceMetric& metric, SearchScratch* scratch,
                        std::vector<std::pair<double, uint64_t>>* out) const;
-
-  /// SearchKnnApprox into a caller-owned buffer.
-  Status SearchKnnApproxInto(
-      std::span<const float> center, size_t k, const DistanceMetric& metric,
-      double epsilon, SearchScratch* scratch,
-      std::vector<std::pair<double, uint64_t>>* out) const;
 
   /// Bounded/approximate k-NN into a caller-owned buffer: epsilon and the
   /// leaf-visit budget per `limits` (see KnnSearchLimits — default limits
@@ -481,7 +475,9 @@ class HybridTree {
   // an ancestor's live box was fully inside the query, so every point
   // below qualifies without per-point tests (scan-level pruning). The kd
   // walks share scratch->stack across page-nesting levels via a base
-  // marker (each level only pops entries it pushed).
+  // marker (each level only pops entries it pushed). The recursive bodies
+  // are members, not lambdas, so the analysis sees the shared-role
+  // requirement.
   Status SearchBoxRec(PageId page, const Box& query, bool contained,
                       SearchScratch* scratch, std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
@@ -490,40 +486,49 @@ class HybridTree {
                         SearchScratch* scratch,
                         std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Recursive body of ScanAll (a member, not a lambda, so the analysis
-  /// sees the shared-role requirement).
   Status ScanAllRec(
       PageId page,
-      const std::function<void(uint64_t, std::span<const float>)>& fn) const
+      const std::function<void(uint64_t, std::span<const float>)>& fn,
+      SearchScratch* scratch) const HT_REQUIRES_SHARED(rw_contract_);
+  /// The collect -> prefetch step of the depth-first traversals (box,
+  /// range, ScanAll): walks `node`'s kd tree (routing internal nodes with
+  /// `route`), appends a Descent for every leaf `admit` keeps to
+  /// scratch->descents, and prefetches the new children as one batch.
+  /// Returns the index of the first new Descent; the caller descends them
+  /// in order and then truncates back to it. The descent order is the
+  /// walk's preorder, so results are byte-identical with prefetch on or
+  /// off.
+  template <typename RouteFn, typename AdmitFn>
+  size_t CollectDescents(const IndexNode& node, const RouteFn& route,
+                         const AdmitFn& admit, SearchScratch* scratch) const;
+  /// The data-page distance scan every metric traversal shares (range,
+  /// batch k-NN, the cursor): QuantFilter, then either a sparse per-row
+  /// exact refine of the survivors or one bounded batch pass over the
+  /// page. Calls emit(distance, id) in ascending row order. A row whose
+  /// distance exceeds `bound` may be skipped or reported with any value
+  /// above `bound`, so `emit` must only compare against thresholds at or
+  /// under it; every other row gets its exact distance. A template over
+  /// the emit callable so the hot path stays allocation-free.
+  template <typename Emit>
+  Status ScanDataPage(PageId page, const uint8_t* data, size_t size,
+                      std::span<const float> center,
+                      const DistanceMetric& metric, double bound,
+                      SearchScratch* scratch, const Emit& emit) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Quantized filter-then-refine for one data-page scan: computes sound
-  /// code lower bounds for all `n` rows of `blk` and collects the rows
-  /// with lb <= bound (ascending) into scratch->survivors. Returns false —
-  /// and counts an unfiltered scan — when filtering is off, unavailable
-  /// for this metric, or pointless (bound is +inf / no rows). On true, the
-  /// caller must compute exact distances for the survivor rows only; the
-  /// bound soundness guarantees the visible results are byte-identical.
-  /// Whenever sidecars are enabled — and the metric can actually use them
-  /// (DistanceMetric::SupportsCodeFilter; building one for a metric with
-  /// no code-space bound would only cache useless pages) — `*qp_out`
-  /// receives this page's sidecar (even when the return is false) so the
-  /// caller can route exact distances through its transposed float mirror.
-  /// `cursor_path` routes the scan accounting to the cursor_* IoStats
-  /// duals instead of the batch counters.
+  /// Quantized filter for one data-page scan: collects the rows whose
+  /// code lower bound does not exceed `bound` (ascending) into
+  /// scratch->survivors and returns true. Returns false — and counts an
+  /// unfiltered scan — when filtering is off, unavailable for this metric,
+  /// or pointless (bound is +inf / no rows). Whenever sidecars are enabled
+  /// and the metric can use them (DistanceMetric::SupportsCodeFilter;
+  /// building one for a metric with no code-space bound would only cache
+  /// useless pages), `*qp_out` receives this page's sidecar (even when the
+  /// return is false) so the exact pass can use its transposed float
+  /// mirror.
   bool QuantFilter(PageId page, const float* blk, size_t stride, size_t n,
                    std::span<const float> center, const DistanceMetric& metric,
                    double bound, SearchScratch* scratch,
-                   std::shared_ptr<const QuantizedPage>* qp_out,
-                   bool cursor_path = false) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  /// One cursor data-page scan: applies QuantFilter under the cursor's
-  /// current scan bound, refines survivors exactly (sparse per-row or
-  /// dense batch, like the batch k-NN path), and enqueues every entry
-  /// whose distance does not exceed the bound. With an infinite bound this
-  /// enqueues all rows with exact distances — the legacy cursor scan.
-  /// A member (not cursor code) so it can reach SearchScratch internals.
-  Status ScanDataPageForCursor(KnnCursor* cursor, PageId page,
-                               const uint8_t* data, size_t size) const
+                   std::shared_ptr<const QuantizedPage>* qp_out) const
       HT_REQUIRES_SHARED(rw_contract_);
 
   // --- maintenance --------------------------------------------------------

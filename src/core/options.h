@@ -87,13 +87,6 @@ struct HybridTreeOptions {
   /// indistinguishable. Runtime-only: not persisted by Flush()/Open().
   CachePolicy cache_policy = CachePolicy::kSlru;
 
-  /// Kill switch for the batched data-page distance kernels and the
-  /// scan-level containment shortcut (forces the per-point scalar
-  /// reference hot path). Results are identical either way — this exists
-  /// for the byte-identity tests and bench_hotpath's before/after
-  /// comparison. Runtime-only: not persisted by Flush()/Open().
-  bool disable_batch_kernels = false;
-
   /// Enables the per-data-page 8-bit quantized filter-then-refine scan
   /// path for range and (bounded) k-NN queries: a sound lower bound on
   /// each point's distance is computed from cached uint8 codes and only

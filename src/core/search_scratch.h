@@ -13,8 +13,8 @@
 // Ownership rules:
 //  * One scratch serves one query at a time. It may be reused freely
 //    across queries, query types, and trees.
-//  * Concurrent queries need distinct scratches — exec::QueryExecutor
-//    pools one per worker thread.
+//  * Concurrent queries need distinct scratches — ShardedIndex keeps a
+//    free-list its scatter tasks borrow from.
 //  * Passing nullptr to the scratch-taking search overloads makes the tree
 //    use a function-local scratch: always correct, but it re-allocates per
 //    query. Callers on a hot path should hold a scratch.
@@ -48,11 +48,11 @@ class SearchScratch {
     PageId page;
   };
 
-  /// One child page a box/range descent has committed to visiting:
-  /// collected during the intra-node kd walk, prefetched as a batch, then
-  /// descended in the original preorder (so results are byte-identical
-  /// with prefetch on or off). `contained` carries the box search's
-  /// scan-level-pruning flag; range search leaves it false.
+  /// One child page a box/range/ScanAll descent has committed to
+  /// visiting: collected during the intra-node kd walk, prefetched as a
+  /// batch, then descended in the original preorder (so results are
+  /// byte-identical with prefetch on or off). `contained` carries the box
+  /// search's scan-level-pruning flag; the other descents leave it false.
   struct Descent {
     PageId page;
     bool contained;
@@ -65,7 +65,6 @@ class SearchScratch {
   std::vector<Descent> descents;  // collect-then-descend (base-marked)
   std::vector<PageId> prefetch_ids;   // batch under construction
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample
-  std::vector<double> lb;             // quantized-code lower bounds
   std::vector<uint8_t> masks;         // fused-filter survivor bits
   std::vector<uint32_t> survivors;    // rows passing the code filter
   quant::FilterScratch quant;         // per-(query,page) filter prep

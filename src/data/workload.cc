@@ -140,15 +140,26 @@ std::vector<uint64_t> BruteForceRange(const Dataset& data,
 std::vector<std::pair<double, uint64_t>> BruteForceKnn(
     const Dataset& data, std::span<const float> center, size_t k,
     const DistanceMetric& metric) {
-  std::vector<std::pair<double, uint64_t>> all;
-  all.reserve(data.size());
+  // A bounded max-heap of the k smallest (distance, id) pairs: the result
+  // holds k entries, never the whole dataset.
+  k = std::min(k, data.size());
+  std::vector<std::pair<double, uint64_t>> best;
+  if (k == 0) return best;
+  best.reserve(k);
   for (size_t i = 0; i < data.size(); ++i) {
-    all.emplace_back(metric.Distance(center, data.Row(i)), i);
+    const double d = metric.Distance(center, data.Row(i));
+    const std::pair<double, uint64_t> e(d, i);
+    if (best.size() < k) {
+      best.push_back(e);
+      std::push_heap(best.begin(), best.end());
+    } else if (e < best.front()) {
+      std::pop_heap(best.begin(), best.end());
+      best.back() = e;
+      std::push_heap(best.begin(), best.end());
+    }
   }
-  if (k > all.size()) k = all.size();
-  std::partial_sort(all.begin(), all.begin() + k, all.end());
-  all.resize(k);
-  return all;
+  std::sort_heap(best.begin(), best.end());
+  return best;
 }
 
 }  // namespace ht

@@ -1,7 +1,6 @@
 // Copyright 2026 The HybridTree Authors.
-// Latency aggregation for the batch query executor: per-worker samples are
-// collected lock-free (each worker owns its vector) and merged into
-// nearest-rank percentiles after the batch barrier.
+// Latency aggregation: nearest-rank percentiles over a sample set (the
+// server's per-tenant latency windows, see serve/metrics.h).
 
 #pragma once
 

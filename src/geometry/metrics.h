@@ -134,8 +134,8 @@ class DistanceMetric {
   /// code bound does not exceed `bound` (modulo the hair of upward slack in
   /// quant::FilterThreshold — extra survivors are sound, they just get
   /// refined exactly); a clear bit proves the row's true distance exceeds
-  /// `bound`. Returns false when the metric has no mask kernel (caller
-  /// falls back to CodeLowerBounds). Masks ARE bitwise identical across
+  /// `bound`. Returns false when the metric has no mask kernel (the
+  /// caller then scans unfiltered). Masks ARE bitwise identical across
   /// SIMD dispatch tiers (see kernels.h CodeMaskTFn).
   virtual bool CodeFilterMasks(std::span<const float> q,
                                const quant::PageCodesView& page, double bound,

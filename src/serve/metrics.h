@@ -2,8 +2,7 @@
 // Live serving metrics: per-tenant traffic counters + latency percentiles
 // and per-shard I/O, exported as a point-in-time MetricsSnapshot.
 //
-// The outcome taxonomy mirrors exec::BatchReport so the whole stack
-// counts the same way, with two admission-side outcomes added in front:
+// Every request ends in exactly one of these outcomes:
 //
 //   rejected   — refused by the token bucket (rate overload), never ran
 //   expired    — deadline exceeded: while queued for an in-flight slot,

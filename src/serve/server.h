@@ -24,18 +24,60 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "exec/query_executor.h"
+#include "geometry/box.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
 #include "serve/sharded_index.h"
 
 namespace ht {
+
+/// One box / distance-range / k-NN query.
+struct Query {
+  enum class Type : uint8_t { kBox = 0, kRange = 1, kKnn = 2 };
+
+  Type type = Type::kBox;
+  Box box;                    // kBox
+  std::vector<float> center;  // kRange / kKnn
+  double radius = 0.0;        // kRange
+  size_t k = 0;               // kKnn
+
+  static Query MakeBox(Box b) {
+    Query q;
+    q.type = Type::kBox;
+    q.box = std::move(b);
+    return q;
+  }
+  static Query MakeRange(std::vector<float> center, double radius) {
+    Query q;
+    q.type = Type::kRange;
+    q.center = std::move(center);
+    q.radius = radius;
+    return q;
+  }
+  static Query MakeKnn(std::vector<float> center, size_t k) {
+    Query q;
+    q.type = Type::kKnn;
+    q.center = std::move(center);
+    q.k = k;
+    return q;
+  }
+};
+
+/// Outcome of one query. Exactly one of `ids` / `neighbors` is populated
+/// (by query type) when `status` is OK.
+struct QueryResult {
+  Status status;
+  std::vector<uint64_t> ids;                           // box / range
+  std::vector<std::pair<double, uint64_t>> neighbors;  // knn
+  double seconds = 0.0;  // latency (successful queries only)
+};
 
 /// One tenant request: a query plus its identity and wall-clock budget.
 struct Request {

@@ -31,14 +31,13 @@
 // preserves id tie-breaking). The result is still canonical-deterministic
 // under any thread interleaving; only the amount of pruning varies.
 //
-// Deadlines and cancellation ride in via exec::ExecOptions: tasks check
-// both before touching their shard, and the k-NN loop re-checks between
-// cursor pops. A shard that starts after the deadline fails the whole
-// request with DeadlineExceeded — a partial scatter is a wrong answer,
-// not a slow one. ExecOptions::io_pool is ignored here; attach a
-// dedicated prefetch pool at build time via ShardedIndexOptions::io_pool
-// instead (the serving tier holds concurrent-read mode open, so the
-// executor stays attached for the index's lifetime).
+// Deadlines and cancellation ride in via ExecOptions: tasks check both
+// before touching their shard, and the k-NN loop re-checks between cursor
+// pops. A shard that starts after the deadline fails the whole request
+// with DeadlineExceeded — a partial scatter is a wrong answer, not a slow
+// one. A dedicated prefetch pool is attached at build time via
+// ShardedIndexOptions::io_pool (the serving tier holds concurrent-read
+// mode open, so it stays attached for the index's lifetime).
 //
 // Threading: safe to call from any thread EXCEPT the serving pool's own
 // workers (a scatter blocked on its own pool's queue would deadlock).
@@ -60,7 +59,6 @@
 #include "core/bulk_load.h"
 #include "core/hybrid_tree.h"
 #include "data/dataset.h"
-#include "exec/query_executor.h"
 #include "exec/thread_pool.h"
 #include "geometry/box.h"
 #include "geometry/metrics.h"
@@ -70,6 +68,47 @@
 #include "storage/paged_file.h"
 
 namespace ht {
+
+/// Aggregated k-NN approximation accounting for one request or batch.
+struct KnnExecStats {
+  /// Data pages (leaves) scanned by k-NN traversals.
+  uint64_t leaf_visits = 0;
+  /// Traversals an approximation knob cut short of the exact search.
+  uint64_t early_terminations = 0;
+
+  void Accumulate(const KnnExecStats& other) {
+    leaf_visits += other.leaf_visits;
+    early_terminations += other.early_terminations;
+  }
+};
+
+/// Per-request execution controls.
+struct ExecOptions {
+  /// Wall-clock budget for the request in seconds; 0 = no deadline. A
+  /// shard task that has not started when the budget expires fails the
+  /// request with DeadlineExceeded.
+  double deadline_seconds = 0.0;
+  /// Optional external cancellation flag, polled before each shard task.
+  const std::atomic<bool>* cancel = nullptr;
+  /// Optional per-request I/O accounting sink: when set, the serving tier
+  /// (ShardedIndex::RunOnShards) additionally accumulates the request's
+  /// scatter-task IoStats — including the per-access-class cache counters —
+  /// into it, so a server can attribute cache behaviour to the tenant that
+  /// caused it. Written after the scatter barrier; not owned.
+  IoStats* request_io = nullptr;
+  /// k-NN recall knobs, exact by default (see core KnnSearchLimits for the
+  /// semantics). epsilon makes every k-NN (1+epsilon)-approximate.
+  double knn_epsilon = 0.0;
+  /// Total k-NN leaf-visit budget per query; 0 = unlimited. The sharded
+  /// tier splits it evenly across shards (ceil division, so the budget is
+  /// never under-provisioned by rounding).
+  size_t knn_max_leaf_visits = 0;
+  /// Optional accounting sink for the knobs above: leaf visits and
+  /// early-terminated traversals accumulate here (one count per shard
+  /// traversal). Written after the scatter barrier, like request_io; not
+  /// owned.
+  KnnExecStats* knn_stats = nullptr;
+};
 
 struct ShardedIndexOptions {
   /// Number of shards (>= 1).

@@ -779,20 +779,12 @@ Status BufferPool::EvictAll() {
 }
 
 void BufferPool::CountScan(PageId id, uint64_t rows, uint64_t survivors,
-                           bool filtered, bool cursor) {
+                           bool filtered) {
   const auto charge = [&](IoStats* s) {
-    if (cursor) {
-      s->cursor_scan_points += rows;
-      if (filtered) {
-        s->cursor_quant_refined += survivors;
-        s->cursor_quant_pruned += rows - survivors;
-      }
-    } else {
-      s->scan_points += rows;
-      if (filtered) {
-        s->quant_refined += survivors;
-        s->quant_pruned += rows - survivors;
-      }
+    s->scan_points += rows;
+    if (filtered) {
+      s->quant_refined += survivors;
+      s->quant_pruned += rows - survivors;
     }
   };
   Shard& shard = ShardFor(id);

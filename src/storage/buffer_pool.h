@@ -364,11 +364,8 @@ class BufferPool {
   /// of them passed the quantized-code filter and were refined exactly
   /// (the rest were pruned by the code lower bound). Counted into the
   /// page's shard stats and the thread-local IoStatsScope sink, like any
-  /// other pool operation. Scans driven by an incremental KnnCursor pass
-  /// `cursor` and are charged to the cursor_* duals instead, so the two
-  /// scan paths stay separately observable.
-  void CountScan(PageId id, uint64_t rows, uint64_t survivors, bool filtered,
-                 bool cursor = false);
+  /// other pool operation.
+  void CountScan(PageId id, uint64_t rows, uint64_t survivors, bool filtered);
 
   /// Sum of the shard counters. The returned reference stays valid but is
   /// only refreshed by the next stats() call. Call from one thread at a

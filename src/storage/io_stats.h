@@ -43,6 +43,57 @@ inline const char* AccessClassName(AccessClass c) {
   return "unknown";
 }
 
+/// The scalar counters of IoStats, listed once. Each X(name) becomes a
+/// uint64_t field, and Accumulate and Delta are generated from the same
+/// list, so a new counter is merged and diffed like every other one.
+///   logical_reads     page fetches requested by an index structure
+///   physical_reads    fetches that missed the pool and read the file
+///   writes            pages written back to the file
+///   allocations       pages allocated (New)
+///   frees             pages freed
+///   evictions         frames evicted from the pool
+///   batch_reads       ReadBatch round trips to a backing file (each may
+///                     cover many pages; per-page cost is physical_reads)
+///   batch_writes      WriteBatch round trips (the write-side dual; the
+///                     per-page cost is in writes)
+///   prefetch_issued   pages handed to the prefetch pipeline for a
+///                     best-effort, non-pinning fill. Prefetched fills
+///                     count as physical reads only — never as logical
+///                     reads, which stay the paper's figure-of-merit.
+///   prefetch_hits     fetches that hit a frame brought in by prefetch
+///                     (first pin only)
+///   scan_points       points entering a data-page distance scan
+///                     (filtered or not), from any search path
+///   quant_refined     points that survived the quantized-code filter and
+///                     got an exact distance (filtered scans only)
+///   quant_pruned      points the code lower bound pruned without an exact
+///                     distance. On a filtered page, scan_points splits
+///                     exactly into quant_refined + quant_pruned.
+///   pin_overflows     demand fetches (Fetch / FetchMany / New) admitted
+///                     over a shard's capacity target because every
+///                     resident frame was pinned by concurrent queries.
+///                     The overflow is transient: the eviction loop drains
+///                     the shard back to target once pins release. A
+///                     persistently nonzero rate means the pool is
+///                     undersized for its concurrency.
+#define HT_IO_STATS_COUNTERS(X) \
+  X(logical_reads)              \
+  X(physical_reads)             \
+  X(writes)                     \
+  X(allocations)                \
+  X(frees)                      \
+  X(evictions)                  \
+  X(batch_reads)                \
+  X(batch_writes)               \
+  X(prefetch_issued)            \
+  X(prefetch_hits)              \
+  X(scan_points)                \
+  X(quant_refined)              \
+  X(quant_pruned)               \
+  X(pin_overflows)
+
+#define HT_IO_STATS_DECLARE(name) uint64_t name = 0;
+
 /// Counters maintained by BufferPool / PagedFile. "Logical" reads count
 /// every page fetch requested by an index structure; "physical" reads count
 /// fetches that missed the buffer pool and touched the backing file.
@@ -53,48 +104,7 @@ inline const char* AccessClassName(AccessClass c) {
 /// logical reads with a cold (or bypassed) cache as the figure-of-merit and
 /// keeps physical counters for buffer-pool experiments.
 struct IoStats {
-  uint64_t logical_reads = 0;
-  uint64_t physical_reads = 0;
-  uint64_t writes = 0;
-  uint64_t allocations = 0;
-  uint64_t frees = 0;
-  uint64_t evictions = 0;
-  /// Number of ReadBatch round trips issued to a backing file (each may
-  /// cover many pages; the per-page cost is in physical_reads).
-  uint64_t batch_reads = 0;
-  /// Number of WriteBatch round trips issued to a backing file (the
-  /// write-side dual of batch_reads; per-page cost is in writes).
-  uint64_t batch_writes = 0;
-  /// Pages handed to the prefetch pipeline (scheduled for a best-effort,
-  /// non-pinning fill). Prefetched fills count as physical reads only —
-  /// never as logical reads, which stay the paper's figure-of-merit.
-  uint64_t prefetch_issued = 0;
-  /// Fetches that hit a frame brought in by prefetch (first pin only).
-  uint64_t prefetch_hits = 0;
-  /// Points entering a batched data-page distance scan (filtered or not).
-  uint64_t scan_points = 0;
-  /// Points that survived the quantized-code filter and were refined with
-  /// an exact distance. Only bumped on filtered scans.
-  uint64_t quant_refined = 0;
-  /// Points pruned by the quantized-code lower bound without an exact
-  /// distance computation. scan_points on a filtered page splits exactly
-  /// into quant_refined + quant_pruned.
-  uint64_t quant_pruned = 0;
-  /// Cursor-path duals of scan_points / quant_refined / quant_pruned:
-  /// data-page scans driven by an incremental KnnCursor count here INSTEAD
-  /// of the batch-path counters above, so cursor-path pruning (the serving
-  /// tier's scatter-gather k-NN) is distinguishable from batch-path
-  /// pruning. Same splitting invariant: cursor_scan_points on a filtered
-  /// page is exactly cursor_quant_refined + cursor_quant_pruned.
-  uint64_t cursor_scan_points = 0;
-  uint64_t cursor_quant_refined = 0;
-  uint64_t cursor_quant_pruned = 0;
-  /// Demand fetches (Fetch / FetchMany / New) admitted over a shard's
-  /// capacity target because every resident frame was pinned by concurrent
-  /// queries. The overflow is transient: the eviction loop drains the
-  /// shard back to target as soon as pins release. A persistently nonzero
-  /// rate means the pool is undersized for its concurrency.
-  uint64_t pin_overflows = 0;
+  HT_IO_STATS_COUNTERS(HT_IO_STATS_DECLARE)
 
   /// Per-access-class cache counters, indexed by AccessClass. Hits and
   /// misses cover demand accesses (Fetch / FetchMany) only — New() and
@@ -119,14 +129,13 @@ struct IoStats {
                      static_cast<double>(logical_reads);
   }
 
-  /// Fraction of all scanned points — batch and cursor paths combined —
-  /// pruned by the quantized-code lower bound without an exact distance
-  /// computation. 0 when no points were scanned.
+  /// Fraction of all scanned points pruned by the quantized-code lower
+  /// bound without an exact distance computation. 0 when no points were
+  /// scanned.
   double QuantPruneRate() const {
-    const uint64_t total = scan_points + cursor_scan_points;
-    if (total == 0) return 0.0;
-    return static_cast<double>(quant_pruned + cursor_quant_pruned) /
-           static_cast<double>(total);
+    if (scan_points == 0) return 0.0;
+    return static_cast<double>(quant_pruned) /
+           static_cast<double>(scan_points);
   }
 
   /// Demand-fetch hit rate of one access class (class_hits over
@@ -140,23 +149,9 @@ struct IoStats {
 
   /// Adds `other` into this (used to merge per-shard / per-worker counters).
   void Accumulate(const IoStats& other) {
-    logical_reads += other.logical_reads;
-    physical_reads += other.physical_reads;
-    writes += other.writes;
-    allocations += other.allocations;
-    frees += other.frees;
-    evictions += other.evictions;
-    batch_reads += other.batch_reads;
-    batch_writes += other.batch_writes;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_hits += other.prefetch_hits;
-    scan_points += other.scan_points;
-    quant_refined += other.quant_refined;
-    quant_pruned += other.quant_pruned;
-    cursor_scan_points += other.cursor_scan_points;
-    cursor_quant_refined += other.cursor_quant_refined;
-    cursor_quant_pruned += other.cursor_quant_pruned;
-    pin_overflows += other.pin_overflows;
+#define HT_IO_STATS_ADD(name) this->name += other.name;
+    HT_IO_STATS_COUNTERS(HT_IO_STATS_ADD)
+#undef HT_IO_STATS_ADD
     for (size_t c = 0; c < kNumAccessClasses; ++c) {
       class_hits[c] += other.class_hits[c];
       class_misses[c] += other.class_misses[c];
@@ -164,32 +159,33 @@ struct IoStats {
     }
   }
 
+  /// This minus `since`, counter by counter.
   IoStats Delta(const IoStats& since) const {
-    IoStats d;
-    d.logical_reads = logical_reads - since.logical_reads;
-    d.physical_reads = physical_reads - since.physical_reads;
-    d.writes = writes - since.writes;
-    d.allocations = allocations - since.allocations;
-    d.frees = frees - since.frees;
-    d.evictions = evictions - since.evictions;
-    d.batch_reads = batch_reads - since.batch_reads;
-    d.batch_writes = batch_writes - since.batch_writes;
-    d.prefetch_issued = prefetch_issued - since.prefetch_issued;
-    d.prefetch_hits = prefetch_hits - since.prefetch_hits;
-    d.scan_points = scan_points - since.scan_points;
-    d.quant_refined = quant_refined - since.quant_refined;
-    d.quant_pruned = quant_pruned - since.quant_pruned;
-    d.cursor_scan_points = cursor_scan_points - since.cursor_scan_points;
-    d.cursor_quant_refined = cursor_quant_refined - since.cursor_quant_refined;
-    d.cursor_quant_pruned = cursor_quant_pruned - since.cursor_quant_pruned;
-    d.pin_overflows = pin_overflows - since.pin_overflows;
+    IoStats d = *this;
+#define HT_IO_STATS_SUB(name) d.name -= since.name;
+    HT_IO_STATS_COUNTERS(HT_IO_STATS_SUB)
+#undef HT_IO_STATS_SUB
     for (size_t c = 0; c < kNumAccessClasses; ++c) {
-      d.class_hits[c] = class_hits[c] - since.class_hits[c];
-      d.class_misses[c] = class_misses[c] - since.class_misses[c];
-      d.class_evictions[c] = class_evictions[c] - since.class_evictions[c];
+      d.class_hits[c] -= since.class_hits[c];
+      d.class_misses[c] -= since.class_misses[c];
+      d.class_evictions[c] -= since.class_evictions[c];
     }
     return d;
   }
 };
+
+namespace io_stats_detail {
+/// The scalar counters alone: a field added to IoStats outside
+/// HT_IO_STATS_COUNTERS changes its size and fails the check below.
+struct Scalars {
+  HT_IO_STATS_COUNTERS(HT_IO_STATS_DECLARE)
+};
+}  // namespace io_stats_detail
+static_assert(sizeof(IoStats) ==
+                  sizeof(io_stats_detail::Scalars) +
+                      3 * sizeof(std::array<uint64_t, kNumAccessClasses>),
+              "every IoStats counter must be listed in HT_IO_STATS_COUNTERS");
+
+#undef HT_IO_STATS_DECLARE
 
 }  // namespace ht

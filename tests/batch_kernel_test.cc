@@ -1,7 +1,7 @@
 // Property tests for the batched data-page distance kernels
 // (DistanceMetric::BatchDistance / BatchDistanceWithBound) and for the
-// end-to-end byte-identity of the batched query hot path against the
-// scalar reference path (HybridTreeOptions::disable_batch_kernels).
+// end-to-end identity of the batched query hot path, at every SIMD tier,
+// with the brute-force reference answers of data/workload.h.
 //
 // The batch-kernel contract under test (see geometry/metrics.h):
 //  * BatchDistance(q, pts, stride, n, out) writes out[i] bit-identical to
@@ -27,6 +27,7 @@
 #include "core/hybrid_tree.h"
 #include "core/node.h"
 #include "data/generators.h"
+#include "data/workload.h"
 #include "geometry/kernels/kernels.h"
 #include "geometry/metrics.h"
 
@@ -231,15 +232,14 @@ INSTANTIATE_TEST_SUITE_P(
     KernelCaseName);
 
 // ---------------------------------------------------------------------------
-// End-to-end byte-identity: batched hot path vs scalar reference path.
+// End-to-end identity: the tree at every tier vs brute force.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<HybridTree> BuildTree(const Dataset& data, uint32_t dim,
-                                      bool disable_batch, MemPagedFile* file) {
+                                      MemPagedFile* file) {
   HybridTreeOptions o;
   o.dim = dim;
   o.page_size = 4096;
-  o.disable_batch_kernels = disable_batch;
   auto tree = HybridTree::Create(o, file).ValueOrDie();
   for (size_t i = 0; i < data.size(); ++i) {
     EXPECT_TRUE(tree->Insert(data.Row(i), i).ok());
@@ -247,17 +247,37 @@ std::unique_ptr<HybridTree> BuildTree(const Dataset& data, uint32_t dim,
   return tree;
 }
 
-TEST(BatchPathByteIdentity, BoxRangeKnnMatchScalarPath) {
+std::vector<uint64_t> Sorted(std::vector<uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Bitwise (distance, id) equality, rank by rank.
+void ExpectSameNeighbors(const std::vector<std::pair<double, uint64_t>>& got,
+                         const std::vector<std::pair<double, uint64_t>>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].first),
+              std::bit_cast<uint64_t>(want[i].first))
+        << where << " rank " << i;
+    EXPECT_EQ(got[i].second, want[i].second) << where << " rank " << i;
+  }
+}
+
+TEST(BatchPathByteIdentity, BoxRangeKnnMatchBruteForceAtEveryTier) {
   const uint32_t dim = 16;
   Rng rng(515);
   Dataset data = GenFourier(3000, dim, rng);
+  MemPagedFile file(4096);
+  auto tree = BuildTree(data, dim, &file);
 
-  MemPagedFile f_batch(4096), f_scalar(4096);
-  auto batch_tree = BuildTree(data, dim, /*disable_batch=*/false, &f_batch);
-  auto scalar_tree = BuildTree(data, dim, /*disable_batch=*/true, &f_scalar);
-
-  L2Metric l2;
-  L1Metric l1;
+  struct QuerySet {
+    std::vector<float> center;
+    Box box;
+    double radius;
+  };
+  std::vector<QuerySet> queries;
   for (int q = 0; q < 25; ++q) {
     std::vector<float> center(dim), lo(dim), hi(dim);
     for (uint32_t d = 0; d < dim; ++d) {
@@ -266,44 +286,60 @@ TEST(BatchPathByteIdentity, BoxRangeKnnMatchScalarPath) {
       lo[d] = center[d] - side;
       hi[d] = center[d] + side;
     }
-    Box box = Box::FromBounds(lo, hi);
-
-    // Box: identical ids in identical order (exercises per-point and,
-    // with the unit cube below, the scan-level containment path).
-    auto b0 = batch_tree->SearchBox(box).ValueOrDie();
-    auto b1 = scalar_tree->SearchBox(box).ValueOrDie();
-    EXPECT_EQ(b0, b1) << "box query " << q;
-
-    // Range: bounded kernel vs scalar loop.
     const double radius = 0.2 + 0.6 * rng.NextDouble();
-    auto r0 = batch_tree->SearchRange(center, radius, l2).ValueOrDie();
-    auto r1 = scalar_tree->SearchRange(center, radius, l2).ValueOrDie();
-    EXPECT_EQ(r0, r1) << "range query " << q;
-    auto r2 = batch_tree->SearchRange(center, radius, l1).ValueOrDie();
-    auto r3 = scalar_tree->SearchRange(center, radius, l1).ValueOrDie();
-    EXPECT_EQ(r2, r3) << "L1 range query " << q;
-
-    // k-NN: bit-identical (distance, id) pairs in identical order.
-    for (size_t k : {1u, 10u, 64u}) {
-      auto n0 = batch_tree->SearchKnn(center, k, l2).ValueOrDie();
-      auto n1 = scalar_tree->SearchKnn(center, k, l2).ValueOrDie();
-      ASSERT_EQ(n0.size(), n1.size()) << "knn query " << q << " k " << k;
-      for (size_t i = 0; i < n0.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(n0[i].first),
-                  std::bit_cast<uint64_t>(n1[i].first))
-            << "knn query " << q << " k " << k << " rank " << i;
-        EXPECT_EQ(n0[i].second, n1[i].second)
-            << "knn query " << q << " k " << k << " rank " << i;
-      }
-    }
+    queries.push_back({center, Box::FromBounds(lo, hi), radius});
   }
 
-  // The whole space: every leaf is contained, so the batched tree takes
-  // the scan-level "emit everything" shortcut on every data page.
-  auto all0 = batch_tree->SearchBox(Box::UnitCube(dim)).ValueOrDie();
-  auto all1 = scalar_tree->SearchBox(Box::UnitCube(dim)).ValueOrDie();
-  EXPECT_EQ(all0, all1);
-  EXPECT_EQ(all0.size(), data.size());
+  L2Metric l2;
+  L1Metric l1;
+  const DistanceMetric* range_metrics[] = {&l2, &l1};
+  // The first tier is scalar; later tiers must reproduce its answers in
+  // the tree's own order, not just as sets.
+  std::vector<std::vector<uint64_t>> first_tier;
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    ScopedTier forced(tier);
+    std::vector<std::vector<uint64_t>> answers;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const QuerySet& qs = queries[q];
+      const std::string where = std::string("tier ") +
+                                kernels::TierName(tier) + " query " +
+                                std::to_string(q);
+
+      // Box: per-point tests and the scan-level containment shortcut.
+      answers.push_back(tree->SearchBox(qs.box).ValueOrDie());
+      EXPECT_EQ(Sorted(answers.back()), BruteForceBox(data, qs.box))
+          << "box " << where;
+
+      // Range: the bounded kernel (and the code filter at SIMD tiers).
+      for (const DistanceMetric* metric : range_metrics) {
+        answers.push_back(
+            tree->SearchRange(qs.center, qs.radius, *metric).ValueOrDie());
+        EXPECT_EQ(Sorted(answers.back()),
+                  BruteForceRange(data, qs.center, qs.radius, *metric))
+            << metric->Name() << " range " << where;
+      }
+
+      // k-NN: bit-identical (distance, id) pairs in identical order.
+      for (size_t k : {1u, 10u, 64u}) {
+        ExpectSameNeighbors(tree->SearchKnn(qs.center, k, l2).ValueOrDie(),
+                            BruteForceKnn(data, qs.center, k, l2),
+                            "knn k " + std::to_string(k) + " " + where);
+      }
+    }
+
+    // The whole space: every leaf is contained, so every data page takes
+    // the scan-level "emit everything" shortcut.
+    answers.push_back(tree->SearchBox(Box::UnitCube(dim)).ValueOrDie());
+    EXPECT_EQ(answers.back().size(), data.size());
+    EXPECT_EQ(Sorted(answers.back()),
+              BruteForceBox(data, Box::UnitCube(dim)));
+
+    if (first_tier.empty()) {
+      first_tier = std::move(answers);
+    } else {
+      EXPECT_EQ(answers, first_tier) << "tier " << kernels::TierName(tier);
+    }
+  }
 }
 
 // Reference implementations for the directory-node box predicates: the

@@ -15,8 +15,6 @@
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "exec/query_executor.h"
-#include "exec/thread_pool.h"
 #include "geometry/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/paged_file.h"
@@ -141,81 +139,6 @@ TEST_F(ConcurrentSearchTest, SerialResultsUnchangedAfterModeRoundTrip) {
   tree_->pool().ResetStats();
   (void)tree_->SearchBox(boxes_[0]).ValueOrDie();
   EXPECT_GT(tree_->pool().stats().logical_reads, 0u);
-}
-
-TEST_F(ConcurrentSearchTest, ExecutorMatchesReferenceAndAggregatesIo) {
-  Workload w;
-  for (size_t i = 0; i < kQueries; ++i) {
-    w.queries.push_back(Query::MakeBox(boxes_[i]));
-    w.queries.push_back(Query::MakeRange(centers_[i], radius_));
-    w.queries.push_back(Query::MakeKnn(centers_[i], 10));
-  }
-  w.metric = &metric_;
-
-  ThreadPool pool(kReaders);
-  QueryExecutor exec(tree_.get(), &pool);
-  auto report_r = exec.Run(w);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  const BatchReport& report = *report_r;
-
-  ASSERT_EQ(report.results.size(), 3 * kQueries);
-  EXPECT_EQ(report.completed, 3 * kQueries);
-  EXPECT_EQ(report.failed, 0u);
-  for (size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(report.results[3 * i].ids, ref_box_[i]);
-    EXPECT_EQ(report.results[3 * i + 1].ids, ref_range_[i]);
-    EXPECT_EQ(report.results[3 * i + 2].neighbors, ref_knn_[i]);
-  }
-
-  // Per-worker IoStats sum to the aggregate, and the batch actually did
-  // pool I/O attributed to workers.
-  EXPECT_EQ(report.per_worker_io.size(), kReaders);
-  IoStats sum;
-  for (const IoStats& io : report.per_worker_io) sum.Accumulate(io);
-  EXPECT_EQ(sum.logical_reads, report.io.logical_reads);
-  EXPECT_GT(report.io.logical_reads, 0u);
-  EXPECT_EQ(report.latency.count, report.completed);
-  EXPECT_GE(report.latency.p99, report.latency.p50);
-
-  // The executor restored the serial configuration.
-  EXPECT_FALSE(tree_->concurrent_reads());
-  EXPECT_FALSE(tree_->pool().concurrent_mode());
-}
-
-TEST_F(ConcurrentSearchTest, ExecutorHonoursCancellation) {
-  Workload w;
-  for (size_t i = 0; i < kQueries; ++i) {
-    w.queries.push_back(Query::MakeBox(boxes_[i]));
-  }
-  std::atomic<bool> cancel{true};  // cancelled before the batch starts
-  ExecOptions opts;
-  opts.cancel = &cancel;
-
-  ThreadPool pool(2);
-  QueryExecutor exec(tree_.get(), &pool);
-  auto report_r = exec.Run(w, opts);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  EXPECT_EQ(report_r->completed, 0u);
-  EXPECT_EQ(report_r->cancelled, kQueries);
-  for (const QueryResult& r : report_r->results) {
-    EXPECT_TRUE(r.status.IsCancelled());
-  }
-}
-
-TEST_F(ConcurrentSearchTest, ExecutorHonoursDeadline) {
-  Workload w;
-  for (size_t i = 0; i < kQueries; ++i) {
-    w.queries.push_back(Query::MakeBox(boxes_[i]));
-  }
-  ExecOptions opts;
-  opts.deadline_seconds = 1e-9;  // already expired when workers start
-
-  ThreadPool pool(2);
-  QueryExecutor exec(tree_.get(), &pool);
-  auto report_r = exec.Run(w, opts);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  EXPECT_EQ(report_r->completed, 0u);
-  EXPECT_EQ(report_r->expired, kQueries);
 }
 
 TEST(ConcurrentBufferPoolTest, ConcurrentFetchesAccountExactly) {

@@ -340,9 +340,12 @@ TEST(KnnApproxSharded, BudgetedResultsAreDeterministicAcrossPools) {
 // --- sidecar gating and cursor I/O accounting -------------------------------
 
 TEST(KnnApproxSidecars, MetricsWithoutCodeBoundsBuildNoSidecars) {
+  // Sidecars only engage on SIMD tiers, so pin the best one (HT_SIMD may
+  // have selected the scalar tier at startup).
   if (kernels::BestSupportedTier() == kernels::SimdTier::kScalar) {
     GTEST_SKIP() << "quant filter disabled at scalar tier";
   }
+  ScopedTier forced(kernels::BestSupportedTier());
   Fixture f(/*quant=*/true);
   std::vector<double> eye(kDim * kDim, 0.0);
   for (uint32_t d = 0; d < kDim; ++d) eye[d * kDim + d] = 1.0;
@@ -359,10 +362,11 @@ TEST(KnnApproxSidecars, MetricsWithoutCodeBoundsBuildNoSidecars) {
   EXPECT_GT(f.tree->CachedQuantPages(), 0u);
 }
 
-TEST(KnnApproxSidecars, CursorScansChargeCursorCounters) {
+TEST(KnnApproxSidecars, CursorScansChargeSharedScanCounters) {
   if (kernels::BestSupportedTier() == kernels::SimdTier::kScalar) {
     GTEST_SKIP() << "quant filter disabled at scalar tier";
   }
+  ScopedTier forced(kernels::BestSupportedTier());
   Fixture f(/*quant=*/true);
   L2Metric l2;
   f.tree->pool().ResetStats();
@@ -377,20 +381,19 @@ TEST(KnnApproxSidecars, CursorScansChargeCursorCounters) {
       ASSERT_TRUE(cursor.Next().ValueOrDie().has_value());
     }
   }
+  // The cursor runs the same data-page scan as every other search, so it
+  // charges the same counters.
   const IoStats after_cursor = f.tree->pool().stats();
-  EXPECT_GT(after_cursor.cursor_scan_points, 0u);
-  EXPECT_GT(after_cursor.cursor_quant_pruned, 0u);
+  EXPECT_GT(after_cursor.scan_points, 0u);
+  EXPECT_GT(after_cursor.quant_pruned, 0u);
   EXPECT_GT(after_cursor.QuantPruneRate(), 0.0);
-  // Cursor scans charge the cursor_* duals, never the batch counters.
-  EXPECT_EQ(after_cursor.scan_points, 0u);
-  EXPECT_EQ(after_cursor.quant_pruned, 0u);
+  EXPECT_LE(after_cursor.quant_refined + after_cursor.quant_pruned,
+            after_cursor.scan_points);
 
-  // A batch k-NN over the same tree lands in the batch counters, so the
-  // two paths stay distinguishable in one IoStats.
+  // A batch k-NN over the same tree adds to the same counters.
   (void)f.tree->SearchKnn(f.centers[0], kK, l2).ValueOrDie();
   const IoStats after_batch = f.tree->pool().stats();
-  EXPECT_GT(after_batch.scan_points, 0u);
-  EXPECT_EQ(after_batch.cursor_scan_points, after_cursor.cursor_scan_points);
+  EXPECT_GT(after_batch.scan_points, after_cursor.scan_points);
 }
 
 // --- server recall tiers ----------------------------------------------------
@@ -470,7 +473,8 @@ TEST(KnnApproxServer, TenantTiersOverridesAndMetrics) {
   EXPECT_GT(fast_m.knn_early_terminations, 0u);
   // Override requests ran exact: they added no early terminations.
   EXPECT_LE(fast_m.knn_early_terminations, uint64_t{2} * kQueries);
-  if (kernels::BestSupportedTier() != kernels::SimdTier::kScalar) {
+  // The code filter runs at SIMD tiers only (HT_SIMD may pick scalar).
+  if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
     EXPECT_GT(fast_m.quant_prune_rate, 0.0);
   }
 

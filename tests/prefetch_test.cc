@@ -1,5 +1,5 @@
 // Integration tests for the prefetching I/O pipeline (core + storage +
-// exec): prefetch is a pure I/O-scheduling optimisation, so every query
+// serve): prefetch is a pure I/O-scheduling optimisation, so every query
 // must return byte-identical results — and identical logical-read counts,
 // the paper's figure-of-merit — at any prefetch depth, while the number of
 // blocking read round trips drops. Runs clean under ThreadSanitizer (the
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -17,9 +18,9 @@
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "exec/query_executor.h"
 #include "exec/thread_pool.h"
 #include "geometry/metrics.h"
+#include "serve/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/latency_injecting_file.h"
 #include "storage/paged_file.h"
@@ -171,45 +172,61 @@ TEST_F(PrefetchIntegrationTest, DiskBackedTreeIdenticalAcrossDepths) {
   std::remove(path.c_str());
 }
 
-TEST_F(PrefetchIntegrationTest, ExecutorIoPoolMatchesSerialReference) {
+TEST_F(PrefetchIntegrationTest, ShardedIoPoolMatchesSerialReference) {
   Answers base = RunCold(file_.get(), 0);
 
-  auto tree = HybridTree::Open(file_.get(), pool_pages_).ValueOrDie();
-  tree->SetPrefetchDepth(8);
-  Workload w;
-  for (size_t i = 0; i < kQueries; ++i) {
-    w.queries.push_back(Query::MakeBox(boxes_[i]));
-    w.queries.push_back(Query::MakeRange(centers_[i], radius_));
-    w.queries.push_back(Query::MakeKnn(centers_[i], kK));
-  }
-  w.metric = &metric_;
-
+  // The serving path with a dedicated prefetch pool: every shard prefetches
+  // at depth 8 through a small buffer pool, so scatter tasks miss and
+  // their fills run on io_pool while the query pool computes.
+  HybridTreeOptions opts;
+  opts.dim = kDim;
+  opts.prefetch_depth = 8;
+  opts.buffer_pool_pages = pool_pages_;
   ThreadPool query_pool(4);
   ThreadPool io_pool(2);
-  QueryExecutor exec(tree.get(), &query_pool);
+  ShardedIndexOptions so;
+  so.shards = 2;
+  so.io_pool = &io_pool;
+  auto index_r = ShardedIndex::Build(opts, so, data_, &query_pool);
+  ASSERT_TRUE(index_r.ok()) << index_r.status().ToString();
+  auto index = std::move(index_r).ValueUnsafe();
 
-  // Sharing one pool between queries and fills would deadlock the batch;
-  // Run() must reject it up front.
-  ExecOptions self;
-  self.io_pool = &query_pool;
-  EXPECT_TRUE(exec.Run(w, self).status().IsInvalidArgument());
-
-  ExecOptions opts;
-  opts.io_pool = &io_pool;
-  auto report_r = exec.Run(w, opts);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  const BatchReport& report = *report_r;
-  ASSERT_EQ(report.results.size(), 3 * kQueries);
-  for (size_t i = 0; i < report.results.size(); ++i) {
-    EXPECT_TRUE(report.results[i].status.ok())
-        << "slot " << i << ": " << report.results[i].status.ToString();
-  }
-  EXPECT_EQ(report.failed, 0u);
+  // The serving tier answers in canonical order (ids ascending, k-NN by
+  // (distance, id)); the serial reference walks one tree in its own order.
+  const auto sorted = [](std::vector<uint64_t> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const ExecOptions exec;
   for (size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(report.results[3 * i].ids, base.box[i]) << "q" << i;
-    EXPECT_EQ(report.results[3 * i + 1].ids, base.range[i]) << "q" << i;
-    EXPECT_EQ(report.results[3 * i + 2].neighbors, base.knn[i]) << "q" << i;
+    std::vector<uint64_t> ids;
+    ASSERT_TRUE(index->SearchBox(boxes_[i], exec, &ids).ok());
+    EXPECT_EQ(ids, sorted(base.box[i])) << "q" << i;
+    ASSERT_TRUE(
+        index->SearchRange(centers_[i], radius_, metric_, exec, &ids).ok());
+    EXPECT_EQ(ids, sorted(base.range[i])) << "q" << i;
+    std::vector<std::pair<double, uint64_t>> nn;
+    ASSERT_TRUE(index->SearchKnn(centers_[i], kK, metric_, exec, &nn).ok());
+    EXPECT_EQ(nn, base.knn[i]) << "q" << i;
   }
+  IoStats io;
+  for (size_t s = 0; s < index->shards(); ++s) {
+    io.Accumulate(index->shard_io(s));
+  }
+  EXPECT_GT(io.physical_reads, 0u) << "queries never missed the pool";
+}
+
+TEST_F(PrefetchIntegrationTest, ShardedBuildRejectsIoPoolEqualToScatterPool) {
+  // Prefetch fills queued behind the shard tasks waiting on them would
+  // deadlock, so Build refuses one pool in both roles.
+  HybridTreeOptions opts;
+  opts.dim = kDim;
+  ThreadPool pool(2);
+  ShardedIndexOptions so;
+  so.shards = 2;
+  so.io_pool = &pool;
+  auto built = ShardedIndex::Build(opts, so, data_, &pool);
+  EXPECT_TRUE(built.status().IsInvalidArgument());
 }
 
 }  // namespace

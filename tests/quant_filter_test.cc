@@ -5,9 +5,9 @@
 //    including adversarial cases (query equal to a stored point, degenerate
 //    and near-degenerate dimensions, duplicated points, coordinates far
 //    outside the unit cube).
-//  * End-to-end byte-identity: range / k-NN / box results with sidecars on
-//    are identical — bitwise, including tie-breaks — to the scalar
-//    reference path, at every tier.
+//  * End-to-end identity: range / k-NN / box results with sidecars on
+//    match the brute-force reference answers — k-NN bitwise, including
+//    tie-breaks — and the sidecar-free tree, at every tier.
 //  * Sidecar lifecycle: lazy build, invalidation on mutation, stale-sidecar
 //    detection (QuantizedPage::Matches), validator integration.
 //  * Layout pinning: the on-page block layout and sidecar alignment the
@@ -16,17 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/hybrid_tree.h"
 #include "core/node.h"
 #include "data/generators.h"
+#include "data/workload.h"
 #include "geometry/kernels/kernels.h"
 #include "geometry/metrics.h"
 #include "geometry/quantize.h"
@@ -477,12 +480,10 @@ TEST(QuantStoreTest, LifecycleAndInvalidation) {
 // --- end-to-end byte-identity ----------------------------------------------
 
 std::unique_ptr<HybridTree> BuildTree(const Dataset& data, uint32_t dim,
-                                      bool disable_batch, bool quant,
-                                      MemPagedFile* file) {
+                                      bool quant, MemPagedFile* file) {
   HybridTreeOptions o;
   o.dim = dim;
   o.page_size = 4096;
-  o.disable_batch_kernels = disable_batch;
   o.quant_sidecars = quant;
   auto tree = HybridTree::Create(o, file).ValueOrDie();
   for (size_t i = 0; i < data.size(); ++i) {
@@ -491,25 +492,28 @@ std::unique_ptr<HybridTree> BuildTree(const Dataset& data, uint32_t dim,
   return tree;
 }
 
-TEST(QuantByteIdentity, FilteredResultsMatchScalarPathAtEveryTier) {
-  const uint32_t dim = 16;
-  Rng rng(8181);
-  Dataset data = GenColhist(2500, dim, rng);
+std::vector<uint64_t> Sorted(std::vector<uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
-  MemPagedFile f_ref(4096), f_quant(4096), f_plain(4096);
-  auto ref_tree = BuildTree(data, dim, /*disable_batch=*/true,
-                            /*quant=*/false, &f_ref);
-  auto quant_tree = BuildTree(data, dim, /*disable_batch=*/false,
-                              /*quant=*/true, &f_quant);
-  auto plain_tree = BuildTree(data, dim, /*disable_batch=*/false,
-                              /*quant=*/false, &f_plain);
-  // Re-insert duplicates of the first rows into all trees so exact ties
+TEST(QuantByteIdentity, FilteredResultsMatchBruteForceAtEveryTier) {
+  const uint32_t dim = 16;
+  const size_t kRows = 2500;
+  const size_t kDuplicates = 25;
+  Rng rng(8181);
+  Dataset colhist = GenColhist(kRows, dim, rng);
+  // Duplicates of the first rows (under their own ids) so exact ties
   // exist under every metric.
-  for (size_t i = 0; i < 25; ++i) {
-    ASSERT_TRUE(ref_tree->Insert(data.Row(i), 100000 + i).ok());
-    ASSERT_TRUE(quant_tree->Insert(data.Row(i), 100000 + i).ok());
-    ASSERT_TRUE(plain_tree->Insert(data.Row(i), 100000 + i).ok());
+  Dataset data(dim, kRows + kDuplicates);
+  for (size_t i = 0; i < data.size(); ++i) {
+    const auto row = colhist.Row(i < kRows ? i : i - kRows);
+    std::copy(row.begin(), row.end(), data.MutableRow(i).begin());
   }
+
+  MemPagedFile f_quant(4096), f_plain(4096);
+  auto quant_tree = BuildTree(data, dim, /*quant=*/true, &f_quant);
+  auto plain_tree = BuildTree(data, dim, /*quant=*/false, &f_plain);
 
   L2Metric l2;
   L1Metric l1;
@@ -519,8 +523,12 @@ TEST(QuantByteIdentity, FilteredResultsMatchScalarPathAtEveryTier) {
   WeightedL2Metric wl2{std::move(w)};
   const DistanceMetric* metrics[] = {&l2, &l1, &linf, &wl2};
 
+  // The first tier is scalar; later tiers must reproduce its range
+  // answers in the tree's own order, not just as sets.
+  std::vector<std::vector<uint64_t>> first_tier;
   for (const kernels::SimdTier tier : SupportedTiers()) {
     ScopedTier forced(tier);
+    std::vector<std::vector<uint64_t>> answers;
     Rng qrng(99);  // same queries at every tier
     for (int q = 0; q < 10; ++q) {
       std::vector<float> center(dim);
@@ -528,31 +536,32 @@ TEST(QuantByteIdentity, FilteredResultsMatchScalarPathAtEveryTier) {
         center[d] = static_cast<float>(qrng.NextDouble());
       }
       for (const DistanceMetric* metric : metrics) {
+        const std::string where = "metric " + metric->Name() + ", tier " +
+                                  kernels::TierName(tier) + ", query " +
+                                  std::to_string(q);
         const double radius = 0.1 + 0.5 * qrng.NextDouble();
-        auto r_ref = ref_tree->SearchRange(center, radius, *metric)
-                         .ValueOrDie();
         auto r_quant = quant_tree->SearchRange(center, radius, *metric)
                            .ValueOrDie();
         auto r_plain = plain_tree->SearchRange(center, radius, *metric)
                            .ValueOrDie();
-        EXPECT_EQ(r_ref, r_quant)
-            << "range, metric " << metric->Name() << ", tier "
-            << kernels::TierName(tier) << ", query " << q;
-        EXPECT_EQ(r_ref, r_plain);
+        EXPECT_EQ(Sorted(r_quant),
+                  BruteForceRange(data, center, radius, *metric))
+            << "range, " << where;
+        // Sidecars change no traversal: same ids in the same order.
+        EXPECT_EQ(r_quant, r_plain) << "range, " << where;
+        answers.push_back(std::move(r_quant));
 
         for (size_t k : {1u, 10u, 50u}) {
-          auto n_ref = ref_tree->SearchKnn(center, k, *metric).ValueOrDie();
+          auto n_ref = BruteForceKnn(data, center, k, *metric);
           auto n_quant =
               quant_tree->SearchKnn(center, k, *metric).ValueOrDie();
           ASSERT_EQ(n_ref.size(), n_quant.size());
           for (size_t i = 0; i < n_ref.size(); ++i) {
             EXPECT_EQ(std::bit_cast<uint64_t>(n_ref[i].first),
                       std::bit_cast<uint64_t>(n_quant[i].first))
-                << "metric " << metric->Name() << ", tier "
-                << kernels::TierName(tier) << ", k " << k << ", rank " << i;
+                << where << ", k " << k << ", rank " << i;
             EXPECT_EQ(n_ref[i].second, n_quant[i].second)
-                << "metric " << metric->Name() << ", tier "
-                << kernels::TierName(tier) << ", k " << k << ", rank " << i;
+                << where << ", k " << k << ", rank " << i;
           }
         }
       }
@@ -563,8 +572,13 @@ TEST(QuantByteIdentity, FilteredResultsMatchScalarPathAtEveryTier) {
         hi[d] = center[d] + 0.3f;
       }
       Box box = Box::FromBounds(lo, hi);
-      EXPECT_EQ(ref_tree->SearchBox(box).ValueOrDie(),
-                quant_tree->SearchBox(box).ValueOrDie());
+      EXPECT_EQ(Sorted(quant_tree->SearchBox(box).ValueOrDie()),
+                BruteForceBox(data, box));
+    }
+    if (first_tier.empty()) {
+      first_tier = std::move(answers);
+    } else {
+      EXPECT_EQ(answers, first_tier) << "tier " << kernels::TierName(tier);
     }
   }
 }
@@ -582,8 +596,7 @@ TEST(QuantTreeLifecycle, LazyBuildInvalidateAndValidate) {
   Rng rng(606);
   Dataset data = GenUniform(1200, dim, rng);
   MemPagedFile file(4096);
-  auto tree = BuildTree(data, dim, /*disable_batch=*/false, /*quant=*/true,
-                        &file);
+  auto tree = BuildTree(data, dim, /*quant=*/true, &file);
 
   // Nothing is built until a bounded scan needs it.
   EXPECT_EQ(tree->CachedQuantPages(), 0u);
@@ -613,7 +626,7 @@ TEST(QuantTreeLifecycle, LazyBuildInvalidateAndValidate) {
 
   // With the option off no sidecars are ever built.
   MemPagedFile file2(4096);
-  auto tree_off = BuildTree(data, dim, false, /*quant=*/false, &file2);
+  auto tree_off = BuildTree(data, dim, /*quant=*/false, &file2);
   ASSERT_TRUE(tree_off->SearchRange(center, 0.4, l2).ok());
   EXPECT_EQ(tree_off->CachedQuantPages(), 0u);
 }
@@ -629,8 +642,7 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
   Rng rng(414);
   Dataset data = GenFourier(2000, dim, rng);
   MemPagedFile file(4096);
-  auto tree = BuildTree(data, dim, /*disable_batch=*/false, /*quant=*/true,
-                        &file);
+  auto tree = BuildTree(data, dim, /*quant=*/true, &file);
 
   L2Metric l2;
   std::vector<float> center(dim, 0.5f);
@@ -652,7 +664,7 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
 
   // With the option off, no quant counters move.
   MemPagedFile file2(4096);
-  auto off = BuildTree(data, dim, false, /*quant=*/false, &file2);
+  auto off = BuildTree(data, dim, /*quant=*/false, &file2);
   off->pool().ResetStats();
   ASSERT_TRUE(off->SearchRange(center, 0.3, l2).ok());
   s = off->pool().StatsSnapshot();

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "data/generators.h"
 
 namespace ht {
@@ -91,6 +95,25 @@ TEST(WorkloadTest, BruteForceKnnSortedAndCorrectSize) {
   }
   // k > n clamps.
   EXPECT_EQ(BruteForceKnn(d, q, 9999, metric).size(), 500u);
+}
+
+TEST(WorkloadTest, BruteForceKnnHoldsOnlyKEntries) {
+  Rng rng(89);
+  Dataset d = GenUniform(2000, 4, rng);
+  const std::vector<float> q = {0.25f, 0.5f, 0.75f, 0.5f};
+  L2Metric metric;
+  auto knn = BruteForceKnn(d, q, 10, metric);
+  ASSERT_EQ(knn.size(), 10u);
+  // The result keeps no n-row buffer behind it.
+  EXPECT_LT(knn.capacity(), d.size());
+  // Same answer as sorting every (distance, id) pair: ties by id.
+  std::vector<std::pair<double, uint64_t>> all;
+  for (size_t i = 0; i < d.size(); ++i) {
+    all.emplace_back(metric.Distance(q, d.Row(i)), i);
+  }
+  std::sort(all.begin(), all.end());
+  all.resize(10);
+  EXPECT_EQ(knn, all);
 }
 
 TEST(WorkloadTest, BruteForceRangeMatchesKnnPrefix) {
