@@ -2,9 +2,12 @@
 // search beats scanning an "array of BRs": searching a balanced kd-tree
 // costs O(log n) comparisons and each boundary is checked once, while the
 // array representation checks every child's box (boundaries tested
-// redundantly).
+// redundantly). The flat-route variant runs the same kd search over the
+// pointer-free preorder array the read paths use (FlatIndexNode::RouteBox).
 
 #include <benchmark/benchmark.h>
+
+#include <bit>
 
 #include "common/rng.h"
 #include "core/node.h"
@@ -31,16 +34,25 @@ std::unique_ptr<KdNode> BuildBalanced(uint32_t dim, int depth, const Box& br,
       BuildBalanced(dim, depth - 1, right, nd, next_child));
 }
 
+IndexNode BalancedNode(uint32_t dim, int depth) {
+  PageId next = 1;
+  IndexNode node;
+  node.level = 1;
+  node.root = BuildBalanced(dim, depth, Box::UnitCube(dim), 0, &next);
+  return node;
+}
+
 struct Fixture {
   IndexNode node;
+  FlatIndexNode flat;          // the read paths' preorder-array form
   std::vector<Box> child_brs;  // the "array of BRs" representation
   std::vector<Box> queries;
   uint32_t dim;
 
-  Fixture(uint32_t dim_in, int depth) : dim(dim_in) {
-    PageId next = 1;
-    node.level = 1;
-    node.root = BuildBalanced(dim, depth, Box::UnitCube(dim), 0, &next);
+  Fixture(uint32_t dim_in, int depth)
+      : node(BalancedNode(dim_in, depth)),
+        flat(node, dim_in, /*codec=*/nullptr),
+        dim(dim_in) {
     std::vector<ChildRef> kids;
     node.CollectChildren(Box::UnitCube(dim), &kids);
     for (const auto& kid : kids) child_brs.push_back(kid.kd_br);
@@ -87,6 +99,20 @@ void BM_IntranodeArrayScan(benchmark::State& state) {
   state.SetLabel(std::to_string(f.child_brs.size()) + " children");
 }
 
+void BM_IntranodeFlatRoute(benchmark::State& state) {
+  Fixture f(static_cast<uint32_t>(state.range(0)),
+            static_cast<int>(state.range(1)));
+  std::vector<uint64_t> reached((f.flat.num_children() + 63) / 64);
+  size_t qi = 0;
+  for (auto _ : state) {
+    f.flat.RouteBox(f.queries[qi++ % f.queries.size()], reached.data());
+    size_t hits = 0;
+    for (const uint64_t w : reached) hits += std::popcount(w);
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetLabel(std::to_string(f.child_brs.size()) + " children");
+}
+
 // Args: {dimensionality, kd depth} -> 2^depth children.
 BENCHMARK(BM_IntranodeKdTree)
     ->Args({16, 5})
@@ -94,6 +120,11 @@ BENCHMARK(BM_IntranodeKdTree)
     ->Args({64, 5})
     ->Args({64, 7});
 BENCHMARK(BM_IntranodeArrayScan)
+    ->Args({16, 5})
+    ->Args({16, 7})
+    ->Args({64, 5})
+    ->Args({64, 7});
+BENCHMARK(BM_IntranodeFlatRoute)
     ->Args({16, 5})
     ->Args({16, 7})
     ->Args({64, 5})

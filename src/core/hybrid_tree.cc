@@ -111,6 +111,32 @@ Result<std::unique_ptr<HybridTree>> HybridTree::Open(PagedFile* file,
   if (options.page_size != file->page_size()) {
     return Status::Corruption("meta page size mismatch");
   }
+  // Every value Create refuses is corruption here: the constructor (and
+  // the ELS codec inside it) must only ever see a valid configuration.
+  if (options.dim == 0) {
+    return Status::Corruption("meta page: dimension is zero");
+  }
+  if (options.page_size < DataNode::kHeaderBytes ||
+      DataNode::Capacity(options.dim, options.page_size) < 4) {
+    return Status::Corruption(
+        "meta page: a data page would hold fewer than 4 entries");
+  }
+  if (options.els_bits > 16) {
+    return Status::Corruption("meta page: els_bits above 16");
+  }
+  if (options.split_policy != SplitPolicy::kEdaOptimal &&
+      options.split_policy != SplitPolicy::kVamSplit) {
+    return Status::Corruption("meta page: unknown split_policy");
+  }
+  if (options.els_mode != ElsMode::kOff &&
+      options.els_mode != ElsMode::kInMemory &&
+      options.els_mode != ElsMode::kInPage) {
+    return Status::Corruption("meta page: unknown els_mode");
+  }
+  if (options.query_size_model != QuerySizeModel::kFixed &&
+      options.query_size_model != QuerySizeModel::kUniform) {
+    return Status::Corruption("meta page: unknown query_size_model");
+  }
   options.buffer_pool_pages = buffer_pool_pages;
 
   auto tree = std::unique_ptr<HybridTree>(new HybridTree(options, file));
@@ -214,7 +240,7 @@ void HybridTree::EnsureCodes(KdNode* n) {
   EnsureCodes(n->right.get());
 }
 
-Result<std::shared_ptr<const IndexNode>> HybridTree::ReadIndexNodeCached(
+Result<std::shared_ptr<const FlatIndexNode>> HybridTree::ReadFlatNode(
     PageId id, const uint8_t* page_data, size_t page_size) const {
   {
     // Conditional guard: the lock is real only in concurrent-read mode;
@@ -234,23 +260,14 @@ Result<std::shared_ptr<const IndexNode>> HybridTree::ReadIndexNodeCached(
       node.AttachElsBlob(sit->second, codec_.CodeBytes());
     }
   }
-  // Precompute each leaf's decoded live box against its node-local region.
-  std::function<void(KdNode*, const Box&)> fill = [&](KdNode* n,
-                                                      const Box& nbr) {
-    if (n->IsLeaf()) {
-      n->cached_live =
-          els_enabled() ? codec_.Decode(n->els, nbr) : nbr;
-      return;
-    }
-    fill(n->left.get(), KdLeftBr(nbr, *n));
-    fill(n->right.get(), KdRightBr(nbr, *n));
-  };
-  fill(node.root.get(), Box::UnitCube(options_.dim));
-  auto sp = std::make_shared<const IndexNode>(std::move(node));
-  // Two readers may race to deserialize the same page; first to publish
-  // wins and both views are identical (the page is immutable while
-  // readers run). Keep-first semantics match the serial path, where the
-  // miss check above guarantees the slot is empty.
+  // Each leaf's live box is decoded once here, against its node-local kd
+  // region; the parsed kd tree itself is dropped.
+  auto sp = std::make_shared<const FlatIndexNode>(
+      node, options_.dim, els_enabled() ? &codec_ : nullptr);
+  // Two readers may race to flatten the same page; first to publish wins
+  // and both views are identical (the page is immutable while readers
+  // run). Keep-first semantics match the serial path, where the miss
+  // check above guarantees the slot is empty.
   WriterLock lock(&node_cache_mu_, concurrent_reads_);
   auto [it, inserted] = node_cache_.try_emplace(id, std::move(sp));
   return it->second;
@@ -842,75 +859,36 @@ Result<HybridTree::SplitResult> HybridTree::SplitIndexNode(PageId page,
 
 namespace {
 
-/// Which children of an internal kd node a walk enters.
-struct KdSides {
-  bool left;
-  bool right;
-};
-
-/// Route of the walks that prune only at the leaves (range, k-NN, the
-/// cursor, ScanAll): every internal node enters both sides.
-constexpr auto kBothSides = [](const KdNode& /*n*/) {
-  return KdSides{true, true};
-};
-
-/// The intra-node kd search (§3.1) every read path shares: an iterative
-/// preorder, left-first walk of one index node's kd tree that asks
-/// `route` which sides of each internal node to enter and hands each
-/// reached leaf to `leaf`. Preorder matches the recursive formulation, so
-/// every caller sees its leaves — and pushes its frontier entries — in
-/// one fixed order. `stack` is caller-owned; the walk only pops entries
-/// above the size it found, so nested page descents can share one stack.
-template <typename Route, typename Leaf>
-void WalkKdLeaves(const KdNode* root, std::vector<const KdNode*>* stack,
-                  const Route& route, const Leaf& leaf) {
-  const size_t base = stack->size();
-  stack->push_back(root);
-  while (stack->size() > base) {
-    const KdNode* n = stack->back();
-    stack->pop_back();
-    if (n->IsLeaf()) {
-      leaf(*n);
-      continue;
-    }
-    const KdSides sides = route(*n);
-    // Push right before left so the left subtree is processed first.
-    if (sides.right) stack->push_back(n->right.get());
-    if (sides.left) stack->push_back(n->left.get());
-  }
+/// MINDIST from `center` to every child live box of `node`, in leaf order,
+/// with one batch call (`buf` is sized to the padded lane count and never
+/// shrinks).
+const double* ChildMinDists(const FlatIndexNode& node,
+                            std::span<const float> center,
+                            const DistanceMetric& metric,
+                            std::vector<double>* buf) {
+  const BoxSetView boxes = node.live_boxes();
+  if (buf->size() < boxes.stride) buf->resize(boxes.stride);
+  metric.MinDistToBoxes(center, boxes, buf->data());
+  return buf->data();
 }
 
-/// A depth-first traversal's verdict on one kd leaf (see CollectDescents).
-enum class Admit : uint8_t {
-  kSkip,       // no result can lie below the leaf
-  kDescend,    // visit the child and test its entries
-  kContained,  // visit the child; every entry below it qualifies
-};
+/// Grows a bit-mask buffer to `words` words (never shrinks).
+uint64_t* MaskWords(std::vector<uint64_t>* buf, size_t words) {
+  if (buf->size() < words) buf->resize(words);
+  return buf->data();
+}
 
 }  // namespace
 
-template <typename RouteFn, typename AdmitFn>
-size_t HybridTree::CollectDescents(const IndexNode& node, const RouteFn& route,
-                                   const AdmitFn& admit,
-                                   SearchScratch* scratch) const {
-  auto& descents = scratch->descents;
-  const size_t first = descents.size();
-  const auto collect = [&](const KdNode& leaf) {
-    const Admit verdict = admit(leaf);
-    if (verdict == Admit::kSkip) return;
-    descents.push_back(
-        SearchScratch::Descent{leaf.child, verdict == Admit::kContained});
-  };
-  WalkKdLeaves(node.root.get(), &scratch->stack, route, collect);
-  if (options_.prefetch_depth > 0 && descents.size() - first > 1) {
-    auto& ids = scratch->prefetch_ids;
-    ids.clear();
-    for (size_t i = first; i < descents.size(); ++i) {
-      ids.push_back(descents[i].page);
-    }
-    pool_->Prefetch(ids);
+void HybridTree::PrefetchDescents(size_t first, SearchScratch* scratch) const {
+  const auto& descents = scratch->descents;
+  if (options_.prefetch_depth == 0 || descents.size() - first <= 1) return;
+  auto& ids = scratch->prefetch_ids;
+  ids.clear();
+  for (size_t i = first; i < descents.size(); ++i) {
+    ids.push_back(descents[i].page);
   }
-  return first;
+  pool_->Prefetch(ids);
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchBox(const Box& query) const {
@@ -928,7 +906,6 @@ Status HybridTree::SearchBoxInto(const Box& query, SearchScratch* scratch,
   out->clear();
   SearchScratch local;
   if (scratch == nullptr) scratch = &local;
-  scratch->stack.clear();
   scratch->descents.clear();
   return SearchBoxRec(root_, query, /*contained=*/false, scratch, out);
 }
@@ -954,36 +931,50 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
     }
     return Status::OK();
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
-                      ReadIndexNodeCached(page, h.data(), h.size()));
+  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+                      ReadFlatNode(page, h.data(), h.size()));
   h.Release();
 
-  // Intra-node search is 1-d interval tests on the kd tree (the paper's
-  // CPU advantage); the §3.4 two-step check uses the leaf's precomputed
-  // decoded live box.
-  const auto route = [&](const KdNode& n) {
-    const uint32_t d = n.split_dim;
-    return KdSides{contained || query.lo(d) <= n.lsp,
-                   contained || query.hi(d) >= n.rsp};
-  };
-  const auto admit = [&](const KdNode& leaf) {
-    if (contained) return Admit::kContained;
-    if (els_enabled() && !query.Intersects(leaf.cached_live)) {
-      return Admit::kSkip;
+  auto& descents = scratch->descents;
+  const size_t first = descents.size();
+  const size_t n = node->num_children();
+  if (contained) {
+    for (size_t i = 0; i < n; ++i) {
+      descents.push_back(SearchScratch::Descent{node->child(i), true});
     }
-    // cached_live is the decoded live box (ELS on) or the kd region
-    // (ELS off); either way all data below lies inside it, so full
-    // containment lets the whole subtree skip per-point tests.
-    return query.ContainsBox(leaf.cached_live) ? Admit::kContained
-                                               : Admit::kDescend;
-  };
-  const size_t first = CollectDescents(*node, route, admit, scratch);
+  } else {
+    // Intra-node search is 1-d interval tests on the kd array (the paper's
+    // CPU advantage); the §3.4 two-step check then reads each reached
+    // leaf's verdict from one overlap pass over the reached live boxes.
+    // A live box is the decoded ELS box (ELS on) or the kd region (ELS
+    // off); either way all data below lies inside it, so containment lets
+    // the whole subtree skip per-point tests, and with ELS off every
+    // reached leaf intersects the query already.
+    const size_t words = (n + 63) / 64;
+    uint64_t* reached = MaskWords(&scratch->reached, words);
+    uint64_t* intersects = MaskWords(&scratch->intersects, words);
+    uint64_t* contains = MaskWords(&scratch->contains, words);
+    node->RouteBox(query, reached);
+    const BoxSetView live = node->live_boxes();
+    kernels::Active().box_overlap(query.lo().data(), query.hi().data(),
+                                  live.dim, live.lo, live.hi, live.stride, n,
+                                  reached, intersects, contains);
+    const uint64_t* admitted = els_enabled() ? intersects : reached;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t m = admitted[w]; m != 0; m &= m - 1) {
+        const size_t bit = static_cast<size_t>(std::countr_zero(m));
+        descents.push_back(SearchScratch::Descent{
+            node->child(w * 64 + bit), ((contains[w] >> bit) & 1) != 0});
+      }
+    }
+  }
+  PrefetchDescents(first, scratch);
   Status st;
-  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
-    const SearchScratch::Descent c = scratch->descents[i];
+  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
+    const SearchScratch::Descent c = descents[i];
     st = SearchBoxRec(c.page, query, c.contained, scratch, out);
   }
-  scratch->descents.resize(first);
+  descents.resize(first);
   return st;
 }
 
@@ -1025,19 +1016,23 @@ Status HybridTree::ScanAllRec(
     }
     return Status::OK();
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
-                      ReadIndexNodeCached(page, h.data(), h.size()));
+  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+                      ReadFlatNode(page, h.data(), h.size()));
   h.Release();
   // An index node commits to visiting every child, so the whole fanout is
   // one prefetch batch (bulk-loaded trees allocate children contiguously,
   // so this coalesces into sequential vectored reads).
-  const auto admit_all = [](const KdNode& /*leaf*/) { return Admit::kDescend; };
-  const size_t first = CollectDescents(*node, kBothSides, admit_all, scratch);
-  Status st;
-  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
-    st = ScanAllRec(scratch->descents[i].page, visit, scratch);
+  auto& descents = scratch->descents;
+  const size_t first = descents.size();
+  for (size_t i = 0; i < node->num_children(); ++i) {
+    descents.push_back(SearchScratch::Descent{node->child(i), false});
   }
-  scratch->descents.resize(first);
+  PrefetchDescents(first, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
+    st = ScanAllRec(descents[i].page, visit, scratch);
+  }
+  descents.resize(first);
   return st;
 }
 
@@ -1062,7 +1057,6 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   out->clear();
   SearchScratch local;
   if (scratch == nullptr) scratch = &local;
-  scratch->stack.clear();
   scratch->descents.clear();
   return SearchRangeRec(root_, center, radius, metric, scratch, out);
 }
@@ -1215,24 +1209,28 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
     return ScanDataPage(page, h.data(), h.size(), center, metric, radius,
                         scratch, emit);
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
-                      ReadIndexNodeCached(page, h.data(), h.size()));
+  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+                      ReadFlatNode(page, h.data(), h.size()));
   h.Release();
 
-  // Pruning happens at the leaves' live boxes (MINDIST > radius); internal
-  // kd nodes only route the walk.
-  const auto admit = [&](const KdNode& leaf) {
-    return metric.MinDistToBox(center, leaf.cached_live) > radius
-               ? Admit::kSkip
-               : Admit::kDescend;
-  };
-  const size_t first = CollectDescents(*node, kBothSides, admit, scratch);
-  Status st;
-  for (size_t i = first; st.ok() && i < scratch->descents.size(); ++i) {
-    st = SearchRangeRec(scratch->descents[i].page, center, radius, metric,
-                        scratch, out);
+  // Pruning happens at the children's live boxes (MINDIST > radius), all
+  // scored by one batch call.
+  const double* dist =
+      ChildMinDists(*node, center, metric, &scratch->child_dist);
+  auto& descents = scratch->descents;
+  const size_t first = descents.size();
+  for (size_t i = 0; i < node->num_children(); ++i) {
+    if (!(dist[i] > radius)) {
+      descents.push_back(SearchScratch::Descent{node->child(i), false});
+    }
   }
-  scratch->descents.resize(first);
+  PrefetchDescents(first, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
+    st = SearchRangeRec(descents[i].page, center, radius, metric, scratch,
+                        out);
+  }
+  descents.resize(first);
   return st;
 }
 
@@ -1376,21 +1374,24 @@ Status HybridTree::SearchKnnBoundedInto(
       }
       continue;
     }
-    HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
-                        ReadIndexNodeCached(item.page, h.data(), h.size()));
+    HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+                        ReadFlatNode(item.page, h.data(), h.size()));
     h.Release();
-    const auto enqueue = [&](const KdNode& leaf) {
-      const double d = metric.MinDistToBox(center, leaf.cached_live);
+    // One batch MINDIST call scores every child; the pushes then run in
+    // leaf order, the same order the kd preorder produces.
+    const double* dist =
+        ChildMinDists(*node, center, metric, &scratch->child_dist);
+    for (size_t i = 0; i < node->num_children(); ++i) {
+      const double d = dist[i];
       if (d * prune_factor <= kth()) {
-        frontier.push_back(SearchScratch::PageRef{d, leaf.child});
+        frontier.push_back(SearchScratch::PageRef{d, node->child(i)});
         std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
       } else if (eps_active && d <= kth()) {
         // The epsilon rule skipped a subtree the exact gate would have
         // admitted — the result is now (1+epsilon)-approximate.
         early_terminated = true;
       }
-    };
-    WalkKdLeaves(node->root.get(), &scratch->stack, kBothSides, enqueue);
+    }
   }
   // Natural loop exit under epsilon: if the frontier's best subtree passes
   // the exact gate but failed the epsilon gate, the stop was approximate.
@@ -1741,7 +1742,12 @@ HybridTree::KnnCursor::KnnCursor(const HybridTree* tree,
       center_(center.begin(), center.end()),
       metric_(metric),
       opts_(opts) {
-  if (opts_.limit > 0) best_.reserve(opts_.limit);
+  // The self-bound heap never holds more entries than the tree has rows,
+  // so a huge declared limit cannot force a huge reservation.
+  if (opts_.limit > 0) {
+    best_.reserve(static_cast<size_t>(
+        std::min<uint64_t>(opts_.limit, tree_->count_)));
+  }
   if (tree_->count_ > 0) {
     queue_.push(Item{0.0, false, 0, tree_->root_});
   }
@@ -1859,19 +1865,19 @@ HybridTree::KnnCursor::Next() {
                                            &scratch_, emit));
       continue;
     }
-    HT_ASSIGN_OR_RETURN(
-        std::shared_ptr<const IndexNode> node,
-        tree_->ReadIndexNodeCached(item.page, h.data(), h.size()));
+    HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+                        tree_->ReadFlatNode(item.page, h.data(), h.size()));
     h.Release();
-    const auto enqueue = [&](const KdNode& leaf) {
-      const double d = metric_->MinDistToBox(center_, leaf.cached_live);
+    const double* dist =
+        ChildMinDists(*node, center_, *metric_, &scratch_.child_dist);
+    for (size_t i = 0; i < node->num_children(); ++i) {
+      const double d = dist[i];
       if (d * (1.0 + opts_.epsilon) <= eb) {
-        queue_.push(Item{d, false, 0, leaf.child});
+        queue_.push(Item{d, false, 0, node->child(i)});
       } else if (opts_.epsilon > 0.0 && d <= eb) {
         early_terminated_ = true;
       }
-    };
-    WalkKdLeaves(node->root.get(), &stack_, kBothSides, enqueue);
+    }
   }
   return std::optional<std::pair<double, uint64_t>>();
 }

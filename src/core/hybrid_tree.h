@@ -23,7 +23,7 @@
 // are const and keep their traversal state in per-query stack/heap
 // structures, so after SetConcurrentReads(true) any number of threads may
 // run them concurrently against one tree (the buffer pool switches to its
-// lock-striped mode and the parsed-node cache takes a reader-writer lock;
+// lock-striped mode and the flat-node cache takes a reader-writer lock;
 // see storage/buffer_pool.h). Mutation (Insert, Delete, Flush, RebuildEls)
 // requires exclusive access: the caller must guarantee no query is in
 // flight — the exclusive-write half of the protocol is enforced by the
@@ -293,9 +293,8 @@ class HybridTree {
     const DistanceMetric* metric_;
     KnnCursorOptions opts_;
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
-    std::vector<double> best_;           // max-heap: `limit` best distances
-    std::vector<const KdNode*> stack_;   // intra-node kd walk
-    SearchScratch scratch_;              // page-scan + quant-filter buffers
+    std::vector<double> best_;  // max-heap: `limit` best distances
+    SearchScratch scratch_;     // page-scan, filter and MINDIST buffers
     uint64_t leaf_visits_ = 0;
     bool early_terminated_ = false;
   };
@@ -321,7 +320,7 @@ class HybridTree {
   const BufferPool& pool() const { return *pool_; }
 
   /// Enables (or disables) concurrent read mode: the buffer pool switches
-  /// to its lock-striped mode and the parsed-node cache starts taking its
+  /// to its lock-striped mode and the flat-node cache starts taking its
   /// shared_mutex, after which any number of threads may run the const
   /// query methods concurrently (shared-read half of the protocol). The
   /// caller keeps the exclusive-write half: no Insert/Delete/Flush while
@@ -389,15 +388,17 @@ class HybridTree {
   Status WriteDataNode(PageId id, const DataNode& node)
       HT_REQUIRES(rw_contract_);
   Result<IndexNode> ReadIndexNode(PageId id) HT_REQUIRES(rw_contract_);
-  /// Read-path variant: returns the parsed node from the in-memory cache
-  /// (decoded live boxes precomputed), deserializing `page_data` on a miss.
-  /// Does NOT fetch from the pool — the caller already did (and paid the
-  /// logical read). Mutating paths must not use this. Safe to call from
-  /// concurrent readers when concurrent_reads_ is on.
-  Result<std::shared_ptr<const IndexNode>> ReadIndexNodeCached(
+  /// Read-path variant: returns the page's flat view (core/node.h
+  /// FlatIndexNode: child ids, dimension-major live boxes, preorder kd
+  /// array) from the in-memory cache, deserializing and flattening
+  /// `page_data` on a miss. Does NOT fetch from the pool — the caller
+  /// already did (and paid the logical read). Mutating paths must not use
+  /// this. Safe to call from concurrent readers when concurrent_reads_ is
+  /// on.
+  Result<std::shared_ptr<const FlatIndexNode>> ReadFlatNode(
       PageId id, const uint8_t* page_data, size_t page_size) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Drops `id` from the parsed-node cache (write paths, before rewriting
+  /// Drops `id` from the flat-node cache (write paths, before rewriting
   /// or freeing the page).
   void InvalidateCachedNode(PageId id) HT_REQUIRES(rw_contract_);
   Status WriteIndexNode(PageId id, IndexNode& node) HT_REQUIRES(rw_contract_);
@@ -473,11 +474,13 @@ class HybridTree {
   // Const and re-entrant: all traversal state lives in the per-query
   // scratch and locals, never on the tree object. `contained` marks that
   // an ancestor's live box was fully inside the query, so every point
-  // below qualifies without per-point tests (scan-level pruning). The kd
-  // walks share scratch->stack across page-nesting levels via a base
-  // marker (each level only pops entries it pushed). The recursive bodies
-  // are members, not lambdas, so the analysis sees the shared-role
-  // requirement.
+  // below qualifies without per-point tests (scan-level pruning). Each
+  // visited index node is scored with one batch call over its flat view
+  // (MINDIST for range and k-NN, the box route plus one overlap pass for
+  // box), finished before any child is descended, so the per-node batch
+  // buffers need no base markers; only scratch->descents nests. The
+  // recursive bodies are members, not lambdas, so the analysis sees the
+  // shared-role requirement.
   Status SearchBoxRec(PageId page, const Box& query, bool contained,
                       SearchScratch* scratch, std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
@@ -490,17 +493,13 @@ class HybridTree {
       PageId page,
       const std::function<void(uint64_t, std::span<const float>)>& fn,
       SearchScratch* scratch) const HT_REQUIRES_SHARED(rw_contract_);
-  /// The collect -> prefetch step of the depth-first traversals (box,
-  /// range, ScanAll): walks `node`'s kd tree (routing internal nodes with
-  /// `route`), appends a Descent for every leaf `admit` keeps to
-  /// scratch->descents, and prefetches the new children as one batch.
-  /// Returns the index of the first new Descent; the caller descends them
-  /// in order and then truncates back to it. The descent order is the
-  /// walk's preorder, so results are byte-identical with prefetch on or
-  /// off.
-  template <typename RouteFn, typename AdmitFn>
-  size_t CollectDescents(const IndexNode& node, const RouteFn& route,
-                         const AdmitFn& admit, SearchScratch* scratch) const;
+  /// The prefetch step of the depth-first traversals (box, range,
+  /// ScanAll): once a node's admitted children are appended to
+  /// scratch->descents from `first` on, in leaf order, they are
+  /// prefetched as one batch. The caller then descends them in that order
+  /// and truncates back to `first`, so results are byte-identical with
+  /// prefetch on or off.
+  void PrefetchDescents(size_t first, SearchScratch* scratch) const;
   /// The data-page distance scan every metric traversal shares (range,
   /// batch k-NN, the cursor): QuantFilter, then either a sparse per-row
   /// exact refine of the survivors or one bounded batch pass over the
@@ -585,13 +584,13 @@ class HybridTree {
   /// use completes before InsertRec recurses into the chosen child.
   std::vector<ChildRef> insert_candidates_;
 
-  /// Parsed-node cache for the read paths (searches, cursors): the decoded
-  /// in-memory view of an index page, with each leaf's live box already
-  /// decoded. Invalidated whenever the page is written or freed. Access
-  /// counts are unaffected (callers fetch the page first regardless).
-  /// Guarded by node_cache_mu_ when concurrent_reads_ is on; mutable
-  /// because filling the cache is part of the const read path.
-  mutable std::unordered_map<PageId, std::shared_ptr<const IndexNode>>
+  /// Flat-view cache for the read paths (searches, cursors): each index
+  /// page's FlatIndexNode, with every child live box already decoded.
+  /// Invalidated whenever the page is written or freed. Access counts are
+  /// unaffected (callers fetch the page first regardless). Guarded by
+  /// node_cache_mu_ when concurrent_reads_ is on; mutable because filling
+  /// the cache is part of the const read path.
+  mutable std::unordered_map<PageId, std::shared_ptr<const FlatIndexNode>>
       node_cache_ HT_GUARDED_BY(node_cache_mu_);
   mutable SharedMutex node_cache_mu_{LockRank::kTreeNodeCache,
                                      "HybridTree::node_cache_mu_"};

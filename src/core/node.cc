@@ -386,6 +386,85 @@ void IndexNode::AttachElsBlob(const std::vector<uint8_t>& blob,
   }
 }
 
+// ---------------------------------------------------------------------------
+// FlatIndexNode
+// ---------------------------------------------------------------------------
+
+FlatIndexNode::FlatIndexNode(const IndexNode& node, uint32_t dim,
+                             const ElsCodec* codec)
+    : dim_(dim) {
+  const size_t n = node.NumChildren();
+  stride_ = (n + kernels::kBoxLanes - 1) / kernels::kBoxLanes *
+            kernels::kBoxLanes;
+  bounds_.assign(2 * static_cast<size_t>(dim_) * stride_, 0.0f);
+  children_.reserve(n);
+  kd_.reserve(n > 0 ? n - 1 : 0);
+  if (node.root != nullptr) Flatten(*node.root, Box::UnitCube(dim_), codec);
+}
+
+void FlatIndexNode::Flatten(const KdNode& n, const Box& region,
+                            const ElsCodec* codec) {
+  if (n.IsLeaf()) {
+    const size_t leaf = children_.size();
+    children_.push_back(n.child);
+    const Box live = codec != nullptr ? codec->Decode(n.els, region) : region;
+    float* lo = bounds_.data();
+    float* hi = lo + dim_ * stride_;
+    for (uint32_t d = 0; d < dim_; ++d) {
+      lo[d * stride_ + leaf] = live.lo(d);
+      hi[d * stride_ + leaf] = live.hi(d);
+    }
+    return;
+  }
+  // Preorder: this node's slot precedes its subtrees'; its leaf range is
+  // known once both are flattened.
+  const size_t at = kd_.size();
+  kd_.push_back(FlatKdNode{n.split_dim, n.lsp, n.rsp,
+                           static_cast<uint32_t>(children_.size()), 0, 0});
+  Flatten(*n.left, KdLeftBr(region, n), codec);
+  kd_[at].mid = static_cast<uint32_t>(children_.size());
+  Flatten(*n.right, KdRightBr(region, n), codec);
+  kd_[at].end = static_cast<uint32_t>(children_.size());
+}
+
+namespace {
+
+void Reach(uint32_t leaf, uint64_t* reached) {
+  reached[leaf / 64] |= uint64_t{1} << (leaf % 64);
+}
+
+/// RouteBox below internal node j: a side is entered when the query's
+/// 1-d interval reaches it.
+void RouteFrom(const FlatKdNode* kd, uint32_t j, const float* qlo,
+               const float* qhi, uint64_t* reached) {
+  const FlatKdNode& k = kd[j];
+  if (qlo[k.split_dim] <= k.lsp) {
+    if (k.mid - k.begin == 1) {
+      Reach(k.begin, reached);
+    } else {
+      RouteFrom(kd, j + 1, qlo, qhi, reached);
+    }
+  }
+  if (qhi[k.split_dim] >= k.rsp) {
+    if (k.end - k.mid == 1) {
+      Reach(k.mid, reached);
+    } else {
+      RouteFrom(kd, j + (k.mid - k.begin), qlo, qhi, reached);
+    }
+  }
+}
+
+}  // namespace
+
+void FlatIndexNode::RouteBox(const Box& query, uint64_t* reached) const {
+  std::fill_n(reached, (children_.size() + 63) / 64, uint64_t{0});
+  if (!kd_.empty()) {
+    RouteFrom(kd_.data(), 0, query.lo().data(), query.hi().data(), reached);
+  } else if (children_.size() == 1) {
+    Reach(0, reached);
+  }
+}
+
 NodeKind PeekNodeKind(const uint8_t* page) {
   return static_cast<NodeKind>(page[0]);
 }

@@ -108,9 +108,6 @@ struct KdNode {
   // Leaf payload.
   PageId child = kInvalidPageId;
   ElsCode els;
-  /// In-memory only (never serialized): the decoded live box, precomputed
-  /// when a parsed node enters the read cache. dim() == 0 means "not set".
-  Box cached_live;
 
   bool IsLeaf() const { return left == nullptr; }
 
@@ -181,6 +178,66 @@ struct IndexNode {
   /// codes in deterministic left-to-right leaf order.
   std::vector<uint8_t> ExtractElsBlob(size_t els_code_bytes) const;
   void AttachElsBlob(const std::vector<uint8_t>& blob, size_t els_code_bytes);
+};
+
+/// One internal kd node of a FlatIndexNode. Internal nodes are stored in
+/// preorder and leaves in left-to-right order, so a subtree covers a
+/// contiguous leaf range [begin, end) whose left part is [begin, mid). A
+/// side with one leaf is that leaf. Otherwise the left child is the next
+/// internal node, and the right child sits (mid - begin) internal nodes
+/// after this one: a subtree with L leaves holds L - 1 internal nodes.
+struct FlatKdNode {
+  uint32_t split_dim = 0;
+  float lsp = 0.0f;
+  float rsp = 0.0f;
+  uint32_t begin = 0;
+  uint32_t mid = 0;
+  uint32_t end = 0;
+};
+
+/// The read paths' immutable, pointer-free form of an index page, built
+/// once when the page enters the tree's read cache: the child page ids in
+/// leaf order, their live boxes (§3.4: the decoded ELS box, or the kd
+/// region with ELS off) stored dimension-major for the batch MINDIST and
+/// overlap kernels, and the intra-node kd tree (§3.1) as a preorder array.
+/// Writes keep using IndexNode; a rewritten page is re-flattened on its
+/// next read.
+class FlatIndexNode {
+ public:
+  /// Flattens `node`. Leaf kd regions start from the unit cube; `codec`,
+  /// when non-null, decodes each leaf's ELS code against its region,
+  /// otherwise the region itself is the live box.
+  FlatIndexNode(const IndexNode& node, uint32_t dim, const ElsCodec* codec);
+
+  size_t num_children() const { return children_.size(); }
+  PageId child(size_t i) const { return children_[i]; }
+  /// The children's live boxes, in leaf order.
+  BoxSetView live_boxes() const {
+    return BoxSetView{bounds_.data(), bounds_.data() + dim_ * stride_, dim_,
+                      stride_, children_.size()};
+  }
+  std::span<const FlatKdNode> kd_nodes() const { return kd_; }
+
+  /// The intra-node box search (§3.1): walks the kd array from the root,
+  /// entering a side only when the query's 1-d interval reaches it
+  /// (left when query.lo(d) <= lsp, right when query.hi(d) >= rsp), and
+  /// sets bit i of `reached` (ceil(n / 64) words, cleared first) for each
+  /// leaf i it arrives at.
+  void RouteBox(const Box& query, uint64_t* reached) const;
+
+ private:
+  /// Appends `n`'s subtree: leaves left to right (child id and live box),
+  /// internal nodes in preorder with their leaf ranges. `region` is n's
+  /// kd region.
+  void Flatten(const KdNode& n, const Box& region, const ElsCodec* codec);
+
+  uint32_t dim_;
+  size_t stride_;  // children rounded up to kernels::kBoxLanes
+  std::vector<PageId> children_;
+  /// lo block then hi block, each dim_ * stride_ floats. Padding lanes
+  /// stay 0: the kernels read them, nothing reports them.
+  std::vector<float> bounds_;
+  std::vector<FlatKdNode> kd_;
 };
 
 /// Peeks at the node kind byte of a serialized page.

@@ -6,7 +6,8 @@
 // best-first traversal frontier (a vector-backed binary min-heap), the
 // bounded k-NN candidate heap (a vector-backed binary max-heap, replacing
 // std::priority_queue so the backing store survives across queries), and
-// the intra-node kd-walk stack. Buffers are cleared — never shrunk — at
+// the per-index-node batch outputs (child MINDISTs, box-route and overlap
+// bit masks). Buffers are cleared — never shrunk — at
 // the start of each search, so after one warm-up query the steady-state
 // search loop performs no heap allocation (verified by search_alloc_test).
 //
@@ -30,8 +31,6 @@
 
 namespace ht {
 
-struct KdNode;
-
 class SearchScratch {
  public:
   SearchScratch() = default;
@@ -49,8 +48,8 @@ class SearchScratch {
   };
 
   /// One child page a box/range/ScanAll descent has committed to
-  /// visiting: collected during the intra-node kd walk, prefetched as a
-  /// batch, then descended in the original preorder (so results are
+  /// visiting: collected from the node's batch verdicts in leaf order,
+  /// prefetched as a batch, then descended in that order (so results are
   /// byte-identical with prefetch on or off). `contained` carries the box
   /// search's scan-level-pruning flag; the other descents leave it false.
   struct Descent {
@@ -61,7 +60,10 @@ class SearchScratch {
   std::vector<double> dist;       // batch-kernel outputs, one per page row
   std::vector<PageRef> frontier;  // k-NN best-first min-heap backing store
   std::vector<std::pair<double, uint64_t>> best;  // bounded k max-heap
-  std::vector<const KdNode*> stack;               // intra-node kd walk
+  std::vector<double> child_dist;  // MINDIST per child of one index node
+  std::vector<uint64_t> reached;     // children the box route reaches
+  std::vector<uint64_t> intersects;  // reached children overlapping a box
+  std::vector<uint64_t> contains;    // reached children inside a box
   std::vector<Descent> descents;  // collect-then-descend (base-marked)
   std::vector<PageId> prefetch_ids;   // batch under construction
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample

@@ -197,4 +197,27 @@ class Box {
   std::vector<float> hi_;
 };
 
+/// A read-only set of `count` boxes stored dimension-major: box i's bounds
+/// in dimension d are lo[d * stride + i] and hi[d * stride + i], with
+/// stride a multiple of kernels::kBoxLanes. An index node's child live
+/// boxes use this layout on the read path (core/node.h FlatIndexNode), so
+/// one kernel call scores every child with contiguous loads.
+struct BoxSetView {
+  const float* lo = nullptr;
+  const float* hi = nullptr;
+  uint32_t dim = 0;
+  size_t stride = 0;
+  size_t count = 0;
+
+  /// Copies box i into `out`, reusing its storage when the dimensionality
+  /// already matches.
+  void Gather(size_t i, Box* out) const {
+    if (out->dim() != dim) *out = Box::Empty(dim);
+    for (uint32_t d = 0; d < dim; ++d) {
+      out->set_lo(d, lo[d * stride + i]);
+      out->set_hi(d, hi[d * stride + i]);
+    }
+  }
+};
+
 }  // namespace ht

@@ -696,6 +696,88 @@ bool BoxContainsAvx2(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batch MINDIST over a dimension-major box set: sixteen boxes per group
+// (four __m256d, one box per double lane), so each dimension's lo/hi loads
+// cover one 64-byte row slice. Each lane replays kernels::AxisGap and the
+// metric's accumulation in dimension order with separate mul/add.
+enum class BoxAcc { kSum, kSumSq, kMax };
+
+/// AxisGap of four boxes (four consecutive floats of a dimension row),
+/// widened to double lanes: lo - q where q < lo, else q - hi where q > hi,
+/// else +0.0 (ordered compares, so NaN bounds give 0).
+inline __m256d Gap4(__m256d qd, const float* lo, const float* hi) {
+  const __m256d l = _mm256_cvtps_pd(_mm_loadu_ps(lo));
+  const __m256d h = _mm256_cvtps_pd(_mm_loadu_ps(hi));
+  const __m256d above = _mm256_and_pd(_mm256_cmp_pd(qd, h, _CMP_GT_OQ),
+                                      _mm256_sub_pd(qd, h));
+  return _mm256_blendv_pd(above, _mm256_sub_pd(l, qd),
+                          _mm256_cmp_pd(qd, l, _CMP_LT_OQ));
+}
+
+template <BoxAcc kAcc>
+void MinDistAvx2(const float* q, size_t dim, const float* lo, const float* hi,
+                 size_t stride, size_t n, double* out) {
+  for (size_t i = 0; i < n; i += kBoxLanes) {
+    __m256d s[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
+      const float* l = lo + d * stride + i;
+      const float* h = hi + d * stride + i;
+      for (size_t k = 0; k < 4; ++k) {
+        const __m256d g = Gap4(qd, l + 4 * k, h + 4 * k);
+        if constexpr (kAcc == BoxAcc::kSum) {
+          s[k] = _mm256_add_pd(s[k], g);
+        } else if constexpr (kAcc == BoxAcc::kSumSq) {
+          s[k] = _mm256_add_pd(s[k], _mm256_mul_pd(g, g));
+        } else {
+          s[k] = _mm256_max_pd(g, s[k]);  // g > s ? g : s, as the scalar
+        }
+      }
+    }
+    for (size_t k = 0; k < 4; ++k) {
+      if constexpr (kAcc == BoxAcc::kSumSq) s[k] = _mm256_sqrt_pd(s[k]);
+      _mm256_storeu_pd(out + i + 4 * k, s[k]);
+    }
+  }
+}
+
+// Box-set overlap: sixteen boxes per group as two 8-float compares per
+// dimension. Inactive lanes start settled (both tests already failed), so
+// a group stops as soon as every lane is proven disjoint and escaping.
+void BoxOverlapAvx2(const float* qlo, const float* qhi, size_t dim,
+                    const float* lo, const float* hi, size_t stride, size_t n,
+                    const uint64_t* active, uint64_t* intersects,
+                    uint64_t* contains) {
+  for (size_t w = 0; w < (n + 63) / 64; ++w) {
+    intersects[w] = 0;
+    contains[w] = 0;
+  }
+  for (size_t i = 0; i < n; i += kBoxLanes) {
+    const unsigned act =
+        static_cast<unsigned>(active[i / 64] >> (i % 64)) & 0xffffu;
+    if (act == 0) continue;
+    unsigned disjoint = ~act & 0xffffu;
+    unsigned escapes = disjoint;
+    for (size_t d = 0; d < dim && (disjoint & escapes) != 0xffffu; ++d) {
+      const __m256 ql = _mm256_set1_ps(qlo[d]);
+      const __m256 qh = _mm256_set1_ps(qhi[d]);
+      for (size_t half = 0; half < kBoxLanes; half += 8) {
+        const __m256 bl = _mm256_loadu_ps(lo + d * stride + i + half);
+        const __m256 bh = _mm256_loadu_ps(hi + d * stride + i + half);
+        const __m256 dis = _mm256_or_ps(_mm256_cmp_ps(bh, ql, _CMP_LT_OQ),
+                                        _mm256_cmp_ps(bl, qh, _CMP_GT_OQ));
+        const __m256 esc = _mm256_or_ps(_mm256_cmp_ps(bl, ql, _CMP_LT_OQ),
+                                        _mm256_cmp_ps(bh, qh, _CMP_GT_OQ));
+        disjoint |= static_cast<unsigned>(_mm256_movemask_ps(dis)) << half;
+        escapes |= static_cast<unsigned>(_mm256_movemask_ps(esc)) << half;
+      }
+    }
+    intersects[i / 64] |= static_cast<uint64_t>(~disjoint & act) << (i % 64);
+    contains[i / 64] |= static_cast<uint64_t>(~escapes & act) << (i % 64);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2Table() {
@@ -705,7 +787,9 @@ const KernelTable& Avx2Table() {
       &CodeWL2Avx2,    &TL1Avx2,     &TL2Avx2,      &TLInfAvx2,
       &TWL2Avx2,       &CTL1Avx2,    &CTL2Avx2,     &CTLInfAvx2,
       &CTWL2Avx2,      &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2};
+      &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2,
+      &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
+      &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};
   return table;
 }
 

@@ -613,6 +613,87 @@ bool BoxContainsAvx512(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batch MINDIST over a dimension-major box set: sixteen boxes per group
+// (two __m512d, one box per double lane), so each dimension's lo/hi loads
+// cover one 64-byte row slice. Same per-lane replay of kernels::AxisGap
+// and the metric's dimension-order accumulation as the AVX2 tier.
+enum class BoxAcc { kSum, kSumSq, kMax };
+
+/// AxisGap of eight boxes, widened to double lanes: the masked subtracts
+/// write q - hi where q > hi, then lo - q where q < lo (lo wins, as in the
+/// scalar), and leave +0.0 elsewhere.
+inline __m512d Gap8(__m512d qd, const float* lo, const float* hi) {
+  const __m512d l = _mm512_cvtps_pd(_mm256_loadu_ps(lo));
+  const __m512d h = _mm512_cvtps_pd(_mm256_loadu_ps(hi));
+  const __m512d above =
+      _mm512_maskz_sub_pd(_mm512_cmp_pd_mask(qd, h, _CMP_GT_OQ), qd, h);
+  return _mm512_mask_sub_pd(above, _mm512_cmp_pd_mask(qd, l, _CMP_LT_OQ), l,
+                            qd);
+}
+
+template <BoxAcc kAcc>
+void MinDistAvx512(const float* q, size_t dim, const float* lo,
+                   const float* hi, size_t stride, size_t n, double* out) {
+  for (size_t i = 0; i < n; i += kBoxLanes) {
+    __m512d s0 = _mm512_setzero_pd();
+    __m512d s1 = _mm512_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
+      const float* l = lo + d * stride + i;
+      const float* h = hi + d * stride + i;
+      const __m512d g0 = Gap8(qd, l, h);
+      const __m512d g1 = Gap8(qd, l + 8, h + 8);
+      if constexpr (kAcc == BoxAcc::kSum) {
+        s0 = _mm512_add_pd(s0, g0);
+        s1 = _mm512_add_pd(s1, g1);
+      } else if constexpr (kAcc == BoxAcc::kSumSq) {
+        s0 = _mm512_add_pd(s0, _mm512_mul_pd(g0, g0));
+        s1 = _mm512_add_pd(s1, _mm512_mul_pd(g1, g1));
+      } else {
+        s0 = _mm512_max_pd(g0, s0);  // g > s ? g : s, as the scalar
+        s1 = _mm512_max_pd(g1, s1);
+      }
+    }
+    if constexpr (kAcc == BoxAcc::kSumSq) {
+      s0 = _mm512_sqrt_pd(s0);
+      s1 = _mm512_sqrt_pd(s1);
+    }
+    _mm512_storeu_pd(out + i, s0);
+    _mm512_storeu_pd(out + i + 8, s1);
+  }
+}
+
+// Box-set overlap: sixteen boxes per 16-float compare. Inactive lanes
+// start settled, so a group stops as soon as every lane is proven
+// disjoint and escaping.
+void BoxOverlapAvx512(const float* qlo, const float* qhi, size_t dim,
+                      const float* lo, const float* hi, size_t stride,
+                      size_t n, const uint64_t* active, uint64_t* intersects,
+                      uint64_t* contains) {
+  for (size_t w = 0; w < (n + 63) / 64; ++w) {
+    intersects[w] = 0;
+    contains[w] = 0;
+  }
+  for (size_t i = 0; i < n; i += kBoxLanes) {
+    const __mmask16 act = static_cast<__mmask16>(active[i / 64] >> (i % 64));
+    if (act == 0) continue;
+    __mmask16 disjoint = static_cast<__mmask16>(~act);
+    __mmask16 escapes = disjoint;
+    for (size_t d = 0; d < dim && (disjoint & escapes) != 0xffff; ++d) {
+      const __m512 ql = _mm512_set1_ps(qlo[d]);
+      const __m512 qh = _mm512_set1_ps(qhi[d]);
+      const __m512 bl = _mm512_loadu_ps(lo + d * stride + i);
+      const __m512 bh = _mm512_loadu_ps(hi + d * stride + i);
+      disjoint |= _mm512_cmp_ps_mask(bh, ql, _CMP_LT_OQ) |
+                  _mm512_cmp_ps_mask(bl, qh, _CMP_GT_OQ);
+      escapes |= _mm512_cmp_ps_mask(bl, ql, _CMP_LT_OQ) |
+                 _mm512_cmp_ps_mask(bh, qh, _CMP_GT_OQ);
+    }
+    intersects[i / 64] |= static_cast<uint64_t>(~disjoint & act) << (i % 64);
+    contains[i / 64] |= static_cast<uint64_t>(~escapes & act) << (i % 64);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx512Table() {
@@ -622,7 +703,9 @@ const KernelTable& Avx512Table() {
       &CodeWL2Avx512,    &TL1Avx512,     &TL2Avx512,      &TLInfAvx512,
       &TWL2Avx512,       &CTL1Avx512,    &CTL2Avx512,     &CTLInfAvx512,
       &CTWL2Avx512,      &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
-      &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512};
+      &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512,
+      &MinDistAvx512<BoxAcc::kSum>, &MinDistAvx512<BoxAcc::kSumSq>,
+      &MinDistAvx512<BoxAcc::kMax>, &BoxOverlapAvx512};
   return table;
 }
 

@@ -154,6 +154,48 @@ using CodeMaskTWeightedFn = void (*)(const float* above, const float* below,
 using BoxPredFn = bool (*)(const float* alo, const float* ahi,
                            const float* blo, const float* bhi, size_t dim);
 
+/// Lane padding of a dimension-major box set (geometry/box.h BoxSetView):
+/// box i's bounds in dimension d sit at lo[d * stride + i] and
+/// hi[d * stride + i], and stride is a multiple of kBoxLanes. Sixteen
+/// float lanes fill one AVX-512 register and are a whole number of AVX2
+/// (8 float / 4 double) and AVX-512 double (8) lane groups, so no tier
+/// falls to a scalar tail.
+inline constexpr size_t kBoxLanes = 16;
+
+/// The per-dimension step of every MINDIST: the gap between q and the
+/// closed interval [lo, hi], 0 inside. Ordered compares, so a NaN bound
+/// contributes 0; when an inverted interval has q below lo and above hi,
+/// the lo side wins. The batch MINDIST kernels replay exactly this
+/// selection in each double lane.
+inline double AxisGap(double q, double lo, double hi) {
+  if (q < lo) return lo - q;
+  if (q > hi) return q - hi;
+  return 0.0;
+}
+
+/// Batch MINDIST over a dimension-major box set: out[i] is bit-identical
+/// to the metric's MinDistToBox(q, box i) for i < n. One box per double
+/// lane: each lane widens its float bounds to double, selects the gap with
+/// AxisGap's ordered compares and accumulates in dimension order, with no
+/// FMA (L1: sum of gaps; L2: sqrt of the sum of squared gaps; LInf: the
+/// running `gap > max` replacement). Kernels process whole lane groups, so
+/// they may also write out[n .. stride); callers size `out` to stride.
+using BoxMinDistFn = void (*)(const float* q, size_t dim, const float* lo,
+                              const float* hi, size_t stride, size_t n,
+                              double* out);
+
+/// Query-versus-box-set overlap for the boxes selected by `active` (bit i
+/// of active[i / 64] selects box i; the caller keeps bits at and above n
+/// clear). Writes ceil(n / 64) words of each mask: bit i of `intersects`
+/// is set iff box i is active and box_intersects(qlo, qhi, box i) holds
+/// (Box::Intersects with the query as the receiver); bit i of `contains`
+/// iff box i is active and box_contains(qlo, qhi, box i) holds. Lane
+/// groups with no active box are skipped.
+using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
+                              const float* lo, const float* hi, size_t stride,
+                              size_t n, const uint64_t* active,
+                              uint64_t* intersects, uint64_t* contains);
+
 struct KernelTable {
   SimdTier tier;
   BatchBoundFn l1;
@@ -178,6 +220,10 @@ struct KernelTable {
   CodeMaskTWeightedFn ctm_wl2;
   BoxPredFn box_intersects;
   BoxPredFn box_contains;
+  BoxMinDistFn mindist_l1;
+  BoxMinDistFn mindist_l2;
+  BoxMinDistFn mindist_linf;
+  BoxOverlapFn box_overlap;
 };
 
 /// The table the metrics dispatch through (see the selection rules above).

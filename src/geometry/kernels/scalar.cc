@@ -249,6 +249,62 @@ bool BoxContainsScalar(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batch MINDIST over a dimension-major box set: the reference every SIMD
+// tier replays per lane. Dimension-outer order keeps each box's sum in
+// dimension order (the loop over boxes may vectorize; nothing
+// reassociates), exactly MinDistToBox's accumulation.
+enum class BoxAcc { kSum, kSumSq, kMax };
+
+template <BoxAcc kAcc>
+void MinDistScalar(const float* q, size_t dim, const float* lo,
+                   const float* hi, size_t stride, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double qd = q[d];
+    const float* l = lo + d * stride;
+    const float* h = hi + d * stride;
+    for (size_t i = 0; i < n; ++i) {
+      const double g = AxisGap(qd, l[i], h[i]);
+      if constexpr (kAcc == BoxAcc::kSum) {
+        out[i] += g;
+      } else if constexpr (kAcc == BoxAcc::kSumSq) {
+        out[i] += g * g;
+      } else {
+        out[i] = g > out[i] ? g : out[i];
+      }
+    }
+  }
+  if constexpr (kAcc == BoxAcc::kSumSq) {
+    for (size_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
+  }
+}
+
+// Overlap reference: per active box, the BoxIntersectsScalar and
+// BoxContainsScalar tests over its strided bounds.
+void BoxOverlapScalar(const float* qlo, const float* qhi, size_t dim,
+                      const float* lo, const float* hi, size_t stride,
+                      size_t n, const uint64_t* active, uint64_t* intersects,
+                      uint64_t* contains) {
+  for (size_t w = 0; w < (n + 63) / 64; ++w) {
+    intersects[w] = 0;
+    contains[w] = 0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    if ((active[i / 64] & bit) == 0) continue;
+    bool disjoint = false;
+    bool escapes = false;
+    for (size_t d = 0; d < dim && !(disjoint && escapes); ++d) {
+      const float l = lo[d * stride + i];
+      const float h = hi[d * stride + i];
+      if (h < qlo[d] || l > qhi[d]) disjoint = true;
+      if (l < qlo[d] || h > qhi[d]) escapes = true;
+    }
+    if (!disjoint) intersects[i / 64] |= bit;
+    if (!escapes) contains[i / 64] |= bit;
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarTable() {
@@ -258,7 +314,9 @@ const KernelTable& ScalarTable() {
       &CodeWL2Scalar,    &TL1Scalar,     &TL2Scalar,      &TLInfScalar,
       &TWL2Scalar,       &CTL1Scalar,    &CTL2Scalar,     &CTLInfScalar,
       &CTWL2Scalar,      &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
-      &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar};
+      &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar,
+      &MinDistScalar<BoxAcc::kSum>,   &MinDistScalar<BoxAcc::kSumSq>,
+      &MinDistScalar<BoxAcc::kMax>,   &BoxOverlapScalar};
   return table;
 }
 

@@ -40,6 +40,21 @@ class DistanceMetric {
   virtual double MinDistToBox(std::span<const float> q,
                               const Box& box) const = 0;
 
+  /// MinDistToBox for every box of a dimension-major set (the children of
+  /// one index node): out[i] is bit-identical to MinDistToBox(q, box i)
+  /// for i < boxes.count. `out` must hold boxes.stride doubles; kernels
+  /// may fill the padding lanes. The default gathers each box into a
+  /// per-thread scratch Box, so every metric works without a kernel; L1,
+  /// L2 and LInf override it with one SIMD kernel call.
+  virtual void MinDistToBoxes(std::span<const float> q,
+                              const BoxSetView& boxes, double* out) const {
+    thread_local Box box;
+    for (size_t i = 0; i < boxes.count; ++i) {
+      boxes.Gather(i, &box);
+      out[i] = MinDistToBox(q, box);
+    }
+  }
+
   /// Lower bound on Distance(q, x) over all x in the *Euclidean* ball
   /// B(center, radius) — the bounding-sphere component of SR-tree regions.
   /// The default (0) disables sphere pruning, which is always sound.
@@ -193,11 +208,8 @@ inline uint8_t TailMask(const double* lb, size_t n, double bound) {
 
 namespace metric_detail {
 /// Per-dimension gap between q[d] and the interval [lo,hi]; 0 if inside.
-inline double AxisGap(double q, double lo, double hi) {
-  if (q < lo) return lo - q;
-  if (q > hi) return q - hi;
-  return 0.0;
-}
+/// Defined next to the batch MINDIST kernels, which replay it per lane.
+using kernels::AxisGap;
 }  // namespace metric_detail
 
 /// Minkowski L_p metric for finite p >= 1. Specialized subclasses exist for
@@ -258,6 +270,11 @@ class L1Metric final : public DistanceMetric {
       s += metric_detail::AxisGap(q[d], box.lo(d), box.hi(d));
     }
     return s;
+  }
+  void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
+                      double* out) const override {
+    kernels::Active().mindist_l1(q.data(), boxes.dim, boxes.lo, boxes.hi,
+                                 boxes.stride, boxes.count, out);
   }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
@@ -359,6 +376,11 @@ class L2Metric final : public DistanceMetric {
     }
     return std::sqrt(s);
   }
+  void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
+                      double* out) const override {
+    kernels::Active().mindist_l2(q.data(), boxes.dim, boxes.lo, boxes.hi,
+                                 boxes.stride, boxes.count, out);
+  }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
                          double radius) const override {
@@ -450,6 +472,11 @@ class LInfMetric final : public DistanceMetric {
       if (g > m) m = g;
     }
     return m;
+  }
+  void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
+                      double* out) const override {
+    kernels::Active().mindist_linf(q.data(), boxes.dim, boxes.lo, boxes.hi,
+                                   boxes.stride, boxes.count, out);
   }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,

@@ -337,6 +337,12 @@ Status ShardedIndex::SearchKnn(
     return Status::InvalidArgument("SearchKnn requires an output vector");
   }
   out->clear();
+  // Box and range get this check from the tree; the k-NN cursor treats a
+  // wrong-sized center as a programming error, so the request boundary
+  // must refuse it first.
+  if (center.size() != tree_options_.dim) {
+    return Status::InvalidArgument("query dimensionality mismatch");
+  }
   if (k == 0) return Status::OK();
   if (options.knn_epsilon < 0.0) {
     return Status::InvalidArgument("knn_epsilon must be non-negative");

@@ -11,6 +11,12 @@
 //    <= bound; abandoned rows only promise out[i] > bound. Callers may
 //    only test out[i] <= bound.
 //  * No NaNs are produced for finite inputs, including abandoned rows.
+//
+// The directory-node kernels over dimension-major box sets are held to
+// the same standard: batch MINDIST equals MinDistToBox and the overlap
+// masks equal Box::Intersects / ContainsBox bit for bit at every tier, and
+// the flat index-node view matches the pointer kd tree it replaces on the
+// read paths.
 
 #include <gtest/gtest.h>
 
@@ -438,6 +444,374 @@ TEST(BoxKernelSweep, NanBoundsNeverProveDisjointness) {
       EXPECT_TRUE(
           t.box_contains(lo.data(), hi.data(), nlo.data(), nhi.data(), dim))
           << kernels::TierName(tier) << " dim=" << dim;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Dimension-major box sets: batch MINDIST and overlap kernels, the
+// default MinDistToBoxes, and the flat index-node view.
+
+/// A dimension-major box set with kernels::kBoxLanes padding, plus a guard
+/// tail on the output buffers so a kernel writing past `stride` shows.
+struct SoaBoxes {
+  uint32_t dim;
+  size_t n;
+  size_t stride;
+  std::vector<float> lo;
+  std::vector<float> hi;
+
+  SoaBoxes(uint32_t dim_in, size_t n_in)
+      : dim(dim_in),
+        n(n_in),
+        stride((n_in + kernels::kBoxLanes - 1) / kernels::kBoxLanes *
+               kernels::kBoxLanes),
+        lo(dim_in * stride, 0.0f),
+        hi(dim_in * stride, 0.0f) {}
+
+  void Set(size_t i, const Box& b) {
+    for (uint32_t d = 0; d < dim; ++d) {
+      lo[d * stride + i] = b.lo(d);
+      hi[d * stride + i] = b.hi(d);
+    }
+  }
+  Box Get(size_t i) const {
+    Box b;
+    view().Gather(i, &b);
+    return b;
+  }
+  BoxSetView view() const {
+    return BoxSetView{lo.data(), hi.data(), dim, stride, n};
+  }
+};
+
+constexpr float kInfF = std::numeric_limits<float>::infinity();
+constexpr float kNanF = std::numeric_limits<float>::quiet_NaN();
+
+/// A coordinate on a 1/8 lattice of [0, 1], so boxes and queries share
+/// boundaries exactly and often.
+float Lattice(Rng& rng) {
+  return static_cast<float>(rng.NextBelow(9)) / 8.0f;
+}
+
+/// A random box mixing ordinary intervals with the edge cases the kernels
+/// must replay exactly: degenerate (lo == hi), signed zeros, NaN and
+/// infinite bounds, and inverted intervals.
+Box EdgeBox(uint32_t dim, Rng& rng) {
+  static const float kSpecial[] = {-kInfF, -0.0f, 0.0f, kInfF, kNanF, 1.0f};
+  std::vector<float> lo(dim), hi(dim);
+  for (uint32_t d = 0; d < dim; ++d) {
+    const float a = Lattice(rng);
+    const float b = Lattice(rng);
+    switch (rng.NextBelow(10)) {
+      case 0:
+        lo[d] = hi[d] = a;  // degenerate
+        break;
+      case 1:
+        lo[d] = kSpecial[rng.NextBelow(6)];
+        hi[d] = kSpecial[rng.NextBelow(6)];
+        break;
+      case 2:
+        lo[d] = std::max(a, b);  // inverted (or degenerate)
+        hi[d] = std::min(a, b);
+        break;
+      default:
+        lo[d] = std::min(a, b);
+        hi[d] = std::max(a, b);
+    }
+  }
+  return Box::FromBounds(lo, hi);
+}
+
+/// A query point inside, on the boundary of, or outside [0, 1], with
+/// signed zeros.
+std::vector<float> EdgeQuery(uint32_t dim, Rng& rng) {
+  std::vector<float> q(dim);
+  for (uint32_t d = 0; d < dim; ++d) {
+    switch (rng.NextBelow(6)) {
+      case 0:
+        q[d] = -0.0f;
+        break;
+      case 1:
+        q[d] = rng.NextBelow(2) == 0 ? -0.5f : 1.5f;
+        break;
+      default:
+        q[d] = Lattice(rng);
+    }
+  }
+  return q;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+constexpr size_t kBoxCounts[] = {1, 7, 8, 9, 15, 16, 17, 202};
+constexpr uint32_t kBoxDims[] = {1, 3, 16, 64};
+
+// Every tier's batch MINDIST must equal the metric's MinDistToBox bit for
+// bit on every box, edge bounds included, and must not write past the
+// padded stride; the metric's MinDistToBoxes must dispatch to it.
+TEST(BoxSetKernelSweep, MinDistMatchesMinDistToBoxBitwise) {
+  Rng rng(20261017);
+  const L1Metric l1;
+  const L2Metric l2;
+  const LInfMetric linf;
+  const DistanceMetric* metrics[] = {&l1, &l2, &linf};
+  constexpr double kGuard = -12345.0;
+  for (const uint32_t dim : kBoxDims) {
+    for (const size_t n : kBoxCounts) {
+      SoaBoxes boxes(dim, n);
+      for (size_t i = 0; i < n; ++i) boxes.Set(i, EdgeBox(dim, rng));
+      for (int rep = 0; rep < 4; ++rep) {
+        std::vector<float> q = EdgeQuery(dim, rng);
+        if (rep == 0) {  // on box 0's lower corner
+          const Box b0 = boxes.Get(0);
+          q.assign(b0.lo().begin(), b0.lo().end());
+        }
+        for (int m = 0; m < 3; ++m) {
+          std::vector<double> want(n);
+          for (size_t i = 0; i < n; ++i) {
+            want[i] = metrics[m]->MinDistToBox(q, boxes.Get(i));
+          }
+          for (const kernels::SimdTier tier : SupportedTiers()) {
+            const kernels::KernelTable& t = kernels::TableForTier(tier);
+            const kernels::BoxMinDistFn fn[] = {t.mindist_l1, t.mindist_l2,
+                                                t.mindist_linf};
+            std::vector<double> got(boxes.stride + 8, kGuard);
+            fn[m](q.data(), dim, boxes.lo.data(), boxes.hi.data(),
+                  boxes.stride, n, got.data());
+            std::vector<double> via(boxes.stride + 8, kGuard);
+            {
+              ScopedTier forced(tier);
+              metrics[m]->MinDistToBoxes(q, boxes.view(), via.data());
+            }
+            for (size_t i = 0; i < n; ++i) {
+              EXPECT_TRUE(SameBits(got[i], want[i]))
+                  << metrics[m]->Name() << " tier=" << kernels::TierName(tier)
+                  << " dim=" << dim << " n=" << n << " box=" << i
+                  << " got=" << got[i] << " want=" << want[i];
+              EXPECT_TRUE(SameBits(via[i], want[i]))
+                  << metrics[m]->Name() << " tier=" << kernels::TierName(tier);
+            }
+            for (size_t i = boxes.stride; i < got.size(); ++i) {
+              EXPECT_EQ(got[i], kGuard) << "wrote past stride";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The overlap pass must report, for exactly the active boxes, the
+// Box::Intersects / Box::ContainsBox verdicts with the query as receiver.
+TEST(BoxSetKernelSweep, OverlapMasksMatchBoxPredicates) {
+  Rng rng(20261018);
+  for (const uint32_t dim : kBoxDims) {
+    for (const size_t n : kBoxCounts) {
+      SoaBoxes boxes(dim, n);
+      for (size_t i = 0; i < n; ++i) boxes.Set(i, EdgeBox(dim, rng));
+      const size_t words = (n + 63) / 64;
+      for (int rep = 0; rep < 6; ++rep) {
+        // Query: a lattice box, box 0 itself, or the unit cube.
+        std::vector<float> qlo(dim), qhi(dim);
+        for (uint32_t d = 0; d < dim; ++d) {
+          const float a = Lattice(rng);
+          const float b = Lattice(rng);
+          qlo[d] = rep == 5 ? 0.0f : std::min(a, b);
+          qhi[d] = rep == 5 ? 1.0f : std::max(a, b);
+        }
+        if (rep == 4) {
+          const Box b0 = boxes.Get(0);
+          qlo.assign(b0.lo().begin(), b0.lo().end());
+          qhi.assign(b0.hi().begin(), b0.hi().end());
+        }
+        // Active set: all, a random subset, every fifth box, or none.
+        std::vector<uint64_t> active(words, 0);
+        for (size_t i = 0; i < n; ++i) {
+          bool on = true;
+          if (rep % 3 == 1) on = rng.NextBelow(2) == 0;
+          if (rep % 3 == 2) on = i % 5 == 0;
+          if (on) active[i / 64] |= uint64_t{1} << (i % 64);
+        }
+        if (rep == 2) std::fill(active.begin(), active.end(), 0);
+        std::vector<uint64_t> want_int(words, 0), want_con(words, 0);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t bit = uint64_t{1} << (i % 64);
+          if ((active[i / 64] & bit) == 0) continue;
+          const Box b = boxes.Get(i);
+          const std::vector<float> blo(b.lo().begin(), b.lo().end());
+          const std::vector<float> bhi(b.hi().begin(), b.hi().end());
+          if (RefIntersects(qlo, qhi, blo, bhi)) want_int[i / 64] |= bit;
+          if (RefContains(qlo, qhi, blo, bhi)) want_con[i / 64] |= bit;
+        }
+        for (const kernels::SimdTier tier : SupportedTiers()) {
+          const kernels::KernelTable& t = kernels::TableForTier(tier);
+          std::vector<uint64_t> got_int(words, ~uint64_t{0});
+          std::vector<uint64_t> got_con(words, ~uint64_t{0});
+          t.box_overlap(qlo.data(), qhi.data(), dim, boxes.lo.data(),
+                        boxes.hi.data(), boxes.stride, n, active.data(),
+                        got_int.data(), got_con.data());
+          EXPECT_EQ(got_int, want_int) << "tier=" << kernels::TierName(tier)
+                                       << " dim=" << dim << " n=" << n
+                                       << " rep=" << rep;
+          EXPECT_EQ(got_con, want_con) << "tier=" << kernels::TierName(tier)
+                                       << " dim=" << dim << " n=" << n
+                                       << " rep=" << rep;
+        }
+      }
+    }
+  }
+}
+
+/// A user-defined metric with no batch override: twice the L1 distance.
+class DoubledL1Metric final : public DistanceMetric {
+ public:
+  double Distance(std::span<const float> a,
+                  std::span<const float> b) const override {
+    return 2.0 * L1Metric().Distance(a, b);
+  }
+  double MinDistToBox(std::span<const float> q,
+                      const Box& box) const override {
+    return 2.0 * L1Metric().MinDistToBox(q, box);
+  }
+  std::string Name() const override { return "DoubledL1"; }
+};
+
+// Metrics without a batch kernel take the default MinDistToBoxes, which
+// must reproduce MinDistToBox bit for bit.
+TEST(BoxSetKernelSweep, DefaultMinDistToBoxesMatchesPerBox) {
+  Rng rng(20261019);
+  for (const uint32_t dim : kBoxDims) {
+    std::vector<double> w(dim);
+    for (uint32_t d = 0; d < dim; ++d) w[d] = 0.25 + 0.1 * d;
+    const WeightedL2Metric wl2(w);
+    const LpMetric lp3(3.0);
+    const DoubledL1Metric user;
+    const DistanceMetric* metrics[] = {&wl2, &lp3, &user};
+    for (const size_t n : kBoxCounts) {
+      SoaBoxes boxes(dim, n);
+      for (size_t i = 0; i < n; ++i) boxes.Set(i, EdgeBox(dim, rng));
+      const std::vector<float> q = EdgeQuery(dim, rng);
+      for (const DistanceMetric* metric : metrics) {
+        std::vector<double> got(boxes.stride);
+        metric->MinDistToBoxes(q, boxes.view(), got.data());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_TRUE(SameBits(got[i], metric->MinDistToBox(q, boxes.Get(i))))
+              << metric->Name() << " dim=" << dim << " n=" << n
+              << " box=" << i;
+        }
+      }
+    }
+  }
+}
+
+/// A random kd tree over `leaves` children of `region`, mixing clean,
+/// overlapping (lsp > rsp) and gapped (lsp < rsp) splits. With `codec`,
+/// each leaf carries the ELS code of a random live box inside its region.
+std::unique_ptr<KdNode> RandomKd(uint32_t dim, size_t leaves,
+                                 const Box& region, const ElsCodec* codec,
+                                 Rng& rng, PageId* next) {
+  if (leaves == 1) {
+    ElsCode els;
+    if (codec != nullptr) {
+      Box live = region;
+      for (uint32_t d = 0; d < dim; ++d) {
+        const float a = region.lo(d) + static_cast<float>(rng.NextDouble()) *
+                                           region.Extent(d);
+        const float b = region.lo(d) + static_cast<float>(rng.NextDouble()) *
+                                           region.Extent(d);
+        live.set_lo(d, std::min(a, b));
+        live.set_hi(d, std::max(a, b));
+      }
+      els = codec->Encode(live, region);
+    }
+    return KdNode::MakeLeaf((*next)++, std::move(els));
+  }
+  auto n = std::make_unique<KdNode>();
+  n->split_dim = static_cast<uint32_t>(rng.NextBelow(dim));
+  const float pos = Lattice(rng);
+  const float shift = 0.0625f * static_cast<float>(rng.NextBelow(3));
+  const bool overlap = rng.NextBelow(2) == 0;
+  n->lsp = overlap ? pos + shift : pos - shift;
+  n->rsp = overlap ? pos - shift : pos + shift;
+  const size_t left = 1 + rng.NextBelow(leaves - 1);
+  n->left = RandomKd(dim, left, KdLeftBr(region, *n), codec, rng, next);
+  n->right =
+      RandomKd(dim, leaves - left, KdRightBr(region, *n), codec, rng, next);
+  return n;
+}
+
+/// The pointer kd walk the flat route replaces (the §3.1 box route).
+void PointerRoute(const KdNode* n, const Box& q, std::vector<PageId>* out) {
+  if (n->IsLeaf()) {
+    out->push_back(n->child);
+    return;
+  }
+  if (q.lo(n->split_dim) <= n->lsp) PointerRoute(n->left.get(), q, out);
+  if (q.hi(n->split_dim) >= n->rsp) PointerRoute(n->right.get(), q, out);
+}
+
+// The flat view must hold the kd tree's children in preorder leaf order,
+// each with its decoded live box, and its array route must reach exactly
+// the leaves the pointer walk reaches.
+TEST(FlatIndexNodeTest, MatchesPointerKdTree) {
+  Rng rng(20261020);
+  for (const uint32_t dim : kBoxDims) {
+    for (const uint32_t bits : {0u, 4u, 8u}) {
+      const ElsCodec codec(dim, bits);
+      const ElsCodec* maybe_codec = bits > 0 ? &codec : nullptr;
+      for (const size_t leaves : {size_t{1}, size_t{2}, size_t{7},
+                                  size_t{17}, size_t{202}}) {
+        IndexNode node;
+        PageId next = 100;
+        node.root = RandomKd(dim, leaves, Box::UnitCube(dim), maybe_codec,
+                             rng, &next);
+        const FlatIndexNode flat(node, dim, maybe_codec);
+        std::vector<ChildRef> kids;
+        node.CollectChildren(Box::UnitCube(dim), &kids);
+        ASSERT_EQ(flat.num_children(), kids.size());
+        ASSERT_EQ(flat.kd_nodes().size(), kids.size() - 1);
+        const BoxSetView live = flat.live_boxes();
+        EXPECT_EQ(live.count, kids.size());
+        EXPECT_EQ(live.stride % kernels::kBoxLanes, 0u);
+        for (size_t i = 0; i < kids.size(); ++i) {
+          EXPECT_EQ(flat.child(i), kids[i].leaf->child);
+          const Box want = maybe_codec != nullptr
+                               ? codec.Decode(kids[i].leaf->els, kids[i].kd_br)
+                               : kids[i].kd_br;
+          Box got;
+          live.Gather(i, &got);
+          EXPECT_EQ(got, want) << "dim=" << dim << " bits=" << bits
+                               << " leaf=" << i;
+        }
+        for (const FlatKdNode& k : flat.kd_nodes()) {
+          EXPECT_LT(k.begin, k.mid);
+          EXPECT_LT(k.mid, k.end);
+          EXPECT_LE(k.end, kids.size());
+        }
+        std::vector<uint64_t> reached((kids.size() + 63) / 64, ~uint64_t{0});
+        for (int rep = 0; rep < 20; ++rep) {
+          std::vector<float> lo(dim), hi(dim);
+          for (uint32_t d = 0; d < dim; ++d) {
+            const float a = Lattice(rng);
+            const float b = Lattice(rng);
+            lo[d] = std::min(a, b);
+            hi[d] = std::max(a, b);
+          }
+          const Box q = Box::FromBounds(lo, hi);
+          std::vector<PageId> want;
+          PointerRoute(node.root.get(), q, &want);
+          flat.RouteBox(q, reached.data());
+          std::vector<PageId> got;
+          for (size_t i = 0; i < kids.size(); ++i) {
+            if ((reached[i / 64] >> (i % 64)) & 1) got.push_back(flat.child(i));
+          }
+          EXPECT_EQ(got, want) << "dim=" << dim << " leaves=" << leaves
+                               << " rep=" << rep;
+        }
+      }
     }
   }
 }

@@ -63,6 +63,50 @@ TEST(CorruptionTest, GarbledMetaPage) {
   EXPECT_TRUE(tree.status().IsCorruption());
 }
 
+// Meta page field offsets (HybridTree::WriteMeta): kind u8, magic u32,
+// version u32, then the fields below, little-endian and unpadded.
+constexpr size_t kMetaDimOffset = 9;
+constexpr size_t kMetaSplitPolicyOffset = 33;
+constexpr size_t kMetaElsModeOffset = 34;
+constexpr size_t kMetaElsBitsOffset = 35;
+constexpr size_t kMetaQuerySizeModelOffset = 36;
+
+/// Open must report a meta value Create would refuse as Corruption, never
+/// abort on it.
+void ExpectOpenRejectsMeta(size_t offset,
+                           std::initializer_list<uint8_t> bytes) {
+  Fixture f;
+  f.Corrupt(0, offset, bytes);
+  auto tree = HybridTree::Open(&f.file);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
+}
+
+TEST(CorruptionTest, MetaZeroDimensionRejected) {
+  ExpectOpenRejectsMeta(kMetaDimOffset, {0, 0, 0, 0});
+}
+
+TEST(CorruptionTest, MetaDimensionTooLargeForPageRejected) {
+  // 64 dims at the 1024-byte page size: a data page holds 3 entries.
+  ExpectOpenRejectsMeta(kMetaDimOffset, {64, 0, 0, 0});
+}
+
+TEST(CorruptionTest, MetaElsBitsAbove16Rejected) {
+  ExpectOpenRejectsMeta(kMetaElsBitsOffset, {40});
+}
+
+TEST(CorruptionTest, MetaUnknownSplitPolicyRejected) {
+  ExpectOpenRejectsMeta(kMetaSplitPolicyOffset, {7});
+}
+
+TEST(CorruptionTest, MetaUnknownElsModeRejected) {
+  ExpectOpenRejectsMeta(kMetaElsModeOffset, {9});
+}
+
+TEST(CorruptionTest, MetaUnknownQuerySizeModelRejected) {
+  ExpectOpenRejectsMeta(kMetaQuerySizeModelOffset, {5});
+}
+
 TEST(CorruptionTest, KdChildIndexOutOfRange) {
   // Hand-craft an index page whose kd record points past the record count.
   std::vector<uint8_t> page(512, 0);

@@ -82,6 +82,8 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
   }
 
   L2Metric l2;
+  // No batch MINDIST kernel: takes the default MinDistToBoxes gather.
+  WeightedL2Metric wl2(std::vector<double>(dim, 0.5));
   SearchScratch scratch;
   std::vector<uint64_t> ids;
   std::vector<std::pair<double, uint64_t>> neighbors;
@@ -94,10 +96,12 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
       ASSERT_TRUE(
           tree->SearchKnnInto(centers[q], 20, l2, &scratch, &neighbors).ok());
       ASSERT_FALSE(neighbors.empty());
+      ASSERT_TRUE(
+          tree->SearchKnnInto(centers[q], 20, wl2, &scratch, &neighbors).ok());
     }
   };
 
-  // Warm-up: populates the buffer pool, the parsed-node cache, the
+  // Warm-up: populates the buffer pool, the flat-node cache, the
   // scratch buffers and the output vectors.
   run_all();
   run_all();

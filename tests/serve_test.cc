@@ -189,6 +189,33 @@ TEST_F(ServerTest, ExecutesAllQueryTypes) {
   EXPECT_EQ(r.neighbors, BruteForceKnn(data_, center_, 5, metric_));
 }
 
+// A k-NN center of the wrong dimensionality is refused at the request
+// boundary instead of aborting the process inside a shard cursor.
+TEST_F(ServerTest, KnnWithWrongDimensionIsInvalidArgument) {
+  Server server(index_.get());
+  for (const size_t dim : {size_t{0}, size_t{7}, size_t{9}}) {
+    Request r = KnnRequest("a");
+    r.query = Query::MakeKnn(std::vector<float>(dim, 0.5f), 5);
+    const QueryResult res = server.Execute(r);
+    EXPECT_TRUE(res.status.IsInvalidArgument())
+        << "dim=" << dim << ": " << res.status.ToString();
+    EXPECT_TRUE(res.neighbors.empty());
+  }
+  // The server still answers afterwards.
+  EXPECT_TRUE(server.Execute(KnnRequest("a")).status.ok());
+}
+
+// A huge k must not size any buffer by k: every row comes back, in order.
+TEST_F(ServerTest, KnnWithHugeKReturnsEveryRow) {
+  Server server(index_.get());
+  Request r = KnnRequest("a");
+  r.query = Query::MakeKnn(center_, size_t{1} << 40);
+  const QueryResult res = server.Execute(r);
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  EXPECT_EQ(res.neighbors,
+            BruteForceKnn(data_, center_, data_.size(), metric_));
+}
+
 TEST_F(ServerTest, RateOverloadCountsAsRejectedNotExpired) {
   Server server(index_.get());
   TenantQuota quota;
