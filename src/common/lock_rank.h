@@ -27,18 +27,18 @@
 //    700  kThreadPool                     ThreadPool::mu_
 //    600  kServeScatter                   ShardedIndex scratch_mu_ / Shard::io_mu,
 //                                         scatter Latch::mu_, SharedTopK::mu_
-//    500  kTreeNodeCache                  HybridTree::node_cache_mu_
-//    400  kQuantStore                     QuantStore::mu_
 //    300  kPoolPrefetch                   BufferPool::prefetch_mu_
 //    200  kPoolShard                      BufferPool::Shard::mu (16 striped)
 //    100  kPoolFile                       BufferPool::file_mu_
 //     50  kPoolPinTable                   BufferPool::pin_mu_
+//     25  kPageTable                      PageTable::grow_mu_
 //
 // The load-bearing nestings this order admits:
 //   * CacheManager::Rebalance holds kCacheManager while retargeting pools:
 //     1200 -> 200 (shard eviction) -> 100 (write-back file lock).
 //   * BufferPool::Fetch/Flush hold a shard lock across file I/O
-//     (200 -> 100) and pin-tracking (200 -> 50).
+//     (200 -> 100), pin-tracking (200 -> 50) and the frame table's rare
+//     chunk allocation (200 -> 25).
 //   * Server::Snapshot / ResetMetrics hold tenants_mu_ (shared) while
 //     draining per-tenant metric locks (1100 -> 800).
 //   * prefetch_mu_ (300) is documented as "before a shard lock, never
@@ -69,12 +69,11 @@ namespace ht {
 /// earlier. kUnranked locks are invisible to the checker.
 enum class LockRank : uint32_t {
   kUnranked = 0,
+  kPageTable = 25,
   kPoolPinTable = 50,
   kPoolFile = 100,
   kPoolShard = 200,
   kPoolPrefetch = 300,
-  kQuantStore = 400,
-  kTreeNodeCache = 500,
   kServeScatter = 600,
   kThreadPool = 700,
   kServerTenantStats = 800,

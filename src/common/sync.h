@@ -12,15 +12,15 @@
 //      reports acquisitions/releases to the per-thread rank stack, which
 //      aborts on out-of-order acquisition when checking is enabled.
 //      Unranked mutexes (default) never call into the checker.
-//   3. Conditional locking: BufferPool, QuantStore, and the tree's parsed
-//      node cache skip their locks entirely in single-threaded mode. The
-//      guards take an (mu, enabled) constructor that is a no-op when
-//      `enabled` is false but still CLAIMS the capability to the static
-//      analysis. That over-approximation is sound by the library's
-//      protocol: disabled means "single-threaded by contract", and the
-//      discipline being checked is that the code is WRITTEN as if the
-//      lock were held — so the same annotated code paths serve both
-//      modes, and flipping a mode can never invalidate the analysis.
+//   3. Conditional locking: BufferPool skips its locks entirely in
+//      single-threaded mode. The guards take an (mu, enabled) constructor
+//      that is a no-op when `enabled` is false but still CLAIMS the
+//      capability to the static analysis. That over-approximation is
+//      sound by the library's protocol: disabled means "single-threaded
+//      by contract", and the discipline being checked is that the code is
+//      WRITTEN as if the lock were held — so the same annotated code paths
+//      serve both modes, and flipping a mode can never invalidate the
+//      analysis.
 //
 // In release builds without lock-rank checking, every wrapper compiles to
 // the bare std operation (annotations are attributes, the rank hook is

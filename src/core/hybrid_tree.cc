@@ -240,16 +240,9 @@ void HybridTree::EnsureCodes(KdNode* n) {
   EnsureCodes(n->right.get());
 }
 
-Result<std::shared_ptr<const FlatIndexNode>> HybridTree::ReadFlatNode(
+Result<const FlatIndexNode*> HybridTree::ReadFlatNode(
     PageId id, const uint8_t* page_data, size_t page_size) const {
-  {
-    // Conditional guard: the lock is real only in concurrent-read mode;
-    // serial mode claims the capability without the runtime lock (the
-    // single-threaded contract IS the exclusion).
-    ReaderLock lock(&node_cache_mu_, concurrent_reads_);
-    auto it = node_cache_.find(id);
-    if (it != node_cache_.end()) return it->second;
-  }
+  if (const FlatIndexNode* node = node_cache_.Get(id)) return node;
   HT_ASSIGN_OR_RETURN(
       IndexNode node,
       IndexNode::Deserialize(page_data, page_size, els_in_page(),
@@ -261,22 +254,16 @@ Result<std::shared_ptr<const FlatIndexNode>> HybridTree::ReadFlatNode(
     }
   }
   // Each leaf's live box is decoded once here, against its node-local kd
-  // region; the parsed kd tree itself is dropped.
-  auto sp = std::make_shared<const FlatIndexNode>(
-      node, options_.dim, els_enabled() ? &codec_ : nullptr);
-  // Two readers may race to flatten the same page; first to publish wins
-  // and both views are identical (the page is immutable while readers
-  // run). Keep-first semantics match the serial path, where the miss
-  // check above guarantees the slot is empty.
-  WriterLock lock(&node_cache_mu_, concurrent_reads_);
-  auto [it, inserted] = node_cache_.try_emplace(id, std::move(sp));
-  return it->second;
+  // region; the parsed kd tree itself is dropped. Two readers may race to
+  // flatten the same page; the first to publish wins and the other's copy
+  // is deleted. Both are identical (the page is immutable while readers
+  // run).
+  return node_cache_.Publish(
+      id, std::make_unique<const FlatIndexNode>(
+              node, options_.dim, els_enabled() ? &codec_ : nullptr));
 }
 
-void HybridTree::InvalidateCachedNode(PageId id) {
-  WriterLock lock(&node_cache_mu_, concurrent_reads_);
-  node_cache_.erase(id);
-}
+void HybridTree::InvalidateCachedNode(PageId id) { node_cache_.Erase(id); }
 
 Status HybridTree::SetConcurrentReads(bool on) {
   // Mode flips happen between batches, under write exclusivity.
@@ -931,7 +918,7 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
     }
     return Status::OK();
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                       ReadFlatNode(page, h.data(), h.size()));
   h.Release();
 
@@ -1016,7 +1003,7 @@ Status HybridTree::ScanAllRec(
     }
     return Status::OK();
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                       ReadFlatNode(page, h.data(), h.size()));
   h.Release();
   // An index node commits to visiting every child, so the whole fanout is
@@ -1093,8 +1080,7 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
                              size_t n, std::span<const float> center,
                              const DistanceMetric& metric, double bound,
                              SearchScratch* scratch,
-                             std::shared_ptr<const QuantizedPage>* qp_out)
-    const {
+                             const QuantizedPage** qp_out) const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
   // would save, and the transposed float mirror only accelerates SIMD
@@ -1106,15 +1092,15 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
   // with useless pages.
   if (!options_.quant_sidecars || n == 0 || !metric.SupportsCodeFilter() ||
       kernels::ActiveTier() == kernels::SimdTier::kScalar) {
-    pool_->CountScan(page, n, n, /*filtered=*/false);
+    pool_->CountScan(n, n, /*filtered=*/false);
     return false;
   }
   // The sidecar is fetched (and lazily built) even when code filtering is
   // off the table: its transposed mirror speeds up the exact batch pass
   // regardless of the bound.
-  *qp_out = quant_store_.GetOrBuild(page, blk, stride, n, options_.dim,
-                                    concurrent_reads_);
-  const QuantizedPage* qp = qp_out->get();
+  const QuantizedPage* qp =
+      quant_store_.GetOrBuild(page, blk, stride, n, options_.dim);
+  *qp_out = qp;
   // Code filtering is pointless when the bound prunes nothing (k-NN heap
   // not yet full): every row would survive. The fused mask kernels decide
   // survival in-register and hand back one bit per row — on a 99%-pruned
@@ -1126,7 +1112,7 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
   if (qp == nullptr || bound >= std::numeric_limits<double>::max() ||
       !metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
                               scratch->masks.data())) {
-    pool_->CountScan(page, n, n, /*filtered=*/false);
+    pool_->CountScan(n, n, /*filtered=*/false);
     return false;
   }
   // Survivors in ascending row order, so refinement replays the exact
@@ -1141,7 +1127,7 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
       m &= m - 1;
     }
   }
-  pool_->CountScan(page, n, surv.size(), /*filtered=*/true);
+  pool_->CountScan(n, surv.size(), /*filtered=*/true);
   return true;
 }
 
@@ -1158,14 +1144,14 @@ Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
   if (blk == nullptr) {
     // Big-endian host: no in-place float block for the kernels or the
     // sidecar, so every row gets a plain exact distance.
-    pool_->CountScan(page, n, n, /*filtered=*/false);
+    pool_->CountScan(n, n, /*filtered=*/false);
     for (size_t i = 0; i < n; ++i) {
       emit(metric.Distance(center, scan.vec(i)), scan.id(i));
     }
     return Status::OK();
   }
   const size_t stride = scan.stride_floats();
-  std::shared_ptr<const QuantizedPage> qp;
+  const QuantizedPage* qp = nullptr;
   const bool filtered =
       QuantFilter(page, blk, stride, n, center, metric, bound, scratch, &qp);
   // A pruned row has a code lower bound above `bound`, hence a true
@@ -1185,7 +1171,7 @@ Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
   // (cheaper than many strided per-row calls). Rows whose partial sum
   // exceeds `bound` are abandoned with an output above it.
   if (scratch->dist.size() < n) scratch->dist.resize(n);
-  BatchPageDistances(metric, center, qp.get(), blk, stride, n, bound,
+  BatchPageDistances(metric, center, qp, blk, stride, n, bound,
                      scratch->dist.data());
   const double* dist = scratch->dist.data();
   if (filtered) {
@@ -1209,7 +1195,7 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
     return ScanDataPage(page, h.data(), h.size(), center, metric, radius,
                         scratch, emit);
   }
-  HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                       ReadFlatNode(page, h.data(), h.size()));
   h.Release();
 
@@ -1374,7 +1360,7 @@ Status HybridTree::SearchKnnBoundedInto(
       }
       continue;
     }
-    HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                         ReadFlatNode(item.page, h.data(), h.size()));
     h.Release();
     // One batch MINDIST call scores every child; the pushes then run in
@@ -1865,7 +1851,7 @@ HybridTree::KnnCursor::Next() {
                                            &scratch_, emit));
       continue;
     }
-    HT_ASSIGN_OR_RETURN(std::shared_ptr<const FlatIndexNode> node,
+    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                         tree_->ReadFlatNode(item.page, h.data(), h.size()));
     h.Release();
     const double* dist =

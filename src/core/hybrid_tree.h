@@ -55,6 +55,7 @@
 #include "core/stats.h"
 #include "geometry/metrics.h"
 #include "storage/buffer_pool.h"
+#include "storage/page_table.h"
 #include "storage/paged_file.h"
 #include "storage/quant_store.h"
 
@@ -320,13 +321,14 @@ class HybridTree {
   const BufferPool& pool() const { return *pool_; }
 
   /// Enables (or disables) concurrent read mode: the buffer pool switches
-  /// to its lock-striped mode and the flat-node cache starts taking its
-  /// shared_mutex, after which any number of threads may run the const
-  /// query methods concurrently (shared-read half of the protocol). The
-  /// caller keeps the exclusive-write half: no Insert/Delete/Flush while
-  /// queries are in flight, and the mode switch itself requires that no
-  /// query is running. Single-threaded performance is unaffected while the
-  /// mode is off (no locks are taken anywhere on the read path).
+  /// to its lock-striped mode, after which any number of threads may run
+  /// the const query methods concurrently (shared-read half of the
+  /// protocol). The flat-node and sidecar caches are lock-free in both
+  /// modes. The caller keeps the exclusive-write half: no
+  /// Insert/Delete/Flush while queries are in flight, and the mode switch
+  /// itself requires that no query is running. Single-threaded performance
+  /// is unaffected while the mode is off (no locks are taken anywhere on
+  /// the read path).
   Status SetConcurrentReads(bool on);
   bool concurrent_reads() const { return concurrent_reads_; }
 
@@ -393,9 +395,10 @@ class HybridTree {
   /// array) from the in-memory cache, deserializing and flattening
   /// `page_data` on a miss. Does NOT fetch from the pool — the caller
   /// already did (and paid the logical read). Mutating paths must not use
-  /// this. Safe to call from concurrent readers when concurrent_reads_ is
-  /// on.
-  Result<std::shared_ptr<const FlatIndexNode>> ReadFlatNode(
+  /// this. Lock-free and safe to call from concurrent readers; the node
+  /// stays valid while the caller holds the shared role (invalidation
+  /// needs the exclusive one).
+  Result<const FlatIndexNode*> ReadFlatNode(
       PageId id, const uint8_t* page_data, size_t page_size) const
       HT_REQUIRES_SHARED(rw_contract_);
   /// Drops `id` from the flat-node cache (write paths, before rewriting
@@ -527,7 +530,7 @@ class HybridTree {
   bool QuantFilter(PageId page, const float* blk, size_t stride, size_t n,
                    std::span<const float> center, const DistanceMetric& metric,
                    double bound, SearchScratch* scratch,
-                   std::shared_ptr<const QuantizedPage>* qp_out) const
+                   const QuantizedPage** qp_out) const
       HT_REQUIRES_SHARED(rw_contract_);
 
   // --- maintenance --------------------------------------------------------
@@ -573,9 +576,9 @@ class HybridTree {
   std::unordered_map<PageId, std::vector<uint8_t>> els_sidecar_;
 
   /// Quantized data-page sidecars for the filter-then-refine scan path
-  /// (storage/quant_store.h). Built lazily by const searches, hence
-  /// mutable; invalidated wherever a data page is rewritten or freed.
-  mutable QuantStore quant_store_;
+  /// (storage/quant_store.h). Built lazily by const searches; invalidated
+  /// wherever a data page is rewritten or freed.
+  QuantStore quant_store_;
 
   /// Insert-path scratch: candidate leaves collected by FindLeafForInsert,
   /// reused across calls (cleared, capacity retained) instead of being
@@ -586,14 +589,12 @@ class HybridTree {
 
   /// Flat-view cache for the read paths (searches, cursors): each index
   /// page's FlatIndexNode, with every child live box already decoded.
-  /// Invalidated whenever the page is written or freed. Access counts are
-  /// unaffected (callers fetch the page first regardless). Guarded by
-  /// node_cache_mu_ when concurrent_reads_ is on; mutable because filling
-  /// the cache is part of the const read path.
-  mutable std::unordered_map<PageId, std::shared_ptr<const FlatIndexNode>>
-      node_cache_ HT_GUARDED_BY(node_cache_mu_);
-  mutable SharedMutex node_cache_mu_{LockRank::kTreeNodeCache,
-                                     "HybridTree::node_cache_mu_"};
+  /// Readers load it lock-free and the first builder of a page publishes
+  /// with a CAS (storage/page_table.h). Entries are deleted only under the
+  /// exclusive role, whenever the page is written or freed. Access counts
+  /// are unaffected (callers fetch the page first regardless). Mutable
+  /// because filling the cache is part of the const read path.
+  mutable OwnedPageTable<const FlatIndexNode> node_cache_;
 
   /// Concurrent read mode (see SetConcurrentReads). Only flipped under
   /// write exclusivity, so plain (unsynchronized) reads of the flag are

@@ -11,6 +11,27 @@ namespace {
 thread_local IoStats* g_tls_io_sink = nullptr;
 /// Thread-local access class for the calling thread (see AccessClassScope).
 thread_local AccessClass g_tls_access_class = AccessClass::kQuery;
+
+/// The calling thread's number, assigned on its first count: picks the
+/// counter stripe. Relaxed: the numbers only need to be distinct.
+size_t ThreadNumber() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t mine = next.fetch_add(1, std::memory_order_relaxed);
+  return mine;
+}
+
+/// Calls fn(a.x, b.x) for every counter x of IoStats, scalar and per-class.
+template <typename Fn>
+void ForEachCounterPair(IoStats& a, IoStats& b, Fn fn) {
+#define HT_IO_STATS_PAIR(name) fn(a.name, b.name);
+  HT_IO_STATS_COUNTERS(HT_IO_STATS_PAIR)
+#undef HT_IO_STATS_PAIR
+  for (size_t c = 0; c < kNumAccessClasses; ++c) {
+    fn(a.class_hits[c], b.class_hits[c]);
+    fn(a.class_misses[c], b.class_misses[c]);
+    fn(a.class_evictions[c], b.class_evictions[c]);
+  }
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -43,7 +64,7 @@ size_t PageHandle::size() const {
 
 void PageHandle::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(id_, frame_);
+    pool_->Unpin(frame_);
     if (pin_token_ != 0) pool_->UntrackPin(pin_token_);
     pool_ = nullptr;
     frame_ = nullptr;
@@ -73,6 +94,21 @@ BufferPool::~BufferPool() {
   (void)FlushAll();
 }
 
+void BufferPool::Count(uint64_t IoStats::*counter, uint64_t n) {
+  IoStats& stripe = stripes_[ThreadNumber() % kStatStripes].io;
+  std::atomic_ref<uint64_t>(stripe.*counter)
+      .fetch_add(n, std::memory_order_relaxed);
+  if (IoStats* tls = g_tls_io_sink) tls->*counter += n;
+}
+
+void BufferPool::CountClass(
+    std::array<uint64_t, kNumAccessClasses> IoStats::*counters, size_t cls) {
+  IoStats& stripe = stripes_[ThreadNumber() % kStatStripes].io;
+  std::atomic_ref<uint64_t>((stripe.*counters)[cls])
+      .fetch_add(1, std::memory_order_relaxed);
+  if (IoStats* tls = g_tls_io_sink) ++(tls->*counters)[cls];
+}
+
 Status BufferPool::SetConcurrentMode(bool on) {
   if (on == concurrent_) return Status::OK();
   DrainPrefetch();
@@ -80,26 +116,25 @@ Status BufferPool::SetConcurrentMode(bool on) {
     return Status::InvalidArgument(
         "BufferPool mode switch requires no pinned frames");
   }
-  // Collect every cached frame, flip the mode, and re-bucket under the new
-  // ShardIndex mapping. Recency within each segment is rebuilt arbitrarily;
-  // recency order across a mode switch is not meaningful anyway. Segment
-  // membership (probation/protected/prefetch-queue) is preserved.
-  std::unordered_map<PageId, std::unique_ptr<Frame>> all;
+  // Collect every resident frame (least recent first, per segment) and
+  // every free frame, flip the mode, and re-bucket under the new
+  // ShardIndex mapping. Pushing each frame to the front in that order
+  // keeps the recency order within each segment of each new shard. Frame
+  // ownership stays with the allocating shard; only list membership moves.
+  std::vector<Frame*> resident;
+  std::vector<Frame*> spare;
   for (Shard& s : shards_) {
     // Mode switches require quiescence (no other thread inside the pool),
     // so the guard claims the shard capability without locking.
     MutexLock lock(&s.mu, /*enabled=*/false);
-    for (auto& [id, f] : s.frames) {
-      if (f->in_lru) {
-        ListFor(s, f->segment).erase(f->lru_it);
-        f->in_lru = false;
+    for (FrameList* list : {&s.lru, &s.protected_lru, &s.prefetch_queue}) {
+      while (Frame* f = list->back()) {
+        list->Remove(f);
+        resident.push_back(f);
       }
-      all.emplace(id, std::move(f));
     }
-    s.frames.clear();
-    s.lru.clear();
-    s.protected_lru.clear();
-    s.prefetch_queue.clear();
+    spare.insert(spare.end(), s.free_frames.begin(), s.free_frames.end());
+    s.free_frames.clear();
   }
   concurrent_ = on;
   const size_t cap = capacity_.load(std::memory_order_relaxed);
@@ -107,14 +142,15 @@ Status BufferPool::SetConcurrentMode(bool on) {
       concurrent_ ? (cap == 0 ? 0 : (cap + kShardCount - 1) / kShardCount)
                   : cap,
       std::memory_order_relaxed);
-  for (auto& [id, f] : all) {
-    Shard& s = ShardFor(id);
+  for (Frame* f : resident) {
+    Shard& s = ShardFor(f->id.load(std::memory_order_relaxed));
     MutexLock lock(&s.mu, /*enabled=*/false);  // same quiescence contract
-    std::list<PageId>& list = ListFor(s, f->segment);
-    list.push_front(id);
-    f->lru_it = list.begin();
-    f->in_lru = true;
-    s.frames.emplace(id, std::move(f));
+    ListFor(s, f->segment).PushFront(f);
+  }
+  for (size_t i = 0; i < spare.size(); ++i) {
+    Shard& s = shards_[concurrent_ ? i % kShardCount : 0];
+    MutexLock lock(&s.mu, /*enabled=*/false);
+    s.free_frames.push_back(spare[i]);
   }
   return Status::OK();
 }
@@ -136,7 +172,7 @@ Status BufferPool::SetCapacity(size_t capacity_pages) {
   // misses evict down to target (EvictOneIfNeeded loops while over).
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    while (shard.frames.size() > per_shard) {
+    while (ResidentLocked(shard) > per_shard) {
       if (!EvictVictimLocked(shard).ok()) break;  // everything left is pinned
     }
   }
@@ -178,30 +214,32 @@ void BufferPool::EnforceProtectedCapLocked(Shard& shard) {
   while (shard.protected_lru.size() > cap) {
     // Demote the protected tail to the probationary MRU position: it gets
     // one more chance to be re-referenced before reaching the LRU tail.
-    auto tail = std::prev(shard.protected_lru.end());
-    Frame* f = shard.frames.find(*tail)->second.get();
-    f->segment = CacheSegment::kProbation;
-    shard.lru.splice(shard.lru.begin(), shard.protected_lru, tail);
-    // splice moves the node intact, so f->lru_it (== tail) stays valid and
-    // now points into shard.lru.
+    Frame* tail = shard.protected_lru.back();
+    shard.protected_lru.Remove(tail);
+    tail->segment = CacheSegment::kProbation;
+    shard.lru.PushFront(tail);
   }
 }
 
-void BufferPool::TouchHitLocked(Shard& shard, PageId id, Frame* f) {
+void BufferPool::LinkFrontLocked(Shard& shard, Frame* f) {
+  ListFor(shard, f->segment).PushFront(f);
+  if (policy_ == CachePolicy::kSlru && f->segment == CacheSegment::kProtected) {
+    EnforceProtectedCapLocked(shard);
+  }
+}
+
+void BufferPool::PinHitLocked(Shard& shard, PageId id, Frame* f) {
+  // Relaxed: the shard lock orders this pin after the frame's install, and
+  // no eviction of this page can run while the lock is held, so the count
+  // is >= 0 here.
+  f->pins.fetch_add(1, std::memory_order_relaxed);
   const AccessClass cls = CurrentAccessClass();
-  if (f->prefetched) {
-    f->prefetched = false;
+  if (f->prefetched.load(std::memory_order_relaxed)) {
+    f->prefetched.store(false, std::memory_order_relaxed);
     f->admit_class = cls;  // first demand reference re-attributes the frame
-    ++shard.stats.prefetch_hits;
-    if (IoStats* tls = g_tls_io_sink) ++tls->prefetch_hits;
+    Count(&IoStats::prefetch_hits);
   }
-  if (f->in_lru) {
-    // Splice out of the frame's CURRENT segment list (before any segment
-    // change below), recycling the node for a later unpin.
-    std::list<PageId>& list = ListFor(shard, f->segment);
-    shard.lru_spares.splice(shard.lru_spares.begin(), list, f->lru_it);
-    f->in_lru = false;
-  }
+  ListFor(shard, f->segment).Remove(f);
   if (policy_ == CachePolicy::kSlru) {
     const uint8_t freq = SketchTouch(shard, id);
     if (f->segment == CacheSegment::kPrefetchQueue) {
@@ -216,6 +254,7 @@ void BufferPool::TouchHitLocked(Shard& shard, PageId id, Frame* f) {
       f->segment = CacheSegment::kProtected;
     }
   }
+  LinkFrontLocked(shard, f);
 }
 
 internal::CacheSegment BufferPool::AdmitSegmentLocked(Shard& shard,
@@ -230,29 +269,77 @@ internal::CacheSegment BufferPool::AdmitSegmentLocked(Shard& shard,
   return CacheSegment::kProbation;
 }
 
+BufferPool::Frame* BufferPool::AcquireFrameLocked(Shard& shard) {
+  if (shard.free_frames.empty()) {
+    shard.owned.push_back(std::make_unique<Frame>(file_->page_size()));
+    return shard.owned.back().get();
+  }
+  Frame* f = shard.free_frames.back();
+  shard.free_frames.pop_back();
+  f->page = Page(file_->page_size());
+  return f;
+}
+
+void BufferPool::RecycleFrameLocked(Shard& shard, Frame* f) {
+  f->page.Release();
+  shard.free_frames.push_back(f);
+}
+
+void BufferPool::InstallLocked(Shard& shard, PageId id, Frame* f, int pins) {
+  // Relaxed field stores, then the release store of the pin count: a
+  // lock-free reader whose pin CAS reads this count (or a later one)
+  // synchronizes with it and sees the new id, flag and page bytes.
+  f->id.store(id, std::memory_order_relaxed);
+  f->pins.store(pins, std::memory_order_release);
+  LinkFrontLocked(shard, f);
+  table_.Store(id, f);
+}
+
+BufferPool::Frame* BufferPool::TryPinUnlocked(PageId id) {
+  if (shard_capacity_.load(std::memory_order_relaxed) != 0) return nullptr;
+  Frame* f = table_.Load(id);
+  if (f == nullptr) return nullptr;
+  // Pin CAS: from p >= 0 only, so a frame claimed by eviction (-1) is
+  // never pinned. Acquire pairs with the release that last set the count
+  // (an install, or an unpin continuing its release sequence).
+  int p = f->pins.load(std::memory_order_relaxed);
+  do {
+    if (p < 0) return nullptr;
+  } while (!f->pins.compare_exchange_weak(p, p + 1, std::memory_order_acquire,
+                                          std::memory_order_relaxed));
+  // The frame may have been evicted and reused for another page between
+  // the table load and the pin: re-check which page it holds now that it
+  // cannot move. A prefetched frame's first hit goes the locked way.
+  if (f->id.load(std::memory_order_acquire) == id &&
+      !f->prefetched.load(std::memory_order_relaxed)) {
+    return f;
+  }
+  Unpin(f);
+  return nullptr;
+}
+
 Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
+  const size_t cls = static_cast<size_t>(CurrentAccessClass());
+  Count(&IoStats::logical_reads);
+  if (Frame* f = TryPinUnlocked(id)) {
+    CountClass(&IoStats::class_hits, cls);
+    return PageHandle(this, id, f, TrackPin(id, loc));
+  }
   Shard& shard = ShardFor(id);
   MutexLock lock(&shard.mu, concurrent_);
-  const size_t cls = static_cast<size_t>(CurrentAccessClass());
-  ++shard.stats.logical_reads;
-  if (IoStats* tls = g_tls_io_sink) ++tls->logical_reads;
   bool checked_inflight = false;
   for (;;) {
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      Frame* f = it->second.get();
-      ++shard.stats.class_hits[cls];
-      if (IoStats* tls = g_tls_io_sink) ++tls->class_hits[cls];
-      TouchHitLocked(shard, id, f);
-      ++f->pins;
+    if (Frame* f = table_.Load(id)) {
+      CountClass(&IoStats::class_hits, cls);
+      PinHitLocked(shard, id, f);
       return PageHandle(this, id, f, TrackPin(id, loc));
     }
     // Miss. If an async prefetch of this page is in flight, wait for the
-    // fill instead of issuing a duplicate read, then re-check the map.
+    // fill instead of issuing a duplicate read, then re-check the table.
     // The atomic fast path keeps the no-prefetch miss free of prefetch_mu_
     // traffic; the guard also keeps serial mode (claimed, unlocked shard
     // guard) out of the unlock/relock dance. The dance runs at most once:
-    // the shard lock is dropped during it, so the map MUST be re-checked
+    // the shard lock is dropped during it, so the table MUST be re-checked
     // afterwards (a racing Fetch/fill may have installed the frame in the
     // window — installing a duplicate would dangle the returned pin), and
     // the one-shot guard keeps a busy in-flight set elsewhere in the pool
@@ -281,23 +368,26 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
     }
     break;
   }
-  ++shard.stats.class_misses[cls];
-  if (IoStats* tls = g_tls_io_sink) ++tls->class_misses[cls];
+  CountClass(&IoStats::class_misses, cls);
   HT_RETURN_NOT_OK(EvictOneIfNeeded(shard, /*demand=*/true));
-  auto frame = std::make_unique<Frame>(file_->page_size());
+  Frame* f = AcquireFrameLocked(shard);
+  Status read_status;
   {
     // Shared lock: positional reads run concurrently with each other and
     // only exclude allocation/extension and write-back.
     ReaderLock flock(&file_mu_, concurrent_);
-    HT_RETURN_NOT_OK(file_->Read(id, &frame->page));
+    read_status = file_->Read(id, &f->page);
   }
-  ++shard.stats.physical_reads;
-  if (IoStats* tls = g_tls_io_sink) ++tls->physical_reads;
-  Frame* f = frame.get();
-  f->pins = 1;
+  if (!read_status.ok()) {
+    RecycleFrameLocked(shard, f);
+    return read_status;
+  }
+  Count(&IoStats::physical_reads);
+  f->dirty = false;
+  f->prefetched.store(false, std::memory_order_relaxed);
   f->admit_class = CurrentAccessClass();
   f->segment = AdmitSegmentLocked(shard, id);
-  shard.frames.emplace(id, std::move(frame));
+  InstallLocked(shard, id, f, /*pins=*/1);
   return PageHandle(this, id, f, TrackPin(id, loc));
 }
 
@@ -309,39 +399,44 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
   out->reserve(ids.size());
   const size_t cls = static_cast<size_t>(CurrentAccessClass());
 
-  // Pass 1: pin hits, leave placeholder handles for misses, and collect
-  // each distinct missing id once (ReadBatch tolerates duplicates, but a
-  // duplicate here would install two frames for one page).
+  // Pass 1: pin hits, leave placeholder handles for misses, and take one
+  // frame for each distinct missing id (ReadBatch tolerates duplicates,
+  // but a duplicate here would install two frames for one page). A taken
+  // frame has pins == -1 and is in no table slot, so nothing else can
+  // touch it while the batch read fills it outside every lock.
   std::vector<PageId> miss_ids;
-  std::vector<std::unique_ptr<Frame>> miss_frames;
+  std::vector<Frame*> miss_frames;
   std::vector<Page*> miss_pages;
   std::unordered_map<PageId, size_t> miss_slot;  // id -> index in miss_*
   for (PageId id : ids) {
+    Count(&IoStats::logical_reads);
     Shard& shard = ShardFor(id);
     MutexLock lock(&shard.mu, concurrent_);
-    ++shard.stats.logical_reads;
-    if (IoStats* tls = g_tls_io_sink) ++tls->logical_reads;
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      Frame* f = it->second.get();
-      ++shard.stats.class_hits[cls];
-      if (IoStats* tls = g_tls_io_sink) ++tls->class_hits[cls];
-      TouchHitLocked(shard, id, f);
-      ++f->pins;
+    if (Frame* f = table_.Load(id)) {
+      CountClass(&IoStats::class_hits, cls);
+      PinHitLocked(shard, id, f);
       out->push_back(PageHandle(this, id, f, TrackPin(id, loc)));
     } else {
-      ++shard.stats.class_misses[cls];
-      if (IoStats* tls = g_tls_io_sink) ++tls->class_misses[cls];
+      CountClass(&IoStats::class_misses, cls);
       out->push_back(PageHandle());
       if (miss_slot.emplace(id, miss_ids.size()).second) {
         miss_ids.push_back(id);
-        auto frame = std::make_unique<Frame>(file_->page_size());
-        miss_pages.push_back(&frame->page);
-        miss_frames.push_back(std::move(frame));
+        miss_frames.push_back(AcquireFrameLocked(shard));
+        miss_pages.push_back(&miss_frames.back()->page);
       }
     }
   }
   if (miss_ids.empty()) return Status::OK();
+
+  // Hands every frame still owned by this call back to its shard.
+  const auto recycle_unused = [&] {
+    for (size_t i = 0; i < miss_ids.size(); ++i) {
+      if (miss_frames[i] == nullptr) continue;
+      Shard& shard = ShardFor(miss_ids[i]);
+      MutexLock lock(&shard.mu, concurrent_);
+      RecycleFrameLocked(shard, miss_frames[i]);
+    }
+  };
 
   // One round trip for every miss.
   Status read_status;
@@ -351,14 +446,10 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
   }
   if (!read_status.ok()) {
     out->clear();  // releases every pass-1 pin
+    recycle_unused();
     return read_status;
   }
-  {
-    Shard& shard = ShardFor(miss_ids[0]);
-    MutexLock lock(&shard.mu, concurrent_);
-    ++shard.stats.batch_reads;
-    if (IoStats* tls = g_tls_io_sink) ++tls->batch_reads;
-  }
+  Count(&IoStats::batch_reads);
 
   // Pass 2: install each miss (first occurrence) and pin every occurrence.
   // A frame may already be present — installed by an earlier duplicate in
@@ -369,43 +460,41 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
     const PageId id = ids[i];
     Shard& shard = ShardFor(id);
     MutexLock lock(&shard.mu, concurrent_);
-    Frame* f;
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      f = it->second.get();
-      f->prefetched = false;  // pinned through us, not through a prior hit
-      if (f->in_lru) {
-        // Splice out of the frame's current segment list BEFORE any
-        // segment fix-up below.
-        std::list<PageId>& list = ListFor(shard, f->segment);
-        shard.lru_spares.splice(shard.lru_spares.begin(), list, f->lru_it);
-        f->in_lru = false;
-      }
+    Frame* f = table_.Load(id);
+    if (f != nullptr) {
+      f->pins.fetch_add(1, std::memory_order_relaxed);  // see PinHitLocked
+      // Pinned through us, not through a prior hit: no prefetch_hit.
+      f->prefetched.store(false, std::memory_order_relaxed);
+      ListFor(shard, f->segment).Remove(f);
       if (f->segment == CacheSegment::kPrefetchQueue) {
         // First demand reference to a prefetched frame: admit to probation
         // and attribute it to this batch's class.
         f->segment = CacheSegment::kProbation;
         f->admit_class = CurrentAccessClass();
       }
+      LinkFrontLocked(shard, f);
     } else {
       Status evict_status = EvictOneIfNeeded(shard, /*demand=*/true);
       if (!evict_status.ok()) {
-        lock.Unlock();  // out->clear() re-locks shards
+        lock.Unlock();  // recycle_unused() re-locks shards
         out->clear();
+        recycle_unused();
         return evict_status;
       }
-      ++shard.stats.physical_reads;
-      if (IoStats* tls = g_tls_io_sink) ++tls->physical_reads;
-      auto& frame = miss_frames[miss_slot.find(id)->second];
-      HT_CHECK(frame != nullptr);
-      f = frame.get();
+      Count(&IoStats::physical_reads);
+      const size_t slot = miss_slot.find(id)->second;
+      f = miss_frames[slot];
+      HT_CHECK(f != nullptr);
+      miss_frames[slot] = nullptr;  // installed: no longer ours to recycle
+      f->dirty = false;
+      f->prefetched.store(false, std::memory_order_relaxed);
       f->admit_class = CurrentAccessClass();
       f->segment = AdmitSegmentLocked(shard, id);
-      shard.frames.emplace(id, std::move(frame));
+      InstallLocked(shard, id, f, /*pins=*/1);
     }
-    ++f->pins;
     (*out)[i] = PageHandle(this, id, f, TrackPin(id, loc));
   }
+  recycle_unused();  // reads that lost to a racing install
   return Status::OK();
 }
 
@@ -417,9 +506,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   need.reserve(ids.size());
   for (PageId id : ids) {
     if (std::find(need.begin(), need.end(), id) != need.end()) continue;
-    Shard& shard = ShardFor(id);
-    MutexLock lock(&shard.mu, concurrent_);
-    if (shard.frames.find(id) != shard.frames.end()) continue;
+    if (Cached(id)) continue;
     need.push_back(id);
   }
   if (need.empty()) return;
@@ -440,12 +527,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     async = true;
   }
 
-  {
-    Shard& shard = ShardFor(need[0]);
-    MutexLock lock(&shard.mu, concurrent_);
-    shard.stats.prefetch_issued += need.size();
-    if (IoStats* tls = g_tls_io_sink) tls->prefetch_issued += need.size();
-  }
+  Count(&IoStats::prefetch_issued, need.size());
 
   if (async) {
     std::vector<PageId> task_ids = need;
@@ -462,13 +544,15 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
 }
 
 void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
-  std::vector<std::unique_ptr<Frame>> frames;
-  std::vector<Page*> pages;
-  frames.reserve(ids.size());
-  pages.reserve(ids.size());
+  // Frames are taken (pins == -1, unpublished) before the batch read, which
+  // then fills them outside every lock.
+  std::vector<Frame*> frames(ids.size());
+  std::vector<Page*> pages(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    frames.push_back(std::make_unique<Frame>(file_->page_size()));
-    pages.push_back(&frames.back()->page);
+    Shard& shard = ShardFor(ids[i]);
+    MutexLock lock(&shard.mu, concurrent_);
+    frames[i] = AcquireFrameLocked(shard);
+    pages[i] = &frames[i]->page;
   }
   Status read_status;
   {
@@ -477,47 +561,45 @@ void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
   }
   // Read errors are swallowed: prefetch is best-effort, and the Fetch that
   // actually needs the page will surface the error.
-  if (read_status.ok()) {
-    {
-      Shard& shard = ShardFor(ids[0]);
-      MutexLock lock(&shard.mu, concurrent_);
-      ++shard.stats.batch_reads;
-      if (IoStats* tls = g_tls_io_sink) ++tls->batch_reads;
+  if (read_status.ok()) Count(&IoStats::batch_reads);
+  // Each batch advances its shards' prefetch generation (once per shard
+  // per call, BEFORE the first install evicts): leftovers from older
+  // batches become stale and are reclaimed first to make room, while
+  // this batch's own fills are spared until the next one lands.
+  std::array<bool, kShardCount> bumped{};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const PageId id = ids[i];
+    Shard& shard = ShardFor(id);
+    MutexLock lock(&shard.mu, concurrent_);
+    Frame* f = frames[i];
+    // Drop the fill on a read error, when a racing fetch installed the
+    // page first, or — speculative fills never overflow a pinned-full
+    // shard — when there is no room; demand re-reads it if it is needed.
+    if (!read_status.ok() || table_.Load(id) != nullptr) {
+      RecycleFrameLocked(shard, f);
+      continue;
     }
-    // Each batch advances its shards' prefetch generation (once per shard
-    // per call, BEFORE the first install evicts): leftovers from older
-    // batches become stale and are reclaimed first to make room, while
-    // this batch's own fills are spared until the next one lands.
-    std::array<bool, kShardCount> bumped{};
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const PageId id = ids[i];
-      Shard& shard = ShardFor(id);
-      MutexLock lock(&shard.mu, concurrent_);
-      if (shard.frames.find(id) != shard.frames.end()) continue;  // raced
-      if (policy_ == CachePolicy::kSlru && !bumped[ShardIndex(id)]) {
-        bumped[ShardIndex(id)] = true;
-        ++shard.prefetch_gen;
-      }
-      // Speculative fill: never overflow a pinned-full shard — drop the
-      // page instead and let demand re-read it if it is actually needed.
-      if (!EvictOneIfNeeded(shard, /*demand=*/false).ok()) continue;
-      ++shard.stats.physical_reads;
-      if (IoStats* tls = g_tls_io_sink) ++tls->physical_reads;
-      Frame* f = frames[i].get();
-      f->prefetched = true;
-      f->admit_class = AccessClass::kPrefetch;
-      // kSlru parks never-referenced fills on the evict-first prefetch
-      // queue; kLru keeps the historical LRU-front insertion.
-      if (policy_ == CachePolicy::kSlru) {
-        f->segment = CacheSegment::kPrefetchQueue;
-        f->fill_gen = shard.prefetch_gen;
-      }
-      std::list<PageId>& list = ListFor(shard, f->segment);
-      list.push_front(id);
-      f->lru_it = list.begin();
-      f->in_lru = true;
-      shard.frames.emplace(id, std::move(frames[i]));
+    if (policy_ == CachePolicy::kSlru && !bumped[ShardIndex(id)]) {
+      bumped[ShardIndex(id)] = true;
+      ++shard.prefetch_gen;
     }
+    if (!EvictOneIfNeeded(shard, /*demand=*/false).ok()) {
+      RecycleFrameLocked(shard, f);
+      continue;
+    }
+    Count(&IoStats::physical_reads);
+    f->dirty = false;
+    f->prefetched.store(true, std::memory_order_relaxed);
+    f->admit_class = AccessClass::kPrefetch;
+    // kSlru parks never-referenced fills on the evict-first prefetch
+    // queue; kLru keeps the historical LRU-front insertion.
+    if (policy_ == CachePolicy::kSlru) {
+      f->segment = CacheSegment::kPrefetchQueue;
+      f->fill_gen = shard.prefetch_gen;
+    } else {
+      f->segment = CacheSegment::kProbation;
+    }
+    InstallLocked(shard, id, f, /*pins=*/0);
   }
   if (async) {
     // Clear the in-flight marks only after every shard lock is released
@@ -534,11 +616,7 @@ void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
   }
 }
 
-bool BufferPool::Cached(PageId id) const {
-  const Shard& shard = shards_[ShardIndex(id)];
-  MutexLock lock(&shard.mu, concurrent_);
-  return shard.frames.find(id) != shard.frames.end();
-}
+bool BufferPool::Cached(PageId id) const { return table_.Load(id) != nullptr; }
 
 void BufferPool::DrainPrefetch() {
   MutexLock pl(&prefetch_mu_);
@@ -558,23 +636,19 @@ Result<PageHandle> BufferPool::New(std::source_location loc) {
     WriterLock flock(&file_mu_, concurrent_);
     HT_ASSIGN_OR_RETURN(id, file_->Allocate());
   }
+  Count(&IoStats::allocations);
+  Count(&IoStats::logical_reads);  // a new node still costs one access
   Shard& shard = ShardFor(id);
   MutexLock lock(&shard.mu, concurrent_);
-  ++shard.stats.allocations;
-  ++shard.stats.logical_reads;  // a new node still costs one access to write
-  if (IoStats* tls = g_tls_io_sink) {
-    ++tls->allocations;
-    ++tls->logical_reads;
-  }
   HT_RETURN_NOT_OK(EvictOneIfNeeded(shard, /*demand=*/true));
-  auto frame = std::make_unique<Frame>(file_->page_size());
-  frame->dirty = true;
-  frame->pins = 1;
+  Frame* f = AcquireFrameLocked(shard);  // zeroed page image
+  f->dirty = true;
+  f->prefetched.store(false, std::memory_order_relaxed);
   // Fresh pages enter probation regardless of policy: the page has never
   // been referenced, so there is no reuse evidence yet.
-  frame->admit_class = CurrentAccessClass();
-  Frame* f = frame.get();
-  shard.frames.emplace(id, std::move(frame));
+  f->admit_class = CurrentAccessClass();
+  f->segment = CacheSegment::kProbation;
+  InstallLocked(shard, id, f, /*pins=*/1);
   return PageHandle(this, id, f, TrackPin(id, loc));
 }
 
@@ -582,42 +656,27 @@ Status BufferPool::Free(PageId id) {
   Shard& shard = ShardFor(id);
   {
     MutexLock lock(&shard.mu, concurrent_);
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
-      Frame* f = it->second.get();
-      if (f->pins != 0) {
+    if (Frame* f = table_.Load(id)) {
+      int unpinned = 0;
+      if (!f->pins.compare_exchange_strong(unpinned, -1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
         return Status::InvalidArgument("BufferPool::Free of pinned page " +
                                        std::to_string(id));
       }
-      if (f->in_lru) ListFor(shard, f->segment).erase(f->lru_it);
-      shard.frames.erase(it);
+      DropClaimedLocked(shard, f);
     }
-    ++shard.stats.frees;
-    if (IoStats* tls = g_tls_io_sink) ++tls->frees;
+    Count(&IoStats::frees);
   }
   WriterLock flock(&file_mu_, concurrent_);
   return file_->Free(id);
 }
 
-void BufferPool::Unpin(PageId id, Frame* f) {
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu, concurrent_);
-  HT_CHECK(f != nullptr && f->pins > 0);
-  if (--f->pins == 0) {
-    std::list<PageId>& list = ListFor(shard, f->segment);
-    if (!shard.lru_spares.empty()) {
-      shard.lru_spares.front() = id;
-      list.splice(list.begin(), shard.lru_spares, shard.lru_spares.begin());
-    } else {
-      list.push_front(id);
-    }
-    f->lru_it = list.begin();
-    f->in_lru = true;
-    if (policy_ == CachePolicy::kSlru &&
-        f->segment == CacheSegment::kProtected) {
-      EnforceProtectedCapLocked(shard);
-    }
-  }
+void BufferPool::Unpin(Frame* f) {
+  // Release pairs with the acquire of the eviction claim (CAS 0 -> -1):
+  // everything this pin's holder read happens before the frame is reused.
+  const int before = f->pins.fetch_sub(1, std::memory_order_release);
+  HT_CHECK(before > 0);
 }
 
 Status BufferPool::EvictOneIfNeeded(Shard& shard, bool demand) {
@@ -626,7 +685,7 @@ Status BufferPool::EvictOneIfNeeded(Shard& shard, bool demand) {
   // Loops only after a capacity shrink (or a pin overflow, below) left the
   // shard over target; at a fixed capacity this evicts at most one frame,
   // exactly like classic LRU.
-  while (shard.frames.size() >= cap) {
+  while (ResidentLocked(shard) >= cap) {
     Status s = EvictVictimLocked(shard);
     if (s.ok()) continue;
     if (demand && s.IsResourceExhausted()) {
@@ -635,13 +694,31 @@ Status BufferPool::EvictOneIfNeeded(Shard& shard, bool demand) {
       // would see spurious ResourceExhausted whenever their pins happen
       // to overlap — so admit the frame over capacity and let this very
       // loop evict back down to target once pins release.
-      ++shard.stats.pin_overflows;
-      if (IoStats* tls = g_tls_io_sink) ++tls->pin_overflows;
+      Count(&IoStats::pin_overflows);
       return Status::OK();
     }
     return s;
   }
   return Status::OK();
+}
+
+template <typename Eligible>
+BufferPool::Frame* BufferPool::ClaimFromTail(const FrameList& list,
+                                             Eligible&& eligible) {
+  for (Frame* f = list.back(); f != nullptr; f = f->prev) {
+    int unpinned = 0;
+    if (f->pins.load(std::memory_order_relaxed) != unpinned) continue;
+    if (!eligible(f)) return nullptr;
+    // Acquire pairs with the release unpins: the last readers' accesses
+    // to the page happen before it is written back or reused. A pin that
+    // wins the race leaves the CAS failed and the frame in place.
+    if (f->pins.compare_exchange_strong(unpinned, -1,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      return f;
+    }
+  }
+  return nullptr;
 }
 
 Status BufferPool::EvictVictimLocked(Shard& shard) {
@@ -652,90 +729,80 @@ Status BufferPool::EvictVictimLocked(Shard& shard) {
   // protected tail. The staleness gate matters: the batch a traversal
   // just issued is about to be consumed, and evicting it to make room
   // for the next demand miss would waste the batched read AND force a
-  // blocking re-read. kLru keeps the single-list recency order.
-  PageId victim = kInvalidPageId;
-  bool found = false;
-  auto take = [&](std::list<PageId>& list) {
-    if (list.empty()) return false;
-    victim = list.back();
-    list.pop_back();
-    return true;
-  };
-  auto take_stale_prefetch = [&]() HT_REQUIRES(shard.mu) {
-    if (shard.prefetch_queue.empty()) return false;
-    const PageId id = shard.prefetch_queue.back();
-    auto fit = shard.frames.find(id);
-    HT_CHECK(fit != shard.frames.end());
-    if (fit->second->fill_gen >= shard.prefetch_gen) return false;
-    victim = id;
-    shard.prefetch_queue.pop_back();
-    return true;
-  };
+  // blocking re-read. kLru keeps the single-list recency order. Pinned
+  // frames stay on their lists and are skipped.
+  const auto any = [](const Frame*) { return true; };
+  Frame* victim = nullptr;
   if (policy_ == CachePolicy::kSlru) {
-    found = take_stale_prefetch() || take(shard.lru) ||
-            take(shard.prefetch_queue) || take(shard.protected_lru);
+    const uint64_t gen = shard.prefetch_gen;
+    victim = ClaimFromTail(shard.prefetch_queue,
+                           [gen](const Frame* f) { return f->fill_gen < gen; });
+    if (victim == nullptr) victim = ClaimFromTail(shard.lru, any);
+    if (victim == nullptr) victim = ClaimFromTail(shard.prefetch_queue, any);
+    if (victim == nullptr) victim = ClaimFromTail(shard.protected_lru, any);
   } else {
-    found = take(shard.lru);
+    victim = ClaimFromTail(shard.lru, any);
   }
-  if (!found) {
+  if (victim == nullptr) {
     return Status::ResourceExhausted("buffer pool full and all pages pinned");
   }
-  auto it = shard.frames.find(victim);
-  HT_CHECK(it != shard.frames.end() && it->second->pins == 0);
-  HT_RETURN_NOT_OK(WriteBack(shard, victim, it->second.get()));
-  const size_t cls = static_cast<size_t>(it->second->admit_class);
-  shard.frames.erase(it);
-  ++shard.stats.evictions;
-  ++shard.stats.class_evictions[cls];
-  if (IoStats* tls = g_tls_io_sink) {
-    ++tls->evictions;
-    ++tls->class_evictions[cls];
+  const Status written =
+      WriteBack(victim->id.load(std::memory_order_relaxed), victim);
+  if (!written.ok()) {
+    victim->pins.store(0, std::memory_order_release);  // stays resident
+    return written;
   }
+  const size_t cls = static_cast<size_t>(victim->admit_class);
+  DropClaimedLocked(shard, victim);
+  Count(&IoStats::evictions);
+  CountClass(&IoStats::class_evictions, cls);
   return Status::OK();
 }
 
-Status BufferPool::WriteBack(Shard& shard, PageId id, Frame* f) {
+void BufferPool::DropClaimedLocked(Shard& shard, Frame* f) {
+  ListFor(shard, f->segment).Remove(f);
+  (void)table_.Take(f->id.load(std::memory_order_relaxed));
+  RecycleFrameLocked(shard, f);
+}
+
+Status BufferPool::WriteBack(PageId id, Frame* f) {
   if (f->dirty) {
     {
       WriterLock flock(&file_mu_, concurrent_);
       HT_RETURN_NOT_OK(file_->Write(id, f->page));
     }
-    ++shard.stats.writes;
-    if (IoStats* tls = g_tls_io_sink) ++tls->writes;
+    Count(&IoStats::writes);
     f->dirty = false;
   }
   return Status::OK();
 }
 
 Status BufferPool::FlushShardLocked(Shard& shard, PageId skip) {
-  // Collect the dirty set under the shard lock (frames are address-stable
-  // and cannot be evicted while the lock is held), then issue ONE batched
-  // round trip. A singleton set degrades to a plain Write — no duplicate
-  // scan, no iovec setup — via the existing WriteBack path.
+  // Collect the dirty set under the shard lock (frames cannot be evicted
+  // while the lock is held), then issue ONE batched round trip. A
+  // singleton set degrades to a plain Write — no duplicate scan, no iovec
+  // setup — via the existing WriteBack path.
   std::vector<PageId> ids;
   std::vector<const Page*> pages;
-  Frame* single = nullptr;
-  for (auto& [id, f] : shard.frames) {
-    if (!f->dirty || id == skip) continue;
+  std::vector<Frame*> dirty;
+  ForEachResident(shard, [&](Frame* f) {
+    const PageId id = f->id.load(std::memory_order_relaxed);
+    if (!f->dirty || id == skip) return;
     ids.push_back(id);
     pages.push_back(&f->page);
-    single = f.get();
-  }
+    dirty.push_back(f);
+  });
   if (ids.empty()) return Status::OK();
-  if (ids.size() == 1) return WriteBack(shard, ids[0], single);
+  if (ids.size() == 1) return WriteBack(ids[0], dirty[0]);
   {
     WriterLock flock(&file_mu_, concurrent_);
     HT_RETURN_NOT_OK(file_->WriteBatch(ids, pages));
   }
   // Clear dirty flags only after the whole batch succeeded; on error the
   // frames stay dirty and a retry re-sends them.
-  for (PageId id : ids) shard.frames.find(id)->second->dirty = false;
-  shard.stats.writes += ids.size();
-  ++shard.stats.batch_writes;
-  if (IoStats* tls = g_tls_io_sink) {
-    tls->writes += ids.size();
-    ++tls->batch_writes;
-  }
+  for (Frame* f : dirty) f->dirty = false;
+  Count(&IoStats::writes, ids.size());
+  Count(&IoStats::batch_writes);
   return Status::OK();
 }
 
@@ -752,9 +819,9 @@ Status BufferPool::FlushAllExcept(PageId skip) {
 Status BufferPool::FlushPage(PageId id) {
   Shard& shard = ShardFor(id);
   MutexLock lock(&shard.mu, concurrent_);
-  auto it = shard.frames.find(id);
-  if (it == shard.frames.end()) return Status::OK();
-  return WriteBack(shard, id, it->second.get());
+  Frame* f = table_.Load(id);
+  if (f == nullptr) return Status::OK();
+  return WriteBack(id, f);
 }
 
 Status BufferPool::EvictAll() {
@@ -764,33 +831,26 @@ Status BufferPool::EvictAll() {
   HT_RETURN_NOT_OK(FlushAll());
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    for (auto it = shard.frames.begin(); it != shard.frames.end();) {
-      if (it->second->pins == 0) {
-        if (it->second->in_lru) {
-          ListFor(shard, it->second->segment).erase(it->second->lru_it);
-        }
-        it = shard.frames.erase(it);
-      } else {
-        ++it;
+    std::vector<Frame*> claimed;
+    ForEachResident(shard, [&claimed](Frame* f) {
+      int unpinned = 0;
+      if (f->pins.compare_exchange_strong(unpinned, -1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+        claimed.push_back(f);
       }
-    }
+    });
+    for (Frame* f : claimed) DropClaimedLocked(shard, f);
   }
   return Status::OK();
 }
 
-void BufferPool::CountScan(PageId id, uint64_t rows, uint64_t survivors,
-                           bool filtered) {
-  const auto charge = [&](IoStats* s) {
-    s->scan_points += rows;
-    if (filtered) {
-      s->quant_refined += survivors;
-      s->quant_pruned += rows - survivors;
-    }
-  };
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu, concurrent_);
-  charge(&shard.stats);
-  if (IoStats* tls = g_tls_io_sink) charge(tls);
+void BufferPool::CountScan(uint64_t rows, uint64_t survivors, bool filtered) {
+  Count(&IoStats::scan_points, rows);
+  if (filtered) {
+    Count(&IoStats::quant_refined, survivors);
+    Count(&IoStats::quant_pruned, rows - survivors);
+  }
 }
 
 const IoStats& BufferPool::stats() const {
@@ -800,17 +860,19 @@ const IoStats& BufferPool::stats() const {
 
 IoStats BufferPool::StatsSnapshot() const {
   IoStats total;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    total.Accumulate(shard.stats);
+  for (StatStripe& stripe : stripes_) {
+    ForEachCounterPair(total, stripe.io, [](uint64_t& sum, uint64_t& c) {
+      sum += std::atomic_ref<uint64_t>(c).load(std::memory_order_relaxed);
+    });
   }
   return total;
 }
 
 void BufferPool::ResetStats() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    shard.stats.Reset();
+  for (StatStripe& stripe : stripes_) {
+    ForEachCounterPair(stripe.io, stripe.io, [](uint64_t& c, uint64_t&) {
+      std::atomic_ref<uint64_t>(c).store(0, std::memory_order_relaxed);
+    });
   }
 }
 
@@ -820,15 +882,16 @@ BufferPool::CacheSnapshot BufferPool::SnapshotCache() const {
   snap.capacity_pages = capacity_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    snap.cached_pages += shard.frames.size();
     snap.probation_pages += shard.lru.size();
     snap.protected_pages += shard.protected_lru.size();
     snap.prefetch_queue_pages += shard.prefetch_queue.size();
-    for (const auto& [id, f] : shard.frames) {
-      if (f->pins > 0) ++snap.pinned_pages;
-    }
-    snap.stats.Accumulate(shard.stats);
+    ForEachResident(shard, [&](const Frame* f) {
+      if (f->pins.load(std::memory_order_relaxed) > 0) ++snap.pinned_pages;
+    });
   }
+  snap.cached_pages =
+      snap.probation_pages + snap.protected_pages + snap.prefetch_queue_pages;
+  snap.stats = StatsSnapshot();
   return snap;
 }
 
@@ -836,7 +899,7 @@ size_t BufferPool::cached_frames() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    n += shard.frames.size();
+    n += ResidentLocked(shard);
   }
   return n;
 }
@@ -845,9 +908,9 @@ size_t BufferPool::pinned_frames() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    for (const auto& [id, f] : shard.frames) {
-      if (f->pins > 0) ++n;
-    }
+    ForEachResident(shard, [&](const Frame* f) {
+      if (f->pins.load(std::memory_order_relaxed) > 0) ++n;
+    });
   }
   return n;
 }
@@ -890,12 +953,13 @@ Status BufferPool::AssertNoPins() const {
   uint64_t frames = 0;
   for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu, concurrent_);
-    for (const auto& [id, f] : shard.frames) {
-      if (f->pins > 0) {
+    ForEachResident(shard, [&](const Frame* f) {
+      const int pins = f->pins.load(std::memory_order_relaxed);
+      if (pins > 0) {
         ++frames;
-        total_pins += static_cast<uint64_t>(f->pins);
+        total_pins += static_cast<uint64_t>(pins);
       }
-    }
+    });
   }
   if (total_pins == 0) return Status::OK();
 

@@ -41,19 +41,45 @@
 // Threading model. The pool has two modes:
 //
 //   * Serial mode (the default, and the state every pool starts in): no
-//     locks are taken anywhere — behaviour, performance, and accounting are
-//     exactly the classic single-threaded pool the paper figures use.
+//     locks are taken anywhere — behaviour and accounting are exactly the
+//     classic single-threaded pool the paper figures use.
 //
 //   * Concurrent mode (SetConcurrentMode(true)): frames are partitioned
-//     into kShardCount lock-striped shards, each with its own mutex, frame
-//     map, segment lists, and IoStats counters, so concurrent readers can
+//     into kShardCount lock-striped shards, each with its own mutex,
+//     recency lists, sketch and free list, so concurrent readers can
 //     pin/unpin pages safely. Backing-file reads (misses, batch fills,
 //     prefetch fills) run under a SHARED file lock — pread/preadv are
-//     positional and thread-safe, so concurrent misses no longer serialize
+//     positional and thread-safe, so concurrent misses do not serialize
 //     behind each other; only allocation/extension, Free, and dirty
-//     write-back take the file lock exclusively. Logical-read accounting
-//     stays exact: every Fetch/New increments its shard's counter under
-//     the shard lock, and stats() sums the shards.
+//     write-back take the file lock exclusively.
+//
+// Frame index and pins. One PageTable (storage/page_table.h) maps page ids
+// to frames and is read without a lock. A frame's pin count is atomic:
+// a pin is a CAS from p >= 0 to p + 1, an unpin is one release fetch_sub,
+// and eviction claims an unpinned victim with a CAS 0 -> -1 under its
+// shard lock, so a pin and an eviction can never both win. Frames never
+// move or get freed while the pool lives: an evicted frame goes on its
+// shard's free list (its page buffer released) and a later miss reuses
+// it. A reader holding a stale frame pointer therefore at worst pins a
+// frame that now holds another page, which the id re-check after the pin
+// catches. Resident frames stay on their recency list while pinned; Fetch
+// moves a frame to the MRU end and eviction skips pinned frames, so Unpin
+// takes no lock.
+//
+// Hit path. A hit on a pool with capacity 0 (unbounded) takes no lock: a
+// table load, the pin CAS, the id re-check and the counters. Such a pool
+// evicts nothing by capacity, so recency has no reader and no list is
+// spliced (a later SetCapacity that bounds it starts from the order the
+// locked paths left). A bounded pool's hit, and the first hit on a
+// prefetched frame (which charges the prefetch hit), take the shard lock
+// and update the LRU/SLRU state exactly. Misses, admission and eviction
+// always run under the shard lock.
+//
+// Counters. Every pool counter lives in per-thread stripes of relaxed
+// atomics, each stripe on its own cache lines and chosen by the calling
+// thread's number, so counting takes no lock and shares no line between
+// threads that map to different stripes. StatsSnapshot sums the stripes;
+// logical-read accounting stays exact.
 //
 // Batched and prefetching I/O (the cold-cache pipeline):
 //
@@ -91,15 +117,13 @@
 // Per-worker accounting: a worker thread may install a thread-local
 // IoStatsScope; while it is alive, every pool operation performed by that
 // thread is additionally counted into the scope's sink. This is how the
-// query executor attributes I/O to individual workers without contending
-// on shared counters.
+// serving layer attributes I/O to individual scatter tasks and tenants.
 
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <functional>
-#include <list>
 #include <memory>
 #include <source_location>
 #include <span>
@@ -112,6 +136,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "storage/io_stats.h"
+#include "storage/page_table.h"
 #include "storage/paged_file.h"
 
 namespace ht {
@@ -128,29 +153,69 @@ enum class CacheSegment : uint8_t {
   kPrefetchQueue = 2,
 };
 
-/// One cached page. Heap-allocated and address-stable for its lifetime in
-/// the pool, so pinned handles can keep a direct pointer.
+/// One cached page. Heap-allocated, address-stable and never freed while
+/// the pool lives (see the threading model above), so pinned handles and
+/// the frame table can keep direct pointers.
 struct PageFrame {
   Page page;
-  int pins = 0;
-  bool dirty = false;
-  std::list<PageId>::iterator lru_it;  // valid iff in_lru
-  bool in_lru = false;
+  /// Pin count. -1 marks a frame claimed by eviction or parked on a free
+  /// list; a pin only succeeds from a count >= 0.
+  std::atomic<int> pins{-1};
+  /// The page this frame holds. Written before the frame's pin count is
+  /// released for a new page; a lock-free pin re-checks it (acquire).
+  std::atomic<PageId> id{kInvalidPageId};
   /// Set when the frame was filled by Prefetch and not yet pinned; the
-  /// first Fetch that pins it counts one prefetch_hit and clears this.
-  bool prefetched = false;
+  /// first Fetch that pins it takes the locked path, counts one
+  /// prefetch_hit and clears this.
+  std::atomic<bool> prefetched{false};
+  /// Written by writers under the exclusive half of the tree contract;
+  /// read by write-back under the shard lock.
+  bool dirty = false;
+  // Everything below is guarded by the lock of the shard whose lists hold
+  // the frame.
+  /// Links in the segment list (FrameList) the frame is on.
+  PageFrame* prev = nullptr;
+  PageFrame* next = nullptr;
   /// Shard prefetch generation at fill time (prefetch-queue frames only):
   /// once a NEWER batch has landed in the shard, a still-unreferenced fill
   /// is stale and becomes the first eviction victim. Fresh fills — the
   /// batch the current traversal is about to consume — are spared until
   /// probation is exhausted.
   uint64_t fill_gen = 0;
-  /// Segment the frame belongs to (or will re-enter on unpin).
+  /// Segment list the frame is on.
   CacheSegment segment = CacheSegment::kProbation;
   /// Class of the access that admitted the frame (kPrefetch until a
   /// prefetched frame's first real reference); evictions are charged here.
   AccessClass admit_class = AccessClass::kQuery;
   explicit PageFrame(size_t page_size) : page(page_size) {}
+};
+
+/// Intrusive doubly linked list of frames; front = most recently used.
+class FrameList {
+ public:
+  size_t size() const { return size_; }
+  PageFrame* front() const { return head_; }
+  PageFrame* back() const { return tail_; }
+
+  void PushFront(PageFrame* f) {
+    f->prev = nullptr;
+    f->next = head_;
+    (head_ != nullptr ? head_->prev : tail_) = f;
+    head_ = f;
+    ++size_;
+  }
+  void Remove(PageFrame* f) {
+    (f->prev != nullptr ? f->prev->next : head_) = f->next;
+    (f->next != nullptr ? f->next->prev : tail_) = f->prev;
+    f->prev = nullptr;
+    f->next = nullptr;
+    --size_;
+  }
+
+ private:
+  PageFrame* head_ = nullptr;
+  PageFrame* tail_ = nullptr;
+  size_t size_ = 0;
 };
 
 }  // namespace internal
@@ -321,10 +386,10 @@ class BufferPool {
   using AsyncExec = std::function<bool(std::function<void()>)>;
   void SetPrefetchExecutor(AsyncExec exec);
 
-  /// True if page `id` currently has a frame (pinned or not). A point-in-
-  /// time probe — the answer can be stale by the time the caller acts on
-  /// it — used to gate prefetch batching (only batch when the next fetch
-  /// would miss anyway). Counts nothing.
+  /// True if page `id` currently has a frame (pinned or not). A lock-free,
+  /// point-in-time probe — the answer can be stale by the time the caller
+  /// acts on it — used to gate prefetch batching (only batch when the next
+  /// fetch would miss anyway). Counts nothing.
   bool Cached(PageId id) const;
 
   /// Allocates a new page, pins it, and marks it dirty (so the zeroed or
@@ -359,18 +424,18 @@ class BufferPool {
   size_t page_size() const { return file_->page_size(); }
   PagedFile* file() { return file_; }
 
-  /// Accounts one batched data-page distance scan against page `id`:
-  /// `rows` points entered the scan; when `filtered` is set, `survivors`
-  /// of them passed the quantized-code filter and were refined exactly
-  /// (the rest were pruned by the code lower bound). Counted into the
-  /// page's shard stats and the thread-local IoStatsScope sink, like any
-  /// other pool operation.
-  void CountScan(PageId id, uint64_t rows, uint64_t survivors, bool filtered);
+  /// Accounts one batched data-page distance scan: `rows` points entered
+  /// the scan; when `filtered` is set, `survivors` of them passed the
+  /// quantized-code filter and were refined exactly (the rest were pruned
+  /// by the code lower bound). Counted into the pool's counters and the
+  /// thread-local IoStatsScope sink, like any other pool operation. Takes
+  /// no lock.
+  void CountScan(uint64_t rows, uint64_t survivors, bool filtered);
 
-  /// Sum of the shard counters. The returned reference stays valid but is
+  /// Sum of the counter stripes. The returned reference stays valid but is
   /// only refreshed by the next stats() call. Call from one thread at a
-  /// time; safe while readers run in concurrent mode (shard locks are
-  /// taken), racy only if two threads call stats() simultaneously.
+  /// time; safe while readers run in concurrent mode, racy only if two
+  /// threads call stats() simultaneously.
   const IoStats& stats() const;
   /// Same totals, returned by value (preferred in concurrent code).
   IoStats StatsSnapshot() const;
@@ -379,8 +444,8 @@ class BufferPool {
   /// Point-in-time cache gauges for metrics export. capacity_pages is the
   /// current TARGET (what SetCapacity last applied; 0 = unbounded) and
   /// cached_pages the current occupancy — they diverge transiently while
-  /// pinned frames hold a shrink above target. Segment sizes cover
-  /// UNPINNED frames (pinned ones are in no list).
+  /// pinned frames hold a shrink above target. Pinned frames stay on their
+  /// segment list, so the three segment sizes sum to cached_pages.
   struct CacheSnapshot {
     CachePolicy policy = CachePolicy::kLru;
     size_t capacity_pages = 0;
@@ -426,6 +491,7 @@ class BufferPool {
   friend class PageHandle;
 
   using Frame = internal::PageFrame;
+  using FrameList = internal::FrameList;
   using CacheSegment = internal::CacheSegment;
 
   /// Frequency sketch: per-shard aged counters (256 buckets, saturating at
@@ -437,34 +503,40 @@ class BufferPool {
   static constexpr uint8_t kSketchPromote = 3;
 
   struct Shard {
-    /// Guards every field of the shard. In serial mode call sites pass
-    /// enabled=false guards, which claim the capability to the static
-    /// analysis without locking (see common/sync.h: the pool is
-    /// single-threaded by contract in that mode).
+    /// Guards every field of the shard and the recency state of the frames
+    /// on its lists. In serial mode call sites pass enabled=false guards,
+    /// which claim the capability to the static analysis without locking
+    /// (see common/sync.h: the pool is single-threaded by contract in that
+    /// mode).
     mutable Mutex mu{LockRank::kPoolShard, "BufferPool::Shard::mu"};
-    std::unordered_map<PageId, std::unique_ptr<Frame>> frames
-        HT_GUARDED_BY(mu);
-    /// Probationary segment in kSlru; the ONLY list in kLru. front = most
-    /// recent; unpinned frames only.
-    std::list<PageId> lru HT_GUARDED_BY(mu);
+    /// Probationary segment in kSlru; the ONLY list in kLru. Every
+    /// resident frame, pinned or not, is on exactly one of the three
+    /// lists.
+    FrameList lru HT_GUARDED_BY(mu);
     /// Protected segment (kSlru only): frames promoted on re-reference.
-    std::list<PageId> protected_lru HT_GUARDED_BY(mu);
+    FrameList protected_lru HT_GUARDED_BY(mu);
     /// Prefetched-but-never-referenced fills (kSlru only): first victims.
-    std::list<PageId> prefetch_queue HT_GUARDED_BY(mu);
-    /// Recycled list nodes: the pin/unpin hot path moves nodes between
-    /// the segment lists and this one with splice() instead of erasing/
-    /// reinserting, so a warm Fetch/Release cycle performs no heap
-    /// allocation. Bounded by the peak number of simultaneously pinned
-    /// frames.
-    std::list<PageId> lru_spares HT_GUARDED_BY(mu);
+    FrameList prefetch_queue HT_GUARDED_BY(mu);
+    /// Evicted frames (pins == -1, page buffer released), reused by later
+    /// misses before any new frame is allocated.
+    std::vector<Frame*> free_frames HT_GUARDED_BY(mu);
+    /// Every frame this shard ever allocated; freed only by the pool's
+    /// destructor, so a stale frame pointer never dangles.
+    std::vector<std::unique_ptr<Frame>> owned HT_GUARDED_BY(mu);
     /// Frequency sketch (kSlru only; see the constants above).
     std::array<uint8_t, kSketchSize> sketch HT_GUARDED_BY(mu){};
     uint64_t sketch_ops HT_GUARDED_BY(mu) = 0;
     /// Bumped once per prefetch batch landing in this shard; compared
     /// against PageFrame::fill_gen to age out abandoned prefetches.
     uint64_t prefetch_gen HT_GUARDED_BY(mu) = 0;
-    IoStats stats HT_GUARDED_BY(mu);
   };
+
+  /// One stripe of the pool counters: an IoStats updated only through
+  /// relaxed std::atomic_ref operations, alone on its cache lines.
+  struct alignas(64) StatStripe {
+    IoStats io;
+  };
+  static constexpr size_t kStatStripes = 16;
 
   size_t ShardIndex(PageId id) const {
     return concurrent_ ? static_cast<size_t>(id) % kShardCount : 0;
@@ -472,7 +544,7 @@ class BufferPool {
   Shard& ShardFor(PageId id) { return shards_[ShardIndex(id)]; }
 
   /// The list a frame in `segment` lives on (always `lru` under kLru).
-  std::list<PageId>& ListFor(Shard& shard, CacheSegment segment)
+  FrameList& ListFor(Shard& shard, CacheSegment segment)
       HT_REQUIRES(shard.mu) {
     switch (segment) {
       case CacheSegment::kProtected:
@@ -484,12 +556,63 @@ class BufferPool {
     }
     return shard.lru;
   }
+  /// Number of resident frames (pinned or not) in the shard.
+  static size_t ResidentLocked(const Shard& shard) HT_REQUIRES(shard.mu) {
+    return shard.lru.size() + shard.protected_lru.size() +
+           shard.prefetch_queue.size();
+  }
+  /// Calls fn(frame) for every resident frame of the shard.
+  template <typename Fn>
+  void ForEachResident(const Shard& shard, Fn&& fn) const
+      HT_REQUIRES(shard.mu) {
+    for (const FrameList* list :
+         {&shard.lru, &shard.protected_lru, &shard.prefetch_queue}) {
+      for (Frame* f = list->front(); f != nullptr;) {
+        Frame* next = f->next;  // fn may unlink f
+        fn(f);
+        f = next;
+      }
+    }
+  }
 
-  void Unpin(PageId id, Frame* f);
+  /// Adds `n` to one counter in the calling thread's stripe and in its
+  /// IoStatsScope sink, if any. Lock-free.
+  void Count(uint64_t IoStats::*counter, uint64_t n = 1);
+  /// Same for one access class's slot of a per-class counter array.
+  void CountClass(std::array<uint64_t, kNumAccessClasses> IoStats::*counters,
+                  size_t cls);
+
+  /// The lock-free hit (unbounded pools only): pins the frame holding
+  /// `id`, or returns nullptr when the caller must take the locked path
+  /// (capacity bounded, page not resident, frame being evicted or reused,
+  /// or a prefetched frame's first hit).
+  Frame* TryPinUnlocked(PageId id);
+  void Unpin(Frame* f);
   /// Registers a live pin in the tracking registry; returns the token the
   /// handle must carry (0 when tracking is off).
   uint64_t TrackPin(PageId id, const std::source_location& loc);
   void UntrackPin(uint64_t token);
+
+  /// A frame for a new page: a recycled one from the shard's free list or
+  /// a fresh allocation, with a zeroed page buffer and pins == -1, so no
+  /// lock-free reader can pin it until Install publishes it.
+  Frame* AcquireFrameLocked(Shard& shard) HT_REQUIRES(shard.mu);
+  /// Parks a claimed frame (pins == -1, on no list, out of the table) on
+  /// the shard's free list and releases its page buffer.
+  void RecycleFrameLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
+  /// Makes an acquired frame the resident frame of `id` with `pins` pins
+  /// (0 or 1): links it at the front of its segment list and publishes it
+  /// in the frame table. The caller has set segment/admit_class/dirty.
+  void InstallLocked(Shard& shard, PageId id, Frame* f, int pins)
+      HT_REQUIRES(shard.mu);
+  /// Links `f` at the MRU end of its segment's list, then (kSlru) demotes
+  /// the protected tail while that segment is over budget.
+  void LinkFrontLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
+  /// Claims the least recently used unpinned frame of `list` (CAS 0 -> -1)
+  /// that `eligible` accepts; the walk stops at the first unpinned frame
+  /// `eligible` rejects. Returns nullptr when there is none.
+  template <typename Eligible>
+  static Frame* ClaimFromTail(const FrameList& list, Eligible&& eligible);
 
   /// Ages + bumps the sketch counter for `id`; returns the new count.
   /// kSlru only.
@@ -497,10 +620,10 @@ class BufferPool {
   /// Per-shard protected-segment budget (~80% of the shard capacity;
   /// 0 = unbounded pool, no budget enforced).
   size_t ProtectedCapacity() const;
-  /// Hit-path bookkeeping under the shard lock: prefetch_hit accounting,
-  /// splice out of the frame's segment list, and the SLRU promotion rules.
-  void TouchHitLocked(Shard& shard, PageId id, Frame* f)
-      HT_REQUIRES(shard.mu);
+  /// The locked hit: pins `f` (the resident frame of `id`), then does the
+  /// prefetch_hit accounting, the SLRU promotion rules and the move to the
+  /// MRU end of the frame's (new) segment list.
+  void PinHitLocked(Shard& shard, PageId id, Frame* f) HT_REQUIRES(shard.mu);
   /// Admission segment for a freshly missed page (kSlru: sketch-hot
   /// query-class misses go straight to protected). Touches the sketch.
   CacheSegment AdmitSegmentLocked(Shard& shard, PageId id)
@@ -516,14 +639,18 @@ class BufferPool {
   /// saturation, while speculative fills (demand=false) report
   /// ResourceExhausted and the caller drops the page.
   Status EvictOneIfNeeded(Shard& shard, bool demand) HT_REQUIRES(shard.mu);
-  /// Evicts one unpinned frame in policy order (kSlru: prefetch queue,
-  /// then probation, then protected; kLru: the LRU tail), charging the
-  /// eviction to the victim's admitting class.
+  /// Evicts one unpinned frame in policy order (kSlru: stale prefetch
+  /// fills, then probation, then the rest of the prefetch queue, then
+  /// protected; kLru: the LRU tail), charging the eviction to the victim's
+  /// admitting class.
   Status EvictVictimLocked(Shard& shard) HT_REQUIRES(shard.mu);
-  /// Writes one dirty frame back (takes the file lock: shard -> file
-  /// order per the rank table in common/lock_rank.h).
-  Status WriteBack(Shard& shard, PageId id, Frame* f)
-      HT_REQUIRES(shard.mu);
+  /// Unlinks a claimed frame from its list and the frame table and parks
+  /// it on the free list.
+  void DropClaimedLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
+  /// Writes one dirty frame back. Callers hold the frame's shard lock, so
+  /// this takes the file lock in shard -> file order (rank table in
+  /// common/lock_rank.h).
+  Status WriteBack(PageId id, Frame* f);
   /// Writes this shard's dirty frames (minus `skip`) in one WriteBatch.
   /// Takes the file lock internally (same shard -> file order).
   Status FlushShardLocked(Shard& shard, PageId skip) HT_REQUIRES(shard.mu);
@@ -540,12 +667,17 @@ class BufferPool {
   PagedFile* file_;
   const CachePolicy policy_;
   /// Capacity target and its per-shard derivative. Atomic so SetCapacity
-  /// can retarget while fetches run; readers load relaxed under their
-  /// shard lock.
+  /// can retarget while fetches run; readers load relaxed (a stale target
+  /// only delays, never corrupts, a resize — and a hit that still sees 0
+  /// after a shrink merely skips one recency update).
   std::atomic<size_t> capacity_;
   std::atomic<size_t> shard_capacity_;
   bool concurrent_ = false;
   std::array<Shard, kShardCount> shards_;
+  /// Page id -> resident frame. Written only under the page's shard lock;
+  /// read by the lock-free hit and by Cached().
+  PageTable<Frame> table_;
+  mutable std::array<StatStripe, kStatStripes> stripes_{};
   /// File-access ordering lock: miss reads, batch fills, and prefetch
   /// fills hold it SHARED (positional reads are thread-safe and may
   /// overlap each other); allocation/extension, Free, and dirty

@@ -64,6 +64,12 @@ class Page {
 
   void Zero() { std::memset(data_, 0, size_); }
 
+  /// Frees the buffer, leaving an empty page (size 0) until reassigned.
+  void Release() noexcept {
+    Deallocate(std::exchange(data_, nullptr));
+    size_ = 0;
+  }
+
  private:
   static uint8_t* Allocate(size_t size) {
     if (size == 0) return nullptr;

@@ -77,53 +77,21 @@ bool QuantizedPage::Matches(const float* block, size_t stride_floats,
           std::memcmp(fresh.tf_.get(), tf_.get(), tf_bytes) == 0);
 }
 
-std::shared_ptr<const QuantizedPage> QuantStore::GetOrBuild(
-    PageId id, const float* block, size_t stride_floats, size_t count,
-    uint32_t dim, bool concurrent) const {
+const QuantizedPage* QuantStore::GetOrBuild(PageId id, const float* block,
+                                            size_t stride_floats, size_t count,
+                                            uint32_t dim) const {
   if (count == 0) return nullptr;
-  // Single code path for both modes: when `concurrent` is false the guards
-  // claim the capability without locking, so the serial path keeps its
-  // zero-synchronization cost while the analysis sees one locked protocol.
-  {
-    ReaderLock lock(&mu_, concurrent);
-    auto it = cache_.find(id);
-    if (it != cache_.end()) return it->second;
-  }
-  // Build outside any lock: encoding is the expensive part and the input
+  if (const QuantizedPage* qp = cache_.Get(id)) return qp;
+  // Build with no lock held: encoding is the expensive part, and the input
   // block belongs to a pinned page, so it cannot move underneath us.
-  auto built =
-      std::make_shared<const QuantizedPage>(block, stride_floats, count, dim);
-  WriterLock lock(&mu_, concurrent);
-  // A racing reader may have built the same sidecar; keep the first.
-  return cache_.emplace(id, std::move(built)).first->second;
-}
-
-std::shared_ptr<const QuantizedPage> QuantStore::Lookup(PageId id) const {
-  ReaderLock lock(&mu_);
-  auto it = cache_.find(id);
-  return it != cache_.end() ? it->second : nullptr;
-}
-
-void QuantStore::Invalidate(PageId id) {
-  WriterLock lock(&mu_);
-  cache_.erase(id);
-}
-
-void QuantStore::Clear() {
-  WriterLock lock(&mu_);
-  cache_.clear();
-}
-
-size_t QuantStore::CachedPages() const {
-  ReaderLock lock(&mu_);
-  return cache_.size();
+  return cache_.Publish(id, std::make_unique<const QuantizedPage>(
+                                block, stride_floats, count, dim));
 }
 
 std::vector<PageId> QuantStore::Snapshot() const {
-  ReaderLock lock(&mu_);
   std::vector<PageId> ids;
-  ids.reserve(cache_.size());
-  for (const auto& [id, page] : cache_) ids.push_back(id);
+  cache_.ForEach(
+      [&ids](PageId id, const QuantizedPage*) { ids.push_back(id); });
   return ids;
 }
 

@@ -12,6 +12,13 @@
 // ingest pays nothing and trees opened from disk are covered) and
 // invalidated whenever the page is rewritten or freed.
 //
+// The store is an OwnedPageTable (storage/page_table.h): a lookup is a
+// lock-free table load, and the first builder of a page publishes its
+// sidecar with a CAS (a builder that loses the race deletes its copy).
+// A returned pointer stays valid until the page's sidecar is invalidated
+// or cleared, which the tree does only under its exclusive role — after
+// every reader is done.
+//
 // Each sidecar also carries two transposed mirrors (kernels::kTBlock rows
 // per block, dimension-major within a block): the page's float block, so
 // the SIMD batch kernels replace their per-dimension row gather with one
@@ -25,13 +32,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/sync.h"
 #include "geometry/kernels/kernels.h"
 #include "geometry/quantize.h"
 #include "storage/page.h"
+#include "storage/page_table.h"
 
 namespace ht {
 
@@ -88,44 +94,36 @@ class QuantizedPage {
   std::unique_ptr<uint8_t, AlignedFree> tc_;  // transposed codes (unpadded)
 };
 
-/// Cache of sidecars keyed by data-page id. Mirrors the tree's conditional
-/// locking scheme: lookups/builds take the shared_mutex only when
-/// `concurrent` is set (single-threaded searches skip the lock); mutations
-/// (Invalidate/Clear) always lock — they happen on the write path, which is
-/// externally serialized but may race with nothing anyway and are cheap.
+/// Cache of sidecars keyed by data-page id (lifetime and concurrency in
+/// the file comment).
 class QuantStore {
  public:
-  /// Returns the sidecar for `id`, building (outside the lock) and caching
-  /// it on first use. Returns nullptr when count == 0. Safe for concurrent
-  /// readers when `concurrent` is true; a racing double build keeps the
-  /// first inserted copy.
-  std::shared_ptr<const QuantizedPage> GetOrBuild(PageId id,
-                                                  const float* block,
-                                                  size_t stride_floats,
-                                                  size_t count, uint32_t dim,
-                                                  bool concurrent) const;
+  /// Returns the sidecar for `id`, building it and publishing it on first
+  /// use. Returns nullptr when count == 0. Safe for concurrent readers: a
+  /// racing double build keeps the first published copy.
+  const QuantizedPage* GetOrBuild(PageId id, const float* block,
+                                  size_t stride_floats, size_t count,
+                                  uint32_t dim) const;
 
   /// Returns the cached sidecar for `id`, or nullptr (never builds).
-  std::shared_ptr<const QuantizedPage> Lookup(PageId id) const;
+  const QuantizedPage* Lookup(PageId id) const { return cache_.Get(id); }
 
   /// Drops the sidecar for `id` (page rewritten or freed). No-op if absent.
-  void Invalidate(PageId id);
+  /// Requires that no reader still uses it.
+  void Invalidate(PageId id) { cache_.Erase(id); }
 
-  void Clear();
+  /// Drops every sidecar, under the same requirement.
+  void Clear() { cache_.Clear(); }
 
-  size_t CachedPages() const;
+  size_t CachedPages() const { return cache_.Count(); }
 
   /// Snapshot of all cached page ids (validator: every cached sidecar must
   /// correspond to a live data page with matching contents).
   std::vector<PageId> Snapshot() const;
 
  private:
-  /// Leaf in the tree read path: taken while a data page is pinned, below
-  /// any tree/pool lock. When `concurrent` is false the guards claim the
-  /// capability without locking (single-threaded contract).
-  mutable SharedMutex mu_{LockRank::kQuantStore, "QuantStore::mu_"};
-  mutable std::unordered_map<PageId, std::shared_ptr<const QuantizedPage>>
-      cache_ HT_GUARDED_BY(mu_);
+  /// Filled by const searches, hence mutable.
+  mutable OwnedPageTable<const QuantizedPage> cache_;
 };
 
 }  // namespace ht

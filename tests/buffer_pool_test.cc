@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -313,6 +315,66 @@ TEST(BufferPoolTest, ConcurrentReadersDuringFlushAll) {
     ASSERT_TRUE(file.Read(ids[i], &raw).ok());
     EXPECT_EQ(raw.data()[0], static_cast<uint8_t>(i + 1));
   }
+}
+
+TEST(BufferPoolTest, PinsRaceEvictionAndFrameReuse) {
+  // TSAN target for the lock-free hit: readers pin pages while a resizer
+  // flips the pool between unbounded (hits take no lock) and a few pages
+  // (shrinks evict, and misses reuse the evicted frames). A reader must
+  // never keep a pin on a frame that was evicted or reused under it.
+  // Twice as many readers as a 4-core host has cores, so readers get
+  // preempted between the frame-table load and the pin: without the id
+  // re-check after the pin, this test fails in nearly every run.
+  MemPagedFile file(256);
+  constexpr size_t kPages = 48;
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) {
+    ids.push_back(file.Allocate().ValueOrDie());
+    Page p(file.page_size());
+    std::memcpy(p.data(), &ids.back(), sizeof(PageId));  // stamp = own id
+    ASSERT_TRUE(file.Write(ids.back(), p).ok());
+  }
+  BufferPool pool(&file, 0);
+  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
+
+  constexpr int kReaders = 8;
+  constexpr int kFetches = 300000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::thread resizer([&] {
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      // 8 pages over 16 shards leaves one frame per shard.
+      if (!pool.SetCapacity(i % 2 == 0 ? 0 : 8).ok()) wrong.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      uint32_t state = 0x9e3779b9u * static_cast<uint32_t>(t + 1);
+      for (int i = 0; i < kFetches; ++i) {
+        state = state * 1664525u + 1013904223u;
+        const PageId id = ids[state % kPages];
+        auto r = pool.Fetch(id);
+        if (!r.ok()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        PageId stamp;
+        std::memcpy(&stamp, r->data(), sizeof(PageId));
+        if (stamp != id) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  stop.store(true, std::memory_order_relaxed);
+  resizer.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const IoStats stats = pool.StatsSnapshot();
+  EXPECT_EQ(stats.logical_reads, static_cast<uint64_t>(kReaders) * kFetches);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_TRUE(pool.AssertNoPins().ok());
 }
 
 // --- FetchMany / Prefetch --------------------------------------------------

@@ -141,6 +141,92 @@ TEST_F(ConcurrentSearchTest, SerialResultsUnchangedAfterModeRoundTrip) {
   EXPECT_GT(tree_->pool().stats().logical_reads, 0u);
 }
 
+/// Every answer one thread collects on a cold tree, in query order.
+struct ColdAnswers {
+  std::vector<std::vector<uint64_t>> box;
+  std::vector<std::vector<uint64_t>> range;
+  std::vector<std::vector<std::pair<double, uint64_t>>> knn;
+  std::vector<std::vector<std::pair<double, uint64_t>>> cursor;
+  Status error;
+};
+
+TEST_F(ConcurrentSearchTest, ColdTreeFirstTouchPublishesOnce) {
+  // Four threads start together on a freshly reopened tree, so they race
+  // to build and publish the same flat directory nodes and quantized
+  // sidecars; the losers' copies are deleted (an ASan build reports any
+  // that leak).
+  ASSERT_TRUE(tree_->Flush().ok());
+  tree_.reset();
+  constexpr size_t kColdReaders = 4;
+  constexpr size_t kCursorPulls = 10;
+  const auto run_all = [&](const HybridTree& tree, ColdAnswers* out) {
+    for (size_t i = 0; i < kQueries; ++i) {
+      auto b = tree.SearchBox(boxes_[i]);
+      auto r = tree.SearchRange(centers_[i], radius_, metric_);
+      auto k = tree.SearchKnn(centers_[i], 10, metric_);
+      if (!b.ok() || !r.ok() || !k.ok()) {
+        out->error = !b.ok() ? b.status() : (!r.ok() ? r.status() : k.status());
+        return;
+      }
+      out->box.push_back(std::move(b).ValueUnsafe());
+      out->range.push_back(std::move(r).ValueUnsafe());
+      out->knn.push_back(std::move(k).ValueUnsafe());
+      HybridTree::KnnCursor cursor = tree.OpenKnnCursor(centers_[i], metric_);
+      out->cursor.emplace_back();
+      for (size_t n = 0; n < kCursorPulls; ++n) {
+        auto next = cursor.Next();
+        if (!next.ok()) {
+          out->error = next.status();
+          return;
+        }
+        if (!next->has_value()) break;
+        out->cursor.back().push_back(**next);
+      }
+    }
+  };
+
+  // Serial reference on its own cold tree.
+  ColdAnswers serial;
+  size_t serial_sidecars = 0;
+  {
+    auto tree = HybridTree::Open(file_.get()).ValueOrDie();
+    run_all(*tree, &serial);
+    serial_sidecars = tree->CachedQuantPages();
+  }
+  ASSERT_TRUE(serial.error.ok()) << serial.error.ToString();
+  ASSERT_GT(serial_sidecars, 0u);
+  EXPECT_EQ(serial.box, ref_box_);
+  EXPECT_EQ(serial.range, ref_range_);
+  EXPECT_EQ(serial.knn, ref_knn_);
+
+  auto tree = HybridTree::Open(file_.get()).ValueOrDie();
+  ASSERT_EQ(tree->CachedQuantPages(), 0u);
+  ASSERT_TRUE(tree->SetConcurrentReads(true).ok());
+  std::vector<ColdAnswers> results(kColdReaders);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kColdReaders; ++t) {
+    readers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kColdReaders) std::this_thread::yield();
+      run_all(*tree, &results[t]);
+    });
+  }
+  for (auto& th : readers) th.join();
+  ASSERT_TRUE(tree->SetConcurrentReads(false).ok());
+
+  for (size_t t = 0; t < kColdReaders; ++t) {
+    ASSERT_TRUE(results[t].error.ok()) << results[t].error.ToString();
+    EXPECT_EQ(results[t].box, serial.box) << "thread " << t;
+    EXPECT_EQ(results[t].range, serial.range) << "thread " << t;
+    EXPECT_EQ(results[t].knn, serial.knn) << "thread " << t;
+    EXPECT_EQ(results[t].cursor, serial.cursor) << "thread " << t;
+  }
+  // One sidecar per scanned page, however many threads raced for it.
+  EXPECT_EQ(tree->CachedQuantPages(), serial_sidecars);
+  EXPECT_TRUE(tree->pool().AssertNoPins().ok());
+}
+
 TEST(ConcurrentBufferPoolTest, ConcurrentFetchesAccountExactly) {
   // Hammer one pool from many threads; pins stay balanced and logical
   // reads are counted exactly once per Fetch.

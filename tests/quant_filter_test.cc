@@ -461,17 +461,15 @@ TEST(QuantStoreTest, LifecycleAndInvalidation) {
   QuantStore store;
   EXPECT_EQ(store.CachedPages(), 0u);
   EXPECT_EQ(store.Lookup(7), nullptr);
-  auto qp = store.GetOrBuild(7, b.block(), b.stride(), b.count, dim,
-                             /*concurrent=*/false);
+  const QuantizedPage* qp =
+      store.GetOrBuild(7, b.block(), b.stride(), b.count, dim);
   ASSERT_NE(qp, nullptr);
   EXPECT_EQ(store.CachedPages(), 1u);
   // Cached: same object back.
-  EXPECT_EQ(store.GetOrBuild(7, b.block(), b.stride(), b.count, dim, false),
-            qp);
+  EXPECT_EQ(store.GetOrBuild(7, b.block(), b.stride(), b.count, dim), qp);
   EXPECT_EQ(store.Lookup(7), qp);
   // Empty pages never get a sidecar.
-  EXPECT_EQ(store.GetOrBuild(9, b.block(), b.stride(), 0, dim, false),
-            nullptr);
+  EXPECT_EQ(store.GetOrBuild(9, b.block(), b.stride(), 0, dim), nullptr);
   store.Invalidate(7);
   EXPECT_EQ(store.Lookup(7), nullptr);
   EXPECT_EQ(store.CachedPages(), 0u);
