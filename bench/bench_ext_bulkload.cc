@@ -64,7 +64,7 @@ int main() {
       for (const auto& q : w.queries) {
         tree->pool().ResetStats();
         (void)tree->SearchBox(q).ValueOrDie();
-        accesses += tree->pool().stats().logical_reads;
+        accesses += tree->pool().stats().PagesVisited();
       }
       do {
         for (const auto& q : w.queries) {

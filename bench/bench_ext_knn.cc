@@ -53,7 +53,7 @@ int main() {
       auto want = BruteForceKnn(data, c, k, l1);
       hybrid->pool().ResetStats();
       auto got = hybrid->tree().SearchKnnApprox(c, k, l1, eps).ValueOrDie();
-      accesses += hybrid->pool().stats().logical_reads;
+      accesses += hybrid->pool().stats().PagesVisited();
       size_t hit = 0;
       double ratio = 0.0;
       for (size_t i = 0; i < got.size(); ++i) {

@@ -158,7 +158,7 @@ int main() {
   std::printf("\nThroughput vs threads (batch of %zu queries):\n",
               jobs.size());
   TablePrinter table({"threads", "wall (s)", "QPS", "speedup", "p50 (us)",
-                      "p95 (us)", "p99 (us)", "reads/query", "writes",
+                      "p95 (us)", "p99 (us)", "pages/query", "writes",
                       "hit rate"});
   double qps_1 = 0.0;
   std::vector<Answer> reference;
@@ -180,7 +180,7 @@ int main() {
          TablePrinter::Num(pass.latency.p50 * 1e6, 0),
          TablePrinter::Num(pass.latency.p95 * 1e6, 0),
          TablePrinter::Num(pass.latency.p99 * 1e6, 0),
-         TablePrinter::Num(static_cast<double>(pass.io.logical_reads) /
+         TablePrinter::Num(static_cast<double>(pass.io.PagesVisited()) /
                                static_cast<double>(jobs.size()),
                            1),
          std::to_string(pool_io.writes),
@@ -193,9 +193,9 @@ int main() {
                         : "MISMATCH (BUG)");
   std::printf(
       "Expected shape: QPS scales with threads up to the hardware core "
-      "count (flat on a single-core host); reads/query is identical at "
-      "every thread count because logical-read accounting is exact under "
-      "concurrency; writes stays 0 — the shared-read protocol never "
-      "dirties a page.\n");
+      "count (flat on a single-core host); pages/query (pages fetched plus "
+      "data pages ruled out from their sidecars) is identical at every "
+      "thread count because page accounting is exact under concurrency; "
+      "writes stays 0 — the shared-read protocol never dirties a page.\n");
   return all_match ? 0 : 1;
 }

@@ -94,9 +94,9 @@ int main() {
     for (const auto& [dist, id] : page) {
       std::printf(" %llu", static_cast<unsigned long long>(id));
     }
-    std::printf("  [%llu page reads]\n",
+    std::printf("  [%llu pages visited]\n",
                 static_cast<unsigned long long>(
-                    tree->pool().stats().logical_reads));
+                    tree->pool().stats().PagesVisited()));
     // Feedback loop: keep every other result as "relevant".
     relevant.clear();
     for (size_t i = 0; i < page.size(); i += 2) relevant.push_back(page[i].second);

@@ -37,7 +37,7 @@ void Explore(const char* name, Dataset data, double selectivity) {
     Box q = MakeBoxQuery(c, side);
     tree->pool().ResetStats();
     results += tree->SearchBox(q).ValueOrDie().size();
-    accesses += tree->pool().stats().logical_reads;
+    accesses += tree->pool().stats().PagesVisited();
   }
   const double per_query =
       static_cast<double>(accesses) / static_cast<double>(centers.size());
@@ -63,7 +63,7 @@ void Explore(const char* name, Dataset data, double selectivity) {
     std::printf("5-NN under %s: nearest distance %.4f, %llu pages\n",
                 m->Name().c_str(), nn.empty() ? 0.0 : nn[0].first,
                 static_cast<unsigned long long>(
-                    tree->pool().stats().logical_reads));
+                    tree->pool().stats().PagesVisited()));
   }
 }
 

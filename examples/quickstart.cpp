@@ -64,6 +64,6 @@ int main() {
   (void)tree->SearchKnn(data.Row(1), 5, l2).ValueOrDie();
   std::printf("that 5-NN query touched %llu pages\n",
               static_cast<unsigned long long>(
-                  tree->pool().stats().logical_reads));
+                  tree->pool().stats().PagesVisited()));
   return 0;
 }

@@ -37,7 +37,7 @@ int main() {
   for (uint64_t probe : {100ull, 2000ull, 31337ull}) {
     tree->pool().ResetStats();
     auto nn = tree->SearchKnn(shapes.Row(probe), 8, l2).ValueOrDie();
-    const uint64_t pages = tree->pool().stats().logical_reads;
+    const uint64_t pages = tree->pool().stats().PagesVisited();
     std::printf("\nshapes similar to #%llu (8-NN, L2): ",
                 static_cast<unsigned long long>(probe));
     for (const auto& [dist, id] : nn) {
@@ -70,6 +70,6 @@ int main() {
   (void)tree8->SearchKnn(truncated.Row(100), 8, l2).ValueOrDie();
   std::printf("\n8-d prefix index: the same 8-NN probe costs %llu reads\n",
               static_cast<unsigned long long>(
-                  tree8->pool().stats().logical_reads));
+                  tree8->pool().stats().PagesVisited()));
   return 0;
 }

@@ -946,12 +946,16 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
     kernels::Active().box_overlap(query.lo().data(), query.hi().data(),
                                   live.dim, live.lo, live.hi, live.stride, n,
                                   reached, intersects, contains);
+    // A child the sidecar rules out is decided here, at admission, so it
+    // never enters the prefetch batch.
     const uint64_t* admitted = els_enabled() ? intersects : reached;
     for (size_t w = 0; w < words; ++w) {
       for (uint64_t m = admitted[w]; m != 0; m &= m - 1) {
         const size_t bit = static_cast<size_t>(std::countr_zero(m));
-        descents.push_back(SearchScratch::Descent{
-            node->child(w * 64 + bit), ((contains[w] >> bit) & 1) != 0});
+        const PageId child = node->child(w * 64 + bit);
+        const bool inside = ((contains[w] >> bit) & 1) != 0;
+        if (!inside && BoxRulesOut(child, query, scratch)) continue;
+        descents.push_back(SearchScratch::Descent{child, inside});
       }
     }
   }
@@ -963,6 +967,21 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
   }
   descents.resize(first);
   return st;
+}
+
+bool HybridTree::BoxRulesOut(PageId page, const Box& query,
+                             SearchScratch* scratch) const {
+  // Residency first: on a warm pool it is the only probe.
+  if (!options_.quant_sidecars || pool_->Cached(page)) return false;
+  const QuantizedPage* qp = quant_store_.Lookup(page);
+  if (qp == nullptr) return false;
+  const float* lo = query.lo().data();
+  const float* hi = query.hi().data();
+  if (quant::AnyRowMayBeInBox(qp->view(), lo, hi, &scratch->quant)) {
+    return false;
+  }
+  pool_->CountSkippedPage();
+  return true;
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchPoint(
@@ -1045,7 +1064,8 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   SearchScratch local;
   if (scratch == nullptr) scratch = &local;
   scratch->descents.clear();
-  return SearchRangeRec(root_, center, radius, metric, scratch, out);
+  scratch->carried.clear();
+  return SearchRangeRec(root_, {}, center, radius, metric, scratch, out);
 }
 
 namespace {
@@ -1076,11 +1096,7 @@ void BatchPageDistances(const DistanceMetric& metric,
 
 }  // namespace
 
-bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
-                             size_t n, std::span<const float> center,
-                             const DistanceMetric& metric, double bound,
-                             SearchScratch* scratch,
-                             const QuantizedPage** qp_out) const {
+bool HybridTree::SidecarsServe(const DistanceMetric& metric) const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
   // would save, and the transposed float mirror only accelerates SIMD
@@ -1090,29 +1106,37 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
   // QuadraticForm fallback) takes the same exit BEFORE the sidecar lookup:
   // building codes it can never filter with would only fill QuantStore
   // with useless pages.
-  if (!options_.quant_sidecars || n == 0 || !metric.SupportsCodeFilter() ||
-      kernels::ActiveTier() == kernels::SimdTier::kScalar) {
-    pool_->CountScan(n, n, /*filtered=*/false);
-    return false;
+  return options_.quant_sidecars && metric.SupportsCodeFilter() &&
+         kernels::ActiveTier() != kernels::SimdTier::kScalar;
+}
+
+bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
+                             std::span<const float> center,
+                             const DistanceMetric& metric, double bound,
+                             SearchScratch* scratch) const {
+  if (!SidecarsServe(metric)) return false;
+  // After the pin the sidecar is fetched (and lazily built) even when code
+  // filtering is off the table: its transposed mirror speeds up the exact
+  // batch pass regardless of the bound.
+  const QuantizedPage* qp = quant_store_.Lookup(page);
+  if (qp == nullptr && pinned != nullptr) {
+    qp = quant_store_.GetOrBuild(page, pinned->block(), pinned->stride_floats(),
+                                 pinned->count(), options_.dim);
   }
-  // The sidecar is fetched (and lazily built) even when code filtering is
-  // off the table: its transposed mirror speeds up the exact batch pass
-  // regardless of the bound.
-  const QuantizedPage* qp =
-      quant_store_.GetOrBuild(page, blk, stride, n, options_.dim);
-  *qp_out = qp;
   // Code filtering is pointless when the bound prunes nothing (k-NN heap
   // not yet full): every row would survive. The fused mask kernels decide
   // survival in-register and hand back one bit per row — on a 99%-pruned
   // scan the decode below touches one mostly-zero byte per 8 rows. Every
   // metric with SupportsCodeFilter() has a mask kernel; one without would
   // simply scan unfiltered.
+  if (qp == nullptr || bound >= std::numeric_limits<double>::max()) {
+    return false;
+  }
+  const size_t n = qp->count();
   const size_t nmask = (n + kernels::kTBlock - 1) / kernels::kTBlock;
   if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (qp == nullptr || bound >= std::numeric_limits<double>::max() ||
-      !metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
+  if (!metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
                               scratch->masks.data())) {
-    pool_->CountScan(n, n, /*filtered=*/false);
     return false;
   }
   // Survivors in ascending row order, so refinement replays the exact
@@ -1128,11 +1152,31 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
     }
   }
   pool_->CountScan(n, surv.size(), /*filtered=*/true);
+  if (pinned == nullptr && surv.empty()) pool_->CountSkippedPage();
   return true;
+}
+
+bool HybridTree::RuledOutAhead(PageId page, std::span<const float> center,
+                               const DistanceMetric& metric, double bound,
+                               SearchScratch* scratch) const {
+  if (!SidecarsServe(metric) || bound >= std::numeric_limits<double>::max()) {
+    return false;
+  }
+  const QuantizedPage* qp = quant_store_.Lookup(page);
+  if (qp == nullptr) return false;
+  const size_t nmask = (qp->count() + kernels::kTBlock - 1) / kernels::kTBlock;
+  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
+  uint8_t* masks = scratch->masks.data();
+  if (!metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
+                              masks)) {
+    return false;
+  }
+  return std::all_of(masks, masks + nmask, [](uint8_t m) { return m == 0; });
 }
 
 template <typename Emit>
 Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
+                                std::span<const uint32_t> survivors,
                                 std::span<const float> center,
                                 const DistanceMetric& metric, double bound,
                                 SearchScratch* scratch,
@@ -1151,38 +1195,71 @@ Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
     return Status::OK();
   }
   const size_t stride = scan.stride_floats();
-  const QuantizedPage* qp = nullptr;
-  const bool filtered =
-      QuantFilter(page, blk, stride, n, center, metric, bound, scratch, &qp);
+  // A page filtered before the pin arrives with its survivors (never
+  // empty: a page with none is not fetched), so it is not filtered again.
+  bool filtered = !survivors.empty();
+  if (!filtered) {
+    filtered = QuantFilter(page, &scan, center, metric, bound, scratch);
+    if (filtered) {
+      survivors = scratch->survivors;
+    } else {
+      pool_->CountScan(n, n, /*filtered=*/false);
+    }
+  }
   // A pruned row has a code lower bound above `bound`, hence a true
   // distance above it: emitting it could not have changed any caller's
   // decision. Survivors are refined in ascending row order, so the emits
   // replay the unfiltered scan's decision sequence exactly.
-  const auto& surv = scratch->survivors;
-  if (filtered && surv.size() * 4 <= n) {
+  if (filtered && survivors.size() * 4 <= n) {
     // Sparse survivors: per-row exact distances (Distance() accumulates
     // exactly like an unabandoned kernel row).
-    for (const uint32_t i : surv) {
+    for (const uint32_t i : survivors) {
       emit(metric.Distance(center, scan.vec(i)), scan.id(i));
     }
     return Status::OK();
   }
   // Dense survivors, or no filter: one bounded batch pass over the page
   // (cheaper than many strided per-row calls). Rows whose partial sum
-  // exceeds `bound` are abandoned with an output above it.
+  // exceeds `bound` are abandoned with an output above it. The sidecar,
+  // built by the first pinned scan, lends its transposed float mirror
+  // even when the filter did not run.
+  const QuantizedPage* qp =
+      SidecarsServe(metric) ? quant_store_.Lookup(page) : nullptr;
   if (scratch->dist.size() < n) scratch->dist.resize(n);
   BatchPageDistances(metric, center, qp, blk, stride, n, bound,
                      scratch->dist.data());
   const double* dist = scratch->dist.data();
   if (filtered) {
-    for (const uint32_t i : surv) emit(dist[i], scan.id(i));
+    for (const uint32_t i : survivors) emit(dist[i], scan.id(i));
   } else {
     for (size_t i = 0; i < n; ++i) emit(dist[i], scan.id(i));
   }
   return Status::OK();
 }
 
-Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
+template <typename Emit, typename BeforePin>
+Result<const FlatIndexNode*> HybridTree::VisitPage(
+    PageId page, std::span<const float> center, const DistanceMetric& metric,
+    double bound, SearchScratch* scratch, const Emit& emit,
+    const BeforePin& before_pin) const {
+  std::span<const uint32_t> survivors;
+  if (QuantFilter(page, nullptr, center, metric, bound, scratch)) {
+    if (scratch->survivors.empty()) return nullptr;
+    survivors = scratch->survivors;
+  }
+  before_pin();
+  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
+  if (PeekNodeKind(h.data()) == NodeKind::kData) {
+    HT_RETURN_NOT_OK(ScanDataPage(page, h.data(), h.size(), survivors, center,
+                                  metric, bound, scratch, emit));
+    return nullptr;
+  }
+  return ReadFlatNode(page, h.data(), h.size());
+}
+
+Status HybridTree::SearchRangeRec(PageId page,
+                                  std::span<const uint32_t> survivors,
+                                  std::span<const float> center,
                                   double radius, const DistanceMetric& metric,
                                   SearchScratch* scratch,
                                   std::vector<uint64_t>* out) const {
@@ -1192,31 +1269,46 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
     const auto emit = [&](double d, uint64_t id) {
       if (d <= radius) out->push_back(id);
     };
-    return ScanDataPage(page, h.data(), h.size(), center, metric, radius,
-                        scratch, emit);
+    return ScanDataPage(page, h.data(), h.size(), survivors, center, metric,
+                        radius, scratch, emit);
   }
   HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
                       ReadFlatNode(page, h.data(), h.size()));
   h.Release();
 
   // Pruning happens at the children's live boxes (MINDIST > radius), all
-  // scored by one batch call.
+  // scored by one batch call. The radius is fixed, so a child data page is
+  // filtered from its sidecar here, at admission: one with no surviving
+  // row never enters the prefetch batch, and the survivors of the others
+  // ride along in scratch->carried to their scan.
   const double* dist =
       ChildMinDists(*node, center, metric, &scratch->child_dist);
   auto& descents = scratch->descents;
+  auto& carried = scratch->carried;
   const size_t first = descents.size();
+  const size_t carried_first = carried.size();
   for (size_t i = 0; i < node->num_children(); ++i) {
-    if (!(dist[i] > radius)) {
-      descents.push_back(SearchScratch::Descent{node->child(i), false});
+    if (dist[i] > radius) continue;
+    SearchScratch::Descent d{node->child(i), false};
+    if (QuantFilter(d.page, nullptr, center, metric, radius, scratch)) {
+      const auto& surv = scratch->survivors;
+      if (surv.empty()) continue;
+      d.rows_begin = static_cast<uint32_t>(carried.size());
+      d.rows_count = static_cast<uint32_t>(surv.size());
+      carried.insert(carried.end(), surv.begin(), surv.end());
     }
+    descents.push_back(d);
   }
   PrefetchDescents(first, scratch);
   Status st;
   for (size_t i = first; st.ok() && i < descents.size(); ++i) {
-    st = SearchRangeRec(descents[i].page, center, radius, metric, scratch,
-                        out);
+    const SearchScratch::Descent d = descents[i];
+    std::span<const uint32_t> rows(carried);
+    rows = rows.subspan(d.rows_begin, d.rows_count);
+    st = SearchRangeRec(d.page, rows, center, radius, metric, scratch, out);
   }
   descents.resize(first);
+  carried.resize(carried_first);
   return st;
 }
 
@@ -1316,14 +1408,22 @@ Status HybridTree::SearchKnnBoundedInto(
     std::pop_heap(frontier.begin(), frontier.end(), frontier_gt);
     const SearchScratch::PageRef item = frontier.back();
     frontier.pop_back();
-    if (prefetch_depth > 0 && !pool_->Cached(item.page)) {
-      // Frontier-driven prefetch: batch the popped page with the next-best
-      // prefetch_depth frontier pages that survive the current prune bound
-      // (they are the pages the traversal will pop next unless the bound
-      // tightens). Gated on the popped page missing the pool: while the
-      // traversal pops pages a previous batch brought in, no I/O is issued
-      // at all, so blocking round trips collapse to roughly
-      // pops / (depth + 1) instead of one per pop.
+    // The bound is the k-th distance at page entry. It only shrinks while
+    // the page is scanned, so a row the scan skips or reports above it
+    // could never have entered the heap — the replacement test is a strict
+    // `<`, and the id tie-break needs d == kth — and the offers make
+    // exactly the decisions of an exact per-row scan.
+    const double bound = kth();
+    const auto prefetch = [&] {
+      if (prefetch_depth == 0 || pool_->Cached(item.page)) return;
+      // Frontier-driven prefetch: batch the page about to be pinned with
+      // the next-best prefetch_depth frontier pages that survive the
+      // current prune bound and are not ruled out by their sidecar (they
+      // are the pages the traversal will pin next unless the bound
+      // tightens). Gated on the page missing the pool: while the traversal
+      // pops pages a previous batch brought in, no I/O is issued at all,
+      // so blocking round trips collapse to roughly pops / (depth + 1)
+      // instead of one per pop.
       auto& ids = scratch->prefetch_ids;
       ids.clear();
       ids.push_back(item.page);
@@ -1333,23 +1433,19 @@ Status HybridTree::SearchKnnBoundedInto(
         top.resize(b);
         std::partial_sort_copy(frontier.begin(), frontier.end(), top.begin(),
                                top.end(), frontier_lt);
-        const double bound = kth();
         for (const auto& r : top) {
-          if (r.dist * prune_factor <= bound) ids.push_back(r.page);
+          if (r.dist * prune_factor <= bound &&
+              !RuledOutAhead(r.page, center, metric, bound, scratch)) {
+            ids.push_back(r.page);
+          }
         }
       }
       pool_->Prefetch(ids);
-    }
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      // The bound is the k-th distance at page entry. It only shrinks
-      // while the page is scanned, so a row the scan skips or reports
-      // above it could never have entered the heap — the replacement test
-      // is a strict `<`, and the id tie-break needs d == kth — and the
-      // offers make exactly the decisions of an exact per-row scan.
-      HT_RETURN_NOT_OK(ScanDataPage(item.page, h.data(), h.size(), center,
-                                    metric, kth(), scratch, offer));
+    };
+    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
+                        VisitPage(item.page, center, metric, bound, scratch,
+                                  offer, prefetch));
+    if (node == nullptr) {
       ++leaf_visits;
       if (leaf_visits >= max_leaves) {
         // Budget exhausted: stop with the best candidates so far. It
@@ -1360,9 +1456,6 @@ Status HybridTree::SearchKnnBoundedInto(
       }
       continue;
     }
-    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                        ReadFlatNode(item.page, h.data(), h.size()));
-    h.Release();
     // One batch MINDIST call scores every child; the pushes then run in
     // leaf order, the same order the kd preorder produces.
     const double* dist =
@@ -1828,32 +1921,28 @@ HybridTree::KnnCursor::Next() {
       continue;
     }
     queue_.pop();
-    HT_ASSIGN_OR_RETURN(PageHandle h, tree_->pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
+    // The running bound at page entry, one snapshot for the sidecar filter
+    // and the refine alike: the cursor's own k-th distance, tightened by
+    // the shared cross-shard radius, which other threads may lower at any
+    // time. An entry strictly beyond it can never be used by a consumer
+    // honoring the declared limit (there are already `limit` entries at or
+    // under the bound, all emitted first), so it is dropped; ties at the
+    // bound are kept so downstream id tie-breaking sees every boundary
+    // candidate. With no declared bound this is +inf and every entry is
+    // enqueued with its exact distance.
+    const double bound = ScanBound();
+    const auto emit = [&](double d, uint64_t id) {
+      if (d > bound) return;
+      RecordEntry(d);
+      queue_.push(Item{d, true, id, kInvalidPageId});
+    };
+    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
+                        tree_->VisitPage(item.page, center_, *metric_, bound,
+                                         &scratch_, emit, [] {}));
+    if (node == nullptr) {
       ++leaf_visits_;
-      // The running bound at page entry: the cursor's own k-th distance,
-      // tightened by the shared cross-shard radius. An entry strictly
-      // beyond it can never be used by a consumer honoring the declared
-      // limit (there are already `limit` entries at or under the bound,
-      // all emitted first), so it is dropped; ties at the bound are kept
-      // so downstream id tie-breaking sees every boundary candidate. With
-      // no declared bound this is +inf and every entry is enqueued with
-      // its exact distance.
-      const double bound = ScanBound();
-      const auto emit = [&](double d, uint64_t id) {
-        if (d > bound) return;
-        RecordEntry(d);
-        queue_.push(Item{d, true, id, kInvalidPageId});
-      };
-      HT_RETURN_NOT_OK(tree_->ScanDataPage(item.page, h.data(), h.size(),
-                                           center_, *metric_, bound,
-                                           &scratch_, emit));
       continue;
     }
-    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                        tree_->ReadFlatNode(item.page, h.data(), h.size()));
-    h.Release();
     const double* dist =
         ChildMinDists(*node, center_, *metric_, &scratch_.child_dist);
     for (size_t i = 0; i < node->num_children(); ++i) {

@@ -90,7 +90,8 @@ struct KnnSearchLimits {
 
 /// Per-query accounting filled by the bounded k-NN search.
 struct KnnSearchInfo {
-  /// Data pages scanned by this query.
+  /// Data pages visited by this query: scanned, or ruled out from their
+  /// sidecar without a fetch.
   uint64_t leaf_visits = 0;
   /// True when an approximation knob cut the traversal short of exact: the
   /// visit budget ran out, or the epsilon rule stopped (or skipped a
@@ -258,7 +259,8 @@ class HybridTree {
     /// The next nearest (distance, id), or nullopt when exhausted.
     Result<std::optional<std::pair<double, uint64_t>>> Next();
 
-    /// Data pages scanned so far (approximation accounting).
+    /// Data pages visited so far (approximation accounting), as in
+    /// KnnSearchInfo::leaf_visits.
     uint64_t leaf_visits() const { return leaf_visits_; }
     /// True when an approximation knob (epsilon / visit budget) skipped
     /// work the exact traversal would have done. Always false for
@@ -316,7 +318,7 @@ class HybridTree {
   PageId root_page() const { return root_; }
 
   /// Buffer pool, exposed for access accounting by the harness
-  /// (pool().stats().logical_reads is "disk accesses").
+  /// (pool().stats().PagesVisited() is "disk accesses").
   BufferPool& pool() { return *pool_; }
   const BufferPool& pool() const { return *pool_; }
 
@@ -487,9 +489,20 @@ class HybridTree {
   Status SearchBoxRec(PageId page, const Box& query, bool contained,
                       SearchScratch* scratch, std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
-  Status SearchRangeRec(PageId page, std::span<const float> center,
-                        double radius, const DistanceMetric& metric,
-                        SearchScratch* scratch,
+  /// Box half of the filter-before-fetch rule, run when a descent that is
+  /// not `contained` admits `page`: true when the page is not resident,
+  /// has a sidecar, and no row's codes lie in the box's code range
+  /// (quant::AnyRowMayBeInBox). The page is then counted as skipped and
+  /// never fetched. Resident pages keep the exact scan, which stops about
+  /// as early as the code test, and the fetch it would save is a
+  /// lock-free hit. Never builds a sidecar.
+  bool BoxRulesOut(PageId page, const Box& query, SearchScratch* scratch) const
+      HT_REQUIRES_SHARED(rw_contract_);
+  /// `survivors` is the page's row filter from admission (see
+  /// SearchScratch::Descent); empty when the page was not filtered.
+  Status SearchRangeRec(PageId page, std::span<const uint32_t> survivors,
+                        std::span<const float> center, double radius,
+                        const DistanceMetric& metric, SearchScratch* scratch,
                         std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
   Status ScanAllRec(
@@ -504,34 +517,69 @@ class HybridTree {
   /// prefetch on or off.
   void PrefetchDescents(size_t first, SearchScratch* scratch) const;
   /// The data-page distance scan every metric traversal shares (range,
-  /// batch k-NN, the cursor): QuantFilter, then either a sparse per-row
-  /// exact refine of the survivors or one bounded batch pass over the
-  /// page. Calls emit(distance, id) in ascending row order. A row whose
-  /// distance exceeds `bound` may be skipped or reported with any value
-  /// above `bound`, so `emit` must only compare against thresholds at or
-  /// under it; every other row gets its exact distance. A template over
-  /// the emit callable so the hot path stays allocation-free.
+  /// batch k-NN, the cursor): QuantFilter unless `survivors` already holds
+  /// the page's filter result, then either a sparse per-row exact refine
+  /// of the survivors or one bounded batch pass over the page. Calls
+  /// emit(distance, id) in ascending row order. A row whose distance
+  /// exceeds `bound` may be skipped or reported with any value above
+  /// `bound`, so `emit` must only compare against thresholds at or under
+  /// it; every other row gets its exact distance. A template over the emit
+  /// callable so the hot path stays allocation-free.
   template <typename Emit>
   Status ScanDataPage(PageId page, const uint8_t* data, size_t size,
+                      std::span<const uint32_t> survivors,
                       std::span<const float> center,
                       const DistanceMetric& metric, double bound,
                       SearchScratch* scratch, const Emit& emit) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Quantized filter for one data-page scan: collects the rows whose
-  /// code lower bound does not exceed `bound` (ascending) into
-  /// scratch->survivors and returns true. Returns false — and counts an
-  /// unfiltered scan — when filtering is off, unavailable for this metric,
-  /// or pointless (bound is +inf / no rows). Whenever sidecars are enabled
-  /// and the metric can use them (DistanceMetric::SupportsCodeFilter;
-  /// building one for a metric with no code-space bound would only cache
-  /// useless pages), `*qp_out` receives this page's sidecar (even when the
-  /// return is false) so the exact pass can use its transposed float
-  /// mirror.
-  bool QuantFilter(PageId page, const float* blk, size_t stride, size_t n,
-                   std::span<const float> center, const DistanceMetric& metric,
-                   double bound, SearchScratch* scratch,
-                   const QuantizedPage** qp_out) const
+  /// One page visit of the best-first traversals (batch k-NN, the
+  /// cursor), filter before fetch: QuantFilter from the page's sidecar
+  /// first; a data page with no surviving row is never pinned. Otherwise
+  /// runs `before_pin()` (the k-NN frontier prefetch), pins the page and
+  /// scans it (ScanDataPage, with the survivors already found). Returns
+  /// the flat node of an index page, or nullptr for a data page, scanned
+  /// or ruled out; both count as a leaf visit. `bound` is the caller's one
+  /// snapshot for this page, used by the filter and the refine alike.
+  template <typename Emit, typename BeforePin>
+  Result<const FlatIndexNode*> VisitPage(PageId page,
+                                         std::span<const float> center,
+                                         const DistanceMetric& metric,
+                                         double bound, SearchScratch* scratch,
+                                         const Emit& emit,
+                                         const BeforePin& before_pin) const
       HT_REQUIRES_SHARED(rw_contract_);
+  /// Whether metric scans use sidecars at all: they are on, the metric has
+  /// a code-space bound (DistanceMetric::SupportsCodeFilter; building
+  /// codes it can never filter with would only fill QuantStore), and the
+  /// dispatch tier is SIMD (at the scalar tier the code pass costs more
+  /// than the early-abandoning exact scan it would save).
+  bool SidecarsServe(const DistanceMetric& metric) const;
+  /// The sidecar filter of every metric page scan, run at most once per
+  /// page visit. Before the pin (`pinned` null) it uses the page's cached
+  /// sidecar, if any, and never builds one: a sidecar exists only for a
+  /// live data page with exactly those rows (invalidated on every rewrite
+  /// and free), so finding one also says the page is a data page. After
+  /// the pin it builds the sidecar on first use. When it filters, it
+  /// collects the rows whose code lower bound does not exceed `bound`
+  /// (ascending) into scratch->survivors, charges the page's scan
+  /// counters and returns true; a filter before the pin that leaves no row
+  /// also charges a skipped page, and the caller must not fetch it.
+  /// Returns false and charges nothing when there is no sidecar to use,
+  /// the bound prunes nothing (+inf) or the metric has no mask kernel.
+  bool QuantFilter(PageId page, const DataPageScan* pinned,
+                   std::span<const float> center, const DistanceMetric& metric,
+                   double bound, SearchScratch* scratch) const
+      HT_REQUIRES_SHARED(rw_contract_);
+  /// Prefetch lookahead of the batch k-NN: true when `page` has a sidecar
+  /// and no row survives its code filter at `bound`. The bound only
+  /// shrinks, so QuantFilter will rule the page out when it is popped,
+  /// and a prefetch batch must leave it out. A prediction for the I/O
+  /// schedule: it charges nothing and decides nothing about the visit.
+  /// Called from the prefetch lambda, which the thread-safety analysis
+  /// sees as a separate function, so it declares no role.
+  bool RuledOutAhead(PageId page, std::span<const float> center,
+                     const DistanceMetric& metric, double bound,
+                     SearchScratch* scratch) const;
 
   // --- maintenance --------------------------------------------------------
   /// DFS recomputing ELS codes; returns this subtree's exact live box.

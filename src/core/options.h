@@ -90,10 +90,13 @@ struct HybridTreeOptions {
   /// Enables the per-data-page 8-bit quantized filter-then-refine scan
   /// path for range and (bounded) k-NN queries: a sound lower bound on
   /// each point's distance is computed from cached uint8 codes and only
-  /// the survivors get an exact distance. Results are byte-identical
-  /// either way — the lower bound never prunes a true hit, and refinement
-  /// replays the exact kernel arithmetic. Sidecars are built lazily on
-  /// first scan and invalidated on page writes; turning this off only
+  /// the survivors get an exact distance. The filter runs before the page
+  /// is pinned, so a page with no survivor is never fetched; box search
+  /// rules out pages that are not resident by a code-range test. Results
+  /// and pages visited (IoStats::PagesVisited) are identical either way —
+  /// the lower bound never prunes a true hit, and refinement replays the
+  /// exact kernel arithmetic. Sidecars are built lazily on a page's first
+  /// pinned scan and invalidated on page writes; turning this off only
   /// stops filtering (cached sidecars are kept). Runtime-only: not
   /// persisted by Flush()/Open().
   bool quant_sidecars = true;
@@ -103,9 +106,10 @@ struct HybridTreeOptions {
   /// next-best frontier pages alongside the popped one, and box/range
   /// descents prefetch all qualifying children of an index node before
   /// recursing. 0 disables prefetch (the default, and the paper's access
-  /// pattern). Results and logical-read counts are identical at any
-  /// depth — prefetch only batches and overlaps physical I/O. Runtime-only:
-  /// not persisted by Flush()/Open(); adjustable via SetPrefetchDepth().
+  /// pattern). Results and pages visited are identical at any depth —
+  /// prefetch only batches and overlaps physical I/O, and never requests a
+  /// page the search rules out from its sidecar. Runtime-only: not
+  /// persisted by Flush()/Open(); adjustable via SetPrefetchDepth().
   size_t prefetch_depth = 0;
 };
 

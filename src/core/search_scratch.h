@@ -52,9 +52,14 @@ class SearchScratch {
   /// prefetched as a batch, then descended in that order (so results are
   /// byte-identical with prefetch on or off). `contained` carries the box
   /// search's scan-level-pruning flag; the other descents leave it false.
+  /// A range descent into a data page filtered from its sidecar at
+  /// admission carries its rows_count surviving rows from
+  /// carried[rows_begin]; none means the page was not filtered yet.
   struct Descent {
     PageId page;
     bool contained;
+    uint32_t rows_begin = 0;
+    uint32_t rows_count = 0;
   };
 
   std::vector<double> dist;       // batch-kernel outputs, one per page row
@@ -69,6 +74,7 @@ class SearchScratch {
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample
   std::vector<uint8_t> masks;         // fused-filter survivor bits
   std::vector<uint32_t> survivors;    // rows passing the code filter
+  std::vector<uint32_t> carried;      // range survivors (base-marked)
   quant::FilterScratch quant;         // per-(query,page) filter prep
 };
 

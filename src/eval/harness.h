@@ -62,7 +62,7 @@ Result<IndexBundle> BuildIndex(IndexKind kind, const Dataset& data,
 
 /// Per-workload measured costs.
 struct QueryCosts {
-  double avg_accesses = 0.0;    // logical page reads per query
+  double avg_accesses = 0.0;    // pages visited per query (PagesVisited)
   double avg_physical = 0.0;    // physical (pool-miss) reads per query
   double hit_rate = 0.0;        // buffer-pool hit rate over the workload
   double avg_cpu_seconds = 0.0; // process CPU time per query

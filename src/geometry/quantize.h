@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "geometry/kernels/kernels.h"
+
 namespace ht::quant {
 
 /// Grid cell of `v` on the 2^bits grid over [lo, hi], rounding DOWN — the
@@ -131,6 +133,9 @@ struct FilterScratch {
   std::vector<float> below;  ///< t_d - w_d - pads
   std::vector<float> scale;  ///< w_d (codes multiply by this)
   std::vector<float> wf;     ///< per-dimension metric weights (WeightedL2)
+  /// Per-dimension box code range (BoxCodeRange, AnyRowMayBeInBox).
+  std::vector<uint8_t> code_lo;
+  std::vector<uint8_t> code_hi;
 };
 
 /// Fills the prep arrays for one (query, page-grid) pair. O(dim); the
@@ -197,6 +202,82 @@ inline void EncodeSidecarRow(const float* v, const float* grid_lo,
     out[d] = static_cast<uint8_t>(
         QuantizeLo(v[d], grid_lo[d], grid_hi[d], kSidecarBits));
   }
+}
+
+// --- Box filter on the sidecar codes ----------------------------------------
+//
+// A row v lies in the closed box [lo, hi] only if lo_d <= v_d <= hi_d in
+// every dimension. QuantizeLo is monotone in v (a correctly rounded
+// subtraction and division by a positive width, floor and clamp), and the
+// codes were made by this same QuantizeLo, so lo_d <= v_d <= hi_d implies
+// QuantizeLo(lo_d) <= c_d <= QuantizeLo(hi_d): a row whose code leaves that
+// range in any dimension cannot be in the box. No padding is needed. A
+// faster formula than QuantizeLo would have to widen the range by one cell
+// on each side. The grid is the rows' exact min/max, so a bound beyond
+// the grid rules out every row outright; on a zero-width grid dimension
+// (every code 0) that check is the whole test. A NaN bound puts no limit
+// on its side, as in Box::ContainsPoint; ±inf clamps to the first or last
+// cell.
+
+/// Fills the code range [code_lo[d], code_hi[d]] a row of a page with grid
+/// [grid_lo, grid_hi] must lie in, in every dimension, to be inside the box
+/// [lo, hi]. Returns false when no row of the page can lie in the box.
+inline bool BoxCodeRange(const float* lo, const float* hi,
+                         const float* grid_lo, const float* grid_hi,
+                         uint32_t dim, uint8_t* code_lo, uint8_t* code_hi) {
+  constexpr uint32_t kLastCell = (1u << kSidecarBits) - 1;
+  for (uint32_t d = 0; d < dim; ++d) {
+    uint32_t clo = 0;
+    uint32_t chi = kLastCell;
+    if (!std::isnan(lo[d])) {
+      if (lo[d] > grid_hi[d]) return false;
+      clo = QuantizeLo(lo[d], grid_lo[d], grid_hi[d], kSidecarBits);
+    }
+    if (!std::isnan(hi[d])) {
+      if (hi[d] < grid_lo[d]) return false;
+      chi = QuantizeLo(hi[d], grid_lo[d], grid_hi[d], kSidecarBits);
+    }
+    if (clo > chi) return false;
+    code_lo[d] = static_cast<uint8_t>(clo);
+    code_hi[d] = static_cast<uint8_t>(chi);
+  }
+  return true;
+}
+
+/// True when some row of `page` may lie in the closed box [lo, hi]; false
+/// only when no row can (every row's codes leave the BoxCodeRange). A plain
+/// loop: full blocks over the transposed codes, the tail rows over the
+/// row-major ones.
+inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
+                             const float* hi, FilterScratch* s) {
+  if (s->code_lo.size() < page.dim) {
+    s->code_lo.resize(page.dim);
+    s->code_hi.resize(page.dim);
+  }
+  uint8_t* clo = s->code_lo.data();
+  uint8_t* chi = s->code_hi.data();
+  if (!BoxCodeRange(lo, hi, page.grid_lo, page.grid_hi, page.dim, clo, chi)) {
+    return false;
+  }
+  constexpr size_t kLanes = kernels::kTBlock;
+  for (size_t b = 0; b < page.full_blocks; ++b) {
+    const uint8_t* block = page.tcodes + b * page.dim * kLanes;
+    unsigned live = (1u << kLanes) - 1;
+    for (uint32_t d = 0; d < page.dim && live != 0; ++d) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        const uint8_t c = block[d * kLanes + lane];
+        if (c < clo[d] || c > chi[d]) live &= ~(1u << lane);
+      }
+    }
+    if (live != 0) return true;
+  }
+  for (size_t i = page.full_blocks * kLanes; i < page.count; ++i) {
+    const uint8_t* row = page.codes + i * page.stride;
+    uint32_t d = 0;
+    while (d < page.dim && row[d] >= clo[d] && row[d] <= chi[d]) ++d;
+    if (d == page.dim) return true;
+  }
+  return false;
 }
 
 }  // namespace ht::quant

@@ -432,6 +432,10 @@ class BufferPool {
   /// no lock.
   void CountScan(uint64_t rows, uint64_t survivors, bool filtered);
 
+  /// Accounts one data page a search ruled out from its sidecar without
+  /// fetching it (IoStats::quant_skipped_pages). Takes no lock.
+  void CountSkippedPage() { Count(&IoStats::quant_skipped_pages); }
+
   /// Sum of the counter stripes. The returned reference stays valid but is
   /// only refreshed by the next stats() call. Call from one thread at a
   /// time; safe while readers run in concurrent mode, racy only if two

@@ -59,9 +59,14 @@ inline const char* AccessClassName(AccessClass c) {
 ///   prefetch_issued   pages handed to the prefetch pipeline for a
 ///                     best-effort, non-pinning fill. Prefetched fills
 ///                     count as physical reads only — never as logical
-///                     reads, which stay the paper's figure-of-merit.
+///                     reads.
 ///   prefetch_hits     fetches that hit a frame brought in by prefetch
 ///                     (first pin only)
+///   quant_skipped_pages  data pages a search ruled out from their
+///                     in-memory sidecar without fetching them. A search
+///                     visits logical_reads + quant_skipped_pages pages
+///                     (PagesVisited), the paper's figure of merit: the
+///                     same count a tree without sidecars reads.
 ///   scan_points       points entering a data-page distance scan
 ///                     (filtered or not), from any search path
 ///   quant_refined     points that survived the quantized-code filter and
@@ -87,6 +92,7 @@ inline const char* AccessClassName(AccessClass c) {
   X(batch_writes)               \
   X(prefetch_issued)            \
   X(prefetch_hits)              \
+  X(quant_skipped_pages)        \
   X(scan_points)                \
   X(quant_refined)              \
   X(quant_pruned)               \
@@ -101,10 +107,15 @@ inline const char* AccessClassName(AccessClass c) {
 /// The paper reports *disk accesses per query* assuming each visited node
 /// costs one random access, and normalizes sequential scan by a factor of
 /// 10 (sequential I/O ≈ 10x faster than random). The harness therefore uses
-/// logical reads with a cold (or bypassed) cache as the figure-of-merit and
+/// the pages a query visits (PagesVisited: logical reads plus the data
+/// pages ruled out from their sidecars) as the figure-of-merit, so the
+/// hybrid tree is counted like the baselines, which have no sidecars, and
 /// keeps physical counters for buffer-pool experiments.
 struct IoStats {
   HT_IO_STATS_COUNTERS(HT_IO_STATS_DECLARE)
+
+  /// Pages visited: fetched, or ruled out from a sidecar without a fetch.
+  uint64_t PagesVisited() const { return logical_reads + quant_skipped_pages; }
 
   /// Per-access-class cache counters, indexed by AccessClass. Hits and
   /// misses cover demand accesses (Fetch / FetchMany) only — New() and

@@ -10,7 +10,10 @@
 // Sidecars are derived data, rebuilt from page contents on demand: they are
 // built lazily on the first scan of a page (not at write time, so
 // ingest pays nothing and trees opened from disk are covered) and
-// invalidated whenever the page is rewritten or freed.
+// invalidated whenever the page is rewritten or freed. Searches consult a
+// page's sidecar before they pin the page and skip the fetch when no row
+// can be in the answer, so a sidecar must never outlive the exact rows it
+// was built from.
 //
 // The store is an OwnedPageTable (storage/page_table.h): a lookup is a
 // lock-free table load, and the first builder of a page publishes its

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
 #include "baselines/seqscan.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "eval/hybrid_adapter.h"
+#include "geometry/kernels/kernels.h"
 
 namespace ht {
 namespace {
@@ -79,6 +82,89 @@ TEST(HarnessTest, RangeAndKnnWorkloads) {
   QueryCosts knn =
       RunKnnWorkload(b.index.get(), centers, 5, l1).ValueOrDie();
   EXPECT_DOUBLE_EQ(knn.avg_results, 5.0);
+}
+
+/// A hybrid tree built straight from options (the harness's BuildConfig
+/// has no pool or sidecar knob).
+std::unique_ptr<HybridIndexAdapter> BuildHybrid(const Dataset& data,
+                                                bool sidecars,
+                                                MemPagedFile* file) {
+  HybridTreeOptions o;
+  o.dim = data.dim();
+  o.page_size = file->page_size();
+  o.els_bits = 8;
+  o.buffer_pool_pages = 16;
+  o.quant_sidecars = sidecars;
+  auto index = HybridIndexAdapter::Create(o, file).ValueOrDie();
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_TRUE(index->Insert(data.Row(i), i).ok());
+  }
+  return index;
+}
+
+// The paper's figure of merit is pages visited. A data page the hybrid
+// tree rules out from its sidecar is not fetched, but it is still visited,
+// so the harness must count the same accesses with sidecars on as with
+// them off (the baselines have none).
+TEST(HarnessTest, SidecarsLeavePagesVisitedUnchanged) {
+  Rng rng(1505);
+  Dataset data = GenFourier(3000, 16, rng);
+  MemPagedFile file_on(kDefaultPageSize), file_off(kDefaultPageSize);
+  auto on = BuildHybrid(data, /*sidecars=*/true, &file_on);
+  auto off = BuildHybrid(data, /*sidecars=*/false, &file_off);
+
+  const double side = CalibrateBoxSide(data, 0.01, 10, rng);
+  auto centers = MakeQueryCenters(data, 12, rng);
+  std::vector<Box> boxes;
+  for (const auto& c : centers) boxes.push_back(MakeBoxQuery(c, side));
+  L2Metric l2;
+  const double radius = CalibrateRangeRadius(data, l2, 0.01, 10, rng);
+
+  const auto expect_same = [](const QueryCosts& on, const QueryCosts& off) {
+    EXPECT_EQ(on.avg_accesses, off.avg_accesses);
+    EXPECT_EQ(on.avg_results, off.avg_results);
+  };
+  // k-NN and range first, so that the box queries meet sidecars.
+  expect_same(RunKnnWorkload(on.get(), centers, 10, l2).ValueOrDie(),
+              RunKnnWorkload(off.get(), centers, 10, l2).ValueOrDie());
+  expect_same(RunRangeWorkload(on.get(), centers, radius, l2).ValueOrDie(),
+              RunRangeWorkload(off.get(), centers, radius, l2).ValueOrDie());
+  expect_same(RunBoxWorkload(on.get(), boxes).ValueOrDie(),
+              RunBoxWorkload(off.get(), boxes).ValueOrDie());
+
+  // Per query: fetched plus ruled-out pages with sidecars equal the pages
+  // fetched without them.
+  uint64_t skipped_knn = 0, skipped_range = 0, skipped_box = 0;
+  for (size_t q = 0; q < centers.size(); ++q) {
+    const auto per_query = [&](auto run) {
+      on->pool().ResetStats();
+      off->pool().ResetStats();
+      run(on.get());
+      run(off.get());
+      const IoStats s_on = on->pool().StatsSnapshot();
+      const IoStats s_off = off->pool().StatsSnapshot();
+      EXPECT_EQ(s_on.logical_reads + s_on.quant_skipped_pages,
+                s_off.logical_reads)
+          << "query " << q;
+      EXPECT_EQ(s_off.quant_skipped_pages, 0u);
+      return s_on.quant_skipped_pages;
+    };
+    skipped_knn += per_query([&](SpatialIndex* i) {
+      EXPECT_TRUE(i->SearchKnn(centers[q], 10, l2).ok());
+    });
+    skipped_range += per_query([&](SpatialIndex* i) {
+      EXPECT_TRUE(i->SearchRange(centers[q], radius, l2).ok());
+    });
+    skipped_box += per_query([&](SpatialIndex* i) {
+      EXPECT_TRUE(i->SearchBox(boxes[q]).ok());
+    });
+  }
+  if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
+    // Sidecars are built only at a SIMD tier; then pages are ruled out.
+    EXPECT_GT(skipped_knn, 0u) << "k-NN never ruled out a page";
+    EXPECT_GT(skipped_range, 0u) << "range never ruled out a page";
+    EXPECT_GT(skipped_box, 0u) << "box never ruled out a page";
+  }
 }
 
 TEST(HarnessTest, EnvSizeParsesAndFallsBack) {

@@ -1,9 +1,10 @@
 // Integration tests for the prefetching I/O pipeline (core + storage +
 // serve): prefetch is a pure I/O-scheduling optimisation, so every query
-// must return byte-identical results — and identical logical-read counts,
-// the paper's figure-of-merit — at any prefetch depth, while the number of
-// blocking read round trips drops. Runs clean under ThreadSanitizer (the
-// CI tsan job executes this binary).
+// must return byte-identical results — and identical logical-read counts —
+// at any prefetch depth, while the number of blocking read round trips
+// drops, and no batch may request a page the search rules out from its
+// sidecar. Runs clean under ThreadSanitizer (the CI tsan job executes this
+// binary).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "data/generators.h"
 #include "data/workload.h"
 #include "exec/thread_pool.h"
+#include "geometry/kernels/kernels.h"
 #include "geometry/metrics.h"
 #include "serve/sharded_index.h"
 #include "storage/buffer_pool.h"
@@ -123,9 +125,50 @@ TEST_F(PrefetchIntegrationTest, ColdQueriesByteIdenticalAcrossDepths) {
       EXPECT_EQ(got.range[i], base.range[i]) << "depth " << depth << " q" << i;
       EXPECT_EQ(got.knn[i], base.knn[i]) << "depth " << depth << " q" << i;
     }
-    // Prefetch counts no logical reads: the paper's disk-access
-    // figure-of-merit is invariant under the pipeline.
+    // Prefetch counts no logical reads, and a page is ruled out from its
+    // sidecar alike at every depth: the pages a query pins are invariant
+    // under the pipeline.
     EXPECT_EQ(got.logical_reads, base.logical_reads) << "depth " << depth;
+  }
+}
+
+// Box and range decide at admission which child pages their sidecars rule
+// out, so a prefetch batch never requests a page the search then skips:
+// with a pool that holds a whole query, every prefetched page is pinned.
+TEST_F(PrefetchIntegrationTest, PrefetchRequestsNoRuledOutPage) {
+  auto tree = HybridTree::Open(file_.get(), file_->page_count()).ValueOrDie();
+  tree->SetPrefetchDepth(8);
+  SearchScratch sc;
+  std::vector<uint64_t> ids;
+  std::vector<std::pair<double, uint64_t>> nn;
+  // Warm sidecars: a metric scan builds one on every data page it pins.
+  for (size_t i = 0; i < kQueries; ++i) {
+    const std::vector<float>& c = centers_[i];
+    ASSERT_TRUE(tree->SearchKnnInto(c, kK, metric_, &sc, &nn).ok());
+    ASSERT_TRUE(tree->SearchRangeInto(c, radius_, metric_, &sc, &ids).ok());
+  }
+  uint64_t issued = 0, skipped = 0;
+  for (size_t i = 0; i < kQueries; ++i) {
+    for (const bool box : {true, false}) {
+      ASSERT_TRUE(tree->pool().EvictAll().ok());
+      tree->pool().ResetStats();
+      const std::vector<float>& c = centers_[i];
+      if (box) {
+        ASSERT_TRUE(tree->SearchBoxInto(boxes_[i], &sc, &ids).ok());
+      } else {
+        ASSERT_TRUE(tree->SearchRangeInto(c, radius_, metric_, &sc, &ids).ok());
+      }
+      const IoStats s = tree->pool().StatsSnapshot();
+      EXPECT_EQ(s.prefetch_issued, s.prefetch_hits)
+          << (box ? "box" : "range") << " q" << i;
+      issued += s.prefetch_issued;
+      skipped += s.quant_skipped_pages;
+    }
+  }
+  EXPECT_GT(issued, 0u);
+  if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
+    // Sidecars exist only at a SIMD tier; then some pages are ruled out.
+    EXPECT_GT(skipped, 0u);
   }
 }
 

@@ -12,6 +12,11 @@
 //    detection (QuantizedPage::Matches), validator integration.
 //  * Layout pinning: the on-page block layout and sidecar alignment the
 //    SIMD kernels rely on.
+//  * Box code range: a row Box::ContainsPoint accepts always survives the
+//    sidecar's code-range test, on random and adversarial pages and boxes.
+//  * Filter before fetch: box answers on a small-pool tree, and answers
+//    between random mutations, match brute force (a stale sidecar would
+//    answer wrongly before the page is ever pinned).
 //  * Accounting: scan_points / quant_refined / quant_pruned in IoStats.
 
 #include <gtest/gtest.h>
@@ -21,8 +26,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -228,6 +236,152 @@ TEST(QuantSoundness, SinglePointPage) {
   std::vector<float> same(b.row(0), b.row(0) + dim);
   CheckSound(b, same);  // distance 0: lb must be <= 0
   CheckSound(b, std::vector<float>(dim, 0.9f));
+}
+
+// --- box code range --------------------------------------------------------
+
+/// The box filter's contract on one page: every row Box::ContainsPoint
+/// accepts has its codes inside the BoxCodeRange in every dimension, and
+/// AnyRowMayBeInBox is exactly "some row's codes lie in that range".
+/// Returns whether the page was ruled out.
+bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
+                    const std::vector<float>& hi) {
+  QuantizedPage qp(b.block(), b.stride(), b.count, b.dim);
+  const quant::PageCodesView v = qp.view();
+  const Box box = Box::FromBounds(lo, hi);
+  const uint32_t dim = b.dim;
+  std::vector<uint8_t> clo(dim), chi(dim);
+  const float* l = lo.data();
+  const float* h = hi.data();
+  uint8_t* cl = clo.data();
+  uint8_t* ch = chi.data();
+  const bool ok = quant::BoxCodeRange(l, h, v.grid_lo, v.grid_hi, dim, cl, ch);
+  bool any_inside = false;
+  bool any_codes_in_range = false;
+  for (size_t i = 0; i < b.count; ++i) {
+    const uint8_t* codes = v.codes + i * v.stride;
+    bool in_range = ok;
+    for (uint32_t d = 0; d < b.dim && in_range; ++d) {
+      in_range = codes[d] >= clo[d] && codes[d] <= chi[d];
+    }
+    any_codes_in_range = any_codes_in_range || in_range;
+    const std::span<const float> row(b.data.data() + i * b.stride(), b.dim);
+    if (box.ContainsPoint(row)) {
+      any_inside = true;
+      EXPECT_TRUE(in_range) << "row " << i << " in " << box.ToString();
+    }
+  }
+  quant::FilterScratch scratch;
+  const bool may = quant::AnyRowMayBeInBox(v, lo.data(), hi.data(), &scratch);
+  EXPECT_EQ(may, any_codes_in_range);
+  if (any_inside) {
+    EXPECT_TRUE(may);
+  }
+  return !may;
+}
+
+TEST(QuantBoxFilter, CodeRangeIsSoundOnRandomPagesAndBoxes) {
+  Rng rng(7321);
+  size_t ruled_out = 0, boxes = 0;
+  for (uint32_t dim = 1; dim <= 64; dim += (dim < 8 ? 1 : 7)) {
+    for (int rep = 0; rep < 6; ++rep) {
+      const size_t count = 1 + static_cast<size_t>(rng.NextDouble() * 70);
+      TestBlock b = MakeBlock(dim, count);
+      for (size_t i = 0; i < count; ++i) {
+        for (uint32_t d = 0; d < dim; ++d) {
+          // Every third dimension holds few distinct values, so rows tie
+          // and sit on cell edges.
+          const double u = rng.NextDouble();
+          const double x = d % 3 == 0 ? std::floor(u * 4) / 4 : u;
+          b.row(i)[d] = static_cast<float>(x);
+        }
+      }
+      for (int q = 0; q < 20; ++q) {
+        std::vector<float> lo(dim), hi(dim);
+        const size_t anchor = static_cast<size_t>(rng.NextDouble() * count);
+        for (uint32_t d = 0; d < dim; ++d) {
+          // Boxes around a stored row (hits) and random ones (mostly not).
+          const double u = rng.NextDouble();
+          const float c = q % 2 == 0 ? b.row(anchor)[d] : static_cast<float>(u);
+          const float half = static_cast<float>(rng.NextDouble() * 0.4);
+          lo[d] = c - half;
+          hi[d] = c + half;
+        }
+        ruled_out += CheckBoxFilter(b, lo, hi) ? 1 : 0;
+        ++boxes;
+      }
+    }
+  }
+  // The test must exercise both verdicts.
+  EXPECT_GT(ruled_out, 0u);
+  EXPECT_LT(ruled_out, boxes);
+}
+
+TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (uint32_t dim : {1u, 3u, 8u, 17u, 64u}) {
+    // Rows on exact grid positions, a zero-width dimension (d % 4 == 0),
+    // signed zeros, duplicated rows and a near-degenerate dimension.
+    const size_t count = 21;
+    TestBlock b = MakeBlock(dim, count);
+    for (size_t i = 0; i < count; ++i) {
+      for (uint32_t d = 0; d < dim; ++d) {
+        float v = static_cast<float>(i % 5) / 4.0f;
+        if (d % 4 == 0) v = 0.5f;
+        if (d % 4 == 1) v = (i % 2 == 0) ? -0.0f : 0.0f;
+        if (d % 4 == 3) v = (i % 2 == 0) ? 1.0f : std::nextafterf(1.0f, 2.0f);
+        b.row(i)[d] = v;
+      }
+    }
+    const std::vector<float> row0(b.row(0), b.row(0) + dim);
+    const std::vector<float> row3(b.row(3), b.row(3) + dim);
+    QuantizedPage qp(b.block(), b.stride(), count, dim);
+    const std::vector<float> glo(qp.view().grid_lo, qp.view().grid_lo + dim);
+    const std::vector<float> ghi(qp.view().grid_hi, qp.view().grid_hi + dim);
+    const auto with = [&](std::vector<float> base, float v) {
+      for (uint32_t d = 0; d < dim; d += 2) base[d] = v;
+      return base;
+    };
+    const std::vector<float> all(dim, kInf), none(dim, -kInf);
+    // Point boxes on stored rows, the grid, its corners, inverted boxes.
+    CheckBoxFilter(b, row0, row0);
+    CheckBoxFilter(b, row3, row3);
+    CheckBoxFilter(b, glo, ghi);
+    CheckBoxFilter(b, glo, glo);
+    CheckBoxFilter(b, ghi, ghi);
+    CheckBoxFilter(b, ghi, glo);
+    CheckBoxFilter(b, row3, row0);
+    // Signed zeros on either bound.
+    CheckBoxFilter(b, with(row3, -0.0f), with(row3, 0.0f));
+    CheckBoxFilter(b, with(row3, 0.0f), with(row3, -0.0f));
+    // NaN bounds put no limit on their side.
+    CheckBoxFilter(b, with(row0, kNaN), with(row0, kNaN));
+    CheckBoxFilter(b, with(glo, kNaN), ghi);
+    CheckBoxFilter(b, glo, with(ghi, kNaN));
+    // Infinite bounds clamp to the first or last cell.
+    CheckBoxFilter(b, none, all);
+    CheckBoxFilter(b, with(row3, -kInf), with(row3, kInf));
+    CheckBoxFilter(b, all, all);
+    CheckBoxFilter(b, none, none);
+    // Bounds one ulp past the grid rule out every row.
+    std::vector<float> above(dim), below_grid(dim);
+    for (uint32_t d = 0; d < dim; ++d) {
+      above[d] = std::nextafterf(ghi[d], kInf);
+      below_grid[d] = std::nextafterf(glo[d], -kInf);
+    }
+    EXPECT_TRUE(CheckBoxFilter(b, above, all));
+    EXPECT_TRUE(CheckBoxFilter(b, none, below_grid));
+    // Every row equal: the grid is zero-width in every dimension.
+    TestBlock flat = MakeBlock(dim, 9);
+    for (size_t i = 0; i < flat.count; ++i) {
+      for (uint32_t d = 0; d < dim; ++d) flat.row(i)[d] = 0.25f;
+    }
+    const std::vector<float> at(dim, 0.25f), below(dim, 0.0f);
+    EXPECT_FALSE(CheckBoxFilter(flat, at, at));
+    EXPECT_TRUE(CheckBoxFilter(flat, below, below));
+    EXPECT_FALSE(CheckBoxFilter(flat, below, at));
+  }
 }
 
 // --- transposed mirror -----------------------------------------------------
@@ -478,11 +632,13 @@ TEST(QuantStoreTest, LifecycleAndInvalidation) {
 // --- end-to-end byte-identity ----------------------------------------------
 
 std::unique_ptr<HybridTree> BuildTree(const Dataset& data, uint32_t dim,
-                                      bool quant, MemPagedFile* file) {
+                                      bool quant, MemPagedFile* file,
+                                      size_t pool_pages = 0) {
   HybridTreeOptions o;
   o.dim = dim;
-  o.page_size = 4096;
+  o.page_size = file->page_size();
   o.quant_sidecars = quant;
+  o.buffer_pool_pages = pool_pages;
   auto tree = HybridTree::Create(o, file).ValueOrDie();
   for (size_t i = 0; i < data.size(); ++i) {
     EXPECT_TRUE(tree->Insert(data.Row(i), i).ok());
@@ -579,6 +735,194 @@ TEST(QuantByteIdentity, FilteredResultsMatchBruteForceAtEveryTier) {
       EXPECT_EQ(answers, first_tier) << "tier " << kernels::TierName(tier);
     }
   }
+}
+
+// --- filter before fetch through the tree ----------------------------------
+
+// Box search rules out a page from its sidecar only when the page is not
+// resident, so the trees get a pool far smaller than themselves.
+TEST(QuantBoxFilter, SmallPoolBoxAnswersMatchBruteForceAtEveryTier) {
+  const uint32_t dim = 16;
+  Rng rng(5150);
+  Dataset data = GenFourier(3000, dim, rng);
+  MemPagedFile f_on(4096), f_off(4096);
+  auto on = BuildTree(data, dim, /*quant=*/true, &f_on, /*pool_pages=*/12);
+  auto off = BuildTree(data, dim, /*quant=*/false, &f_off, /*pool_pages=*/12);
+
+  // Metric scans build the sidecars the box filter reads (at a SIMD tier).
+  L2Metric l2;
+  auto centers = MakeQueryCenters(data, 40, rng);
+  {
+    ScopedTier best(kernels::BestSupportedTier());
+    for (const auto& c : centers) ASSERT_TRUE(on->SearchKnn(c, 20, l2).ok());
+  }
+  const double side = CalibrateBoxSide(data, 0.01, 10, rng);
+  std::vector<Box> boxes;
+  for (const auto& c : centers) boxes.push_back(MakeBoxQuery(c, side));
+  // Half-open boxes: the code range clamps ±inf to the first or last cell.
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (size_t i = 0; i < 8; ++i) {
+    Box b = boxes[i];
+    for (uint32_t d = static_cast<uint32_t>(i % 2); d < dim; d += 2) {
+      if (i % 4 < 2) {
+        b.set_lo(d, -kInf);
+      } else {
+        b.set_hi(d, kInf);
+      }
+    }
+    boxes.push_back(b);
+  }
+
+  uint64_t skipped = 0;
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    ScopedTier forced(tier);
+    for (size_t q = 0; q < boxes.size(); ++q) {
+      const auto want = BruteForceBox(data, boxes[q]);
+      on->pool().ResetStats();
+      EXPECT_EQ(Sorted(on->SearchBox(boxes[q]).ValueOrDie()), want)
+          << "tier " << kernels::TierName(tier) << ", box " << q;
+      skipped += on->pool().StatsSnapshot().quant_skipped_pages;
+      EXPECT_EQ(Sorted(off->SearchBox(boxes[q]).ValueOrDie()), want)
+          << "tier " << kernels::TierName(tier) << ", box " << q;
+    }
+  }
+  if (kernels::BestSupportedTier() != kernels::SimdTier::kScalar) {
+    EXPECT_GT(skipped, 0u) << "no box visit was ruled out from a sidecar";
+  }
+  EXPECT_EQ(off->CachedQuantPages(), 0u);
+}
+
+/// Brute-force answers over a set of (id, row) entries that changes
+/// between queries.
+class LiveRows {
+ public:
+  void Add(uint64_t id, std::vector<float> row) { rows_[id] = std::move(row); }
+  void Remove(uint64_t id) { rows_.erase(id); }
+  const std::map<uint64_t, std::vector<float>>& rows() const { return rows_; }
+
+  std::vector<uint64_t> InBox(const Box& box) const {
+    std::vector<uint64_t> ids;
+    for (const auto& [id, row] : rows_) {
+      if (box.ContainsPoint(row)) ids.push_back(id);
+    }
+    return ids;
+  }
+  std::vector<uint64_t> InRange(std::span<const float> center, double radius,
+                                const DistanceMetric& metric) const {
+    std::vector<uint64_t> ids;
+    for (const auto& [id, row] : rows_) {
+      if (metric.Distance(center, row) <= radius) ids.push_back(id);
+    }
+    return ids;
+  }
+  std::vector<std::pair<double, uint64_t>> Knn(
+      std::span<const float> center, size_t k,
+      const DistanceMetric& metric) const {
+    std::vector<std::pair<double, uint64_t>> all;
+    for (const auto& [id, row] : rows_) {
+      all.emplace_back(metric.Distance(center, row), id);
+    }
+    std::sort(all.begin(), all.end());
+    if (all.size() > k) all.resize(k);
+    return all;
+  }
+
+ private:
+  std::map<uint64_t, std::vector<float>> rows_;
+};
+
+// Searches trust that a sidecar belongs to a live data page with exactly
+// those rows: k-NN and range filter before the pin, and box search rules
+// out pages that are not resident. A random Insert / InsertBatch / Delete
+// sequence (delete bursts underflow pages, so pages are freed and their
+// ids reused) on a small-pool tree checks every answer against brute force
+// between mutations; a write path that forgot to invalidate a sidecar
+// answers from stale codes and fails here.
+TEST(QuantStaleSidecar, MutationsNeverAnswerFromAStaleSidecar) {
+  // Runs at the startup tier, so an HT_SIMD run covers its own tier.
+  if (kernels::ActiveTier() == kernels::SimdTier::kScalar) {
+    GTEST_SKIP() << "sidecar filtering requires a SIMD tier";
+  }
+  const uint32_t dim = 6;
+  Rng rng(9091);
+  HybridTreeOptions o;
+  o.dim = dim;
+  o.page_size = 1024;
+  o.buffer_pool_pages = 8;
+  MemPagedFile file(o.page_size);
+  auto tree = HybridTree::Create(o, &file).ValueOrDie();
+  LiveRows live;
+  uint64_t next_id = 0;
+  const auto random_row = [&] {
+    std::vector<float> p(dim);
+    for (uint32_t d = 0; d < dim; ++d) {
+      p[d] = static_cast<float>(rng.NextDouble());
+    }
+    return p;
+  };
+  for (int i = 0; i < 600; ++i) {
+    auto p = random_row();
+    ASSERT_TRUE(tree->Insert(p, next_id).ok());
+    live.Add(next_id++, std::move(p));
+  }
+
+  L2Metric l2;
+  SearchScratch scratch;
+  const auto check = [&](const std::vector<float>& center, int step) {
+    std::vector<std::pair<double, uint64_t>> nn;
+    ASSERT_TRUE(tree->SearchKnnInto(center, 8, l2, &scratch, &nn).ok());
+    EXPECT_EQ(nn, live.Knn(center, 8, l2)) << "k-NN, step " << step;
+    std::vector<uint64_t> ids;
+    ASSERT_TRUE(tree->SearchRangeInto(center, 0.3, l2, &scratch, &ids).ok());
+    EXPECT_EQ(Sorted(ids), live.InRange(center, 0.3, l2))
+        << "range, step " << step;
+    const Box box = MakeBoxQuery(center, 0.4);
+    ASSERT_TRUE(tree->SearchBoxInto(box, &scratch, &ids).ok());
+    EXPECT_EQ(Sorted(ids), live.InBox(box)) << "box, step " << step;
+  };
+
+  std::vector<std::vector<float>> touched;
+  for (int step = 0; step < 200 && !HasFailure(); ++step) {
+    touched.clear();
+    const double u = rng.NextDouble();
+    if (u < 0.3) {
+      auto p = random_row();
+      ASSERT_TRUE(tree->Insert(p, next_id).ok());
+      touched.push_back(p);
+      live.Add(next_id++, std::move(p));
+    } else if (u < 0.55) {
+      const size_t n = 1 + static_cast<size_t>(rng.NextDouble() * 32);
+      std::vector<float> points;
+      std::vector<uint64_t> ids;
+      for (size_t i = 0; i < n; ++i) {
+        auto p = random_row();
+        points.insert(points.end(), p.begin(), p.end());
+        ids.push_back(next_id);
+        if (i < 3) touched.push_back(p);
+        live.Add(next_id++, std::move(p));
+      }
+      ASSERT_TRUE(tree->InsertBatch(points, ids).ok());
+    } else {
+      // Delete the rows nearest a random point: they share pages, so the
+      // burst underflows and eliminates nodes.
+      const auto center = random_row();
+      const size_t n = 1 + static_cast<size_t>(rng.NextDouble() * 24);
+      for (const auto& [d, id] : live.Knn(center, n, l2)) {
+        const std::vector<float> row = live.rows().at(id);
+        ASSERT_TRUE(tree->Delete(row, id).ok());
+        if (touched.size() < 3) touched.push_back(row);
+        live.Remove(id);
+      }
+    }
+    // Queries centred on the rows just written or deleted (an inserted
+    // row is at distance 0 from its own centre), plus one at random so
+    // sidecars keep being built across the tree.
+    for (const auto& c : touched) check(c, step);
+    check(random_row(), step);
+  }
+  EXPECT_GT(tree->pool().StatsSnapshot().frees, 0u) << "no page was freed";
+  EXPECT_GT(tree->CachedQuantPages(), 0u);
+  EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
 // --- lifecycle through the tree --------------------------------------------
