@@ -1068,44 +1068,15 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   return SearchRangeRec(root_, {}, center, radius, metric, scratch, out);
 }
 
-namespace {
-
-// Bounded distances for all `n` rows of a data page into `dist`. Prefers
-// the sidecar's transposed float mirror (one contiguous load per dimension
-// per block instead of a per-row gather); the count % kTBlock tail rows
-// stay on the page block and are computed exactly. The mirror holds the
-// same float values the page does and the kernels replay the same
-// accumulation order, so the two paths agree bit-for-bit wherever the
-// bound does not abandon a row — and an abandoned row's output (+inf) and
-// its exact distance compare identically against any threshold <= bound.
-void BatchPageDistances(const DistanceMetric& metric,
-                        std::span<const float> center, const QuantizedPage* qp,
-                        const float* blk, size_t stride, size_t n,
-                        double bound, double* dist) {
-  const size_t nblocks = qp != nullptr ? qp->full_blocks() : 0;
-  if (nblocks > 0 && metric.BatchDistanceTransposedWithBound(
-                         center, qp->tfloats(), nblocks, bound, dist)) {
-    for (size_t i = nblocks * kernels::kTBlock; i < n; ++i) {
-      dist[i] = metric.Distance(
-          center, std::span<const float>(blk + i * stride, center.size()));
-    }
-    return;
-  }
-  metric.BatchDistanceWithBound(center, blk, stride, n, bound, dist);
-}
-
-}  // namespace
-
 bool HybridTree::SidecarsServe(const DistanceMetric& metric) const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
-  // would save, and the transposed float mirror only accelerates SIMD
-  // loads. So a scalar-tier scan (no SIMD on this host, or HT_SIMD=scalar)
-  // runs exactly the pre-sidecar hot path and builds nothing. A metric
-  // with no code-space machinery (SupportsCodeFilter false, e.g. the
-  // QuadraticForm fallback) takes the same exit BEFORE the sidecar lookup:
-  // building codes it can never filter with would only fill QuantStore
-  // with useless pages.
+  // would save. So a scalar-tier scan (no SIMD on this host, or
+  // HT_SIMD=scalar) runs exactly the pre-sidecar hot path and builds
+  // nothing. A metric with no code-space machinery (SupportsCodeFilter
+  // false, e.g. the QuadraticForm fallback) takes the same exit BEFORE the
+  // sidecar lookup: building codes it can never filter with would only
+  // fill QuantStore with useless pages.
   return options_.quant_sidecars && metric.SupportsCodeFilter() &&
          kernels::ActiveTier() != kernels::SimdTier::kScalar;
 }
@@ -1115,9 +1086,9 @@ bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
                              const DistanceMetric& metric, double bound,
                              SearchScratch* scratch) const {
   if (!SidecarsServe(metric)) return false;
-  // After the pin the sidecar is fetched (and lazily built) even when code
-  // filtering is off the table: its transposed mirror speeds up the exact
-  // batch pass regardless of the bound.
+  // After the pin the sidecar is built on the page's first scan even when
+  // this scan cannot filter (an infinite bound: the k-NN heap is not yet
+  // full), so that later visits can rule the page out before the pin.
   const QuantizedPage* qp = quant_store_.Lookup(page);
   if (qp == nullptr && pinned != nullptr) {
     qp = quant_store_.GetOrBuild(page, pinned->block(), pinned->stride_floats(),
@@ -1132,10 +1103,11 @@ bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
   if (qp == nullptr || bound >= std::numeric_limits<double>::max()) {
     return false;
   }
-  const size_t n = qp->count();
-  const size_t nmask = (n + kernels::kTBlock - 1) / kernels::kTBlock;
+  const quant::PageCodesView view = qp->view();
+  const size_t n = view.count;
+  const size_t nmask = view.blocks;
   if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (!metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
+  if (!metric.CodeFilterMasks(center, view, bound, &scratch->quant,
                               scratch->masks.data())) {
     return false;
   }
@@ -1164,11 +1136,11 @@ bool HybridTree::RuledOutAhead(PageId page, std::span<const float> center,
   }
   const QuantizedPage* qp = quant_store_.Lookup(page);
   if (qp == nullptr) return false;
-  const size_t nmask = (qp->count() + kernels::kTBlock - 1) / kernels::kTBlock;
+  const quant::PageCodesView view = qp->view();
+  const size_t nmask = view.blocks;
   if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
   uint8_t* masks = scratch->masks.data();
-  if (!metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
-                              masks)) {
+  if (!metric.CodeFilterMasks(center, view, bound, &scratch->quant, masks)) {
     return false;
   }
   return std::all_of(masks, masks + nmask, [](uint8_t m) { return m == 0; });
@@ -1220,14 +1192,10 @@ Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
   }
   // Dense survivors, or no filter: one bounded batch pass over the page
   // (cheaper than many strided per-row calls). Rows whose partial sum
-  // exceeds `bound` are abandoned with an output above it. The sidecar,
-  // built by the first pinned scan, lends its transposed float mirror
-  // even when the filter did not run.
-  const QuantizedPage* qp =
-      SidecarsServe(metric) ? quant_store_.Lookup(page) : nullptr;
+  // exceeds `bound` are abandoned with an output above it.
   if (scratch->dist.size() < n) scratch->dist.resize(n);
-  BatchPageDistances(metric, center, qp, blk, stride, n, bound,
-                     scratch->dist.data());
+  metric.BatchDistanceWithBound(center, blk, stride, n, bound,
+                                scratch->dist.data());
   const double* dist = scratch->dist.data();
   if (filtered) {
     for (const uint32_t i : survivors) emit(dist[i], scan.id(i));

@@ -11,11 +11,6 @@
 // sweeps this per tier). Dead lanes keep accumulating (harmless: finite
 // float inputs cannot overflow a double sum) and are blended to +infinity
 // at the end.
-//
-// The u8 code-filter kernels vectorize ACROSS DIMENSIONS instead (rows are
-// only PaddedDim(dim) bytes): gaps are computed in float lanes and
-// accumulated in double lanes, so the only float-relative errors are
-// per-term — covered by the quantize.h slack, independent of dim.
 
 #ifdef HT_KERNELS_AVX2
 
@@ -31,21 +26,6 @@ namespace {
 inline __m256d Load4(const float* r0, const float* r1, const float* r2,
                      const float* r3, size_t d) {
   return _mm256_cvtps_pd(_mm_setr_ps(r0[d], r1[d], r2[d], r3[d]));
-}
-
-inline double HSum4(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-inline float HMax8(__m256 v) {
-  const __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(v),
-                               _mm256_extractf128_ps(v, 1));
-  const __m128 m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-  const __m128 m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-  return _mm_cvtss_f32(m1);
 }
 
 constexpr int kAllLanes = 0xf;
@@ -200,239 +180,15 @@ void WL2Avx2(const float* q, const double* w, size_t dim, const float* pts,
   for (; i < n; ++i) out[i] = detail::RowWL2(q, w, dim, pts + i * stride, b2);
 }
 
-// --- Code-filter kernels (soundness only; dims padded to kDimPad) ----------
-
-/// Gap vector for 8 dimensions starting at d: max(0, cw - above, below - cw)
-/// with cw = code * scale, all in float lanes.
-inline __m256 Gap8(const float* above, const float* below, const float* scale,
-                   const uint8_t* row, size_t d) {
-  const __m128i b8 =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + d));
-  const __m256 c = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(b8));
-  const __m256 cw = _mm256_mul_ps(c, _mm256_loadu_ps(scale + d));
-  const __m256 g1 = _mm256_sub_ps(cw, _mm256_loadu_ps(above + d));
-  const __m256 g2 = _mm256_sub_ps(_mm256_loadu_ps(below + d), cw);
-  return _mm256_max_ps(_mm256_setzero_ps(), _mm256_max_ps(g1, g2));
-}
-
-/// acc += sum of the 8 float lanes of v, in double lanes.
-inline __m256d AccumulateWide(__m256d acc, __m256 v) {
-  acc = _mm256_add_pd(acc, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-  return _mm256_add_pd(acc, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-}
-
-void CodeL1Avx2(const float* above, const float* below, const float* scale,
-                size_t stride, const uint8_t* codes, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < stride; d += 8) {
-      acc = AccumulateWide(acc, Gap8(above, below, scale, row, d));
-    }
-    out[i] = HSum4(acc) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeL2Avx2(const float* above, const float* below, const float* scale,
-                size_t stride, const uint8_t* codes, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < stride; d += 8) {
-      const __m256 g = Gap8(above, below, scale, row, d);
-      acc = AccumulateWide(acc, _mm256_mul_ps(g, g));
-    }
-    out[i] = std::sqrt(HSum4(acc)) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeLInfAvx2(const float* above, const float* below, const float* scale,
-                  size_t stride, const uint8_t* codes, size_t n,
-                  double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m256 m = _mm256_setzero_ps();
-    for (size_t d = 0; d < stride; d += 8) {
-      m = _mm256_max_ps(m, Gap8(above, below, scale, row, d));
-    }
-    out[i] = static_cast<double>(HMax8(m)) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeWL2Avx2(const float* above, const float* below, const float* scale,
-                 const float* wf, size_t stride, const uint8_t* codes,
-                 size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < stride; d += 8) {
-      const __m256 g = Gap8(above, below, scale, row, d);
-      const __m256 t = _mm256_mul_ps(_mm256_mul_ps(g, g),
-                                     _mm256_loadu_ps(wf + d));
-      acc = AccumulateWide(acc, t);
-    }
-    out[i] = std::sqrt(HSum4(acc)) * detail::kOneMinusSlack;
-  }
-}
-
-// --- Transposed-layout kernels (see kernels.h kTBlock) ---------------------
-//
-// Each kTBlock(=8)-row block is processed as two 4-lane halves; element d
-// of a half is one contiguous 16-byte load (tb + d*8 + half*4) instead of
-// Load4's four scalar loads. Same per-lane values and accumulation order,
-// so the bit-identity argument is unchanged from the strided kernels.
-
-inline __m256d LoadT4(const float* tb, size_t d, size_t half) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(tb + d * kTBlock + half * 4));
-}
-
-void TL1Avx2(const float* q, size_t dim, const float* t, size_t nblocks,
-             double bound, double* out) {
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t half = 0; half < 2; ++half) {
-      __m256d s = _mm256_setzero_pd();
-      __m256d dead = _mm256_setzero_pd();
-      bool all_dead = false;
-      size_t d = 0;
-      while (d < dim) {
-        const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-        for (; d < end; ++d) {
-          const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-          const __m256d diff = _mm256_sub_pd(qd, LoadT4(tb, d, half));
-          s = _mm256_add_pd(s, _mm256_and_pd(diff, kAbsMask));
-        }
-        if (end < dim) {
-          dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vbound, _CMP_GT_OQ));
-          if (_mm256_movemask_pd(dead) == kAllLanes) {
-            all_dead = true;
-            break;
-          }
-        }
-      }
-      _mm256_storeu_pd(out + b * kTBlock + half * 4,
-                       all_dead ? vinf : _mm256_blendv_pd(s, vinf, dead));
-    }
-  }
-}
-
-void TL2Avx2(const float* q, size_t dim, const float* t, size_t nblocks,
-             double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m256d vb2 = _mm256_set1_pd(b2);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t half = 0; half < 2; ++half) {
-      __m256d s = _mm256_setzero_pd();
-      __m256d dead = _mm256_setzero_pd();
-      bool all_dead = false;
-      size_t d = 0;
-      while (d < dim) {
-        const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-        for (; d < end; ++d) {
-          const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-          const __m256d diff = _mm256_sub_pd(qd, LoadT4(tb, d, half));
-          s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
-        }
-        if (end < dim) {
-          dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vb2, _CMP_GT_OQ));
-          if (_mm256_movemask_pd(dead) == kAllLanes) {
-            all_dead = true;
-            break;
-          }
-        }
-      }
-      _mm256_storeu_pd(
-          out + b * kTBlock + half * 4,
-          all_dead ? vinf : _mm256_blendv_pd(_mm256_sqrt_pd(s), vinf, dead));
-    }
-  }
-}
-
-void TLInfAvx2(const float* q, size_t dim, const float* t, size_t nblocks,
-               double bound, double* out) {
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t half = 0; half < 2; ++half) {
-      __m256d m = _mm256_setzero_pd();
-      __m256d dead = _mm256_setzero_pd();
-      bool all_dead = false;
-      size_t d = 0;
-      while (d < dim) {
-        const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-        for (; d < end; ++d) {
-          const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-          const __m256d diff = _mm256_sub_pd(qd, LoadT4(tb, d, half));
-          m = _mm256_max_pd(m, _mm256_and_pd(diff, kAbsMask));
-        }
-        if (end < dim) {
-          dead = _mm256_or_pd(dead, _mm256_cmp_pd(m, vbound, _CMP_GT_OQ));
-          if (_mm256_movemask_pd(dead) == kAllLanes) {
-            all_dead = true;
-            break;
-          }
-        }
-      }
-      _mm256_storeu_pd(out + b * kTBlock + half * 4,
-                       all_dead ? vinf : _mm256_blendv_pd(m, vinf, dead));
-    }
-  }
-}
-
-void TWL2Avx2(const float* q, const double* w, size_t dim, const float* t,
-              size_t nblocks, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m256d vb2 = _mm256_set1_pd(b2);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t half = 0; half < 2; ++half) {
-      __m256d s = _mm256_setzero_pd();
-      __m256d dead = _mm256_setzero_pd();
-      bool all_dead = false;
-      size_t d = 0;
-      while (d < dim) {
-        const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-        for (; d < end; ++d) {
-          const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-          const __m256d wd = _mm256_set1_pd(w[d]);
-          const __m256d diff = _mm256_sub_pd(qd, LoadT4(tb, d, half));
-          // Scalar association: s += (w[d] * diff) * diff.
-          s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_mul_pd(wd, diff), diff));
-        }
-        if (end < dim) {
-          dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vb2, _CMP_GT_OQ));
-          if (_mm256_movemask_pd(dead) == kAllLanes) {
-            all_dead = true;
-            break;
-          }
-        }
-      }
-      _mm256_storeu_pd(
-          out + b * kTBlock + half * 4,
-          all_dead ? vinf : _mm256_blendv_pd(_mm256_sqrt_pd(s), vinf, dead));
-    }
-  }
-}
-
-// --- Transposed-code kernels (row-parallel code bounds) --------------------
+// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
 //
 // One contiguous 8-byte code load covers dimension d of all 8 rows of a
-// block, and the per-row horizontal reduce + scalar sqrt of the row-major
-// code kernels becomes one vector sqrt per 4-lane half. Gap math is in
-// float (bitwise the scalar CodeGap, modulo -0.0 vs +0.0, which every
-// consumer treats identically), squares/accumulation in double lanes in
-// dimension order — exactly RowCodeT*'s sequence, so outputs are bitwise
-// identical to the scalar tier.
+// block. Gap math is in float (bitwise the scalar CodeGap, modulo -0.0 vs
+// +0.0), squares and sums in double lanes in dimension order — exactly
+// RowCodeTRaw*'s sequence. Each block is two 4-lane halves, compared
+// against the precomputed threshold in-register; movemask collapses the
+// block to one survivor byte. IEEE <= treats -0.0 == +0.0, so masks are
+// bitwise identical across tiers.
 
 /// Gaps for the 8 rows of one transposed block at dimension d.
 inline __m256 GapT8(const float* above, const float* below,
@@ -452,98 +208,6 @@ inline __m256d LowPd(__m256 v) {
 inline __m256d HighPd(__m256 v) {
   return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
 }
-
-void CTL1Avx2(const float* above, const float* below, const float* scale,
-              size_t dim, const uint8_t* tcodes, size_t nblocks,
-              double* out) {
-  const __m256d slack = _mm256_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256 g = GapT8(above, below, scale, tcb, d);
-      lo = _mm256_add_pd(lo, LowPd(g));
-      hi = _mm256_add_pd(hi, HighPd(g));
-    }
-    _mm256_storeu_pd(out + b * kTBlock, _mm256_mul_pd(lo, slack));
-    _mm256_storeu_pd(out + b * kTBlock + 4, _mm256_mul_pd(hi, slack));
-  }
-}
-
-void CTL2Avx2(const float* above, const float* below, const float* scale,
-              size_t dim, const uint8_t* tcodes, size_t nblocks,
-              double* out) {
-  const __m256d slack = _mm256_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256 g = GapT8(above, below, scale, tcb, d);
-      // Widen BEFORE squaring: the scalar reference squares in double.
-      const __m256d gl = LowPd(g);
-      const __m256d gh = HighPd(g);
-      lo = _mm256_add_pd(lo, _mm256_mul_pd(gl, gl));
-      hi = _mm256_add_pd(hi, _mm256_mul_pd(gh, gh));
-    }
-    _mm256_storeu_pd(out + b * kTBlock,
-                     _mm256_mul_pd(_mm256_sqrt_pd(lo), slack));
-    _mm256_storeu_pd(out + b * kTBlock + 4,
-                     _mm256_mul_pd(_mm256_sqrt_pd(hi), slack));
-  }
-}
-
-void CTLInfAvx2(const float* above, const float* below, const float* scale,
-                size_t dim, const uint8_t* tcodes, size_t nblocks,
-                double* out) {
-  const __m256d slack = _mm256_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256 m = _mm256_setzero_ps();
-    for (size_t d = 0; d < dim; ++d) {
-      m = _mm256_max_ps(m, GapT8(above, below, scale, tcb, d));
-    }
-    // maxps can leave -0.0 where the scalar's strict > keeps +0.0; adding
-    // +0.0 canonicalizes without changing any other value.
-    m = _mm256_add_ps(m, _mm256_setzero_ps());
-    _mm256_storeu_pd(out + b * kTBlock, _mm256_mul_pd(LowPd(m), slack));
-    _mm256_storeu_pd(out + b * kTBlock + 4,
-                     _mm256_mul_pd(HighPd(m), slack));
-  }
-}
-
-void CTWL2Avx2(const float* above, const float* below, const float* scale,
-               const float* wf, size_t dim, const uint8_t* tcodes,
-               size_t nblocks, double* out) {
-  const __m256d slack = _mm256_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256 g = GapT8(above, below, scale, tcb, d);
-      const __m256d wd = _mm256_set1_pd(static_cast<double>(wf[d]));
-      const __m256d gl = LowPd(g);
-      const __m256d gh = HighPd(g);
-      // Scalar association: s += ((double)wf[d] * g) * g.
-      lo = _mm256_add_pd(lo, _mm256_mul_pd(_mm256_mul_pd(wd, gl), gl));
-      hi = _mm256_add_pd(hi, _mm256_mul_pd(_mm256_mul_pd(wd, gh), gh));
-    }
-    _mm256_storeu_pd(out + b * kTBlock,
-                     _mm256_mul_pd(_mm256_sqrt_pd(lo), slack));
-    _mm256_storeu_pd(out + b * kTBlock + 4,
-                     _mm256_mul_pd(_mm256_sqrt_pd(hi), slack));
-  }
-}
-
-// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
-//
-// Same raw accumulators as the CT kernels above, but no slack multiply, no
-// sqrt, and no per-row double store: each 4-lane half is compared against
-// the precomputed threshold in-register and movemask collapses the block to
-// one survivor byte. Lane accumulation order matches RowCodeTRaw*, and IEEE
-// <= treats -0.0 == +0.0, so masks are bitwise identical across tiers.
 
 /// Survivor bits for one block's two 4-double halves: bit i = lane i.
 inline uint8_t MaskFromHalves(__m256d lo, __m256d hi, __m256d t) {
@@ -783,10 +447,7 @@ void BoxOverlapAvx2(const float* qlo, const float* qhi, size_t dim,
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
       SimdTier::kAvx2, &L1Avx2,      &L2Avx2,       &LInfAvx2,
-      &WL2Avx2,        &CodeL1Avx2,  &CodeL2Avx2,   &CodeLInfAvx2,
-      &CodeWL2Avx2,    &TL1Avx2,     &TL2Avx2,      &TLInfAvx2,
-      &TWL2Avx2,       &CTL1Avx2,    &CTL2Avx2,     &CTLInfAvx2,
-      &CTWL2Avx2,      &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
+      &WL2Avx2,        &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
       &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2,
       &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
       &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};

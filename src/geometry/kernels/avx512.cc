@@ -164,226 +164,21 @@ void WL2Avx512(const float* q, const double* w, size_t dim, const float* pts,
   for (; i < n; ++i) out[i] = detail::RowWL2(q, w, dim, pts + i * stride, b2);
 }
 
-// --- Code-filter kernels (soundness only; dims padded to kDimPad) ----------
-
-/// Gap vector for 16 dimensions starting at d (see avx2.cc Gap8).
-inline __m512 Gap16(const float* above, const float* below, const float* scale,
-                    const uint8_t* row, size_t d) {
-  const __m128i b16 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + d));
-  const __m512 c = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b16));
-  const __m512 cw = _mm512_mul_ps(c, _mm512_loadu_ps(scale + d));
-  const __m512 g1 = _mm512_sub_ps(cw, _mm512_loadu_ps(above + d));
-  const __m512 g2 = _mm512_sub_ps(_mm512_loadu_ps(below + d), cw);
-  return _mm512_max_ps(_mm512_setzero_ps(), _mm512_max_ps(g1, g2));
-}
-
-/// acc += sum of the 16 float lanes of v, in double lanes.
-inline __m512d AccumulateWide(__m512d acc, __m512 v) {
-  acc = _mm512_add_pd(acc, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
-  return _mm512_add_pd(acc, _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1)));
-}
-
-void CodeL1Avx512(const float* above, const float* below, const float* scale,
-                  size_t stride, const uint8_t* codes, size_t n,
-                  double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m512d acc = _mm512_setzero_pd();
-    for (size_t d = 0; d < stride; d += 16) {
-      acc = AccumulateWide(acc, Gap16(above, below, scale, row, d));
-    }
-    out[i] = _mm512_reduce_add_pd(acc) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeL2Avx512(const float* above, const float* below, const float* scale,
-                  size_t stride, const uint8_t* codes, size_t n,
-                  double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m512d acc = _mm512_setzero_pd();
-    for (size_t d = 0; d < stride; d += 16) {
-      const __m512 g = Gap16(above, below, scale, row, d);
-      acc = AccumulateWide(acc, _mm512_mul_ps(g, g));
-    }
-    out[i] = std::sqrt(_mm512_reduce_add_pd(acc)) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeLInfAvx512(const float* above, const float* below,
-                    const float* scale, size_t stride, const uint8_t* codes,
-                    size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m512 m = _mm512_setzero_ps();
-    for (size_t d = 0; d < stride; d += 16) {
-      m = _mm512_max_ps(m, Gap16(above, below, scale, row, d));
-    }
-    out[i] =
-        static_cast<double>(_mm512_reduce_max_ps(m)) * detail::kOneMinusSlack;
-  }
-}
-
-void CodeWL2Avx512(const float* above, const float* below, const float* scale,
-                   const float* wf, size_t stride, const uint8_t* codes,
-                   size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = codes + i * stride;
-    __m512d acc = _mm512_setzero_pd();
-    for (size_t d = 0; d < stride; d += 16) {
-      const __m512 g = Gap16(above, below, scale, row, d);
-      const __m512 t =
-          _mm512_mul_ps(_mm512_mul_ps(g, g), _mm512_loadu_ps(wf + d));
-      acc = AccumulateWide(acc, t);
-    }
-    out[i] = std::sqrt(_mm512_reduce_add_pd(acc)) * detail::kOneMinusSlack;
-  }
-}
-
-// --- Transposed-layout kernels (see kernels.h kTBlock) ---------------------
+// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
 //
-// One kTBlock(=8)-row block per __m512d: element d of all eight rows is a
-// single contiguous 32-byte load + one widening convert, replacing Load8's
-// eight scalar loads. Same per-lane values and accumulation order, so the
-// bit-identity argument is unchanged from the strided kernels.
-
-inline __m512d LoadT8(const float* tb, size_t d) {
-  return _mm512_cvtps_pd(_mm256_loadu_ps(tb + d * kTBlock));
-}
-
-void TL1Avx512(const float* q, size_t dim, const float* t, size_t nblocks,
-               double bound, double* out) {
-  const __m512d vbound = _mm512_set1_pd(bound);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, LoadT8(tb, d));
-        s = _mm512_add_pd(s, _mm512_abs_pd(diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vbound, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(out + b * kTBlock,
-                     all_dead ? vinf : _mm512_mask_blend_pd(dead, s, vinf));
-  }
-}
-
-void TL2Avx512(const float* q, size_t dim, const float* t, size_t nblocks,
-               double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m512d vb2 = _mm512_set1_pd(b2);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, LoadT8(tb, d));
-        s = _mm512_add_pd(s, _mm512_mul_pd(diff, diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vb2, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(
-        out + b * kTBlock,
-        all_dead ? vinf : _mm512_mask_blend_pd(dead, _mm512_sqrt_pd(s), vinf));
-  }
-}
-
-void TLInfAvx512(const float* q, size_t dim, const float* t, size_t nblocks,
-                 double bound, double* out) {
-  const __m512d vbound = _mm512_set1_pd(bound);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    __m512d m = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, LoadT8(tb, d));
-        m = _mm512_max_pd(m, _mm512_abs_pd(diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(m, vbound, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(out + b * kTBlock,
-                     all_dead ? vinf : _mm512_mask_blend_pd(dead, m, vinf));
-  }
-}
-
-void TWL2Avx512(const float* q, const double* w, size_t dim, const float* t,
-                size_t nblocks, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m512d vb2 = _mm512_set1_pd(b2);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d wd = _mm512_set1_pd(w[d]);
-        const __m512d diff = _mm512_sub_pd(qd, LoadT8(tb, d));
-        // Scalar association: s += (w[d] * diff) * diff.
-        s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, diff), diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vb2, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(
-        out + b * kTBlock,
-        all_dead ? vinf : _mm512_mask_blend_pd(dead, _mm512_sqrt_pd(s), vinf));
-  }
-}
-
-// --- Transposed-code kernels (row-parallel code bounds) --------------------
+// One __m512d covers a whole 8-row block: each dimension is one 8-byte
+// code load and widen, and one _mm512_cmp_pd_mask against the precomputed
+// threshold collapses the block straight to its survivor byte. Gap math
+// and accumulation replay RowCodeTRaw*'s order exactly; IEEE <= treats
+// -0.0 == +0.0, so no canonicalization is needed and masks stay bitwise
+// identical across tiers.
 //
-// See the AVX2 file's section comment; here one __m512d covers the whole
-// 8-row block, so each dimension is one 8-byte code load + widen and the
-// final sqrt serves all 8 rows at once. Accumulation replays RowCodeT*'s
-// order exactly — outputs are bitwise identical to the scalar tier.
+// A block is abandoned once EVERY lane's accumulator exceeds the
+// threshold: the sums are monotone non-decreasing (each step adds a
+// non-negative term, and fl(s + x) >= s for x >= 0), so a dead block stays
+// dead and writing 0 early is bitwise what full accumulation would
+// produce. With pages spatially clustered, most blocks of a 99%-pruned
+// scan die within the first checkpoint.
 
 /// Gaps for the 8 rows of one transposed block at dimension d.
 inline __m256 GapCT8(const float* above, const float* below,
@@ -396,89 +191,6 @@ inline __m256 GapCT8(const float* above, const float* below,
   const __m256 g2 = _mm256_sub_ps(_mm256_set1_ps(below[d]), cw);
   return _mm256_max_ps(_mm256_setzero_ps(), _mm256_max_ps(g1, g2));
 }
-
-void CTL1Avx512(const float* above, const float* below, const float* scale,
-                size_t dim, const uint8_t* tcodes, size_t nblocks,
-                double* out) {
-  const __m512d slack = _mm512_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      s = _mm512_add_pd(
-          s, _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d)));
-    }
-    _mm512_storeu_pd(out + b * kTBlock, _mm512_mul_pd(s, slack));
-  }
-}
-
-void CTL2Avx512(const float* above, const float* below, const float* scale,
-                size_t dim, const uint8_t* tcodes, size_t nblocks,
-                double* out) {
-  const __m512d slack = _mm512_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      // Widen BEFORE squaring: the scalar reference squares in double.
-      const __m512d g = _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d));
-      s = _mm512_add_pd(s, _mm512_mul_pd(g, g));
-    }
-    _mm512_storeu_pd(out + b * kTBlock,
-                     _mm512_mul_pd(_mm512_sqrt_pd(s), slack));
-  }
-}
-
-void CTLInfAvx512(const float* above, const float* below, const float* scale,
-                  size_t dim, const uint8_t* tcodes, size_t nblocks,
-                  double* out) {
-  const __m512d slack = _mm512_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256 m = _mm256_setzero_ps();
-    for (size_t d = 0; d < dim; ++d) {
-      m = _mm256_max_ps(m, GapCT8(above, below, scale, tcb, d));
-    }
-    // maxps can leave -0.0 where the scalar's strict > keeps +0.0; adding
-    // +0.0 canonicalizes without changing any other value.
-    m = _mm256_add_ps(m, _mm256_setzero_ps());
-    _mm512_storeu_pd(out + b * kTBlock,
-                     _mm512_mul_pd(_mm512_cvtps_pd(m), slack));
-  }
-}
-
-void CTWL2Avx512(const float* above, const float* below, const float* scale,
-                 const float* wf, size_t dim, const uint8_t* tcodes,
-                 size_t nblocks, double* out) {
-  const __m512d slack = _mm512_set1_pd(detail::kOneMinusSlack);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m512d g = _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d));
-      const __m512d wd = _mm512_set1_pd(static_cast<double>(wf[d]));
-      // Scalar association: s += ((double)wf[d] * g) * g.
-      s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, g), g));
-    }
-    _mm512_storeu_pd(out + b * kTBlock,
-                     _mm512_mul_pd(_mm512_sqrt_pd(s), slack));
-  }
-}
-
-// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
-//
-// Same raw accumulators as the CT kernels above, minus the slack multiply,
-// sqrt, and per-row store: one _mm512_cmp_pd_mask against the precomputed
-// threshold collapses the 8-row block straight to its survivor byte. IEEE
-// <= treats -0.0 == +0.0, so no canonicalization is needed and masks stay
-// bitwise identical across tiers.
-
-// The mask kernels may abandon a block once EVERY lane's accumulator
-// exceeds the threshold: the sums are monotone non-decreasing (each step
-// adds a non-negative term, and fl(s + x) >= s for x >= 0), so a dead
-// block stays dead and writing 0 early is bitwise what full accumulation
-// would produce. With pages spatially clustered, most blocks of a
-// 99%-pruned scan die within the first checkpoint.
 
 void CTML1Avx512(const float* above, const float* below, const float* scale,
                  size_t dim, const uint8_t* tcodes, size_t nblocks,
@@ -699,10 +411,7 @@ void BoxOverlapAvx512(const float* qlo, const float* qhi, size_t dim,
 const KernelTable& Avx512Table() {
   static const KernelTable table = {
       SimdTier::kAvx512, &L1Avx512,      &L2Avx512,       &LInfAvx512,
-      &WL2Avx512,        &CodeL1Avx512,  &CodeL2Avx512,   &CodeLInfAvx512,
-      &CodeWL2Avx512,    &TL1Avx512,     &TL2Avx512,      &TLInfAvx512,
-      &TWL2Avx512,       &CTL1Avx512,    &CTL2Avx512,     &CTLInfAvx512,
-      &CTWL2Avx512,      &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
+      &WL2Avx512,        &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
       &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512,
       &MinDistAvx512<BoxAcc::kSum>, &MinDistAvx512<BoxAcc::kSumSq>,
       &MinDistAvx512<BoxAcc::kMax>, &BoxOverlapAvx512};

@@ -5,29 +5,25 @@
 // AVX-512 (compiled only when the toolchain supports the flags; executed
 // only when CPUID reports support) — each providing bounded batch-distance
 // kernels for L1/L2/LInf/WeightedL2 over the DataPageScan::block() layout,
-// plus u8 code-filter kernels for the quantized page sidecars. The tier is
-// selected ONCE at startup: best CPUID-supported tier, overridable with
-// HT_SIMD=scalar|avx2|avx512 (unsupported requests clamp down to the best
-// supported tier), and pinnable in-process with ForceTier() for tests and
-// benches.
+// fused u8 mask-filter kernels over the quantized page sidecars, and the
+// directory-node box kernels. The tier is selected ONCE at startup: best
+// CPUID-supported tier, overridable with HT_SIMD=scalar|avx2|avx512
+// (unsupported requests clamp down to the best supported tier), and
+// pinnable in-process with ForceTier() for tests and benches.
 //
-// Bit-identity contract (the float kernels). Every tier must produce
-// outputs bit-identical to the scalar reference for every row within the
-// bound. The SIMD tiers achieve this by vectorizing ACROSS ROWS, one row
-// per double lane: each lane replays the scalar per-row accumulation
-// exactly — same element order, same double-precision sub/mul/add sequence
-// (never FMA: the scalar build contracts nothing, so the vector lanes must
-// not either; these files are compiled without -mfma and use separate
-// mul/add intrinsics), same every-kAbandonBlock checkpoint schedule, and
+// Bit-identity contract. Every tier must produce outputs bit-identical to
+// the scalar reference: distances for every row within the bound, survivor
+// masks for every row, MINDISTs and box predicates for every box. The SIMD
+// tiers achieve this by vectorizing ACROSS ROWS (or boxes), one per double
+// lane: each lane replays the scalar per-row accumulation exactly — same
+// element order, same double-precision sub/mul/add sequence (never FMA:
+// the scalar build contracts nothing, so the vector lanes must not either;
+// these files are compiled without -mfma and use separate mul/add
+// intrinsics), same every-kAbandonBlock checkpoint schedule, and
 // abandonment only at checkpoints strictly before the final block (the
 // scalar loop's break on the final checkpoint still emits the finished
-// value, so a lane may only go dead early). Tails (n % lanes) fall back to
-// the shared scalar row routines.
-//
-// The code-filter kernels have a weaker contract — soundness, not
-// bit-stability: out[i] <= true distance, always (see geometry/quantize.h
-// for the rounding-error budget). Their horizontal reductions reassociate
-// freely across tiers; callers must never emit a code bound as a distance.
+// value, so a lane may only go dead early). Tails (n % lanes) of the
+// strided distance kernels fall back to the shared scalar row routines.
 
 #pragma once
 
@@ -72,66 +68,28 @@ using BatchBoundWeightedFn = void (*)(const float* q, const double* w,
                                       size_t stride, size_t n, double bound,
                                       double* out);
 
-/// Code-filter kernels: sound lower bounds from 8-bit sidecar codes.
-/// `above`/`below`/`scale` are quant::FilterScratch prep arrays and the
-/// `codes` rows are zero-padded to `stride` = quant::PaddedDim(dim) bytes;
-/// kernels may consume all `stride` lanes (padding lanes contribute zero
-/// by construction). out[i] <= Distance(q, v_i) always.
-using CodeBoundFn = void (*)(const float* above, const float* below,
-                             const float* scale, size_t stride,
-                             const uint8_t* codes, size_t n, double* out);
-using CodeBoundWeightedFn = void (*)(const float* above, const float* below,
-                                     const float* scale, const float* wf,
-                                     size_t stride, const uint8_t* codes,
-                                     size_t n, double* out);
-
-/// Row-block transposed layout: `kTBlock` rows per block, dimension-major
-/// within a block, so element d of the block's rows is the contiguous
-/// 8-float group t[(b * dim + d) * kTBlock .. +7]. The page sidecar
-/// (storage/quant_store.h) builds this mirror so the SIMD tiers replace
-/// the 8-scalar-load row gather with one aligned 32-byte load — same
-/// values, same per-lane accumulation order, so bit-identity is
-/// unaffected. Kernels cover exactly nblocks * kTBlock rows; the caller
-/// handles the n % kTBlock tail rows against the original page block.
+/// Block-transposed code layout of a page sidecar (storage/quant_store.h):
+/// kTBlock rows per block, dimension-major within a block, so dimension d
+/// of block b's rows is the contiguous 8-byte group
+/// tcodes[(b * dim + d) * kTBlock .. +7]. A page of `count` rows fills
+/// ceil(count / kTBlock) whole blocks; the lanes past `count` repeat the
+/// last row, so every lane holds some real row's codes.
 inline constexpr size_t kTBlock = 8;
 
-using BatchBoundTFn = void (*)(const float* q, size_t dim, const float* t,
-                               size_t nblocks, double bound, double* out);
-using BatchBoundTWeightedFn = void (*)(const float* q, const double* w,
-                                       size_t dim, const float* t,
-                                       size_t nblocks, double bound,
-                                       double* out);
-
-/// Row-parallel code-filter kernels over the transposed code mirror
-/// (tcodes[(b * dim + d) * kTBlock + lane], unpadded dims): one contiguous
-/// 8-byte code load per dimension instead of a per-row pass, and the final
-/// sqrt is amortized across the block's lanes instead of serializing one
-/// row at a time. Each lane replays the row-major scalar reference's
-/// accumulation order (float gaps widened to double, summed in dimension
-/// order), so — unlike the row-major SIMD code kernels, which reassociate
-/// in their horizontal reductions — these outputs are bitwise identical
-/// across tiers. Covers nblocks * kTBlock rows; the caller routes the tail
-/// rows through the row-major code kernels above.
-using CodeBoundTFn = void (*)(const float* above, const float* below,
-                              const float* scale, size_t dim,
-                              const uint8_t* tcodes, size_t nblocks,
-                              double* out);
-using CodeBoundTWeightedFn = void (*)(const float* above, const float* below,
-                                      const float* scale, const float* wf,
-                                      size_t dim, const uint8_t* tcodes,
-                                      size_t nblocks, double* out);
-
-/// Fused filter variants of the transposed code kernels: instead of
-/// materializing per-row lower bounds, each block's raw accumulators (the
-/// pre-slack, pre-sqrt lane values — see quant::FilterThreshold for the
-/// threshold transform that makes the comparison equivalent) are compared
-/// in-register against `threshold` and ONE SURVIVOR BIT PER ROW is written:
-/// bit `lane` of masks[b] covers row b * kTBlock + lane. This removes the
-/// vector sqrt, the 8-byte-per-row bound store, and the caller's re-read
-/// compare loop from the 99%-pruned fast path. Accumulation replays the
-/// same per-lane order as ct_*, and IEEE compares treat -0.0 == +0.0, so
-/// masks are bitwise identical across tiers for full blocks. Tail rows
-/// (count % kTBlock) are the caller's job, as with ct_*.
+/// Fused mask-filter kernels over `nblocks` whole blocks of transposed
+/// codes (`above`/`below`/`scale`/`wf` are quant::FilterScratch prep
+/// arrays of `dim` floats). Each lane accumulates its row's per-dimension
+/// code gaps (row_ref.h CodeGap) in dimension order — float gaps widened
+/// to double, summed (L1), squared and summed (L2; weighted by wf for
+/// WeightedL2) or maxed (LInf) — and compares the raw accumulator, before
+/// any slack or sqrt (see quant::FilterThreshold), against `threshold`:
+/// bit `lane` of masks[b] is set iff row b * kTBlock + lane may be within
+/// the bound. The SIMD tiers may abandon a block at a checkpoint once
+/// every lane exceeds the threshold (the accumulators are monotone, so the
+/// zero mask is what full accumulation gives). Lanes replay the scalar
+/// order and IEEE compares treat -0.0 == +0.0, so every mask byte is
+/// bitwise identical across tiers. Bits of padding lanes copy the last
+/// row's; the caller clears them (quant::ClearPaddingBits).
 using CodeMaskTFn = void (*)(const float* above, const float* below,
                              const float* scale, size_t dim,
                              const uint8_t* tcodes, size_t nblocks,
@@ -196,24 +154,16 @@ using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
                               size_t n, const uint64_t* active,
                               uint64_t* intersects, uint64_t* contains);
 
+/// One tier's kernels, 14 entries: the strided batch distances a page scan
+/// refines with (l1, l2, linf, wl2), the fused sidecar masks it filters
+/// with (ctm_*), the single-box predicates behind Box::Intersects /
+/// ContainsBox, and the directory-node MINDISTs and box-set overlap.
 struct KernelTable {
   SimdTier tier;
   BatchBoundFn l1;
   BatchBoundFn l2;
   BatchBoundFn linf;
   BatchBoundWeightedFn wl2;
-  CodeBoundFn code_l1;
-  CodeBoundFn code_l2;
-  CodeBoundFn code_linf;
-  CodeBoundWeightedFn code_wl2;
-  BatchBoundTFn tl1;
-  BatchBoundTFn tl2;
-  BatchBoundTFn tlinf;
-  BatchBoundTWeightedFn twl2;
-  CodeBoundTFn ct_l1;
-  CodeBoundTFn ct_l2;
-  CodeBoundTFn ct_linf;
-  CodeBoundTWeightedFn ct_wl2;
   CodeMaskTFn ctm_l1;
   CodeMaskTFn ctm_l2;
   CodeMaskTFn ctm_linf;

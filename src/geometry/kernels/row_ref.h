@@ -1,12 +1,13 @@
 // Copyright 2026 The HybridTree Authors.
 // Per-row scalar reference loops shared by every dispatch tier (internal).
 //
-// The scalar tier applies these to whole pages; the SIMD tiers apply them
-// to the tail rows left over after the vector-width row groups. Cross-tier
-// bit-identity rests on this being the ONLY scalar formulation: the vector
-// lanes replay exactly this accumulation order and checkpoint schedule.
-// These are the loops the pre-dispatch metrics.h batch kernels inlined;
-// they must not be "improved" independently of the SIMD tiers.
+// The scalar tier applies these to whole pages; the SIMD tiers apply the
+// distance rows to the tail rows left over after the vector-width row
+// groups. Cross-tier bit-identity rests on this being the ONLY scalar
+// formulation: the vector lanes replay exactly this accumulation order and
+// checkpoint schedule. These are the loops the pre-dispatch metrics.h
+// batch kernels inlined; they must not be "improved" independently of the
+// SIMD tiers.
 
 #pragma once
 
@@ -16,14 +17,10 @@
 #include <limits>
 
 #include "geometry/kernels/kernels.h"
-#include "geometry/quantize.h"
 
 namespace ht::kernels::detail {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Final-bound slack factor for the code-filter kernels.
-inline constexpr double kOneMinusSlack = 1.0 - quant::kLbSlack;
 
 inline double RowL1(const float* q, size_t dim, const float* row,
                     double bound) {
@@ -86,75 +83,7 @@ inline double RowWL2(const float* q, const double* w, size_t dim,
   return d == dim ? std::sqrt(s) : kInf;
 }
 
-// --- Transposed-layout reference rows (see kernels.h kTBlock) --------------
-//
-// Identical accumulation to the Row* loops above; only the addressing
-// differs — element d of lane `lane` in block base `tb` is
-// tb[d * kTBlock + lane], a verbatim copy of that row's row[d].
-
-inline double RowTL1(const float* q, size_t dim, const float* tb, size_t lane,
-                     double bound) {
-  double s = 0.0;
-  size_t d = 0;
-  while (d < dim) {
-    const size_t end = std::min(dim, d + kAbandonBlock);
-    for (; d < end; ++d) {
-      s += std::fabs(static_cast<double>(q[d]) - tb[d * kTBlock + lane]);
-    }
-    if (s > bound) break;
-  }
-  return d == dim ? s : kInf;
-}
-
-inline double RowTL2(const float* q, size_t dim, const float* tb, size_t lane,
-                     double b2) {
-  double s = 0.0;
-  size_t d = 0;
-  while (d < dim) {
-    const size_t end = std::min(dim, d + kAbandonBlock);
-    for (; d < end; ++d) {
-      const double diff =
-          static_cast<double>(q[d]) - tb[d * kTBlock + lane];
-      s += diff * diff;
-    }
-    if (s > b2) break;
-  }
-  return d == dim ? std::sqrt(s) : kInf;
-}
-
-inline double RowTLInf(const float* q, size_t dim, const float* tb,
-                       size_t lane, double bound) {
-  double m = 0.0;
-  size_t d = 0;
-  while (d < dim) {
-    const size_t end = std::min(dim, d + kAbandonBlock);
-    for (; d < end; ++d) {
-      const double diff =
-          std::fabs(static_cast<double>(q[d]) - tb[d * kTBlock + lane]);
-      if (diff > m) m = diff;
-    }
-    if (m > bound) break;
-  }
-  return d == dim ? m : kInf;
-}
-
-inline double RowTWL2(const float* q, const double* w, size_t dim,
-                      const float* tb, size_t lane, double b2) {
-  double s = 0.0;
-  size_t d = 0;
-  while (d < dim) {
-    const size_t end = std::min(dim, d + kAbandonBlock);
-    for (; d < end; ++d) {
-      const double diff =
-          static_cast<double>(q[d]) - tb[d * kTBlock + lane];
-      s += w[d] * diff * diff;
-    }
-    if (s > b2) break;
-  }
-  return d == dim ? std::sqrt(s) : kInf;
-}
-
-// --- Code-filter reference rows (soundness only; see quantize.h) -----------
+// --- Code-filter reference rows (the ctm_* reference; see quantize.h) ------
 
 /// Per-dimension gap between the query and the padded cell of code c.
 inline float CodeGap(float above, float below, float scale, uint8_t c) {
@@ -166,60 +95,10 @@ inline float CodeGap(float above, float below, float scale, uint8_t c) {
   return g;
 }
 
-inline double RowCodeL1(const float* above, const float* below,
-                        const float* scale, size_t stride,
-                        const uint8_t* row) {
-  double s = 0.0;
-  for (size_t d = 0; d < stride; ++d) {
-    s += static_cast<double>(CodeGap(above[d], below[d], scale[d], row[d]));
-  }
-  return s * kOneMinusSlack;
-}
-
-inline double RowCodeL2(const float* above, const float* below,
-                        const float* scale, size_t stride,
-                        const uint8_t* row) {
-  double s = 0.0;
-  for (size_t d = 0; d < stride; ++d) {
-    const float g = CodeGap(above[d], below[d], scale[d], row[d]);
-    s += static_cast<double>(g) * g;
-  }
-  return std::sqrt(s) * kOneMinusSlack;
-}
-
-inline double RowCodeLInf(const float* above, const float* below,
-                          const float* scale, size_t stride,
-                          const uint8_t* row) {
-  float m = 0.0f;
-  for (size_t d = 0; d < stride; ++d) {
-    const float g = CodeGap(above[d], below[d], scale[d], row[d]);
-    if (g > m) m = g;
-  }
-  return static_cast<double>(m) * kOneMinusSlack;
-}
-
-inline double RowCodeWL2(const float* above, const float* below,
-                         const float* scale, const float* wf, size_t stride,
-                         const uint8_t* row) {
-  double s = 0.0;
-  for (size_t d = 0; d < stride; ++d) {
-    const float g = CodeGap(above[d], below[d], scale[d], row[d]);
-    s += static_cast<double>(wf[d]) * g * g;
-  }
-  return std::sqrt(s) * kOneMinusSlack;
-}
-
-// --- Transposed-code reference rows ----------------------------------------
-//
-// Same per-dimension gap math and accumulation order as the RowCode* loops,
-// addressing the transposed mirror (tc[d * kTBlock + lane]) and iterating
-// only the real dims — the row-major loops' padding lanes contribute
-// exactly 0.0, so the sums are bitwise equal.
-
-// The Raw* variants return the accumulator BEFORE the final slack multiply
-// (and before the sqrt for the squared metrics) — the value the fused mask
-// kernels (ctm_*) compare against quant::FilterThreshold(bound).
-
+// Row `lane` of a transposed code block `tcb` (tcb[d * kTBlock + lane]):
+// the raw accumulator, before the lower bound's slack multiply (and before
+// the sqrt for the squared metrics) — the value the fused mask kernels
+// (ctm_*) compare against quant::FilterThreshold(bound).
 inline double RowCodeTRawL1(const float* above, const float* below,
                             const float* scale, size_t dim,
                             const uint8_t* tcb, size_t lane) {
@@ -265,33 +144,6 @@ inline double RowCodeTRawWL2(const float* above, const float* below,
     s += static_cast<double>(wf[d]) * g * g;
   }
   return s;
-}
-
-inline double RowCodeTL1(const float* above, const float* below,
-                         const float* scale, size_t dim, const uint8_t* tcb,
-                         size_t lane) {
-  return RowCodeTRawL1(above, below, scale, dim, tcb, lane) * kOneMinusSlack;
-}
-
-inline double RowCodeTL2(const float* above, const float* below,
-                         const float* scale, size_t dim, const uint8_t* tcb,
-                         size_t lane) {
-  return std::sqrt(RowCodeTRawL2(above, below, scale, dim, tcb, lane)) *
-         kOneMinusSlack;
-}
-
-inline double RowCodeTLInf(const float* above, const float* below,
-                           const float* scale, size_t dim, const uint8_t* tcb,
-                           size_t lane) {
-  return RowCodeTRawLInf(above, below, scale, dim, tcb, lane) *
-         kOneMinusSlack;
-}
-
-inline double RowCodeTWL2(const float* above, const float* below,
-                          const float* scale, const float* wf, size_t dim,
-                          const uint8_t* tcb, size_t lane) {
-  return std::sqrt(RowCodeTRawWL2(above, below, scale, wf, dim, tcb, lane)) *
-         kOneMinusSlack;
 }
 
 }  // namespace ht::kernels::detail

@@ -1,10 +1,10 @@
 // Copyright 2026 The HybridTree Authors.
 // Scalar kernel tier: the reference implementation every other tier must
-// match bit-for-bit (float kernels) or stay below (code kernels). These
-// are the loops the metrics' batch overrides contained before dispatch
-// existed; GCC/Clang auto-vectorize the inter-checkpoint blocks but may
-// not reassociate the sequential double accumulation, which is exactly
-// the property the bit-identity contract pins.
+// match bit-for-bit. The distance kernels are the loops the metrics' batch
+// overrides contained before dispatch existed; GCC/Clang auto-vectorize the
+// inter-checkpoint blocks but may not reassociate the sequential double
+// accumulation, which is exactly the property the bit-identity contract
+// pins.
 
 #include "geometry/kernels/row_ref.h"
 #include "geometry/kernels/tables.h"
@@ -39,130 +39,6 @@ void WL2Scalar(const float* q, const double* w, size_t dim, const float* pts,
   const double b2 = AbandonSquare(bound);
   for (size_t i = 0; i < n; ++i) {
     out[i] = detail::RowWL2(q, w, dim, pts + i * stride, b2);
-  }
-}
-
-void CodeL1Scalar(const float* above, const float* below, const float* scale,
-                  size_t stride, const uint8_t* codes, size_t n,
-                  double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = detail::RowCodeL1(above, below, scale, stride, codes + i * stride);
-  }
-}
-
-void CodeL2Scalar(const float* above, const float* below, const float* scale,
-                  size_t stride, const uint8_t* codes, size_t n,
-                  double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = detail::RowCodeL2(above, below, scale, stride, codes + i * stride);
-  }
-}
-
-void CodeLInfScalar(const float* above, const float* below, const float* scale,
-                    size_t stride, const uint8_t* codes, size_t n,
-                    double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] =
-        detail::RowCodeLInf(above, below, scale, stride, codes + i * stride);
-  }
-}
-
-void CodeWL2Scalar(const float* above, const float* below, const float* scale,
-                   const float* wf, size_t stride, const uint8_t* codes,
-                   size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = detail::RowCodeWL2(above, below, scale, wf, stride,
-                                codes + i * stride);
-  }
-}
-
-void TL1Scalar(const float* q, size_t dim, const float* t, size_t nblocks,
-               double bound, double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] = detail::RowTL1(q, dim, tb, lane, bound);
-    }
-  }
-}
-
-void TL2Scalar(const float* q, size_t dim, const float* t, size_t nblocks,
-               double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] = detail::RowTL2(q, dim, tb, lane, b2);
-    }
-  }
-}
-
-void TLInfScalar(const float* q, size_t dim, const float* t, size_t nblocks,
-                 double bound, double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] = detail::RowTLInf(q, dim, tb, lane, bound);
-    }
-  }
-}
-
-void TWL2Scalar(const float* q, const double* w, size_t dim, const float* t,
-                size_t nblocks, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const float* tb = t + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] = detail::RowTWL2(q, w, dim, tb, lane, b2);
-    }
-  }
-}
-
-void CTL1Scalar(const float* above, const float* below, const float* scale,
-                size_t dim, const uint8_t* tcodes, size_t nblocks,
-                double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] =
-          detail::RowCodeTL1(above, below, scale, dim, tcb, lane);
-    }
-  }
-}
-
-void CTL2Scalar(const float* above, const float* below, const float* scale,
-                size_t dim, const uint8_t* tcodes, size_t nblocks,
-                double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] =
-          detail::RowCodeTL2(above, below, scale, dim, tcb, lane);
-    }
-  }
-}
-
-void CTLInfScalar(const float* above, const float* below, const float* scale,
-                  size_t dim, const uint8_t* tcodes, size_t nblocks,
-                  double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] =
-          detail::RowCodeTLInf(above, below, scale, dim, tcb, lane);
-    }
-  }
-}
-
-void CTWL2Scalar(const float* above, const float* below, const float* scale,
-                 const float* wf, size_t dim, const uint8_t* tcodes,
-                 size_t nblocks, double* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      out[b * kTBlock + lane] =
-          detail::RowCodeTWL2(above, below, scale, wf, dim, tcb, lane);
-    }
   }
 }
 
@@ -310,10 +186,7 @@ void BoxOverlapScalar(const float* qlo, const float* qhi, size_t dim,
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
       SimdTier::kScalar, &L1Scalar,      &L2Scalar,       &LInfScalar,
-      &WL2Scalar,        &CodeL1Scalar,  &CodeL2Scalar,   &CodeLInfScalar,
-      &CodeWL2Scalar,    &TL1Scalar,     &TL2Scalar,      &TLInfScalar,
-      &TWL2Scalar,       &CTL1Scalar,    &CTL2Scalar,     &CTLInfScalar,
-      &CTWL2Scalar,      &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
+      &WL2Scalar,        &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
       &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar,
       &MinDistScalar<BoxAcc::kSum>,   &MinDistScalar<BoxAcc::kSumSq>,
       &MinDistScalar<BoxAcc::kMax>,   &BoxOverlapScalar};

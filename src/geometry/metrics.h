@@ -104,54 +104,16 @@ class DistanceMetric {
     BatchDistance(q, pts, stride, n, out);
   }
 
-  /// BatchDistanceWithBound over a sidecar's transposed float mirror
-  /// (kernels.h kTBlock layout): fills out[0 .. nblocks * kTBlock) and
-  /// returns true. The mirror holds the page's exact float values, so the
-  /// results are bit-identical to the strided kernels — the SIMD tiers
-  /// just get contiguous aligned loads instead of per-row gathers.
-  /// Returns false when the metric has no transposed kernel (the caller
-  /// then uses the strided path); the caller also covers the
-  /// count % kTBlock tail rows itself.
-  virtual bool BatchDistanceTransposedWithBound(std::span<const float> q,
-                                                const float* t,
-                                                size_t nblocks, double bound,
-                                                double* out) const {
-    (void)q;
-    (void)t;
-    (void)nblocks;
-    (void)bound;
-    (void)out;
-    return false;
-  }
-
-  /// Sound lower bounds from a page's 8-bit quantized sidecar: fills
-  /// out[i] <= Distance(q, v_i) for every row, where v_i is the original
-  /// float vector page.codes row i was built from, and returns true.
-  /// Returns false when the metric has no code kernel (the caller then
-  /// scans the full floats — always sound). Bounds are NOT bit-stable
-  /// across SIMD dispatch tiers — only refined distances are — so callers
-  /// must only ever compare out[i] against a pruning bound, never emit it.
-  virtual bool CodeLowerBounds(std::span<const float> q,
-                               const quant::PageCodesView& page,
-                               quant::FilterScratch* scratch,
-                               double* out) const {
-    (void)q;
-    (void)page;
-    (void)scratch;
-    (void)out;
-    return false;
-  }
-
-  /// Fused form of CodeLowerBounds for the pruning fast path: writes one
-  /// survivor bit per row into `masks` (bit i of masks[b] covers row
-  /// b * kernels::kTBlock + i; ceil(count / kTBlock) bytes, unused tail
-  /// bits zero) instead of materializing bounds. A set bit means the row's
-  /// code bound does not exceed `bound` (modulo the hair of upward slack in
-  /// quant::FilterThreshold — extra survivors are sound, they just get
-  /// refined exactly); a clear bit proves the row's true distance exceeds
-  /// `bound`. Returns false when the metric has no mask kernel (the
-  /// caller then scans unfiltered). Masks ARE bitwise identical across
-  /// SIMD dispatch tiers (see kernels.h CodeMaskTFn).
+  /// The sidecar filter (geometry/quantize.h): writes one survivor bit per
+  /// row of a page's 8-bit sidecar into `masks` (bit i of masks[b] covers
+  /// row b * kernels::kTBlock + i; page.blocks bytes, the bits at and above
+  /// page.count zero) and returns true. A set bit means the row's sound
+  /// code lower bound does not exceed `bound` (modulo the hair of upward
+  /// slack in quant::FilterThreshold — extra survivors are sound, they
+  /// just get refined exactly); a clear bit proves the row's true distance
+  /// exceeds `bound`. Returns false when the metric has no mask kernel
+  /// (the caller then scans unfiltered). Masks are bitwise identical
+  /// across SIMD dispatch tiers (see kernels.h CodeMaskTFn).
   virtual bool CodeFilterMasks(std::span<const float> q,
                                const quant::PageCodesView& page, double bound,
                                quant::FilterScratch* scratch,
@@ -164,12 +126,11 @@ class DistanceMetric {
     return false;
   }
 
-  /// True when the metric implements the code-space machinery
-  /// (CodeLowerBounds / CodeFilterMasks and the transposed mirror kernel).
-  /// The default matches the base-class fallbacks above: no code-space
-  /// bound exists, so QuantFilter must not even BUILD the 8-bit sidecar —
-  /// it would only cache pages the metric can never filter with. The
-  /// kernel-backed metrics override this to true.
+  /// True when the metric implements CodeFilterMasks. The default matches
+  /// the base-class fallback above: no code-space bound exists, so
+  /// QuantFilter must not even BUILD the 8-bit sidecar — it would only
+  /// cache pages the metric can never filter with. The kernel-backed
+  /// metrics override this to true.
   virtual bool SupportsCodeFilter() const { return false; }
 
   virtual std::string Name() const = 0;
@@ -191,22 +152,7 @@ inline double EuclideanDistance(std::span<const float> a,
 // existing metric_detail:: spellings.
 using kernels::AbandonSquare;
 using kernels::kAbandonBlock;
-}  // namespace metric_detail
 
-namespace metric_detail {
-/// Survivor bits for the count % kTBlock tail rows of a mask filter, from
-/// row-major code bounds: the tail is at most kTBlock - 1 rows, so the
-/// plain lb <= bound rule costs nothing and needs no threshold transform.
-inline uint8_t TailMask(const double* lb, size_t n, double bound) {
-  uint8_t m = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (lb[i] <= bound) m |= static_cast<uint8_t>(1u << i);
-  }
-  return m;
-}
-}  // namespace metric_detail
-
-namespace metric_detail {
 /// Per-dimension gap between q[d] and the interval [lo,hi]; 0 if inside.
 /// Defined next to the batch MINDIST kernels, which replay it per lane.
 using kernels::AxisGap;
@@ -298,57 +244,17 @@ class L1Metric final : public DistanceMetric {
     // against the bound directly (monotone: abandoning is exact).
     kernels::Active().l1(q.data(), q.size(), pts, stride, n, bound, out);
   }
-  bool BatchDistanceTransposedWithBound(std::span<const float> q,
-                                        const float* t, size_t nblocks,
-                                        double bound,
-                                        double* out) const override {
-    kernels::Active().tl1(q.data(), q.size(), t, nblocks, bound, out);
-    return true;
-  }
-  bool CodeLowerBounds(std::span<const float> q,
-                       const quant::PageCodesView& page,
-                       quant::FilterScratch* scratch,
-                       double* out) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    // Full 8-row blocks go through the row-parallel transposed-code
-    // kernel; the tail rows through the row-major one.
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done > 0) {
-      t.ct_l1(scratch->above.data(), scratch->below.data(),
-              scratch->scale.data(), page.dim, page.tcodes, page.full_blocks,
-              out);
-    }
-    if (done < page.count) {
-      t.code_l1(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), page.stride,
-                page.codes + done * page.stride, page.count - done,
-                out + done);
-    }
-    return true;
-  }
   bool CodeFilterMasks(std::span<const float> q,
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
     quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
                          scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    if (page.full_blocks > 0) {
-      t.ctm_l1(scratch->above.data(), scratch->below.data(),
-               scratch->scale.data(), page.dim, page.tcodes, page.full_blocks,
-               quant::FilterThreshold(bound, /*squared=*/false), masks);
-    }
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done < page.count) {
-      double lb[kernels::kTBlock];
-      t.code_l1(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), page.stride,
-                page.codes + done * page.stride, page.count - done, lb);
-      masks[page.full_blocks] =
-          metric_detail::TailMask(lb, page.count - done, bound);
-    }
+    kernels::Active().ctm_l1(
+        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
+        page.dim, page.tcodes, page.blocks,
+        quant::FilterThreshold(bound, /*squared=*/false), masks);
+    quant::ClearPaddingBits(page, masks);
     return true;
   }
   bool SupportsCodeFilter() const override { return true; }
@@ -397,55 +303,17 @@ class L2Metric final : public DistanceMetric {
                               double* out) const override {
     kernels::Active().l2(q.data(), q.size(), pts, stride, n, bound, out);
   }
-  bool BatchDistanceTransposedWithBound(std::span<const float> q,
-                                        const float* t, size_t nblocks,
-                                        double bound,
-                                        double* out) const override {
-    kernels::Active().tl2(q.data(), q.size(), t, nblocks, bound, out);
-    return true;
-  }
-  bool CodeLowerBounds(std::span<const float> q,
-                       const quant::PageCodesView& page,
-                       quant::FilterScratch* scratch,
-                       double* out) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done > 0) {
-      t.ct_l2(scratch->above.data(), scratch->below.data(),
-              scratch->scale.data(), page.dim, page.tcodes, page.full_blocks,
-              out);
-    }
-    if (done < page.count) {
-      t.code_l2(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), page.stride,
-                page.codes + done * page.stride, page.count - done,
-                out + done);
-    }
-    return true;
-  }
   bool CodeFilterMasks(std::span<const float> q,
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
     quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
                          scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    if (page.full_blocks > 0) {
-      t.ctm_l2(scratch->above.data(), scratch->below.data(),
-               scratch->scale.data(), page.dim, page.tcodes, page.full_blocks,
-               quant::FilterThreshold(bound, /*squared=*/true), masks);
-    }
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done < page.count) {
-      double lb[kernels::kTBlock];
-      t.code_l2(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), page.stride,
-                page.codes + done * page.stride, page.count - done, lb);
-      masks[page.full_blocks] =
-          metric_detail::TailMask(lb, page.count - done, bound);
-    }
+    kernels::Active().ctm_l2(
+        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
+        page.dim, page.tcodes, page.blocks,
+        quant::FilterThreshold(bound, /*squared=*/true), masks);
+    quant::ClearPaddingBits(page, masks);
     return true;
   }
   bool SupportsCodeFilter() const override { return true; }
@@ -499,56 +367,17 @@ class LInfMetric final : public DistanceMetric {
     // final (max is monotone), so abandoning is exact.
     kernels::Active().linf(q.data(), q.size(), pts, stride, n, bound, out);
   }
-  bool BatchDistanceTransposedWithBound(std::span<const float> q,
-                                        const float* t, size_t nblocks,
-                                        double bound,
-                                        double* out) const override {
-    kernels::Active().tlinf(q.data(), q.size(), t, nblocks, bound, out);
-    return true;
-  }
-  bool CodeLowerBounds(std::span<const float> q,
-                       const quant::PageCodesView& page,
-                       quant::FilterScratch* scratch,
-                       double* out) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done > 0) {
-      t.ct_linf(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), page.dim, page.tcodes,
-                page.full_blocks, out);
-    }
-    if (done < page.count) {
-      t.code_linf(scratch->above.data(), scratch->below.data(),
-                  scratch->scale.data(), page.stride,
-                  page.codes + done * page.stride, page.count - done,
-                  out + done);
-    }
-    return true;
-  }
   bool CodeFilterMasks(std::span<const float> q,
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
     quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
                          scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    if (page.full_blocks > 0) {
-      t.ctm_linf(scratch->above.data(), scratch->below.data(),
-                 scratch->scale.data(), page.dim, page.tcodes,
-                 page.full_blocks,
-                 quant::FilterThreshold(bound, /*squared=*/false), masks);
-    }
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done < page.count) {
-      double lb[kernels::kTBlock];
-      t.code_linf(scratch->above.data(), scratch->below.data(),
-                  scratch->scale.data(), page.stride,
-                  page.codes + done * page.stride, page.count - done, lb);
-      masks[page.full_blocks] =
-          metric_detail::TailMask(lb, page.count - done, bound);
-    }
+    kernels::Active().ctm_linf(
+        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
+        page.dim, page.tcodes, page.blocks,
+        quant::FilterThreshold(bound, /*squared=*/false), masks);
+    quant::ClearPaddingBits(page, masks);
     return true;
   }
   bool SupportsCodeFilter() const override { return true; }
@@ -609,36 +438,6 @@ class WeightedL2Metric final : public DistanceMetric {
     kernels::Active().wl2(q.data(), w_.data(), q.size(), pts, stride, n,
                           bound, out);
   }
-  bool BatchDistanceTransposedWithBound(std::span<const float> q,
-                                        const float* t, size_t nblocks,
-                                        double bound,
-                                        double* out) const override {
-    kernels::Active().twl2(q.data(), w_.data(), q.size(), t, nblocks, bound,
-                           out);
-    return true;
-  }
-  bool CodeLowerBounds(std::span<const float> q,
-                       const quant::PageCodesView& page,
-                       quant::FilterScratch* scratch,
-                       double* out) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    quant::PrepareWeights(w_.data(), page.dim, scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done > 0) {
-      t.ct_wl2(scratch->above.data(), scratch->below.data(),
-               scratch->scale.data(), scratch->wf.data(), page.dim,
-               page.tcodes, page.full_blocks, out);
-    }
-    if (done < page.count) {
-      t.code_wl2(scratch->above.data(), scratch->below.data(),
-                 scratch->scale.data(), scratch->wf.data(), page.stride,
-                 page.codes + done * page.stride, page.count - done,
-                 out + done);
-    }
-    return true;
-  }
   bool CodeFilterMasks(std::span<const float> q,
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
@@ -646,22 +445,11 @@ class WeightedL2Metric final : public DistanceMetric {
     quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
                          scratch);
     quant::PrepareWeights(w_.data(), page.dim, scratch);
-    const kernels::KernelTable& t = kernels::Active();
-    if (page.full_blocks > 0) {
-      t.ctm_wl2(scratch->above.data(), scratch->below.data(),
-                scratch->scale.data(), scratch->wf.data(), page.dim,
-                page.tcodes, page.full_blocks,
-                quant::FilterThreshold(bound, /*squared=*/true), masks);
-    }
-    const size_t done = page.full_blocks * kernels::kTBlock;
-    if (done < page.count) {
-      double lb[kernels::kTBlock];
-      t.code_wl2(scratch->above.data(), scratch->below.data(),
-                 scratch->scale.data(), scratch->wf.data(), page.stride,
-                 page.codes + done * page.stride, page.count - done, lb);
-      masks[page.full_blocks] =
-          metric_detail::TailMask(lb, page.count - done, bound);
-    }
+    kernels::Active().ctm_wl2(
+        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
+        scratch->wf.data(), page.dim, page.tcodes, page.blocks,
+        quant::FilterThreshold(bound, /*squared=*/true), masks);
+    quant::ClearPaddingBits(page, masks);
     return true;
   }
   bool SupportsCodeFilter() const override { return true; }

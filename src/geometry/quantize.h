@@ -79,11 +79,15 @@ inline uint32_t QuantizeHi(float v, float lo, float hi, uint32_t bits) {
 //    accumulation, and the final sqrt.
 // Degenerate dimensions (hi_d <= lo_d, all stored values equal lo_d) need
 // no special case: codes are 0 and w_d = 0, so the formula above reduces
-// to gap_d = max(0, |t_d| - kQueryPad |t_d|) <= |q_d - v_d|.
+// to gap_d = max(0, |t_d| - kQueryPad |t_d|) <= |q_d - v_d|. A page with a
+// NaN or infinite coordinate gets no sidecar (storage/quant_store.h): its
+// grid would not be finite and the gaps would be NaN.
 //
-// The bounds are deliberately NOT bit-stable across SIMD tiers (horizontal
-// reductions reassociate); only soundness is guaranteed. Refined results —
-// the only values callers may emit — are bit-identical at every tier.
+// The filter only ever asks "may this row be within the bound?", and the
+// fused mask kernels answer it (kernels.h ctm_*): every lane replays one
+// accumulation order at every SIMD tier, so the survivor masks — the only
+// output of the filter — are bitwise identical across tiers, and so are
+// the refined distances callers emit.
 
 /// Sidecar code precision: one byte per dimension.
 inline constexpr uint32_t kSidecarBits = 8;
@@ -98,38 +102,24 @@ inline constexpr double kQueryPad = 0x1p-20;
 /// Multiplicative slack on the final lower bound: lb *= (1 - kLbSlack).
 inline constexpr double kLbSlack = 1e-5;
 
-/// Sidecar rows (and the prep arrays below) are padded to a multiple of
-/// kDimPad dimensions so every SIMD tier consumes whole vectors with no
-/// tail loop. Padding lanes are constructed to contribute exactly zero:
-/// codes 0, scale 0, above 0, below -1 give gap = max(0, 0, -1) = 0.
-inline constexpr size_t kDimPad = 16;
-
-constexpr size_t PaddedDim(size_t dim) {
-  return (dim + kDimPad - 1) / kDimPad * kDimPad;
-}
-
-/// Non-owning view of one page's sidecar, as consumed by the code-filter
-/// kernels (kernels::KernelTable code_* entries via
-/// DistanceMetric::CodeLowerBounds).
+/// Non-owning view of one page's sidecar: the grid, and the codes of
+/// `count` rows block-transposed (kernels.h kTBlock layout:
+/// tcodes[(b * dim + d) * kTBlock + lane], 64-byte aligned) over
+/// `blocks` = ceil(count / kTBlock) whole blocks whose lanes past `count`
+/// repeat the last row.
 struct PageCodesView {
-  const uint8_t* codes;  ///< count rows of stride bytes; 64-byte aligned
-  size_t stride;         ///< bytes between rows; == PaddedDim(dim)
   size_t count;          ///< number of points
   uint32_t dim;          ///< feature-space dimensionality
   const float* grid_lo;  ///< page live BR, dim floats
   const float* grid_hi;  ///< page live BR, dim floats
-  /// Transposed code mirror: kernels::kTBlock rows per block,
-  /// dimension-major (tcodes[b*dim*8 + d*8 + lane]), unpadded, covering
-  /// full_blocks * kTBlock rows. The row-parallel ct_* kernels consume it;
-  /// the count % kTBlock tail rows go through the row-major codes above.
   const uint8_t* tcodes;
-  size_t full_blocks;
+  size_t blocks;
 };
 
 /// Reusable per-query buffers for the code filter (lives in SearchScratch,
 /// so steady-state filtered scans allocate nothing).
 struct FilterScratch {
-  std::vector<float> above;  ///< t_d + pads (PaddedDim floats)
+  std::vector<float> above;  ///< t_d + pads (dim floats)
   std::vector<float> below;  ///< t_d - w_d - pads
   std::vector<float> scale;  ///< w_d (codes multiply by this)
   std::vector<float> wf;     ///< per-dimension metric weights (WeightedL2)
@@ -143,11 +133,10 @@ struct FilterScratch {
 inline void PrepareFilter(const float* q, const float* grid_lo,
                           const float* grid_hi, uint32_t dim,
                           FilterScratch* s) {
-  const size_t padded = PaddedDim(dim);
-  if (s->above.size() < padded) {
-    s->above.resize(padded);
-    s->below.resize(padded);
-    s->scale.resize(padded);
+  if (s->above.size() < dim) {
+    s->above.resize(dim);
+    s->below.resize(dim);
+    s->scale.resize(dim);
   }
   for (size_t d = 0; d < dim; ++d) {
     const double lo = grid_lo[d];
@@ -158,25 +147,20 @@ inline void PrepareFilter(const float* q, const float* grid_lo,
     s->below[d] = static_cast<float>(t - w - pad);
     s->scale[d] = static_cast<float>(w);
   }
-  for (size_t d = dim; d < padded; ++d) {
-    s->above[d] = 0.0f;
-    s->below[d] = -1.0f;
-    s->scale[d] = 0.0f;
-  }
 }
 
 /// Survivor threshold for the fused mask kernels (kernels.h ctm_*), which
 /// compare each row's RAW accumulator — the value before the final
 /// (1 - kLbSlack) multiply, and before the sqrt for the squared metrics —
 /// against a single precomputed double. Chosen so that the mask rule keeps
-/// every row the `lb <= bound` rule keeps: the raw accumulator is computed
-/// by the exact same sequence as the bound kernels', so undoing the slack
-/// (and squaring, for L2-like metrics) with a couple of extra rounding
-/// steps only needs a hair of upward inflation (1 + 2^-40, orders of
-/// magnitude above the few-ulp error of this transform) to stay a sound
-/// superset. Over-inclusion merely costs an exact refinement;
-/// under-inclusion would drop a true result. Overflow to +infinity on
-/// huge bounds keeps every row — also sound.
+/// every row the `lb <= bound` rule keeps, where lb is the sound lower
+/// bound raw * (1 - kLbSlack) (sqrt(raw) * (1 - kLbSlack) for the squared
+/// metrics): undoing the slack (and squaring, for L2-like metrics) with a
+/// couple of extra rounding steps only needs a hair of upward inflation
+/// (1 + 2^-40, orders of magnitude above the few-ulp error of this
+/// transform) to stay a sound superset. Over-inclusion merely costs an
+/// exact refinement; under-inclusion would drop a true result. Overflow to
+/// +infinity on huge bounds keeps every row — also sound.
 inline double FilterThreshold(double bound, bool squared) {
   constexpr double kUp = 1.0 + 0x1p-40;
   double t = bound / (1.0 - kLbSlack) * kUp;
@@ -184,23 +168,19 @@ inline double FilterThreshold(double bound, bool squared) {
   return t;
 }
 
-/// Converts metric weights for the weighted code kernels (zero-padded).
+/// Converts metric weights for the weighted mask kernel.
 inline void PrepareWeights(const double* w, uint32_t dim, FilterScratch* s) {
-  const size_t padded = PaddedDim(dim);
-  if (s->wf.size() < padded) s->wf.resize(padded);
+  if (s->wf.size() < dim) s->wf.resize(dim);
   for (size_t d = 0; d < dim; ++d) s->wf[d] = static_cast<float>(w[d]);
-  for (size_t d = dim; d < padded; ++d) s->wf[d] = 0.0f;
 }
 
-/// Encodes one vector against the page grid: one byte per dimension, the
-/// containing cell (QuantizeLo). The filter pads the cell interval on both
-/// sides, so floor is the right rounding for both boundaries here.
-inline void EncodeSidecarRow(const float* v, const float* grid_lo,
-                             const float* grid_hi, uint32_t dim,
-                             uint8_t* out) {
-  for (uint32_t d = 0; d < dim; ++d) {
-    out[d] = static_cast<uint8_t>(
-        QuantizeLo(v[d], grid_lo[d], grid_hi[d], kSidecarBits));
+/// Clears the survivor bits of the padding lanes (rows count and up of the
+/// last block), which a mask kernel sets or clears as a copy of the last
+/// row's bit. Every CodeFilterMasks calls it after its kernel.
+inline void ClearPaddingBits(const PageCodesView& page, uint8_t* masks) {
+  const size_t tail = page.count % kernels::kTBlock;
+  if (tail != 0) {
+    masks[page.blocks - 1] &= static_cast<uint8_t>((1u << tail) - 1);
   }
 }
 
@@ -246,8 +226,8 @@ inline bool BoxCodeRange(const float* lo, const float* hi,
 
 /// True when some row of `page` may lie in the closed box [lo, hi]; false
 /// only when no row can (every row's codes leave the BoxCodeRange). A plain
-/// loop: full blocks over the transposed codes, the tail rows over the
-/// row-major ones.
+/// loop over the blocks; a padding lane repeats the last row, so a live
+/// lane is always some real row.
 inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
                              const float* hi, FilterScratch* s) {
   if (s->code_lo.size() < page.dim) {
@@ -260,7 +240,7 @@ inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
     return false;
   }
   constexpr size_t kLanes = kernels::kTBlock;
-  for (size_t b = 0; b < page.full_blocks; ++b) {
+  for (size_t b = 0; b < page.blocks; ++b) {
     const uint8_t* block = page.tcodes + b * page.dim * kLanes;
     unsigned live = (1u << kLanes) - 1;
     for (uint32_t d = 0; d < page.dim && live != 0; ++d) {
@@ -270,12 +250,6 @@ inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
       }
     }
     if (live != 0) return true;
-  }
-  for (size_t i = page.full_blocks * kLanes; i < page.count; ++i) {
-    const uint8_t* row = page.codes + i * page.stride;
-    uint32_t d = 0;
-    while (d < page.dim && row[d] >= clo[d] && row[d] <= chi[d]) ++d;
-    if (d == page.dim) return true;
   }
   return false;
 }

@@ -2,90 +2,85 @@
 
 #include "storage/quant_store.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/macros.h"
 
 namespace ht {
 
-QuantizedPage::QuantizedPage(const float* block, size_t stride_floats,
-                             size_t count, uint32_t dim)
-    : dim_(dim),
-      count_(count),
-      stride_(quant::PaddedDim(dim)),
-      grid_lo_(dim),
-      grid_hi_(dim) {
-  HT_CHECK(count > 0 && dim > 0);
+std::unique_ptr<const QuantizedPage> QuantizedPage::Build(
+    const float* block, size_t stride_floats, size_t count, uint32_t dim) {
+  if (count == 0) return nullptr;
+  HT_CHECK(dim > 0);
   // Grid = the page's live bounding region: min/max per dimension over the
-  // resident points. Tightest possible uniform grid for this page.
-  for (uint32_t d = 0; d < dim; ++d) {
-    grid_lo_[d] = block[d];
-    grid_hi_[d] = block[d];
-  }
-  for (size_t i = 1; i < count; ++i) {
+  // resident points. Tightest possible uniform grid for this page. A NaN or
+  // infinite coordinate leaves no finite grid (every gap on its dimension
+  // would be NaN, clearing every row's survivor bit), so such a page gets
+  // no sidecar and always takes the exact path.
+  std::vector<float> grid_lo(block, block + dim);
+  std::vector<float> grid_hi(block, block + dim);
+  for (size_t i = 0; i < count; ++i) {
     const float* row = block + i * stride_floats;
     for (uint32_t d = 0; d < dim; ++d) {
-      if (row[d] < grid_lo_[d]) grid_lo_[d] = row[d];
-      if (row[d] > grid_hi_[d]) grid_hi_[d] = row[d];
+      if (!std::isfinite(row[d])) return nullptr;
+      if (row[d] < grid_lo[d]) grid_lo[d] = row[d];
+      if (row[d] > grid_hi[d]) grid_hi[d] = row[d];
     }
   }
-  const size_t bytes = count * stride_;
-  codes_.reset(static_cast<uint8_t*>(
-      ::operator new(bytes, std::align_val_t{Page::kAlignment})));
-  std::memset(codes_.get(), 0, bytes);
-  for (size_t i = 0; i < count; ++i) {
-    quant::EncodeSidecarRow(block + i * stride_floats, grid_lo_.data(),
-                            grid_hi_.data(), dim, codes_.get() + i * stride_);
-  }
-  // Transposed mirrors: kTBlock rows per block, dimension-major, so
-  // element d of a block's rows is one contiguous group — 32-byte-aligned
-  // floats for the batch kernels, 8 bytes of codes for the ct_* kernels.
-  full_blocks_ = count / kernels::kTBlock;
-  if (full_blocks_ > 0) {
-    const size_t tf_floats = full_blocks_ * dim * kernels::kTBlock;
-    tf_.reset(static_cast<float*>(::operator new(
-        tf_floats * sizeof(float), std::align_val_t{Page::kAlignment})));
-    tc_.reset(static_cast<uint8_t*>(::operator new(
-        tf_floats, std::align_val_t{Page::kAlignment})));
-    for (size_t b = 0; b < full_blocks_; ++b) {
-      float* tb = tf_.get() + b * dim * kernels::kTBlock;
-      uint8_t* tcb = tc_.get() + b * dim * kernels::kTBlock;
-      for (size_t lane = 0; lane < kernels::kTBlock; ++lane) {
-        const size_t i = b * kernels::kTBlock + lane;
-        const float* row = block + i * stride_floats;
-        const uint8_t* crow = codes_.get() + i * stride_;
-        for (uint32_t d = 0; d < dim; ++d) {
-          tb[d * kernels::kTBlock + lane] = row[d];
-          tcb[d * kernels::kTBlock + lane] = crow[d];
-        }
+  std::unique_ptr<QuantizedPage> qp(
+      new QuantizedPage(count, dim, std::move(grid_lo), std::move(grid_hi)));
+  // One byte per dimension: the containing cell (QuantizeLo). The filter
+  // pads the cell interval on both sides, so floor is the right rounding
+  // for both boundaries here. Lanes past `count` repeat the last row.
+  constexpr size_t kLanes = kernels::kTBlock;
+  for (size_t b = 0; b < qp->blocks_; ++b) {
+    uint8_t* tcb = qp->tcodes_.get() + b * dim * kLanes;
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const float* row =
+          block + std::min(b * kLanes + lane, count - 1) * stride_floats;
+      for (uint32_t d = 0; d < dim; ++d) {
+        tcb[d * kLanes + lane] = static_cast<uint8_t>(
+            quant::QuantizeLo(row[d], qp->grid_lo_[d], qp->grid_hi_[d],
+                              quant::kSidecarBits));
       }
     }
   }
+  return qp;
 }
+
+QuantizedPage::QuantizedPage(size_t count, uint32_t dim,
+                             std::vector<float> grid_lo,
+                             std::vector<float> grid_hi)
+    : count_(count),
+      dim_(dim),
+      blocks_((count + kernels::kTBlock - 1) / kernels::kTBlock),
+      grid_lo_(std::move(grid_lo)),
+      grid_hi_(std::move(grid_hi)),
+      tcodes_(static_cast<uint8_t*>(
+          ::operator new(blocks_ * dim * kernels::kTBlock,
+                         std::align_val_t{Page::kAlignment}))) {}
 
 bool QuantizedPage::Matches(const float* block, size_t stride_floats,
                             size_t count, uint32_t dim) const {
   if (count != count_ || dim != dim_) return false;
-  QuantizedPage fresh(block, stride_floats, count, dim);
-  const size_t tf_bytes =
-      full_blocks_ * dim * kernels::kTBlock * sizeof(float);
-  // tc_ needs no separate check: it is a deterministic re-layout of the
-  // codes bytes compared below.
-  return fresh.grid_lo_ == grid_lo_ && fresh.grid_hi_ == grid_hi_ &&
-         std::memcmp(fresh.codes_.get(), codes_.get(), count * stride_) == 0 &&
-         (tf_bytes == 0 ||
-          std::memcmp(fresh.tf_.get(), tf_.get(), tf_bytes) == 0);
+  const auto fresh = Build(block, stride_floats, count, dim);
+  return fresh != nullptr && fresh->grid_lo_ == grid_lo_ &&
+         fresh->grid_hi_ == grid_hi_ &&
+         std::memcmp(fresh->tcodes_.get(), tcodes_.get(),
+                     blocks_ * dim * kernels::kTBlock) == 0;
 }
 
 const QuantizedPage* QuantStore::GetOrBuild(PageId id, const float* block,
                                             size_t stride_floats, size_t count,
                                             uint32_t dim) const {
-  if (count == 0) return nullptr;
   if (const QuantizedPage* qp = cache_.Get(id)) return qp;
   // Build with no lock held: encoding is the expensive part, and the input
   // block belongs to a pinned page, so it cannot move underneath us.
-  return cache_.Publish(id, std::make_unique<const QuantizedPage>(
-                                block, stride_floats, count, dim));
+  auto fresh = QuantizedPage::Build(block, stride_floats, count, dim);
+  if (fresh == nullptr) return nullptr;
+  return cache_.Publish(id, std::move(fresh));
 }
 
 std::vector<PageId> QuantStore::Snapshot() const {

@@ -2,10 +2,12 @@
 // Per-data-page 8-bit quantized sidecars for the filter-then-refine scan
 // path. Each sidecar stores, for every point on a data page, one uint8 code
 // per dimension relative to the page's live bounding region (min/max over
-// the page's points per dimension). A scan first computes a sound lower
-// bound on each point's distance from the codes (geometry/quantize.h,
-// kernels code_* entries) and refines only the survivors with exact
-// distances — results stay byte-identical to the unfiltered path.
+// the page's points per dimension), laid out block-transposed for the
+// fused mask kernels (kernels.h ctm_*). A scan first asks those kernels
+// which points may be within its bound (geometry/quantize.h) and refines
+// only the survivors with exact distances — results stay byte-identical to
+// the unfiltered path. A page holding a NaN or infinite coordinate gets no
+// sidecar and is always scanned exactly.
 //
 // Sidecars are derived data, rebuilt from page contents on demand: they are
 // built lazily on the first scan of a page (not at write time, so
@@ -21,15 +23,6 @@
 // A returned pointer stays valid until the page's sidecar is invalidated
 // or cleared, which the tree does only under its exclusive role — after
 // every reader is done.
-//
-// Each sidecar also carries two transposed mirrors (kernels::kTBlock rows
-// per block, dimension-major within a block): the page's float block, so
-// the SIMD batch kernels replace their per-dimension row gather with one
-// contiguous aligned load (kernels.h, tl1/tl2/tlinf/twl2 entries), and the
-// codes, so the code-bound pass runs row-parallel with no per-row
-// horizontal reduction (ct_* entries). The float mirror holds the exact
-// same values as the page, so distances computed through it are
-// bit-identical to the strided path.
 
 #pragma once
 
@@ -44,38 +37,32 @@
 
 namespace ht {
 
-/// Immutable quantized image of one data page's point block. Rows are
-/// padded to quant::PaddedDim(dim) bytes (zero-filled padding) in a
-/// 64-byte-aligned buffer so the code kernels can consume full strides
-/// with no tail handling.
+/// Immutable quantized image of one data page's point block: the grid and
+/// the codes in the quant::PageCodesView layout, in a 64-byte-aligned
+/// buffer of blocks * dim * kernels::kTBlock bytes.
 class QuantizedPage {
  public:
-  /// Builds codes for `count` points laid out at `block` with
+  /// Builds the sidecar of `count` points laid out at `block` with
   /// `stride_floats` floats between consecutive points (DataPageScan
-  /// layout: dim coordinates first, trailing slack ignored).
-  QuantizedPage(const float* block, size_t stride_floats, size_t count,
-                uint32_t dim);
+  /// layout: dim coordinates first, trailing slack ignored). Returns
+  /// nullptr when count == 0 or some coordinate is NaN or infinite.
+  static std::unique_ptr<const QuantizedPage> Build(const float* block,
+                                                    size_t stride_floats,
+                                                    size_t count,
+                                                    uint32_t dim);
 
   QuantizedPage(const QuantizedPage&) = delete;
   QuantizedPage& operator=(const QuantizedPage&) = delete;
 
   quant::PageCodesView view() const {
-    return quant::PageCodesView{codes_.get(),    stride_,
-                                count_,          dim_,
+    return quant::PageCodesView{count_,          dim_,
                                 grid_lo_.data(), grid_hi_.data(),
-                                tc_.get(),       full_blocks_};
+                                tcodes_.get(),   blocks_};
   }
-  size_t count() const { return count_; }
-  uint32_t dim() const { return dim_; }
-
-  /// Transposed float mirror covering full_blocks() * kernels::kTBlock
-  /// rows (the count % kTBlock tail rows stay on the page's own block).
-  const float* tfloats() const { return tf_.get(); }
-  size_t full_blocks() const { return full_blocks_; }
 
   /// True when this sidecar is exactly what (re)building from the given
-  /// block would produce — grid, codes, zeroed padding bytes, and the
-  /// transposed mirror. Used by the validator to detect stale sidecars.
+  /// block would produce — grid and every code byte, padding lanes
+  /// included. Used by the validator to detect stale sidecars.
   bool Matches(const float* block, size_t stride_floats, size_t count,
                uint32_t dim) const;
 
@@ -86,15 +73,15 @@ class QuantizedPage {
     }
   };
 
-  uint32_t dim_;
+  QuantizedPage(size_t count, uint32_t dim, std::vector<float> grid_lo,
+                std::vector<float> grid_hi);
+
   size_t count_;
-  size_t stride_;       // bytes per code row, == quant::PaddedDim(dim_)
-  size_t full_blocks_;  // count_ / kernels::kTBlock
+  uint32_t dim_;
+  size_t blocks_;  // ceil(count_ / kernels::kTBlock)
   std::vector<float> grid_lo_;
   std::vector<float> grid_hi_;
-  std::unique_ptr<uint8_t, AlignedFree> codes_;
-  std::unique_ptr<float, AlignedFree> tf_;
-  std::unique_ptr<uint8_t, AlignedFree> tc_;  // transposed codes (unpadded)
+  std::unique_ptr<uint8_t, AlignedFree> tcodes_;
 };
 
 /// Cache of sidecars keyed by data-page id (lifetime and concurrency in
@@ -102,8 +89,9 @@ class QuantizedPage {
 class QuantStore {
  public:
   /// Returns the sidecar for `id`, building it and publishing it on first
-  /// use. Returns nullptr when count == 0. Safe for concurrent readers: a
-  /// racing double build keeps the first published copy.
+  /// use. Returns nullptr when QuantizedPage::Build does (no rows, or a
+  /// non-finite coordinate). Safe for concurrent readers: a racing double
+  /// build keeps the first published copy.
   const QuantizedPage* GetOrBuild(PageId id, const float* block,
                                   size_t stride_floats, size_t count,
                                   uint32_t dim) const;

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
+#include "geometry/kernels/kernels.h"
+#include "storage/quant_store.h"
 
 namespace ht {
 namespace {
@@ -324,6 +329,129 @@ TEST(CorruptionTest, ValidatorDetectsDuplicatedChildPage) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_NE(s.message().find("more than once"), std::string::npos)
       << s.ToString();
+}
+
+// --- non-finite coordinates -------------------------------------------------
+//
+// A NaN or infinite coordinate on a data page must not let the page's 8-bit
+// sidecar drop its finite rows: a non-finite grid makes every row's code
+// bound NaN, which clears every survivor bit. Such a page gets no sidecar
+// and is always scanned exactly.
+
+TEST(CorruptionTest, SidecarIsNotBuiltForANonFiniteBlock) {
+  const uint32_t dim = 4;
+  const size_t count = 12;
+  const size_t stride = dim + 2;
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (const size_t row : {size_t{0}, size_t{7}, count - 1}) {
+    for (const float poison : {kNaN, kInf, -kInf}) {
+      std::vector<float> block(count * stride, 0.0f);
+      for (size_t i = 0; i < count; ++i) {
+        for (uint32_t d = 0; d < dim; ++d) {
+          block[i * stride + d] = 0.05f * static_cast<float>(i + d);
+        }
+      }
+      QuantStore store;
+      ASSERT_NE(store.GetOrBuild(1, block.data(), stride, count, dim),
+                nullptr);
+      block[row * stride + dim - 1] = poison;
+      EXPECT_EQ(QuantizedPage::Build(block.data(), stride, count, dim),
+                nullptr)
+          << "row " << row << " holds " << poison;
+      EXPECT_EQ(store.GetOrBuild(2, block.data(), stride, count, dim),
+                nullptr)
+          << "row " << row << " holds " << poison;
+      EXPECT_EQ(store.CachedPages(), 1u);
+    }
+  }
+}
+
+std::vector<kernels::SimdTier> SupportedTiers() {
+  std::vector<kernels::SimdTier> tiers;
+  for (const kernels::SimdTier t :
+       {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2,
+        kernels::SimdTier::kAvx512}) {
+    if (kernels::TierSupported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+TEST(CorruptionTest, NonFiniteRowKeepsFiniteRowsOfItsPageFindable) {
+  // In-page ELS: the reopen below reads the codes back instead of
+  // rebuilding them, so no validator pass (HT_DEBUG_VALIDATE) runs over
+  // the poisoned pages.
+  SeededFixture f;
+  const uint32_t dim = 4;
+  // Poison row 0 of one data page with NaN and of another with +inf; the
+  // searches below are centred on row 1 of each page.
+  struct Target {
+    uint64_t id;
+    std::vector<float> vec;
+  };
+  std::vector<Target> targets;
+  const float poisons[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity()};
+  Page p(SeededFixture::kPage);
+  for (PageId id = 1; id < f.file.page_count() && targets.size() < 2; ++id) {
+    if (!f.file.Read(id, &p).ok()) continue;
+    DataPageScan scan(p.data(), p.size(), dim);
+    if (!scan.ok() || scan.count() < 2) continue;
+    const auto row1 = scan.vec(1);
+    targets.push_back({scan.id(1), {row1.begin(), row1.end()}});
+    // Row 0's first coordinate follows the entry's 8-byte id.
+    std::memcpy(p.data() + DataNode::kHeaderBytes + sizeof(uint64_t),
+                &poisons[targets.size() - 1], sizeof(float));
+    HT_CHECK_OK(f.file.Write(id, p));
+  }
+  ASSERT_EQ(targets.size(), 2u);
+  // A pool far smaller than the tree, so box search also meets pages that
+  // are not resident (the ones it would rule out from a sidecar).
+  auto tree = HybridTree::Open(&f.file, /*buffer_pool_pages=*/8).ValueOrDie();
+  // Both poisoned rows are live rows of the reopened tree.
+  size_t nan_rows = 0, inf_rows = 0;
+  const auto count_poisoned = [&](uint64_t, std::span<const float> v) {
+    if (std::isnan(v[0])) ++nan_rows;
+    if (std::isinf(v[0])) ++inf_rows;
+  };
+  ASSERT_TRUE(tree->ScanAll(count_poisoned).ok());
+  EXPECT_EQ(nan_rows, 1u);
+  EXPECT_EQ(inf_rows, 1u);
+
+  L2Metric l2;
+  std::vector<std::vector<uint64_t>> first;
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    kernels::ForceTier(tier);
+    std::vector<std::vector<uint64_t>> answers;
+    for (int pass = 0; pass < 2; ++pass) {  // the second finds sidecars
+      for (const Target& t : targets) {
+        const std::string where = std::string("tier ") +
+                                  kernels::TierName(tier) + ", row " +
+                                  std::to_string(t.id);
+        auto range = tree->SearchRange(t.vec, 0.05, l2).ValueOrDie();
+        std::sort(range.begin(), range.end());
+        EXPECT_TRUE(std::binary_search(range.begin(), range.end(), t.id))
+            << "range, " << where;
+        std::vector<float> lo = t.vec, hi = t.vec;
+        for (uint32_t d = 0; d < dim; ++d) {
+          lo[d] -= 0.05f;
+          hi[d] += 0.05f;
+        }
+        auto box = tree->SearchBox(Box::FromBounds(lo, hi)).ValueOrDie();
+        std::sort(box.begin(), box.end());
+        EXPECT_TRUE(std::binary_search(box.begin(), box.end(), t.id))
+            << "box, " << where;
+        answers.push_back(std::move(range));
+        answers.push_back(std::move(box));
+      }
+    }
+    if (first.empty()) {
+      first = std::move(answers);
+    } else {
+      EXPECT_EQ(answers, first) << "tier " << kernels::TierName(tier);
+    }
+  }
+  kernels::ClearForcedTier();
 }
 
 TEST(CorruptionTest, TruncatedDatasetFileRejected) {

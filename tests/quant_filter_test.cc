@@ -1,9 +1,11 @@
 // Property tests for the per-page 8-bit quantized filter-then-refine path:
 //
-//  * Soundness: for every metric with a code kernel and every supported
-//    SIMD tier, the code lower bound never exceeds the true distance —
-//    including adversarial cases (query equal to a stored point, degenerate
-//    and near-degenerate dimensions, duplicated points, coordinates far
+//  * Soundness: for every metric with a mask kernel, the code lower bound
+//    never exceeds the true distance, and at every supported SIMD tier
+//    each row survives the mask filter at a bound equal to its own
+//    distance, with every mask byte equal to the scalar tier's — including
+//    adversarial cases (query equal to a stored point, degenerate and
+//    near-degenerate dimensions, duplicated points, coordinates far
 //    outside the unit cube).
 //  * End-to-end identity: range / k-NN / box results with sidecars on
 //    match the brute-force reference answers — k-NN bitwise, including
@@ -17,7 +19,8 @@
 //  * Filter before fetch: box answers on a small-pool tree, and answers
 //    between random mutations, match brute force (a stale sidecar would
 //    answer wrongly before the page is ever pinned).
-//  * Accounting: scan_points / quant_refined / quant_pruned in IoStats.
+//  * Accounting: scan_points / quant_refined / quant_pruned in IoStats, and
+//    the same per-query counters at every SIMD tier.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,7 @@
 #include "data/generators.h"
 #include "data/workload.h"
 #include "geometry/kernels/kernels.h"
+#include "geometry/kernels/row_ref.h"
 #include "geometry/metrics.h"
 #include "geometry/quantize.h"
 #include "storage/quant_store.h"
@@ -51,10 +55,7 @@ namespace {
 // a change here must be a deliberate format revision, not an accident.
 static_assert(DataNode::kHeaderBytes == 4);
 static_assert(Page::kAlignment == 64);
-static_assert(quant::kDimPad == 16);
-static_assert(quant::PaddedDim(1) == 16);
-static_assert(quant::PaddedDim(16) == 16);
-static_assert(quant::PaddedDim(17) == 32);
+static_assert(kernels::kTBlock == 8);
 
 TEST(QuantLayout, PageBlockLayoutIsPinned) {
   for (uint32_t dim : {4u, 16u, 33u}) {
@@ -80,13 +81,32 @@ TEST(QuantLayout, PageFramesAndSidecarRowsAreAligned) {
   Page q = p;  // copies keep the alignment
   EXPECT_EQ(reinterpret_cast<uintptr_t>(q.data()) % Page::kAlignment, 0u);
 
+  // Whole blocks of transposed codes; the lanes past `count` repeat the
+  // last row's codes.
   const uint32_t dim = 7;
-  std::vector<float> block(3 * (dim + 2), 0.5f);
-  QuantizedPage qp(block.data(), dim + 2, 3, dim);
-  const quant::PageCodesView v = qp.view();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(v.codes) % Page::kAlignment, 0u);
-  EXPECT_EQ(v.stride, quant::PaddedDim(dim));
-  EXPECT_EQ(v.stride % quant::kDimPad, 0u);
+  constexpr size_t kLanes = kernels::kTBlock;
+  for (const size_t count : {1u, 3u, 8u, 13u, 16u, 21u}) {
+    const size_t stride = dim + 2;
+    std::vector<float> block(count * stride);
+    for (size_t i = 0; i < block.size(); ++i) {
+      block[i] = static_cast<float>((i * 37) % 101) / 100.0f;
+    }
+    const auto qp = QuantizedPage::Build(block.data(), stride, count, dim);
+    ASSERT_NE(qp, nullptr);
+    const quant::PageCodesView v = qp->view();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(v.tcodes) % Page::kAlignment, 0u);
+    EXPECT_EQ(v.count, count);
+    EXPECT_EQ(v.blocks, (count + kLanes - 1) / kLanes);
+    const auto code = [&](size_t row, uint32_t d) {
+      return v.tcodes[((row / kLanes) * dim + d) * kLanes + row % kLanes];
+    };
+    for (size_t lane = count; lane < v.blocks * kLanes; ++lane) {
+      for (uint32_t d = 0; d < dim; ++d) {
+        EXPECT_EQ(code(lane, d), code(count - 1, d))
+            << "count " << count << " lane " << lane << " dim " << d;
+      }
+    }
+  }
 }
 
 // --- helpers ---------------------------------------------------------------
@@ -142,25 +162,102 @@ TestBlock MakeBlock(uint32_t dim, size_t count) {
   return b;
 }
 
-/// Checks lb <= true distance for every row, every metric, every tier.
+/// Sound code lower bounds of every row of `qp` under metric `which`
+/// (MakeMetric numbering): the raw accumulator of the scalar mask
+/// reference (row_ref.h RowCodeTRaw*), times (1 - kLbSlack), after a sqrt
+/// for the L2 family — the `lb <= bound` rule the mask filter implements.
+std::vector<double> CodeLowerBounds(const QuantizedPage& qp,
+                                    const DistanceMetric& metric, int which,
+                                    std::span<const float> q) {
+  const quant::PageCodesView v = qp.view();
+  quant::FilterScratch s;
+  quant::PrepareFilter(q.data(), v.grid_lo, v.grid_hi, v.dim, &s);
+  if (which == 3) {
+    const auto& w = static_cast<const WeightedL2Metric&>(metric).weights();
+    quant::PrepareWeights(w.data(), v.dim, &s);
+  }
+  const float* a = s.above.data();
+  const float* b = s.below.data();
+  const float* sc = s.scale.data();
+  constexpr size_t kLanes = kernels::kTBlock;
+  std::vector<double> lb(v.count);
+  for (size_t i = 0; i < v.count; ++i) {
+    const uint8_t* tcb = v.tcodes + (i / kLanes) * v.dim * kLanes;
+    const size_t lane = i % kLanes;
+    double raw = 0.0;
+    switch (which) {
+      case 0:
+        raw = kernels::detail::RowCodeTRawL1(a, b, sc, v.dim, tcb, lane);
+        break;
+      case 1:
+        raw = kernels::detail::RowCodeTRawL2(a, b, sc, v.dim, tcb, lane);
+        break;
+      case 2:
+        raw = kernels::detail::RowCodeTRawLInf(a, b, sc, v.dim, tcb, lane);
+        break;
+      default:
+        raw = kernels::detail::RowCodeTRawWL2(a, b, sc, s.wf.data(), v.dim,
+                                              tcb, lane);
+        break;
+    }
+    const bool squared = which == 1 || which == 3;
+    lb[i] = (squared ? std::sqrt(raw) : raw) * (1.0 - quant::kLbSlack);
+  }
+  return lb;
+}
+
+bool MaskBit(const std::vector<uint8_t>& masks, size_t row) {
+  return ((masks[row / kernels::kTBlock] >> (row % kernels::kTBlock)) & 1) !=
+         0;
+}
+
+/// True when every survivor bit at and above `count` is clear.
+bool PaddingBitsClear(const std::vector<uint8_t>& masks, size_t count) {
+  for (size_t i = count; i < masks.size() * kernels::kTBlock; ++i) {
+    if (MaskBit(masks, i)) return false;
+  }
+  return true;
+}
+
+/// For every row and metric: the code lower bound never exceeds the true
+/// distance, and at every supported tier the row survives the mask filter
+/// at bound = its own distance, with the padding bits clear and every mask
+/// byte equal to the scalar tier's.
 void CheckSound(const TestBlock& b, const std::vector<float>& query) {
-  QuantizedPage qp(b.block(), b.dim + 2, b.count, b.dim);
+  const auto qp = QuantizedPage::Build(b.block(), b.stride(), b.count, b.dim);
+  ASSERT_NE(qp, nullptr);
   quant::FilterScratch scratch;
-  std::vector<double> lb(b.count);
+  const size_t nmask = qp->view().blocks;
   for (int m = 0; m < 4; ++m) {
     auto metric = MakeMetric(m, b.dim);
+    const std::vector<double> lb = CodeLowerBounds(*qp, *metric, m, query);
+    std::vector<double> exact(b.count);
+    for (size_t i = 0; i < b.count; ++i) {
+      const std::span<const float> row(b.data.data() + i * b.stride(), b.dim);
+      exact[i] = metric->Distance(query, row);
+      ASSERT_LE(lb[i], exact[i])
+          << "metric " << metric->Name() << " row " << i;
+      ASSERT_GE(lb[i], 0.0);
+      ASSERT_FALSE(std::isnan(lb[i]));
+    }
+    // Scalar-tier masks at each row's own distance: the reference bytes.
+    std::vector<std::vector<uint8_t>> ref(b.count);
     for (const kernels::SimdTier tier : SupportedTiers()) {
       ScopedTier forced(tier);
-      ASSERT_TRUE(metric->CodeLowerBounds(query, qp.view(), &scratch,
-                                          lb.data()));
       for (size_t i = 0; i < b.count; ++i) {
-        const std::span<const float> row(b.data.data() + i * b.stride(),
-                                         b.dim);
-        const double d = metric->Distance(query, row);
-        ASSERT_LE(lb[i], d) << "metric " << metric->Name() << " tier "
-                            << kernels::TierName(tier) << " row " << i;
-        ASSERT_GE(lb[i], 0.0);
-        ASSERT_FALSE(std::isnan(lb[i]));
+        std::vector<uint8_t> masks(nmask, 0xA5);
+        ASSERT_TRUE(metric->CodeFilterMasks(query, qp->view(), exact[i],
+                                            &scratch, masks.data()));
+        const std::string where = "metric " + metric->Name() + " tier " +
+                                  kernels::TierName(tier) + " row " +
+                                  std::to_string(i);
+        ASSERT_TRUE(MaskBit(masks, i)) << where << ": pruned at its distance";
+        ASSERT_TRUE(PaddingBitsClear(masks, b.count)) << where;
+        if (tier == kernels::SimdTier::kScalar) {
+          ref[i] = masks;
+        } else {
+          ASSERT_EQ(masks, ref[i]) << where;
+        }
       }
     }
   }
@@ -246,8 +343,8 @@ TEST(QuantSoundness, SinglePointPage) {
 /// Returns whether the page was ruled out.
 bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
                     const std::vector<float>& hi) {
-  QuantizedPage qp(b.block(), b.stride(), b.count, b.dim);
-  const quant::PageCodesView v = qp.view();
+  const auto qp = QuantizedPage::Build(b.block(), b.stride(), b.count, b.dim);
+  const quant::PageCodesView v = qp->view();
   const Box box = Box::FromBounds(lo, hi);
   const uint32_t dim = b.dim;
   std::vector<uint8_t> clo(dim), chi(dim);
@@ -258,11 +355,13 @@ bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
   const bool ok = quant::BoxCodeRange(l, h, v.grid_lo, v.grid_hi, dim, cl, ch);
   bool any_inside = false;
   bool any_codes_in_range = false;
+  constexpr size_t kLanes = kernels::kTBlock;
   for (size_t i = 0; i < b.count; ++i) {
-    const uint8_t* codes = v.codes + i * v.stride;
+    const uint8_t* tcb = v.tcodes + (i / kLanes) * dim * kLanes + i % kLanes;
     bool in_range = ok;
     for (uint32_t d = 0; d < b.dim && in_range; ++d) {
-      in_range = codes[d] >= clo[d] && codes[d] <= chi[d];
+      const uint8_t c = tcb[d * kLanes];
+      in_range = c >= clo[d] && c <= chi[d];
     }
     any_codes_in_range = any_codes_in_range || in_range;
     const std::span<const float> row(b.data.data() + i * b.stride(), b.dim);
@@ -336,9 +435,9 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
     }
     const std::vector<float> row0(b.row(0), b.row(0) + dim);
     const std::vector<float> row3(b.row(3), b.row(3) + dim);
-    QuantizedPage qp(b.block(), b.stride(), count, dim);
-    const std::vector<float> glo(qp.view().grid_lo, qp.view().grid_lo + dim);
-    const std::vector<float> ghi(qp.view().grid_hi, qp.view().grid_hi + dim);
+    const auto qp = QuantizedPage::Build(b.block(), b.stride(), count, dim);
+    const std::vector<float> glo(qp->view().grid_lo, qp->view().grid_lo + dim);
+    const std::vector<float> ghi(qp->view().grid_hi, qp->view().grid_hi + dim);
     const auto with = [&](std::vector<float> base, float v) {
       for (uint32_t d = 0; d < dim; d += 2) base[d] = v;
       return base;
@@ -384,138 +483,35 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
   }
 }
 
-// --- transposed mirror -----------------------------------------------------
-
-// The sidecar's transposed float mirror must yield bit-identical outputs to
-// the strided page kernels at every tier, for every metric with a
-// transposed kernel, bounded and unbounded — it is a pure layout change.
-TEST(QuantTransposed, TransposedKernelsMatchStridedBitForBit) {
-  Rng rng(2024);
-  for (uint32_t dim : {3u, 8u, 16u, 31u}) {
-    const size_t count = 53;  // 6 full blocks + a 5-row tail
-    TestBlock b = MakeBlock(dim, count);
-    for (size_t i = 0; i < count; ++i) {
-      for (uint32_t d = 0; d < dim; ++d) {
-        b.row(i)[d] = static_cast<float>(rng.NextDouble());
-      }
-    }
-    QuantizedPage qp(b.block(), b.stride(), count, dim);
-    ASSERT_EQ(qp.full_blocks(), count / kernels::kTBlock);
-    ASSERT_NE(qp.tfloats(), nullptr);
-    std::vector<float> query(dim);
-    for (uint32_t d = 0; d < dim; ++d) {
-      query[d] = static_cast<float>(rng.NextDouble() * 2.0 - 0.5);
-    }
-    for (int m = 0; m < 4; ++m) {
-      auto metric = MakeMetric(m, dim);
-      // A bound near a mid-page distance abandons some rows but not all;
-      // +inf exercises the no-abandonment path.
-      const double mid =
-          metric->Distance(query, {b.data.data() + 20 * b.stride(), dim});
-      for (const double bound :
-           {std::numeric_limits<double>::infinity(), mid}) {
-        for (const kernels::SimdTier tier : SupportedTiers()) {
-          ScopedTier forced(tier);
-          std::vector<double> strided(count), transposed(count, -1.0);
-          metric->BatchDistanceWithBound(query, b.block(), b.stride(), count,
-                                         bound, strided.data());
-          ASSERT_TRUE(metric->BatchDistanceTransposedWithBound(
-              query, qp.tfloats(), qp.full_blocks(), bound,
-              transposed.data()));
-          for (size_t i = 0; i < qp.full_blocks() * kernels::kTBlock; ++i) {
-            EXPECT_EQ(std::bit_cast<uint64_t>(strided[i]),
-                      std::bit_cast<uint64_t>(transposed[i]))
-                << "metric " << metric->Name() << " tier "
-                << kernels::TierName(tier) << " bound " << bound << " row "
-                << i << ": " << strided[i] << " vs " << transposed[i];
-          }
-        }
-      }
-    }
-  }
-  // QuadraticForm has no transposed kernel and must decline.
-  const uint32_t dim = 4;
-  std::vector<double> eye(dim * dim, 0.0);
-  for (uint32_t d = 0; d < dim; ++d) eye[d * dim + d] = 1.0;
-  QuadraticFormMetric qf(dim, std::move(eye));
-  std::vector<float> q(dim, 0.5f);
-  double out[8];
-  EXPECT_FALSE(qf.BatchDistanceTransposedWithBound(q, nullptr, 0, 1.0, out));
-}
-
-// The transposed-code kernels replay the scalar reference's accumulation
-// order lane by lane, so full-block code bounds are bitwise identical
-// across tiers (the row-major tail kernels reassociate and only promise
-// soundness — the comparison stops at the last full block).
-TEST(QuantTransposed, TransposedCodeBoundsMatchScalarBitForBit) {
-  Rng rng(515);
-  for (uint32_t dim : {3u, 8u, 16u, 31u}) {
-    const size_t count = 61;  // 7 full blocks + a 5-row tail
-    TestBlock b = MakeBlock(dim, count);
-    for (size_t i = 0; i < count; ++i) {
-      for (uint32_t d = 0; d < dim; ++d) {
-        b.row(i)[d] = static_cast<float>(rng.NextDouble());
-      }
-    }
-    QuantizedPage qp(b.block(), b.stride(), count, dim);
-    std::vector<float> query(dim);
-    for (uint32_t d = 0; d < dim; ++d) {
-      query[d] = static_cast<float>(rng.NextDouble() * 2.0 - 0.5);
-    }
-    quant::FilterScratch scratch;
-    for (int m = 0; m < 4; ++m) {
-      auto metric = MakeMetric(m, dim);
-      std::vector<double> ref(count);
-      {
-        ScopedTier forced(kernels::SimdTier::kScalar);
-        ASSERT_TRUE(metric->CodeLowerBounds(query, qp.view(), &scratch,
-                                            ref.data()));
-      }
-      for (const kernels::SimdTier tier : SupportedTiers()) {
-        ScopedTier forced(tier);
-        std::vector<double> lb(count);
-        ASSERT_TRUE(metric->CodeLowerBounds(query, qp.view(), &scratch,
-                                            lb.data()));
-        for (size_t i = 0; i < qp.full_blocks() * kernels::kTBlock; ++i) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(ref[i]),
-                    std::bit_cast<uint64_t>(lb[i]))
-              << "metric " << metric->Name() << " tier "
-              << kernels::TierName(tier) << " dim " << dim << " row " << i
-              << ": " << ref[i] << " vs " << lb[i];
-        }
-      }
-    }
-  }
-}
-
 // --- fused mask filter -----------------------------------------------------
 //
 // CodeFilterMasks must agree with the `lb <= bound` rule: every row that
 // rule keeps must have its bit set (anything less would be unsound — and
 // rows whose TRUE distance is within the bound are a subset of those), and
 // a set bit may overshoot the rule only by FilterThreshold's hair of
-// upward slack. Full-block mask bytes must also be bitwise identical
-// across tiers (the tail byte comes from the row-major kernels, which only
-// promise soundness).
+// upward slack. Every mask byte, the last partial block's included, must
+// also be bitwise identical across tiers, with the padding bits clear.
 TEST(QuantMask, MasksMatchBoundDecisionsAndTiers) {
   Rng rng(727);
   for (uint32_t dim : {3u, 8u, 16u, 31u}) {
-    const size_t count = 61;  // 7 full blocks + a 5-row tail
+    const size_t count = 61;  // 7 full blocks + a 5-row partial block
     TestBlock b = MakeBlock(dim, count);
     for (size_t i = 0; i < count; ++i) {
       for (uint32_t d = 0; d < dim; ++d) {
         b.row(i)[d] = static_cast<float>(rng.NextDouble());
       }
     }
-    QuantizedPage qp(b.block(), b.stride(), count, dim);
+    const auto qp = QuantizedPage::Build(b.block(), b.stride(), count, dim);
     std::vector<float> query(dim);
     for (uint32_t d = 0; d < dim; ++d) {
       query[d] = static_cast<float>(rng.NextDouble() * 2.0 - 0.5);
     }
     quant::FilterScratch scratch;
-    const size_t nmask = (count + kernels::kTBlock - 1) / kernels::kTBlock;
+    const size_t nmask = qp->view().blocks;
+    ASSERT_EQ(nmask, (count + kernels::kTBlock - 1) / kernels::kTBlock);
     for (int m = 0; m < 4; ++m) {
       auto metric = MakeMetric(m, dim);
+      const std::vector<double> lb = CodeLowerBounds(*qp, *metric, m, query);
       std::vector<double> exact(count);
       std::vector<double> sorted(count);
       for (size_t i = 0; i < count; ++i) {
@@ -530,26 +526,25 @@ TEST(QuantMask, MasksMatchBoundDecisionsAndTiers) {
         std::vector<uint8_t> ref(nmask, 0xAA);
         {
           ScopedTier forced(kernels::SimdTier::kScalar);
-          ASSERT_TRUE(metric->CodeFilterMasks(query, qp.view(), bound,
+          ASSERT_TRUE(metric->CodeFilterMasks(query, qp->view(), bound,
                                               &scratch, ref.data()));
         }
         for (const kernels::SimdTier tier : SupportedTiers()) {
           ScopedTier forced(tier);
           std::vector<uint8_t> masks(nmask, 0x55);
-          std::vector<double> lb(count);
-          ASSERT_TRUE(metric->CodeFilterMasks(query, qp.view(), bound,
+          ASSERT_TRUE(metric->CodeFilterMasks(query, qp->view(), bound,
                                               &scratch, masks.data()));
-          ASSERT_TRUE(metric->CodeLowerBounds(query, qp.view(), &scratch,
-                                              lb.data()));
-          for (size_t blk = 0; blk < qp.full_blocks(); ++blk) {
+          for (size_t blk = 0; blk < nmask; ++blk) {
             EXPECT_EQ(ref[blk], masks[blk])
                 << "metric " << metric->Name() << " tier "
                 << kernels::TierName(tier) << " dim " << dim << " block "
                 << blk;
           }
+          EXPECT_TRUE(PaddingBitsClear(masks, count))
+              << "metric " << metric->Name() << " tier "
+              << kernels::TierName(tier) << " dim " << dim;
           for (size_t i = 0; i < count; ++i) {
-            const bool bit =
-                (masks[i / kernels::kTBlock] >> (i % kernels::kTBlock)) & 1;
+            const bool bit = MaskBit(masks, i);
             const char* ctx = metric->Name().c_str();
             if (exact[i] <= bound) {
               EXPECT_TRUE(bit) << ctx << " pruned a true hit, row " << i;
@@ -573,10 +568,11 @@ TEST(QuantMask, MasksMatchBoundDecisionsAndTiers) {
   QuadraticFormMetric qf(dim, std::move(eye));
   std::vector<float> q(dim, 0.5f);
   TestBlock b = MakeBlock(dim, 9);
-  QuantizedPage qp(b.block(), b.stride(), 9, dim);
+  const auto qp = QuantizedPage::Build(b.block(), b.stride(), 9, dim);
   quant::FilterScratch scratch;
   uint8_t masks[2];
-  EXPECT_FALSE(qf.CodeFilterMasks(q, qp.view(), 1.0, &scratch, masks));
+  EXPECT_FALSE(qf.CodeFilterMasks(q, qp->view(), 1.0, &scratch, masks));
+  EXPECT_FALSE(qf.SupportsCodeFilter());
 }
 
 // --- stale-sidecar detection ----------------------------------------------
@@ -584,24 +580,29 @@ TEST(QuantMask, MasksMatchBoundDecisionsAndTiers) {
 TEST(QuantStoreTest, MatchesDetectsContentChanges) {
   const uint32_t dim = 6;
   Rng rng(31);
-  TestBlock b = MakeBlock(dim, 40);
+  TestBlock b = MakeBlock(dim, 43);  // 5 full blocks + a 3-row partial one
   for (size_t i = 0; i < b.count; ++i) {
     for (uint32_t d = 0; d < dim; ++d) {
       b.row(i)[d] = static_cast<float>(rng.NextDouble());
     }
   }
-  QuantizedPage qp(b.block(), b.stride(), b.count, dim);
-  EXPECT_TRUE(qp.Matches(b.block(), b.stride(), b.count, dim));
+  const auto qp = QuantizedPage::Build(b.block(), b.stride(), b.count, dim);
+  EXPECT_TRUE(qp->Matches(b.block(), b.stride(), b.count, dim));
   // Count / dim mismatches.
-  EXPECT_FALSE(qp.Matches(b.block(), b.stride(), b.count - 1, dim));
-  EXPECT_FALSE(qp.Matches(b.block(), b.stride(), b.count, dim - 1));
+  EXPECT_FALSE(qp->Matches(b.block(), b.stride(), b.count - 1, dim));
+  EXPECT_FALSE(qp->Matches(b.block(), b.stride(), b.count, dim - 1));
   // A single-coordinate change must be caught (it moves the grid or the
-  // point's code).
-  const float saved = b.row(17)[3];
-  b.row(17)[3] = saved < 0.5f ? saved + 0.4f : saved - 0.4f;
-  EXPECT_FALSE(qp.Matches(b.block(), b.stride(), b.count, dim));
-  b.row(17)[3] = saved;
-  EXPECT_TRUE(qp.Matches(b.block(), b.stride(), b.count, dim));
+  // point's code), in the last row too, whose codes the padding lanes
+  // repeat.
+  for (const size_t row : {size_t{17}, b.count - 1}) {
+    const float saved = b.row(row)[3];
+    b.row(row)[3] = saved < 0.5f ? saved + 0.4f : saved - 0.4f;
+    EXPECT_FALSE(qp->Matches(b.block(), b.stride(), b.count, dim)) << row;
+    b.row(row)[3] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_FALSE(qp->Matches(b.block(), b.stride(), b.count, dim)) << row;
+    b.row(row)[3] = saved;
+    EXPECT_TRUE(qp->Matches(b.block(), b.stride(), b.count, dim)) << row;
+  }
 }
 
 TEST(QuantStoreTest, LifecycleAndInvalidation) {
@@ -1013,6 +1014,99 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
   EXPECT_GT(s.scan_points, 0u);
   EXPECT_EQ(s.quant_refined, 0u);
   EXPECT_EQ(s.quant_pruned, 0u);
+}
+
+/// The per-query IoStats counters the filter decisions drive.
+struct FilterCounters {
+  uint64_t scan_points, quant_refined, quant_pruned, quant_skipped_pages,
+      logical_reads;
+  bool operator==(const FilterCounters&) const = default;
+};
+
+FilterCounters CountersOf(const IoStats& s) {
+  return {s.scan_points, s.quant_refined, s.quant_pruned,
+          s.quant_skipped_pages, s.logical_reads};
+}
+
+// Every mask byte is identical across tiers, so a search makes the same
+// filter decisions at AVX2 and AVX-512, and scans, refines, prunes, skips
+// and pins the same rows and pages. A 2 KiB page holds at most 28 16-d
+// rows, and an insert-built tree leaves its pages partly full, so most
+// pages end in a partial block. Each tier reopens the same file with the
+// same small pool: both start cold, with no sidecar.
+TEST(QuantAccounting, PerQueryCountersMatchAcrossSimdTiers) {
+  if (!kernels::TierSupported(kernels::SimdTier::kAvx512)) {
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 tier";
+  }
+  const uint32_t dim = 16;
+  Rng rng(6161);
+  Dataset data = GenFourier(4000, dim, rng);
+  MemPagedFile file(2048);
+  {
+    auto tree = BuildTree(data, dim, /*quant=*/true, &file);
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+  const auto centers = MakeQueryCenters(data, 24, rng);
+  const double side = CalibrateBoxSide(data, 0.01, 10, rng);
+  L2Metric l2;
+  L1Metric l1;
+  const DistanceMetric* metrics[] = {&l2, &l1};
+
+  std::vector<FilterCounters> first;
+  for (const kernels::SimdTier tier :
+       {kernels::SimdTier::kAvx2, kernels::SimdTier::kAvx512}) {
+    ScopedTier forced(tier);
+    auto tree = HybridTree::Open(&file, /*buffer_pool_pages=*/16).ValueOrDie();
+    std::vector<FilterCounters> got;
+    const auto record = [&] {
+      got.push_back(CountersOf(tree->pool().StatsSnapshot()));
+      tree->pool().ResetStats();
+    };
+    tree->pool().ResetStats();
+    for (const auto& c : centers) {
+      for (const DistanceMetric* metric : metrics) {
+        ASSERT_TRUE(tree->SearchRange(c, 0.15, *metric).ok());
+        record();
+        ASSERT_TRUE(tree->SearchKnn(c, 10, *metric).ok());
+        record();
+        KnnCursorOptions opts;
+        opts.limit = 10;
+        auto cursor = tree->OpenKnnCursor(c, *metric, opts);
+        for (size_t i = 0; i < opts.limit; ++i) {
+          auto next = cursor.Next();
+          ASSERT_TRUE(next.ok());
+          ASSERT_TRUE(next.ValueOrDie().has_value());
+        }
+        record();
+      }
+      ASSERT_TRUE(tree->SearchBox(MakeBoxQuery(c, side)).ok());
+      record();
+    }
+    if (first.empty()) {
+      first = std::move(got);
+      continue;
+    }
+    ASSERT_EQ(got.size(), first.size());
+    for (size_t q = 0; q < got.size(); ++q) {
+      EXPECT_TRUE(got[q] == first[q])
+          << "query " << q << " at " << kernels::TierName(tier)
+          << ": scan_points " << got[q].scan_points << " vs "
+          << first[q].scan_points << ", refined " << got[q].quant_refined
+          << " vs " << first[q].quant_refined << ", pruned "
+          << got[q].quant_pruned << " vs " << first[q].quant_pruned
+          << ", skipped " << got[q].quant_skipped_pages << " vs "
+          << first[q].quant_skipped_pages << ", logical reads "
+          << got[q].logical_reads << " vs " << first[q].logical_reads;
+    }
+  }
+  // The filter engaged and ruled pages out before the pin.
+  uint64_t pruned = 0, skipped = 0;
+  for (const FilterCounters& c : first) {
+    pruned += c.quant_pruned;
+    skipped += c.quant_skipped_pages;
+  }
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(skipped, 0u);
 }
 
 }  // namespace
