@@ -1152,7 +1152,15 @@ Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
                                 std::span<const float> center,
                                 const DistanceMetric& metric, double bound,
                                 SearchScratch* scratch,
-                                const Emit& emit) const {
+                                const Emit& emit_any) const {
+  // A NaN distance (a NaN coordinate, say) compares false against every
+  // threshold: a k-NN heap that is not yet full would admit the row, and
+  // `d > bound` would not drop it. Such a row is never an answer, so it is
+  // skipped here, where every metric scan emits; only emitted rows pay the
+  // test.
+  const auto emit = [&emit_any](double d, uint64_t id) {
+    if (!std::isnan(d)) emit_any(d, id);
+  };
   DataPageScan scan(data, size, options_.dim);
   if (!scan.ok()) return Status::Corruption("expected data node page");
   const size_t n = scan.count();

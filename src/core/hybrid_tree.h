@@ -523,8 +523,9 @@ class HybridTree {
   /// emit(distance, id) in ascending row order. A row whose distance
   /// exceeds `bound` may be skipped or reported with any value above
   /// `bound`, so `emit` must only compare against thresholds at or under
-  /// it; every other row gets its exact distance. A template over the emit
-  /// callable so the hot path stays allocation-free.
+  /// it; a row whose distance is NaN is never emitted; every other row
+  /// gets its exact distance. A template over the emit callable so the
+  /// hot path stays allocation-free.
   template <typename Emit>
   Status ScanDataPage(PageId page, const uint8_t* data, size_t size,
                       std::span<const uint32_t> survivors,

@@ -13,9 +13,11 @@
 //   4. Scatter-gather on the index; per-query latency and outcome land in
 //      the tenant's metrics; per-shard I/O accumulates in the index.
 //
-// Execute() is safe from any thread EXCEPT the serving pool's own workers
-// (ShardedIndex's rule). Cancel() flips a server-wide flag observed by
-// every in-flight scatter; Snapshot() is cheap enough to poll live.
+// Execute() is safe from any thread, the serving pool's own workers
+// included: a scatter runs every shard task no helper has claimed on its
+// calling thread, so it never waits on its own pool's queue. Cancel()
+// flips a server-wide flag observed by every in-flight scatter;
+// Snapshot() is cheap enough to poll live.
 
 #pragma once
 

@@ -1,7 +1,9 @@
 #include "serve/sharded_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -11,9 +13,9 @@ namespace ht {
 
 namespace {
 
-/// Per-request completion barrier for tasks on a SHARED pool:
-/// ThreadPool::Wait() drains the whole queue (every concurrent request's
-/// tasks), so each scatter counts down its own latch instead.
+/// Per-request completion barrier: ThreadPool::Wait() drains the whole
+/// queue (every concurrent request's tasks), so each scatter counts down
+/// its own latch instead.
 class Latch {
  public:
   explicit Latch(size_t n) : remaining_(n) {}
@@ -33,6 +35,69 @@ class Latch {
   CondVar cv_;
   size_t remaining_ HT_GUARDED_BY(mu_);
 };
+
+/// One request's scatter, co-owned by the calling thread and every helper
+/// token it submits. Tasks are claimed from one counter (claim i runs the
+/// i-th task of the visit order) and each finished task counts down the
+/// latch. A token may run long after its request has returned, even after
+/// the index is destroyed, so it touches only this block — which co-owns
+/// the index's slot count — until a claim succeeds. The caller claims
+/// every task no token has claimed and then waits for every claimed one,
+/// so the task (on the caller's stack) is live whenever a claim succeeds.
+class Scatter {
+ public:
+  template <typename Task>
+  Scatter(size_t tasks, std::shared_ptr<std::atomic<size_t>> busy_slots,
+          Task* task)
+      : tasks_(tasks),
+        latch_(tasks),
+        busy_slots_(std::move(busy_slots)),
+        task_(task),
+        run_([](void* t, size_t i) { (*static_cast<Task*>(t))(i); }) {}
+
+  /// Claims and runs tasks until every task has been claimed.
+  void RunClaimed() {
+    for (;;) {
+      // Relaxed: the counter only hands out distinct indices. The task was
+      // published to a token by its Submit, and task results reach the
+      // caller through the latch's mutex.
+      const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= tasks_) return;
+      run_(task_, i);
+      latch_.Done();
+    }
+  }
+
+  /// Blocks until every task has finished.
+  void Wait() { latch_.Wait(); }
+
+  /// Returns `slots` pool slots to the index's count.
+  void ReleaseSlots(size_t slots) {
+    busy_slots_->fetch_sub(slots, std::memory_order_relaxed);
+  }
+
+ private:
+  const size_t tasks_;
+  std::atomic<size_t> next_{0};
+  Latch latch_;
+  std::shared_ptr<std::atomic<size_t>> busy_slots_;
+  void* const task_;
+  void (*const run_)(void*, size_t);
+};
+
+/// Takes the caller's pool slot plus up to `wanted` of the slots still
+/// free after it, and returns how many it took beyond the caller's (one
+/// per helper token to submit).
+size_t TakeSlots(std::atomic<size_t>* busy, size_t pool_size, size_t wanted) {
+  size_t held = busy->load(std::memory_order_relaxed);
+  size_t helpers = 0;
+  do {
+    const size_t free_slots = pool_size > held + 1 ? pool_size - held - 1 : 0;
+    helpers = std::min(wanted, free_slots);
+  } while (!busy->compare_exchange_weak(held, held + 1 + helpers,
+                                        std::memory_order_relaxed));
+  return helpers;
+}
 
 /// Merged request status: Cancelled beats hard failures (the caller asked
 /// to stop) beats DeadlineExceeded beats OK. A partial scatter never
@@ -142,10 +207,12 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
                       : std::make_unique<MemPagedFile>(tree_options.page_size);
     Dataset shard_data(data.dim(), parts[s].size());
     shard->local_to_global.reserve(parts[s].size());
+    shard->bounds = Box::Empty(data.dim());
     for (size_t i = 0; i < parts[s].size(); ++i) {
       auto row = data.Row(parts[s][i]);
       std::copy(row.begin(), row.end(), shard_data.MutableRow(i).begin());
       shard->local_to_global.push_back(parts[s][i]);
+      shard->bounds.ExtendToInclude(row);
     }
     BulkLoadOptions bulk;
     bulk.fill = shard_options.fill;
@@ -226,7 +293,7 @@ void ShardedIndex::ResetIo() {
 }
 
 Status ShardedIndex::RunOnShards(
-    const ExecOptions& options,
+    const ExecOptions& options, std::span<const size_t> order,
     const std::function<Status(size_t)>& fn) const {
   const size_t n = shards_.size();
   WallTimer timer;
@@ -237,8 +304,9 @@ Status ShardedIndex::RunOnShards(
   // options.request_io after the barrier for per-request attribution.
   std::vector<IoStats> task_io(n);
 
-  auto run_one = [&](size_t s) {
-    // Late starts fail fast: a shard task dequeued after cancellation or
+  auto run_one = [&](size_t claim) {
+    const size_t s = order.empty() ? claim : order[claim];
+    // Late starts fail fast: a shard task claimed after cancellation or
     // past the deadline must not produce a partial (= wrong) answer.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       statuses[s] = Status::Cancelled("request cancelled");
@@ -251,7 +319,9 @@ Status ShardedIndex::RunOnShards(
     }
     IoStats io;
     {
+      // A shard task is a plain query whichever thread runs it.
       IoStatsScope scope(&io);
+      AccessClassScope query_class(AccessClass::kQuery);
       statuses[s] = fn(s);
     }
     {
@@ -261,23 +331,26 @@ Status ShardedIndex::RunOnShards(
     task_io[s] = io;
   };
 
-  if (pool_ == nullptr) {
-    for (size_t s = 0; s < n; ++s) run_one(s);
-  } else {
-    Latch latch(n);
-    for (size_t s = 0; s < n; ++s) {
-      Status submit = pool_->Submit([&, s]() -> Status {
-        run_one(s);
-        latch.Done();
+  const auto scatter = std::make_shared<Scatter>(n, busy_slots_, &run_one);
+  if (pool_ != nullptr) {
+    const size_t helpers =
+        TakeSlots(busy_slots_.get(), pool_->num_threads(), n - 1);
+    for (size_t h = 0; h < helpers; ++h) {
+      Status submit = pool_->Submit([scatter]() -> Status {
+        scatter->RunClaimed();
+        scatter->ReleaseSlots(1);
         return Status::OK();
       });
       if (!submit.ok()) {
-        statuses[s] = submit;
-        latch.Done();
+        // The pool is shutting down: the caller runs what is left.
+        scatter->ReleaseSlots(helpers - h);
+        break;
       }
     }
-    latch.Wait();
   }
+  scatter->RunClaimed();
+  if (pool_ != nullptr) scatter->ReleaseSlots(1);
+  scatter->Wait();
   if (options.request_io != nullptr) {
     for (const IoStats& io : task_io) options.request_io->Accumulate(io);
   }
@@ -291,7 +364,7 @@ Status ShardedIndex::SearchBox(const Box& query, const ExecOptions& options,
   }
   out->clear();
   std::vector<std::vector<uint64_t>> per_shard(shards_.size());
-  HT_RETURN_NOT_OK(RunOnShards(options, [&](size_t s) -> Status {
+  HT_RETURN_NOT_OK(RunOnShards(options, {}, [&](size_t s) -> Status {
     const Shard& shard = *shards_[s];
     std::unique_ptr<SearchScratch> scratch = AcquireScratch();
     Status st = shard.tree->SearchBoxInto(query, scratch.get(), &per_shard[s]);
@@ -314,7 +387,7 @@ Status ShardedIndex::SearchRange(std::span<const float> center, double radius,
   }
   out->clear();
   std::vector<std::vector<uint64_t>> per_shard(shards_.size());
-  HT_RETURN_NOT_OK(RunOnShards(options, [&](size_t s) -> Status {
+  HT_RETURN_NOT_OK(RunOnShards(options, {}, [&](size_t s) -> Status {
     const Shard& shard = *shards_[s];
     std::unique_ptr<SearchScratch> scratch = AcquireScratch();
     Status st = shard.tree->SearchRangeInto(center, radius, metric,
@@ -370,7 +443,27 @@ Status ShardedIndex::SearchKnn(
   // locking); summed into options.knn_stats after the scatter barrier.
   std::vector<KnnExecStats> task_knn(shards_.size());
 
-  Status run = RunOnShards(options, [&](size_t s) -> Status {
+  // Nearest shard first: ascending MINDIST from the query to each shard's
+  // bounding box, ties by shard index; empty shards and a NaN MINDIST sort
+  // last. The first shard sets the shared radius before the later cursors
+  // start, so they prune against it. The order changes only how much is
+  // pruned, never the answer.
+  const size_t n = shards_.size();
+  std::vector<double> mindist(n);
+  std::vector<size_t> order(n);
+  for (size_t s = 0; s < n; ++s) {
+    const Shard& shard = *shards_[s];
+    const double d = shard.tree->size() == 0
+                         ? std::numeric_limits<double>::infinity()
+                         : metric.MinDistToBox(center, shard.bounds);
+    mindist[s] = std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
+    order[s] = s;
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return mindist[a] < mindist[b] || (mindist[a] == mindist[b] && a < b);
+  });
+
+  Status run = RunOnShards(options, order, [&](size_t s) -> Status {
     const Shard& shard = *shards_[s];
     if (shard.tree->size() == 0) return Status::OK();
     HybridTree::KnnCursor cursor =

@@ -1,6 +1,7 @@
 // Copyright 2026 The HybridTree Authors.
 // ShardedIndex: one logical dataset partitioned into N per-shard hybrid
-// trees, queried scatter-gather on a shared exec ThreadPool.
+// trees, queried scatter-gather: each request runs its own shard tasks,
+// and idle workers of a shared exec ThreadPool may help.
 //
 // Partitioning reuses the parallel bulk loader's deterministic
 // PartitionSubset cuts (kd-region, the default) or a splitmix64 hash of
@@ -10,14 +11,30 @@
 // the serving tier is read-only by construction, so any number of
 // requests may scatter over the shards concurrently.
 //
-// Scatter-gather and determinism: every search fans one task per shard
-// out to the pool, gathers per-shard results, and merges them into a
-// CANONICAL order — box/range ids ascending, k-NN by (distance, id)
-// ascending — so the answer is identical to a single unsharded tree over
-// the same data (canonicalized the same way) at every shard count,
-// partitioner, and pool size. Equal-distance ties are broken by global id
-// everywhere, which is what makes the k-NN result set well-defined even
-// when the tie straddles the k-th boundary.
+// Scatter-gather and determinism: every search runs one task per shard,
+// gathers per-shard results, and merges them into a CANONICAL order —
+// box/range ids ascending, k-NN by (distance, id) ascending — so the
+// answer is identical to a single unsharded tree over the same data
+// (canonicalized the same way) at every shard count, partitioner, pool
+// size, and split of tasks between threads. Equal-distance ties are
+// broken by global id everywhere, which is what makes the k-NN result set
+// well-defined even when the tie straddles the k-th boundary.
+//
+// Caller-runs scatter: a request claims its shard tasks one at a time
+// from a per-request counter, in a visit order, and runs them on the
+// calling thread until none is left; then it waits only for tasks a
+// helper has already claimed, never for one no thread has started. The
+// pool's size is the number of threads that may run shard work at once:
+// a caller holds one slot while it claims, and a request submits helper
+// tokens only into the slots still free (at most shards - 1). A token
+// claims from the same counter and exits as soon as none is left. So a
+// lone request fans out to idle workers, and at saturation (as many
+// callers as workers) every request runs serially without touching the
+// pool queue. A token may run after its request has returned — even
+// after the index is destroyed — so it touches only state it co-owns
+// (the claim counter, the completion latch and the slot count); the
+// caller's stack is reached only through a claimed task, and the caller
+// waits for every claimed task.
 //
 // Cross-shard k-NN bound tightening: shard tasks share one bounded top-k
 // (mutex-guarded binary heap ordered by (distance, id)) whose k-th
@@ -25,24 +42,27 @@
 // shard with an incremental best-first cursor (HybridTree::KnnCursor,
 // ascending distances) and stops as soon as its next candidate lies
 // beyond the shared radius — so whichever shard finds good neighbors
-// first prunes every other shard's traversal. Stopping is exact: the
-// radius only tightens, and a cursor past it can never contribute to the
-// final top-k (candidates at exactly the radius keep streaming, which
+// first prunes every other shard's traversal. k-NN visits shards nearest
+// first (ascending MINDIST from the query to each shard's bounding box,
+// ties by shard index), so with kd-region shards the query's own shard
+// usually sets the radius before the others start. Stopping is exact:
+// the radius only tightens, and a cursor past it can never contribute to
+// the final top-k (candidates at exactly the radius keep streaming, which
 // preserves id tie-breaking). The result is still canonical-deterministic
 // under any thread interleaving; only the amount of pruning varies.
 //
 // Deadlines and cancellation ride in via ExecOptions: tasks check both
 // before touching their shard, and the k-NN loop re-checks between cursor
-// pops. A shard that starts after the deadline fails the whole request
-// with DeadlineExceeded — a partial scatter is a wrong answer, not a slow
-// one. A dedicated prefetch pool is attached at build time via
+// pops. A shard task that starts after the deadline fails the whole
+// request with DeadlineExceeded — a partial scatter is a wrong answer,
+// not a slow one. A dedicated prefetch pool is attached at build time via
 // ShardedIndexOptions::io_pool (the serving tier holds concurrent-read
 // mode open, so it stays attached for the index's lifetime).
 //
-// Threading: safe to call from any thread EXCEPT the serving pool's own
-// workers (a scatter blocked on its own pool's queue would deadlock).
-// With a null pool the scatter degrades to an in-caller serial loop —
-// same results, test convenience.
+// Threading: safe to call from any thread, the serving pool's own workers
+// included (the caller runs every task no helper has claimed, so a
+// scatter never waits on its own pool's queue). With a null pool the
+// caller runs every task — same results, same loop, no helpers.
 
 #pragma once
 
@@ -50,6 +70,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -139,9 +160,10 @@ struct ShardedIndexOptions {
 class ShardedIndex {
  public:
   /// Partitions `data`, bulk-loads one tree per shard, and flips every
-  /// shard into concurrent-read mode. `pool` runs the scatter tasks (not
-  /// owned; may be nullptr for serial in-caller execution; replaceable
-  /// later via set_pool under the caller's quiescence).
+  /// shard into concurrent-read mode. `pool` lends idle workers to the
+  /// scatters as helpers (not owned; may be nullptr for serial in-caller
+  /// execution; replaceable later via set_pool under the caller's
+  /// quiescence).
   static Result<std::unique_ptr<ShardedIndex>> Build(
       const HybridTreeOptions& tree_options,
       const ShardedIndexOptions& shard_options, const Dataset& data,
@@ -161,8 +183,9 @@ class ShardedIndex {
                      std::vector<uint64_t>* out) const;
 
   /// The k nearest neighbors as (distance, global id), ascending by
-  /// (distance, id) — ties broken by id. Cross-shard bound tightening via
-  /// the shared atomic radius (see file comment).
+  /// (distance, id) — ties broken by id. Shards are visited nearest first,
+  /// with cross-shard bound tightening via the shared atomic radius (see
+  /// file comment).
   Status SearchKnn(std::span<const float> center, size_t k,
                    const DistanceMetric& metric, const ExecOptions& options,
                    std::vector<std::pair<double, uint64_t>>* out) const;
@@ -198,9 +221,14 @@ class ShardedIndex {
   }
 
   ThreadPool* pool() const { return pool_; }
-  /// Swaps the scatter pool. Caller must guarantee no search is in flight
+  /// Swaps the helper pool. Caller must guarantee no search is in flight
   /// (same exclusivity rule as every other mode switch in the library).
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  /// The new pool starts with every slot free: tokens still queued on the
+  /// old one keep (and later release) the old slot count.
+  void set_pool(ThreadPool* pool) {
+    pool_ = pool;
+    busy_slots_ = std::make_shared<std::atomic<size_t>>(0);
+  }
 
  private:
   struct Shard {
@@ -208,6 +236,10 @@ class ShardedIndex {
     std::unique_ptr<HybridTree> tree;
     /// Shard-local id (bulk-load row index) -> global id.
     std::vector<uint64_t> local_to_global;
+    /// Min and max of the shard's rows in each dimension (empty for an
+    /// empty shard): the k-NN visit order's MINDIST target. Fixed at
+    /// build, like everything else in a shard.
+    Box bounds;
     /// Serving-attributed I/O, accumulated per scatter task. Leaf-level
     /// within the serve tier (never held across a tree or pool call).
     mutable Mutex io_mu{LockRank::kServeScatter, "ShardedIndex::Shard::io_mu"};
@@ -216,12 +248,13 @@ class ShardedIndex {
 
   ShardedIndex() = default;
 
-  /// Fans `fn(shard_index)` out to the pool (or runs it inline when the
-  /// pool is null), one task per shard, each wrapped in deadline/cancel
-  /// checks and an IoStatsScope that lands in the shard's io counter.
-  /// Returns the merged status: Cancelled beats DeadlineExceeded beats
-  /// the first other failure.
-  Status RunOnShards(const ExecOptions& options,
+  /// Runs `fn(shard_index)` once per shard, claimed in `order` (shard
+  /// indices; index order when empty) by the calling thread and by helper
+  /// tokens in free pool slots (see the file comment). Each task is
+  /// wrapped in deadline/cancel checks and an IoStatsScope that lands in
+  /// the shard's io counter. Returns the merged status: Cancelled beats
+  /// hard failures beats DeadlineExceeded.
+  Status RunOnShards(const ExecOptions& options, std::span<const size_t> order,
                      const std::function<Status(size_t)>& fn) const;
 
   /// Scratch free-list: scatter tasks borrow a SearchScratch for the
@@ -235,6 +268,13 @@ class ShardedIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   uint64_t total_count_ = 0;
   ThreadPool* pool_ = nullptr;
+  /// Pool slots this index's scatters hold: a caller while it claims, a
+  /// helper token from its submit until it exits. Co-owned by every
+  /// submitted token, which may outlive the index. Relaxed: a count that
+  /// publishes no data; every update is a read-modify-write, so it stays
+  /// exact.
+  std::shared_ptr<std::atomic<size_t>> busy_slots_ =
+      std::make_shared<std::atomic<size_t>>(0);
 
   mutable Mutex scratch_mu_{LockRank::kServeScatter,
                             "ShardedIndex::scratch_mu_"};

@@ -454,6 +454,73 @@ TEST(CorruptionTest, NonFiniteRowKeepsFiniteRowsOfItsPageFindable) {
   kernels::ClearForcedTier();
 }
 
+TEST(CorruptionTest, NanRowIsNeverAKnnAnswer) {
+  // A NaN distance compares false against every threshold, so without a
+  // guard a k-NN heap that is not yet full admits the NaN row, and the
+  // row then sits in the answer in place of a finite neighbour. Poison
+  // row 0 of one data page and centre every search on row 1 of it.
+  SeededFixture f;
+  const uint32_t dim = 4;
+  std::vector<float> center;
+  Page p(SeededFixture::kPage);
+  for (PageId id = 1; id < f.file.page_count() && center.empty(); ++id) {
+    if (!f.file.Read(id, &p).ok()) continue;
+    DataPageScan scan(p.data(), p.size(), dim);
+    if (!scan.ok() || scan.count() < 2) continue;
+    const auto row1 = scan.vec(1);
+    center.assign(row1.begin(), row1.end());
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(p.data() + DataNode::kHeaderBytes + sizeof(uint64_t), &nan,
+                sizeof(float));
+    HT_CHECK_OK(f.file.Write(id, p));
+  }
+  ASSERT_FALSE(center.empty());
+  auto tree = HybridTree::Open(&f.file).ValueOrDie();
+
+  // Brute force over the finite rows, ascending by (distance, id).
+  L2Metric l2;
+  std::vector<std::pair<double, uint64_t>> finite;
+  size_t nan_rows = 0;
+  const auto collect = [&](uint64_t id, std::span<const float> v) {
+    if (std::isnan(v[0])) {
+      ++nan_rows;
+    } else {
+      finite.emplace_back(l2.Distance(center, v), id);
+    }
+  };
+  ASSERT_TRUE(tree->ScanAll(collect).ok());
+  ASSERT_EQ(nan_rows, 1u);
+  std::sort(finite.begin(), finite.end());
+
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    kernels::ForceTier(tier);
+    SCOPED_TRACE(std::string("tier ") + kernels::TierName(tier));
+    for (const size_t k : {size_t{1}, size_t{5}}) {
+      SCOPED_TRACE("k " + std::to_string(k));
+      const std::vector<std::pair<double, uint64_t>> want(
+          finite.begin(), finite.begin() + static_cast<std::ptrdiff_t>(k));
+      for (int pass = 0; pass < 2; ++pass) {  // the second finds sidecars
+        auto batch = tree->SearchKnn(center, k, l2).ValueOrDie();
+        std::sort(batch.begin(), batch.end());
+        EXPECT_EQ(batch, want) << "batch";
+
+        KnnCursorOptions copts;
+        copts.limit = k;
+        HybridTree::KnnCursor cursor = tree->OpenKnnCursor(center, l2, copts);
+        std::vector<std::pair<double, uint64_t>> streamed;
+        while (streamed.size() < k) {
+          auto next = cursor.Next().ValueOrDie();
+          if (!next.has_value()) break;
+          streamed.push_back(*next);
+        }
+        std::sort(streamed.begin(), streamed.end());
+        EXPECT_EQ(streamed, want) << "cursor";
+      }
+    }
+  }
+  kernels::ClearForcedTier();
+}
+
 TEST(CorruptionTest, TruncatedDatasetFileRejected) {
   const std::string path =
       std::string(::testing::TempDir()) + "/truncated.htds";

@@ -7,9 +7,9 @@
 //    as epsilon grows.
 //  * Exact leaf-visit budget accounting (batch and cursor), including the
 //    early_terminated flag semantics.
-//  * Sharded approximate search: deterministic under any pool size, and
-//    identical to the unsharded bounded search at a fixed per-shard
-//    budget.
+//  * Sharded approximate search: deterministic under any pool size and
+//    under concurrent callers, and identical to the unsharded bounded
+//    search at a fixed per-shard budget.
 //  * Sidecar gating: metrics without a code-space bound (QuadraticForm)
 //    build no sidecars; cursor scans charge the cursor_* IoStats
 //    counters, not the batch ones.
@@ -19,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -335,6 +337,52 @@ TEST(KnnApproxSharded, BudgetedResultsAreDeterministicAcrossPools) {
     }
     index->set_pool(nullptr);
   }
+
+  // Concurrent callers on a 4-worker pool: whether a request gets helpers
+  // (and which thread runs which shard) now depends on load. Budgeted
+  // only, epsilon only, and both must each equal the null-pool answer.
+  std::vector<ExecOptions> tiers(3);
+  tiers[0].knn_max_leaf_visits = 9;
+  tiers[1].knn_epsilon = 0.25;
+  tiers[2].knn_max_leaf_visits = 9;
+  tiers[2].knn_epsilon = 0.25;
+  std::vector<std::vector<std::vector<std::pair<double, uint64_t>>>> want;
+  for (const ExecOptions& tier : tiers) {
+    auto& per_query = want.emplace_back();
+    for (const auto& c : f.centers) {
+      std::vector<std::pair<double, uint64_t>> got;
+      ASSERT_TRUE(index->SearchKnn(c, kK, l2, tier, &got).ok());
+      per_query.push_back(std::move(got));
+    }
+  }
+  ThreadPool pool(4);
+  index->set_pool(&pool);
+  constexpr size_t kCallers = 4;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<std::pair<double, uint64_t>> got;
+      for (int round = 0; round < 3; ++round) {
+        for (size_t q = 0; q < f.centers.size(); ++q) {
+          // Callers start at different queries and tiers, so different
+          // requests overlap.
+          const size_t i = (q + t * 5) % f.centers.size();
+          for (size_t k = 0; k < tiers.size(); ++k) {
+            const size_t ti = (k + t) % tiers.size();
+            const ExecOptions& e = tiers[ti];
+            if (!index->SearchKnn(f.centers[i], kK, l2, e, &got).ok() ||
+                got != want[ti][i]) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  index->set_pool(nullptr);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // --- sidecar gating and cursor I/O accounting -------------------------------

@@ -5,14 +5,20 @@
 // ascending; k-NN by (distance, id) ascending — the ShardedIndex output
 // contract). Also covers k-NN tie-breaking at equal distances (canonical
 // spec: BruteForceKnn, which ties by id), deadline/cancel propagation,
-// empty shards, and a multi-client concurrent stress that the CI TSAN
-// job runs.
+// empty shards, a scatter that never waits for a task no thread has
+// started (a request from a pool worker, and a pool whose workers are all
+// blocked), and a multi-client concurrent stress that the CI TSAN job
+// runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -38,6 +44,19 @@ constexpr size_t kK = 10;
 /// Canonical k-NN ordering: ascending (distance, id).
 void Canonicalize(std::vector<std::pair<double, uint64_t>>* knn) {
   std::sort(knn->begin(), knn->end());
+}
+
+/// Waits for `finished`, aborting the process if it is not ready within a
+/// minute: a scatter that waits for a task no thread will ever start hangs
+/// forever, and a hung test would stall the whole suite. A minute is far
+/// beyond what the guarded work takes, sanitizers included.
+void WaitOrAbort(std::future<void>& finished, const char* what) {
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: %s did not finish within 60 s\n", what);
+    std::abort();
+  }
+  finished.get();
 }
 
 class ShardedSearchTest : public ::testing::Test {
@@ -160,6 +179,127 @@ TEST_F(ShardedSearchTest, IdenticalAcrossShardCountsPartitionersAndThreads) {
         index->set_pool(nullptr);
       }
     }
+  }
+}
+
+TEST_F(ShardedSearchTest, IdenticalForAQueryOutsideEveryShardBox) {
+  // Every shard's bounding box is inside the data's, so a query beyond the
+  // data's box on every axis lies outside all of them: the k-NN visit
+  // order then ranks shards by a MINDIST that is positive everywhere (with
+  // hash shards, whose boxes all span nearly the whole data, by small
+  // differences only).
+  Box data_box = Box::Empty(kDim);
+  for (size_t i = 0; i < data_.size(); ++i) {
+    data_box.ExtendToInclude(data_.Row(i));
+  }
+  std::vector<float> center(kDim);
+  for (uint32_t d = 0; d < kDim; ++d) {
+    center[d] = d % 2 == 0 ? data_box.hi(d) + 0.25f : data_box.lo(d) - 0.25f;
+  }
+  auto want_knn = reference_->SearchKnn(center, kK, metric_).ValueOrDie();
+  Canonicalize(&want_knn);
+  // A radius and a box that reach from the query into the data, so range
+  // and box answers are not empty.
+  const double radius = want_knn.back().first;
+  auto want_range =
+      reference_->SearchRange(center, radius, metric_).ValueOrDie();
+  std::sort(want_range.begin(), want_range.end());
+  Box box = Box::FromPoint(center);
+  for (const auto& [d, id] : want_knn) box.ExtendToInclude(data_.Row(id));
+  auto want_box = reference_->SearchBox(box).ValueOrDie();
+  std::sort(want_box.begin(), want_box.end());
+  ASSERT_FALSE(want_range.empty());
+  ASSERT_FALSE(want_box.empty());
+
+  for (ShardPartitioner p :
+       {ShardPartitioner::kHash, ShardPartitioner::kKdRegion}) {
+    SCOPED_TRACE(p == ShardPartitioner::kKdRegion ? "kd" : "hash");
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      ShardedIndexOptions so;
+      so.shards = shards;
+      so.partitioner = p;
+      auto index_r = ShardedIndex::Build(opts_, so, data_, nullptr);
+      ASSERT_TRUE(index_r.ok()) << index_r.status().ToString();
+      auto index = std::move(index_r).ValueUnsafe();
+      for (size_t threads : {size_t{0}, size_t{1}, size_t{3}, size_t{8}}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        index->set_pool(pool.get());
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ExecOptions exec;
+        std::vector<std::pair<double, uint64_t>> knn;
+        ASSERT_TRUE(index->SearchKnn(center, kK, metric_, exec, &knn).ok());
+        EXPECT_EQ(knn, want_knn);
+        std::vector<uint64_t> ids;
+        ASSERT_TRUE(
+            index->SearchRange(center, radius, metric_, exec, &ids).ok());
+        EXPECT_EQ(ids, want_range);
+        ASSERT_TRUE(index->SearchBox(box, exec, &ids).ok());
+        EXPECT_EQ(ids, want_box);
+        index->set_pool(nullptr);
+      }
+    }
+  }
+}
+
+TEST_F(ShardedSearchTest, RequestFromThePoolsOnlyWorkerCompletes) {
+  // The caller runs every shard task no helper has claimed, so a request
+  // issued from the pool's only worker never waits on that worker.
+  ShardedIndexOptions so;
+  so.shards = 4;
+  ThreadPool pool(1);
+  auto index =
+      std::move(ShardedIndex::Build(opts_, so, data_, &pool)).ValueUnsafe();
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  const auto from_worker = [&]() -> Status {
+    ExpectIdentical(*index, "from the pool's worker");
+    done.set_value();
+    return Status::OK();
+  };
+  ASSERT_TRUE(pool.Submit(from_worker).ok());
+  WaitOrAbort(finished, "a request from the pool's only worker");
+  ASSERT_TRUE(pool.Wait().ok());
+}
+
+TEST_F(ShardedSearchTest, BlockedPoolWorkersNeverStallARequest) {
+  // Every worker is blocked. An external caller's requests complete on
+  // its own thread. With free slots the scatters also queue helper tokens
+  // behind the blocked workers; those run only after the request has
+  // returned and the index is gone, and must touch nothing of either (the
+  // ASan and TSAN jobs run this file).
+  ShardedIndexOptions so;
+  so.shards = 4;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<size_t> blocked{0};
+    const auto block = [gate, &blocked]() -> Status {
+      blocked.fetch_add(1, std::memory_order_relaxed);
+      gate.wait();
+      return Status::OK();
+    };
+    for (size_t t = 0; t < threads; ++t) ASSERT_TRUE(pool.Submit(block).ok());
+    while (blocked.load(std::memory_order_relaxed) < threads) {
+      std::this_thread::yield();
+    }
+    {
+      auto index_r = ShardedIndex::Build(opts_, so, data_, &pool);
+      ASSERT_TRUE(index_r.ok()) << index_r.status().ToString();
+      auto index = std::move(index_r).ValueUnsafe();
+      std::promise<void> done;
+      std::future<void> finished = done.get_future();
+      std::thread client([&] {
+        ExpectIdentical(*index, std::to_string(threads) + " blocked workers");
+        done.set_value();
+      });
+      WaitOrAbort(finished, "a request on a pool of blocked workers");
+      client.join();
+    }
+    release.set_value();
+    ASSERT_TRUE(pool.Wait().ok());
   }
 }
 
