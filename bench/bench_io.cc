@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
         cell.avg_ms = 1e3 * total_s / dq;
         cell.round_trips = static_cast<double>(latfile.read_calls()) / dq;
         cell.logical_reads =
-            static_cast<double>(tree->pool().StatsSnapshot().logical_reads) /
+            static_cast<double>(tree->pool().stats().logical_reads) /
             dq;
         if (depth == depths.front()) {
           base_ms = cell.avg_ms;

@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
       if (kqps > m[c].knn_qps) m[c].knn_qps = kqps;
       // Every search path charges the same scan counters, so each pass's
       // share is the snapshot difference around it.
-      const IoStats batch = tree->pool().StatsSnapshot();
+      const IoStats batch = tree->pool().stats();
       m[c].scan_points = batch.scan_points;
       m[c].refined = batch.quant_refined;
       m[c].pruned = batch.quant_pruned;
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
         const double cqps =
             static_cast<double>(centers.size()) / ct.Seconds();
         if (cqps > m[c].cursor_qps) m[c].cursor_qps = cqps;
-        const IoStats cur = tree->pool().StatsSnapshot().Delta(batch);
+        const IoStats cur = tree->pool().stats().Delta(batch);
         m[c].cursor_scanned = cur.scan_points;
         m[c].cursor_refined = cur.quant_refined;
         m[c].cursor_pruned = cur.quant_pruned;

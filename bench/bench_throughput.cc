@@ -1,8 +1,7 @@
 // Extension (beyond the paper): concurrent query throughput. Serves a
 // mixed batch of box / distance-range / k-NN queries against ONE shared
-// hybrid tree in concurrent-read mode from N std::threads, each with its
-// own SearchScratch, and reports QPS and latency percentiles as the thread
-// count sweeps 1 -> 16.
+// hybrid tree from N std::threads, each with its own SearchScratch, and
+// reports QPS and latency percentiles as the thread count sweeps 1 -> 16.
 //
 // The paper's cost model is single-threaded disk accesses; this bench
 // answers the systems question the paper leaves open: does the index
@@ -128,7 +127,8 @@ int main() {
   opts.dim = 16;
   auto tree = BulkLoad(opts, &file, data).ValueOrDie();
   // Make the tree durable before serving; the flush write-back is batched
-  // (one WriteBatch round trip per buffer-pool shard, see DESIGN.md §6d).
+  // (one WriteBatch round trip for the whole buffer pool, see DESIGN.md
+  // §6d).
   HT_CHECK(tree->Flush().ok());
   const IoStats build_io = file.stats();
   std::printf("Build + flush wrote %llu pages in %llu batched write trips.\n",
@@ -152,9 +152,8 @@ int main() {
     jobs.push_back(Job{Job::Kind::kKnn, Box(), centers[n_queries / 3 + i]});
   }
 
-  // Shared-read mode for the whole sweep: the tree is never mutated while
-  // the threads run.
-  HT_CHECK_OK(tree->SetConcurrentReads(true));
+  // Shared reads for the whole sweep: the tree is never mutated while the
+  // threads run.
   std::printf("\nThroughput vs threads (batch of %zu queries):\n",
               jobs.size());
   TablePrinter table({"threads", "wall (s)", "QPS", "speedup", "p50 (us)",
@@ -173,7 +172,7 @@ int main() {
     } else if (pass.answers != reference) {
       all_match = false;
     }
-    const IoStats pool_io = tree->pool().StatsSnapshot();
+    const IoStats pool_io = tree->pool().stats();
     table.AddRow(
         {std::to_string(threads), TablePrinter::Num(pass.wall_seconds, 3),
          TablePrinter::Num(qps, 0), TablePrinter::Num(qps / qps_1, 2),
@@ -186,7 +185,6 @@ int main() {
          std::to_string(pool_io.writes),
          TablePrinter::Num(pool_io.HitRate(), 3)});
   }
-  HT_CHECK_OK(tree->SetConcurrentReads(false));
   table.Print();
   std::printf("Cross-check vs 1 thread: results %s\n",
               all_match ? "byte-identical at every thread count"

@@ -28,21 +28,21 @@
 //    600  kServeScatter                   ShardedIndex scratch_mu_ / Shard::io_mu,
 //                                         scatter Latch::mu_, SharedTopK::mu_
 //    300  kPoolPrefetch                   BufferPool::prefetch_mu_
-//    200  kPoolShard                      BufferPool::Shard::mu (16 striped)
+//    200  kPool                           BufferPool::mu_
 //    100  kPoolFile                       BufferPool::file_mu_
 //     50  kPoolPinTable                   BufferPool::pin_mu_
 //     25  kPageTable                      PageTable::grow_mu_
 //
 // The load-bearing nestings this order admits:
 //   * CacheManager::Rebalance holds kCacheManager while retargeting pools:
-//     1200 -> 200 (shard eviction) -> 100 (write-back file lock).
-//   * BufferPool::Fetch/Flush hold a shard lock across file I/O
+//     1200 -> 200 (pool eviction) -> 100 (write-back file lock).
+//   * BufferPool::Fetch/Flush hold the pool lock across file I/O
 //     (200 -> 100), pin-tracking (200 -> 50) and the frame table's rare
 //     chunk allocation (200 -> 25).
 //   * Server::Snapshot / ResetMetrics hold tenants_mu_ (shared) while
 //     draining per-tenant metric locks (1100 -> 800).
-//   * prefetch_mu_ (300) is documented as "before a shard lock, never
-//     after one" in buffer_pool.h; ranking it above kPoolShard makes the
+//   * prefetch_mu_ (300) is documented as "before the pool lock, never
+//     after it" in buffer_pool.h; ranking it above kPool makes the
 //     documented order machine-checked.
 // Everything else is acquire-release-before-next (no nesting), so any new
 // nesting some future change introduces gets checked against this table.
@@ -72,7 +72,7 @@ enum class LockRank : uint32_t {
   kPageTable = 25,
   kPoolPinTable = 50,
   kPoolFile = 100,
-  kPoolShard = 200,
+  kPool = 200,
   kPoolPrefetch = 300,
   kServeScatter = 600,
   kThreadPool = 700,

@@ -1,7 +1,7 @@
 // Copyright 2026 The HybridTree Authors.
 // Annotated synchronization primitives: the only place in the library that
 // touches raw std::mutex / std::shared_mutex / std::condition_variable
-// (the lint CI job greps for strays). Three things layer here:
+// (the lint CI job greps for strays). Two things layer here:
 //
 //   1. Clang Thread Safety capabilities (common/thread_annotations.h):
 //      ht::Mutex / ht::SharedMutex are CAPABILITY types, the guards are
@@ -12,15 +12,6 @@
 //      reports acquisitions/releases to the per-thread rank stack, which
 //      aborts on out-of-order acquisition when checking is enabled.
 //      Unranked mutexes (default) never call into the checker.
-//   3. Conditional locking: BufferPool skips its locks entirely in
-//      single-threaded mode. The guards take an (mu, enabled) constructor
-//      that is a no-op when `enabled` is false but still CLAIMS the
-//      capability to the static analysis. That over-approximation is
-//      sound by the library's protocol: disabled means "single-threaded
-//      by contract", and the discipline being checked is that the code is
-//      WRITTEN as if the lock were held — so the same annotated code paths
-//      serve both modes, and flipping a mode can never invalidate the
-//      analysis.
 //
 // In release builds without lock-rank checking, every wrapper compiles to
 // the bare std operation (annotations are attributes, the rank hook is
@@ -122,92 +113,68 @@ class HT_CAPABILITY("shared_mutex") SharedMutex {
 };
 
 /// Scoped exclusive lock on a Mutex. Relockable (Unlock()/Lock() members)
-/// to express drop-and-reacquire dances, and conditional via the
-/// (mu, enabled) constructor — see the file comment for why a disabled
-/// guard still claims the capability statically.
+/// to express drop-and-reacquire dances.
 class HT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) HT_ACQUIRE(mu) : mu_(mu) {
     mu_->Lock();
     held_ = true;
   }
-  MutexLock(Mutex* mu, bool enabled) HT_ACQUIRE(mu)
-      : mu_(mu), enabled_(enabled) {
-    if (enabled_) mu_->Lock();
-    held_ = true;  // logically held either way (single-threaded contract)
-  }
   ~MutexLock() HT_RELEASE() {
-    if (held_ && enabled_) mu_->Unlock();
+    if (held_) mu_->Unlock();
   }
   HT_DISALLOW_COPY_AND_ASSIGN(MutexLock);
 
-  /// Drop the lock mid-scope (no-op on a disabled guard).
+  /// Drop the lock mid-scope.
   void Unlock() HT_RELEASE() {
     HT_DCHECK(held_);
-    if (enabled_) mu_->Unlock();
+    mu_->Unlock();
     held_ = false;
   }
   /// Reacquire after Unlock().
   void Lock() HT_ACQUIRE() {
     HT_DCHECK(!held_);
-    if (enabled_) mu_->Lock();
+    mu_->Lock();
     held_ = true;
   }
 
  private:
   friend class CondVar;
   Mutex* mu_;
-  bool enabled_ = true;  // false: conditional guard in single-thread mode
-  bool held_ = false;    // logically held (tracks Unlock()/Lock())
+  bool held_ = false;  // tracks Unlock()/Lock()
 };
 
-/// Scoped shared lock on a SharedMutex (conditional like MutexLock).
+/// Scoped shared lock on a SharedMutex.
 class HT_SCOPED_CAPABILITY ReaderLock {
  public:
   explicit ReaderLock(SharedMutex* mu) HT_ACQUIRE_SHARED(mu) : mu_(mu) {
     mu_->LockShared();
   }
-  ReaderLock(SharedMutex* mu, bool enabled) HT_ACQUIRE_SHARED(mu)
-      : mu_(mu), enabled_(enabled) {
-    if (enabled_) mu_->LockShared();
-  }
-  ~ReaderLock() HT_RELEASE() {
-    if (enabled_) mu_->UnlockShared();
-  }
+  ~ReaderLock() HT_RELEASE() { mu_->UnlockShared(); }
   HT_DISALLOW_COPY_AND_ASSIGN(ReaderLock);
 
  private:
   SharedMutex* mu_;
-  bool enabled_ = true;
 };
 
-/// Scoped exclusive lock on a SharedMutex (conditional like MutexLock).
+/// Scoped exclusive lock on a SharedMutex.
 class HT_SCOPED_CAPABILITY WriterLock {
  public:
   explicit WriterLock(SharedMutex* mu) HT_ACQUIRE(mu) : mu_(mu) {
     mu_->Lock();
   }
-  WriterLock(SharedMutex* mu, bool enabled) HT_ACQUIRE(mu)
-      : mu_(mu), enabled_(enabled) {
-    if (enabled_) mu_->Lock();
-  }
-  ~WriterLock() HT_RELEASE() {
-    if (enabled_) mu_->Unlock();
-  }
+  ~WriterLock() HT_RELEASE() { mu_->Unlock(); }
   HT_DISALLOW_COPY_AND_ASSIGN(WriterLock);
 
  private:
   SharedMutex* mu_;
-  bool enabled_ = true;
 };
 
-/// Condition variable working with ht::Mutex through a live MutexLock.
-/// The guard must be an ENABLED, held guard (condition waits are
-/// meaningless without a real lock; all library call sites wait only in
-/// concurrent mode). During the blocked window the mutex's rank is popped
-/// from the thread's rank stack and re-recorded on wake-up, so a wait
-/// neither poisons the stack nor trips the order check when the OS hands
-/// the mutex back in arbitrary order.
+/// Condition variable working with ht::Mutex through a live, held
+/// MutexLock. During the blocked window the mutex's rank is popped from the
+/// thread's rank stack and re-recorded on wake-up, so a wait neither
+/// poisons the stack nor trips the order check when the OS hands the mutex
+/// back in arbitrary order.
 class CondVar {
  public:
   CondVar() = default;
@@ -241,7 +208,7 @@ class CondVar {
 
  private:
   static Mutex* PrepareWait(MutexLock& lock) {
-    HT_DCHECK(lock.enabled_ && lock.held_);
+    HT_DCHECK(lock.held_);
     Mutex* mu = lock.mu_;
     if (mu->rank_ != LockRank::kUnranked) {
       lock_rank::OnRelease(mu, mu->rank_, mu->name_);

@@ -177,7 +177,7 @@ Status HybridTree::Flush() {
   ExclusiveRole role(&rw_contract_);
   AccessClassScope ac(AccessClass::kIngest);
   // Ordered, write-ahead flush: first every dirty tree page goes out (in
-  // batched round trips, one WriteBatch per buffer-pool shard) and is made
+  // one batched WriteBatch round trip) and is made
   // durable; only then is the metadata page — root pointer, height, count —
   // written and synced. A flush that dies part-way therefore leaves the old
   // metadata on disk: reopening yields the previous root rather than a new
@@ -264,15 +264,6 @@ Result<const FlatIndexNode*> HybridTree::ReadFlatNode(
 }
 
 void HybridTree::InvalidateCachedNode(PageId id) { node_cache_.Erase(id); }
-
-Status HybridTree::SetConcurrentReads(bool on) {
-  // Mode flips happen between batches, under write exclusivity.
-  ExclusiveRole role(&rw_contract_);
-  if (on == concurrent_reads_) return Status::OK();
-  HT_RETURN_NOT_OK(pool_->SetConcurrentMode(on));
-  concurrent_reads_ = on;
-  return Status::OK();
-}
 
 Status HybridTree::WriteIndexNode(PageId id, IndexNode& node) {
   InvalidateCachedNode(id);

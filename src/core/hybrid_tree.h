@@ -21,18 +21,17 @@
 // Concurrency: shared-read / exclusive-write. All query methods (SearchBox,
 // SearchPoint, CountBox, ScanAll, SearchRange, SearchKnn[Approx], cursors)
 // are const and keep their traversal state in per-query stack/heap
-// structures, so after SetConcurrentReads(true) any number of threads may
-// run them concurrently against one tree (the buffer pool switches to its
-// lock-striped mode and the flat-node cache takes a reader-writer lock;
-// see storage/buffer_pool.h). Mutation (Insert, Delete, Flush, RebuildEls)
-// requires exclusive access: the caller must guarantee no query is in
-// flight — the exclusive-write half of the protocol is enforced by the
-// caller (e.g. the read-only ShardedIndex in serve/), not by this class.
-// Mode switches themselves require the same exclusivity. The protocol is
-// expressed to Clang's thread-safety analysis through the annotation-only
-// rw_contract_ capability (see DESIGN.md §12): read entry points acquire
-// it shared, mutators exclusively, and internal helpers declare which half
-// they need.
+// structures, so any number of threads may run them concurrently against
+// one tree: the buffer pool is thread-safe (storage/buffer_pool.h), and
+// the flat-node and sidecar caches are lock-free (storage/page_table.h).
+// Mutation (Insert, Delete, Flush, RebuildEls) requires exclusive access:
+// the caller must guarantee no query is in flight — the exclusive-write
+// half of the protocol is enforced by the caller (e.g. the read-only
+// ShardedIndex in serve/), not by this class. The protocol is expressed to
+// Clang's thread-safety analysis through the annotation-only rw_contract_
+// capability (see DESIGN.md §12): read entry points acquire it shared,
+// mutators exclusively, and internal helpers declare which half they
+// need.
 
 #pragma once
 
@@ -322,22 +321,10 @@ class HybridTree {
   BufferPool& pool() { return *pool_; }
   const BufferPool& pool() const { return *pool_; }
 
-  /// Enables (or disables) concurrent read mode: the buffer pool switches
-  /// to its lock-striped mode, after which any number of threads may run
-  /// the const query methods concurrently (shared-read half of the
-  /// protocol). The flat-node and sidecar caches are lock-free in both
-  /// modes. The caller keeps the exclusive-write half: no
-  /// Insert/Delete/Flush while queries are in flight, and the mode switch
-  /// itself requires that no query is running. Single-threaded performance
-  /// is unaffected while the mode is off (no locks are taken anywhere on
-  /// the read path).
-  Status SetConcurrentReads(bool on);
-  bool concurrent_reads() const { return concurrent_reads_; }
-
   /// Sets the frontier-driven prefetch depth (see
-  /// HybridTreeOptions::prefetch_depth). Like SetConcurrentReads, flip it
-  /// only under write exclusivity (no query in flight); queries read the
-  /// value without synchronization.
+  /// HybridTreeOptions::prefetch_depth). Like a mutation, call it only
+  /// under write exclusivity (no query in flight); queries read the value
+  /// without synchronization.
   void SetPrefetchDepth(size_t depth) { options_.prefetch_depth = depth; }
   size_t prefetch_depth() const { return options_.prefetch_depth; }
 
@@ -644,11 +631,6 @@ class HybridTree {
   /// are unaffected (callers fetch the page first regardless). Mutable
   /// because filling the cache is part of the const read path.
   mutable OwnedPageTable<const FlatIndexNode> node_cache_;
-
-  /// Concurrent read mode (see SetConcurrentReads). Only flipped under
-  /// write exclusivity, so plain (unsynchronized) reads of the flag are
-  /// safe: worker threads are created after the flip.
-  bool concurrent_reads_ = false;
 
   /// The shared-read / exclusive-write protocol as a checkable capability.
   /// Not a lock: acquiring it is a compile-time statement ("this code runs

@@ -220,9 +220,6 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
     HT_ASSIGN_OR_RETURN(
         shard->tree, BulkLoad(tree_options, shard->file.get(), shard_data,
                               bulk));
-    // The serving tier is read-only: concurrent-read mode stays on for the
-    // life of the index, so requests never pay a mode switch.
-    HT_RETURN_NOT_OK(shard->tree->SetConcurrentReads(true));
     if (shard_options.io_pool != nullptr) {
       ThreadPool* io = shard_options.io_pool;
       shard->tree->pool().SetPrefetchExecutor([io](std::function<void()> f) {

@@ -6,10 +6,9 @@
 // Partitioning reuses the parallel bulk loader's deterministic
 // PartitionSubset cuts (kd-region, the default) or a splitmix64 hash of
 // the row id (the skew fallback) — see serve/partition.h. Each shard is
-// bulk-loaded with shard-local ids and a local→global id map, flipped
-// into concurrent-read mode once at build, and never mutated afterwards:
-// the serving tier is read-only by construction, so any number of
-// requests may scatter over the shards concurrently.
+// bulk-loaded with shard-local ids and a local→global id map, and never
+// mutated afterwards: the serving tier is read-only by construction, so
+// any number of requests may scatter over the shards concurrently.
 //
 // Scatter-gather and determinism: every search runs one task per shard,
 // gathers per-shard results, and merges them into a CANONICAL order —
@@ -56,8 +55,8 @@
 // pops. A shard task that starts after the deadline fails the whole
 // request with DeadlineExceeded — a partial scatter is a wrong answer,
 // not a slow one. A dedicated prefetch pool is attached at build time via
-// ShardedIndexOptions::io_pool (the serving tier holds concurrent-read
-// mode open, so it stays attached for the index's lifetime).
+// ShardedIndexOptions::io_pool and stays attached for the index's
+// lifetime.
 //
 // Threading: safe to call from any thread, the serving pool's own workers
 // included (the caller runs every task no helper has claimed, so a
@@ -159,11 +158,10 @@ struct ShardedIndexOptions {
 
 class ShardedIndex {
  public:
-  /// Partitions `data`, bulk-loads one tree per shard, and flips every
-  /// shard into concurrent-read mode. `pool` lends idle workers to the
-  /// scatters as helpers (not owned; may be nullptr for serial in-caller
-  /// execution; replaceable later via set_pool under the caller's
-  /// quiescence).
+  /// Partitions `data` and bulk-loads one tree per shard. `pool` lends
+  /// idle workers to the scatters as helpers (not owned; may be nullptr
+  /// for serial in-caller execution; replaceable later via set_pool under
+  /// the caller's quiescence).
   static Result<std::unique_ptr<ShardedIndex>> Build(
       const HybridTreeOptions& tree_options,
       const ShardedIndexOptions& shard_options, const Dataset& data,

@@ -79,10 +79,7 @@ void PageHandle::Release() {
 
 BufferPool::BufferPool(PagedFile* file, size_t capacity_pages,
                        CachePolicy policy)
-    : file_(file),
-      policy_(policy),
-      capacity_(capacity_pages),
-      shard_capacity_(capacity_pages) {
+    : file_(file), policy_(policy), capacity_(capacity_pages) {
 #ifdef HT_DEBUG_VALIDATE
   pin_tracking_.store(true, std::memory_order_relaxed);
 #endif
@@ -109,127 +106,72 @@ void BufferPool::CountClass(
   if (IoStats* tls = g_tls_io_sink) ++(tls->*counters)[cls];
 }
 
-Status BufferPool::SetConcurrentMode(bool on) {
-  if (on == concurrent_) return Status::OK();
-  DrainPrefetch();
-  if (pinned_frames() != 0) {
-    return Status::InvalidArgument(
-        "BufferPool mode switch requires no pinned frames");
-  }
-  // Collect every resident frame (least recent first, per segment) and
-  // every free frame, flip the mode, and re-bucket under the new
-  // ShardIndex mapping. Pushing each frame to the front in that order
-  // keeps the recency order within each segment of each new shard. Frame
-  // ownership stays with the allocating shard; only list membership moves.
-  std::vector<Frame*> resident;
-  std::vector<Frame*> spare;
-  for (Shard& s : shards_) {
-    // Mode switches require quiescence (no other thread inside the pool),
-    // so the guard claims the shard capability without locking.
-    MutexLock lock(&s.mu, /*enabled=*/false);
-    for (FrameList* list : {&s.lru, &s.protected_lru, &s.prefetch_queue}) {
-      while (Frame* f = list->back()) {
-        list->Remove(f);
-        resident.push_back(f);
-      }
-    }
-    spare.insert(spare.end(), s.free_frames.begin(), s.free_frames.end());
-    s.free_frames.clear();
-  }
-  concurrent_ = on;
-  const size_t cap = capacity_.load(std::memory_order_relaxed);
-  shard_capacity_.store(
-      concurrent_ ? (cap == 0 ? 0 : (cap + kShardCount - 1) / kShardCount)
-                  : cap,
-      std::memory_order_relaxed);
-  for (Frame* f : resident) {
-    Shard& s = ShardFor(f->id.load(std::memory_order_relaxed));
-    MutexLock lock(&s.mu, /*enabled=*/false);  // same quiescence contract
-    ListFor(s, f->segment).PushFront(f);
-  }
-  for (size_t i = 0; i < spare.size(); ++i) {
-    Shard& s = shards_[concurrent_ ? i % kShardCount : 0];
-    MutexLock lock(&s.mu, /*enabled=*/false);
-    s.free_frames.push_back(spare[i]);
-  }
-  return Status::OK();
-}
-
 Status BufferPool::SetCapacity(size_t capacity_pages) {
   // Relaxed store: the capacity target is advisory — each reader acts on
-  // whatever value it observes under its own shard lock, and a stale
-  // target only delays (never corrupts) the resize.
+  // whatever value it observes under the pool lock, and a stale target
+  // only delays (never corrupts) the resize.
   capacity_.store(capacity_pages, std::memory_order_relaxed);
-  const size_t per_shard =
-      concurrent_ ? (capacity_pages == 0
-                         ? 0
-                         : (capacity_pages + kShardCount - 1) / kShardCount)
-                  : capacity_pages;
-  shard_capacity_.store(per_shard, std::memory_order_relaxed);
-  if (per_shard == 0) return Status::OK();
+  if (capacity_pages == 0) return Status::OK();
   // Best-effort shrink: evict unpinned frames down to the new target. A
   // pinned overage is left in place — it drains as pins release and later
   // misses evict down to target (EvictOneIfNeeded loops while over).
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    while (ResidentLocked(shard) > per_shard) {
-      if (!EvictVictimLocked(shard).ok()) break;  // everything left is pinned
-    }
+  MutexLock lock(&mu_);
+  while (ResidentLocked() > capacity_pages) {
+    if (!EvictVictimLocked().ok()) break;  // everything left is pinned
   }
   return Status::OK();
 }
 
-uint8_t BufferPool::SketchTouch(Shard& shard, PageId id) {
+uint8_t BufferPool::SketchTouch(PageId id) {
   // Age first (halving every ~16x-capacity touches keeps the counters a
   // sliding-window frequency estimate, TinyLFU-style), THEN bump. The
-  // sketch itself is plain shard state under the shard lock; only the
-  // capacity target is atomic (relaxed: stale values merely shift the
-  // halving period).
-  const size_t cap = shard_capacity_.load(std::memory_order_relaxed);
+  // sketch itself is plain pool state under mu_; only the capacity target
+  // is atomic (relaxed: stale values merely shift the halving period).
+  const size_t cap = capacity_.load(std::memory_order_relaxed);
   const uint64_t halve_period =
       cap == 0 ? 4096 : std::max<uint64_t>(64, 16 * static_cast<uint64_t>(cap));
-  if (++shard.sketch_ops >= halve_period) {
-    shard.sketch_ops = 0;
-    for (uint8_t& c : shard.sketch) c = static_cast<uint8_t>(c >> 1);
+  if (++sketch_ops_ >= halve_period) {
+    sketch_ops_ = 0;
+    for (uint8_t& c : sketch_) c = static_cast<uint8_t>(c >> 1);
   }
   uint8_t& ctr =
-      shard.sketch[(static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> 56];
+      sketch_[(static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> 56];
   if (ctr < kSketchMax) ++ctr;
   return ctr;
 }
 
 size_t BufferPool::ProtectedCapacity() const {
-  const size_t cap = shard_capacity_.load(std::memory_order_relaxed);
+  const size_t cap = capacity_.load(std::memory_order_relaxed);
   if (cap == 0) return 0;  // unbounded pool: no budget enforced
-  // Keep a probationary floor of ~20% of the shard (at least one frame) so
+  // Keep a probationary floor of ~20% of the pool (at least one frame) so
   // new admissions always have somewhere to live without displacing the
   // protected set; the rest is the protected budget.
   const size_t probation_floor = std::max<size_t>(1, cap / 5);
   return cap > probation_floor ? cap - probation_floor : 0;
 }
 
-void BufferPool::EnforceProtectedCapLocked(Shard& shard) {
-  if (shard_capacity_.load(std::memory_order_relaxed) == 0) return;
+void BufferPool::EnforceProtectedCapLocked() {
+  if (capacity_.load(std::memory_order_relaxed) == 0) return;
   const size_t cap = ProtectedCapacity();
-  while (shard.protected_lru.size() > cap) {
+  while (protected_lru_.size() > cap) {
     // Demote the protected tail to the probationary MRU position: it gets
     // one more chance to be re-referenced before reaching the LRU tail.
-    Frame* tail = shard.protected_lru.back();
-    shard.protected_lru.Remove(tail);
+    Frame* tail = protected_lru_.back();
+    protected_lru_.Remove(tail);
     tail->segment = CacheSegment::kProbation;
-    shard.lru.PushFront(tail);
+    lru_.PushFront(tail);
   }
 }
 
-void BufferPool::LinkFrontLocked(Shard& shard, Frame* f) {
-  ListFor(shard, f->segment).PushFront(f);
+void BufferPool::LinkFrontLocked(Frame* f) {
+  ListFor(f->segment).PushFront(f);
   if (policy_ == CachePolicy::kSlru && f->segment == CacheSegment::kProtected) {
-    EnforceProtectedCapLocked(shard);
+    EnforceProtectedCapLocked();
   }
 }
 
-void BufferPool::PinHitLocked(Shard& shard, PageId id, Frame* f) {
-  // Relaxed: the shard lock orders this pin after the frame's install, and
+void BufferPool::PinHitLocked(PageId id, Frame* f) {
+  // Relaxed: the pool lock orders this pin after the frame's install, and
   // no eviction of this page can run while the lock is held, so the count
   // is >= 0 here.
   f->pins.fetch_add(1, std::memory_order_relaxed);
@@ -239,9 +181,9 @@ void BufferPool::PinHitLocked(Shard& shard, PageId id, Frame* f) {
     f->admit_class = cls;  // first demand reference re-attributes the frame
     Count(&IoStats::prefetch_hits);
   }
-  ListFor(shard, f->segment).Remove(f);
+  ListFor(f->segment).Remove(f);
   if (policy_ == CachePolicy::kSlru) {
-    const uint8_t freq = SketchTouch(shard, id);
+    const uint8_t freq = SketchTouch(id);
     if (f->segment == CacheSegment::kPrefetchQueue) {
       // First demand reference to a prefetched frame: plain admission into
       // probation — one touch is not yet evidence of reuse.
@@ -254,13 +196,12 @@ void BufferPool::PinHitLocked(Shard& shard, PageId id, Frame* f) {
       f->segment = CacheSegment::kProtected;
     }
   }
-  LinkFrontLocked(shard, f);
+  LinkFrontLocked(f);
 }
 
-internal::CacheSegment BufferPool::AdmitSegmentLocked(Shard& shard,
-                                                      PageId id) {
+internal::CacheSegment BufferPool::AdmitSegmentLocked(PageId id) {
   if (policy_ != CachePolicy::kSlru) return CacheSegment::kProbation;
-  const uint8_t freq = SketchTouch(shard, id);
+  const uint8_t freq = SketchTouch(id);
   if (CurrentAccessClass() == AccessClass::kQuery && freq >= kSketchPromote) {
     // A recently-hot page that a burst pushed out: readmit straight to
     // protected instead of making it climb out of probation again.
@@ -269,34 +210,34 @@ internal::CacheSegment BufferPool::AdmitSegmentLocked(Shard& shard,
   return CacheSegment::kProbation;
 }
 
-BufferPool::Frame* BufferPool::AcquireFrameLocked(Shard& shard) {
-  if (shard.free_frames.empty()) {
-    shard.owned.push_back(std::make_unique<Frame>(file_->page_size()));
-    return shard.owned.back().get();
+BufferPool::Frame* BufferPool::AcquireFrameLocked() {
+  if (free_frames_.empty()) {
+    owned_.push_back(std::make_unique<Frame>(file_->page_size()));
+    return owned_.back().get();
   }
-  Frame* f = shard.free_frames.back();
-  shard.free_frames.pop_back();
+  Frame* f = free_frames_.back();
+  free_frames_.pop_back();
   f->page = Page(file_->page_size());
   return f;
 }
 
-void BufferPool::RecycleFrameLocked(Shard& shard, Frame* f) {
+void BufferPool::RecycleFrameLocked(Frame* f) {
   f->page.Release();
-  shard.free_frames.push_back(f);
+  free_frames_.push_back(f);
 }
 
-void BufferPool::InstallLocked(Shard& shard, PageId id, Frame* f, int pins) {
+void BufferPool::InstallLocked(PageId id, Frame* f, int pins) {
   // Relaxed field stores, then the release store of the pin count: a
   // lock-free reader whose pin CAS reads this count (or a later one)
   // synchronizes with it and sees the new id, flag and page bytes.
   f->id.store(id, std::memory_order_relaxed);
   f->pins.store(pins, std::memory_order_release);
-  LinkFrontLocked(shard, f);
+  LinkFrontLocked(f);
   table_.Store(id, f);
 }
 
 BufferPool::Frame* BufferPool::TryPinUnlocked(PageId id) {
-  if (shard_capacity_.load(std::memory_order_relaxed) != 0) return nullptr;
+  if (capacity_.load(std::memory_order_relaxed) != 0) return nullptr;
   Frame* f = table_.Load(id);
   if (f == nullptr) return nullptr;
   // Pin CAS: from p >= 0 only, so a frame claimed by eviction (-1) is
@@ -325,25 +266,22 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
     CountClass(&IoStats::class_hits, cls);
     return PageHandle(this, id, f, TrackPin(id, loc));
   }
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu, concurrent_);
+  MutexLock lock(&mu_);
   bool checked_inflight = false;
   for (;;) {
     if (Frame* f = table_.Load(id)) {
       CountClass(&IoStats::class_hits, cls);
-      PinHitLocked(shard, id, f);
+      PinHitLocked(id, f);
       return PageHandle(this, id, f, TrackPin(id, loc));
     }
     // Miss. If an async prefetch of this page is in flight, wait for the
     // fill instead of issuing a duplicate read, then re-check the table.
     // The atomic fast path keeps the no-prefetch miss free of prefetch_mu_
-    // traffic; the guard also keeps serial mode (claimed, unlocked shard
-    // guard) out of the unlock/relock dance. The dance runs at most once:
-    // the shard lock is dropped during it, so the table MUST be re-checked
-    // afterwards (a racing Fetch/fill may have installed the frame in the
-    // window — installing a duplicate would dangle the returned pin), and
-    // the one-shot guard keeps a busy in-flight set elsewhere in the pool
-    // from looping this fetch forever.
+    // traffic. The dance runs at most once: the pool lock is dropped during
+    // it, so the table MUST be re-checked afterwards (a racing Fetch/fill
+    // may have installed the frame in the window — installing a duplicate
+    // would dangle the returned pin), and the one-shot guard keeps a busy
+    // in-flight set elsewhere in the pool from looping this fetch forever.
     //
     // Memory order: acquire pairs with the release increments in
     // Prefetch/FillPrefetch, so a nonzero observation happens-after the
@@ -351,7 +289,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
     // either way — the authoritative membership check runs under
     // prefetch_mu_, and a stale zero just means this fetch reads the page
     // itself (the fill detects the installed frame and drops its copy).
-    if (concurrent_ && !checked_inflight &&
+    if (!checked_inflight &&
         inflight_count_.load(std::memory_order_acquire) > 0) {
       checked_inflight = true;
       lock.Unlock();
@@ -369,25 +307,25 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
     break;
   }
   CountClass(&IoStats::class_misses, cls);
-  HT_RETURN_NOT_OK(EvictOneIfNeeded(shard, /*demand=*/true));
-  Frame* f = AcquireFrameLocked(shard);
+  HT_RETURN_NOT_OK(EvictOneIfNeeded(/*demand=*/true));
+  Frame* f = AcquireFrameLocked();
   Status read_status;
   {
     // Shared lock: positional reads run concurrently with each other and
     // only exclude allocation/extension and write-back.
-    ReaderLock flock(&file_mu_, concurrent_);
+    ReaderLock flock(&file_mu_);
     read_status = file_->Read(id, &f->page);
   }
   if (!read_status.ok()) {
-    RecycleFrameLocked(shard, f);
+    RecycleFrameLocked(f);
     return read_status;
   }
   Count(&IoStats::physical_reads);
   f->dirty = false;
   f->prefetched.store(false, std::memory_order_relaxed);
   f->admit_class = CurrentAccessClass();
-  f->segment = AdmitSegmentLocked(shard, id);
-  InstallLocked(shard, id, f, /*pins=*/1);
+  f->segment = AdmitSegmentLocked(id);
+  InstallLocked(id, f, /*pins=*/1);
   return PageHandle(this, id, f, TrackPin(id, loc));
 }
 
@@ -408,42 +346,41 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
   std::vector<Frame*> miss_frames;
   std::vector<Page*> miss_pages;
   std::unordered_map<PageId, size_t> miss_slot;  // id -> index in miss_*
-  for (PageId id : ids) {
-    Count(&IoStats::logical_reads);
-    Shard& shard = ShardFor(id);
-    MutexLock lock(&shard.mu, concurrent_);
-    if (Frame* f = table_.Load(id)) {
-      CountClass(&IoStats::class_hits, cls);
-      PinHitLocked(shard, id, f);
-      out->push_back(PageHandle(this, id, f, TrackPin(id, loc)));
-    } else {
-      CountClass(&IoStats::class_misses, cls);
-      out->push_back(PageHandle());
-      if (miss_slot.emplace(id, miss_ids.size()).second) {
-        miss_ids.push_back(id);
-        miss_frames.push_back(AcquireFrameLocked(shard));
-        miss_pages.push_back(&miss_frames.back()->page);
+  {
+    MutexLock lock(&mu_);
+    for (PageId id : ids) {
+      Count(&IoStats::logical_reads);
+      if (Frame* f = table_.Load(id)) {
+        CountClass(&IoStats::class_hits, cls);
+        PinHitLocked(id, f);
+        out->push_back(PageHandle(this, id, f, TrackPin(id, loc)));
+      } else {
+        CountClass(&IoStats::class_misses, cls);
+        out->push_back(PageHandle());
+        if (miss_slot.emplace(id, miss_ids.size()).second) {
+          miss_ids.push_back(id);
+          miss_frames.push_back(AcquireFrameLocked());
+          miss_pages.push_back(&miss_frames.back()->page);
+        }
       }
     }
   }
   if (miss_ids.empty()) return Status::OK();
 
-  // Hands every frame still owned by this call back to its shard.
-  const auto recycle_unused = [&] {
-    for (size_t i = 0; i < miss_ids.size(); ++i) {
-      if (miss_frames[i] == nullptr) continue;
-      Shard& shard = ShardFor(miss_ids[i]);
-      MutexLock lock(&shard.mu, concurrent_);
-      RecycleFrameLocked(shard, miss_frames[i]);
+  // Hands every frame still owned by this call back to the free list.
+  const auto recycle_unused = [&]() HT_REQUIRES(mu_) {
+    for (Frame* f : miss_frames) {
+      if (f != nullptr) RecycleFrameLocked(f);
     }
   };
 
   // One round trip for every miss.
   Status read_status;
   {
-    ReaderLock flock(&file_mu_, concurrent_);
+    ReaderLock flock(&file_mu_);
     read_status = file_->ReadBatch(miss_ids, miss_pages);
   }
+  MutexLock lock(&mu_);
   if (!read_status.ok()) {
     out->clear();  // releases every pass-1 pin
     recycle_unused();
@@ -458,25 +395,22 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
   for (size_t i = 0; i < ids.size(); ++i) {
     if ((*out)[i].valid()) continue;
     const PageId id = ids[i];
-    Shard& shard = ShardFor(id);
-    MutexLock lock(&shard.mu, concurrent_);
     Frame* f = table_.Load(id);
     if (f != nullptr) {
       f->pins.fetch_add(1, std::memory_order_relaxed);  // see PinHitLocked
       // Pinned through us, not through a prior hit: no prefetch_hit.
       f->prefetched.store(false, std::memory_order_relaxed);
-      ListFor(shard, f->segment).Remove(f);
+      ListFor(f->segment).Remove(f);
       if (f->segment == CacheSegment::kPrefetchQueue) {
         // First demand reference to a prefetched frame: admit to probation
         // and attribute it to this batch's class.
         f->segment = CacheSegment::kProbation;
         f->admit_class = CurrentAccessClass();
       }
-      LinkFrontLocked(shard, f);
+      LinkFrontLocked(f);
     } else {
-      Status evict_status = EvictOneIfNeeded(shard, /*demand=*/true);
+      Status evict_status = EvictOneIfNeeded(/*demand=*/true);
       if (!evict_status.ok()) {
-        lock.Unlock();  // recycle_unused() re-locks shards
         out->clear();
         recycle_unused();
         return evict_status;
@@ -489,8 +423,8 @@ Status BufferPool::FetchMany(std::span<const PageId> ids,
       f->dirty = false;
       f->prefetched.store(false, std::memory_order_relaxed);
       f->admit_class = CurrentAccessClass();
-      f->segment = AdmitSegmentLocked(shard, id);
-      InstallLocked(shard, id, f, /*pins=*/1);
+      f->segment = AdmitSegmentLocked(id);
+      InstallLocked(id, f, /*pins=*/1);
     }
     (*out)[i] = PageHandle(this, id, f, TrackPin(id, loc));
   }
@@ -512,7 +446,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   if (need.empty()) return;
 
   bool async = false;
-  if (concurrent_ && async_exec_) {
+  if (async_exec_) {
     MutexLock pl(&prefetch_mu_);
     need.erase(std::remove_if(need.begin(), need.end(),
                               [this](PageId id) HT_REQUIRES(prefetch_mu_) {
@@ -548,64 +482,66 @@ void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
   // then fills them outside every lock.
   std::vector<Frame*> frames(ids.size());
   std::vector<Page*> pages(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Shard& shard = ShardFor(ids[i]);
-    MutexLock lock(&shard.mu, concurrent_);
-    frames[i] = AcquireFrameLocked(shard);
-    pages[i] = &frames[i]->page;
+  {
+    MutexLock lock(&mu_);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      frames[i] = AcquireFrameLocked();
+      pages[i] = &frames[i]->page;
+    }
   }
   Status read_status;
   {
-    ReaderLock flock(&file_mu_, concurrent_);
+    ReaderLock flock(&file_mu_);
     read_status = file_->ReadBatch(ids, pages);
   }
   // Read errors are swallowed: prefetch is best-effort, and the Fetch that
   // actually needs the page will surface the error.
   if (read_status.ok()) Count(&IoStats::batch_reads);
-  // Each batch advances its shards' prefetch generation (once per shard
-  // per call, BEFORE the first install evicts): leftovers from older
-  // batches become stale and are reclaimed first to make room, while
-  // this batch's own fills are spared until the next one lands.
-  std::array<bool, kShardCount> bumped{};
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const PageId id = ids[i];
-    Shard& shard = ShardFor(id);
-    MutexLock lock(&shard.mu, concurrent_);
-    Frame* f = frames[i];
-    // Drop the fill on a read error, when a racing fetch installed the
-    // page first, or — speculative fills never overflow a pinned-full
-    // shard — when there is no room; demand re-reads it if it is needed.
-    if (!read_status.ok() || table_.Load(id) != nullptr) {
-      RecycleFrameLocked(shard, f);
-      continue;
+  {
+    MutexLock lock(&mu_);
+    // Each batch advances the prefetch generation (once per call, BEFORE
+    // the first install evicts): leftovers from older batches become
+    // stale and are reclaimed first to make room, while this batch's own
+    // fills are spared until the next one lands.
+    bool bumped = false;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const PageId id = ids[i];
+      Frame* f = frames[i];
+      // Drop the fill on a read error, when a racing fetch installed the
+      // page first, or — speculative fills never overflow a pinned-full
+      // pool — when there is no room; demand re-reads it if it is needed.
+      if (!read_status.ok() || table_.Load(id) != nullptr) {
+        RecycleFrameLocked(f);
+        continue;
+      }
+      if (policy_ == CachePolicy::kSlru && !bumped) {
+        bumped = true;
+        ++prefetch_gen_;
+      }
+      if (!EvictOneIfNeeded(/*demand=*/false).ok()) {
+        RecycleFrameLocked(f);
+        continue;
+      }
+      Count(&IoStats::physical_reads);
+      f->dirty = false;
+      f->prefetched.store(true, std::memory_order_relaxed);
+      f->admit_class = AccessClass::kPrefetch;
+      // kSlru parks never-referenced fills on the evict-first prefetch
+      // queue; kLru keeps the historical LRU-front insertion.
+      if (policy_ == CachePolicy::kSlru) {
+        f->segment = CacheSegment::kPrefetchQueue;
+        f->fill_gen = prefetch_gen_;
+      } else {
+        f->segment = CacheSegment::kProbation;
+      }
+      InstallLocked(id, f, /*pins=*/0);
     }
-    if (policy_ == CachePolicy::kSlru && !bumped[ShardIndex(id)]) {
-      bumped[ShardIndex(id)] = true;
-      ++shard.prefetch_gen;
-    }
-    if (!EvictOneIfNeeded(shard, /*demand=*/false).ok()) {
-      RecycleFrameLocked(shard, f);
-      continue;
-    }
-    Count(&IoStats::physical_reads);
-    f->dirty = false;
-    f->prefetched.store(true, std::memory_order_relaxed);
-    f->admit_class = AccessClass::kPrefetch;
-    // kSlru parks never-referenced fills on the evict-first prefetch
-    // queue; kLru keeps the historical LRU-front insertion.
-    if (policy_ == CachePolicy::kSlru) {
-      f->segment = CacheSegment::kPrefetchQueue;
-      f->fill_gen = shard.prefetch_gen;
-    } else {
-      f->segment = CacheSegment::kProbation;
-    }
-    InstallLocked(shard, id, f, /*pins=*/0);
   }
   if (async) {
-    // Clear the in-flight marks only after every shard lock is released
-    // (lock order: prefetch_mu_ never follows a shard lock) and notify
-    // both Fetch waiters and DrainPrefetch. The notify happens under the
-    // lock on purpose: once a drainer (e.g. the destructor) re-acquires
+    // Clear the in-flight marks only after the pool lock is released
+    // (lock order: prefetch_mu_ never follows mu_) and notify both Fetch
+    // waiters and DrainPrefetch. The notify happens under the lock on
+    // purpose: once a drainer (e.g. the destructor) re-acquires
     // prefetch_mu_ and sees inflight_ empty, this thread is provably done
     // touching the condition variable, so tearing the pool down is safe.
     MutexLock pl(&prefetch_mu_);
@@ -633,29 +569,27 @@ void BufferPool::SetPrefetchExecutor(AsyncExec exec) {
 Result<PageHandle> BufferPool::New(std::source_location loc) {
   PageId id;
   {
-    WriterLock flock(&file_mu_, concurrent_);
+    WriterLock flock(&file_mu_);
     HT_ASSIGN_OR_RETURN(id, file_->Allocate());
   }
   Count(&IoStats::allocations);
   Count(&IoStats::logical_reads);  // a new node still costs one access
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu, concurrent_);
-  HT_RETURN_NOT_OK(EvictOneIfNeeded(shard, /*demand=*/true));
-  Frame* f = AcquireFrameLocked(shard);  // zeroed page image
+  MutexLock lock(&mu_);
+  HT_RETURN_NOT_OK(EvictOneIfNeeded(/*demand=*/true));
+  Frame* f = AcquireFrameLocked();  // zeroed page image
   f->dirty = true;
   f->prefetched.store(false, std::memory_order_relaxed);
   // Fresh pages enter probation regardless of policy: the page has never
   // been referenced, so there is no reuse evidence yet.
   f->admit_class = CurrentAccessClass();
   f->segment = CacheSegment::kProbation;
-  InstallLocked(shard, id, f, /*pins=*/1);
+  InstallLocked(id, f, /*pins=*/1);
   return PageHandle(this, id, f, TrackPin(id, loc));
 }
 
 Status BufferPool::Free(PageId id) {
-  Shard& shard = ShardFor(id);
   {
-    MutexLock lock(&shard.mu, concurrent_);
+    MutexLock lock(&mu_);
     if (Frame* f = table_.Load(id)) {
       int unpinned = 0;
       if (!f->pins.compare_exchange_strong(unpinned, -1,
@@ -664,11 +598,11 @@ Status BufferPool::Free(PageId id) {
         return Status::InvalidArgument("BufferPool::Free of pinned page " +
                                        std::to_string(id));
       }
-      DropClaimedLocked(shard, f);
+      DropClaimedLocked(f);
     }
     Count(&IoStats::frees);
   }
-  WriterLock flock(&file_mu_, concurrent_);
+  WriterLock flock(&file_mu_);
   return file_->Free(id);
 }
 
@@ -679,14 +613,14 @@ void BufferPool::Unpin(Frame* f) {
   HT_CHECK(before > 0);
 }
 
-Status BufferPool::EvictOneIfNeeded(Shard& shard, bool demand) {
-  const size_t cap = shard_capacity_.load(std::memory_order_relaxed);
+Status BufferPool::EvictOneIfNeeded(bool demand) {
+  const size_t cap = capacity_.load(std::memory_order_relaxed);
   if (cap == 0) return Status::OK();
   // Loops only after a capacity shrink (or a pin overflow, below) left the
-  // shard over target; at a fixed capacity this evicts at most one frame,
+  // pool over target; at a fixed capacity this evicts at most one frame,
   // exactly like classic LRU.
-  while (ResidentLocked(shard) >= cap) {
-    Status s = EvictVictimLocked(shard);
+  while (ResidentLocked() >= cap) {
+    Status s = EvictVictimLocked();
     if (s.ok()) continue;
     if (demand && s.IsResourceExhausted()) {
       // Every resident frame is pinned by an in-flight query. A demand
@@ -721,9 +655,9 @@ BufferPool::Frame* BufferPool::ClaimFromTail(const FrameList& list,
   return nullptr;
 }
 
-Status BufferPool::EvictVictimLocked(Shard& shard) {
+Status BufferPool::EvictVictimLocked() {
   // Victim order under kSlru: STALE prefetch fills first (prefetched
-  // before the shard's newest batch and still never referenced —
+  // before the pool's newest batch and still never referenced —
   // abandoned speculation), then the probationary tail, then any
   // remaining prefetch fills, then (only when nothing else is left) the
   // protected tail. The staleness gate matters: the batch a traversal
@@ -734,14 +668,14 @@ Status BufferPool::EvictVictimLocked(Shard& shard) {
   const auto any = [](const Frame*) { return true; };
   Frame* victim = nullptr;
   if (policy_ == CachePolicy::kSlru) {
-    const uint64_t gen = shard.prefetch_gen;
-    victim = ClaimFromTail(shard.prefetch_queue,
+    const uint64_t gen = prefetch_gen_;
+    victim = ClaimFromTail(prefetch_queue_,
                            [gen](const Frame* f) { return f->fill_gen < gen; });
-    if (victim == nullptr) victim = ClaimFromTail(shard.lru, any);
-    if (victim == nullptr) victim = ClaimFromTail(shard.prefetch_queue, any);
-    if (victim == nullptr) victim = ClaimFromTail(shard.protected_lru, any);
+    if (victim == nullptr) victim = ClaimFromTail(lru_, any);
+    if (victim == nullptr) victim = ClaimFromTail(prefetch_queue_, any);
+    if (victim == nullptr) victim = ClaimFromTail(protected_lru_, any);
   } else {
-    victim = ClaimFromTail(shard.lru, any);
+    victim = ClaimFromTail(lru_, any);
   }
   if (victim == nullptr) {
     return Status::ResourceExhausted("buffer pool full and all pages pinned");
@@ -753,22 +687,22 @@ Status BufferPool::EvictVictimLocked(Shard& shard) {
     return written;
   }
   const size_t cls = static_cast<size_t>(victim->admit_class);
-  DropClaimedLocked(shard, victim);
+  DropClaimedLocked(victim);
   Count(&IoStats::evictions);
   CountClass(&IoStats::class_evictions, cls);
   return Status::OK();
 }
 
-void BufferPool::DropClaimedLocked(Shard& shard, Frame* f) {
-  ListFor(shard, f->segment).Remove(f);
+void BufferPool::DropClaimedLocked(Frame* f) {
+  ListFor(f->segment).Remove(f);
   (void)table_.Take(f->id.load(std::memory_order_relaxed));
-  RecycleFrameLocked(shard, f);
+  RecycleFrameLocked(f);
 }
 
 Status BufferPool::WriteBack(PageId id, Frame* f) {
   if (f->dirty) {
     {
-      WriterLock flock(&file_mu_, concurrent_);
+      WriterLock flock(&file_mu_);
       HT_RETURN_NOT_OK(file_->Write(id, f->page));
     }
     Count(&IoStats::writes);
@@ -777,15 +711,18 @@ Status BufferPool::WriteBack(PageId id, Frame* f) {
   return Status::OK();
 }
 
-Status BufferPool::FlushShardLocked(Shard& shard, PageId skip) {
-  // Collect the dirty set under the shard lock (frames cannot be evicted
+Status BufferPool::FlushAll() { return FlushAllExcept(kInvalidPageId); }
+
+Status BufferPool::FlushAllExcept(PageId skip) {
+  // Collect the dirty set under the pool lock (frames cannot be evicted
   // while the lock is held), then issue ONE batched round trip. A
   // singleton set degrades to a plain Write — no duplicate scan, no iovec
   // setup — via the existing WriteBack path.
+  MutexLock lock(&mu_);
   std::vector<PageId> ids;
   std::vector<const Page*> pages;
   std::vector<Frame*> dirty;
-  ForEachResident(shard, [&](Frame* f) {
+  ForEachResident([&](Frame* f) {
     const PageId id = f->id.load(std::memory_order_relaxed);
     if (!f->dirty || id == skip) return;
     ids.push_back(id);
@@ -795,7 +732,7 @@ Status BufferPool::FlushShardLocked(Shard& shard, PageId skip) {
   if (ids.empty()) return Status::OK();
   if (ids.size() == 1) return WriteBack(ids[0], dirty[0]);
   {
-    WriterLock flock(&file_mu_, concurrent_);
+    WriterLock flock(&file_mu_);
     HT_RETURN_NOT_OK(file_->WriteBatch(ids, pages));
   }
   // Clear dirty flags only after the whole batch succeeded; on error the
@@ -806,19 +743,8 @@ Status BufferPool::FlushShardLocked(Shard& shard, PageId skip) {
   return Status::OK();
 }
 
-Status BufferPool::FlushAll() { return FlushAllExcept(kInvalidPageId); }
-
-Status BufferPool::FlushAllExcept(PageId skip) {
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    HT_RETURN_NOT_OK(FlushShardLocked(shard, skip));
-  }
-  return Status::OK();
-}
-
 Status BufferPool::FlushPage(PageId id) {
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu, concurrent_);
+  MutexLock lock(&mu_);
   Frame* f = table_.Load(id);
   if (f == nullptr) return Status::OK();
   return WriteBack(id, f);
@@ -829,19 +755,17 @@ Status BufferPool::EvictAll() {
   // would silently warm a cache the caller just made cold.
   DrainPrefetch();
   HT_RETURN_NOT_OK(FlushAll());
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    std::vector<Frame*> claimed;
-    ForEachResident(shard, [&claimed](Frame* f) {
-      int unpinned = 0;
-      if (f->pins.compare_exchange_strong(unpinned, -1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        claimed.push_back(f);
-      }
-    });
-    for (Frame* f : claimed) DropClaimedLocked(shard, f);
-  }
+  MutexLock lock(&mu_);
+  std::vector<Frame*> claimed;
+  ForEachResident([&claimed](Frame* f) {
+    int unpinned = 0;
+    if (f->pins.compare_exchange_strong(unpinned, -1,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      claimed.push_back(f);
+    }
+  });
+  for (Frame* f : claimed) DropClaimedLocked(f);
   return Status::OK();
 }
 
@@ -853,12 +777,7 @@ void BufferPool::CountScan(uint64_t rows, uint64_t survivors, bool filtered) {
   }
 }
 
-const IoStats& BufferPool::stats() const {
-  agg_stats_ = StatsSnapshot();
-  return agg_stats_;
-}
-
-IoStats BufferPool::StatsSnapshot() const {
+IoStats BufferPool::stats() const {
   IoStats total;
   for (StatStripe& stripe : stripes_) {
     ForEachCounterPair(total, stripe.io, [](uint64_t& sum, uint64_t& c) {
@@ -880,38 +799,32 @@ BufferPool::CacheSnapshot BufferPool::SnapshotCache() const {
   CacheSnapshot snap;
   snap.policy = policy_;
   snap.capacity_pages = capacity_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    snap.probation_pages += shard.lru.size();
-    snap.protected_pages += shard.protected_lru.size();
-    snap.prefetch_queue_pages += shard.prefetch_queue.size();
-    ForEachResident(shard, [&](const Frame* f) {
+  {
+    MutexLock lock(&mu_);
+    snap.probation_pages = lru_.size();
+    snap.protected_pages = protected_lru_.size();
+    snap.prefetch_queue_pages = prefetch_queue_.size();
+    ForEachResident([&](const Frame* f) {
       if (f->pins.load(std::memory_order_relaxed) > 0) ++snap.pinned_pages;
     });
   }
   snap.cached_pages =
       snap.probation_pages + snap.protected_pages + snap.prefetch_queue_pages;
-  snap.stats = StatsSnapshot();
+  snap.stats = stats();
   return snap;
 }
 
 size_t BufferPool::cached_frames() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    n += ResidentLocked(shard);
-  }
-  return n;
+  MutexLock lock(&mu_);
+  return ResidentLocked();
 }
 
 size_t BufferPool::pinned_frames() const {
+  MutexLock lock(&mu_);
   size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    ForEachResident(shard, [&](const Frame* f) {
-      if (f->pins.load(std::memory_order_relaxed) > 0) ++n;
-    });
-  }
+  ForEachResident([&](const Frame* f) {
+    if (f->pins.load(std::memory_order_relaxed) > 0) ++n;
+  });
   return n;
 }
 
@@ -947,13 +860,13 @@ void BufferPool::UntrackPin(uint64_t token) {
 }
 
 Status BufferPool::AssertNoPins() const {
-  // Count pins under the shard locks first; pin_mu_ is a leaf lock, so the
-  // attribution pass runs after every shard lock is released.
+  // Count pins under the pool lock first; the attribution pass takes
+  // pin_mu_ after releasing it.
   uint64_t total_pins = 0;
   uint64_t frames = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu, concurrent_);
-    ForEachResident(shard, [&](const Frame* f) {
+  {
+    MutexLock lock(&mu_);
+    ForEachResident([&](const Frame* f) {
       const int pins = f->pins.load(std::memory_order_relaxed);
       if (pins > 0) {
         ++frames;

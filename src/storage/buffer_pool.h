@@ -9,15 +9,16 @@
 //
 // Eviction policy. Two modes, fixed at construction:
 //
-//   * CachePolicy::kLru (the default): the classic recency-only pool —
-//     behaviour and accounting are exactly the pre-SLRU pool, byte for
-//     byte, which is what the paper-figure benchmarks and the regression
-//     tests pin down.
+//   * CachePolicy::kLru (the raw constructor's default): the classic
+//     recency-only pool — behaviour and accounting are exactly the
+//     pre-SLRU pool, byte for byte, which is what the paper-figure
+//     benchmarks and the regression tests pin down.
 //
-//   * CachePolicy::kSlru: scan-resistant segmented LRU. Each shard keeps
-//     three lists — a PROBATIONARY segment (new admissions), a PROTECTED
-//     segment (~80% of capacity, promoted on re-reference), and a
-//     prefetch queue (prefetched-but-never-referenced fills) — plus a
+//   * CachePolicy::kSlru (what every HybridTree pool uses, through
+//     HybridTreeOptions::cache_policy): scan-resistant segmented LRU. The
+//     pool keeps three lists — a PROBATIONARY segment (new admissions), a
+//     PROTECTED segment (~80% of capacity, promoted on re-reference), and
+//     a prefetch queue (prefetched-but-never-referenced fills) — plus a
 //     small frequency sketch (aged 4-bit counters). Eviction order is
 //     STALE prefetch-queue pages (prefetched before the newest batch and
 //     still never referenced), then the probationary tail, then any
@@ -38,30 +39,28 @@
 // kIngest; prefetch fills are tagged internally). The class selects the
 // SLRU admission rule above and splits the IoStats class_* counters.
 //
-// Threading model. The pool has two modes:
-//
-//   * Serial mode (the default, and the state every pool starts in): no
-//     locks are taken anywhere — behaviour and accounting are exactly the
-//     classic single-threaded pool the paper figures use.
-//
-//   * Concurrent mode (SetConcurrentMode(true)): frames are partitioned
-//     into kShardCount lock-striped shards, each with its own mutex,
-//     recency lists, sketch and free list, so concurrent readers can
-//     pin/unpin pages safely. Backing-file reads (misses, batch fills,
-//     prefetch fills) run under a SHARED file lock — pread/preadv are
-//     positional and thread-safe, so concurrent misses do not serialize
-//     behind each other; only allocation/extension, Free, and dirty
-//     write-back take the file lock exclusively.
+// Threading model. Every pool is thread-safe: one pool-wide mutex (mu_)
+// guards the recency lists, the free list, the frame arena, the frequency
+// sketch and the prefetch generation. A bounded pool therefore keeps one
+// exact global LRU/SLRU order under any number of threads, and never holds
+// more frames than its capacity (a demand fetch exceeds it only while
+// every resident frame is pinned; see EvictOneIfNeeded). A single-threaded
+// caller sees exactly the classic pool the paper figures use; it merely
+// takes uncontended locks. Backing-file reads (misses, batch fills,
+// prefetch fills) run under a SHARED file lock — pread/preadv are
+// positional and thread-safe, so reads do not exclude each other; only
+// allocation/extension, Free, and dirty write-back take the file lock
+// exclusively.
 //
 // Frame index and pins. One PageTable (storage/page_table.h) maps page ids
 // to frames and is read without a lock. A frame's pin count is atomic:
 // a pin is a CAS from p >= 0 to p + 1, an unpin is one release fetch_sub,
-// and eviction claims an unpinned victim with a CAS 0 -> -1 under its
-// shard lock, so a pin and an eviction can never both win. Frames never
-// move or get freed while the pool lives: an evicted frame goes on its
-// shard's free list (its page buffer released) and a later miss reuses
-// it. A reader holding a stale frame pointer therefore at worst pins a
-// frame that now holds another page, which the id re-check after the pin
+// and eviction claims an unpinned victim with a CAS 0 -> -1 under the
+// pool lock, so a pin and an eviction can never both win. Frames never
+// move or get freed while the pool lives: an evicted frame goes on the
+// free list (its page buffer released) and a later miss reuses it. A
+// reader holding a stale frame pointer therefore at worst pins a frame
+// that now holds another page, which the id re-check after the pin
 // catches. Resident frames stay on their recency list while pinned; Fetch
 // moves a frame to the MRU end and eviction skips pinned frames, so Unpin
 // takes no lock.
@@ -71,14 +70,15 @@
 // evicts nothing by capacity, so recency has no reader and no list is
 // spliced (a later SetCapacity that bounds it starts from the order the
 // locked paths left). A bounded pool's hit, and the first hit on a
-// prefetched frame (which charges the prefetch hit), take the shard lock
+// prefetched frame (which charges the prefetch hit), take the pool lock
 // and update the LRU/SLRU state exactly. Misses, admission and eviction
-// always run under the shard lock.
+// always run under the pool lock, so the locked hits and misses of
+// concurrent readers on a bounded pool serialise on it (DESIGN.md §6c).
 //
 // Counters. Every pool counter lives in per-thread stripes of relaxed
 // atomics, each stripe on its own cache lines and chosen by the calling
 // thread's number, so counting takes no lock and shares no line between
-// threads that map to different stripes. StatsSnapshot sums the stripes;
+// threads that map to different stripes. stats() sums the stripes;
 // logical-read accounting stays exact.
 //
 // Batched and prefetching I/O (the cold-cache pipeline):
@@ -92,8 +92,8 @@
 //     and parked unpinned — at the LRU front (kLru) or on the dedicated
 //     prefetch queue (kSlru), where never-referenced fills are the FIRST
 //     eviction victims instead of aging out mid-LRU. With an attached
-//     async executor (SetPrefetchExecutor, concurrent mode only) the fill
-//     runs on a background I/O thread and overlaps with the caller;
+//     async executor (SetPrefetchExecutor) the fill runs on a background
+//     I/O thread and overlaps with the caller;
 //     otherwise it is a synchronous batched round trip. Prefetch counts NO
 //     logical reads — prefetched fills are physical reads only, so the
 //     paper's figure-of-merit (logical accesses) is byte-identical with
@@ -109,10 +109,9 @@
 // to rebalance one global memory budget across many pools.
 //
 // The intended usage protocol is shared-read / exclusive-write (see
-// core/hybrid_tree.h): any number of threads may Fetch/Release concurrently
-// in concurrent mode, but mutation (MarkDirty, New, Free) requires the
-// caller to hold exclusive access to the index. Mode switches require
-// quiescence (no pinned frames, no threads inside the pool).
+// core/hybrid_tree.h): any number of threads may Fetch/Release
+// concurrently, but mutation (MarkDirty, New, Free) requires the caller to
+// hold exclusive access to the index.
 //
 // Per-worker accounting: a worker thread may install a thread-local
 // IoStatsScope; while it is alive, every pool operation performed by that
@@ -169,15 +168,14 @@ struct PageFrame {
   /// prefetch_hit and clears this.
   std::atomic<bool> prefetched{false};
   /// Written by writers under the exclusive half of the tree contract;
-  /// read by write-back under the shard lock.
+  /// read by write-back under the pool lock.
   bool dirty = false;
-  // Everything below is guarded by the lock of the shard whose lists hold
-  // the frame.
+  // Everything below is guarded by the pool lock (BufferPool::mu_).
   /// Links in the segment list (FrameList) the frame is on.
   PageFrame* prev = nullptr;
   PageFrame* next = nullptr;
-  /// Shard prefetch generation at fill time (prefetch-queue frames only):
-  /// once a NEWER batch has landed in the shard, a still-unreferenced fill
+  /// Pool prefetch generation at fill time (prefetch-queue frames only):
+  /// once a NEWER batch has landed in the pool, a still-unreferenced fill
   /// is stale and becomes the first eviction victim. Fresh fills — the
   /// batch the current traversal is about to consume — are spared until
   /// probation is exhausted.
@@ -222,7 +220,7 @@ class FrameList {
 
 /// RAII pin on a buffered page. While a handle is alive the frame cannot be
 /// evicted. Call MarkDirty() after mutating data(). The handle caches the
-/// frame pointer, so data()/MarkDirty() are lock-free in both pool modes.
+/// frame pointer, so data()/MarkDirty() are lock-free.
 class PageHandle {
  public:
   PageHandle() = default;
@@ -316,24 +314,15 @@ class BufferPool {
  public:
   /// `capacity_pages` of 0 means unbounded (everything stays cached, still
   /// counting logical reads — the configuration the benchmarks use, since
-  /// the figure-of-merit is access counts, not cache behaviour). In
-  /// concurrent mode a nonzero capacity is enforced per shard
-  /// (ceil(capacity / kShardCount) frames each), so global eviction order
-  /// is approximate; serial mode keeps the exact global order. The policy
-  /// is fixed for the pool's lifetime.
+  /// the figure-of-merit is access counts, not cache behaviour). A nonzero
+  /// capacity bounds the whole pool's resident frames, in one global
+  /// eviction order, from any number of threads. The policy is fixed for
+  /// the pool's lifetime; kLru is only this constructor's default (every
+  /// HybridTree pool takes HybridTreeOptions::cache_policy, kSlru).
   BufferPool(PagedFile* file, size_t capacity_pages,
              CachePolicy policy = CachePolicy::kLru);
   ~BufferPool();
   HT_DISALLOW_COPY_AND_ASSIGN(BufferPool);
-
-  /// Number of lock stripes used in concurrent mode.
-  static constexpr size_t kShardCount = 16;
-
-  /// Switches between serial (lock-free) and concurrent (lock-striped)
-  /// mode. Requires quiescence: no pinned frames and no other thread inside
-  /// the pool. Cached frames are re-bucketed; stats are preserved.
-  Status SetConcurrentMode(bool on);
-  bool concurrent_mode() const { return concurrent_; }
 
   CachePolicy policy() const { return policy_; }
   /// Current capacity target in pages (0 = unbounded).
@@ -372,8 +361,7 @@ class BufferPool {
   /// physical reads only) and never evicts a pinned frame — pages that
   /// don't fit are silently dropped, as are read errors (the later Fetch
   /// will surface them). Runs asynchronously on the attached executor when
-  /// one is set and the pool is in concurrent mode; synchronously (one
-  /// batched round trip) otherwise.
+  /// one is set; synchronously (one batched round trip) otherwise.
   void Prefetch(std::span<const PageId> ids);
 
   /// Task-submission hook for async prefetch, e.g. wrapping
@@ -400,12 +388,11 @@ class BufferPool {
   /// Frees page `id`; it must be unpinned. Drops any cached frame.
   Status Free(PageId id);
 
-  /// Writes all dirty frames back to the file. Batched: each shard's
+  /// Writes all dirty frames back to the file. Batched: the pool's whole
   /// dirty set goes out in ONE PagedFile::WriteBatch round trip
   /// (DiskPagedFile coalesces adjacent pages into vectored pwritev; a
   /// single dirty frame degrades to a plain Write) under the exclusive
-  /// file lock, instead of one Write per frame. In serial mode all frames
-  /// live in shard 0, so the whole pool flushes in one round trip.
+  /// file lock, instead of one Write per frame.
   Status FlushAll();
 
   /// FlushAll minus one page: used by HybridTree::Flush to make every
@@ -436,13 +423,10 @@ class BufferPool {
   /// fetching it (IoStats::quant_skipped_pages). Takes no lock.
   void CountSkippedPage() { Count(&IoStats::quant_skipped_pages); }
 
-  /// Sum of the counter stripes. The returned reference stays valid but is
-  /// only refreshed by the next stats() call. Call from one thread at a
-  /// time; safe while readers run in concurrent mode, racy only if two
-  /// threads call stats() simultaneously.
-  const IoStats& stats() const;
-  /// Same totals, returned by value (preferred in concurrent code).
-  IoStats StatsSnapshot() const;
+  /// Sum of the counter stripes, by value. Safe from any thread, also
+  /// while other threads use the pool (each counter is then read at some
+  /// point during the call).
+  IoStats stats() const;
   void ResetStats();
 
   /// Point-in-time cache gauges for metrics export. capacity_pages is the
@@ -458,7 +442,7 @@ class BufferPool {
     size_t probation_pages = 0;
     size_t protected_pages = 0;
     size_t prefetch_queue_pages = 0;
-    /// Cumulative counters (the same totals as StatsSnapshot).
+    /// Cumulative counters (the same totals as stats()).
     IoStats stats;
   };
   CacheSnapshot SnapshotCache() const;
@@ -470,16 +454,14 @@ class BufferPool {
 
   // --- debug pin tracking (leak attribution) -------------------------------
   // Every search/insert/delete must release all pins it takes; a leaked pin
-  // wedges eviction and — under the shared-read protocol — blocks mode
-  // switches forever. With tracking ON, each pin records the source
-  // location of the Fetch/FetchMany/New that created it, and AssertNoPins
-  // attributes outstanding pins to those call sites. Tracking defaults to
-  // ON in HT_DEBUG_VALIDATE builds and OFF otherwise (the hot path then
-  // pays one relaxed atomic load per pin).
+  // wedges eviction of its frame forever. With tracking ON, each pin
+  // records the source location of the Fetch/FetchMany/New that created
+  // it, and AssertNoPins attributes outstanding pins to those call sites.
+  // Tracking defaults to ON in HT_DEBUG_VALIDATE builds and OFF otherwise
+  // (the hot path then pays one relaxed atomic load per pin).
 
   /// Enables/disables pin tracking. Flip only while no frame is pinned and
-  /// no other thread is inside the pool (same quiescence rule as
-  /// SetConcurrentMode).
+  /// no other thread is inside the pool.
   void SetPinTracking(bool on);
   bool pin_tracking() const {
     return pin_tracking_.load(std::memory_order_relaxed);
@@ -498,42 +480,13 @@ class BufferPool {
   using FrameList = internal::FrameList;
   using CacheSegment = internal::CacheSegment;
 
-  /// Frequency sketch: per-shard aged counters (256 buckets, saturating at
+  /// Frequency sketch: aged counters (256 buckets, saturating at
   /// kSketchMax, halved every ~16x-capacity accesses). A count >=
   /// kSketchPromote marks a page as multi-touch for the admission and
   /// promotion rules in the file comment.
   static constexpr size_t kSketchSize = 256;
   static constexpr uint8_t kSketchMax = 15;
   static constexpr uint8_t kSketchPromote = 3;
-
-  struct Shard {
-    /// Guards every field of the shard and the recency state of the frames
-    /// on its lists. In serial mode call sites pass enabled=false guards,
-    /// which claim the capability to the static analysis without locking
-    /// (see common/sync.h: the pool is single-threaded by contract in that
-    /// mode).
-    mutable Mutex mu{LockRank::kPoolShard, "BufferPool::Shard::mu"};
-    /// Probationary segment in kSlru; the ONLY list in kLru. Every
-    /// resident frame, pinned or not, is on exactly one of the three
-    /// lists.
-    FrameList lru HT_GUARDED_BY(mu);
-    /// Protected segment (kSlru only): frames promoted on re-reference.
-    FrameList protected_lru HT_GUARDED_BY(mu);
-    /// Prefetched-but-never-referenced fills (kSlru only): first victims.
-    FrameList prefetch_queue HT_GUARDED_BY(mu);
-    /// Evicted frames (pins == -1, page buffer released), reused by later
-    /// misses before any new frame is allocated.
-    std::vector<Frame*> free_frames HT_GUARDED_BY(mu);
-    /// Every frame this shard ever allocated; freed only by the pool's
-    /// destructor, so a stale frame pointer never dangles.
-    std::vector<std::unique_ptr<Frame>> owned HT_GUARDED_BY(mu);
-    /// Frequency sketch (kSlru only; see the constants above).
-    std::array<uint8_t, kSketchSize> sketch HT_GUARDED_BY(mu){};
-    uint64_t sketch_ops HT_GUARDED_BY(mu) = 0;
-    /// Bumped once per prefetch batch landing in this shard; compared
-    /// against PageFrame::fill_gen to age out abandoned prefetches.
-    uint64_t prefetch_gen HT_GUARDED_BY(mu) = 0;
-  };
 
   /// One stripe of the pool counters: an IoStats updated only through
   /// relaxed std::atomic_ref operations, alone on its cache lines.
@@ -542,35 +495,26 @@ class BufferPool {
   };
   static constexpr size_t kStatStripes = 16;
 
-  size_t ShardIndex(PageId id) const {
-    return concurrent_ ? static_cast<size_t>(id) % kShardCount : 0;
-  }
-  Shard& ShardFor(PageId id) { return shards_[ShardIndex(id)]; }
-
-  /// The list a frame in `segment` lives on (always `lru` under kLru).
-  FrameList& ListFor(Shard& shard, CacheSegment segment)
-      HT_REQUIRES(shard.mu) {
+  /// The list a frame in `segment` lives on (always lru_ under kLru).
+  FrameList& ListFor(CacheSegment segment) HT_REQUIRES(mu_) {
     switch (segment) {
       case CacheSegment::kProtected:
-        return shard.protected_lru;
+        return protected_lru_;
       case CacheSegment::kPrefetchQueue:
-        return shard.prefetch_queue;
+        return prefetch_queue_;
       case CacheSegment::kProbation:
         break;
     }
-    return shard.lru;
+    return lru_;
   }
-  /// Number of resident frames (pinned or not) in the shard.
-  static size_t ResidentLocked(const Shard& shard) HT_REQUIRES(shard.mu) {
-    return shard.lru.size() + shard.protected_lru.size() +
-           shard.prefetch_queue.size();
+  /// Number of resident frames (pinned or not).
+  size_t ResidentLocked() const HT_REQUIRES(mu_) {
+    return lru_.size() + protected_lru_.size() + prefetch_queue_.size();
   }
-  /// Calls fn(frame) for every resident frame of the shard.
+  /// Calls fn(frame) for every resident frame.
   template <typename Fn>
-  void ForEachResident(const Shard& shard, Fn&& fn) const
-      HT_REQUIRES(shard.mu) {
-    for (const FrameList* list :
-         {&shard.lru, &shard.protected_lru, &shard.prefetch_queue}) {
+  void ForEachResident(Fn&& fn) const HT_REQUIRES(mu_) {
+    for (const FrameList* list : {&lru_, &protected_lru_, &prefetch_queue_}) {
       for (Frame* f = list->front(); f != nullptr;) {
         Frame* next = f->next;  // fn may unlink f
         fn(f);
@@ -597,21 +541,20 @@ class BufferPool {
   uint64_t TrackPin(PageId id, const std::source_location& loc);
   void UntrackPin(uint64_t token);
 
-  /// A frame for a new page: a recycled one from the shard's free list or
-  /// a fresh allocation, with a zeroed page buffer and pins == -1, so no
-  /// lock-free reader can pin it until Install publishes it.
-  Frame* AcquireFrameLocked(Shard& shard) HT_REQUIRES(shard.mu);
+  /// A frame for a new page: a recycled one from the free list or a fresh
+  /// allocation, with a zeroed page buffer and pins == -1, so no lock-free
+  /// reader can pin it until Install publishes it.
+  Frame* AcquireFrameLocked() HT_REQUIRES(mu_);
   /// Parks a claimed frame (pins == -1, on no list, out of the table) on
-  /// the shard's free list and releases its page buffer.
-  void RecycleFrameLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
+  /// the free list and releases its page buffer.
+  void RecycleFrameLocked(Frame* f) HT_REQUIRES(mu_);
   /// Makes an acquired frame the resident frame of `id` with `pins` pins
   /// (0 or 1): links it at the front of its segment list and publishes it
   /// in the frame table. The caller has set segment/admit_class/dirty.
-  void InstallLocked(Shard& shard, PageId id, Frame* f, int pins)
-      HT_REQUIRES(shard.mu);
+  void InstallLocked(PageId id, Frame* f, int pins) HT_REQUIRES(mu_);
   /// Links `f` at the MRU end of its segment's list, then (kSlru) demotes
   /// the protected tail while that segment is over budget.
-  void LinkFrontLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
+  void LinkFrontLocked(Frame* f) HT_REQUIRES(mu_);
   /// Claims the least recently used unpinned frame of `list` (CAS 0 -> -1)
   /// that `eligible` accepts; the walk stops at the first unpinned frame
   /// `eligible` rejects. Returns nullptr when there is none.
@@ -620,66 +563,83 @@ class BufferPool {
 
   /// Ages + bumps the sketch counter for `id`; returns the new count.
   /// kSlru only.
-  uint8_t SketchTouch(Shard& shard, PageId id) HT_REQUIRES(shard.mu);
-  /// Per-shard protected-segment budget (~80% of the shard capacity;
-  /// 0 = unbounded pool, no budget enforced).
+  uint8_t SketchTouch(PageId id) HT_REQUIRES(mu_);
+  /// Protected-segment budget (~80% of the capacity; 0 = unbounded pool,
+  /// no budget enforced).
   size_t ProtectedCapacity() const;
   /// The locked hit: pins `f` (the resident frame of `id`), then does the
   /// prefetch_hit accounting, the SLRU promotion rules and the move to the
   /// MRU end of the frame's (new) segment list.
-  void PinHitLocked(Shard& shard, PageId id, Frame* f) HT_REQUIRES(shard.mu);
+  void PinHitLocked(PageId id, Frame* f) HT_REQUIRES(mu_);
   /// Admission segment for a freshly missed page (kSlru: sketch-hot
   /// query-class misses go straight to protected). Touches the sketch.
-  CacheSegment AdmitSegmentLocked(Shard& shard, PageId id)
-      HT_REQUIRES(shard.mu);
+  CacheSegment AdmitSegmentLocked(PageId id) HT_REQUIRES(mu_);
   /// Demotes the protected tail into probation until the segment fits its
   /// budget.
-  void EnforceProtectedCapLocked(Shard& shard) HT_REQUIRES(shard.mu);
-  /// Evicts down to the shard capacity (at most one eviction in steady
-  /// state). When every resident frame is pinned, `demand` decides the
-  /// outcome: demand fetches admit the new frame over capacity (counted
-  /// in pin_overflows; the loop drains the shard back to target once pins
+  void EnforceProtectedCapLocked() HT_REQUIRES(mu_);
+  /// Evicts down to the capacity (at most one eviction in steady state).
+  /// When every resident frame is pinned, `demand` decides the outcome:
+  /// demand fetches admit the new frame over capacity (counted in
+  /// pin_overflows; the loop drains the pool back to target once pins
   /// release) so concurrent queries never fail on transient pin
   /// saturation, while speculative fills (demand=false) report
   /// ResourceExhausted and the caller drops the page.
-  Status EvictOneIfNeeded(Shard& shard, bool demand) HT_REQUIRES(shard.mu);
+  Status EvictOneIfNeeded(bool demand) HT_REQUIRES(mu_);
   /// Evicts one unpinned frame in policy order (kSlru: stale prefetch
   /// fills, then probation, then the rest of the prefetch queue, then
   /// protected; kLru: the LRU tail), charging the eviction to the victim's
   /// admitting class.
-  Status EvictVictimLocked(Shard& shard) HT_REQUIRES(shard.mu);
+  Status EvictVictimLocked() HT_REQUIRES(mu_);
   /// Unlinks a claimed frame from its list and the frame table and parks
   /// it on the free list.
-  void DropClaimedLocked(Shard& shard, Frame* f) HT_REQUIRES(shard.mu);
-  /// Writes one dirty frame back. Callers hold the frame's shard lock, so
-  /// this takes the file lock in shard -> file order (rank table in
+  void DropClaimedLocked(Frame* f) HT_REQUIRES(mu_);
+  /// Writes one dirty frame back. Callers hold the pool lock, so this
+  /// takes the file lock in pool -> file order (rank table in
   /// common/lock_rank.h).
   Status WriteBack(PageId id, Frame* f);
-  /// Writes this shard's dirty frames (minus `skip`) in one WriteBatch.
-  /// Takes the file lock internally (same shard -> file order).
-  Status FlushShardLocked(Shard& shard, PageId skip) HT_REQUIRES(shard.mu);
 
   /// Reads `ids` (all distinct, none cached at issue time) in one batch
   /// and installs the frames unpinned + prefetch-tagged. Runs on the
   /// caller's thread (sync mode) or an executor thread (async mode); in
-  /// async mode, clears the ids from inflight_ when done. Never holds a
-  /// shard lock while touching prefetch_mu_.
+  /// async mode, clears the ids from inflight_ when done. Never holds the
+  /// pool lock while touching prefetch_mu_.
   void FillPrefetch(std::vector<PageId> ids, bool async);
   /// Blocks until no prefetch fill is in flight.
   void DrainPrefetch();
 
   PagedFile* file_;
   const CachePolicy policy_;
-  /// Capacity target and its per-shard derivative. Atomic so SetCapacity
-  /// can retarget while fetches run; readers load relaxed (a stale target
-  /// only delays, never corrupts, a resize — and a hit that still sees 0
-  /// after a shrink merely skips one recency update).
+  /// Capacity target. Atomic so SetCapacity can retarget while fetches
+  /// run; readers load relaxed (a stale target only delays, never
+  /// corrupts, a resize — and a hit that still sees 0 after a shrink
+  /// merely skips one recency update).
   std::atomic<size_t> capacity_;
-  std::atomic<size_t> shard_capacity_;
-  bool concurrent_ = false;
-  std::array<Shard, kShardCount> shards_;
-  /// Page id -> resident frame. Written only under the page's shard lock;
-  /// read by the lock-free hit and by Cached().
+
+  /// Guards the lists, free list, frame arena, sketch and prefetch
+  /// generation below, and the recency fields of every resident frame
+  /// (see internal::PageFrame).
+  mutable Mutex mu_{LockRank::kPool, "BufferPool::mu_"};
+  /// Probationary segment in kSlru; the ONLY list in kLru. Every resident
+  /// frame, pinned or not, is on exactly one of the three lists.
+  FrameList lru_ HT_GUARDED_BY(mu_);
+  /// Protected segment (kSlru only): frames promoted on re-reference.
+  FrameList protected_lru_ HT_GUARDED_BY(mu_);
+  /// Prefetched-but-never-referenced fills (kSlru only): first victims.
+  FrameList prefetch_queue_ HT_GUARDED_BY(mu_);
+  /// Evicted frames (pins == -1, page buffer released), reused by later
+  /// misses before any new frame is allocated.
+  std::vector<Frame*> free_frames_ HT_GUARDED_BY(mu_);
+  /// Every frame the pool ever allocated; freed only by the destructor,
+  /// so a stale frame pointer never dangles.
+  std::vector<std::unique_ptr<Frame>> owned_ HT_GUARDED_BY(mu_);
+  /// Frequency sketch (kSlru only; see the constants above).
+  std::array<uint8_t, kSketchSize> sketch_ HT_GUARDED_BY(mu_){};
+  uint64_t sketch_ops_ HT_GUARDED_BY(mu_) = 0;
+  /// Bumped once per prefetch batch that installs a fill; compared
+  /// against PageFrame::fill_gen to age out abandoned prefetches.
+  uint64_t prefetch_gen_ HT_GUARDED_BY(mu_) = 0;
+  /// Page id -> resident frame. Written only under mu_; read by the
+  /// lock-free hit and by Cached().
   PageTable<Frame> table_;
   mutable std::array<StatStripe, kStatStripes> stripes_{};
   /// File-access ordering lock: miss reads, batch fills, and prefetch
@@ -689,16 +649,15 @@ class BufferPool {
   /// same file. It orders OPERATIONS, not data — file_ itself is a const
   /// pointer and metadata reads like page_size() are lock-free — so no
   /// field is GUARDED_BY it; the capability still participates in the
-  /// analysis through the scoped guards and in the rank order (shard ->
-  /// file). Serial mode passes enabled=false guards like the shard locks.
+  /// analysis through the scoped guards and in the rank order (pool ->
+  /// file).
   mutable SharedMutex file_mu_{LockRank::kPoolFile, "BufferPool::file_mu_"};
-  mutable IoStats agg_stats_;  // scratch for stats()
 
   /// Async prefetch state. inflight_ holds ids whose background fill has
   /// been scheduled but not finished; Fetch waits on prefetch_cv_ instead
   /// of issuing a duplicate read. Lock order: prefetch_mu_ may be taken
-  /// with no shard lock held, or before a shard lock — never after one
-  /// (ranked above kPoolShard, so the rank checker enforces exactly that).
+  /// with mu_ not held, or before mu_ — never after it (ranked above
+  /// kPool, so the rank checker enforces exactly that).
   AsyncExec async_exec_;
   Mutex prefetch_mu_{LockRank::kPoolPrefetch, "BufferPool::prefetch_mu_"};
   CondVar prefetch_cv_;
@@ -713,8 +672,7 @@ class BufferPool {
 
   /// Debug pin tracking (see SetPinTracking). Token -> pin site for every
   /// live pin taken while tracking was on. pin_mu_ is a leaf lock: it may
-  /// be acquired while a shard lock is held, and nothing is ever acquired
-  /// under it.
+  /// be acquired while mu_ is held, and nothing is ever acquired under it.
   struct PinSite {
     PageId page;
     const char* file;

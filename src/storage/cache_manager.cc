@@ -23,7 +23,7 @@ void CacheManager::SplitEvenLocked() {
       options_.min_pool_pages, options_.total_budget_pages / entries_.size());
   for (Entry& e : entries_) {
     (void)e.pool->SetCapacity(share);
-    e.last = e.pool->StatsSnapshot();
+    e.last = e.pool->stats();
   }
 }
 
@@ -35,7 +35,7 @@ void CacheManager::Register(const std::string& name, BufferPool* pool) {
   Entry e;
   e.name = name;
   e.pool = pool;
-  e.last = pool->StatsSnapshot();
+  e.last = pool->stats();
   entries_.push_back(std::move(e));
   SplitEvenLocked();
 }
@@ -76,7 +76,7 @@ void CacheManager::Rebalance() {
   std::vector<double> weight(n);
   double weight_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    now[i] = entries_[i].pool->StatsSnapshot();
+    now[i] = entries_[i].pool->stats();
     const IoStats delta = now[i].Delta(entries_[i].last);
     uint64_t hits = 0, misses = 0;
     DemandTotals(delta, &hits, &misses);
@@ -119,7 +119,7 @@ std::vector<CacheManager::PoolReport> CacheManager::Report() const {
     PoolReport r;
     r.name = e.name;
     r.capacity_pages = e.pool->capacity();
-    const IoStats delta = e.pool->StatsSnapshot().Delta(e.last);
+    const IoStats delta = e.pool->stats().Delta(e.last);
     DemandTotals(delta, &r.window_hits, &r.window_misses);
     const uint64_t total = r.window_hits + r.window_misses;
     r.window_hit_rate =

@@ -15,8 +15,8 @@
 //
 // Thread safety: all methods are safe to call concurrently; one internal
 // mutex serializes registration and rebalancing. The manager never holds a
-// pool's shard locks except inside SetCapacity/StatsSnapshot calls, and
-// pools never call back into the manager, so there is no lock cycle.
+// pool's lock except inside SetCapacity calls, and pools never call back
+// into the manager, so there is no lock cycle.
 //
 // Lifetime: callers must Unregister a pool before destroying it (the
 // ShardedIndex does this in its destructor). The manager does not own pools.
@@ -106,7 +106,7 @@ class CacheManager {
 
   const CacheManagerOptions options_;
   /// Outermost lock in the pool hierarchy: Rebalance/SetCapacity take each
-  /// pool's shard locks while mu_ is held (see common/lock_rank.h).
+  /// pool's lock while mu_ is held (see common/lock_rank.h).
   mutable Mutex mu_{LockRank::kCacheManager, "CacheManager::mu_"};
   std::vector<Entry> entries_ HT_GUARDED_BY(mu_);
   /// Relaxed counter: MaybeRebalance only needs a unique per-call value to

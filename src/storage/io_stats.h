@@ -75,10 +75,10 @@ inline const char* AccessClassName(AccessClass c) {
 ///                     distance. On a filtered page, scan_points splits
 ///                     exactly into quant_refined + quant_pruned.
 ///   pin_overflows     demand fetches (Fetch / FetchMany / New) admitted
-///                     over a shard's capacity target because every
+///                     over the pool's capacity target because every
 ///                     resident frame was pinned by concurrent queries.
 ///                     The overflow is transient: the eviction loop drains
-///                     the shard back to target once pins release. A
+///                     the pool back to target once pins release. A
 ///                     persistently nonzero rate means the pool is
 ///                     undersized for its concurrency.
 #define HT_IO_STATS_COUNTERS(X) \

@@ -145,8 +145,8 @@ class PageTable {
 
   /// The current directory. Acquire on read, release on publish.
   std::atomic<Directory*> dir_{nullptr};
-  /// Leaf lock: nothing is acquired under it. Taken, rarely, inside a
-  /// buffer-pool shard lock.
+  /// Leaf lock: nothing is acquired under it. Taken, rarely, inside the
+  /// buffer-pool lock.
   Mutex grow_mu_{LockRank::kPageTable, "PageTable::grow_mu_"};
   /// Every directory ever published (the current one last) and every
   /// chunk, freed only with the table.

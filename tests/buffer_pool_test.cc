@@ -67,7 +67,7 @@ TEST(BufferPoolTest, PinnedFullPoolOverflowsDemandThenDrains) {
   EXPECT_EQ(pool.stats().pin_overflows, 1u);
   EXPECT_EQ(pool.cached_frames(), 3u);
   r->MarkDirty();
-  // Once pins release, the next demand miss drains the shard back to its
+  // Once pins release, the next demand miss drains the pool back to its
   // capacity target before installing.
   r->Release();
   pinned.Release();
@@ -163,7 +163,7 @@ TEST(BufferPoolTest, FlushWritesDirtyPagesToFile) {
 
 TEST(BufferPoolTest, FlushAllWritesAllDirtyPagesInOneBatch) {
   MemPagedFile file(256);
-  BufferPool pool(&file, 0);  // serial mode: one shard, one round trip
+  BufferPool pool(&file, 0);
   std::vector<PageId> ids;
   for (int i = 0; i < 5; ++i) {
     PageHandle h = pool.New().ValueOrDie();
@@ -249,10 +249,9 @@ TEST(BufferPoolTest, FlushAllExceptThenFlushPageOrdersSkippedPageLast) {
   EXPECT_EQ(file.stats().writes, 0u);
 }
 
-TEST(BufferPoolTest, FlushAllBatchesPerShardInConcurrentMode) {
+TEST(BufferPoolTest, FlushAllIsOneRoundTrip) {
   MemPagedFile file(256);
   BufferPool pool(&file, 0);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
   const size_t kPages = 48;
   std::vector<PageId> ids;
   for (size_t i = 0; i < kPages; ++i) {
@@ -263,11 +262,10 @@ TEST(BufferPoolTest, FlushAllBatchesPerShardInConcurrentMode) {
   }
   file.ResetStats();
   ASSERT_TRUE(pool.FlushAll().ok());
-  // Every dirty page goes out, at most one round trip per shard (16
-  // shards) rather than one per page.
+  // Every dirty page goes out in one round trip for the whole pool, not
+  // one per page.
   EXPECT_EQ(file.stats().writes, kPages);
-  EXPECT_LE(file.stats().batch_writes, 16u);
-  EXPECT_GE(file.stats().batch_writes, 1u);
+  EXPECT_EQ(file.stats().batch_writes, 1u);
   for (size_t i = 0; i < kPages; ++i) {
     Page raw(256);
     ASSERT_TRUE(file.Read(ids[i], &raw).ok());
@@ -276,12 +274,11 @@ TEST(BufferPoolTest, FlushAllBatchesPerShardInConcurrentMode) {
 }
 
 TEST(BufferPoolTest, ConcurrentReadersDuringFlushAll) {
-  // TSAN target: FlushAll's per-shard collect-and-batch runs while reader
-  // threads fetch the same pages. Readers never mark dirty, so the only
-  // contention is shard locks and LRU state.
+  // TSAN target: FlushAll's collect-and-batch runs while reader threads
+  // fetch the same pages. Readers never mark dirty, so the only contention
+  // is the pool lock and LRU state.
   MemPagedFile file(256);
   BufferPool pool(&file, 0);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
   const size_t kPages = 32;
   std::vector<PageId> ids;
   for (size_t i = 0; i < kPages; ++i) {
@@ -335,7 +332,6 @@ TEST(BufferPoolTest, PinsRaceEvictionAndFrameReuse) {
     ASSERT_TRUE(file.Write(ids.back(), p).ok());
   }
   BufferPool pool(&file, 0);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
 
   constexpr int kReaders = 8;
   constexpr int kFetches = 300000;
@@ -343,7 +339,7 @@ TEST(BufferPoolTest, PinsRaceEvictionAndFrameReuse) {
   std::atomic<int> wrong{0};
   std::thread resizer([&] {
     for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-      // 8 pages over 16 shards leaves one frame per shard.
+      // 8 frames for 48 pages: nearly every bounded fetch misses.
       if (!pool.SetCapacity(i % 2 == 0 ? 0 : 8).ok()) wrong.fetch_add(1);
       std::this_thread::yield();
     }
@@ -371,10 +367,53 @@ TEST(BufferPoolTest, PinsRaceEvictionAndFrameReuse) {
   resizer.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  const IoStats stats = pool.StatsSnapshot();
+  const IoStats stats = pool.stats();
   EXPECT_EQ(stats.logical_reads, static_cast<uint64_t>(kReaders) * kFetches);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_TRUE(pool.AssertNoPins().ok());
+}
+
+TEST(BufferPoolTest, BoundedPoolStaysWithinCapacityUnderConcurrentReaders) {
+  // One pool-wide eviction order: concurrent readers never push a bounded
+  // pool past its capacity. Each reader holds at most one pin, so with 4
+  // readers even 8 frames always leave an unpinned victim and no demand
+  // fetch has to overflow.
+  MemPagedFile file(256);
+  constexpr size_t kPages = 48;
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) {
+    ids.push_back(file.Allocate().ValueOrDie());
+    Page p(file.page_size());
+    std::memcpy(p.data(), &ids.back(), sizeof(PageId));  // stamp = own id
+    ASSERT_TRUE(file.Write(ids.back(), p).ok());
+  }
+  for (const size_t capacity : {size_t{8}, size_t{20}}) {
+    BufferPool pool(&file, 0);
+    ASSERT_TRUE(pool.SetCapacity(capacity).ok());
+    constexpr int kReaders = 4;
+    constexpr int kFetches = 20000;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        uint32_t state = 0x9e3779b9u * static_cast<uint32_t>(t + 1);
+        for (int i = 0; i < kFetches; ++i) {
+          state = state * 1664525u + 1013904223u;
+          const PageId id = ids[(state >> 16) % kPages];
+          auto r = pool.Fetch(id);
+          PageId stamp = kInvalidPageId;
+          if (r.ok()) std::memcpy(&stamp, r->data(), sizeof(PageId));
+          if (stamp != id) wrong.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : readers) th.join();
+
+    EXPECT_EQ(wrong.load(), 0) << "capacity " << capacity;
+    EXPECT_LE(pool.cached_frames(), capacity) << "capacity " << capacity;
+    EXPECT_EQ(pool.stats().pin_overflows, 0u) << "capacity " << capacity;
+    EXPECT_TRUE(pool.AssertNoPins().ok());
+  }
 }
 
 // --- FetchMany / Prefetch --------------------------------------------------
@@ -483,7 +522,7 @@ TEST(BufferPoolTest, FetchManyOverflowsCapacityWhileBatchIsPinned) {
   for (const PageHandle& h : handles) EXPECT_TRUE(h.valid());
   EXPECT_EQ(pool.pinned_frames(), 3u);
   EXPECT_EQ(pool.stats().pin_overflows, 1u);
-  // Releasing the batch lets the next demand miss drain the shard back
+  // Releasing the batch lets the next demand miss drain the pool back
   // under its capacity target before installing.
   handles.clear();
   PageHandle h = pool.Fetch(ids[3]).ValueOrDie();
@@ -585,7 +624,6 @@ TEST(BufferPoolTest, AsyncPrefetchFillsViaExecutor) {
   MemPagedFile file(256);
   std::vector<PageId> ids = AllocStamped(file, 3);
   BufferPool pool(&file, 0);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
 
   std::mutex mu;
   std::vector<std::thread> workers;
@@ -604,7 +642,7 @@ TEST(BufferPoolTest, AsyncPrefetchFillsViaExecutor) {
     PageHandle h = pool.Fetch(ids[i]).ValueOrDie();
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(i + 1));
   }
-  IoStats s = pool.StatsSnapshot();
+  IoStats s = pool.stats();
   EXPECT_EQ(s.prefetch_issued, 3u);
   EXPECT_EQ(s.prefetch_hits, 3u);
   EXPECT_EQ(s.logical_reads, 3u);  // only the Fetches, never the fill
@@ -614,7 +652,6 @@ TEST(BufferPoolTest, FetchWaitsForInflightFillInsteadOfRereading) {
   MemPagedFile file(256);
   std::vector<PageId> ids = AllocStamped(file, 1);
   BufferPool pool(&file, 0);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
 
   // An executor that parks the fill instead of running it, so the page
   // stays in flight until this test chooses to complete it.
@@ -637,7 +674,7 @@ TEST(BufferPoolTest, FetchWaitsForInflightFillInsteadOfRereading) {
   reader.join();
   // The reader reused the prefetched fill: exactly one physical read.
   EXPECT_EQ(file.stats().physical_reads, 1u);
-  EXPECT_EQ(pool.StatsSnapshot().prefetch_hits, 1u);
+  EXPECT_EQ(pool.stats().prefetch_hits, 1u);
   pool.SetPrefetchExecutor(nullptr);
 }
 
@@ -647,7 +684,6 @@ TEST(BufferPoolTest, ConcurrentPrefetchAndFetchStress) {
   const size_t kPages = 64;
   std::vector<PageId> ids = AllocStamped(file, kPages);
   BufferPool pool(&file, 32);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
 
   std::mutex mu;
   std::vector<std::thread> fills;
@@ -680,7 +716,6 @@ TEST(BufferPoolTest, ConcurrentPrefetchAndFetchStress) {
   for (auto& t : readers) t.join();
   pool.SetPrefetchExecutor(nullptr);
   for (auto& t : fills) t.join();
-  ASSERT_TRUE(pool.SetConcurrentMode(false).ok());
 
   // Every page still reads back correctly after the storm.
   for (size_t i = 0; i < kPages; ++i) {

@@ -304,7 +304,6 @@ TEST(CachePolicyStress, ConcurrentRebalanceVsFetch) {
   MemPagedFile file(256);
   BufferPool pool(&file, 0, CachePolicy::kSlru);
   std::vector<PageId> ids = MakePages(pool, 128);
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
   ASSERT_TRUE(pool.SetCapacity(64).ok());
 
   CacheManagerOptions mopts;

@@ -52,7 +52,7 @@ class ConcurrentSearchTest : public ::testing::Test {
     }
     radius_ = CalibrateRangeRadius(data_, metric_, 0.01, 10, rng);
 
-    // Single-threaded reference answers (serial mode).
+    // Single-threaded reference answers.
     for (size_t i = 0; i < kQueries; ++i) {
       ref_box_.push_back(tree_->SearchBox(boxes_[i]).ValueOrDie());
       ref_range_.push_back(
@@ -74,8 +74,6 @@ class ConcurrentSearchTest : public ::testing::Test {
 };
 
 TEST_F(ConcurrentSearchTest, ReadersMatchSingleThreadedRunExactly) {
-  ASSERT_TRUE(tree_->SetConcurrentReads(true).ok());
-
   struct PerThread {
     std::vector<std::vector<uint64_t>> box;
     std::vector<std::vector<uint64_t>> range;
@@ -114,7 +112,6 @@ TEST_F(ConcurrentSearchTest, ReadersMatchSingleThreadedRunExactly) {
     });
   }
   for (auto& th : readers) th.join();
-  ASSERT_TRUE(tree_->SetConcurrentReads(false).ok());
 
   for (size_t t = 0; t < kReaders; ++t) {
     ASSERT_TRUE(results[t].error.ok()) << results[t].error.ToString();
@@ -127,18 +124,6 @@ TEST_F(ConcurrentSearchTest, ReadersMatchSingleThreadedRunExactly) {
       EXPECT_EQ(results[t].knn[i], ref_knn_[i]) << "thread " << t << " q" << i;
     }
   }
-}
-
-TEST_F(ConcurrentSearchTest, SerialResultsUnchangedAfterModeRoundTrip) {
-  ASSERT_TRUE(tree_->SetConcurrentReads(true).ok());
-  ASSERT_TRUE(tree_->SetConcurrentReads(false).ok());
-  for (size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(tree_->SearchBox(boxes_[i]).ValueOrDie(), ref_box_[i]);
-  }
-  // Logical-read accounting still works after the round trip.
-  tree_->pool().ResetStats();
-  (void)tree_->SearchBox(boxes_[0]).ValueOrDie();
-  EXPECT_GT(tree_->pool().stats().logical_reads, 0u);
 }
 
 /// Every answer one thread collects on a cold tree, in query order.
@@ -201,7 +186,6 @@ TEST_F(ConcurrentSearchTest, ColdTreeFirstTouchPublishesOnce) {
 
   auto tree = HybridTree::Open(file_.get()).ValueOrDie();
   ASSERT_EQ(tree->CachedQuantPages(), 0u);
-  ASSERT_TRUE(tree->SetConcurrentReads(true).ok());
   std::vector<ColdAnswers> results(kColdReaders);
   std::atomic<size_t> ready{0};
   std::vector<std::thread> readers;
@@ -213,7 +197,6 @@ TEST_F(ConcurrentSearchTest, ColdTreeFirstTouchPublishesOnce) {
     });
   }
   for (auto& th : readers) th.join();
-  ASSERT_TRUE(tree->SetConcurrentReads(false).ok());
 
   for (size_t t = 0; t < kColdReaders; ++t) {
     ASSERT_TRUE(results[t].error.ok()) << results[t].error.ToString();
@@ -241,7 +224,6 @@ TEST(ConcurrentBufferPoolTest, ConcurrentFetchesAccountExactly) {
     ids.push_back(h.id());
   }
   ASSERT_TRUE(pool.EvictAll().ok());  // next fetches are physical
-  ASSERT_TRUE(pool.SetConcurrentMode(true).ok());
   pool.ResetStats();
 
   constexpr size_t kThreads = 8;
@@ -266,7 +248,7 @@ TEST(ConcurrentBufferPoolTest, ConcurrentFetchesAccountExactly) {
 
   EXPECT_EQ(data_mismatches.load(), 0);
   EXPECT_EQ(pool.pinned_frames(), 0u);
-  const IoStats total = pool.StatsSnapshot();
+  const IoStats total = pool.stats();
   EXPECT_EQ(total.logical_reads, kThreads * kFetchesPerThread);
   // Unbounded pool: each page misses at most once across all threads.
   EXPECT_LE(total.physical_reads, kPages);
@@ -275,21 +257,10 @@ TEST(ConcurrentBufferPoolTest, ConcurrentFetchesAccountExactly) {
   EXPECT_EQ(sum.logical_reads, total.logical_reads);
   EXPECT_EQ(sum.physical_reads, total.physical_reads);
 
-  ASSERT_TRUE(pool.SetConcurrentMode(false).ok());
-  // Frames survive the mode switch: everything is cached again.
+  // The fetched frames stay cached: the next fetch is a hit.
   pool.ResetStats();
   { PageHandle h = pool.Fetch(ids[0]).ValueOrDie(); }
   EXPECT_EQ(pool.stats().physical_reads, 0u);
-}
-
-TEST(ConcurrentBufferPoolTest, ModeSwitchRequiresQuiescence) {
-  MemPagedFile file(256);
-  BufferPool pool(&file, 0);
-  PageHandle pinned = pool.New().ValueOrDie();
-  EXPECT_TRUE(pool.SetConcurrentMode(true).IsInvalidArgument());
-  pinned.Release();
-  EXPECT_TRUE(pool.SetConcurrentMode(true).ok());
-  EXPECT_TRUE(pool.concurrent_mode());
 }
 
 }  // namespace

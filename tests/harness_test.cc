@@ -141,8 +141,8 @@ TEST(HarnessTest, SidecarsLeavePagesVisitedUnchanged) {
       off->pool().ResetStats();
       run(on.get());
       run(off.get());
-      const IoStats s_on = on->pool().StatsSnapshot();
-      const IoStats s_off = off->pool().StatsSnapshot();
+      const IoStats s_on = on->pool().stats();
+      const IoStats s_off = off->pool().stats();
       EXPECT_EQ(s_on.logical_reads + s_on.quant_skipped_pages,
                 s_off.logical_reads)
           << "query " << q;

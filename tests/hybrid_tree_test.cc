@@ -271,7 +271,7 @@ TEST(HybridTreeTest, AccessCountingViaPool) {
   f.tree->pool().ResetStats();
   Box query = MakeBoxQuery(data.Row(0), 0.1);
   (void)f.tree->SearchBox(query).ValueOrDie();
-  const IoStats st = f.tree->pool().stats();  // copy: ComputeStats also reads
+  const IoStats st = f.tree->pool().stats();
   EXPECT_GT(st.logical_reads, 0u);
   // A selective query must touch far fewer pages than the whole tree.
   auto stats = f.tree->ComputeStats().ValueOrDie();

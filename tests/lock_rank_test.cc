@@ -34,7 +34,7 @@ class ScopedRankChecking {
 TEST(LockRankTest, CorrectOrderNestingPasses) {
   ScopedRankChecking on(true);
   Mutex outer{LockRank::kCacheManager, "test-outer"};
-  Mutex mid{LockRank::kPoolShard, "test-mid"};
+  Mutex mid{LockRank::kPool, "test-mid"};
   Mutex inner{LockRank::kPoolFile, "test-inner"};
   // The deepest legal chain in the table: 1200 -> 200 -> 100.
   MutexLock a(&outer);
@@ -63,7 +63,7 @@ TEST(LockRankDeathTest, InvertedPairAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ScopedRankChecking on(true);
   Mutex inner{LockRank::kPoolFile, "test-file"};
-  Mutex outer{LockRank::kPoolShard, "test-shard"};
+  Mutex outer{LockRank::kPool, "test-pool"};
   EXPECT_DEATH(
       {
         lock_rank::SetEnabled(true);
@@ -154,7 +154,7 @@ TEST(LockRankTest, WaitWindowAllowsFreshHigherRankAcquisition) {
 
 TEST(LockRankTest, UnrankedMutexesAreInvisible) {
   ScopedRankChecking on(true);
-  Mutex ranked{LockRank::kPoolShard, "test-ranked"};
+  Mutex ranked{LockRank::kPool, "test-ranked"};
   Mutex unranked;  // default: invisible to the checker
   MutexLock a(&ranked);
   MutexLock b(&unranked);  // "inversion" against rank 200 — but unranked
@@ -164,7 +164,7 @@ TEST(LockRankTest, UnrankedMutexesAreInvisible) {
 TEST(LockRankTest, OutOfOrderReleaseIsLegal) {
   ScopedRankChecking on(true);
   Mutex outer{LockRank::kCacheManager, "test-outer"};
-  Mutex inner{LockRank::kPoolShard, "test-inner"};
+  Mutex inner{LockRank::kPool, "test-inner"};
   outer.Lock();
   inner.Lock();
   outer.Unlock();  // release the OUTER lock first
@@ -176,7 +176,7 @@ TEST(LockRankTest, OutOfOrderReleaseIsLegal) {
 TEST(LockRankTest, TryLockSkipsOrderCheck) {
   ScopedRankChecking on(true);
   Mutex inner{LockRank::kPoolFile, "test-file"};
-  Mutex outer{LockRank::kPoolShard, "test-shard"};
+  Mutex outer{LockRank::kPool, "test-pool"};
   MutexLock a(&inner);
   // An out-of-order try_lock cannot deadlock (it would just fail), so a
   // successful one records the hold without aborting.
@@ -188,7 +188,7 @@ TEST(LockRankTest, TryLockSkipsOrderCheck) {
 TEST(LockRankTest, DisabledCheckerRecordsNothing) {
   ScopedRankChecking off(false);
   Mutex inner{LockRank::kPoolFile, "test-file"};
-  Mutex outer{LockRank::kPoolShard, "test-shard"};
+  Mutex outer{LockRank::kPool, "test-pool"};
   // The inversion is invisible with checking off (release builds).
   MutexLock a(&inner);
   MutexLock b(&outer);
@@ -305,15 +305,6 @@ TEST(SyncWrapperTest, RelockableGuardDropAndReacquire) {
   });
   other.join();
   lock.Lock();  // reacquire; destructor releases
-}
-
-TEST(SyncWrapperTest, DisabledGuardNeverLocks) {
-  Mutex mu;
-  MutexLock disabled(&mu, /*enabled=*/false);
-  // The mutex is genuinely free: a TryLock from this thread succeeds
-  // (it would deadlock or fail if the guard had locked it).
-  EXPECT_TRUE(mu.TryLock());
-  mu.Unlock();
 }
 
 TEST(SyncWrapperTest, RoleIsZeroCostAndReentrant) {

@@ -93,7 +93,7 @@ class PrefetchIntegrationTest : public ::testing::Test {
           tree->SearchKnnInto(centers_[i], kK, metric_, &scratch, &nn).ok());
       a.knn.push_back(nn);
     }
-    a.logical_reads = tree->pool().StatsSnapshot().logical_reads;
+    a.logical_reads = tree->pool().stats().logical_reads;
     return a;
   }
 
@@ -158,7 +158,7 @@ TEST_F(PrefetchIntegrationTest, PrefetchRequestsNoRuledOutPage) {
       } else {
         ASSERT_TRUE(tree->SearchRangeInto(c, radius_, metric_, &sc, &ids).ok());
       }
-      const IoStats s = tree->pool().StatsSnapshot();
+      const IoStats s = tree->pool().stats();
       EXPECT_EQ(s.prefetch_issued, s.prefetch_hits)
           << (box ? "box" : "range") << " q" << i;
       issued += s.prefetch_issued;

@@ -782,7 +782,7 @@ TEST(QuantBoxFilter, SmallPoolBoxAnswersMatchBruteForceAtEveryTier) {
       on->pool().ResetStats();
       EXPECT_EQ(Sorted(on->SearchBox(boxes[q]).ValueOrDie()), want)
           << "tier " << kernels::TierName(tier) << ", box " << q;
-      skipped += on->pool().StatsSnapshot().quant_skipped_pages;
+      skipped += on->pool().stats().quant_skipped_pages;
       EXPECT_EQ(Sorted(off->SearchBox(boxes[q]).ValueOrDie()), want)
           << "tier " << kernels::TierName(tier) << ", box " << q;
     }
@@ -921,7 +921,7 @@ TEST(QuantStaleSidecar, MutationsNeverAnswerFromAStaleSidecar) {
     for (const auto& c : touched) check(c, step);
     check(random_row(), step);
   }
-  EXPECT_GT(tree->pool().StatsSnapshot().frees, 0u) << "no page was freed";
+  EXPECT_GT(tree->pool().stats().frees, 0u) << "no page was freed";
   EXPECT_GT(tree->CachedQuantPages(), 0u);
   EXPECT_TRUE(tree->CheckInvariants().ok());
 }
@@ -991,7 +991,7 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
   std::vector<float> center(dim, 0.5f);
   tree->pool().ResetStats();
   ASSERT_TRUE(tree->SearchRange(center, 0.3, l2).ok());
-  IoStats s = tree->pool().StatsSnapshot();
+  IoStats s = tree->pool().stats();
   EXPECT_GT(s.scan_points, 0u);
   // Every filtered point was either refined or pruned; unfiltered scans
   // contribute to scan_points only. Hence refined + pruned <= scanned.
@@ -1001,7 +1001,7 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
   // k-NN: the heap-not-full warm-up pages are unfiltered, the rest filter.
   tree->pool().ResetStats();
   ASSERT_TRUE(tree->SearchKnn(center, 10, l2).ok());
-  s = tree->pool().StatsSnapshot();
+  s = tree->pool().stats();
   EXPECT_GT(s.scan_points, 0u);
   EXPECT_LE(s.quant_refined + s.quant_pruned, s.scan_points);
 
@@ -1010,7 +1010,7 @@ TEST(QuantAccounting, FilterCountersAreConsistent) {
   auto off = BuildTree(data, dim, /*quant=*/false, &file2);
   off->pool().ResetStats();
   ASSERT_TRUE(off->SearchRange(center, 0.3, l2).ok());
-  s = off->pool().StatsSnapshot();
+  s = off->pool().stats();
   EXPECT_GT(s.scan_points, 0u);
   EXPECT_EQ(s.quant_refined, 0u);
   EXPECT_EQ(s.quant_pruned, 0u);
@@ -1059,7 +1059,7 @@ TEST(QuantAccounting, PerQueryCountersMatchAcrossSimdTiers) {
     auto tree = HybridTree::Open(&file, /*buffer_pool_pages=*/16).ValueOrDie();
     std::vector<FilterCounters> got;
     const auto record = [&] {
-      got.push_back(CountersOf(tree->pool().StatsSnapshot()));
+      got.push_back(CountersOf(tree->pool().stats()));
       tree->pool().ResetStats();
     };
     tree->pool().ResetStats();
