@@ -27,7 +27,6 @@
 //    700  kThreadPool                     ThreadPool::mu_
 //    600  kServeScatter                   ShardedIndex scratch_mu_ / Shard::io_mu,
 //                                         scatter Latch::mu_, SharedTopK::mu_
-//    300  kPoolPrefetch                   BufferPool::prefetch_mu_
 //    200  kPool                           BufferPool::mu_
 //    100  kPoolFile                       BufferPool::file_mu_
 //     50  kPoolPinTable                   BufferPool::pin_mu_
@@ -41,9 +40,6 @@
 //     chunk allocation (200 -> 25).
 //   * Server::Snapshot / ResetMetrics hold tenants_mu_ (shared) while
 //     draining per-tenant metric locks (1100 -> 800).
-//   * prefetch_mu_ (300) is documented as "before the pool lock, never
-//     after it" in buffer_pool.h; ranking it above kPool makes the
-//     documented order machine-checked.
 // Everything else is acquire-release-before-next (no nesting), so any new
 // nesting some future change introduces gets checked against this table.
 // ---------------------------------------------------------------------------
@@ -73,7 +69,6 @@ enum class LockRank : uint32_t {
   kPoolPinTable = 50,
   kPoolFile = 100,
   kPool = 200,
-  kPoolPrefetch = 300,
   kServeScatter = 600,
   kThreadPool = 700,
   kServerTenantStats = 800,

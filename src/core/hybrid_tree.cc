@@ -1620,21 +1620,6 @@ Result<Box> HybridTree::RebuildElsRec(PageId page, const Box& br) {
   }
   HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
   Box node_live = Box::Empty(options_.dim);
-  // Read-ahead for the Open()-path DFS: every child will be visited, so
-  // batch the fanout into one round trip before recursing.
-  if (options_.prefetch_depth > 0) {
-    std::vector<PageId> children;
-    std::function<void(const KdNode*)> collect = [&](const KdNode* n) {
-      if (n->IsLeaf()) {
-        children.push_back(n->child);
-        return;
-      }
-      collect(n->left.get());
-      collect(n->right.get());
-    };
-    collect(node.root.get());
-    if (children.size() > 1) pool_->Prefetch(children);
-  }
   HT_RETURN_NOT_OK(RebuildElsKd(node.root.get(), br, &node_live));
   HT_RETURN_NOT_OK(WriteIndexNode(page, node));
   return node_live;

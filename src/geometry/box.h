@@ -95,8 +95,11 @@ class Box {
   /// Both predicates dispatch through the runtime-selected SIMD tier
   /// (kernels::Active()); every tier is boolean-identical to the scalar
   /// per-dimension loop, NaN bounds included (batch_kernel_test sweeps
-  /// this). The directory-node overlap test in range/kNN descent is the
-  /// hot caller.
+  /// this). The hybrid tree's searches no longer call them (directory
+  /// descent runs DistanceMetric::MinDistToBoxes and the box_overlap
+  /// kernel over a FlatIndexNode); their callers are the baselines' box
+  /// searches and containment checks, ELS overlap with 0 bits, and
+  /// TreeValidator.
   bool ContainsBox(const Box& o) const {
     return kernels::Active().box_contains(lo_.data(), hi_.data(),
                                           o.lo_.data(), o.hi_.data(),

@@ -184,11 +184,6 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
     const HybridTreeOptions& tree_options,
     const ShardedIndexOptions& shard_options, const Dataset& data,
     ThreadPool* pool) {
-  if (shard_options.io_pool != nullptr && shard_options.io_pool == pool) {
-    return Status::InvalidArgument(
-        "io_pool must be distinct from the scatter pool (prefetch fills "
-        "queued behind the shard tasks waiting on them would deadlock)");
-  }
   HT_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint32_t>> parts,
       PartitionRows(data, tree_options, shard_options.partitioner,
@@ -220,17 +215,6 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
     HT_ASSIGN_OR_RETURN(
         shard->tree, BulkLoad(tree_options, shard->file.get(), shard_data,
                               bulk));
-    if (shard_options.io_pool != nullptr) {
-      ThreadPool* io = shard_options.io_pool;
-      shard->tree->pool().SetPrefetchExecutor([io](std::function<void()> f) {
-        return io
-            ->Submit([fill = std::move(f)]() mutable {
-              fill();
-              return Status::OK();
-            })
-            .ok();
-      });
-    }
     if (shard_options.cache_manager != nullptr) {
       // Register AFTER the bulk load so the manager's even split (and any
       // later rebalance) applies to serving traffic, not the build.
@@ -243,18 +227,11 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
 }
 
 ShardedIndex::~ShardedIndex() {
-  // Unregister from the cache manager first so a concurrent rebalance can
-  // never retarget a pool that is being torn down.
+  // Unregister from the cache manager so a concurrent rebalance can never
+  // retarget a pool that is being torn down.
   if (shard_options_.cache_manager != nullptr) {
     for (auto& shard : shards_) {
       shard_options_.cache_manager->Unregister(&shard->tree->pool());
-    }
-  }
-  // Detach prefetch executors next: detaching blocks until in-flight
-  // fills drain, and those fills reference the shard buffer pools.
-  if (shard_options_.io_pool != nullptr) {
-    for (auto& shard : shards_) {
-      shard->tree->pool().SetPrefetchExecutor(nullptr);
     }
   }
 }

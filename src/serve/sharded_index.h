@@ -54,9 +54,7 @@
 // before touching their shard, and the k-NN loop re-checks between cursor
 // pops. A shard task that starts after the deadline fails the whole
 // request with DeadlineExceeded — a partial scatter is a wrong answer,
-// not a slow one. A dedicated prefetch pool is attached at build time via
-// ShardedIndexOptions::io_pool and stays attached for the index's
-// lifetime.
+// not a slow one.
 //
 // Threading: safe to call from any thread, the serving pool's own workers
 // included (the caller runs every task no helper has claimed, so a
@@ -141,11 +139,6 @@ struct ShardedIndexOptions {
   /// Backing file per shard; default MemPagedFile. The index owns the
   /// returned files.
   std::function<std::unique_ptr<PagedFile>(size_t shard)> file_factory;
-  /// Optional dedicated prefetch pool, attached to every shard's buffer
-  /// pool for the index's lifetime (must be distinct from the query pool
-  /// passed to Build, and must outlive the index). Pair with
-  /// prefetch_depth in the tree options to overlap cold reads.
-  ThreadPool* io_pool = nullptr;
   /// Optional global cache budget: every shard's buffer pool registers
   /// with this manager at build (as "shard<N>") and unregisters in the
   /// destructor, so one memory budget is shared — and periodically

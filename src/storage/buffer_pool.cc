@@ -86,7 +86,6 @@ BufferPool::BufferPool(PagedFile* file, size_t capacity_pages,
 }
 
 BufferPool::~BufferPool() {
-  DrainPrefetch();
   // Best effort write-back; durability requires an explicit FlushAll.
   (void)FlushAll();
 }
@@ -267,44 +266,10 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
     return PageHandle(this, id, f, TrackPin(id, loc));
   }
   MutexLock lock(&mu_);
-  bool checked_inflight = false;
-  for (;;) {
-    if (Frame* f = table_.Load(id)) {
-      CountClass(&IoStats::class_hits, cls);
-      PinHitLocked(id, f);
-      return PageHandle(this, id, f, TrackPin(id, loc));
-    }
-    // Miss. If an async prefetch of this page is in flight, wait for the
-    // fill instead of issuing a duplicate read, then re-check the table.
-    // The atomic fast path keeps the no-prefetch miss free of prefetch_mu_
-    // traffic. The dance runs at most once: the pool lock is dropped during
-    // it, so the table MUST be re-checked afterwards (a racing Fetch/fill
-    // may have installed the frame in the window — installing a duplicate
-    // would dangle the returned pin), and the one-shot guard keeps a busy
-    // in-flight set elsewhere in the pool from looping this fetch forever.
-    //
-    // Memory order: acquire pairs with the release increments in
-    // Prefetch/FillPrefetch, so a nonzero observation happens-after the
-    // inflight_ insert it reflects. The gate is only an optimization
-    // either way — the authoritative membership check runs under
-    // prefetch_mu_, and a stale zero just means this fetch reads the page
-    // itself (the fill detects the installed frame and drops its copy).
-    if (!checked_inflight &&
-        inflight_count_.load(std::memory_order_acquire) > 0) {
-      checked_inflight = true;
-      lock.Unlock();
-      {
-        MutexLock pl(&prefetch_mu_);
-        while (inflight_.count(id) != 0) {
-          prefetch_cv_.Wait(pl);
-        }
-      }
-      lock.Lock();
-      // The fill installed the frame (retry finds it) or dropped it
-      // (no room / read error: retry falls through to a normal miss).
-      continue;
-    }
-    break;
+  if (Frame* f = table_.Load(id)) {
+    CountClass(&IoStats::class_hits, cls);
+    PinHitLocked(id, f);
+    return PageHandle(this, id, f, TrackPin(id, loc));
   }
   CountClass(&IoStats::class_misses, cls);
   HT_RETURN_NOT_OK(EvictOneIfNeeded(/*demand=*/true));
@@ -329,109 +294,6 @@ Result<PageHandle> BufferPool::Fetch(PageId id, std::source_location loc) {
   return PageHandle(this, id, f, TrackPin(id, loc));
 }
 
-Status BufferPool::FetchMany(std::span<const PageId> ids,
-                             std::vector<PageHandle>* out,
-                             std::source_location loc) {
-  out->clear();
-  if (ids.empty()) return Status::OK();
-  out->reserve(ids.size());
-  const size_t cls = static_cast<size_t>(CurrentAccessClass());
-
-  // Pass 1: pin hits, leave placeholder handles for misses, and take one
-  // frame for each distinct missing id (ReadBatch tolerates duplicates,
-  // but a duplicate here would install two frames for one page). A taken
-  // frame has pins == -1 and is in no table slot, so nothing else can
-  // touch it while the batch read fills it outside every lock.
-  std::vector<PageId> miss_ids;
-  std::vector<Frame*> miss_frames;
-  std::vector<Page*> miss_pages;
-  std::unordered_map<PageId, size_t> miss_slot;  // id -> index in miss_*
-  {
-    MutexLock lock(&mu_);
-    for (PageId id : ids) {
-      Count(&IoStats::logical_reads);
-      if (Frame* f = table_.Load(id)) {
-        CountClass(&IoStats::class_hits, cls);
-        PinHitLocked(id, f);
-        out->push_back(PageHandle(this, id, f, TrackPin(id, loc)));
-      } else {
-        CountClass(&IoStats::class_misses, cls);
-        out->push_back(PageHandle());
-        if (miss_slot.emplace(id, miss_ids.size()).second) {
-          miss_ids.push_back(id);
-          miss_frames.push_back(AcquireFrameLocked());
-          miss_pages.push_back(&miss_frames.back()->page);
-        }
-      }
-    }
-  }
-  if (miss_ids.empty()) return Status::OK();
-
-  // Hands every frame still owned by this call back to the free list.
-  const auto recycle_unused = [&]() HT_REQUIRES(mu_) {
-    for (Frame* f : miss_frames) {
-      if (f != nullptr) RecycleFrameLocked(f);
-    }
-  };
-
-  // One round trip for every miss.
-  Status read_status;
-  {
-    ReaderLock flock(&file_mu_);
-    read_status = file_->ReadBatch(miss_ids, miss_pages);
-  }
-  MutexLock lock(&mu_);
-  if (!read_status.ok()) {
-    out->clear();  // releases every pass-1 pin
-    recycle_unused();
-    return read_status;
-  }
-  Count(&IoStats::batch_reads);
-
-  // Pass 2: install each miss (first occurrence) and pin every occurrence.
-  // A frame may already be present — installed by an earlier duplicate in
-  // this very batch, or by a racing Fetch/prefetch fill — in which case the
-  // existing frame wins and our read is discarded.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if ((*out)[i].valid()) continue;
-    const PageId id = ids[i];
-    Frame* f = table_.Load(id);
-    if (f != nullptr) {
-      f->pins.fetch_add(1, std::memory_order_relaxed);  // see PinHitLocked
-      // Pinned through us, not through a prior hit: no prefetch_hit.
-      f->prefetched.store(false, std::memory_order_relaxed);
-      ListFor(f->segment).Remove(f);
-      if (f->segment == CacheSegment::kPrefetchQueue) {
-        // First demand reference to a prefetched frame: admit to probation
-        // and attribute it to this batch's class.
-        f->segment = CacheSegment::kProbation;
-        f->admit_class = CurrentAccessClass();
-      }
-      LinkFrontLocked(f);
-    } else {
-      Status evict_status = EvictOneIfNeeded(/*demand=*/true);
-      if (!evict_status.ok()) {
-        out->clear();
-        recycle_unused();
-        return evict_status;
-      }
-      Count(&IoStats::physical_reads);
-      const size_t slot = miss_slot.find(id)->second;
-      f = miss_frames[slot];
-      HT_CHECK(f != nullptr);
-      miss_frames[slot] = nullptr;  // installed: no longer ours to recycle
-      f->dirty = false;
-      f->prefetched.store(false, std::memory_order_relaxed);
-      f->admit_class = CurrentAccessClass();
-      f->segment = AdmitSegmentLocked(id);
-      InstallLocked(id, f, /*pins=*/1);
-    }
-    (*out)[i] = PageHandle(this, id, f, TrackPin(id, loc));
-  }
-  recycle_unused();  // reads that lost to a racing install
-  return Status::OK();
-}
-
 void BufferPool::Prefetch(std::span<const PageId> ids) {
   if (ids.empty()) return;
   // Filter: keep each id once, and only if not already cached. Linear
@@ -445,39 +307,11 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   }
   if (need.empty()) return;
 
-  bool async = false;
-  if (async_exec_) {
-    MutexLock pl(&prefetch_mu_);
-    need.erase(std::remove_if(need.begin(), need.end(),
-                              [this](PageId id) HT_REQUIRES(prefetch_mu_) {
-                                return inflight_.count(id) != 0;
-                              }),
-               need.end());
-    if (need.empty()) return;
-    inflight_.insert(need.begin(), need.end());
-    // Release pairs with the acquire gate in Fetch: a fetch observing the
-    // new count happens-after these inserts (see the Fetch comment).
-    inflight_count_.fetch_add(need.size(), std::memory_order_release);
-    async = true;
-  }
-
   Count(&IoStats::prefetch_issued, need.size());
-
-  if (async) {
-    std::vector<PageId> task_ids = need;
-    const bool accepted =
-        async_exec_([this, ids2 = std::move(task_ids)]() mutable {
-          FillPrefetch(std::move(ids2), /*async=*/true);
-        });
-    // Executor refused (e.g. saturated queue): fill on this thread, still
-    // clearing the inflight marks we just planted.
-    if (!accepted) FillPrefetch(std::move(need), /*async=*/true);
-  } else {
-    FillPrefetch(std::move(need), /*async=*/false);
-  }
+  FillPrefetch(need);
 }
 
-void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
+void BufferPool::FillPrefetch(std::span<const PageId> ids) {
   // Frames are taken (pins == -1, unpublished) before the batch read, which
   // then fills them outside every lock.
   std::vector<Frame*> frames(ids.size());
@@ -537,34 +371,9 @@ void BufferPool::FillPrefetch(std::vector<PageId> ids, bool async) {
       InstallLocked(id, f, /*pins=*/0);
     }
   }
-  if (async) {
-    // Clear the in-flight marks only after the pool lock is released
-    // (lock order: prefetch_mu_ never follows mu_) and notify both Fetch
-    // waiters and DrainPrefetch. The notify happens under the lock on
-    // purpose: once a drainer (e.g. the destructor) re-acquires
-    // prefetch_mu_ and sees inflight_ empty, this thread is provably done
-    // touching the condition variable, so tearing the pool down is safe.
-    MutexLock pl(&prefetch_mu_);
-    for (PageId id : ids) inflight_.erase(id);
-    // Release for the same acquire pairing as the fetch_add in Prefetch.
-    inflight_count_.fetch_sub(ids.size(), std::memory_order_release);
-    prefetch_cv_.NotifyAll();
-  }
 }
 
 bool BufferPool::Cached(PageId id) const { return table_.Load(id) != nullptr; }
-
-void BufferPool::DrainPrefetch() {
-  MutexLock pl(&prefetch_mu_);
-  while (!inflight_.empty()) prefetch_cv_.Wait(pl);
-}
-
-void BufferPool::SetPrefetchExecutor(AsyncExec exec) {
-  // Quiesce before swapping so no in-flight task outlives its executor's
-  // guarantees (detaching is documented to block until fills drain).
-  DrainPrefetch();
-  async_exec_ = std::move(exec);
-}
 
 Result<PageHandle> BufferPool::New(std::source_location loc) {
   PageId id;
@@ -751,9 +560,6 @@ Status BufferPool::FlushPage(PageId id) {
 }
 
 Status BufferPool::EvictAll() {
-  // Finish any in-flight prefetch first: a fill landing after the sweep
-  // would silently warm a cache the caller just made cold.
-  DrainPrefetch();
   HT_RETURN_NOT_OK(FlushAll());
   MutexLock lock(&mu_);
   std::vector<Frame*> claimed;

@@ -46,9 +46,9 @@
 // more frames than its capacity (a demand fetch exceeds it only while
 // every resident frame is pinned; see EvictOneIfNeeded). A single-threaded
 // caller sees exactly the classic pool the paper figures use; it merely
-// takes uncontended locks. Backing-file reads (misses, batch fills,
-// prefetch fills) run under a SHARED file lock — pread/preadv are
-// positional and thread-safe, so reads do not exclude each other; only
+// takes uncontended locks. Backing-file reads (misses and prefetch fills)
+// run under a SHARED file lock — pread/preadv are positional and
+// thread-safe, so reads do not exclude each other; only
 // allocation/extension, Free, and dirty write-back take the file lock
 // exclusively.
 //
@@ -81,28 +81,21 @@
 // threads that map to different stripes. stats() sums the stripes;
 // logical-read accounting stays exact.
 //
-// Batched and prefetching I/O (the cold-cache pipeline):
-//
-//   * FetchMany pins a whole batch of pages, reading every miss in ONE
-//     PagedFile::ReadBatch round trip (DiskPagedFile coalesces adjacent
-//     pages into vectored preadv calls).
-//
-//   * Prefetch is a best-effort, NON-pinning fill: pages already cached
-//     (or already in flight) are skipped, the rest are read in one batch
-//     and parked unpinned — at the LRU front (kLru) or on the dedicated
-//     prefetch queue (kSlru), where never-referenced fills are the FIRST
-//     eviction victims instead of aging out mid-LRU. With an attached
-//     async executor (SetPrefetchExecutor) the fill runs on a background
-//     I/O thread and overlaps with the caller;
-//     otherwise it is a synchronous batched round trip. Prefetch counts NO
-//     logical reads — prefetched fills are physical reads only, so the
-//     paper's figure-of-merit (logical accesses) is byte-identical with
-//     prefetch on or off. prefetch_issued / prefetch_hits / batch_reads
-//     counters expose pipeline effectiveness; a Fetch that lands on a
-//     prefetched frame counts one prefetch_hit (first pin only). A Fetch
-//     that misses while the page's fill is in flight waits for the fill
-//     instead of re-reading (async mode), so prefetched I/O is never
-//     duplicated.
+// Prefetching I/O (the cold-cache pipeline). Prefetch is a best-effort,
+// NON-pinning fill on the calling thread: pages already cached are
+// skipped, the rest are read in ONE PagedFile::ReadBatch round trip
+// (DiskPagedFile coalesces adjacent pages into vectored preadv calls) and
+// parked unpinned — at the LRU front (kLru) or on the dedicated prefetch
+// queue (kSlru), where never-referenced fills are the FIRST eviction
+// victims instead of aging out mid-LRU. The fill takes its frames under
+// the pool lock, reads outside it, and installs under it again; a page
+// another thread installed in the meantime keeps that frame and the
+// fill's copy is dropped. Prefetch counts NO logical reads — prefetched
+// fills are physical reads only, so the paper's figure-of-merit (logical
+// accesses) is byte-identical with prefetch on or off. prefetch_issued /
+// prefetch_hits / batch_reads counters expose pipeline effectiveness; a
+// Fetch that lands on a prefetched frame counts one prefetch_hit (first
+// pin only).
 //
 // Capacity is adjustable at runtime (SetCapacity), safe against concurrent
 // fetches — this is the hook CacheManager (storage/cache_manager.h) uses
@@ -122,12 +115,10 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <source_location>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
@@ -344,35 +335,14 @@ class BufferPool {
       PageId id,
       std::source_location loc = std::source_location::current());
 
-  /// Fetches and pins every page of `ids` (out->at(i) pins ids[i]); all
-  /// misses are read from the backing file in ONE ReadBatch round trip.
-  /// Duplicate ids are allowed (each handle holds its own pin on the
-  /// shared frame). Each requested page counts one logical read, exactly
-  /// like an equivalent sequence of Fetch calls. On error no pins are
-  /// retained. All ids must resolve simultaneously, so a bounded pool
-  /// needs capacity for the whole batch on top of existing pins.
-  Status FetchMany(std::span<const PageId> ids, std::vector<PageHandle>* out,
-                   std::source_location loc = std::source_location::current());
-
-  /// Best-effort, non-pinning prefetch: pages already cached or already in
-  /// flight are skipped; the remaining misses are read in one batch and
-  /// inserted unpinned, tagged as prefetched (kSlru parks them on the
-  /// evict-first prefetch queue). Counts NO logical reads (fills are
-  /// physical reads only) and never evicts a pinned frame — pages that
+  /// Best-effort, non-pinning prefetch on the calling thread: pages
+  /// already cached are skipped; the remaining misses are read in one
+  /// batch and inserted unpinned, tagged as prefetched (kSlru parks them
+  /// on the evict-first prefetch queue). Counts NO logical reads (fills
+  /// are physical reads only) and never evicts a pinned frame — pages that
   /// don't fit are silently dropped, as are read errors (the later Fetch
-  /// will surface them). Runs asynchronously on the attached executor when
-  /// one is set; synchronously (one batched round trip) otherwise.
+  /// will surface them).
   void Prefetch(std::span<const PageId> ids);
-
-  /// Task-submission hook for async prefetch, e.g. wrapping
-  /// exec::ThreadPool::Submit (the storage layer stays independent of the
-  /// exec layer). The callback returns false if it cannot accept the task,
-  /// in which case the fill runs synchronously. Passing nullptr detaches
-  /// the executor and BLOCKS until all in-flight fills have drained.
-  /// Attach/detach from one thread at a time, not concurrently with
-  /// Prefetch callers.
-  using AsyncExec = std::function<bool(std::function<void()>)>;
-  void SetPrefetchExecutor(AsyncExec exec);
 
   /// True if page `id` currently has a frame (pinned or not). A lock-free,
   /// point-in-time probe — the answer can be stale by the time the caller
@@ -455,8 +425,8 @@ class BufferPool {
   // --- debug pin tracking (leak attribution) -------------------------------
   // Every search/insert/delete must release all pins it takes; a leaked pin
   // wedges eviction of its frame forever. With tracking ON, each pin
-  // records the source location of the Fetch/FetchMany/New that created
-  // it, and AssertNoPins attributes outstanding pins to those call sites.
+  // records the source location of the Fetch/New that created it, and
+  // AssertNoPins attributes outstanding pins to those call sites.
   // Tracking defaults to ON in HT_DEBUG_VALIDATE builds and OFF otherwise
   // (the hot path then pays one relaxed atomic load per pin).
 
@@ -599,13 +569,10 @@ class BufferPool {
   Status WriteBack(PageId id, Frame* f);
 
   /// Reads `ids` (all distinct, none cached at issue time) in one batch
-  /// and installs the frames unpinned + prefetch-tagged. Runs on the
-  /// caller's thread (sync mode) or an executor thread (async mode); in
-  /// async mode, clears the ids from inflight_ when done. Never holds the
-  /// pool lock while touching prefetch_mu_.
-  void FillPrefetch(std::vector<PageId> ids, bool async);
-  /// Blocks until no prefetch fill is in flight.
-  void DrainPrefetch();
+  /// outside the pool lock and installs the frames unpinned +
+  /// prefetch-tagged; an id another thread installed during the read keeps
+  /// that frame, and the fill's copy goes back to the free list.
+  void FillPrefetch(std::span<const PageId> ids);
 
   PagedFile* file_;
   const CachePolicy policy_;
@@ -642,33 +609,15 @@ class BufferPool {
   /// lock-free hit and by Cached().
   PageTable<Frame> table_;
   mutable std::array<StatStripe, kStatStripes> stripes_{};
-  /// File-access ordering lock: miss reads, batch fills, and prefetch
-  /// fills hold it SHARED (positional reads are thread-safe and may
-  /// overlap each other); allocation/extension, Free, and dirty
-  /// write-back hold it EXCLUSIVE so they never overlap a read of the
-  /// same file. It orders OPERATIONS, not data — file_ itself is a const
-  /// pointer and metadata reads like page_size() are lock-free — so no
-  /// field is GUARDED_BY it; the capability still participates in the
-  /// analysis through the scoped guards and in the rank order (pool ->
-  /// file).
+  /// File-access ordering lock: miss reads and prefetch fills hold it
+  /// SHARED (positional reads are thread-safe and may overlap each
+  /// other); allocation/extension, Free, and dirty write-back hold it
+  /// EXCLUSIVE so they never overlap a read of the same file. It orders
+  /// OPERATIONS, not data — file_ itself is a const pointer and metadata
+  /// reads like page_size() are lock-free — so no field is GUARDED_BY it;
+  /// the capability still participates in the analysis through the scoped
+  /// guards and in the rank order (pool -> file).
   mutable SharedMutex file_mu_{LockRank::kPoolFile, "BufferPool::file_mu_"};
-
-  /// Async prefetch state. inflight_ holds ids whose background fill has
-  /// been scheduled but not finished; Fetch waits on prefetch_cv_ instead
-  /// of issuing a duplicate read. Lock order: prefetch_mu_ may be taken
-  /// with mu_ not held, or before mu_ — never after it (ranked above
-  /// kPool, so the rank checker enforces exactly that).
-  AsyncExec async_exec_;
-  Mutex prefetch_mu_{LockRank::kPoolPrefetch, "BufferPool::prefetch_mu_"};
-  CondVar prefetch_cv_;
-  std::unordered_set<PageId> inflight_ HT_GUARDED_BY(prefetch_mu_);
-  /// == inflight_.size(); lets the Fetch miss path skip the prefetch_mu_
-  /// round trip entirely when nothing is in flight (the common case).
-  /// Release on update / acquire on the skip-check: a fetch that sees a
-  /// nonzero count must also see the inflight_ entries published before
-  /// the increment once it takes prefetch_mu_ (zero needs no ordering —
-  /// there is nothing to observe).
-  std::atomic<size_t> inflight_count_{0};
 
   /// Debug pin tracking (see SetPinTracking). Token -> pin site for every
   /// live pin taken while tracking was on. pin_mu_ is a leaf lock: it may

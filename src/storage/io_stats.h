@@ -74,7 +74,7 @@ inline const char* AccessClassName(AccessClass c) {
 ///   quant_pruned      points the code lower bound pruned without an exact
 ///                     distance. On a filtered page, scan_points splits
 ///                     exactly into quant_refined + quant_pruned.
-///   pin_overflows     demand fetches (Fetch / FetchMany / New) admitted
+///   pin_overflows     demand fetches (Fetch / New) admitted
 ///                     over the pool's capacity target because every
 ///                     resident frame was pinned by concurrent queries.
 ///                     The overflow is transient: the eviction loop drains
@@ -118,7 +118,7 @@ struct IoStats {
   uint64_t PagesVisited() const { return logical_reads + quant_skipped_pages; }
 
   /// Per-access-class cache counters, indexed by AccessClass. Hits and
-  /// misses cover demand accesses (Fetch / FetchMany) only — New() and
+  /// misses cover demand accesses (Fetch) only — New() and
   /// prefetch fills are counted by allocations / prefetch_issued above —
   /// so class_hits[c] + class_misses[c] is class c's demand-fetch count.
   /// Evictions are charged to the class that ADMITTED the victim frame

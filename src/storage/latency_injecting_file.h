@@ -16,8 +16,8 @@
 // write_calls(). Write latencies default to 0 so read-path experiments
 // are unaffected unless they opt in.
 //
-// Delays use sleep_for (not a busy spin), so a background prefetch thread
-// — or a parallel bulk-load worker writing its own page range — genuinely
+// Delays use sleep_for (not a busy spin), so a concurrent reader — or a
+// parallel bulk-load worker writing its own page range — genuinely
 // overlaps injected latency with another thread's work even on a
 // single-core host.
 //
@@ -140,7 +140,7 @@ class LatencyInjectingPagedFile final : public PagedFile {
 
   PagedFile* base_;
   /// Relaxed throughout: the knobs are set by the bench driver between
-  /// phases and polled by I/O threads (a stale read injects the previous
+  /// phases and polled by reading threads (a stale read injects the previous
   /// latency once), and the call counters are independent tallies with no
   /// ordering relationship to any other data.
   std::atomic<int64_t> per_call_ns_{0};

@@ -90,9 +90,9 @@ class PagedFile {
   virtual Status Sync() = 0;
 
   /// Snapshot of the raw file-level I/O statistics. Counters are relaxed
-  /// atomics so concurrent readers (prefetch threads + query threads) can
-  /// bump them without locks; the snapshot is not a consistent cut across
-  /// counters, which is fine for accounting.
+  /// atomics so concurrent readers (query threads and the prefetch fills
+  /// they run) can bump them without locks; the snapshot is not a
+  /// consistent cut across counters, which is fine for accounting.
   virtual IoStats stats() const;
   virtual void ResetStats();
 

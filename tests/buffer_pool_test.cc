@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -416,10 +416,10 @@ TEST(BufferPoolTest, BoundedPoolStaysWithinCapacityUnderConcurrentReaders) {
   }
 }
 
-// --- FetchMany / Prefetch --------------------------------------------------
+// --- Prefetch ---------------------------------------------------------------
 
 /// Allocates `n` pages directly in `file`, stamping page i's first byte
-/// with `i + 1` so tests can verify contents after a batch fetch.
+/// with `i + 1` so tests can verify contents after a prefetch or fetch.
 std::vector<PageId> AllocStamped(MemPagedFile& file, size_t n) {
   std::vector<PageId> ids;
   for (size_t i = 0; i < n; ++i) {
@@ -429,104 +429,6 @@ std::vector<PageId> AllocStamped(MemPagedFile& file, size_t n) {
     EXPECT_TRUE(file.Write(ids.back(), p).ok());
   }
   return ids;
-}
-
-TEST(BufferPoolTest, FetchManyMissesUseOneBatchRead) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 4);
-  BufferPool pool(&file, 0);
-  file.ResetStats();
-
-  std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(ids, &handles).ok());
-  ASSERT_EQ(handles.size(), ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].id(), ids[i]);
-    EXPECT_EQ(handles[i].data()[0], static_cast<uint8_t>(i + 1));
-  }
-  EXPECT_EQ(pool.pinned_frames(), ids.size());
-  // One batched round trip for all four misses; logical accounting is
-  // identical to four separate Fetch calls.
-  EXPECT_EQ(file.stats().batch_reads, 1u);
-  EXPECT_EQ(pool.stats().logical_reads, 4u);
-  EXPECT_EQ(pool.stats().physical_reads, 4u);
-  EXPECT_EQ(pool.stats().batch_reads, 1u);
-  handles.clear();
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-}
-
-TEST(BufferPoolTest, FetchManyMixedHitsAndMisses) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 3);
-  BufferPool pool(&file, 0);
-  { PageHandle warm = pool.Fetch(ids[0]).ValueOrDie(); }
-  pool.ResetStats();
-  file.ResetStats();
-
-  std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(ids, &handles).ok());
-  EXPECT_EQ(pool.stats().logical_reads, 3u);
-  EXPECT_EQ(pool.stats().physical_reads, 2u);  // ids[0] was already cached
-  EXPECT_EQ(file.stats().batch_reads, 1u);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].data()[0], static_cast<uint8_t>(i + 1));
-  }
-}
-
-TEST(BufferPoolTest, FetchManyDuplicateIdsPinEachOccurrence) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 2);
-  BufferPool pool(&file, 0);
-  file.ResetStats();
-
-  std::vector<PageId> req = {ids[0], ids[0], ids[1], ids[0]};
-  std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(req, &handles).ok());
-  ASSERT_EQ(handles.size(), 4u);
-  EXPECT_EQ(handles[0].data()[0], 1);
-  EXPECT_EQ(handles[1].data()[0], 1);
-  EXPECT_EQ(handles[2].data()[0], 2);
-  EXPECT_EQ(handles[3].data()[0], 1);
-  // Two distinct frames, each duplicate holds its own pin on the shared one.
-  EXPECT_EQ(pool.cached_frames(), 2u);
-  EXPECT_EQ(pool.stats().logical_reads, 4u);
-  EXPECT_EQ(pool.stats().physical_reads, 2u);  // the file read is deduped
-  handles.pop_back();
-  EXPECT_EQ(pool.pinned_frames(), 2u);  // ids[0] still pinned twice
-}
-
-TEST(BufferPoolTest, FetchManyErrorRetainsNoPins) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 2);
-  BufferPool pool(&file, 0);
-
-  std::vector<PageId> bad = {ids[0], static_cast<PageId>(9999), ids[1]};
-  std::vector<PageHandle> handles;
-  EXPECT_FALSE(pool.FetchMany(bad, &handles).ok());
-  EXPECT_TRUE(handles.empty());
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-}
-
-TEST(BufferPoolTest, FetchManyOverflowsCapacityWhileBatchIsPinned) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 4);
-  std::vector<PageId> three = {ids[0], ids[1], ids[2]};
-  BufferPool pool(&file, 2);
-
-  // All three pages are pinned simultaneously: the batch exceeds the
-  // capacity target, so the last install is a counted pin overflow
-  // rather than a batch failure.
-  std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(three, &handles).ok());
-  EXPECT_EQ(handles.size(), 3u);
-  for (const PageHandle& h : handles) EXPECT_TRUE(h.valid());
-  EXPECT_EQ(pool.pinned_frames(), 3u);
-  EXPECT_EQ(pool.stats().pin_overflows, 1u);
-  // Releasing the batch lets the next demand miss drain the pool back
-  // under its capacity target before installing.
-  handles.clear();
-  PageHandle h = pool.Fetch(ids[3]).ValueOrDie();
-  EXPECT_LE(pool.cached_frames(), 2u);
 }
 
 TEST(BufferPoolTest, PrefetchFillsUnpinnedWithoutLogicalReads) {
@@ -607,91 +509,93 @@ TEST(BufferPoolTest, PrefetchNeverEvictsPinnedFrames) {
   EXPECT_TRUE(pool.Cached(ids[2]) || pool.Cached(ids[3]));
 }
 
-TEST(BufferPoolTest, FetchManyCountsPrefetchHits) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 2);
-  BufferPool pool(&file, 0);
-  pool.Prefetch(ids);
-  file.ResetStats();
+/// Forwards to a base file, but holds ReadBatch calls until the test opens
+/// the gate, so a test can act while a prefetch fill is inside its read.
+class GatedReadBatchFile final : public PagedFile {
+ public:
+  explicit GatedReadBatchFile(PagedFile* base) : base_(base) {}
 
-  std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(ids, &handles).ok());
-  EXPECT_EQ(pool.stats().prefetch_hits, 2u);
-  EXPECT_EQ(file.stats().physical_reads, 0u);
-}
-
-TEST(BufferPoolTest, AsyncPrefetchFillsViaExecutor) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 3);
-  BufferPool pool(&file, 0);
-
-  std::mutex mu;
-  std::vector<std::thread> workers;
-  pool.SetPrefetchExecutor([&](std::function<void()> fill) {
-    std::lock_guard<std::mutex> g(mu);
-    workers.emplace_back(std::move(fill));
-    return true;
-  });
-  pool.Prefetch(ids);
-  // Detaching blocks until the background fill has drained.
-  pool.SetPrefetchExecutor(nullptr);
-  for (auto& t : workers) t.join();
-
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_TRUE(pool.Cached(ids[i]));
-    PageHandle h = pool.Fetch(ids[i]).ValueOrDie();
-    EXPECT_EQ(h.data()[0], static_cast<uint8_t>(i + 1));
+  /// Blocks until a ReadBatch call is waiting at the gate.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> g(mu_);
+    cv_.wait(g, [this] { return held_; });
   }
-  IoStats s = pool.stats();
-  EXPECT_EQ(s.prefetch_issued, 3u);
-  EXPECT_EQ(s.prefetch_hits, 3u);
-  EXPECT_EQ(s.logical_reads, 3u);  // only the Fetches, never the fill
-}
+  void OpenGate() {
+    std::lock_guard<std::mutex> g(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
 
-TEST(BufferPoolTest, FetchWaitsForInflightFillInsteadOfRereading) {
-  MemPagedFile file(256);
-  std::vector<PageId> ids = AllocStamped(file, 1);
+  size_t page_size() const override { return base_->page_size(); }
+  PageId page_count() const override { return base_->page_count(); }
+  Status Read(PageId id, Page* out) override { return base_->Read(id, out); }
+  Status ReadBatch(std::span<const PageId> ids,
+                   std::span<Page* const> outs) override {
+    {
+      std::unique_lock<std::mutex> g(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(g, [this] { return open_; });
+    }
+    return base_->ReadBatch(ids, outs);
+  }
+  Status Write(PageId id, const Page& page) override {
+    return base_->Write(id, page);
+  }
+  Result<PageId> Allocate() override { return base_->Allocate(); }
+  Status Free(PageId id) override { return base_->Free(id); }
+  Status Sync() override { return base_->Sync(); }
+  IoStats stats() const override { return base_->stats(); }
+  void ResetStats() override { base_->ResetStats(); }
+
+ private:
+  PagedFile* base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+TEST(BufferPoolTest, PrefetchFillThatLosesTheRaceDropsItsCopy) {
+  // A demand fetch installs the page while a prefetch fill of the same
+  // page is inside its read: the installed frame stays, the fill's copy
+  // goes back to the free list, and only the installed read counts.
+  MemPagedFile base(256);
+  std::vector<PageId> ids = AllocStamped(base, 1);
+  GatedReadBatchFile file(&base);
   BufferPool pool(&file, 0);
-
-  // An executor that parks the fill instead of running it, so the page
-  // stays in flight until this test chooses to complete it.
-  std::function<void()> parked;
-  pool.SetPrefetchExecutor([&](std::function<void()> fill) {
-    parked = std::move(fill);
-    return true;
-  });
-  pool.Prefetch(ids);
-  ASSERT_TRUE(parked != nullptr);
   file.ResetStats();
 
-  std::thread reader([&] {
+  std::thread prefetcher([&] { pool.Prefetch(ids); });
+  file.WaitUntilHeld();
+  {
     PageHandle h = pool.Fetch(ids[0]).ValueOrDie();
     EXPECT_EQ(h.data()[0], 1);
-  });
-  // Let the reader reach the in-flight wait, then complete the fill.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  parked();
-  reader.join();
-  // The reader reused the prefetched fill: exactly one physical read.
-  EXPECT_EQ(file.stats().physical_reads, 1u);
-  EXPECT_EQ(pool.stats().prefetch_hits, 1u);
-  pool.SetPrefetchExecutor(nullptr);
+  }
+  file.OpenGate();
+  prefetcher.join();
+
+  EXPECT_EQ(pool.cached_frames(), 1u);
+  const IoStats s = pool.stats();
+  EXPECT_EQ(s.prefetch_issued, 1u);
+  EXPECT_EQ(s.prefetch_hits, 0u);
+  EXPECT_EQ(s.physical_reads, 1u);  // the fill's dropped read is not counted
+  EXPECT_EQ(file.stats().physical_reads, 2u);  // the file served both
+  {
+    PageHandle h = pool.Fetch(ids[0]).ValueOrDie();
+    EXPECT_EQ(h.data()[0], 1);
+  }
+  EXPECT_EQ(pool.stats().prefetch_hits, 0u);
+  EXPECT_TRUE(pool.AssertNoPins().ok());
 }
 
 TEST(BufferPoolTest, ConcurrentPrefetchAndFetchStress) {
-  // TSAN target: readers fetch while background fills install frames.
+  // TSAN target: readers prefetch and fetch while other readers' fills
+  // install frames.
   MemPagedFile file(256);
   const size_t kPages = 64;
   std::vector<PageId> ids = AllocStamped(file, kPages);
   BufferPool pool(&file, 32);
-
-  std::mutex mu;
-  std::vector<std::thread> fills;
-  pool.SetPrefetchExecutor([&](std::function<void()> fill) {
-    std::lock_guard<std::mutex> g(mu);
-    fills.emplace_back(std::move(fill));
-    return true;
-  });
 
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
@@ -714,14 +618,17 @@ TEST(BufferPoolTest, ConcurrentPrefetchAndFetchStress) {
     });
   }
   for (auto& t : readers) t.join();
-  pool.SetPrefetchExecutor(nullptr);
-  for (auto& t : fills) t.join();
+  // At most 4 pins are held at once, so no demand fetch ever overflows and
+  // the pool never exceeds its capacity.
+  EXPECT_LE(pool.cached_frames(), 32u);
+  EXPECT_EQ(pool.stats().pin_overflows, 0u);
 
   // Every page still reads back correctly after the storm.
   for (size_t i = 0; i < kPages; ++i) {
     PageHandle h = pool.Fetch(ids[i]).ValueOrDie();
     EXPECT_EQ(h.data()[0], static_cast<uint8_t>(i + 1));
   }
+  EXPECT_TRUE(pool.AssertNoPins().ok());
 }
 
 // --- debug pin tracking ------------------------------------------------------
@@ -763,7 +670,7 @@ TEST(PinTrackingTest, LeakIsAttributedToTheFetchCallSite) {
   EXPECT_TRUE(pool.AssertNoPins().ok());
 }
 
-TEST(PinTrackingTest, FetchManyAndMovesKeepTheRegistryExact) {
+TEST(PinTrackingTest, MovesKeepTheRegistryExact) {
   MemPagedFile file(256);
   BufferPool pool(&file, 8);
   std::vector<PageId> ids;
@@ -773,7 +680,7 @@ TEST(PinTrackingTest, FetchManyAndMovesKeepTheRegistryExact) {
   }
   pool.SetPinTracking(true);
   std::vector<PageHandle> handles;
-  ASSERT_TRUE(pool.FetchMany(ids, &handles).ok());
+  for (PageId id : ids) handles.push_back(pool.Fetch(id).ValueOrDie());
   EXPECT_FALSE(pool.AssertNoPins().ok());
   // Moving a handle must transfer (not duplicate) its registration.
   PageHandle moved = std::move(handles[1]);

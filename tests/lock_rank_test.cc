@@ -50,7 +50,7 @@ TEST(LockRankTest, CorrectOrderNestingPasses) {
 TEST(LockRankTest, RepeatedDisjointAcquisitionsPass) {
   ScopedRankChecking on(true);
   Mutex a{LockRank::kThreadPool, "test-a"};
-  Mutex b{LockRank::kPoolPrefetch, "test-b"};
+  Mutex b{LockRank::kServeScatter, "test-b"};
   // Acquire-release-before-next never nests, so any order is fine.
   for (int i = 0; i < 3; ++i) {
     { MutexLock la(&a); }

@@ -215,21 +215,19 @@ TEST_F(PrefetchIntegrationTest, DiskBackedTreeIdenticalAcrossDepths) {
   std::remove(path.c_str());
 }
 
-TEST_F(PrefetchIntegrationTest, ShardedIoPoolMatchesSerialReference) {
+TEST_F(PrefetchIntegrationTest, ShardedPrefetchMatchesSerialReference) {
   Answers base = RunCold(file_.get(), 0);
 
-  // The serving path with a dedicated prefetch pool: every shard prefetches
-  // at depth 8 through a small buffer pool, so scatter tasks miss and
-  // their fills run on io_pool while the query pool computes.
+  // The serving path with prefetch on: every shard runs at depth 8 through
+  // a small buffer pool, so scatter tasks miss, and their box and range
+  // searches fill prefetch batches on the task's own thread.
   HybridTreeOptions opts;
   opts.dim = kDim;
   opts.prefetch_depth = 8;
   opts.buffer_pool_pages = pool_pages_;
   ThreadPool query_pool(4);
-  ThreadPool io_pool(2);
   ShardedIndexOptions so;
   so.shards = 2;
-  so.io_pool = &io_pool;
   auto index_r = ShardedIndex::Build(opts, so, data_, &query_pool);
   ASSERT_TRUE(index_r.ok()) << index_r.status().ToString();
   auto index = std::move(index_r).ValueUnsafe();
@@ -257,19 +255,6 @@ TEST_F(PrefetchIntegrationTest, ShardedIoPoolMatchesSerialReference) {
     io.Accumulate(index->shard_io(s));
   }
   EXPECT_GT(io.physical_reads, 0u) << "queries never missed the pool";
-}
-
-TEST_F(PrefetchIntegrationTest, ShardedBuildRejectsIoPoolEqualToScatterPool) {
-  // Prefetch fills queued behind the shard tasks waiting on them would
-  // deadlock, so Build refuses one pool in both roles.
-  HybridTreeOptions opts;
-  opts.dim = kDim;
-  ThreadPool pool(2);
-  ShardedIndexOptions so;
-  so.shards = 2;
-  so.io_pool = &pool;
-  auto built = ShardedIndex::Build(opts, so, data_, &pool);
-  EXPECT_TRUE(built.status().IsInvalidArgument());
 }
 
 }  // namespace
