@@ -1,14 +1,23 @@
 // Micro-benchmarks of core primitives: distance metrics, box operations,
-// node (de)serialization, buffer-pool access, and end-to-end hybrid-tree
-// insert/search throughput at 64-d.
+// the sidecar test, node (de)serialization, buffer-pool access, and
+// end-to-end hybrid-tree insert/search throughput at 64-d.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <bit>
+#include <chrono>
+#include <map>
+#include <memory>
+#include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "geometry/metrics.h"
+#include "storage/quant_store.h"
 
 namespace ht {
 namespace {
@@ -107,6 +116,168 @@ void BM_MinDistToBoxes(benchmark::State& state) {
 }
 // Args: {dimensionality, 0 = one batch call | 1 = per-box loop}.
 BENCHMARK(BM_MinDistToBoxes)
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({64, 0})
+    ->Args({64, 1});
+
+// The sidecar test a best-first k-NN makes before it pins a data page:
+// one CodeFilterMasks call on the page's 8-bit sidecar at the running
+// bound. The rows (100k: FOURIER at 16-d, COLHIST at 64-d) are split into
+// kd leaves of at most one 4 KiB data page's row count by median cuts on
+// the widest dimension, and the leaves' sidecars are built in shuffled
+// order, so leaves near in space are not near in memory. Each query (64
+// data points) tests, in shuffled order, every leaf whose grid MINDIST is
+// within its true 10-NN distance, at that distance. Reports ns per test,
+// the survivors of one pass over all queries (the same at every tier), and
+// the active SIMD tier as the label (HT_SIMD picks another).
+// Args: {dim, metric: 0 = L2, 1 = L1}.
+struct SidecarTests {
+  std::vector<std::vector<float>> queries;
+  std::vector<std::unique_ptr<const QuantizedPage>> pages;
+  struct Test {
+    size_t query;
+    const QuantizedPage* page;
+    double bound;
+  };
+  std::vector<Test> tests;
+  size_t max_blocks = 0;
+};
+
+/// Median-splits order[begin, end) on its widest dimension until each leaf
+/// holds at most `leaf_rows` rows; appends the leaves' ranges.
+void SplitKdLeaves(const Dataset& data, std::vector<uint32_t>* order,
+                   size_t begin, size_t end, size_t leaf_rows,
+                   std::vector<std::pair<size_t, size_t>>* leaves) {
+  if (end - begin <= leaf_rows) {
+    leaves->emplace_back(begin, end);
+    return;
+  }
+  uint32_t widest = 0;
+  float best = -1.0f;
+  for (uint32_t d = 0; d < data.dim(); ++d) {
+    float lo = data.Row((*order)[begin])[d];
+    float hi = lo;
+    for (size_t i = begin; i < end; ++i) {
+      lo = std::min(lo, data.Row((*order)[i])[d]);
+      hi = std::max(hi, data.Row((*order)[i])[d]);
+    }
+    if (hi - lo > best) {
+      best = hi - lo;
+      widest = d;
+    }
+  }
+  const size_t mid = begin + (end - begin) / 2;
+  std::nth_element(order->begin() + static_cast<ptrdiff_t>(begin),
+                   order->begin() + static_cast<ptrdiff_t>(mid),
+                   order->begin() + static_cast<ptrdiff_t>(end),
+                   [&](uint32_t a, uint32_t b) {
+                     return data.Row(a)[widest] < data.Row(b)[widest];
+                   });
+  SplitKdLeaves(data, order, begin, mid, leaf_rows, leaves);
+  SplitKdLeaves(data, order, mid, end, leaf_rows, leaves);
+}
+
+std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
+                                               const DistanceMetric& metric) {
+  constexpr size_t kRows = 100000;
+  constexpr size_t kQueries = 64;
+  constexpr size_t kK = 10;
+  Rng rng(9100 + dim);
+  const Dataset data =
+      dim == 16 ? GenFourier(kRows, dim, rng) : GenColhist(kRows, dim, rng);
+  std::vector<uint32_t> order(kRows);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::pair<size_t, size_t>> leaves;
+  SplitKdLeaves(data, &order, 0, kRows, DataNode::Capacity(dim, 4096),
+                &leaves);
+
+  auto out = std::make_unique<SidecarTests>();
+  out->pages.resize(leaves.size());
+  std::vector<size_t> build(leaves.size());
+  std::iota(build.begin(), build.end(), size_t{0});
+  for (size_t i = build.size(); i > 1; --i) {
+    std::swap(build[i - 1], build[rng.NextBelow(i)]);
+  }
+  const size_t stride = dim + 2;  // DataPageScan layout
+  std::vector<float> block;
+  for (const size_t leaf : build) {
+    const auto [begin, end] = leaves[leaf];
+    block.assign((end - begin) * stride, 0.0f);
+    for (size_t i = begin; i < end; ++i) {
+      const auto row = data.Row(order[i]);
+      std::copy(row.begin(), row.end(), block.begin() + (i - begin) * stride);
+    }
+    out->pages[leaf] =
+        QuantizedPage::Build(block.data(), stride, end - begin, dim);
+    out->max_blocks =
+        std::max(out->max_blocks, out->pages[leaf]->view().blocks);
+  }
+
+  out->queries = MakeQueryCenters(data, kQueries, rng);
+  std::vector<double> dist(kRows);
+  for (size_t q = 0; q < out->queries.size(); ++q) {
+    const auto& c = out->queries[q];
+    for (size_t i = 0; i < kRows; ++i) {
+      dist[i] = metric.Distance(c, data.Row(i));
+    }
+    std::nth_element(dist.begin(), dist.begin() + (kK - 1), dist.end());
+    const double bound = dist[kK - 1];
+    for (const auto& page : out->pages) {
+      const quant::PageCodesView v = page->view();
+      const Box grid = Box::FromBounds(
+          std::vector<float>(v.grid_lo, v.grid_lo + dim),
+          std::vector<float>(v.grid_hi, v.grid_hi + dim));
+      if (metric.MinDistToBox(c, grid) <= bound) {
+        out->tests.push_back({q, page.get(), bound});
+      }
+    }
+  }
+  for (size_t i = out->tests.size(); i > 1; --i) {
+    std::swap(out->tests[i - 1], out->tests[rng.NextBelow(i)]);
+  }
+  return out;
+}
+
+void BM_SidecarTest(benchmark::State& state) {
+  const auto dim = static_cast<uint32_t>(state.range(0));
+  L2Metric l2;
+  L1Metric l1;
+  const DistanceMetric& metric =
+      state.range(1) == 0 ? static_cast<const DistanceMetric&>(l2) : l1;
+  // Built once per argument pair: the benchmark body runs once per trial.
+  static std::map<std::pair<int64_t, int64_t>, std::unique_ptr<SidecarTests>>
+      cache;
+  auto& set = cache[{state.range(0), state.range(1)}];
+  if (set == nullptr) set = MakeSidecarTests(dim, metric);
+  quant::FilterScratch scratch;
+  std::vector<uint8_t> masks(set->max_blocks);
+  uint64_t survivors = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    survivors = 0;
+    for (const SidecarTests::Test& t : set->tests) {
+      const quant::PageCodesView v = t.page->view();
+      metric.CodeFilterMasks(set->queries[t.query], v, t.bound, &scratch,
+                             masks.data());
+      for (size_t b = 0; b < v.blocks; ++b) {
+        survivors += static_cast<uint64_t>(std::popcount(masks[b]));
+      }
+    }
+    benchmark::DoNotOptimize(survivors);
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  const double tests = static_cast<double>(set->tests.size());
+  state.counters["ns_per_test"] =
+      ns / (tests * static_cast<double>(state.iterations()));
+  state.counters["tests"] = tests;
+  state.counters["survivors"] = static_cast<double>(survivors);
+  state.SetLabel(std::string(metric.Name()) + " " +
+                 kernels::TierName(kernels::ActiveTier()));
+}
+BENCHMARK(BM_SidecarTest)
     ->Args({16, 0})
     ->Args({16, 1})
     ->Args({64, 0})

@@ -112,36 +112,17 @@ class HT_CAPABILITY("shared_mutex") SharedMutex {
   const char* name_ = "";
 };
 
-/// Scoped exclusive lock on a Mutex. Relockable (Unlock()/Lock() members)
-/// to express drop-and-reacquire dances.
+/// Scoped exclusive lock on a Mutex, held for the whole scope (a CondVar
+/// wait releases and retakes it inside the wait).
 class HT_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex* mu) HT_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-    held_ = true;
-  }
-  ~MutexLock() HT_RELEASE() {
-    if (held_) mu_->Unlock();
-  }
+  explicit MutexLock(Mutex* mu) HT_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
+  ~MutexLock() HT_RELEASE() { mu_->Unlock(); }
   HT_DISALLOW_COPY_AND_ASSIGN(MutexLock);
-
-  /// Drop the lock mid-scope.
-  void Unlock() HT_RELEASE() {
-    HT_DCHECK(held_);
-    mu_->Unlock();
-    held_ = false;
-  }
-  /// Reacquire after Unlock().
-  void Lock() HT_ACQUIRE() {
-    HT_DCHECK(!held_);
-    mu_->Lock();
-    held_ = true;
-  }
 
  private:
   friend class CondVar;
   Mutex* mu_;
-  bool held_ = false;  // tracks Unlock()/Lock()
 };
 
 /// Scoped shared lock on a SharedMutex.
@@ -208,7 +189,6 @@ class CondVar {
 
  private:
   static Mutex* PrepareWait(MutexLock& lock) {
-    HT_DCHECK(lock.held_);
     Mutex* mu = lock.mu_;
     if (mu->rank_ != LockRank::kUnranked) {
       lock_rank::OnRelease(mu, mu->rank_, mu->name_);

@@ -5,9 +5,10 @@
 // the batch-kernel distance output buffer (page granularity), the
 // best-first traversal frontier (a vector-backed binary min-heap), the
 // bounded k-NN candidate heap (a vector-backed binary max-heap, replacing
-// std::priority_queue so the backing store survives across queries), and
-// the per-index-node batch outputs (child MINDISTs, box-route and overlap
-// bit masks). Buffers are cleared — never shrunk — at
+// std::priority_queue so the backing store survives across queries), the
+// per-index-node batch outputs (child MINDISTs, box-route and overlap bit
+// masks), and the scan counters a search tallies per page until it
+// returns (ScanTally). Buffers are cleared — never shrunk — at
 // the start of each search, so after one warm-up query the steady-state
 // search loop performs no heap allocation (verified by search_alloc_test).
 //
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "geometry/quantize.h"
+#include "storage/io_stats.h"
 #include "storage/page.h"
 
 namespace ht {
@@ -76,6 +78,7 @@ class SearchScratch {
   std::vector<uint32_t> survivors;    // rows passing the code filter
   std::vector<uint32_t> carried;      // range survivors (base-marked)
   quant::FilterScratch quant;         // per-(query,page) filter prep
+  ScanTally tally;  // scan counters, charged when the search returns
 };
 
 }  // namespace ht

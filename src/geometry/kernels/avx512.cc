@@ -13,6 +13,7 @@
 
 #include "geometry/kernels/row_ref.h"
 #include "geometry/kernels/tables.h"
+#include "geometry/quantize.h"
 
 namespace ht::kernels {
 namespace {
@@ -166,12 +167,14 @@ void WL2Avx512(const float* q, const double* w, size_t dim, const float* pts,
 
 // --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
 //
-// One __m512d covers a whole 8-row block: each dimension is one 8-byte
-// code load and widen, and one _mm512_cmp_pd_mask against the precomputed
-// threshold collapses the block straight to its survivor byte. Gap math
-// and accumulation replay RowCodeTRaw*'s order exactly; IEEE <= treats
-// -0.0 == +0.0, so no canonicalization is needed and masks stay bitwise
-// identical across tiers.
+// The prep runs eight dimensions per __m512d: quant::PrepareFilter's
+// double operations, lane for lane, rounded to float by the same
+// conversion. Then one __m512d covers a whole 8-row block: each dimension
+// is one 8-byte code load and widen, and one _mm512_cmp_pd_mask against
+// the precomputed threshold collapses the block straight to its survivor
+// byte. Gap math and accumulation replay RowCodeTRaw*'s order exactly;
+// IEEE <= treats -0.0 == +0.0, so no canonicalization is needed and masks
+// stay bitwise identical across tiers.
 //
 // A block is abandoned once EVERY lane's accumulator exceeds the
 // threshold: the sums are monotone non-decreasing (each step adds a
@@ -179,6 +182,30 @@ void WL2Avx512(const float* q, const double* w, size_t dim, const float* pts,
 // dead and writing 0 early is bitwise what full accumulation would
 // produce. With pages spatially clustered, most blocks of a 99%-pruned
 // scan die within the first checkpoint.
+
+/// quant::PrepareFilter over [0, dim), eight dimensions per __m512d, with
+/// the reference for the dimension tail.
+void PrepAvx512(const float* q, const float* grid_lo, const float* grid_hi,
+                size_t dim, float* prep) {
+  const __m512d cells = _mm512_set1_pd(quant::kSidecarCells);
+  const __m512d cell_pad = _mm512_set1_pd(quant::kCellPad);
+  const __m512d query_pad = _mm512_set1_pd(quant::kQueryPad);
+  size_t d = 0;
+  for (; d + 8 <= dim; d += 8) {
+    const __m512d lo = _mm512_cvtps_pd(_mm256_loadu_ps(grid_lo + d));
+    const __m512d hi = _mm512_cvtps_pd(_mm256_loadu_ps(grid_hi + d));
+    const __m512d w = _mm512_div_pd(_mm512_sub_pd(hi, lo), cells);
+    const __m512d t =
+        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(q + d)), lo);
+    const __m512d pad = _mm512_add_pd(
+        _mm512_mul_pd(cell_pad, w), _mm512_mul_pd(query_pad, _mm512_abs_pd(t)));
+    _mm256_storeu_ps(prep + d, _mm512_cvtpd_ps(_mm512_add_pd(t, pad)));
+    _mm256_storeu_ps(prep + dim + d,
+                     _mm512_cvtpd_ps(_mm512_sub_pd(_mm512_sub_pd(t, w), pad)));
+    _mm256_storeu_ps(prep + 2 * dim + d, _mm512_cvtpd_ps(w));
+  }
+  quant::PrepareFilter(q, grid_lo, grid_hi, d, dim, prep);
+}
 
 /// Gaps for the 8 rows of one transposed block at dimension d.
 inline __m256 GapCT8(const float* above, const float* below,
@@ -192,97 +219,82 @@ inline __m256 GapCT8(const float* above, const float* below,
   return _mm256_max_ps(_mm256_setzero_ps(), _mm256_max_ps(g1, g2));
 }
 
-void CTML1Avx512(const float* above, const float* below, const float* scale,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, uint8_t* masks) {
+enum class CodeAcc { kSum, kSumSq, kWeightedSumSq, kMax };
+
+/// The four ctm_* kernels: the prep, then one block per pass (see above).
+/// `wf` is read by kWeightedSumSq only.
+template <CodeAcc kAcc>
+void MaskBlocksAvx512(const float* q, const float* wf, const float* grid_lo,
+                      const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                      size_t nblocks, double threshold, float* prep,
+                      uint8_t* masks) {
+  PrepAvx512(q, grid_lo, grid_hi, dim, prep);
+  const float* above = prep;
+  const float* below = prep + dim;
+  const float* scale = prep + 2 * dim;
   const __m512d t = _mm512_set1_pd(threshold);
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t* tcb = tcodes + b * dim * kTBlock;
     __m512d s = _mm512_setzero_pd();
-    uint8_t m = 0;
+    __m256 m = _mm256_setzero_ps();  // kMax: the running max, in float
+    __mmask8 alive = 0;
     size_t d = 0;
     while (d < dim) {
       const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
       for (; d < end; ++d) {
-        s = _mm512_add_pd(
-            s, _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d)));
+        const __m256 g8 = GapCT8(above, below, scale, tcb, d);
+        if constexpr (kAcc == CodeAcc::kMax) {
+          m = _mm256_max_ps(m, g8);
+        } else {
+          // Widen BEFORE squaring: the scalar reference squares in double.
+          const __m512d g = _mm512_cvtps_pd(g8);
+          if constexpr (kAcc == CodeAcc::kSum) {
+            s = _mm512_add_pd(s, g);
+          } else if constexpr (kAcc == CodeAcc::kSumSq) {
+            s = _mm512_add_pd(s, _mm512_mul_pd(g, g));
+          } else {
+            // Scalar association: s += ((double)wf[d] * g) * g.
+            const __m512d wd = _mm512_set1_pd(static_cast<double>(wf[d]));
+            s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, g), g));
+          }
+        }
       }
-      m = static_cast<uint8_t>(_mm512_cmp_pd_mask(s, t, _CMP_LE_OQ));
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
-  }
-}
-
-void CTML2Avx512(const float* above, const float* below, const float* scale,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, uint8_t* masks) {
-  const __m512d t = _mm512_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    uint8_t m = 0;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        // Widen BEFORE squaring: the scalar reference squares in double.
-        const __m512d g =
-            _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d));
-        s = _mm512_add_pd(s, _mm512_mul_pd(g, g));
-      }
-      m = static_cast<uint8_t>(_mm512_cmp_pd_mask(s, t, _CMP_LE_OQ));
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
-  }
-}
-
-void CTMLInfAvx512(const float* above, const float* below, const float* scale,
-                   size_t dim, const uint8_t* tcodes, size_t nblocks,
-                   double threshold, uint8_t* masks) {
-  const __m512d t = _mm512_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256 m = _mm256_setzero_ps();
-    uint8_t alive = 0;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        m = _mm256_max_ps(m, GapCT8(above, below, scale, tcb, d));
-      }
-      alive = static_cast<uint8_t>(
-          _mm512_cmp_pd_mask(_mm512_cvtps_pd(m), t, _CMP_LE_OQ));
+      if constexpr (kAcc == CodeAcc::kMax) s = _mm512_cvtps_pd(m);
+      alive = _mm512_cmp_pd_mask(s, t, _CMP_LE_OQ);
       if (alive == 0) break;
     }
-    masks[b] = d == dim ? alive : 0;
+    masks[b] = alive;
   }
 }
 
-void CTMWL2Avx512(const float* above, const float* below, const float* scale,
-                  const float* wf, size_t dim, const uint8_t* tcodes,
-                  size_t nblocks, double threshold, uint8_t* masks) {
-  const __m512d t = _mm512_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m512d s = _mm512_setzero_pd();
-    uint8_t m = 0;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d g =
-            _mm512_cvtps_pd(GapCT8(above, below, scale, tcb, d));
-        const __m512d wd = _mm512_set1_pd(static_cast<double>(wf[d]));
-        // Scalar association: s += ((double)wf[d] * g) * g.
-        s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, g), g));
-      }
-      m = static_cast<uint8_t>(_mm512_cmp_pd_mask(s, t, _CMP_LE_OQ));
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
-  }
+void CTML1Avx512(const float* q, const float* grid_lo, const float* grid_hi,
+                 size_t dim, const uint8_t* tcodes, size_t nblocks,
+                 double threshold, float* prep, uint8_t* masks) {
+  MaskBlocksAvx512<CodeAcc::kSum>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
+                                 nblocks, threshold, prep, masks);
+}
+
+void CTML2Avx512(const float* q, const float* grid_lo, const float* grid_hi,
+                 size_t dim, const uint8_t* tcodes, size_t nblocks,
+                 double threshold, float* prep, uint8_t* masks) {
+  MaskBlocksAvx512<CodeAcc::kSumSq>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
+                                   nblocks, threshold, prep, masks);
+}
+
+void CTMLInfAvx512(const float* q, const float* grid_lo, const float* grid_hi,
+                   size_t dim, const uint8_t* tcodes, size_t nblocks,
+                   double threshold, float* prep, uint8_t* masks) {
+  MaskBlocksAvx512<CodeAcc::kMax>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
+                                 nblocks, threshold, prep, masks);
+}
+
+void CTMWL2Avx512(const float* q, const float* wf, const float* grid_lo,
+                  const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                  size_t nblocks, double threshold, float* prep,
+                  uint8_t* masks) {
+  MaskBlocksAvx512<CodeAcc::kWeightedSumSq>(q, wf, grid_lo, grid_hi, dim,
+                                           tcodes, nblocks, threshold, prep,
+                                           masks);
 }
 
 // Box predicates: 16 dimensions per masked compare; _CMP_LT_OQ/_CMP_GT_OQ

@@ -8,6 +8,7 @@
 
 #include "geometry/kernels/row_ref.h"
 #include "geometry/kernels/tables.h"
+#include "geometry/quantize.h"
 
 namespace ht::kernels {
 namespace {
@@ -42,15 +43,19 @@ void WL2Scalar(const float* q, const double* w, size_t dim, const float* pts,
   }
 }
 
-void CTML1Scalar(const float* above, const float* below, const float* scale,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, uint8_t* masks) {
+// Mask kernels: the reference prep, then each row's raw accumulator
+// (row_ref.h RowCodeTRaw*) against the threshold, one bit per row.
+template <typename RowRaw>
+void MaskRows(const float* q, const float* grid_lo, const float* grid_hi,
+              size_t dim, const uint8_t* tcodes, size_t nblocks,
+              double threshold, float* prep, uint8_t* masks,
+              const RowRaw& row_raw) {
+  quant::PrepareFilter(q, grid_lo, grid_hi, 0, dim, prep);
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t* tcb = tcodes + b * dim * kTBlock;
     uint8_t m = 0;
     for (size_t lane = 0; lane < kTBlock; ++lane) {
-      if (detail::RowCodeTRawL1(above, below, scale, dim, tcb, lane) <=
-          threshold) {
+      if (row_raw(prep, prep + dim, prep + 2 * dim, tcb, lane) <= threshold) {
         m |= static_cast<uint8_t>(1u << lane);
       }
     }
@@ -58,52 +63,45 @@ void CTML1Scalar(const float* above, const float* below, const float* scale,
   }
 }
 
-void CTML2Scalar(const float* above, const float* below, const float* scale,
+void CTML1Scalar(const float* q, const float* grid_lo, const float* grid_hi,
                  size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, uint8_t* masks) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    uint8_t m = 0;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      if (detail::RowCodeTRawL2(above, below, scale, dim, tcb, lane) <=
-          threshold) {
-        m |= static_cast<uint8_t>(1u << lane);
-      }
-    }
-    masks[b] = m;
-  }
+                 double threshold, float* prep, uint8_t* masks) {
+  MaskRows(q, grid_lo, grid_hi, dim, tcodes, nblocks, threshold, prep, masks,
+           [dim](const float* a, const float* b, const float* s,
+                 const uint8_t* tcb, size_t lane) {
+             return detail::RowCodeTRawL1(a, b, s, dim, tcb, lane);
+           });
 }
 
-void CTMLInfScalar(const float* above, const float* below, const float* scale,
+void CTML2Scalar(const float* q, const float* grid_lo, const float* grid_hi,
+                 size_t dim, const uint8_t* tcodes, size_t nblocks,
+                 double threshold, float* prep, uint8_t* masks) {
+  MaskRows(q, grid_lo, grid_hi, dim, tcodes, nblocks, threshold, prep, masks,
+           [dim](const float* a, const float* b, const float* s,
+                 const uint8_t* tcb, size_t lane) {
+             return detail::RowCodeTRawL2(a, b, s, dim, tcb, lane);
+           });
+}
+
+void CTMLInfScalar(const float* q, const float* grid_lo, const float* grid_hi,
                    size_t dim, const uint8_t* tcodes, size_t nblocks,
-                   double threshold, uint8_t* masks) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    uint8_t m = 0;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      if (detail::RowCodeTRawLInf(above, below, scale, dim, tcb, lane) <=
-          threshold) {
-        m |= static_cast<uint8_t>(1u << lane);
-      }
-    }
-    masks[b] = m;
-  }
+                   double threshold, float* prep, uint8_t* masks) {
+  MaskRows(q, grid_lo, grid_hi, dim, tcodes, nblocks, threshold, prep, masks,
+           [dim](const float* a, const float* b, const float* s,
+                 const uint8_t* tcb, size_t lane) {
+             return detail::RowCodeTRawLInf(a, b, s, dim, tcb, lane);
+           });
 }
 
-void CTMWL2Scalar(const float* above, const float* below, const float* scale,
-                  const float* wf, size_t dim, const uint8_t* tcodes,
-                  size_t nblocks, double threshold, uint8_t* masks) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    uint8_t m = 0;
-    for (size_t lane = 0; lane < kTBlock; ++lane) {
-      if (detail::RowCodeTRawWL2(above, below, scale, wf, dim, tcb, lane) <=
-          threshold) {
-        m |= static_cast<uint8_t>(1u << lane);
-      }
-    }
-    masks[b] = m;
-  }
+void CTMWL2Scalar(const float* q, const float* wf, const float* grid_lo,
+                  const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                  size_t nblocks, double threshold, float* prep,
+                  uint8_t* masks) {
+  MaskRows(q, grid_lo, grid_hi, dim, tcodes, nblocks, threshold, prep, masks,
+           [dim, wf](const float* a, const float* b, const float* s,
+                     const uint8_t* tcb, size_t lane) {
+             return detail::RowCodeTRawWL2(a, b, s, wf, dim, tcb, lane);
+           });
 }
 
 // Box predicates: the reference the SIMD tiers must match boolean-for-

@@ -248,14 +248,9 @@ class L1Metric final : public DistanceMetric {
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    kernels::Active().ctm_l1(
-        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
-        page.dim, page.tcodes, page.blocks,
-        quant::FilterThreshold(bound, /*squared=*/false), masks);
-    quant::ClearPaddingBits(page, masks);
-    return true;
+    return quant::RunMaskKernel(
+        kernels::Active().ctm_l1, q.data(), page,
+        quant::FilterThreshold(bound, /*squared=*/false), scratch, masks);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L1"; }
@@ -307,14 +302,9 @@ class L2Metric final : public DistanceMetric {
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    kernels::Active().ctm_l2(
-        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
-        page.dim, page.tcodes, page.blocks,
-        quant::FilterThreshold(bound, /*squared=*/true), masks);
-    quant::ClearPaddingBits(page, masks);
-    return true;
+    return quant::RunMaskKernel(
+        kernels::Active().ctm_l2, q.data(), page,
+        quant::FilterThreshold(bound, /*squared=*/true), scratch, masks);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L2"; }
@@ -371,14 +361,9 @@ class LInfMetric final : public DistanceMetric {
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    kernels::Active().ctm_linf(
-        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
-        page.dim, page.tcodes, page.blocks,
-        quant::FilterThreshold(bound, /*squared=*/false), masks);
-    quant::ClearPaddingBits(page, masks);
-    return true;
+    return quant::RunMaskKernel(
+        kernels::Active().ctm_linf, q.data(), page,
+        quant::FilterThreshold(bound, /*squared=*/false), scratch, masks);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "Linf"; }
@@ -391,7 +376,7 @@ class LInfMetric final : public DistanceMetric {
 class WeightedL2Metric final : public DistanceMetric {
  public:
   explicit WeightedL2Metric(std::vector<double> weights)
-      : w_(std::move(weights)) {
+      : w_(std::move(weights)), wf_(w_.begin(), w_.end()) {
     double min_w = std::numeric_limits<double>::max();
     for (double w : w_) {
       HT_CHECK(w >= 0.0);
@@ -442,15 +427,10 @@ class WeightedL2Metric final : public DistanceMetric {
                        const quant::PageCodesView& page, double bound,
                        quant::FilterScratch* scratch,
                        uint8_t* masks) const override {
-    quant::PrepareFilter(q.data(), page.grid_lo, page.grid_hi, page.dim,
-                         scratch);
-    quant::PrepareWeights(w_.data(), page.dim, scratch);
-    kernels::Active().ctm_wl2(
-        scratch->above.data(), scratch->below.data(), scratch->scale.data(),
-        scratch->wf.data(), page.dim, page.tcodes, page.blocks,
-        quant::FilterThreshold(bound, /*squared=*/true), masks);
-    quant::ClearPaddingBits(page, masks);
-    return true;
+    return quant::RunMaskKernel(
+        kernels::Active().ctm_wl2, q.data(), page,
+        quant::FilterThreshold(bound, /*squared=*/true), scratch, masks,
+        wf_.data());
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "WeightedL2"; }
@@ -459,6 +439,7 @@ class WeightedL2Metric final : public DistanceMetric {
 
  private:
   std::vector<double> w_;
+  std::vector<float> wf_;  // w_ rounded to float, for the mask kernel
   double sqrt_min_w_ = 0.0;
 };
 

@@ -575,12 +575,15 @@ Status BufferPool::EvictAll() {
   return Status::OK();
 }
 
-void BufferPool::CountScan(uint64_t rows, uint64_t survivors, bool filtered) {
-  Count(&IoStats::scan_points, rows);
-  if (filtered) {
-    Count(&IoStats::quant_refined, survivors);
-    Count(&IoStats::quant_pruned, rows - survivors);
-  }
+void BufferPool::CountScans(const ScanTally& tally) {
+  // A zero field costs nothing: a box search that tested no sidecar, say.
+  const auto add = [this](uint64_t IoStats::*counter, uint64_t n) {
+    if (n != 0) Count(counter, n);
+  };
+  add(&IoStats::scan_points, tally.scan_points);
+  add(&IoStats::quant_refined, tally.quant_refined);
+  add(&IoStats::quant_pruned, tally.quant_pruned);
+  add(&IoStats::quant_skipped_pages, tally.quant_skipped_pages);
 }
 
 IoStats BufferPool::stats() const {

@@ -381,17 +381,11 @@ class BufferPool {
   size_t page_size() const { return file_->page_size(); }
   PagedFile* file() { return file_; }
 
-  /// Accounts one batched data-page distance scan: `rows` points entered
-  /// the scan; when `filtered` is set, `survivors` of them passed the
-  /// quantized-code filter and were refined exactly (the rest were pruned
-  /// by the code lower bound). Counted into the pool's counters and the
-  /// thread-local IoStatsScope sink, like any other pool operation. Takes
-  /// no lock.
-  void CountScan(uint64_t rows, uint64_t survivors, bool filtered);
-
-  /// Accounts one data page a search ruled out from its sidecar without
-  /// fetching it (IoStats::quant_skipped_pages). Takes no lock.
-  void CountSkippedPage() { Count(&IoStats::quant_skipped_pages); }
+  /// Charges one search's scan tally (scan_points, quant_refined,
+  /// quant_pruned and quant_skipped_pages; see ScanTally) to the pool's
+  /// counters and the thread-local IoStatsScope sink, like any other pool
+  /// operation. Takes no lock.
+  void CountScans(const ScanTally& tally);
 
   /// Sum of the counter stripes, by value. Safe from any thread, also
   /// while other threads use the pool (each counter is then read at some

@@ -68,7 +68,12 @@ inline const char* AccessClassName(AccessClass c) {
 ///                     (PagesVisited), the paper's figure of merit: the
 ///                     same count a tree without sidecars reads.
 ///   scan_points       points entering a data-page distance scan
-///                     (filtered or not), from any search path
+///                     (filtered or not), from any search path. This and
+///                     the two quant_* counters below, with
+///                     quant_skipped_pages, are tallied per search (a
+///                     ScanTally) and charged when the search call or
+///                     cursor pull returns, so they move once per call
+///                     while the others move once per page access
 ///   quant_refined     points that survived the quantized-code filter and
 ///                     got an exact distance (filtered scans only)
 ///   quant_pruned      points the code lower bound pruned without an exact
@@ -182,6 +187,27 @@ struct IoStats {
       d.class_evictions[c] -= since.class_evictions[c];
     }
     return d;
+  }
+};
+
+/// A search's scan counters (the IoStats fields of the same names), summed
+/// per page as the search runs and charged to the buffer pool in one
+/// BufferPool::CountScans call when the search call or cursor pull
+/// returns, on error paths too.
+struct ScanTally {
+  uint64_t scan_points = 0;
+  uint64_t quant_refined = 0;
+  uint64_t quant_pruned = 0;
+  uint64_t quant_skipped_pages = 0;
+
+  /// One data-page scan of `rows` points; when `filtered`, `survivors` of
+  /// them passed the code filter and the rest were pruned.
+  void AddScan(uint64_t rows, uint64_t survivors, bool filtered) {
+    scan_points += rows;
+    if (filtered) {
+      quant_refined += survivors;
+      quant_pruned += rows - survivors;
+    }
   }
 };
 

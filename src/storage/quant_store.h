@@ -3,7 +3,8 @@
 // path. Each sidecar stores, for every point on a data page, one uint8 code
 // per dimension relative to the page's live bounding region (min/max over
 // the page's points per dimension), laid out block-transposed for the
-// fused mask kernels (kernels.h ctm_*). A scan first asks those kernels
+// fused mask kernels (kernels.h ctm_*), grid and codes together in one
+// 64-byte-aligned allocation per page. A scan first asks those kernels
 // which points may be within its bound (geometry/quantize.h) and refines
 // only the survivors with exact distances — results stay byte-identical to
 // the unfiltered path. A page holding a NaN or infinite coordinate gets no
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "geometry/kernels/kernels.h"
@@ -38,8 +40,14 @@
 namespace ht {
 
 /// Immutable quantized image of one data page's point block: the grid and
-/// the codes in the quant::PageCodesView layout, in a 64-byte-aligned
-/// buffer of blocks * dim * kernels::kTBlock bytes.
+/// the codes in the quant::PageCodesView layout, in ONE 64-byte-aligned
+/// heap block. The object is the block's header (count, dim, blocks);
+/// grid_lo and grid_hi (dim floats each) follow it, and the codes
+/// (blocks * dim * kernels::kTBlock bytes) start at the next 64-byte
+/// boundary. A sidecar test thus reads one allocation, not an object and
+/// three more, and a sidecar's memory is that one block's size. Build
+/// allocates it; the class-specific operator delete frees it, so a plain
+/// `delete` (OwnedPageTable, std::unique_ptr) releases a sidecar.
 class QuantizedPage {
  public:
   /// Builds the sidecar of `count` points laid out at `block` with
@@ -51,37 +59,42 @@ class QuantizedPage {
                                                     size_t count,
                                                     uint32_t dim);
 
+  /// Frees the block Build allocated (the header is trivially destroyed).
+  static void operator delete(void* p) {
+    ::operator delete(p, std::align_val_t{Page::kAlignment});
+  }
+
   QuantizedPage(const QuantizedPage&) = delete;
   QuantizedPage& operator=(const QuantizedPage&) = delete;
 
   quant::PageCodesView view() const {
-    return quant::PageCodesView{count_,          dim_,
-                                grid_lo_.data(), grid_hi_.data(),
-                                tcodes_.get(),   blocks_};
+    const float* grid_lo = reinterpret_cast<const float*>(this + 1);
+    return quant::PageCodesView{
+        count_,          dim_, grid_lo, grid_lo + dim_,
+        reinterpret_cast<const uint8_t*>(this) + CodesOffset(dim_), blocks_};
   }
 
   /// True when this sidecar is exactly what (re)building from the given
   /// block would produce — grid and every code byte, padding lanes
-  /// included. Used by the validator to detect stale sidecars.
+  /// included, compared bytewise. Used by the validator to detect stale
+  /// sidecars.
   bool Matches(const float* block, size_t stride_floats, size_t count,
                uint32_t dim) const;
 
  private:
-  struct AlignedFree {
-    void operator()(void* p) const {
-      ::operator delete(p, std::align_val_t{Page::kAlignment});
-    }
-  };
+  QuantizedPage(size_t count, uint32_t dim);
 
-  QuantizedPage(size_t count, uint32_t dim, std::vector<float> grid_lo,
-                std::vector<float> grid_hi);
+  /// Byte offset of the codes from the start of the block: past the header
+  /// and the two grid arrays, rounded up to the alignment.
+  static size_t CodesOffset(uint32_t dim) {
+    const size_t grid_end = sizeof(QuantizedPage) + 2 * sizeof(float) * dim;
+    return (grid_end + Page::kAlignment - 1) / Page::kAlignment *
+           Page::kAlignment;
+  }
 
   size_t count_;
   uint32_t dim_;
   size_t blocks_;  // ceil(count_ / kernels::kTBlock)
-  std::vector<float> grid_lo_;
-  std::vector<float> grid_hi_;
-  std::unique_ptr<uint8_t, AlignedFree> tcodes_;
 };
 
 /// Cache of sidecars keyed by data-page id (lifetime and concurrency in

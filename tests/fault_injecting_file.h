@@ -8,7 +8,8 @@
 //    writes is exhausted, simulating a crash part-way through a flush. A
 //    failing call writes nothing (the failure is atomic at call
 //    granularity; DiskPagedFile's own short-transfer loop is exercised by
-//    the paged_file tests, not here).
+//    the paged_file tests, not here). A read budget does the same for
+//    reads, so a search can be made to fail part-way.
 
 #pragma once
 
@@ -93,9 +94,17 @@ class FaultInjectingPagedFile final : public PagedFile {
   void SetWriteBudget(uint64_t pages) {
     budget_.store(pages, std::memory_order_relaxed);
   }
+  /// The next `pages` per-page reads succeed; everything after fails with
+  /// IOError until the budget is reset. A ReadBatch larger than the
+  /// remaining budget fails whole.
+  void SetReadBudget(uint64_t pages) {
+    read_budget_.store(pages, std::memory_order_relaxed);
+  }
   void DisableFaults() {
     budget_.store(std::numeric_limits<uint64_t>::max(),
                   std::memory_order_relaxed);
+    read_budget_.store(std::numeric_limits<uint64_t>::max(),
+                       std::memory_order_relaxed);
   }
   uint64_t failed_writes() const {
     return failed_.load(std::memory_order_relaxed);
@@ -103,20 +112,24 @@ class FaultInjectingPagedFile final : public PagedFile {
 
   size_t page_size() const override { return base_->page_size(); }
   PageId page_count() const override { return base_->page_count(); }
-  Status Read(PageId id, Page* out) override { return base_->Read(id, out); }
+  Status Read(PageId id, Page* out) override {
+    HT_RETURN_NOT_OK(Consume(&read_budget_, 1));
+    return base_->Read(id, out);
+  }
   Status ReadBatch(std::span<const PageId> ids,
                    std::span<Page* const> outs) override {
+    HT_RETURN_NOT_OK(Consume(&read_budget_, ids.size()));
     return base_->ReadBatch(ids, outs);
   }
 
   Status Write(PageId id, const Page& page) override {
-    HT_RETURN_NOT_OK(Consume(1));
+    HT_RETURN_NOT_OK(Consume(&budget_, 1));
     return base_->Write(id, page);
   }
 
   Status WriteBatch(std::span<const PageId> ids,
                     std::span<const Page* const> pages) override {
-    HT_RETURN_NOT_OK(Consume(ids.size()));
+    HT_RETURN_NOT_OK(Consume(&budget_, ids.size()));
     return base_->WriteBatch(ids, pages);
   }
 
@@ -127,19 +140,21 @@ class FaultInjectingPagedFile final : public PagedFile {
   void ResetStats() override { base_->ResetStats(); }
 
  private:
-  Status Consume(uint64_t pages) {
-    uint64_t have = budget_.load(std::memory_order_relaxed);
+  Status Consume(std::atomic<uint64_t>* budget, uint64_t pages) {
+    uint64_t have = budget->load(std::memory_order_relaxed);
     if (have == std::numeric_limits<uint64_t>::max()) return Status::OK();
     if (pages > have) {
+      if (budget != &budget_) return Status::IOError("injected read fault");
       failed_.fetch_add(1, std::memory_order_relaxed);
       return Status::IOError("injected write fault");
     }
-    budget_.store(have - pages, std::memory_order_relaxed);
+    budget->store(have - pages, std::memory_order_relaxed);
     return Status::OK();
   }
 
   PagedFile* base_;
   std::atomic<uint64_t> budget_{std::numeric_limits<uint64_t>::max()};
+  std::atomic<uint64_t> read_budget_{std::numeric_limits<uint64_t>::max()};
   std::atomic<uint64_t> failed_{0};
 };
 

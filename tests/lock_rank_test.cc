@@ -295,18 +295,6 @@ TEST(SyncWrapperTest, WaitUntilTimesOut) {
   EXPECT_EQ(cv.WaitUntil(lock, deadline), std::cv_status::timeout);
 }
 
-TEST(SyncWrapperTest, RelockableGuardDropAndReacquire) {
-  Mutex mu;
-  MutexLock lock(&mu);
-  lock.Unlock();
-  // While dropped, another thread can take the mutex.
-  std::thread other([&] {
-    MutexLock inner(&mu);
-  });
-  other.join();
-  lock.Lock();  // reacquire; destructor releases
-}
-
 TEST(SyncWrapperTest, RoleIsZeroCostAndReentrant) {
   // The Role capability must be a pure annotation: nested and repeated
   // acquisition in any combination is a runtime no-op.
