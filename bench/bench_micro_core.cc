@@ -178,22 +178,25 @@ void SplitKdLeaves(const Dataset& data, std::vector<uint32_t>* order,
   SplitKdLeaves(data, order, mid, end, leaf_rows, leaves);
 }
 
-std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
-                                               const DistanceMetric& metric) {
+/// The rows the sidecar benchmarks test: 100k FOURIER rows at 16-d,
+/// COLHIST at 64-d.
+Dataset SidecarRows(uint32_t dim, Rng& rng) {
   constexpr size_t kRows = 100000;
-  constexpr size_t kQueries = 64;
-  constexpr size_t kK = 10;
-  Rng rng(9100 + dim);
-  const Dataset data =
-      dim == 16 ? GenFourier(kRows, dim, rng) : GenColhist(kRows, dim, rng);
-  std::vector<uint32_t> order(kRows);
+  return dim == 16 ? GenFourier(kRows, dim, rng) : GenColhist(kRows, dim, rng);
+}
+
+/// One sidecar per kd leaf of `data` (at most one 4 KiB data page's rows),
+/// built in shuffled order so that leaves near in space are not near in
+/// memory; indexed by leaf.
+std::vector<std::unique_ptr<const QuantizedPage>> MakeLeafSidecars(
+    const Dataset& data, Rng& rng) {
+  const uint32_t dim = data.dim();
+  std::vector<uint32_t> order(data.size());
   std::iota(order.begin(), order.end(), 0u);
   std::vector<std::pair<size_t, size_t>> leaves;
-  SplitKdLeaves(data, &order, 0, kRows, DataNode::Capacity(dim, 4096),
+  SplitKdLeaves(data, &order, 0, order.size(), DataNode::Capacity(dim, 4096),
                 &leaves);
-
-  auto out = std::make_unique<SidecarTests>();
-  out->pages.resize(leaves.size());
+  std::vector<std::unique_ptr<const QuantizedPage>> pages(leaves.size());
   std::vector<size_t> build(leaves.size());
   std::iota(build.begin(), build.end(), size_t{0});
   for (size_t i = build.size(); i > 1; --i) {
@@ -208,17 +211,29 @@ std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
       const auto row = data.Row(order[i]);
       std::copy(row.begin(), row.end(), block.begin() + (i - begin) * stride);
     }
-    out->pages[leaf] =
-        QuantizedPage::Build(block.data(), stride, end - begin, dim);
-    out->max_blocks =
-        std::max(out->max_blocks, out->pages[leaf]->view().blocks);
+    pages[leaf] = QuantizedPage::Build(block.data(), stride, end - begin, dim);
+  }
+  return pages;
+}
+
+std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
+                                               const DistanceMetric& metric) {
+  constexpr size_t kQueries = 64;
+  constexpr size_t kK = 10;
+  Rng rng(9100 + dim);
+  const Dataset data = SidecarRows(dim, rng);
+
+  auto out = std::make_unique<SidecarTests>();
+  out->pages = MakeLeafSidecars(data, rng);
+  for (const auto& page : out->pages) {
+    out->max_blocks = std::max(out->max_blocks, page->view().blocks);
   }
 
   out->queries = MakeQueryCenters(data, kQueries, rng);
-  std::vector<double> dist(kRows);
+  std::vector<double> dist(data.size());
   for (size_t q = 0; q < out->queries.size(); ++q) {
     const auto& c = out->queries[q];
-    for (size_t i = 0; i < kRows; ++i) {
+    for (size_t i = 0; i < dist.size(); ++i) {
       dist[i] = metric.Distance(c, data.Row(i));
     }
     std::nth_element(dist.begin(), dist.begin() + (kK - 1), dist.end());
@@ -282,6 +297,82 @@ BENCHMARK(BM_SidecarTest)
     ->Args({16, 1})
     ->Args({64, 0})
     ->Args({64, 1});
+
+// The sidecar test a box search makes before it pins a cold data page:
+// one ctm_box call on the page's 8-bit sidecar (HybridTree::BoxRulesOut).
+// The pages are built as BM_SidecarTest's are, from their own draw of the
+// rows: kd leaves of about 49 rows at 16-d, about 12 at 64-d. Each of 64
+// boxes, its side calibrated to perfbench's box selectivity (0.07% on
+// FOURIER 16-d, 0.2% on COLHIST 64-d), tests in shuffled order every page
+// whose grid it overlaps in every dimension, as an admitted child's box
+// does. Reports ns per test, the pages ruled out by one pass (the same at
+// every tier), and the active SIMD tier as the label (HT_SIMD=avx2 runs
+// the scalar reference). Arg: dim.
+struct SidecarBoxTests {
+  std::vector<Box> boxes;
+  std::vector<std::unique_ptr<const QuantizedPage>> pages;
+  std::vector<std::pair<size_t, const QuantizedPage*>> tests;
+};
+
+std::unique_ptr<SidecarBoxTests> MakeSidecarBoxTests(uint32_t dim) {
+  constexpr size_t kBoxes = 64;
+  constexpr size_t kProbes = 200;
+  Rng rng(9300 + dim);
+  const Dataset data = SidecarRows(dim, rng);
+  auto out = std::make_unique<SidecarBoxTests>();
+  out->pages = MakeLeafSidecars(data, rng);
+  const double side =
+      CalibrateBoxSide(data, dim == 16 ? 0.0007 : 0.002, kProbes, rng);
+  for (const auto& c : MakeQueryCenters(data, kBoxes, rng)) {
+    out->boxes.push_back(MakeBoxQuery(c, side));
+  }
+  for (size_t b = 0; b < out->boxes.size(); ++b) {
+    for (const auto& page : out->pages) {
+      const quant::PageCodesView v = page->view();
+      const Box grid = Box::FromBounds(
+          std::vector<float>(v.grid_lo, v.grid_lo + dim),
+          std::vector<float>(v.grid_hi, v.grid_hi + dim));
+      if (out->boxes[b].Intersects(grid)) {
+        out->tests.emplace_back(b, page.get());
+      }
+    }
+  }
+  for (size_t i = out->tests.size(); i > 1; --i) {
+    std::swap(out->tests[i - 1], out->tests[rng.NextBelow(i)]);
+  }
+  return out;
+}
+
+void BM_SidecarBoxTest(benchmark::State& state) {
+  const auto dim = static_cast<uint32_t>(state.range(0));
+  static std::map<int64_t, std::unique_ptr<SidecarBoxTests>> cache;
+  auto& set = cache[state.range(0)];
+  if (set == nullptr) set = MakeSidecarBoxTests(dim);
+  quant::FilterScratch scratch;
+  uint64_t ruled_out = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    ruled_out = 0;
+    for (const auto& [box, page] : set->tests) {
+      const Box& b = set->boxes[box];
+      if (!quant::RunBoxKernel(kernels::Active().ctm_box, page->view(),
+                               b.lo().data(), b.hi().data(), &scratch)) {
+        ++ruled_out;
+      }
+    }
+    benchmark::DoNotOptimize(ruled_out);
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  const double tests = static_cast<double>(set->tests.size());
+  state.counters["ns_per_test"] =
+      ns / (tests * static_cast<double>(state.iterations()));
+  state.counters["tests"] = tests;
+  state.counters["ruled_out"] = static_cast<double>(ruled_out);
+  state.SetLabel(kernels::TierName(kernels::ActiveTier()));
+}
+BENCHMARK(BM_SidecarBoxTest)->Arg(16)->Arg(64);
 
 void BM_DataNodeSerialize(benchmark::State& state) {
   const uint32_t dim = static_cast<uint32_t>(state.range(0));

@@ -987,7 +987,8 @@ bool HybridTree::BoxRulesOut(PageId page, const Box& query,
   if (qp == nullptr) return false;
   const float* lo = query.lo().data();
   const float* hi = query.hi().data();
-  if (quant::AnyRowMayBeInBox(qp->view(), lo, hi, &scratch->quant)) {
+  if (quant::RunBoxKernel(kernels::Active().ctm_box, qp->view(), lo, hi,
+                          &scratch->quant)) {
     return false;
   }
   ++scratch->tally.quant_skipped_pages;

@@ -479,7 +479,7 @@ class HybridTree {
   /// Box half of the filter-before-fetch rule, run when a descent that is
   /// not `contained` admits `page`: true when the page is not resident,
   /// has a sidecar, and no row's codes lie in the box's code range
-  /// (quant::AnyRowMayBeInBox). The page is then tallied as skipped in
+  /// (kernels.h ctm_box). The page is then tallied as skipped in
   /// scratch->tally and never fetched. Resident pages keep the exact
   /// scan, which stops about as early as the code test, and the fetch it
   /// would save is a lock-free hit. Never builds a sidecar.

@@ -464,11 +464,16 @@ void BoxOverlapAvx2(const float* qlo, const float* qhi, size_t dim,
 
 }  // namespace
 
+// The box test has no AVX2 kernel: this tier takes the scalar reference
+// (quant::AnyRowMayBeInBox) from the scalar table, whose copy is compiled
+// without -mavx2 — taking its address here would emit an AVX2 copy of the
+// inline function that the linker could pick for every tier.
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
       SimdTier::kAvx2, &L1Avx2,      &L2Avx2,       &LInfAvx2,
       &WL2Avx2,        &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2,
+      &CTMWL2Avx2,     ScalarTable().ctm_box,       &BoxIntersectsAvx2,
+      &BoxContainsAvx2,
       &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
       &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};
   return table;

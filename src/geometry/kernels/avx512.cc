@@ -297,6 +297,105 @@ void CTMWL2Avx512(const float* q, const float* wf, const float* grid_lo,
                                            masks);
 }
 
+// --- Sidecar box test (kernels.h ctm_box) -----------------------------------
+//
+// Three steps. The code range runs eight dimensions per __m512d and
+// replays quant::BoxCodeRange lane for lane: its float compares for a
+// bound beyond the grid, a NaN bound and a zero-width grid, and
+// QuantizeLo's double operations (widen, subtract, divide by the width,
+// times 256, floor, clamp) with no reciprocal and no FMA, so every lane's
+// cell is the reference's. The spread copies each dimension's range over
+// its kTBlock lanes into `range`, so that the test compares 64 code
+// bytes — eight dimensions of a block's eight rows — per unsigned byte
+// compare, against the matching 64 range bytes. A block whose rows are
+// all out stops early; the first block with a live row answers true.
+// Dimension tails are masked loads and stores, so no lane past `dim` is
+// read or written.
+
+/// The first min(n, 8) of eight lanes.
+inline __mmask8 FirstLanes8(size_t n) {
+  return n >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << n) - 1);
+}
+
+/// QuantizeLo(v, grid_lo, grid_hi, 8) in the lanes of `k`, as integral
+/// doubles; 0 in the other lanes and on a zero-width grid dimension
+/// (hi <= lo, the reference's float compare).
+inline __m512d QuantizeLo8(__mmask8 k, __m256 v, __m256 gl, __m256 gh) {
+  k &= static_cast<__mmask8>(~_mm256_cmp_ps_mask(gh, gl, _CMP_LE_OQ));
+  const __m512d lo = _mm512_cvtps_pd(gl);
+  const __m512d w = _mm512_sub_pd(_mm512_cvtps_pd(gh), lo);
+  const __m512d frac =
+      _mm512_maskz_div_pd(k, _mm512_sub_pd(_mm512_cvtps_pd(v), lo), w);
+  const __m512d cell = _mm512_roundscale_pd(
+      _mm512_mul_pd(frac, _mm512_set1_pd(quant::kSidecarCells)),
+      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  return _mm512_min_pd(_mm512_max_pd(cell, _mm512_setzero_pd()),
+                       _mm512_set1_pd(quant::kSidecarCells - 1));
+}
+
+/// Eight integral doubles in [0, 255], each spread over the 8 bytes of
+/// its 64-bit lane.
+inline __m512i Spread8(__m512d cells) {
+  // In each 128-bit lane: bytes 0-7 copy byte 0, bytes 8-15 copy byte 8.
+  const __m512i from = _mm512_set_epi64(
+      0x0808080808080808, 0, 0x0808080808080808, 0, 0x0808080808080808, 0,
+      0x0808080808080808, 0);
+  return _mm512_shuffle_epi8(_mm512_cvttpd_epi64(cells), from);
+}
+
+bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
+                   const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                   size_t nblocks, uint8_t* range) {
+  uint8_t* range_lo = range;
+  uint8_t* range_hi = range + dim * kTBlock;
+  for (size_t d = 0; d < dim; d += 8) {
+    const __mmask8 k = FirstLanes8(dim - d);
+    const __m256 l = _mm256_maskz_loadu_ps(k, lo + d);
+    const __m256 h = _mm256_maskz_loadu_ps(k, hi + d);
+    const __m256 gl = _mm256_maskz_loadu_ps(k, grid_lo + d);
+    const __m256 gh = _mm256_maskz_loadu_ps(k, grid_hi + d);
+    // A bound beyond the grid rules out every row; ordered compares, so a
+    // NaN bound never does, and lanes past `dim` (all 0) never do.
+    if ((_mm256_cmp_ps_mask(l, gh, _CMP_GT_OQ) |
+         _mm256_cmp_ps_mask(h, gl, _CMP_LT_OQ)) != 0) {
+      return false;
+    }
+    // A NaN bound puts no limit on its side: cell 0 below, 255 above.
+    const __mmask8 lo_set = _mm256_mask_cmp_ps_mask(k, l, l, _CMP_ORD_Q);
+    const __mmask8 hi_nan = _mm256_mask_cmp_ps_mask(k, h, h, _CMP_UNORD_Q);
+    const __m512d clo = QuantizeLo8(lo_set, l, gl, gh);
+    const __m512d chi = _mm512_mask_mov_pd(
+        QuantizeLo8(k & static_cast<__mmask8>(~hi_nan), h, gl, gh), hi_nan,
+        _mm512_set1_pd(quant::kSidecarCells - 1));
+    if (_mm512_cmp_pd_mask(clo, chi, _CMP_GT_OQ) != 0) return false;
+    _mm512_mask_storeu_epi64(range_lo + d * kTBlock, k, Spread8(clo));
+    _mm512_mask_storeu_epi64(range_hi + d * kTBlock, k, Spread8(chi));
+  }
+  const size_t bytes = dim * kTBlock;  // one block
+  for (size_t b = 0; b < nblocks; ++b) {
+    const uint8_t* tcb = tcodes + b * bytes;
+    uint64_t out = 0;  // bit lane: that row left the range somewhere
+    for (size_t off = 0; off < bytes && (out & 0xff) != 0xff; off += 64) {
+      const __mmask64 k = bytes - off >= 64
+                              ? ~__mmask64{0}
+                              : (__mmask64{1} << (bytes - off)) - 1;
+      const __m512i c = _mm512_maskz_loadu_epi8(k, tcb + off);
+      const __m512i cl = _mm512_maskz_loadu_epi8(k, range_lo + off);
+      const __m512i ch = _mm512_maskz_loadu_epi8(k, range_hi + off);
+      // Byte j of the mask is dimension off / 8 + j's eight rows; fold the
+      // eight dimensions onto the rows.
+      uint64_t x =
+          _mm512_cmplt_epu8_mask(c, cl) | _mm512_cmpgt_epu8_mask(c, ch);
+      x |= x >> 32;
+      x |= x >> 16;
+      x |= x >> 8;
+      out |= x;
+    }
+    if ((out & 0xff) != 0xff) return true;
+  }
+  return false;
+}
+
 // Box predicates: 16 dimensions per masked compare; _CMP_LT_OQ/_CMP_GT_OQ
 // never set a mask bit for NaN lanes, matching the scalar reference. The
 // sub-16 tail is scalar (boxes are short; one pass, not a hot loop).
@@ -424,7 +523,8 @@ const KernelTable& Avx512Table() {
   static const KernelTable table = {
       SimdTier::kAvx512, &L1Avx512,      &L2Avx512,       &LInfAvx512,
       &WL2Avx512,        &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
-      &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512,
+      &CTMWL2Avx512,     &CodeBoxAvx512,  &BoxIntersectsAvx512,
+      &BoxContainsAvx512,
       &MinDistAvx512<BoxAcc::kSum>, &MinDistAvx512<BoxAcc::kSumSq>,
       &MinDistAvx512<BoxAcc::kMax>, &BoxOverlapAvx512};
   return table;

@@ -1,5 +1,5 @@
 // Copyright 2026 The HybridTree Authors.
-// Tier selection: CPUID once at startup, HT_SIMD override, ForceTier hook.
+// Tier selection: CPUID and HT_SIMD once at first use, ForceTier hook.
 
 #include <atomic>
 #include <cstdio>
@@ -11,12 +11,6 @@
 
 namespace ht::kernels {
 namespace {
-
-/// ForceTier state: -1 = not forced, otherwise a SimdTier value. Relaxed:
-/// the override is set in test setup before kernels run; a racing reader
-/// would only dispatch one call at the previous tier, and every tier
-/// returns bit-identical results by contract.
-std::atomic<int> g_forced_tier{-1};
 
 SimdTier DetectBestTier() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -60,6 +54,12 @@ SimdTier SelectStartupTier() {
   return req;
 }
 
+/// The startup selection's table; reads HT_SIMD on the first call.
+const KernelTable& StartupTable() {
+  static const KernelTable& startup = TableForTier(SelectStartupTier());
+  return startup;
+}
+
 }  // namespace
 
 const char* TierName(SimdTier tier) {
@@ -92,22 +92,29 @@ const KernelTable& TableForTier(SimdTier tier) {
   return ScalarTable();
 }
 
-SimdTier ActiveTier() {
-  const int forced = g_forced_tier.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SimdTier>(forced);
-  static const SimdTier startup = SelectStartupTier();
-  return startup;
+namespace detail {
+
+std::atomic<const KernelTable*> g_active{nullptr};
+
+const KernelTable& SelectActive() {
+  const KernelTable* table = &StartupTable();
+  const KernelTable* expected = nullptr;
+  // A ForceTier that got in first keeps its pin.
+  if (!g_active.compare_exchange_strong(expected, table,
+                                        std::memory_order_relaxed)) {
+    table = expected;
+  }
+  return *table;
 }
 
-const KernelTable& Active() { return TableForTier(ActiveTier()); }
+}  // namespace detail
 
 void ForceTier(SimdTier tier) {
-  HT_CHECK(TierSupported(tier));
-  g_forced_tier.store(static_cast<int>(tier), std::memory_order_relaxed);
+  detail::g_active.store(&TableForTier(tier), std::memory_order_relaxed);
 }
 
 void ClearForcedTier() {
-  g_forced_tier.store(-1, std::memory_order_relaxed);
+  detail::g_active.store(&StartupTable(), std::memory_order_relaxed);
 }
 
 }  // namespace ht::kernels

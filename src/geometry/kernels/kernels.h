@@ -5,11 +5,13 @@
 // AVX-512 (compiled only when the toolchain supports the flags; executed
 // only when CPUID reports support) — each providing bounded batch-distance
 // kernels for L1/L2/LInf/WeightedL2 over the DataPageScan::block() layout,
-// fused u8 mask-filter kernels over the quantized page sidecars, and the
-// directory-node box kernels. The tier is selected ONCE at startup: best
-// CPUID-supported tier, overridable with HT_SIMD=scalar|avx2|avx512
-// (unsupported requests clamp down to the best supported tier), and
-// pinnable in-process with ForceTier() for tests and benches.
+// fused u8 mask-filter kernels and a box test over the quantized page
+// sidecars, and the directory-node box kernels. The tier is selected
+// ONCE, at first use: best CPUID-supported tier, overridable
+// with HT_SIMD=scalar|avx2|avx512 (unsupported requests clamp down to the
+// best supported tier), and pinnable in-process with ForceTier() for
+// tests and benches. Active() is then one relaxed load of the chosen
+// table's address.
 //
 // Bit-identity contract. Every tier must produce outputs bit-identical to
 // the scalar reference: distances for every row within the bound, survivor
@@ -25,9 +27,11 @@
 // value, so a lane may only go dead early). Tails (n % lanes) of the
 // strided distance kernels fall back to the shared scalar row routines,
 // and dimension tails of the AVX-512 filter prep to quant::PrepareFilter.
+// The sidecar box test returns one verdict per page, equal at every tier.
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -113,6 +117,25 @@ using CodeMaskTWeightedFn = void (*)(const float* q, const float* wf,
                                      double threshold, float* prep,
                                      uint8_t* masks);
 
+/// Sidecar box test: one call tests one page sidecar (its grid and
+/// `nblocks` blocks of transposed codes, as above) against the closed box
+/// [lo, hi], all over `dim` dimensions. Returns true iff some row's codes
+/// lie inside the box's code range in every dimension — the range
+/// quant::BoxCodeRange computes, [QuantizeLo(lo_d), QuantizeLo(hi_d)] on
+/// the grid, with a bound beyond the grid ruling out every row and a NaN
+/// bound putting no limit on its side. `range` is a caller buffer of
+/// 2 * dim * kTBlock bytes for the range. The verdict is the scalar
+/// reference's (quant::AnyRowMayBeInBox, the scalar and AVX2 entry) for
+/// every input: AVX-512 computes the range eight dimensions per double
+/// vector with the reference's operations and float compares (no
+/// reciprocal, no FMA), spreads each dimension's range over its
+/// kTBlock lanes in `range`, and tests 64 code bytes per compare. A
+/// padding lane repeats the last row, so a live lane is some real row.
+using CodeBoxTFn = bool (*)(const float* lo, const float* hi,
+                            const float* grid_lo, const float* grid_hi,
+                            size_t dim, const uint8_t* tcodes,
+                            size_t nblocks, uint8_t* range);
+
 /// Directory-node box predicates over raw per-dimension bound arrays
 /// (`a` is the node BR, `b` the probe box; closed intervals, `dim`
 /// floats each). box_intersects is Box::Intersects — false iff some
@@ -167,10 +190,12 @@ using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
                               size_t n, const uint64_t* active,
                               uint64_t* intersects, uint64_t* contains);
 
-/// One tier's kernels, 14 entries: the strided batch distances a page scan
+/// One tier's kernels, 15 entries: the strided batch distances a page scan
 /// refines with (l1, l2, linf, wl2), the fused sidecar masks it filters
-/// with (ctm_*), the single-box predicates behind Box::Intersects /
-/// ContainsBox, and the directory-node MINDISTs and box-set overlap.
+/// with (ctm_l1/l2/linf/wl2), the sidecar box test box search rules a
+/// cold page out with (ctm_box), the single-box predicates behind
+/// Box::Intersects / ContainsBox, and the directory-node MINDISTs and
+/// box-set overlap.
 struct KernelTable {
   SimdTier tier;
   BatchBoundFn l1;
@@ -181,6 +206,7 @@ struct KernelTable {
   CodeMaskTFn ctm_l2;
   CodeMaskTFn ctm_linf;
   CodeMaskTWeightedFn ctm_wl2;
+  CodeBoxTFn ctm_box;
   BoxPredFn box_intersects;
   BoxPredFn box_contains;
   BoxMinDistFn mindist_l1;
@@ -189,9 +215,22 @@ struct KernelTable {
   BoxOverlapFn box_overlap;
 };
 
+namespace detail {
+/// The active table: null until first use, then the startup selection or
+/// the ForceTier pin. Relaxed: a racing reader would only dispatch one
+/// call at the previous tier, and every tier gives the same results.
+extern std::atomic<const KernelTable*> g_active;
+/// First use: reads HT_SIMD (warning on a bad value) and publishes the
+/// startup table unless ForceTier got there first.
+const KernelTable& SelectActive();
+}  // namespace detail
+
 /// The table the metrics dispatch through (see the selection rules above).
-const KernelTable& Active();
-SimdTier ActiveTier();
+inline const KernelTable& Active() {
+  const KernelTable* t = detail::g_active.load(std::memory_order_relaxed);
+  return t != nullptr ? *t : detail::SelectActive();
+}
+inline SimdTier ActiveTier() { return Active().tier; }
 
 /// Best tier this build + CPU can execute (CPUID, cached).
 SimdTier BestSupportedTier();
@@ -203,7 +242,8 @@ const KernelTable& TableForTier(SimdTier tier);
 /// Pins the active tier in-process, overriding CPUID and HT_SIMD — the
 /// tier-sweep hook for tests and benches. The tier must be supported.
 void ForceTier(SimdTier tier);
-/// Reverts ForceTier to the startup selection.
+/// Reverts ForceTier to the startup selection (reading HT_SIMD if
+/// nothing has read it yet).
 void ClearForcedTier();
 
 }  // namespace ht::kernels

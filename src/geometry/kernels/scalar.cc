@@ -185,7 +185,8 @@ const KernelTable& ScalarTable() {
   static const KernelTable table = {
       SimdTier::kScalar, &L1Scalar,      &L2Scalar,       &LInfScalar,
       &WL2Scalar,        &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
-      &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar,
+      &CTMWL2Scalar,     &quant::AnyRowMayBeInBox,        &BoxIntersectsScalar,
+      &BoxContainsScalar,
       &MinDistScalar<BoxAcc::kSum>,   &MinDistScalar<BoxAcc::kSumSq>,
       &MinDistScalar<BoxAcc::kMax>,   &BoxOverlapScalar};
   return table;

@@ -122,9 +122,9 @@ struct FilterScratch {
   /// The mask kernels' prep (kernels.h CodeMaskTFn): above, below and
   /// scale, dim floats each, written by every sidecar test.
   std::vector<float> prep;
-  /// Per-dimension box code range (BoxCodeRange, AnyRowMayBeInBox).
-  std::vector<uint8_t> code_lo;
-  std::vector<uint8_t> code_hi;
+  /// The box kernels' code range (kernels.h CodeBoxTFn): 2 * dim *
+  /// kTBlock bytes, written by every box test.
+  std::vector<uint8_t> range;
 };
 
 /// The reference prep of one (query, page-grid) pair, for dimensions
@@ -204,11 +204,12 @@ bool RunMaskKernel(Kernel kernel, const float* q, const PageCodesView& page,
 // QuantizeLo(lo_d) <= c_d <= QuantizeLo(hi_d): a row whose code leaves that
 // range in any dimension cannot be in the box. No padding is needed. A
 // faster formula than QuantizeLo would have to widen the range by one cell
-// on each side. The grid is the rows' exact min/max, so a bound beyond
-// the grid rules out every row outright; on a zero-width grid dimension
-// (every code 0) that check is the whole test. A NaN bound puts no limit
-// on its side, as in Box::ContainsPoint; ±inf clamps to the first or last
-// cell.
+// on each side; the AVX-512 box kernel (kernels.h ctm_box) instead replays
+// QuantizeLo's operations lane for lane, so its range is this one. The
+// grid is the rows' exact min/max, so a bound beyond the grid rules out
+// every row outright; on a zero-width grid dimension (every code 0) that
+// check is the whole test. A NaN bound puts no limit on its side, as in
+// Box::ContainsPoint; ±inf clamps to the first or last cell.
 
 /// Fills the code range [code_lo[d], code_hi[d]] a row of a page with grid
 /// [grid_lo, grid_hi] must lie in, in every dimension, to be inside the box
@@ -235,26 +236,27 @@ inline bool BoxCodeRange(const float* lo, const float* hi,
   return true;
 }
 
-/// True when some row of `page` may lie in the closed box [lo, hi]; false
-/// only when no row can (every row's codes leave the BoxCodeRange). A plain
-/// loop over the blocks; a padding lane repeats the last row, so a live
-/// lane is always some real row.
-inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
-                             const float* hi, FilterScratch* s) {
-  if (s->code_lo.size() < page.dim) {
-    s->code_lo.resize(page.dim);
-    s->code_hi.resize(page.dim);
-  }
-  uint8_t* clo = s->code_lo.data();
-  uint8_t* chi = s->code_hi.data();
-  if (!BoxCodeRange(lo, hi, page.grid_lo, page.grid_hi, page.dim, clo, chi)) {
+/// The scalar reference of the sidecar box test (kernels.h ctm_box), and
+/// the scalar and AVX2 tiers' entry: true when some row of the sidecar may
+/// lie in the closed box [lo, hi]; false only when no row can (every
+/// row's codes leave the BoxCodeRange). A plain loop over the blocks, with
+/// the range in range[0, dim) and range[dim, 2 * dim); a padding lane
+/// repeats the last row, so a live lane is always some real row.
+inline bool AnyRowMayBeInBox(const float* lo, const float* hi,
+                             const float* grid_lo, const float* grid_hi,
+                             size_t dim, const uint8_t* tcodes,
+                             size_t nblocks, uint8_t* range) {
+  uint8_t* clo = range;
+  uint8_t* chi = range + dim;
+  if (!BoxCodeRange(lo, hi, grid_lo, grid_hi, static_cast<uint32_t>(dim), clo,
+                    chi)) {
     return false;
   }
   constexpr size_t kLanes = kernels::kTBlock;
-  for (size_t b = 0; b < page.blocks; ++b) {
-    const uint8_t* block = page.tcodes + b * page.dim * kLanes;
+  for (size_t b = 0; b < nblocks; ++b) {
+    const uint8_t* block = tcodes + b * dim * kLanes;
     unsigned live = (1u << kLanes) - 1;
-    for (uint32_t d = 0; d < page.dim && live != 0; ++d) {
+    for (size_t d = 0; d < dim && live != 0; ++d) {
       for (size_t lane = 0; lane < kLanes; ++lane) {
         const uint8_t c = block[d * kLanes + lane];
         if (c < clo[d] || c > chi[d]) live &= ~(1u << lane);
@@ -263,6 +265,17 @@ inline bool AnyRowMayBeInBox(const PageCodesView& page, const float* lo,
     if (live != 0) return true;
   }
   return false;
+}
+
+/// One sidecar box test: runs a tier's box kernel (`kernel`, kernels.h
+/// ctm_box) over `page` for the box [lo, hi], with the range buffer in
+/// `s`. True when some row of the page may lie in the box.
+inline bool RunBoxKernel(kernels::CodeBoxTFn kernel, const PageCodesView& page,
+                         const float* lo, const float* hi, FilterScratch* s) {
+  const size_t need = 2 * size_t{page.dim} * kernels::kTBlock;
+  if (s->range.size() < need) s->range.resize(need);
+  return kernel(lo, hi, page.grid_lo, page.grid_hi, page.dim, page.tcodes,
+                page.blocks, s->range.data());
 }
 
 }  // namespace ht::quant

@@ -16,7 +16,8 @@
 // the same standard: batch MINDIST equals MinDistToBox and the overlap
 // masks equal Box::Intersects / ContainsBox bit for bit at every tier, and
 // the flat index-node view matches the pointer kd tree it replaces on the
-// read paths.
+// read paths. The dispatch itself: Active() is the forced tier's table,
+// or the startup table once no tier is forced.
 
 #include <gtest/gtest.h>
 
@@ -366,6 +367,22 @@ bool RefContains(const std::vector<float>& alo, const std::vector<float>& ahi,
     if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
   }
   return true;
+}
+
+TEST(KernelDispatch, ActiveIsTheForcedOrTheStartupTable) {
+  const kernels::KernelTable* startup = &kernels::Active();
+  EXPECT_EQ(startup, &kernels::TableForTier(startup->tier));
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    const kernels::KernelTable& table = kernels::TableForTier(tier);
+    EXPECT_EQ(table.tier, tier);
+    EXPECT_NE(table.ctm_box, nullptr);
+    {
+      ScopedTier forced(tier);
+      EXPECT_EQ(&kernels::Active(), &table);
+      EXPECT_EQ(kernels::ActiveTier(), tier);
+    }
+    EXPECT_EQ(&kernels::Active(), startup);
+  }
 }
 
 // Box-predicate kernels: every tier must agree with the scalar reference

@@ -384,8 +384,9 @@ TEST(QuantSoundness, SinglePointPage) {
 // --- box code range --------------------------------------------------------
 
 /// The box filter's contract on one page: every row Box::ContainsPoint
-/// accepts has its codes inside the BoxCodeRange in every dimension, and
-/// AnyRowMayBeInBox is exactly "some row's codes lie in that range".
+/// accepts has its codes inside the BoxCodeRange in every dimension,
+/// AnyRowMayBeInBox is exactly "some row's codes lie in that range", and
+/// every supported tier's ctm_box gives AnyRowMayBeInBox's verdict.
 /// Returns whether the page was ruled out.
 bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
                     const std::vector<float>& hi) {
@@ -417,10 +418,21 @@ bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
     }
   }
   quant::FilterScratch scratch;
-  const bool may = quant::AnyRowMayBeInBox(v, lo.data(), hi.data(), &scratch);
+  const bool may =
+      quant::RunBoxKernel(&quant::AnyRowMayBeInBox, v, l, h, &scratch);
   EXPECT_EQ(may, any_codes_in_range);
   if (any_inside) {
     EXPECT_TRUE(may);
+  }
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    // Range bytes the kernel did not write read as 0xa5.
+    quant::FilterScratch poisoned;
+    poisoned.range.assign(2 * dim * kLanes, 0xa5);
+    EXPECT_EQ(quant::RunBoxKernel(kernels::TableForTier(tier).ctm_box, v, l,
+                                  h, &poisoned),
+              may)
+        << kernels::TierName(tier) << " dim " << dim << " count " << b.count
+        << " box " << box.ToString();
   }
   return !may;
 }
