@@ -45,14 +45,19 @@ int main() {
                        "recall@10"});
   auto bundle = BuildIndex(IndexKind::kHybrid, data, config).ValueOrDie();
   auto* hybrid = dynamic_cast<HybridIndexAdapter*>(bundle.index.get());
+  SearchScratch scratch;
+  std::vector<std::pair<double, uint64_t>> got;
   for (double eps : {0.0, 0.25, 0.5, 1.0, 2.0}) {
     uint64_t accesses = 0;
     double ratio_sum = 0.0;
     double recall_sum = 0.0;
+    KnnSearchLimits limits;
+    limits.epsilon = eps;
     for (const auto& c : centers) {
       auto want = BruteForceKnn(data, c, k, l1);
       hybrid->pool().ResetStats();
-      auto got = hybrid->tree().SearchKnnApprox(c, k, l1, eps).ValueOrDie();
+      HT_CHECK_OK(hybrid->tree().SearchKnnBoundedInto(c, k, l1, limits,
+                                                      &scratch, &got));
       accesses += hybrid->pool().stats().PagesVisited();
       size_t hit = 0;
       double ratio = 0.0;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <functional>
 #include <numeric>
-#include <queue>
 #include <tuple>
 #include <unordered_map>
 
@@ -1303,16 +1302,8 @@ Status HybridTree::SearchRangeRec(PageId page,
 Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnn(
     std::span<const float> center, size_t k,
     const DistanceMetric& metric) const {
-  return SearchKnnApprox(center, k, metric, /*epsilon=*/0.0);
-}
-
-Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnnApprox(
-    std::span<const float> center, size_t k, const DistanceMetric& metric,
-    double epsilon) const {
-  KnnSearchLimits limits;
-  limits.epsilon = epsilon;
   std::vector<std::pair<double, uint64_t>> out;
-  HT_RETURN_NOT_OK(SearchKnnBoundedInto(center, k, metric, limits,
+  HT_RETURN_NOT_OK(SearchKnnBoundedInto(center, k, metric, KnnSearchLimits{},
                                         /*scratch=*/nullptr, &out));
   return out;
 }
@@ -1335,147 +1326,32 @@ Status HybridTree::SearchKnnBoundedInto(
   if (center.size() != options_.dim) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
-  if (limits.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be non-negative");
+  // A NaN epsilon fails every gate and an infinite one makes 0 * inf = NaN
+  // of the root's MINDIST: either would return no neighbor at all.
+  if (!std::isfinite(limits.epsilon) || limits.epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and non-negative");
   }
   out->clear();
   if (k == 0 || count_ == 0) return Status::OK();
   SearchScratch local;
   if (scratch == nullptr) scratch = &local;
   ChargeScansOnReturn charge(pool_.get(), &scratch->tally);
-  const double epsilon = limits.epsilon;
-  const double prune_factor = 1.0 + epsilon;
-  const bool eps_active = epsilon > 0.0;
-  // 0 = unlimited maps to a budget the visit counter can never reach, so
-  // the exact path executes the identical instruction sequence with one
-  // never-taken branch per leaf.
-  const size_t max_leaves = limits.max_leaf_visits == 0
-                                ? std::numeric_limits<size_t>::max()
-                                : limits.max_leaf_visits;
-  uint64_t leaf_visits = 0;
-  bool early_terminated = false;
-
-  // Best-first branch-and-bound (Hjaltason–Samet): a min-heap of pending
-  // subtrees ordered by MINDIST to their live region, and a bounded
-  // max-heap of the best k candidates seen so far. Both heaps live in the
-  // scratch (vector-backed push_heap/pop_heap — operation-for-operation
-  // identical to std::priority_queue, but the backing stores are reused
-  // across queries).
-  auto& frontier = scratch->frontier;
-  frontier.clear();
-  frontier.push_back(SearchScratch::PageRef{0.0, root_});
-  const auto frontier_gt = [](const SearchScratch::PageRef& a,
-                              const SearchScratch::PageRef& b) {
-    return a.dist > b.dist;
-  };
-
-  auto& best = scratch->best;
-  best.clear();
-  auto kth = [&]() {
-    return best.size() < k ? std::numeric_limits<double>::max()
-                           : best.front().first;
-  };
-  auto offer = [&](double d, uint64_t id) {
-    if (best.size() < k) {
-      best.emplace_back(d, id);
-      std::push_heap(best.begin(), best.end());
-    } else if (d < best.front().first ||
-               (d == best.front().first && id < best.front().second)) {
-      std::pop_heap(best.begin(), best.end());
-      best.back() = std::make_pair(d, id);
-      std::push_heap(best.begin(), best.end());
-    }
-  };
-
-  const size_t prefetch_depth = options_.prefetch_depth;
-  const auto frontier_lt = [](const SearchScratch::PageRef& a,
-                              const SearchScratch::PageRef& b) {
-    return a.dist < b.dist;
-  };
-
-  while (!frontier.empty() && frontier.front().dist * prune_factor <= kth()) {
-    std::pop_heap(frontier.begin(), frontier.end(), frontier_gt);
-    const SearchScratch::PageRef item = frontier.back();
-    frontier.pop_back();
-    // The bound is the k-th distance at page entry. It only shrinks while
-    // the page is scanned, so a row the scan skips or reports above it
-    // could never have entered the heap — the replacement test is a strict
-    // `<`, and the id tie-break needs d == kth — and the offers make
-    // exactly the decisions of an exact per-row scan.
-    const double bound = kth();
-    const auto prefetch = [&] {
-      if (prefetch_depth == 0 || pool_->Cached(item.page)) return;
-      // Frontier-driven prefetch: batch the page about to be pinned with
-      // the next-best prefetch_depth frontier pages that survive the
-      // current prune bound and are not ruled out by their sidecar (they
-      // are the pages the traversal will pin next unless the bound
-      // tightens). Gated on the page missing the pool: while the traversal
-      // pops pages a previous batch brought in, no I/O is issued at all,
-      // so blocking round trips collapse to roughly pops / (depth + 1)
-      // instead of one per pop.
-      auto& ids = scratch->prefetch_ids;
-      ids.clear();
-      ids.push_back(item.page);
-      auto& top = scratch->prefetch_top;
-      const size_t b = std::min(prefetch_depth, frontier.size());
-      if (b > 0) {
-        top.resize(b);
-        std::partial_sort_copy(frontier.begin(), frontier.end(), top.begin(),
-                               top.end(), frontier_lt);
-        for (const auto& r : top) {
-          if (r.dist * prune_factor <= bound &&
-              !RuledOutAhead(r.page, center, metric, bound, scratch)) {
-            ids.push_back(r.page);
-          }
-        }
-      }
-      pool_->Prefetch(ids);
-    };
-    HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                        VisitPage(item.page, center, metric, bound, scratch,
-                                  offer, prefetch));
-    if (node == nullptr) {
-      ++leaf_visits;
-      if (leaf_visits >= max_leaves) {
-        // Budget exhausted: stop with the best candidates so far. It
-        // counts as early termination only if the frontier still holds a
-        // subtree the exact traversal would have visited.
-        early_terminated = !frontier.empty() && frontier.front().dist <= kth();
-        break;
-      }
-      continue;
-    }
-    // One batch MINDIST call scores every child; the pushes then run in
-    // leaf order, the same order the kd preorder produces.
-    const double* dist =
-        ChildMinDists(*node, center, metric, &scratch->child_dist);
-    for (size_t i = 0; i < node->num_children(); ++i) {
-      const double d = dist[i];
-      if (d * prune_factor <= kth()) {
-        frontier.push_back(SearchScratch::PageRef{d, node->child(i)});
-        std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
-      } else if (eps_active && d <= kth()) {
-        // The epsilon rule skipped a subtree the exact gate would have
-        // admitted — the result is now (1+epsilon)-approximate.
-        early_terminated = true;
-      }
-    }
-  }
-  // Natural loop exit under epsilon: if the frontier's best subtree passes
-  // the exact gate but failed the epsilon gate, the stop was approximate.
-  if (eps_active && !frontier.empty() && frontier.front().dist <= kth()) {
-    early_terminated = true;
+  // The batch search drains a limit-k cursor. The cursor yields in
+  // ascending (distance, id) order, so its first k entries are the
+  // answer, and when it yields the k-th every page left has a MINDIST
+  // above it, so the drain stops without visiting another page.
+  KnnCursorOptions opts;
+  static_cast<KnnSearchLimits&>(opts) = limits;
+  opts.limit = k;
+  KnnCursor cursor(this, center, &metric, opts, scratch);
+  while (out->size() < k) {
+    HT_ASSIGN_OR_RETURN(auto next, NextNeighbor(&cursor));
+    if (!next.has_value()) break;
+    out->push_back(*next);
   }
   if (info != nullptr) {
-    info->leaf_visits = leaf_visits;
-    info->early_terminated = early_terminated;
-  }
-
-  out->resize(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    (*out)[i] = best.front();
-    std::pop_heap(best.begin(), best.end());
-    best.pop_back();
+    info->leaf_visits = cursor.leaf_visits();
+    info->early_terminated = cursor.early_terminated();
   }
   return Status::OK();
 }
@@ -1789,25 +1665,26 @@ Status HybridTree::CollectSubtreeEntries(PageId page,
 HybridTree::KnnCursor::KnnCursor(const HybridTree* tree,
                                  std::span<const float> center,
                                  const DistanceMetric* metric,
-                                 const KnnCursorOptions& opts)
+                                 const KnnCursorOptions& opts,
+                                 SearchScratch* scratch)
     : tree_(tree),
-      center_(center.begin(), center.end()),
       metric_(metric),
-      opts_(opts) {
-  // The self-bound heap never holds more entries than the tree has rows,
-  // so a huge declared limit cannot force a huge reservation.
-  if (opts_.limit > 0) {
-    best_.reserve(static_cast<size_t>(
-        std::min<uint64_t>(opts_.limit, tree_->count_)));
-  }
+      opts_(opts),
+      owned_(scratch == nullptr ? std::make_unique<SearchScratch>() : nullptr),
+      scratch_(scratch == nullptr ? owned_.get() : scratch) {
+  scratch_->center.assign(center.begin(), center.end());
+  scratch_->frontier.clear();
+  scratch_->entries.clear();
+  scratch_->self_bound.clear();
   if (tree_->count_ > 0) {
-    queue_.push(Item{0.0, false, 0, tree_->root_});
+    scratch_->frontier.push_back(SearchScratch::PageRef{0.0, tree_->root_});
   }
 }
 
 double HybridTree::KnnCursor::SelfBound() const {
-  return (opts_.limit > 0 && best_.size() == opts_.limit)
-             ? best_.front()
+  const std::vector<double>& heap = scratch_->self_bound;
+  return (opts_.limit > 0 && heap.size() == opts_.limit)
+             ? heap.front()
              : std::numeric_limits<double>::max();
 }
 
@@ -1832,29 +1709,36 @@ double HybridTree::KnnCursor::ExpandBound() const {
   return SelfBound();
 }
 
-void HybridTree::KnnCursor::RecordEntry(double d) {
-  if (opts_.limit == 0) return;
-  if (best_.size() < opts_.limit) {
-    best_.push_back(d);
-    std::push_heap(best_.begin(), best_.end());
-  } else if (d < best_.front()) {
-    std::pop_heap(best_.begin(), best_.end());
-    best_.back() = d;
-    std::push_heap(best_.begin(), best_.end());
+void HybridTree::KnnCursor::Offer(double d, uint64_t id, double bound) {
+  // An entry strictly beyond the page's bound or the live self-bound can
+  // never be used by a consumer honoring the declared limit (`limit`
+  // entries at or under the bound are already enqueued, and yielded
+  // first), so it is dropped; ties at the bound are kept so downstream id
+  // tie-breaking sees every boundary candidate. With no declared bound
+  // both are +inf and every entry is enqueued with its exact distance.
+  if (d > bound || d > SelfBound()) return;
+  std::vector<double>& heap = scratch_->self_bound;
+  if (opts_.limit > 0) {
+    if (heap.size() < opts_.limit) {
+      heap.push_back(d);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (d < heap.front()) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = d;
+      std::push_heap(heap.begin(), heap.end());
+    }
   }
-}
-
-HybridTree::KnnCursor HybridTree::OpenKnnCursor(
-    std::span<const float> center, const DistanceMetric& metric) const {
-  return OpenKnnCursor(center, metric, KnnCursorOptions{});
+  auto& entries = scratch_->entries;
+  entries.emplace_back(d, id);
+  std::push_heap(entries.begin(), entries.end(), std::greater<>());
 }
 
 HybridTree::KnnCursor HybridTree::OpenKnnCursor(
     std::span<const float> center, const DistanceMetric& metric,
-    const KnnCursorOptions& opts) const {
+    const KnnCursorOptions& opts, SearchScratch* scratch) const {
   HT_CHECK(center.size() == options_.dim);
-  HT_CHECK(opts.epsilon >= 0.0);
-  return KnnCursor(this, center, &metric, opts);
+  HT_CHECK(std::isfinite(opts.epsilon) && opts.epsilon >= 0.0);
+  return KnnCursor(this, center, &metric, opts, scratch);
 }
 
 Result<std::optional<std::pair<double, uint64_t>>>
@@ -1862,73 +1746,138 @@ HybridTree::KnnCursor::Next() {
   // The cursor is a read-path client: each pull runs under the tree's
   // shared role (the caller must not mutate the tree between pulls).
   SharedRole role(&tree_->rw_contract_);
-  ChargeScansOnReturn charge(tree_->pool_.get(), &scratch_.tally);
-  const size_t max_leaves = opts_.max_leaf_visits == 0
+  ChargeScansOnReturn charge(tree_->pool_.get(), &scratch_->tally);
+  return tree_->NextNeighbor(this);
+}
+
+Result<std::optional<std::pair<double, uint64_t>>> HybridTree::NextNeighbor(
+    KnnCursor* cursor) const {
+  KnnCursor& c = *cursor;
+  SearchScratch* scratch = c.scratch_;
+  auto& frontier = scratch->frontier;
+  auto& entries = scratch->entries;
+  const std::span<const float> center = scratch->center;
+  const DistanceMetric& metric = *c.metric_;
+  const double prune_factor = 1.0 + c.opts_.epsilon;
+  const bool eps_active = c.opts_.epsilon > 0.0;
+  // 0 = unlimited maps to a budget the visit counter can never reach, so
+  // the exact path executes the identical instruction sequence with one
+  // never-taken branch per page.
+  const size_t max_leaves = c.opts_.max_leaf_visits == 0
                                 ? std::numeric_limits<size_t>::max()
-                                : opts_.max_leaf_visits;
-  // Distance browsing: entries and subtrees share one priority queue keyed
-  // by (lower-bound) distance; when an entry surfaces, its distance is
-  // exact and no unexpanded subtree can beat it.
-  while (!queue_.empty()) {
-    const Item item = queue_.top();
-    if (item.is_entry) {
-      queue_.pop();
-      return std::optional<std::pair<double, uint64_t>>(
-          std::make_pair(item.dist, item.id));
+                                : c.opts_.max_leaf_visits;
+  const size_t prefetch_depth = options_.prefetch_depth;
+  // Best-first branch-and-bound (Hjaltason–Samet): pending pages in a
+  // min-heap by MINDIST to their live region, materialized entries in a
+  // min-heap by (distance, id). Both are vector-backed push_heap/pop_heap
+  // heaps in the scratch, so their stores are reused across queries. The
+  // nearest page is expanded before an entry at an equal or greater
+  // distance is yielded: an entry surfaces only when its distance is
+  // exact and no pending page can hold a nearer one.
+  const auto frontier_gt = [](const SearchScratch::PageRef& a,
+                              const SearchScratch::PageRef& b) {
+    return a.dist > b.dist;
+  };
+  const auto frontier_lt = [](const SearchScratch::PageRef& a,
+                              const SearchScratch::PageRef& b) {
+    return a.dist < b.dist;
+  };
+  for (;;) {
+    if (frontier.empty() ||
+        (!entries.empty() && entries.front().first < frontier.front().dist)) {
+      if (entries.empty()) return std::optional<std::pair<double, uint64_t>>();
+      std::pop_heap(entries.begin(), entries.end(), std::greater<>());
+      const std::pair<double, uint64_t> entry = entries.back();
+      entries.pop_back();
+      return std::optional<std::pair<double, uint64_t>>(entry);
     }
-    if (leaf_visits_ >= max_leaves) {
-      // Visit budget exhausted: no further page may be scanned, so every
+    const SearchScratch::PageRef item = frontier.front();
+    if (c.leaf_visits_ >= max_leaves) {
+      // Visit budget exhausted: no further page may be visited, so every
       // pending subtree is dead — only already-materialized entries flow
-      // out. (Unreachable without a budget.)
-      queue_.pop();
-      if (item.dist <= SelfBound()) early_terminated_ = true;
+      // out. It counts as early termination if the nearest one is a
+      // subtree the exact traversal would have visited (the self-bound no
+      // longer moves). (Unreachable without a budget.)
+      if (item.dist <= c.SelfBound()) c.early_terminated_ = true;
+      frontier.clear();
       continue;
     }
-    const double eb = ExpandBound();
-    if (item.dist * (1.0 + opts_.epsilon) > eb) {
-      // Pruned subtree. In exact mode everything below it lies strictly
-      // beyond the running bound (its entries would all be dropped at scan
-      // time), so the declared-limit prefix is unchanged; with epsilon > 0
-      // this is the (1+epsilon)-approximate skip.
-      queue_.pop();
-      if (opts_.epsilon > 0.0 && item.dist <= eb) early_terminated_ = true;
+    const double eb = c.ExpandBound();
+    if (item.dist * prune_factor > eb) {
+      // The nearest pending subtree is pruned, and with it every other:
+      // they lie no nearer and the bound only shrinks. In exact mode
+      // everything below them lies strictly beyond the running bound, so
+      // the declared-limit prefix is unchanged; with epsilon > 0 this is
+      // the (1+epsilon)-approximate stop.
+      if (eps_active && item.dist <= eb) c.early_terminated_ = true;
+      frontier.clear();
       continue;
     }
-    queue_.pop();
+    std::pop_heap(frontier.begin(), frontier.end(), frontier_gt);
+    frontier.pop_back();
     // The running bound at page entry, one snapshot for the sidecar filter
     // and the refine alike: the cursor's own k-th distance, tightened by
     // the shared cross-shard radius, which other threads may lower at any
-    // time. An entry strictly beyond it can never be used by a consumer
-    // honoring the declared limit (there are already `limit` entries at or
-    // under the bound, all emitted first), so it is dropped; ties at the
-    // bound are kept so downstream id tie-breaking sees every boundary
-    // candidate. With no declared bound this is +inf and every entry is
-    // enqueued with its exact distance.
-    const double bound = ScanBound();
-    const auto emit = [&](double d, uint64_t id) {
-      if (d > bound) return;
-      RecordEntry(d);
-      queue_.push(Item{d, true, id, kInvalidPageId});
+    // time. It only shrinks while the page is scanned, so a row the scan
+    // skips or reports above it could never have been yielded within the
+    // declared limit.
+    const double bound = c.ScanBound();
+    const auto emit = [&c, bound](double d, uint64_t id) {
+      c.Offer(d, id, bound);
+    };
+    const auto prefetch = [&] {
+      if (prefetch_depth == 0 || pool_->Cached(item.page)) return;
+      // Frontier-driven prefetch: batch the page about to be pinned with
+      // the next-best prefetch_depth frontier pages that pass the
+      // expansion gate and are not ruled out by their sidecar at the scan
+      // bound (they are the pages the traversal will pin next unless the
+      // bound tightens). Gated on the page missing the pool: while the
+      // traversal pops pages a previous batch brought in, no I/O is
+      // issued at all, so blocking round trips collapse to roughly
+      // pops / (depth + 1) instead of one per pop.
+      auto& ids = scratch->prefetch_ids;
+      ids.clear();
+      ids.push_back(item.page);
+      auto& top = scratch->prefetch_top;
+      const size_t b = std::min(prefetch_depth, frontier.size());
+      if (b > 0) {
+        top.resize(b);
+        std::partial_sort_copy(frontier.begin(), frontier.end(), top.begin(),
+                               top.end(), frontier_lt);
+        for (const auto& r : top) {
+          if (r.dist * prune_factor <= eb &&
+              !RuledOutAhead(r.page, center, metric, bound, scratch)) {
+            ids.push_back(r.page);
+          }
+        }
+      }
+      pool_->Prefetch(ids);
     };
     HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                        tree_->VisitPage(item.page, center_, *metric_, bound,
-                                         &scratch_, emit, [] {}));
+                        VisitPage(item.page, center, metric, bound, scratch,
+                                  emit, prefetch));
     if (node == nullptr) {
-      ++leaf_visits_;
+      ++c.leaf_visits_;
       continue;
     }
+    // One batch MINDIST call scores every child; the pushes then run in
+    // leaf order, the same order the kd preorder produces. An index page
+    // emits nothing, so the self-bound has not moved and `eb` still gates
+    // the children (a shared radius that fell meanwhile only prunes less).
     const double* dist =
-        ChildMinDists(*node, center_, *metric_, &scratch_.child_dist);
+        ChildMinDists(*node, center, metric, &scratch->child_dist);
     for (size_t i = 0; i < node->num_children(); ++i) {
       const double d = dist[i];
-      if (d * (1.0 + opts_.epsilon) <= eb) {
-        queue_.push(Item{d, false, 0, node->child(i)});
-      } else if (opts_.epsilon > 0.0 && d <= eb) {
-        early_terminated_ = true;
+      if (d * prune_factor <= eb) {
+        frontier.push_back(SearchScratch::PageRef{d, node->child(i)});
+        std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
+      } else if (eps_active && d <= eb) {
+        // The epsilon rule skipped a subtree the exact gate would have
+        // admitted — the result is now (1+epsilon)-approximate.
+        c.early_terminated_ = true;
       }
     }
   }
-  return std::optional<std::pair<double, uint64_t>>();
 }
 
 void HybridTree::DumpTree() {

@@ -19,7 +19,7 @@
 // user-supplied distance metrics (§3.5).
 //
 // Concurrency: shared-read / exclusive-write. All query methods (SearchBox,
-// SearchPoint, CountBox, ScanAll, SearchRange, SearchKnn[Approx], cursors)
+// SearchPoint, CountBox, ScanAll, SearchRange, SearchKnn, cursors)
 // are const and keep their traversal state in per-query stack/heap
 // structures, so any number of threads may run them concurrently against
 // one tree: the buffer pool is thread-safe (storage/buffer_pool.h), and
@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -70,14 +69,16 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
                                              const Dataset& data,
                                              const BulkLoadOptions& bulk);
 
-/// Approximation knobs for bounded k-NN search. Default-constructed limits
-/// are exact and unlimited — with them, SearchKnnBoundedInto runs the same
-/// code path as SearchKnnInto bit-for-bit (every knob check compiles to a
-/// comparison that can never fire).
+/// Approximation knobs of the k-NN engine, for the batch search and the
+/// cursor alike. Default-constructed limits are exact and unlimited — with
+/// them, SearchKnnBoundedInto runs the same code path as SearchKnnInto
+/// bit-for-bit (every knob check compiles to a comparison that can never
+/// fire).
 struct KnnSearchLimits {
-  /// (1+epsilon)-approximate: the traversal stops once the best frontier
-  /// MINDIST exceeds bound/(1+epsilon), so every reported distance is
+  /// (1+epsilon)-approximate: subtrees whose MINDIST * (1+epsilon) exceeds
+  /// the running k-th distance are skipped, so every reported distance is
   /// within a (1+epsilon) factor of the true k-th distance. 0 = exact.
+  /// Must be finite and non-negative.
   double epsilon = 0.0;
   /// Data-page (leaf) visit budget: the search stops after scanning this
   /// many leaves, returning the best candidates found so far. 0 = no
@@ -99,10 +100,13 @@ struct KnnSearchInfo {
   bool early_terminated = false;
 };
 
-/// Knobs for an incremental KnnCursor (see HybridTree::OpenKnnCursor).
-/// Default-constructed options reproduce the unbounded exact cursor
-/// bit-for-bit.
-struct KnnCursorOptions {
+/// Knobs for an incremental KnnCursor (see HybridTree::OpenKnnCursor): the
+/// engine's limits (epsilon needs limit > 0 to have a bound to compare
+/// against; once the leaf-visit budget is spent the cursor yields the
+/// already-materialized entries and drops every pending subtree), plus a
+/// declared result bound. Default-constructed options reproduce the
+/// unbounded exact cursor bit-for-bit.
+struct KnnCursorOptions : KnnSearchLimits {
   /// Declared result bound: the consumer promises to use only entries up
   /// to the `limit`-th smallest distance of the full stream. The cursor
   /// then maintains a running k-th-distance bound over every entry it has
@@ -113,14 +117,6 @@ struct KnnCursorOptions {
   /// `limit` entries, it never misses one at or under the bound). 0 = no
   /// declared bound: pure streaming, no filtering.
   size_t limit = 0;
-  /// (1+epsilon)-approximate streaming (needs limit > 0 to have a bound to
-  /// compare against): subtrees whose MINDIST * (1+epsilon) exceeds the
-  /// running self-bound are skipped. 0 = exact.
-  double epsilon = 0.0;
-  /// Leaf-visit budget, as in KnnSearchLimits. Once exhausted the cursor
-  /// yields the already-materialized entries and drops every pending
-  /// subtree. 0 = no budget.
-  size_t max_leaf_visits = 0;
   /// Optional external radius that only ever tightens (monotonically
   /// non-increasing), e.g. the serving layer's shared cross-shard k-th
   /// distance. Read with memory_order_relaxed: it is a monotone pruning
@@ -202,7 +198,8 @@ class HybridTree {
   /// leaf-visit budget per `limits` (see KnnSearchLimits — default limits
   /// make this bit-identical to SearchKnnInto). `info`, when non-null,
   /// receives visit/termination accounting. This is the primitive the
-  /// value-returning and *Into k-NN entry points wrap.
+  /// value-returning and *Into k-NN entry points wrap: it drains the first
+  /// k entries of a limit-k KnnCursor run on `scratch`.
   Status SearchKnnBoundedInto(
       std::span<const float> center, size_t k, const DistanceMetric& metric,
       const KnnSearchLimits& limits, SearchScratch* scratch,
@@ -233,26 +230,19 @@ class HybridTree {
       std::span<const float> center, size_t k,
       const DistanceMetric& metric) const;
 
-  /// (1+epsilon)-approximate k-NN (the paper's future-work item): subtrees
-  /// are pruned when MINDIST * (1 + epsilon) exceeds the current k-th
-  /// candidate, so every reported distance is within a (1+epsilon) factor
-  /// of the true k-th nearest distance. epsilon = 0 is exact.
-  Result<std::vector<std::pair<double, uint64_t>>> SearchKnnApprox(
-      std::span<const float> center, size_t k, const DistanceMetric& metric,
-      double epsilon) const;
-
-  /// Incremental nearest-neighbor cursor ("distance browsing"): yields
-  /// entries strictly in ascending distance order, fetching pages lazily —
-  /// ideal when the consumer stops after an unknown number of results
-  /// (e.g., filtering by a predicate). The cursor holds no page pins; the
-  /// tree must not be mutated while a cursor is live, and `metric` must
-  /// outlive the cursor. With KnnCursorOptions the cursor carries a
-  /// running k-th-distance bound (its own stream, optionally tightened by
-  /// an external shared radius) that reaches the quantized
-  /// filter-then-refine page scan — byte-identical results for any
-  /// consumer honoring the declared limit. A cursor is single-threaded:
-  /// one cursor is driven by one consumer, so its fields need no guards;
-  /// the only cross-thread state it touches is the shared_bound atomic.
+  /// Incremental nearest-neighbor cursor ("distance browsing"), the tree's
+  /// one k-NN engine: yields entries in ascending (distance, id) order,
+  /// fetching pages lazily — ideal when the consumer stops after an
+  /// unknown number of results (e.g., filtering by a predicate). The
+  /// cursor holds no page pins; the tree must not be mutated while a
+  /// cursor is live, and `metric` must outlive the cursor. With
+  /// KnnCursorOptions the cursor carries a running k-th-distance bound
+  /// (its own stream, optionally tightened by an external shared radius)
+  /// that reaches the quantized filter-then-refine page scan —
+  /// byte-identical results for any consumer honoring the declared limit.
+  /// A cursor is single-threaded: one cursor is driven by one consumer, so
+  /// its fields need no guards; the only cross-thread state it touches is
+  /// the shared_bound atomic.
   class KnnCursor {
    public:
     /// The next nearest (distance, id), or nullopt when exhausted.
@@ -268,15 +258,9 @@ class HybridTree {
 
    private:
     friend class HybridTree;
-    struct Item {
-      double dist;
-      bool is_entry;
-      uint64_t id;      // valid when is_entry
-      PageId page;      // valid when !is_entry
-      bool operator>(const Item& o) const { return dist > o.dist; }
-    };
     KnnCursor(const HybridTree* tree, std::span<const float> center,
-              const DistanceMetric* metric, const KnnCursorOptions& opts);
+              const DistanceMetric* metric, const KnnCursorOptions& opts,
+              SearchScratch* scratch);
 
     /// k-th smallest entry distance enqueued so far (+inf until `limit`
     /// entries have been seen, or always with no declared limit).
@@ -287,26 +271,30 @@ class HybridTree {
     /// only when a knob is active (keeps budgeted traversals independent
     /// of cross-shard timing — see KnnCursorOptions::shared_bound).
     double ExpandBound() const;
-    /// Feeds one enqueued entry distance into the self-bound heap.
-    void RecordEntry(double d);
+    /// One scanned entry, emitted by a page scan at the page's bound
+    /// snapshot `bound`: dropped when it lies beyond `bound` or the
+    /// self-bound, otherwise fed into the self-bound heap and enqueued.
+    void Offer(double d, uint64_t id, double bound);
 
     const HybridTree* tree_;
-    std::vector<float> center_;
     const DistanceMetric* metric_;
     KnnCursorOptions opts_;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
-    std::vector<double> best_;  // max-heap: `limit` best distances
-    SearchScratch scratch_;     // page-scan, filter and MINDIST buffers
+    std::unique_ptr<SearchScratch> owned_;  // set when no scratch is lent
+    /// The lent scratch or owned_: the traversal state (frontier, entry
+    /// heap, self-bound heap, center) and the page-scan buffers.
+    SearchScratch* scratch_;
     uint64_t leaf_visits_ = 0;
     bool early_terminated_ = false;
   };
-  KnnCursor OpenKnnCursor(std::span<const float> center,
-                          const DistanceMetric& metric) const;
   /// Cursor with a declared result bound and approximation knobs (see
-  /// KnnCursorOptions). Default options == the overload above.
+  /// KnnCursorOptions; default options give the plain exact stream).
+  /// `scratch`, when non-null, holds the cursor's whole state: it serves
+  /// this cursor alone until the cursor is destroyed, and a warm one makes
+  /// the pulls allocation-free. With nullptr the cursor owns a scratch.
   KnnCursor OpenKnnCursor(std::span<const float> center,
                           const DistanceMetric& metric,
-                          const KnnCursorOptions& opts) const;
+                          const KnnCursorOptions& opts = {},
+                          SearchScratch* scratch = nullptr) const;
 
   /// Writes all dirty pages + metadata to the backing file.
   Status Flush();
@@ -503,10 +491,10 @@ class HybridTree {
   /// and truncates back to `first`, so results are byte-identical with
   /// prefetch on or off.
   void PrefetchDescents(size_t first, SearchScratch* scratch) const;
-  /// The data-page distance scan every metric traversal shares (range,
-  /// batch k-NN, the cursor): QuantFilter unless `survivors` already holds
-  /// the page's filter result, then either a sparse per-row exact refine
-  /// of the survivors or one bounded batch pass over the page. Calls
+  /// The data-page distance scan both metric traversals share (range and
+  /// the k-NN engine): QuantFilter unless `survivors` already holds the
+  /// page's filter result, then either a sparse per-row exact refine of
+  /// the survivors or one bounded batch pass over the page. Calls
   /// emit(distance, id) in ascending row order. A row whose distance
   /// exceeds `bound` may be skipped or reported with any value above
   /// `bound`, so `emit` must only compare against thresholds at or under
@@ -520,14 +508,14 @@ class HybridTree {
                       const DistanceMetric& metric, double bound,
                       SearchScratch* scratch, const Emit& emit) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// One page visit of the best-first traversals (batch k-NN, the
-  /// cursor), filter before fetch: QuantFilter from the page's sidecar
-  /// first; a data page with no surviving row is never pinned. Otherwise
-  /// runs `before_pin()` (the k-NN frontier prefetch), pins the page and
-  /// scans it (ScanDataPage, with the survivors already found). Returns
-  /// the flat node of an index page, or nullptr for a data page, scanned
-  /// or ruled out; both count as a leaf visit. `bound` is the caller's one
-  /// snapshot for this page, used by the filter and the refine alike.
+  /// One page visit of the k-NN engine (NextNeighbor), filter before
+  /// fetch: QuantFilter from the page's sidecar first; a data page with no
+  /// surviving row is never pinned. Otherwise runs `before_pin()` (the
+  /// frontier prefetch lookahead), pins the page and scans it
+  /// (ScanDataPage, with the survivors already found). Returns the flat
+  /// node of an index page, or nullptr for a data page, scanned or ruled
+  /// out; both count as a leaf visit. `bound` is the caller's one snapshot
+  /// for this page, used by the filter and the refine alike.
   template <typename Emit, typename BeforePin>
   Result<const FlatIndexNode*> VisitPage(PageId page,
                                          std::span<const float> center,
@@ -536,6 +524,14 @@ class HybridTree {
                                          const Emit& emit,
                                          const BeforePin& before_pin) const
       HT_REQUIRES_SHARED(rw_contract_);
+  /// The k-NN engine (KnnCursor::Next, and the drain of the batch
+  /// SearchKnnBoundedInto): best-first over `cursor`'s frontier, expanding
+  /// the nearest pending page before it yields an entry at an equal or
+  /// greater distance, until the nearest materialized entry is final; pops
+  /// and returns it, or nullopt when the cursor is exhausted. Charges no
+  /// scan counters: its callers charge the scratch's tally on return.
+  Result<std::optional<std::pair<double, uint64_t>>> NextNeighbor(
+      KnnCursor* cursor) const HT_REQUIRES_SHARED(rw_contract_);
   /// Whether metric scans use sidecars at all: they are on, the metric has
   /// a code-space bound (DistanceMetric::SupportsCodeFilter; building
   /// codes it can never filter with would only fill QuantStore), and the
@@ -559,7 +555,7 @@ class HybridTree {
                    std::span<const float> center, const DistanceMetric& metric,
                    double bound, SearchScratch* scratch) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Prefetch lookahead of the batch k-NN: true when `page` has a sidecar
+  /// Prefetch lookahead of the k-NN engine: true when `page` has a sidecar
   /// and no row survives its code filter at `bound`. The bound only
   /// shrinks, so QuantFilter will rule the page out when it is popped,
   /// and a prefetch batch must leave it out. A prediction for the I/O

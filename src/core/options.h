@@ -102,11 +102,10 @@ struct HybridTreeOptions {
   bool quant_sidecars = true;
 
   /// Frontier-driven prefetch depth for the cold-cache I/O pipeline: on
-  /// each best-first pop of a batch k-NN search (SearchKnn*) the tree
-  /// prefetches up to this many next-best frontier pages alongside the
-  /// popped one, and box/range descents prefetch all qualifying children
-  /// of an index node before recursing. The incremental KnnCursor (the
-  /// serving tier's k-NN) never prefetches, at any depth. 0 disables
+  /// each best-first pop of a k-NN search (SearchKnn* and the KnnCursor
+  /// they drain) the tree prefetches up to this many next-best frontier
+  /// pages alongside the popped one, and box/range descents prefetch all
+  /// qualifying children of an index node before recursing. 0 disables
   /// prefetch (the default, and the paper's access pattern). Results and
   /// pages visited are identical at any depth — prefetch only batches
   /// physical reads into fewer round trips, on the searching thread, and

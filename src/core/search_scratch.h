@@ -2,19 +2,21 @@
 // Reusable per-query buffers for the HybridTree search hot paths.
 //
 // A SearchScratch owns every dynamically-sized structure a search needs:
-// the batch-kernel distance output buffer (page granularity), the
-// best-first traversal frontier (a vector-backed binary min-heap), the
-// bounded k-NN candidate heap (a vector-backed binary max-heap, replacing
-// std::priority_queue so the backing store survives across queries), the
-// per-index-node batch outputs (child MINDISTs, box-route and overlap bit
-// masks), and the scan counters a search tallies per page until it
-// returns (ScanTally). Buffers are cleared — never shrunk — at
+// the batch-kernel distance output buffer (page granularity), the k-NN
+// engine's state (the best-first frontier of pending pages and the heap of
+// materialized entries, both vector-backed binary min-heaps whose backing
+// stores survive across queries, the self-bound heap and the query
+// center), the per-index-node batch outputs (child MINDISTs, box-route and
+// overlap bit masks), and the scan counters a search tallies per page
+// until it returns (ScanTally). Buffers are cleared — never shrunk — at
 // the start of each search, so after one warm-up query the steady-state
 // search loop performs no heap allocation (verified by search_alloc_test).
 //
 // Ownership rules:
 //  * One scratch serves one query at a time. It may be reused freely
-//    across queries, query types, and trees.
+//    across queries, query types, and trees. A KnnCursor opened on a
+//    scratch is such a query until the cursor is destroyed; the batch
+//    k-NN search is a cursor drained on the caller's scratch.
 //  * Concurrent queries need distinct scratches — ShardedIndex keeps a
 //    free-list its scatter tasks borrow from.
 //  * Passing nullptr to the scratch-taking search overloads makes the tree
@@ -42,8 +44,8 @@ class SearchScratch {
  private:
   friend class HybridTree;
 
-  /// Pending subtree of the best-first k-NN traversal, keyed by the
-  /// MINDIST lower bound to its live region.
+  /// Pending subtree of the best-first k-NN engine, keyed by the MINDIST
+  /// lower bound to its live region.
   struct PageRef {
     double dist;
     PageId page;
@@ -65,8 +67,10 @@ class SearchScratch {
   };
 
   std::vector<double> dist;       // batch-kernel outputs, one per page row
-  std::vector<PageRef> frontier;  // k-NN best-first min-heap backing store
-  std::vector<std::pair<double, uint64_t>> best;  // bounded k max-heap
+  std::vector<PageRef> frontier;  // k-NN pending pages, min-heap by dist
+  std::vector<std::pair<double, uint64_t>> entries;  // min-heap (dist, id)
+  std::vector<double> self_bound;  // `limit` nearest distances, max-heap
+  std::vector<float> center;       // the k-NN query center
   std::vector<double> child_dist;  // MINDIST per child of one index node
   std::vector<uint64_t> reached;     // children the box route reaches
   std::vector<uint64_t> intersects;  // reached children overlapping a box

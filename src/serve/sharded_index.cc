@@ -390,10 +390,12 @@ Status ShardedIndex::SearchKnn(
   if (center.size() != tree_options_.dim) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
-  if (k == 0) return Status::OK();
-  if (options.knn_epsilon < 0.0) {
-    return Status::InvalidArgument("knn_epsilon must be non-negative");
+  // The same holds for an epsilon that is negative, NaN or infinite.
+  if (!std::isfinite(options.knn_epsilon) || options.knn_epsilon < 0.0) {
+    return Status::InvalidArgument(
+        "knn_epsilon must be finite and non-negative");
   }
+  if (k == 0) return Status::OK();
 
   SharedTopK top(k);
   WallTimer timer;
@@ -440,33 +442,39 @@ Status ShardedIndex::SearchKnn(
   Status run = RunOnShards(options, order, [&](size_t s) -> Status {
     const Shard& shard = *shards_[s];
     if (shard.tree->size() == 0) return Status::OK();
-    HybridTree::KnnCursor cursor =
-        shard.tree->OpenKnnCursor(center, metric, copts);
+    // The cursor keeps its whole state in the borrowed scratch, so it is
+    // destroyed before the scratch goes back to the free-list.
+    std::unique_ptr<SearchScratch> scratch = AcquireScratch();
     Status st = Status::OK();
-    for (;;) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        st = Status::Cancelled("request cancelled");
-        break;
+    {
+      HybridTree::KnnCursor cursor =
+          shard.tree->OpenKnnCursor(center, metric, copts, scratch.get());
+      for (;;) {
+        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+          st = Status::Cancelled("request cancelled");
+          break;
+        }
+        if (deadline > 0.0 && timer.Seconds() > deadline) {
+          st = Status::DeadlineExceeded("deadline exceeded mid k-NN");
+          break;
+        }
+        auto next_or = cursor.Next();
+        if (!next_or.ok()) {
+          st = next_or.status();
+          break;
+        }
+        const auto& next = next_or.ValueOrDie();
+        if (!next.has_value()) break;
+        // Cross-shard bound tightening: the cursor streams ascending, so
+        // once its next candidate lies strictly beyond the shared k-th
+        // distance nothing further from this shard can make the top-k.
+        if (next->first > top.Bound()) break;
+        top.Offer(next->first, shard.local_to_global[next->second]);
       }
-      if (deadline > 0.0 && timer.Seconds() > deadline) {
-        st = Status::DeadlineExceeded("deadline exceeded mid k-NN");
-        break;
-      }
-      auto next_or = cursor.Next();
-      if (!next_or.ok()) {
-        st = next_or.status();
-        break;
-      }
-      const auto& next = next_or.ValueOrDie();
-      if (!next.has_value()) break;
-      // Cross-shard bound tightening: the cursor streams ascending, so
-      // once its next candidate lies strictly beyond the shared k-th
-      // distance nothing further from this shard can make the top-k.
-      if (next->first > top.Bound()) break;
-      top.Offer(next->first, shard.local_to_global[next->second]);
+      task_knn[s].leaf_visits = cursor.leaf_visits();
+      if (cursor.early_terminated()) task_knn[s].early_terminations = 1;
     }
-    task_knn[s].leaf_visits = cursor.leaf_visits();
-    if (cursor.early_terminated()) task_knn[s].early_terminations = 1;
+    ReleaseScratch(std::move(scratch));
     return st;
   });
   if (options.knn_stats != nullptr) {

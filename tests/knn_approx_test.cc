@@ -6,21 +6,24 @@
 //  * The (1+epsilon) guarantee against brute force, and monotone recall
 //    as epsilon grows.
 //  * Exact leaf-visit budget accounting (batch and cursor), including the
-//    early_terminated flag semantics.
+//    early_terminated flag semantics; the batch search's answer and
+//    accounting are those of the limit-k cursor it drains.
 //  * Sharded approximate search: deterministic under any pool size and
 //    under concurrent callers, and identical to the unsharded bounded
 //    search at a fixed per-shard budget.
 //  * Sidecar gating: metrics without a code-space bound (QuadraticForm)
-//    build no sidecars; cursor scans charge the cursor_* IoStats
-//    counters, not the batch ones.
+//    build no sidecars; cursor scans charge the same IoStats scan
+//    counters as every other search.
 //  * Server recall tiers: tenant defaults apply, per-request overrides
-//    win, and the k-NN accounting reaches MetricsSnapshot.
+//    win, an epsilon that is NaN, infinite or negative is refused, and
+//    the k-NN accounting reaches MetricsSnapshot.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -248,22 +251,44 @@ TEST(KnnApproxBudget, CursorConsumesItsBudgetThenDrainsMaterialized) {
   Fixture f;
   L2Metric l2;
   const size_t budget = 3;
-  KnnCursorOptions copts;
-  copts.limit = kK;
-  copts.max_leaf_visits = budget;
-  auto cursor = f.tree->OpenKnnCursor(f.centers[0], l2, copts);
-  double prev = -1.0;
-  size_t yielded = 0;
-  for (;;) {
-    auto next = cursor.Next().ValueOrDie();
-    if (!next.has_value()) break;
-    EXPECT_GE(next->first, prev);
-    prev = next->first;
-    ++yielded;
+  // Budget only, then budget with epsilon: the batch search drains the
+  // same limit-k cursor, so its answer and accounting are the cursor's.
+  for (const double epsilon : {0.0, 0.5}) {
+    KnnSearchLimits limits;
+    limits.epsilon = epsilon;
+    limits.max_leaf_visits = budget;
+    SearchScratch scratch;
+    std::vector<std::pair<double, uint64_t>> want;
+    KnnSearchInfo info;
+    ASSERT_TRUE(f.tree
+                    ->SearchKnnBoundedInto(f.centers[0], kK, l2, limits,
+                                           &scratch, &want, &info)
+                    .ok());
+
+    KnnCursorOptions copts;
+    copts.limit = kK;
+    copts.epsilon = epsilon;
+    copts.max_leaf_visits = budget;
+    auto cursor = f.tree->OpenKnnCursor(f.centers[0], l2, copts);
+    std::vector<std::pair<double, uint64_t>> got;
+    double prev = -1.0;
+    size_t yielded = 0;
+    for (;;) {
+      auto next = cursor.Next().ValueOrDie();
+      if (!next.has_value()) break;
+      EXPECT_GE(next->first, prev);
+      prev = next->first;
+      if (got.size() < kK) got.push_back(*next);
+      ++yielded;
+    }
+    EXPECT_EQ(cursor.leaf_visits(), budget) << "epsilon " << epsilon;
+    EXPECT_TRUE(cursor.early_terminated()) << "epsilon " << epsilon;
+    EXPECT_GT(yielded, 0u);
+    EXPECT_EQ(got, want) << "epsilon " << epsilon;
+    EXPECT_EQ(cursor.leaf_visits(), info.leaf_visits) << "epsilon " << epsilon;
+    EXPECT_EQ(cursor.early_terminated(), info.early_terminated)
+        << "epsilon " << epsilon;
   }
-  EXPECT_EQ(cursor.leaf_visits(), budget);
-  EXPECT_TRUE(cursor.early_terminated());
-  EXPECT_GT(yielded, 0u);
 }
 
 // --- sharded approximate search --------------------------------------------
@@ -532,6 +557,27 @@ TEST(KnnApproxServer, TenantTiersOverridesAndMetrics) {
     EXPECT_EQ(t.knn_leaf_visits, 0u);
     EXPECT_EQ(t.knn_early_terminations, 0u);
   }
+
+  // An override epsilon that is NaN, infinite or negative is refused, and
+  // the server still answers the next request exactly.
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -0.5}) {
+    Request r;
+    r.tenant = "fast";
+    r.query = Query::MakeKnn(centers[0], kK);
+    r.metric = &l2;
+    r.has_recall_override = true;
+    r.knn_epsilon = epsilon;
+    EXPECT_TRUE(server.Execute(r).status.IsInvalidArgument()) << epsilon;
+  }
+  Request r;
+  r.tenant = "exact";
+  r.query = Query::MakeKnn(centers[0], kK);
+  r.metric = &l2;
+  QueryResult res = server.Execute(r);
+  ASSERT_TRUE(res.status.ok());
+  EXPECT_EQ(res.neighbors, exact_ref[0]);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/hybrid_tree.h"
@@ -83,13 +84,24 @@ TEST(KnnCursorTest, LazyFetchingReadsFewerPagesForFewResults) {
   EXPECT_LT(few, (s.data_nodes + s.index_nodes) / 2);
 }
 
+/// (1+epsilon)-approximate k-NN through the one bounded entry point.
+Result<std::vector<std::pair<double, uint64_t>>> ApproxKnn(
+    const HybridTree& tree, std::span<const float> center, size_t k,
+    const DistanceMetric& metric, double epsilon) {
+  KnnSearchLimits limits;
+  limits.epsilon = epsilon;
+  std::vector<std::pair<double, uint64_t>> out;
+  HT_RETURN_NOT_OK(tree.SearchKnnBoundedInto(center, k, metric, limits,
+                                             /*scratch=*/nullptr, &out));
+  return out;
+}
+
 TEST(ApproxKnnTest, EpsilonZeroIsExact) {
   Fixture f;
   L2Metric l2;
   for (int q = 0; q < 10; ++q) {
     auto exact = f.tree->SearchKnn(f.data.Row(q), 10, l2).ValueOrDie();
-    auto approx =
-        f.tree->SearchKnnApprox(f.data.Row(q), 10, l2, 0.0).ValueOrDie();
+    auto approx = ApproxKnn(*f.tree, f.data.Row(q), 10, l2, 0.0).ValueOrDie();
     ASSERT_EQ(exact.size(), approx.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_DOUBLE_EQ(exact[i].first, approx[i].first);
@@ -110,7 +122,7 @@ TEST(ApproxKnnTest, GuaranteeHoldsAndAccessesDrop) {
     auto exact = f.tree->SearchKnn(c, 10, l2).ValueOrDie();
     exact_reads += f.tree->pool().stats().logical_reads;
     f.tree->pool().ResetStats();
-    auto approx = f.tree->SearchKnnApprox(c, 10, l2, epsilon).ValueOrDie();
+    auto approx = ApproxKnn(*f.tree, c, 10, l2, epsilon).ValueOrDie();
     approx_reads += f.tree->pool().stats().logical_reads;
     ASSERT_EQ(approx.size(), want.size());
     // (1+eps) guarantee: the i-th reported distance is within (1+eps) of
@@ -125,9 +137,14 @@ TEST(ApproxKnnTest, GuaranteeHoldsAndAccessesDrop) {
 TEST(ApproxKnnTest, RejectsNegativeEpsilon) {
   Fixture f(100, 3);
   L2Metric l2;
-  EXPECT_TRUE(f.tree->SearchKnnApprox(f.data.Row(0), 3, l2, -0.1)
-                  .status()
-                  .IsInvalidArgument());
+  // NaN fails every gate and 0 * inf is NaN: neither may pass as a knob.
+  for (const double epsilon : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(ApproxKnn(*f.tree, f.data.Row(0), 3, l2, epsilon)
+                    .status()
+                    .IsInvalidArgument())
+        << epsilon;
+  }
 }
 
 }  // namespace

@@ -173,7 +173,13 @@ TEST_F(PrefetchIntegrationTest, PrefetchRequestsNoRuledOutPage) {
 }
 
 TEST_F(PrefetchIntegrationTest, PrefetchReducesBlockingRoundTrips) {
+  // Per depth: the batch search's round trips, then those of a limit-k
+  // cursor pulled one entry at a time (the serving tier's k-NN), with its
+  // answers and logical reads.
   std::vector<uint64_t> trips;
+  std::vector<uint64_t> cursor_trips;
+  std::vector<uint64_t> cursor_reads;
+  std::vector<std::vector<std::pair<double, uint64_t>>> cursor_answers;
   for (size_t depth : {0u, 8u}) {
     LatencyInjectingPagedFile latfile(file_.get());  // zero latency: counting
     auto tree = HybridTree::Open(&latfile, pool_pages_).ValueOrDie();
@@ -187,10 +193,33 @@ TEST_F(PrefetchIntegrationTest, PrefetchReducesBlockingRoundTrips) {
           tree->SearchKnnInto(centers_[i], kK, metric_, &scratch, &nn).ok());
     }
     trips.push_back(latfile.read_calls());
+
+    latfile.ResetReadCalls();
+    tree->pool().ResetStats();
+    KnnCursorOptions copts;
+    copts.limit = kK;
+    std::vector<std::pair<double, uint64_t>> got;
+    for (size_t i = 0; i < kQueries; ++i) {
+      ASSERT_TRUE(tree->pool().EvictAll().ok());
+      HybridTree::KnnCursor cursor =
+          tree->OpenKnnCursor(centers_[i], metric_, copts, &scratch);
+      for (size_t j = 0; j < kK; ++j) {
+        auto next = cursor.Next().ValueOrDie();
+        ASSERT_TRUE(next.has_value());
+        got.push_back(*next);
+      }
+    }
+    cursor_trips.push_back(latfile.read_calls());
+    cursor_reads.push_back(tree->pool().stats().logical_reads);
+    cursor_answers.push_back(std::move(got));
   }
   // Depth 8 batches the frontier: strictly fewer blocking round trips than
-  // the one-page-per-miss baseline.
+  // the one-page-per-miss baseline, for either engine, and the cursor's
+  // answers and pinned pages do not change.
   EXPECT_LT(trips[1], trips[0]);
+  EXPECT_LT(cursor_trips[1], cursor_trips[0]);
+  EXPECT_EQ(cursor_answers[1], cursor_answers[0]);
+  EXPECT_EQ(cursor_reads[1], cursor_reads[0]);
 }
 
 TEST_F(PrefetchIntegrationTest, DiskBackedTreeIdenticalAcrossDepths) {

@@ -3,9 +3,10 @@
 // Replaces global operator new/delete with counting versions, warms the
 // tree's caches and a caller-owned SearchScratch with one pass of queries,
 // then asserts that re-running the same queries through the *Into APIs
-// performs zero heap allocations: all traversal state lives in the scratch
-// and the caller's output vectors, the buffer pool is warm, the node cache
-// hits, and Status OK / batch kernels never allocate.
+// and a k-NN cursor on the same scratch performs zero heap allocations:
+// all traversal state lives in the scratch and the caller's output
+// vectors, the buffer pool is warm, the node cache hits, and Status OK /
+// batch kernels never allocate.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,15 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
       ASSERT_FALSE(neighbors.empty());
       ASSERT_TRUE(
           tree->SearchKnnInto(centers[q], 20, wl2, &scratch, &neighbors).ok());
+      // A cursor on a lent scratch keeps its whole state there.
+      KnnCursorOptions copts;
+      copts.limit = 20;
+      HybridTree::KnnCursor cursor =
+          tree->OpenKnnCursor(centers[q], l2, copts, &scratch);
+      for (int i = 0; i < 20; ++i) {
+        auto next = cursor.Next();
+        ASSERT_TRUE(next.ok() && next.ValueOrDie().has_value());
+      }
     }
   };
 
