@@ -1,11 +1,12 @@
 // Extension (beyond the paper): query hot-path microbenchmark for the
-// batched data-page distance kernels (DistanceMetric::BatchDistance /
-// BatchDistanceWithBound) and the zero-allocation SearchScratch k-NN path.
+// batched data-page distance kernel (DistanceMetric::BatchDistanceWithBound)
+// and the zero-allocation SearchScratch k-NN path.
 //
 // Part 1 scans real serialized data pages (paper page size, FOURIER 16-d)
 // three ways and reports points/second:
 //   scalar      one virtual Distance() call per row (the pre-batch path)
-//   batch       one virtual BatchDistance() call per page
+//   batch       one BatchDistanceWithBound() call per page at bound
+//               +infinity (no row abandoned: every distance exact)
 //   batch+bound one BatchDistanceWithBound() call per page, bound set to
 //               the query's true k-NN distance (the bound a k-NN search
 //               reaches at steady state) -> early abandoning kicks in.
@@ -29,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/timing.h"
@@ -136,7 +138,9 @@ int main(int argc, char** argv) {
           out[i] = l2.Distance(query, scan.vec(i));
         }
       } else if (mode == 1) {
-        l2.BatchDistance(query, blk, scan.stride_floats(), rows, out.data());
+        l2.BatchDistanceWithBound(query, blk, scan.stride_floats(), rows,
+                                  std::numeric_limits<double>::infinity(),
+                                  out.data());
       } else {
         l2.BatchDistanceWithBound(query, blk, scan.stride_floats(), rows,
                                   bound, out.data());

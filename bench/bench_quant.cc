@@ -12,12 +12,14 @@
 //
 // The filter columns report, over one measured round, how many scanned
 // points the code-level lower bound pruned before any exact distance was
-// computed (IoStats::scan_points / quant_refined / quant_pruned). QPS is
-// the best of three interleaved measurement rounds per config — scheduler
-// interference on a shared host only ever slows a run, so the best round
-// is the closest estimate of each config's true speed.
+// computed (IoStats::scan_points / quant_refined / quant_pruned). Each
+// pass is timed on the thread's CPU clock (CLOCK_THREAD_CPUTIME_ID), so
+// time the thread spends preempted on a shared host is not charged to it;
+// each config's QPS is the median, with its quartiles, of 11 interleaved
+// rounds, and a speedup is a ratio of medians.
 //
-// Machine-readable output: BENCH_quant.json in the working directory.
+// Machine-readable output: BENCH_quant.json in the working directory,
+// with the host it ran on (nproc, best SIMD tier, compiler, build type).
 // Exit status is nonzero if any configuration's results differ (identity
 // gate — run under CI via --smoke).
 //
@@ -31,11 +33,14 @@
 
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "common/timing.h"
 #include "core/bulk_load.h"
 #include "core/hybrid_tree.h"
 #include "geometry/kernels/kernels.h"
@@ -49,6 +54,18 @@ namespace {
 constexpr uint32_t kDim = 16;
 constexpr size_t kPageSize = kDefaultPageSize;
 constexpr size_t kKnnK = 10;
+constexpr int kRounds = 11;
+
+#ifndef HT_BUILD_TYPE
+#define HT_BUILD_TYPE "unknown"
+#endif
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
 
 struct Config {
   const char* name;
@@ -56,14 +73,57 @@ struct Config {
   bool quant;
 };
 
+/// Seconds of CPU time the calling thread has used.
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One config's per-round QPS: median and quartiles (linear interpolation
+/// between order statistics).
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double p) {
+    const double rank = p * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (rank - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// "median (q1-q3)" for the table.
+std::string SpreadCell(const Spread& s) {
+  return TablePrinter::Num(s.median, 0) + " (" + TablePrinter::Num(s.q1, 0) +
+         "-" + TablePrinter::Num(s.q3, 0) + ")";
+}
+
+/// {"median": m, "q1": a, "q3": b} for the JSON.
+std::string SpreadJson(const Spread& s) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}", s.median,
+                s.q1, s.q3);
+  return buf;
+}
+
 struct Measured {
-  double range_qps = 0.0;
-  double knn_qps = 0.0;
+  std::vector<double> range_qps;  // one entry per round
+  std::vector<double> knn_qps;
   uint64_t scan_points = 0;
   uint64_t refined = 0;
   uint64_t pruned = 0;
   // --cursor mode only: k-NN through the bound-carrying KnnCursor.
-  double cursor_qps = 0.0;
+  std::vector<double> cursor_qps;
   uint64_t cursor_scanned = 0;
   uint64_t cursor_refined = 0;
   uint64_t cursor_pruned = 0;
@@ -180,34 +240,29 @@ int main(int argc, char** argv) {
 
   }
 
-  // Measured passes: kRounds round-robin rounds over the configs, keeping
-  // each config's fastest round. Interleaving decorrelates slow machine
-  // drift from the config order, and taking the best squeezes out
-  // scheduler interference (which only ever slows a run) — the numbers
-  // converge to each config's true speed on a shared host. The filter
-  // counters are deterministic per round (stats window = one round's
-  // queries), so the last round's snapshot is as good as any.
-  constexpr int kRounds = 3;
+  // Measured passes: kRounds round-robin rounds over the configs.
+  // Interleaving decorrelates slow machine drift from the config order,
+  // and the thread CPU clock leaves out the time a co-tenant preempts the
+  // pass. The filter counters are deterministic per round (stats window =
+  // one round's queries), so the last round's snapshot is as good as any.
+  const auto pass_qps = [&](const auto& one_query) {
+    const double t0 = ThreadCpuSeconds();
+    for (size_t q = 0; q < centers.size(); ++q) one_query(q);
+    return static_cast<double>(centers.size()) / (ThreadCpuSeconds() - t0);
+  };
   for (int r = 0; r < kRounds; ++r) {
     for (size_t c = 0; c < n_configs; ++c) {
       const Config& cfg = configs[c];
       HybridTree* tree = cfg.quant ? tree_quant.get() : tree_plain.get();
       kernels::ForceTier(cfg.tier);
       tree->pool().ResetStats();
-      WallTimer rt;
-      for (size_t q = 0; q < centers.size(); ++q) {
+      m[c].range_qps.push_back(pass_qps([&](size_t q) {
         HT_CHECK_OK(
             tree->SearchRangeInto(centers[q], radius[q], l2, &scratch, &ids));
-      }
-      const double rqps = static_cast<double>(centers.size()) / rt.Seconds();
-      WallTimer kt;
-      for (size_t q = 0; q < centers.size(); ++q) {
-        HT_CHECK_OK(
-            tree->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
-      }
-      const double kqps = static_cast<double>(centers.size()) / kt.Seconds();
-      if (rqps > m[c].range_qps) m[c].range_qps = rqps;
-      if (kqps > m[c].knn_qps) m[c].knn_qps = kqps;
+      }));
+      m[c].knn_qps.push_back(pass_qps([&](size_t q) {
+        HT_CHECK_OK(tree->SearchKnnInto(centers[q], kKnnK, l2, &scratch, &nn));
+      }));
       // Every search path charges the same scan counters, so each pass's
       // share is the snapshot difference around it.
       const IoStats batch = tree->pool().stats();
@@ -215,13 +270,8 @@ int main(int argc, char** argv) {
       m[c].refined = batch.quant_refined;
       m[c].pruned = batch.quant_pruned;
       if (cursor_mode) {
-        WallTimer ct;
-        for (size_t q = 0; q < centers.size(); ++q) {
-          CursorKnn(*tree, centers[q], l2, &nn);
-        }
-        const double cqps =
-            static_cast<double>(centers.size()) / ct.Seconds();
-        if (cqps > m[c].cursor_qps) m[c].cursor_qps = cqps;
+        m[c].cursor_qps.push_back(pass_qps(
+            [&](size_t q) { CursorKnn(*tree, centers[q], l2, &nn); }));
         const IoStats cur = tree->pool().stats().Delta(batch);
         m[c].cursor_scanned = cur.scan_points;
         m[c].cursor_refined = cur.quant_refined;
@@ -231,21 +281,31 @@ int main(int argc, char** argv) {
   }
   kernels::ClearForcedTier();
 
-  std::printf("\nScan-heavy query throughput (%zu queries):\n",
-              centers.size());
+  Spread range[3], knn[3], cursor[3];
+  for (size_t c = 0; c < n_configs; ++c) {
+    range[c] = SpreadOf(m[c].range_qps);
+    knn[c] = SpreadOf(m[c].knn_qps);
+    cursor[c] = SpreadOf(m[c].cursor_qps);
+  }
+  const auto rate = [](uint64_t pruned, uint64_t scanned) {
+    return scanned > 0
+               ? static_cast<double>(pruned) / static_cast<double>(scanned)
+               : 0.0;
+  };
+
+  std::printf(
+      "\nScan-heavy query throughput (%zu queries; QPS on the thread CPU "
+      "clock, median (q1-q3) of %d rounds):\n",
+      centers.size(), kRounds);
   TablePrinter table({"config", "range QPS", "knn QPS", "range speedup",
                       "knn speedup", "filter rate"});
   for (size_t c = 0; c < n_configs; ++c) {
-    const double rate =
-        m[c].scan_points > 0
-            ? static_cast<double>(m[c].pruned) /
-                  static_cast<double>(m[c].scan_points)
-            : 0.0;
-    table.AddRow({configs[c].name, TablePrinter::Num(m[c].range_qps, 0),
-                  TablePrinter::Num(m[c].knn_qps, 0),
-                  TablePrinter::Num(m[c].range_qps / m[0].range_qps, 2),
-                  TablePrinter::Num(m[c].knn_qps / m[0].knn_qps, 2),
-                  TablePrinter::Num(100.0 * rate, 1) + "%"});
+    table.AddRow(
+        {configs[c].name, SpreadCell(range[c]), SpreadCell(knn[c]),
+         TablePrinter::Num(range[c].median / range[0].median, 2),
+         TablePrinter::Num(knn[c].median / knn[0].median, 2),
+         TablePrinter::Num(100.0 * rate(m[c].pruned, m[c].scan_points), 1) +
+             "%"});
   }
   table.Print();
   if (cursor_mode) {
@@ -253,14 +313,12 @@ int main(int argc, char** argv) {
     TablePrinter ctable({"config", "cursor knn QPS", "cursor speedup",
                          "cursor filter rate"});
     for (size_t c = 0; c < n_configs; ++c) {
-      const double crate =
-          m[c].cursor_scanned > 0
-              ? static_cast<double>(m[c].cursor_pruned) /
-                    static_cast<double>(m[c].cursor_scanned)
-              : 0.0;
-      ctable.AddRow({configs[c].name, TablePrinter::Num(m[c].cursor_qps, 0),
-                     TablePrinter::Num(m[c].cursor_qps / m[0].cursor_qps, 2),
-                     TablePrinter::Num(100.0 * crate, 1) + "%"});
+      ctable.AddRow(
+          {configs[c].name, SpreadCell(cursor[c]),
+           TablePrinter::Num(cursor[c].median / cursor[0].median, 2),
+           TablePrinter::Num(
+               100.0 * rate(m[c].cursor_pruned, m[c].cursor_scanned), 1) +
+               "%"});
     }
     ctable.Print();
   }
@@ -279,55 +337,53 @@ int main(int argc, char** argv) {
         json,
         "{\n"
         "  \"bench\": \"quant\",\n"
+        "  \"host\": {\"nproc\": %u, \"best_tier\": \"%s\", "
+        "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n"
         "  \"dataset\": \"fourier\",\n"
         "  \"dim\": %u,\n"
         "  \"n\": %zu,\n"
         "  \"queries\": %zu,\n"
         "  \"k\": %zu,\n"
-        "  \"best_tier\": \"%s\",\n"
-        "  \"range_qps\": {\"baseline\": %.1f, \"simd\": %.1f, "
-        "\"simd_quant\": %.1f},\n"
-        "  \"knn_qps\": {\"baseline\": %.1f, \"simd\": %.1f, "
-        "\"simd_quant\": %.1f},\n"
+        "  \"timing\": \"thread CPU time per pass; median and quartiles of "
+        "%d interleaved rounds\",\n"
+        "  \"range_qps\": {\"baseline\": %s, \"simd\": %s, "
+        "\"simd_quant\": %s},\n"
+        "  \"knn_qps\": {\"baseline\": %s, \"simd\": %s, "
+        "\"simd_quant\": %s},\n"
         "  \"range_speedup\": {\"simd\": %.3f, \"simd_quant\": %.3f},\n"
         "  \"knn_speedup\": {\"simd\": %.3f, \"simd_quant\": %.3f},\n"
         "  \"filter\": {\"scan_points\": %llu, \"refined\": %llu, "
         "\"pruned\": %llu, \"prune_rate\": %.4f},\n"
         "  \"results_identical\": %s",
-        kDim, n, centers.size(), kKnnK, kernels::TierName(best),
-        m[0].range_qps, m[1].range_qps, m[2].range_qps, m[0].knn_qps,
-        m[1].knn_qps, m[2].knn_qps, m[1].range_qps / m[0].range_qps,
-        m[2].range_qps / m[0].range_qps, m[1].knn_qps / m[0].knn_qps,
-        m[2].knn_qps / m[0].knn_qps,
+        std::thread::hardware_concurrency(), kernels::TierName(best),
+        kCompiler, HT_BUILD_TYPE, kDim, n, centers.size(), kKnnK, kRounds,
+        SpreadJson(range[0]).c_str(), SpreadJson(range[1]).c_str(),
+        SpreadJson(range[2]).c_str(), SpreadJson(knn[0]).c_str(),
+        SpreadJson(knn[1]).c_str(), SpreadJson(knn[2]).c_str(),
+        range[1].median / range[0].median, range[2].median / range[0].median,
+        knn[1].median / knn[0].median, knn[2].median / knn[0].median,
         static_cast<unsigned long long>(m[2].scan_points),
         static_cast<unsigned long long>(m[2].refined),
         static_cast<unsigned long long>(m[2].pruned),
-        m[2].scan_points > 0
-            ? static_cast<double>(m[2].pruned) /
-                  static_cast<double>(m[2].scan_points)
-            : 0.0,
-        identical ? "true" : "false");
+        rate(m[2].pruned, m[2].scan_points), identical ? "true" : "false");
     if (cursor_mode) {
       std::fprintf(
           json,
           ",\n"
           "  \"cursor\": {\n"
-          "    \"knn_qps\": {\"baseline\": %.1f, \"simd\": %.1f, "
-          "\"simd_quant\": %.1f},\n"
+          "    \"knn_qps\": {\"baseline\": %s, \"simd\": %s, "
+          "\"simd_quant\": %s},\n"
           "    \"knn_speedup\": {\"simd\": %.3f, \"simd_quant\": %.3f},\n"
           "    \"filter\": {\"scan_points\": %llu, \"refined\": %llu, "
           "\"pruned\": %llu, \"prune_rate\": %.4f}\n"
           "  }\n",
-          m[0].cursor_qps, m[1].cursor_qps, m[2].cursor_qps,
-          m[1].cursor_qps / m[0].cursor_qps,
-          m[2].cursor_qps / m[0].cursor_qps,
+          SpreadJson(cursor[0]).c_str(), SpreadJson(cursor[1]).c_str(),
+          SpreadJson(cursor[2]).c_str(), cursor[1].median / cursor[0].median,
+          cursor[2].median / cursor[0].median,
           static_cast<unsigned long long>(m[2].cursor_scanned),
           static_cast<unsigned long long>(m[2].cursor_refined),
           static_cast<unsigned long long>(m[2].cursor_pruned),
-          m[2].cursor_scanned > 0
-              ? static_cast<double>(m[2].cursor_pruned) /
-                    static_cast<double>(m[2].cursor_scanned)
-              : 0.0);
+          rate(m[2].cursor_pruned, m[2].cursor_scanned));
     } else {
       std::fprintf(json, "\n");
     }

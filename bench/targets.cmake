@@ -32,6 +32,9 @@ ht_add_bench(bench_throughput)
 target_link_libraries(bench_throughput PRIVATE ht_threading)
 ht_add_bench(bench_hotpath)
 ht_add_bench(bench_quant)
+# BENCH_quant.json records the build type it was measured in.
+target_compile_definitions(bench_quant PRIVATE
+  HT_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 ht_add_bench(bench_recall)
 ht_add_bench(bench_io)
 ht_add_bench(bench_ingest)

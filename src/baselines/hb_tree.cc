@@ -196,13 +196,6 @@ void RemoveParent(std::unordered_map<PageId, std::vector<PageId>>* parents,
 }
 }  // namespace
 
-Status HbTree::ReindexParents(PageId page, const IndexNode& node) {
-  for (PageId child : DistinctChildren(node, dim_)) {
-    AddParent(&parents_, child, page);
-  }
-  return Status::OK();
-}
-
 Status HbTree::PostSplit(PageId child, SplitInfo info) {
   if (child == root_) {
     IndexNode new_root;

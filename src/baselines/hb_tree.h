@@ -115,10 +115,6 @@ class HbTree final : public SpatialIndex {
       const std::vector<Constraint>& path, PageId old_child,
       PageId new_child, const Box& region, size_t next = 0);
 
-  /// Parent-map maintenance: recompute the parent sets of every child of
-  /// `page` from its current kd-leaves.
-  Status ReindexParents(PageId page, const IndexNode& node);
-
   Status ComputeStatsRec(PageId page, HbStats* stats, double* util_sum,
                          std::unordered_set<PageId>* seen);
 

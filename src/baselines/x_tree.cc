@@ -189,22 +189,6 @@ Status XTree::WriteNode(PageId first, const Node& node) {
   return Status::OK();
 }
 
-Status XTree::FreeChain(PageId first) {
-  PageId page = first;
-  while (page != kInvalidPageId) {
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    Reader r(h.data(), h.size());
-    r.GetU8();
-    r.GetU8();
-    r.GetU16();
-    const PageId next = r.GetU32();
-    h.Release();
-    HT_RETURN_NOT_OK(pool_->Free(page));
-    page = next;
-  }
-  return Status::OK();
-}
-
 // --- insertion ---------------------------------------------------------------
 
 Box XTree::NodeBr(const Node& node) const {

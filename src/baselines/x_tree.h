@@ -85,7 +85,6 @@ class XTree final : public SpatialIndex {
   /// Writes `node` into the chain starting at `first`, growing or
   /// shrinking the chain as needed.
   Status WriteNode(PageId first, const Node& node);
-  Status FreeChain(PageId first);
 
   size_t PagesNeeded(const Node& node) const;
 

@@ -315,25 +315,10 @@ void HybridTree::ReencodeSubtree(KdNode* n, const Box& old_br,
 // ---------------------------------------------------------------------------
 
 Status HybridTree::Insert(std::span<const float> point, uint64_t id) {
-  ExclusiveRole role(&rw_contract_);
-  AccessClassScope ac(AccessClass::kIngest);
   if (point.size() != options_.dim) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  for (float v : point) {
-    if (!(v >= 0.0f && v <= 1.0f)) {
-      return Status::InvalidArgument(
-          "point outside the normalized feature space [0,1]^dim");
-    }
-  }
-  const Box cube = Box::UnitCube(options_.dim);
-  HT_ASSIGN_OR_RETURN(SplitResult s, InsertRec(root_, cube, point, id));
-  if (s.split) {
-    HT_RETURN_NOT_OK(GrowRoot(s));
-  }
-  ++count_;
-  DebugValidate();
-  return Status::OK();
+  return InsertBatch(point, std::span<const uint64_t>(&id, 1));
 }
 
 Status HybridTree::GrowRoot(const SplitResult& s) {
@@ -442,9 +427,14 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
     std::vector<ChildRef> targets;
     std::vector<std::vector<uint32_t>> buckets;
     std::unordered_map<const KdNode*, size_t> bucket_of;
+    // A row that widens a kd gap moves the regions of the leaves below the
+    // gap, so a region captured before it is stale. `widened` counts the
+    // round's widenings and `captured_at` each bucket's count at capture.
+    size_t widened = 0;
+    std::vector<size_t> captured_at;
     for (uint32_t idx : pending) {
       const auto p = row(idx);
-      ChildRef t = FindLeafForInsert(node, p, br, &dirtied);
+      ChildRef t = FindLeafForInsert(node, p, br, &widened);
       if (els_enabled()) {
         ElsCode grown = codec_.ExtendToInclude(t.leaf->els, t.kd_br, p);
         if (grown != t.leaf->els) {
@@ -454,16 +444,15 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
       }
       auto [it, fresh] = bucket_of.try_emplace(t.leaf, buckets.size());
       if (fresh) {
-        targets.push_back(t);
+        targets.push_back(std::move(t));
+        captured_at.push_back(widened);
         buckets.emplace_back();
       }
       buckets[it->second].push_back(idx);
     }
+    if (widened > 0) dirtied = true;
     std::vector<uint32_t> bounced;
-    // A kd_br captured during routing can go stale: a later row's
-    // gap-widening moves boundaries (and re-encodes ELS against the new
-    // regions). Recompute each leaf's current region when its bucket is
-    // processed, so split replacement clips against live geometry.
+    // The current region of `leaf`, for a bucket whose capture went stale.
     auto kd_br_of = [&](const KdNode* leaf) -> Box {
       Box result = br;
       std::function<bool(const KdNode*, const Box&)> walk =
@@ -480,11 +469,16 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
       return result;
     };
     for (size_t b = 0; b < buckets.size(); ++b) {
-      KdNode* const target_leaf = targets[b].leaf;
-      const Box target_br = kd_br_of(target_leaf);
-      const PageId child_page = target_leaf->child;
-      // Children interpret their own kd trees relative to the unit cube
-      // (see InsertRec): node-local ELS reference regions cannot go stale.
+      KdNode* const leaf = targets[b].leaf;
+      // Split replacement clips against the leaf's current region, which
+      // differs from the captured one only if a widening came after the
+      // capture (a child split replaces its own leaf and moves no other).
+      if (captured_at[b] != widened) targets[b].kd_br = kd_br_of(leaf);
+      const Box& target_br = targets[b].kd_br;
+      const PageId child_page = leaf->child;
+      // Children interpret their own kd trees relative to the unit cube:
+      // every page's ELS reference regions are node-local (see the class
+      // comment), so ancestor boundary changes can never stale them.
       HT_ASSIGN_OR_RETURN(
           BatchOutcome cs,
           InsertBatchRec(child_page, Box::UnitCube(options_.dim), points, ids,
@@ -499,7 +493,6 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
         if (cs.split.rsp > right_br.lo(cs.split.dim)) {
           right_br.set_lo(cs.split.dim, cs.split.rsp);
         }
-        KdNode* leaf = target_leaf;
         leaf->left = KdNode::MakeLeaf(
             child_page,
             els_enabled() ? codec_.Encode(cs.split.left_live, left_br)
@@ -553,7 +546,7 @@ double MarginEnlargement(const Box& box, std::span<const float> p) {
 
 ChildRef HybridTree::FindLeafForInsert(IndexNode& node,
                                        std::span<const float> p,
-                                       const Box& node_br, bool* dirtied) {
+                                       const Box& node_br, size_t* widened) {
   // §3.5: indexed subspaces are treated as BRs; the insertion target is the
   // child needing minimum enlargement, ties broken by BR size. Collect
   // every leaf whose kd region contains the point (overlaps can yield
@@ -615,7 +608,7 @@ ChildRef HybridTree::FindLeafForInsert(IndexNode& node,
         n->rsp = v;
         ReencodeSubtree(n->right.get(), old_br, KdRightBr(br, *n));
       }
-      *dirtied = true;
+      ++*widened;
       continue;  // re-evaluate with the widened boundary
     }
     bool go_left;
@@ -633,67 +626,6 @@ ChildRef HybridTree::FindLeafForInsert(IndexNode& node,
     }
   }
   return ChildRef{n, br};
-}
-
-Result<HybridTree::SplitResult> HybridTree::InsertRec(
-    PageId page, const Box& br, std::span<const float> point, uint64_t id) {
-  HT_ASSIGN_OR_RETURN(NodeKind kind, PeekKind(page));
-  if (kind == NodeKind::kData) {
-    HT_ASSIGN_OR_RETURN(DataNode node, ReadDataNode(page));
-    node.entries.push_back(
-        DataEntry{id, std::vector<float>(point.begin(), point.end())});
-    if (node.entries.size() <= data_capacity_) {
-      HT_RETURN_NOT_OK(WriteDataNode(page, node));
-      return SplitResult{};
-    }
-    return SplitDataNode(page, node, br);
-  }
-
-  HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
-  bool dirtied = false;
-  ChildRef target = FindLeafForInsert(node, point, br, &dirtied);
-  if (els_enabled()) {
-    ElsCode grown =
-        codec_.ExtendToInclude(target.leaf->els, target.kd_br, point);
-    if (grown != target.leaf->els) {
-      target.leaf->els = std::move(grown);
-      dirtied = true;
-    }
-  }
-  const PageId child_page = target.leaf->child;
-  // Children interpret their own kd trees relative to the unit cube:
-  // every page's ELS reference regions are node-local (see the class
-  // comment), so ancestor boundary changes can never stale them.
-  HT_ASSIGN_OR_RETURN(SplitResult cs,
-                      InsertRec(child_page, Box::UnitCube(options_.dim),
-                                point, id));
-  if (cs.split) {
-    // Replace the kd leaf by an internal node over the two halves.
-    Box left_br = target.kd_br;
-    if (cs.lsp < left_br.hi(cs.dim)) left_br.set_hi(cs.dim, cs.lsp);
-    Box right_br = target.kd_br;
-    if (cs.rsp > right_br.lo(cs.dim)) right_br.set_lo(cs.dim, cs.rsp);
-    KdNode* leaf = target.leaf;
-    leaf->left = KdNode::MakeLeaf(
-        child_page,
-        els_enabled() ? codec_.Encode(cs.left_live, left_br) : ElsCode{});
-    leaf->right = KdNode::MakeLeaf(
-        cs.right_page,
-        els_enabled() ? codec_.Encode(cs.right_live, right_br) : ElsCode{});
-    leaf->split_dim = cs.dim;
-    leaf->lsp = cs.lsp;
-    leaf->rsp = cs.rsp;
-    leaf->child = kInvalidPageId;
-    leaf->els.clear();
-    dirtied = true;
-  }
-  if (node.SerializedSize(els_in_page()) > options_.page_size) {
-    return SplitIndexNode(page, node, br);
-  }
-  if (dirtied) {
-    HT_RETURN_NOT_OK(WriteIndexNode(page, node));
-  }
-  return SplitResult{};
 }
 
 Result<HybridTree::SplitResult> HybridTree::SplitDataNode(PageId page,
@@ -1640,26 +1572,6 @@ void HybridTree::DebugValidate() {
   TreeValidator validator(this);
   HT_CHECK_OK(validator.Validate());
 #endif
-}
-
-Status HybridTree::CollectSubtreeEntries(PageId page,
-                                         std::vector<DataEntry>* out,
-                                         std::vector<PageId>* pages) {
-  pages->push_back(page);
-  HT_ASSIGN_OR_RETURN(NodeKind kind, PeekKind(page));
-  if (kind == NodeKind::kData) {
-    HT_ASSIGN_OR_RETURN(DataNode node, ReadDataNode(page));
-    for (auto& e : node.entries) out->push_back(std::move(e));
-    return Status::OK();
-  }
-  HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
-  std::vector<ChildRef> kids;
-  kids.reserve(node.NumChildren());
-  node.CollectChildren(Box::UnitCube(options_.dim), &kids);
-  for (const auto& kid : kids) {
-    HT_RETURN_NOT_OK(CollectSubtreeEntries(kid.leaf->child, out, pages));
-  }
-  return Status::OK();
 }
 
 HybridTree::KnnCursor::KnnCursor(const HybridTree* tree,

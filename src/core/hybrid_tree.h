@@ -145,7 +145,8 @@ class HybridTree {
       PagedFile* file, size_t buffer_pool_pages = 0);
 
   /// Inserts a point (coordinates must lie in the normalized feature space
-  /// [0,1]^dim). Duplicate (point, id) pairs are allowed.
+  /// [0,1]^dim). Duplicate (point, id) pairs are allowed. This is
+  /// InsertBatch of the one row: there is one insertion path (§3.5).
   Status Insert(std::span<const float> point, uint64_t id);
 
   /// Inserts ids.size() points in one pass. `points` is row-major:
@@ -158,7 +159,8 @@ class HybridTree {
   /// under HT_DEBUG_VALIDATE the validator runs once per batch instead of
   /// once per point. The stored set — and therefore every query result —
   /// is identical to an equivalent loop of Insert() calls; the internal
-  /// split structure may differ (points are placed in group order).
+  /// split structure may differ (points are placed in group order). A
+  /// one-row batch is exactly Insert.
   /// Mutation: requires the exclusive-write half of the protocol, exactly
   /// like Insert.
   Status InsertBatch(std::span<const float> points,
@@ -395,16 +397,14 @@ class HybridTree {
     Box left_live;
     Box right_live;
   };
-  Result<SplitResult> InsertRec(PageId page, const Box& br,
-                                std::span<const float> point, uint64_t id)
-      HT_REQUIRES(rw_contract_);
-  /// Installs a new root above the old one after a root-level split
-  /// (shared by Insert and InsertBatch).
+  /// Installs a new root above the old one after a root-level split.
   Status GrowRoot(const SplitResult& s) HT_REQUIRES(rw_contract_);
   /// One InsertBatch recursion step: inserts the batch rows indexed by
   /// `idxs` into the subtree at `page`. On a split of `page`, the rows
   /// not yet placed come back in `leftovers` for the caller to re-route
-  /// against the updated structure.
+  /// against the updated structure. A bucket's kd region is the one
+  /// captured when its first row was routed, recomputed only if a later
+  /// row of the round widened a kd gap.
   struct BatchOutcome {
     SplitResult split;
     std::vector<uint32_t> leftovers;
@@ -428,9 +428,10 @@ class HybridTree {
   std::unique_ptr<KdNode> BuildKdTree(std::vector<ChildItem> items,
                                       const Box& region);
   /// Navigation that closes kd gaps (lsp < v < rsp) by minimum enlargement,
-  /// re-encoding ELS codes of the widened subtree.
+  /// re-encoding ELS codes of the widened subtree; adds the number of gaps
+  /// it widened to `*widened`.
   ChildRef FindLeafForInsert(IndexNode& node, std::span<const float> p,
-                             const Box& node_br, bool* dirtied)
+                             const Box& node_br, size_t* widened)
       HT_REQUIRES(rw_contract_);
   void ReencodeSubtree(KdNode* n, const Box& old_br, const Box& new_br);
   /// Replaces every empty leaf code with the full-region code so that the
@@ -581,9 +582,6 @@ class HybridTree {
   /// analysis sees the exclusive-role requirement).
   Status ComputeStatsKd(const KdNode* n, const Box& nbr, TreeStats* stats,
                         double* data_util_sum) HT_REQUIRES(rw_contract_);
-  Status CollectSubtreeEntries(PageId page, std::vector<DataEntry>* out,
-                               std::vector<PageId>* pages)
-      HT_REQUIRES(rw_contract_);
   /// Recursive body of DumpTree (member for the same reason as ScanAllRec).
   void DumpTreeRec(PageId page, const Box& br, int depth)
       HT_REQUIRES(rw_contract_);
@@ -617,7 +615,7 @@ class HybridTree {
   /// reused across calls (cleared, capacity retained) instead of being
   /// reallocated per visited node. Safe as a member because mutation runs
   /// under the exclusive-write half of the concurrency protocol, and each
-  /// use completes before InsertRec recurses into the chosen child.
+  /// use completes before InsertBatchRec recurses into a child.
   std::vector<ChildRef> insert_candidates_;
 
   /// Flat-view cache for the read paths (searches, cursors): each index

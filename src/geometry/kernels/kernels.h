@@ -62,8 +62,7 @@ const char* TierName(SimdTier tier);
 
 /// Bounded batch distance over a row-major float block (the signature of
 /// DistanceMetric::BatchDistanceWithBound, minus the span). Passing
-/// bound = +infinity never abandons, so one kernel also serves the
-/// unbounded BatchDistance contract (out[i] exact for every row).
+/// bound = +infinity never abandons: out[i] is exact for every row.
 using BatchBoundFn = void (*)(const float* q, size_t dim, const float* pts,
                               size_t stride, size_t n, double bound,
                               double* out);

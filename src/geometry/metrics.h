@@ -75,33 +75,27 @@ class DistanceMetric {
   // virtual dispatch covers the whole page; inside, the loop runs over raw
   // pointers and auto-vectorizes.
   //
-  // Contract: out[i] must be bit-identical to Distance(q, row_i). Batch
-  // kernels are an execution strategy, never an approximation. The default
-  // implementation loops over rows calling the virtual Distance() — sound
+  // Contract: batch kernels are an execution strategy, never an
+  // approximation. `bound` (>= 0, may be +infinity or
+  // numeric_limits<double>::max()) is the caller's current pruning
+  // threshold — a query radius or the k-th candidate distance. For every
+  // row whose true distance is <= bound, out[i] is bit-identical to
+  // Distance(q, row_i); a row whose distance exceeds bound may be
+  // abandoned mid-accumulation, in which case out[i] is any value > bound
+  // (specialized kernels write +infinity). Callers must therefore only
+  // ever test out[i] <= bound — never consume an above-bound value as a
+  // distance. At bound = +infinity no row is abandoned, so every out[i] is
+  // exact. Outputs are NaN-free for NaN-free inputs. The default loops
+  // over rows calling the virtual Distance() and never abandons — sound
   // for every metric, and the scalar baseline bench_hotpath measures.
-  virtual void BatchDistance(std::span<const float> q, const float* pts,
-                             size_t stride, size_t n, double* out) const {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = Distance(q, std::span<const float>(pts + i * stride, q.size()));
-    }
-  }
-
-  /// Early-abandoning variant. `bound` (>= 0, may be +infinity or
-  /// numeric_limits<double>::max()) is the caller's current pruning
-  /// threshold — a query radius or the k-th candidate distance. For every
-  /// row whose true distance is <= bound, out[i] is the exact,
-  /// bit-identical distance; a row whose distance exceeds bound may be
-  /// abandoned mid-accumulation, in which case out[i] is any value > bound
-  /// (specialized kernels write +infinity). Callers must therefore only
-  /// ever test out[i] <= bound — never consume an above-bound value as a
-  /// distance. Outputs are NaN-free for NaN-free inputs. The default never
-  /// abandons (always sound).
   virtual void BatchDistanceWithBound(std::span<const float> q,
                                       const float* pts, size_t stride,
                                       size_t n, double bound,
                                       double* out) const {
     (void)bound;
-    BatchDistance(q, pts, stride, n, out);
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = Distance(q, std::span<const float>(pts + i * stride, q.size()));
+    }
   }
 
   /// The sidecar filter (geometry/quantize.h): writes one survivor bit per
@@ -229,14 +223,7 @@ class L1Metric final : public DistanceMetric {
     return std::max(0.0, metric_detail::EuclideanDistance(q, center) - radius);
   }
   // Batch kernels dispatch to the active SIMD tier (scalar / AVX2 /
-  // AVX-512; see geometry/kernels/kernels.h). The unbounded variant is the
-  // bounded kernel at bound = +infinity: the abandon checkpoints never
-  // fire, so every row gets the exact, bit-identical distance.
-  void BatchDistance(std::span<const float> q, const float* pts, size_t stride,
-                     size_t n, double* out) const override {
-    kernels::Active().l1(q.data(), q.size(), pts, stride, n,
-                         std::numeric_limits<double>::infinity(), out);
-  }
+  // AVX-512; see geometry/kernels/kernels.h).
   void BatchDistanceWithBound(std::span<const float> q, const float* pts,
                               size_t stride, size_t n, double bound,
                               double* out) const override {
@@ -288,11 +275,6 @@ class L2Metric final : public DistanceMetric {
     return std::max(0.0, metric_detail::EuclideanDistance(q, center) - radius);
   }
   // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistance(std::span<const float> q, const float* pts, size_t stride,
-                     size_t n, double* out) const override {
-    kernels::Active().l2(q.data(), q.size(), pts, stride, n,
-                         std::numeric_limits<double>::infinity(), out);
-  }
   void BatchDistanceWithBound(std::span<const float> q, const float* pts,
                               size_t stride, size_t n, double bound,
                               double* out) const override {
@@ -345,11 +327,6 @@ class LInfMetric final : public DistanceMetric {
                              std::sqrt(static_cast<double>(q.size())));
   }
   // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistance(std::span<const float> q, const float* pts, size_t stride,
-                     size_t n, double* out) const override {
-    kernels::Active().linf(q.data(), q.size(), pts, stride, n,
-                           std::numeric_limits<double>::infinity(), out);
-  }
   void BatchDistanceWithBound(std::span<const float> q, const float* pts,
                               size_t stride, size_t n, double bound,
                               double* out) const override {
@@ -412,11 +389,6 @@ class WeightedL2Metric final : public DistanceMetric {
     return sqrt_min_w_ * std::max(0.0, d2 - radius);
   }
   // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistance(std::span<const float> q, const float* pts, size_t stride,
-                     size_t n, double* out) const override {
-    kernels::Active().wl2(q.data(), w_.data(), q.size(), pts, stride, n,
-                          std::numeric_limits<double>::infinity(), out);
-  }
   void BatchDistanceWithBound(std::span<const float> q, const float* pts,
                               size_t stride, size_t n, double bound,
                               double* out) const override {

@@ -1,5 +1,6 @@
 // Tests for the hB-tree baseline: routing correctness under holey-brick
-// splits and split posting is the critical property.
+// splits and split posting is the critical property, and the parent map
+// must match the references a full traversal finds (VerifyParentIndex).
 
 #include "baselines/hb_tree.h"
 
@@ -22,6 +23,7 @@ TEST(HbTreeTest, MatchesBruteForceBoxSearch) {
     ASSERT_TRUE(tree->Insert(data.Row(i), i).ok()) << i;
   }
   ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->VerifyParentIndex().ok());
   for (int q = 0; q < 30; ++q) {
     auto centers = MakeQueryCenters(data, 1, rng);
     Box query = MakeBoxQuery(centers[0], 0.3);
@@ -42,9 +44,11 @@ TEST(HbTreeTest, SkewedDataStressesHoleyBricks) {
     ASSERT_TRUE(tree->Insert(data.Row(i), i).ok()) << i;
     if (i % 1000 == 999) {
       ASSERT_TRUE(tree->CheckInvariants().ok()) << "after " << i;
+      ASSERT_TRUE(tree->VerifyParentIndex().ok()) << "after " << i;
     }
   }
   ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->VerifyParentIndex().ok());
   for (int q = 0; q < 20; ++q) {
     auto centers = MakeQueryCenters(data, 1, rng);
     Box query = MakeBoxQuery(centers[0], 0.2);
@@ -110,6 +114,7 @@ TEST(HbTreeTest, RedundantReferencesAreCounted) {
     ASSERT_TRUE(tree->Insert(data.Row(i), i).ok());
   }
   ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->VerifyParentIndex().ok());
   HbStats stats = tree->ComputeStats().ValueOrDie();
   EXPECT_GT(stats.multi_step_splits, 0u);
   EXPECT_GT(stats.redundant_refs + stats.multi_parent_nodes, 0u);

@@ -1,5 +1,6 @@
 // Tests for HybridTree::InsertBatch: query-result equivalence with a loop
-// of single Inserts, split handling across node overflows, and the
+// of single Inserts, split handling across node overflows, the kd region
+// a split is clipped against after a gap widening, and the
 // validate-before-mutation contract.
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
+#include "data/workload.h"
 
 namespace ht {
 namespace {
@@ -164,6 +166,50 @@ TEST(InsertBatchTest, InterleavesWithSingleInserts) {
   EXPECT_TRUE(mixed_tree->CheckInvariants().ok());
   EXPECT_EQ(Sorted(mixed_tree->SearchBox(Box::UnitCube(kDim)).ValueOrDie()),
             Sorted(loop_tree->SearchBox(Box::UnitCube(kDim)).ValueOrDie()));
+}
+
+TEST(InsertBatchTest, SplitAfterAGapWideningClipsAgainstTheWidenedRegion) {
+  // Clustered rows leave kd gaps between the clusters' children once index
+  // nodes split; uniform rows then land in those gaps. Within one batch a
+  // row routed to leaf L captures L's region, a later row falls into a gap
+  // above L and widens it (moving L's region), and L's child then splits:
+  // the two new leaves' ELS codes must be encoded against L's widened
+  // region, not the one captured first, or the decoded boxes stop covering
+  // their points.
+  const size_t kBase = 1000;
+  const size_t kN = 3000;
+  const size_t kBatch = 100;
+  for (uint32_t dim : {3u, 4u}) {
+    Rng rng(20261019 + dim);
+    Dataset data = GenClustered(kN, dim, 6, 0.03, rng);
+    for (size_t i = kBase; i < kN; ++i) {
+      for (float& v : data.MutableRow(i)) {
+        v = static_cast<float>(rng.NextDouble());
+      }
+    }
+    MemPagedFile file(512);
+    auto tree = HybridTree::Create(SmallOpts(dim), &file).ValueOrDie();
+    for (size_t i = 0; i < kBase; ++i) {
+      ASSERT_TRUE(tree->Insert(data.Row(i), i).ok());
+    }
+    std::vector<float> points;
+    std::vector<uint64_t> ids;
+    for (size_t begin = kBase; begin < kN; begin += kBatch) {
+      FlattenRows(data, begin, begin + kBatch, &points, &ids);
+      ASSERT_TRUE(tree->InsertBatch(points, ids).ok());
+      const Status st = tree->CheckInvariants();
+      ASSERT_TRUE(st.ok()) << "dim " << dim << ", batch at row " << begin
+                           << ": " << st.ToString();
+    }
+    for (double side : {0.1, 0.3, 0.6}) {
+      for (size_t q = 0; q < kN; q += 199) {
+        const Box query = MakeBoxQuery(data.Row(q), side);
+        EXPECT_EQ(Sorted(tree->SearchBox(query).ValueOrDie()),
+                  BruteForceBox(data, query))
+            << "dim " << dim << ", row " << q << ", side " << side;
+      }
+    }
+  }
 }
 
 }  // namespace
