@@ -9,6 +9,10 @@
 // Environment overrides:
 //   HT_BENCH_N        dataset size            (default per bench)
 //   HT_BENCH_QUERIES  queries per data point  (default 100)
+//
+// The figure benches also check answers: every structure's workload
+// digest (QueryCosts::answer_digest) must equal the sequential scan's,
+// or the bench exits 1.
 
 #pragma once
 
@@ -55,6 +59,31 @@ inline void PrintHeader(const char* experiment, const char* paper_ref,
   std::printf("Config: %s\n", config.c_str());
   std::printf("==============================================================\n");
 }
+
+/// Compares each structure's answers with the sequential scan's and turns
+/// the outcome into the bench's exit code.
+class AnswerCheck {
+ public:
+  /// `what` names the structure and data point in a mismatch report.
+  void Expect(const std::string& what, const QueryCosts& got,
+              const QueryCosts& scan) {
+    ++checked_;
+    if (got.answer_digest == scan.answer_digest) return;
+    ++mismatches_;
+    std::fprintf(stderr, "answer mismatch: %s differs from SeqScan\n",
+                 what.c_str());
+  }
+
+  int ExitCode() const {
+    std::printf("Answer check: %zu of %zu structure workloads match SeqScan\n",
+                checked_ - mismatches_, checked_);
+    return mismatches_ == 0 ? 0 : 1;
+  }
+
+ private:
+  size_t checked_ = 0;
+  size_t mismatches_ = 0;
+};
 
 /// Builds + measures one structure on a box workload; returns costs.
 inline QueryCosts MeasureBox(IndexKind kind, const Dataset& data,

@@ -30,6 +30,7 @@ int main() {
 
   std::printf("\nExact %zu-NN:\n", k);
   TablePrinter exact({"structure", "accesses/query", "CPU (us)/query"});
+  std::vector<std::pair<IndexKind, QueryCosts>> measured;
   for (IndexKind kind :
        {IndexKind::kHybrid, IndexKind::kSrTree, IndexKind::kSeqScan}) {
     auto b = BuildIndex(kind, data, config).ValueOrDie();
@@ -37,8 +38,14 @@ int main() {
     exact.AddRow({IndexKindName(kind),
                   TablePrinter::Num(costs.avg_accesses, 1),
                   TablePrinter::Num(costs.avg_cpu_seconds * 1e6, 1)});
+    measured.emplace_back(kind, costs);
   }
   exact.Print();
+  AnswerCheck answers;
+  for (const auto& [kind, costs] : measured) {
+    if (kind == IndexKind::kSeqScan) continue;
+    answers.Expect(IndexKindName(kind), costs, measured.back().second);
+  }
 
   std::printf("\nApproximate %zu-NN on the hybrid tree (epsilon sweep):\n", k);
   TablePrinter approx({"epsilon", "accesses/query", "avg dist ratio",
@@ -83,5 +90,5 @@ int main() {
       "Expected shape: accesses fall monotonically with epsilon while the "
       "distance ratio stays well under the (1+epsilon) bound and recall "
       "degrades gracefully.\n");
-  return 0;
+  return answers.ExitCode();
 }

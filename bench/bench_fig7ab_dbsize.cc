@@ -23,6 +23,7 @@ int main() {
 
   TablePrinter io({"size", "HybridTree", "hB-tree", "SR-tree", "SeqScan"});
   TablePrinter cpu({"size", "HybridTree", "hB-tree", "SR-tree", "SeqScan"});
+  AnswerCheck answers;
   for (double frac : {0.4, 0.6, 0.8, 1.0}) {
     const size_t n = static_cast<size_t>(frac * static_cast<double>(n_max));
     Rng rng(7600 + n);
@@ -43,6 +44,8 @@ int main() {
     for (IndexKind kind : {IndexKind::kHybrid, IndexKind::kHbTree,
                            IndexKind::kSrTree}) {
       QueryCosts costs = MeasureBox(kind, data, config, w.queries);
+      answers.Expect(IndexKindName(kind) + " at n " + std::to_string(n), costs,
+                     scan_costs.ValueOrDie());
       NormalizedCosts norm =
           Normalize(costs, false, scan_pages, scan_costs.ValueOrDie());
       io_row.push_back(TablePrinter::Num(norm.io, 4));
@@ -60,5 +63,5 @@ int main() {
   std::printf(
       "Expected shape: HybridTree far below the others at every size, with "
       "normalized cost flat-to-decreasing in size (Figure 7(a),(b)).\n");
-  return 0;
+  return answers.ExitCode();
 }

@@ -20,6 +20,7 @@ int main() {
   L1Metric l1;
   TablePrinter io({"dim", "HybridTree", "SR-tree", "SeqScan"});
   TablePrinter cpu({"dim", "HybridTree", "SR-tree", "SeqScan"});
+  AnswerCheck answers;
   for (uint32_t dim : {16u, 32u, 64u}) {
     Rng rng(7700 + dim);
     Dataset data = GenColhist(n, dim, rng);
@@ -46,6 +47,8 @@ int main() {
       auto costs = RunRangeWorkload(bundle.ValueOrDie().index.get(), centers,
                                     radius, l1);
       HT_CHECK_OK(costs.status());
+      answers.Expect(IndexKindName(kind) + " at dim " + std::to_string(dim),
+                     costs.ValueOrDie(), scan_costs.ValueOrDie());
       NormalizedCosts norm = Normalize(costs.ValueOrDie(), false, scan_pages,
                                        scan_costs.ValueOrDie());
       io_row.push_back(TablePrinter::Num(norm.io, 4));
@@ -65,5 +68,5 @@ int main() {
       "metrics at 64-d and CPU everywhere; SR-tree's bounding spheres help "
       "it ~10%% on I/O at 16/32-d (L1 balls suit spheres; see "
       "EXPERIMENTS.md).\n");
-  return 0;
+  return answers.ExitCode();
 }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
-#include <queue>
 
 namespace ht {
 
@@ -270,10 +268,8 @@ Status HbTree::Insert(std::span<const float> point, uint64_t id) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  for (float v : point) {
-    if (!(v >= 0.0f && v <= 1.0f)) {
-      return Status::InvalidArgument("point outside [0,1]^dim");
-    }
+  if (!InUnitCube(point)) {
+    return Status::InvalidArgument("point outside [0,1]^dim");
   }
   // Clean kd navigation to the unique data page for this point.
   PageId page = root_;
@@ -432,135 +428,22 @@ Result<HbTree::SplitInfo> HbTree::SplitIndexNode(PageId page,
 // --- search -----------------------------------------------------------------
 
 Result<std::vector<uint64_t>> HbTree::SearchBox(const Box& query) {
-  std::vector<uint64_t> out;
-  std::unordered_set<PageId> visited;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    if (!visited.insert(page).second) return Status::OK();
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (query.ContainsPoint(scan.vec(i))) out.push_back(scan.id(i));
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<Status(const KdNode*)> walk =
-        [&](const KdNode* n) -> Status {
-      if (n->IsLeaf()) return rec(n->child);
-      if (query.lo(n->split_dim) <= n->lsp) {
-        HT_RETURN_NOT_OK(walk(n->left.get()));
-      }
-      if (query.hi(n->split_dim) > n->lsp) {
-        HT_RETURN_NOT_OK(walk(n->right.get()));
-      }
-      return Status::OK();
-    };
-    return walk(node.root.get());
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  return tree_search::SearchBox(Nav(), query);
 }
 
 Result<std::vector<uint64_t>> HbTree::SearchRange(
     std::span<const float> center, double radius,
     const DistanceMetric& metric) {
-  std::vector<uint64_t> out;
-  std::unordered_set<PageId> visited;
-  std::function<Status(PageId, const Box&)> rec =
-      [&](PageId page, const Box& br) -> Status {
-    if (metric.MinDistToBox(center, br) > radius) return Status::OK();
-    if (!visited.insert(page).second) return Status::OK();
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (metric.Distance(center, scan.vec(i)) <= radius) {
-          out.push_back(scan.id(i));
-        }
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<Status(const KdNode*, const Box&)> walk =
-        [&](const KdNode* n, const Box& nbr) -> Status {
-      if (n->IsLeaf()) return rec(n->child, nbr);
-      HT_RETURN_NOT_OK(walk(n->left.get(), KdLeftBr(nbr, *n)));
-      return walk(n->right.get(), KdRightBr(nbr, *n));
-    };
-    return walk(node.root.get(), br);
-  };
-  HT_RETURN_NOT_OK(rec(root_, Box::UnitCube(dim_)));
-  return out;
+  // The root's region is the unit cube: a ball that misses it reads nothing.
+  if (metric.MinDistToBox(center, Box::UnitCube(dim_)) > radius) {
+    return std::vector<uint64_t>{};
+  }
+  return tree_search::SearchRange(Nav(), center, radius, metric);
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> HbTree::SearchKnn(
     std::span<const float> center, size_t k, const DistanceMetric& metric) {
-  std::vector<std::pair<double, uint64_t>> results;
-  if (k == 0 || count_ == 0) return results;
-  struct PqItem {
-    double dist;
-    PageId page;
-    Box br;
-    bool operator>(const PqItem& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<PqItem, std::vector<PqItem>, std::greater<PqItem>> pq;
-  pq.push(PqItem{0.0, root_, Box::UnitCube(dim_)});
-  std::priority_queue<std::pair<double, uint64_t>> best;
-  std::unordered_set<PageId> visited;
-  auto kth = [&]() {
-    return best.size() < k ? std::numeric_limits<double>::max()
-                           : best.top().first;
-  };
-  while (!pq.empty() && pq.top().dist <= kth()) {
-    PqItem item = pq.top();
-    pq.pop();
-    if (!visited.insert(item.page).second) continue;
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        const double d = metric.Distance(center, scan.vec(i));
-        if (best.size() < k) {
-          best.emplace(d, scan.id(i));
-        } else if (d < best.top().first) {
-          best.pop();
-          best.emplace(d, scan.id(i));
-        }
-      }
-      continue;
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<void(const KdNode*, const Box&)> walk =
-        [&](const KdNode* n, const Box& nbr) {
-          if (n->IsLeaf()) {
-            const double d = metric.MinDistToBox(center, nbr);
-            if (d <= kth()) pq.push(PqItem{d, n->child, nbr});
-            return;
-          }
-          walk(n->left.get(), KdLeftBr(nbr, *n));
-          walk(n->right.get(), KdRightBr(nbr, *n));
-        };
-    walk(node.root.get(), item.br);
-  }
-  results.resize(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    results[i] = best.top();
-    best.pop();
-  }
-  return results;
+  return tree_search::SearchKnn(Nav(), center, k, metric);
 }
 
 // --- stats / invariants -----------------------------------------------------

@@ -25,6 +25,7 @@
 #include <unordered_set>
 
 #include "baselines/spatial_index.h"
+#include "baselines/tree_search.h"
 #include "core/node.h"
 #include "storage/paged_file.h"
 
@@ -68,6 +69,12 @@ class HbTree final : public SpatialIndex {
 
  private:
   HbTree(uint32_t dim, PagedFile* file);
+
+  /// How the shared query loops (tree_search.h) read this tree: a child
+  /// that several kd leaves reference is read once per query.
+  tree_search::KdNav</*kVisitOnce=*/true> Nav() {
+    return {pool_.get(), dim_, root_, count_};
+  }
 
   Result<DataNode> ReadDataNode(PageId id);
   Status WriteDataNode(PageId id, const DataNode& node);

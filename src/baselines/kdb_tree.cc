@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
-#include <queue>
 
 namespace ht {
 
@@ -70,10 +68,8 @@ Status KdbTree::Insert(std::span<const float> point, uint64_t id) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  for (float v : point) {
-    if (!(v >= 0.0f && v <= 1.0f)) {
-      return Status::InvalidArgument("point outside [0,1]^dim");
-    }
+  if (!InUnitCube(point)) {
+    return Status::InvalidArgument("point outside [0,1]^dim");
   }
   const Box cube = Box::UnitCube(dim_);
   HT_ASSIGN_OR_RETURN(SplitResult s, InsertRec(root_, cube, point, id));
@@ -351,131 +347,18 @@ Status KdbTree::Delete(std::span<const float> point, uint64_t id) {
 // --- search -----------------------------------------------------------------
 
 Result<std::vector<uint64_t>> KdbTree::SearchBox(const Box& query) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (query.ContainsPoint(scan.vec(i))) out.push_back(scan.id(i));
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<Status(const KdNode*)> walk =
-        [&](const KdNode* n) -> Status {
-      if (n->IsLeaf()) return rec(n->child);
-      if (query.lo(n->split_dim) <= n->lsp) {
-        HT_RETURN_NOT_OK(walk(n->left.get()));
-      }
-      if (query.hi(n->split_dim) > n->lsp) {
-        HT_RETURN_NOT_OK(walk(n->right.get()));
-      }
-      return Status::OK();
-    };
-    return walk(node.root.get());
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  return tree_search::SearchBox(Nav(), query);
 }
 
 Result<std::vector<uint64_t>> KdbTree::SearchRange(
     std::span<const float> center, double radius,
     const DistanceMetric& metric) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId, const Box&)> rec = [&](PageId page,
-                                                      const Box& br) -> Status {
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (metric.Distance(center, scan.vec(i)) <= radius) {
-          out.push_back(scan.id(i));
-        }
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<Status(const KdNode*, const Box&)> walk =
-        [&](const KdNode* n, const Box& nbr) -> Status {
-      if (n->IsLeaf()) {
-        if (metric.MinDistToBox(center, nbr) > radius) return Status::OK();
-        return rec(n->child, nbr);
-      }
-      HT_RETURN_NOT_OK(walk(n->left.get(), KdLeftBr(nbr, *n)));
-      return walk(n->right.get(), KdRightBr(nbr, *n));
-    };
-    return walk(node.root.get(), br);
-  };
-  HT_RETURN_NOT_OK(rec(root_, Box::UnitCube(dim_)));
-  return out;
+  return tree_search::SearchRange(Nav(), center, radius, metric);
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> KdbTree::SearchKnn(
     std::span<const float> center, size_t k, const DistanceMetric& metric) {
-  std::vector<std::pair<double, uint64_t>> results;
-  if (k == 0 || count_ == 0) return results;
-  struct PqItem {
-    double dist;
-    PageId page;
-    Box br;
-    bool operator>(const PqItem& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<PqItem, std::vector<PqItem>, std::greater<PqItem>> pq;
-  pq.push(PqItem{0.0, root_, Box::UnitCube(dim_)});
-  std::priority_queue<std::pair<double, uint64_t>> best;
-  auto kth = [&]() {
-    return best.size() < k ? std::numeric_limits<double>::max()
-                           : best.top().first;
-  };
-  while (!pq.empty() && pq.top().dist <= kth()) {
-    PqItem item = pq.top();
-    pq.pop();
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        const double d = metric.Distance(center, scan.vec(i));
-        if (best.size() < k) {
-          best.emplace(d, scan.id(i));
-        } else if (d < best.top().first) {
-          best.pop();
-          best.emplace(d, scan.id(i));
-        }
-      }
-      continue;
-    }
-    HT_ASSIGN_OR_RETURN(IndexNode node, IndexNode::Deserialize(
-                                            h.data(), h.size(), false, 0, dim_));
-    h.Release();
-    std::function<void(const KdNode*, const Box&)> walk =
-        [&](const KdNode* n, const Box& nbr) {
-          if (n->IsLeaf()) {
-            const double d = metric.MinDistToBox(center, nbr);
-            if (d <= kth()) pq.push(PqItem{d, n->child, nbr});
-            return;
-          }
-          walk(n->left.get(), KdLeftBr(nbr, *n));
-          walk(n->right.get(), KdRightBr(nbr, *n));
-        };
-    walk(node.root.get(), item.br);
-  }
-  results.resize(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    results[i] = best.top();
-    best.pop();
-  }
-  return results;
+  return tree_search::SearchKnn(Nav(), center, k, metric);
 }
 
 // --- stats / invariants -----------------------------------------------------

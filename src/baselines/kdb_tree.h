@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "baselines/spatial_index.h"
+#include "baselines/tree_search.h"
 #include "core/node.h"
 #include "storage/paged_file.h"
 
@@ -56,6 +57,11 @@ class KdbTree final : public SpatialIndex {
 
  private:
   KdbTree(uint32_t dim, PagedFile* file);
+
+  /// How the shared query loops (tree_search.h) read this tree.
+  tree_search::KdNav</*kVisitOnce=*/false> Nav() {
+    return {pool_.get(), dim_, root_, count_};
+  }
 
   Result<DataNode> ReadDataNode(PageId id);
   Status WriteDataNode(PageId id, const DataNode& node);

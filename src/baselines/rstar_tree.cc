@@ -5,8 +5,8 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <queue>
 
+#include "baselines/tree_search.h"
 #include "common/codec.h"
 
 namespace ht {
@@ -295,6 +295,9 @@ Status RStarTree::Insert(std::span<const float> point, uint64_t id) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  if (!InUnitCube(point)) {
+    return Status::InvalidArgument("point outside [0,1]^dim");
+  }
   InsertCtx ctx;
   DataEntry first{id, std::vector<float>(point.begin(), point.end())};
   ctx.pending.push_back(std::move(first));
@@ -508,110 +511,62 @@ Status RStarTree::CollectEntries(PageId page, std::vector<DataEntry>* out,
 
 // --- search -----------------------------------------------------------------
 
-Result<std::vector<uint64_t>> RStarTree::SearchBox(const Box& query) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (query.ContainsPoint(scan.vec(i))) out.push_back(scan.id(i));
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(INode node, DecodeIndex(h.data(), h.size()));
-    h.Release();
-    for (const auto& e : node.entries) {
-      if (query.Intersects(e.br)) {
-        HT_RETURN_NOT_OK(rec(e.child));
-      }
+/// The R*-tree as tree_search.h reads it: one page per node, and a child is
+/// admitted by its entry box.
+struct RStarTree::Nav {
+  using Node = INode;
+  using Region = tree_search::NoRegion;
+  static constexpr bool kVisitOnce = false;
+
+  RStarTree* tree;
+
+  PageId root() const { return tree->root_; }
+  uint64_t size() const { return tree->count_; }
+  static Region RootRegion() { return {}; }
+
+  template <class OnRows, class OnDir>
+  Status Read(PageId page, OnRows&& on_rows, OnDir&& on_dir) const {
+    return tree_search::ReadPage(
+        *tree->pool_, tree->dim_, page,
+        [this](const uint8_t* data, size_t size) {
+          return tree->DecodeIndex(data, size);
+        },
+        on_rows, on_dir);
+  }
+
+  template <class Emit>
+  static Status BoxChildren(const INode& node, const Box& query, Emit&& emit) {
+    for (const IEntry& e : node.entries) {
+      if (query.Intersects(e.br)) HT_RETURN_NOT_OK(emit(e.child));
     }
     return Status::OK();
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  }
+
+  template <class Emit>
+  static Status DistChildren(const INode& node, Region,
+                             std::span<const float> center,
+                             const DistanceMetric& metric, Emit&& emit) {
+    for (const IEntry& e : node.entries) {
+      HT_RETURN_NOT_OK(
+          emit(metric.MinDistToBox(center, e.br), e.child, Region{}));
+    }
+    return Status::OK();
+  }
+};
+
+Result<std::vector<uint64_t>> RStarTree::SearchBox(const Box& query) {
+  return tree_search::SearchBox(Nav{this}, query);
 }
 
 Result<std::vector<uint64_t>> RStarTree::SearchRange(
     std::span<const float> center, double radius,
     const DistanceMetric& metric) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        if (metric.Distance(center, scan.vec(i)) <= radius) {
-          out.push_back(scan.id(i));
-        }
-      }
-      return Status::OK();
-    }
-    HT_ASSIGN_OR_RETURN(INode node, DecodeIndex(h.data(), h.size()));
-    h.Release();
-    for (const auto& e : node.entries) {
-      if (metric.MinDistToBox(center, e.br) <= radius) {
-        HT_RETURN_NOT_OK(rec(e.child));
-      }
-    }
-    return Status::OK();
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  return tree_search::SearchRange(Nav{this}, center, radius, metric);
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> RStarTree::SearchKnn(
     std::span<const float> center, size_t k, const DistanceMetric& metric) {
-  std::vector<std::pair<double, uint64_t>> results;
-  if (k == 0 || count_ == 0) return results;
-  struct PqItem {
-    double dist;
-    PageId page;
-    bool operator>(const PqItem& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<PqItem, std::vector<PqItem>, std::greater<PqItem>> pq;
-  pq.push(PqItem{0.0, root_});
-  std::priority_queue<std::pair<double, uint64_t>> best;
-  auto kth = [&]() {
-    return best.size() < k ? std::numeric_limits<double>::max()
-                           : best.top().first;
-  };
-  while (!pq.empty() && pq.top().dist <= kth()) {
-    PqItem item = pq.top();
-    pq.pop();
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), dim_);
-      if (!scan.ok()) return Status::Corruption("expected data page");
-      for (size_t i = 0; i < scan.count(); ++i) {
-        const double d = metric.Distance(center, scan.vec(i));
-        if (best.size() < k) {
-          best.emplace(d, scan.id(i));
-        } else if (d < best.top().first) {
-          best.pop();
-          best.emplace(d, scan.id(i));
-        }
-      }
-      continue;
-    }
-    HT_ASSIGN_OR_RETURN(INode node, DecodeIndex(h.data(), h.size()));
-    h.Release();
-    for (const auto& e : node.entries) {
-      const double d = metric.MinDistToBox(center, e.br);
-      if (d <= kth()) pq.push(PqItem{d, e.child});
-    }
-  }
-  results.resize(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    results[i] = best.top();
-    best.pop();
-  }
-  return results;
+  return tree_search::SearchKnn(Nav{this}, center, k, metric);
 }
 
 // --- stats / invariants -----------------------------------------------------

@@ -70,6 +70,9 @@ class RStarTree final : public SpatialIndex {
   };
 
  protected:
+  /// How the shared query loops (tree_search.h) read this tree.
+  struct Nav;
+
   RStarTree(uint32_t dim, PagedFile* file);
 
   Result<DataNode> ReadLeaf(PageId id);
@@ -97,8 +100,6 @@ class RStarTree final : public SpatialIndex {
 
   /// R* ChooseSubtree among index entries for a point at the given level.
   size_t ChooseSubtree(const INode& node, std::span<const float> point) const;
-
-  Status CondenseAfterDelete(std::vector<DataEntry>* orphans);
 
   Status ComputeStatsRec(PageId page, RStarStats* stats, double* leaf_util,
                          double* overlap_sum, uint64_t* overlap_nodes);

@@ -24,6 +24,9 @@ Status SeqScan::Insert(std::span<const float> point, uint64_t id) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  if (!InUnitCube(point)) {
+    return Status::InvalidArgument("point outside [0,1]^dim");
+  }
   if (pages_.empty() || last_page_count_ == capacity_per_page_) {
     HT_ASSIGN_OR_RETURN(PageHandle h, pool_->New());
     DataNode fresh;

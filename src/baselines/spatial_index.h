@@ -1,7 +1,7 @@
 // Copyright 2026 The HybridTree Authors.
 // Common interface over all index structures in the evaluation (hybrid
-// tree, SR-tree, hB-tree, KDB-tree, R*-tree, sequential scan), so the
-// benchmark harness can drive them uniformly.
+// tree, SR-tree, hB-tree, KDB-tree, R*-tree, X-tree, sequential scan), so
+// the benchmark harness can drive them uniformly.
 
 #pragma once
 
@@ -24,6 +24,9 @@ class SpatialIndex {
 
   virtual std::string Name() const = 0;
 
+  /// Every structure covers the normalized feature space: a point outside
+  /// [0,1]^dim (InUnitCube; NaN included) gets InvalidArgument and is not
+  /// stored.
   virtual Status Insert(std::span<const float> point, uint64_t id) = 0;
 
   /// Returns NotSupported where the structure lacks the operation (e.g.,
@@ -39,20 +42,11 @@ class SpatialIndex {
 
   virtual Result<std::vector<uint64_t>> SearchRange(
       std::span<const float> center, double radius,
-      const DistanceMetric& metric) {
-    (void)center;
-    (void)radius;
-    (void)metric;
-    return Status::NotSupported(Name() + " does not support distance search");
-  }
+      const DistanceMetric& metric) = 0;
 
   virtual Result<std::vector<std::pair<double, uint64_t>>> SearchKnn(
-      std::span<const float> center, size_t k, const DistanceMetric& metric) {
-    (void)center;
-    (void)k;
-    (void)metric;
-    return Status::NotSupported(Name() + " does not support k-NN search");
-  }
+      std::span<const float> center, size_t k,
+      const DistanceMetric& metric) = 0;
 
   virtual uint64_t size() const = 0;
 

@@ -64,6 +64,9 @@ class SrTree final : public SpatialIndex {
   };
 
  private:
+  /// How the shared query loops (tree_search.h) read this tree.
+  struct Nav;
+
   SrTree(uint32_t dim, PagedFile* file);
 
   Result<DataNode> ReadLeaf(PageId id);

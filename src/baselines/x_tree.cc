@@ -5,8 +5,8 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <queue>
 
+#include "baselines/tree_search.h"
 #include "common/codec.h"
 
 namespace ht {
@@ -307,6 +307,9 @@ Status XTree::Insert(std::span<const float> point, uint64_t id) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  if (!InUnitCube(point)) {
+    return Status::InvalidArgument("point outside [0,1]^dim");
+  }
   HT_ASSIGN_OR_RETURN(SplitOut s, InsertRec(root_, point, id));
   if (s.split) {
     HT_ASSIGN_OR_RETURN(Node old_root, ReadNode(root_));
@@ -395,93 +398,68 @@ Status XTree::Delete(std::span<const float> point, uint64_t id) {
 
 // --- search ------------------------------------------------------------------
 
-Result<std::vector<uint64_t>> XTree::SearchBox(const Box& query) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    HT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.level == 0) {
-      for (const auto& e : node.points) {
-        if (query.ContainsPoint(e.vec)) out.push_back(e.id);
-      }
-      return Status::OK();
-    }
-    for (const auto& e : node.children) {
-      if (query.Intersects(e.br)) {
-        HT_RETURN_NOT_OK(rec(e.child));
-      }
+/// The X-tree as tree_search.h reads it: a node is its whole page chain
+/// (one access per page), and a child is admitted by its entry box.
+struct XTree::Nav {
+  using Node = XTree::Node;
+  using Region = tree_search::NoRegion;
+  static constexpr bool kVisitOnce = false;
+
+  XTree* tree;
+
+  PageId root() const { return tree->root_; }
+  uint64_t size() const { return tree->count_; }
+  static Region RootRegion() { return {}; }
+
+  /// A leaf's points, read the way a DataPageScan reads a page.
+  struct Rows {
+    const std::vector<DataEntry>& points;
+    size_t count() const { return points.size(); }
+    std::span<const float> vec(size_t i) const { return points[i].vec; }
+    uint64_t id(size_t i) const { return points[i].id; }
+  };
+
+  template <class OnRows, class OnDir>
+  Status Read(PageId page, OnRows&& on_rows, OnDir&& on_dir) const {
+    HT_ASSIGN_OR_RETURN(Node node, tree->ReadNode(page));
+    if (node.level > 0) return on_dir(node);
+    on_rows(Rows{node.points});
+    return Status::OK();
+  }
+
+  template <class Emit>
+  static Status BoxChildren(const Node& node, const Box& query, Emit&& emit) {
+    for (const DirEntry& e : node.children) {
+      if (query.Intersects(e.br)) HT_RETURN_NOT_OK(emit(e.child));
     }
     return Status::OK();
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  }
+
+  template <class Emit>
+  static Status DistChildren(const Node& node, Region,
+                             std::span<const float> center,
+                             const DistanceMetric& metric, Emit&& emit) {
+    for (const DirEntry& e : node.children) {
+      HT_RETURN_NOT_OK(
+          emit(metric.MinDistToBox(center, e.br), e.child, Region{}));
+    }
+    return Status::OK();
+  }
+};
+
+Result<std::vector<uint64_t>> XTree::SearchBox(const Box& query) {
+  return tree_search::SearchBox(Nav{this}, query);
 }
 
 Result<std::vector<uint64_t>> XTree::SearchRange(
     std::span<const float> center, double radius,
     const DistanceMetric& metric) {
-  std::vector<uint64_t> out;
-  std::function<Status(PageId)> rec = [&](PageId page) -> Status {
-    HT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.level == 0) {
-      for (const auto& e : node.points) {
-        if (metric.Distance(center, e.vec) <= radius) out.push_back(e.id);
-      }
-      return Status::OK();
-    }
-    for (const auto& e : node.children) {
-      if (metric.MinDistToBox(center, e.br) <= radius) {
-        HT_RETURN_NOT_OK(rec(e.child));
-      }
-    }
-    return Status::OK();
-  };
-  HT_RETURN_NOT_OK(rec(root_));
-  return out;
+  return tree_search::SearchRange(Nav{this}, center, radius, metric);
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> XTree::SearchKnn(
     std::span<const float> center, size_t k, const DistanceMetric& metric) {
-  std::vector<std::pair<double, uint64_t>> results;
-  if (k == 0 || count_ == 0) return results;
-  struct PqItem {
-    double dist;
-    PageId page;
-    bool operator>(const PqItem& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<PqItem, std::vector<PqItem>, std::greater<PqItem>> pq;
-  pq.push(PqItem{0.0, root_});
-  std::priority_queue<std::pair<double, uint64_t>> best;
-  auto kth = [&]() {
-    return best.size() < k ? std::numeric_limits<double>::max()
-                           : best.top().first;
-  };
-  while (!pq.empty() && pq.top().dist <= kth()) {
-    PqItem item = pq.top();
-    pq.pop();
-    HT_ASSIGN_OR_RETURN(Node node, ReadNode(item.page));
-    if (node.level == 0) {
-      for (const auto& e : node.points) {
-        const double d = metric.Distance(center, e.vec);
-        if (best.size() < k) {
-          best.emplace(d, e.id);
-        } else if (d < best.top().first) {
-          best.pop();
-          best.emplace(d, e.id);
-        }
-      }
-      continue;
-    }
-    for (const auto& e : node.children) {
-      const double d = metric.MinDistToBox(center, e.br);
-      if (d <= kth()) pq.push(PqItem{d, e.child});
-    }
-  }
-  results.resize(best.size());
-  for (size_t i = best.size(); i-- > 0;) {
-    results[i] = best.top();
-    best.pop();
-  }
-  return results;
+  return tree_search::SearchKnn(Nav{this}, center, k, metric);
 }
 
 // --- stats / invariants --------------------------------------------------------

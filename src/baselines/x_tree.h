@@ -72,6 +72,9 @@ class XTree final : public SpatialIndex {
     }
   };
 
+  /// How the shared query loops (tree_search.h) read this tree.
+  struct Nav;
+
   XTree(uint32_t dim, PagedFile* file);
 
   /// Max pages a node may grow to before a split is forced regardless of

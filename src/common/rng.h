@@ -102,17 +102,6 @@ class Rng {
     }
   }
 
-  /// Zipf-distributed integer in [0, n) with exponent `s` (s > 0). Uses
-  /// inverse-CDF over precomputed weights supplied by the caller to stay
-  /// allocation-free here; see ZipfSampler below for the cached variant.
-  template <typename It>
-  size_t SampleDiscrete(It cdf_begin, It cdf_end) {
-    const double u = NextDouble();
-    auto it = std::lower_bound(cdf_begin, cdf_end, u);
-    if (it == cdf_end) --it;
-    return static_cast<size_t>(it - cdf_begin);
-  }
-
  private:
   uint64_t s_[4];
   bool have_cached_ = false;

@@ -203,11 +203,9 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
     return Status::InvalidArgument("dataset dimensionality mismatch");
   }
   for (size_t i = 0; i < data.size(); ++i) {
-    for (float v : data.Row(i)) {
-      if (!(v >= 0.0f && v <= 1.0f)) {
-        return Status::InvalidArgument(
-            "bulk data outside the normalized feature space [0,1]^dim");
-      }
+    if (!InUnitCube(data.Row(i))) {
+      return Status::InvalidArgument(
+          "bulk data outside the normalized feature space [0,1]^dim");
     }
   }
   // Create() builds the metadata page and an empty root data page; the

@@ -100,28 +100,6 @@ Box ElsCodec::Decode(const ElsCode& code, const Box& ref) const {
   return Box::FromBounds(std::move(lo), std::move(hi));
 }
 
-bool ElsCodec::DecodedIntersects(const ElsCode& code, const Box& ref,
-                                 const Box& query) const {
-  if (bits_ == 0 || code.empty()) return query.Intersects(ref);
-  HT_DCHECK(code.size() == CodeBytes());
-  const uint32_t cells = 1u << bits_;
-  size_t off = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    const double w = (static_cast<double>(ref.hi(d)) - ref.lo(d)) / cells;
-    const uint32_t cl = els_detail::GetBits(code, off, bits_);
-    off += bits_;
-    const uint32_t ch = els_detail::GetBits(code, off, bits_) + 1;
-    off += bits_;
-    float lo = static_cast<float>(ref.lo(d) + cl * w);
-    float hi = static_cast<float>(ref.lo(d) + ch * w);
-    if (lo < ref.lo(d)) lo = ref.lo(d);
-    if (hi > ref.hi(d)) hi = ref.hi(d);
-    if (hi < lo) hi = lo;
-    if (query.hi(d) < lo || query.lo(d) > hi) return false;
-  }
-  return true;
-}
-
 ElsCode ElsCodec::Reencode(const ElsCode& code, const Box& old_ref,
                            const Box& new_ref) const {
   if (bits_ == 0) return {};

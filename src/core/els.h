@@ -47,12 +47,6 @@ class ElsCodec {
   /// An empty code (ELS off) decodes to `ref` itself.
   Box Decode(const ElsCode& code, const Box& ref) const;
 
-  /// Equivalent to query.Intersects(Decode(code, ref)) with per-dimension
-  /// early exit and no allocation — the §3.4 two-step overlap check's
-  /// second step, on the search hot path.
-  bool DecodedIntersects(const ElsCode& code, const Box& ref,
-                         const Box& query) const;
-
   /// Re-encodes `code` (valid relative to `old_ref`) relative to `new_ref`.
   /// Used when index-node restructuring changes a child's kd region. The
   /// result is conservative with respect to the decoded old box.

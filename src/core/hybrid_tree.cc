@@ -357,11 +357,9 @@ Status HybridTree::InsertBatch(std::span<const float> points,
   }
   // Whole-batch validation before any mutation, mirroring the WriteBatch
   // contract: a bad row cannot leave a half-applied batch behind.
-  for (float v : points) {
-    if (!(v >= 0.0f && v <= 1.0f)) {
-      return Status::InvalidArgument(
-          "point outside the normalized feature space [0,1]^dim");
-    }
+  if (!InUnitCube(points)) {
+    return Status::InvalidArgument(
+        "point outside the normalized feature space [0,1]^dim");
   }
   const Box cube = Box::UnitCube(options_.dim);
   std::vector<uint32_t> remaining(ids.size());

@@ -1,5 +1,7 @@
 #include "eval/harness.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -104,17 +106,32 @@ Result<IndexBundle> BuildIndex(IndexKind kind, const Dataset& data,
 }
 
 namespace {
+/// FNV-1a over one answer's length and 64-bit words.
+void FoldAnswer(std::span<const uint64_t> words, uint64_t* digest) {
+  auto fold = [digest](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *digest = (*digest ^ ((word >> (8 * byte)) & 0xff)) * 1099511628211ULL;
+    }
+  };
+  fold(words.size());
+  for (uint64_t word : words) fold(word);
+}
+
+/// `run(q, digest)` runs query q and returns its answer size; in the
+/// counting pass it also folds the answer into `*digest`, and in the
+/// timing pass `digest` is null.
 template <typename RunOne>
 Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
   QueryCosts costs;
   costs.queries = n;
+  costs.answer_digest = 14695981039346656037ULL;  // FNV-1a offset basis
   uint64_t total_accesses = 0;
   uint64_t total_fetches = 0;
   uint64_t total_physical = 0;
   uint64_t total_results = 0;
   for (size_t q = 0; q < n; ++q) {
     index->pool().ResetStats();
-    HT_ASSIGN_OR_RETURN(size_t results, run(q));
+    HT_ASSIGN_OR_RETURN(size_t results, run(q, &costs.answer_digest));
     const IoStats io = index->pool().stats();
     // Pages visited, not pages fetched: a data page the hybrid tree rules
     // out from its sidecar still counts, as it does for the baselines.
@@ -132,7 +149,7 @@ Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
   size_t reps = 0;
   do {
     for (size_t q = 0; q < n; ++q) {
-      HT_ASSIGN_OR_RETURN(size_t results, run(q));
+      HT_ASSIGN_OR_RETURN(size_t results, run(q, nullptr));
       (void)results;
     }
     ++reps;
@@ -153,33 +170,52 @@ Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
       static_cast<double>(total_results) / static_cast<double>(n);
   return costs;
 }
+
+/// Folds a box or range answer: its ids, sorted.
+void FoldIds(std::vector<uint64_t> ids, uint64_t* digest) {
+  std::sort(ids.begin(), ids.end());
+  FoldAnswer(ids, digest);
+}
 }  // namespace
 
 Result<QueryCosts> RunBoxWorkload(SpatialIndex* index,
                                   const std::vector<Box>& queries) {
-  return RunWorkload(index, queries.size(), [&](size_t q) -> Result<size_t> {
-    HT_ASSIGN_OR_RETURN(auto hits, index->SearchBox(queries[q]));
-    return hits.size();
-  });
+  return RunWorkload(
+      index, queries.size(), [&](size_t q, uint64_t* digest) -> Result<size_t> {
+        HT_ASSIGN_OR_RETURN(auto hits, index->SearchBox(queries[q]));
+        if (digest != nullptr) FoldIds(hits, digest);
+        return hits.size();
+      });
 }
 
 Result<QueryCosts> RunRangeWorkload(
     SpatialIndex* index, const std::vector<std::vector<float>>& centers,
     double radius, const DistanceMetric& metric) {
-  return RunWorkload(index, centers.size(), [&](size_t q) -> Result<size_t> {
-    HT_ASSIGN_OR_RETURN(auto hits,
-                        index->SearchRange(centers[q], radius, metric));
-    return hits.size();
-  });
+  return RunWorkload(
+      index, centers.size(), [&](size_t q, uint64_t* digest) -> Result<size_t> {
+        HT_ASSIGN_OR_RETURN(auto hits,
+                            index->SearchRange(centers[q], radius, metric));
+        if (digest != nullptr) FoldIds(hits, digest);
+        return hits.size();
+      });
 }
 
 Result<QueryCosts> RunKnnWorkload(
     SpatialIndex* index, const std::vector<std::vector<float>>& centers,
     size_t k, const DistanceMetric& metric) {
-  return RunWorkload(index, centers.size(), [&](size_t q) -> Result<size_t> {
-    HT_ASSIGN_OR_RETURN(auto hits, index->SearchKnn(centers[q], k, metric));
-    return hits.size();
-  });
+  return RunWorkload(
+      index, centers.size(), [&](size_t q, uint64_t* digest) -> Result<size_t> {
+        HT_ASSIGN_OR_RETURN(auto hits, index->SearchKnn(centers[q], k, metric));
+        if (digest != nullptr) {
+          std::vector<uint64_t> dists;
+          dists.reserve(hits.size());
+          for (const auto& [d, id] : hits) {
+            dists.push_back(std::bit_cast<uint64_t>(d));
+          }
+          FoldAnswer(dists, digest);
+        }
+        return hits.size();
+      });
 }
 
 NormalizedCosts Normalize(const QueryCosts& costs, bool sequential_io,

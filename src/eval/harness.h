@@ -68,10 +68,13 @@ struct QueryCosts {
   double avg_cpu_seconds = 0.0; // process CPU time per query
   double avg_results = 0.0;
   size_t queries = 0;
+  /// Every answer of the workload folded in query order: the ids sorted,
+  /// or for k-NN the distances only (ties may pick different ids). Equal
+  /// digests mean equal answers, whichever structure ran the queries.
+  uint64_t answer_digest = 0;
 };
 
-/// Runs every box query, averaging accesses/CPU. Results are checked for
-/// cardinality consistency across structures by the caller if desired.
+/// Runs every box query, averaging accesses/CPU.
 Result<QueryCosts> RunBoxWorkload(SpatialIndex* index,
                                   const std::vector<Box>& queries);
 

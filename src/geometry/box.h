@@ -92,24 +92,21 @@ class Box {
     return true;
   }
 
-  /// Both predicates dispatch through the runtime-selected SIMD tier
-  /// (kernels::Active()); every tier is boolean-identical to the scalar
-  /// per-dimension loop, NaN bounds included (batch_kernel_test sweeps
-  /// this). The hybrid tree's searches no longer call them (directory
-  /// descent runs DistanceMetric::MinDistToBoxes and the box_overlap
-  /// kernel over a FlatIndexNode); their callers are the baselines' box
-  /// searches and containment checks, ELS overlap with 0 bits, and
-  /// TreeValidator.
+  /// Closed-interval predicates with ordered compares, so a NaN bound
+  /// never proves disjointness or escape (kernels::BoxIntersectsScalar /
+  /// BoxContainsScalar). The hybrid tree's searches do not call them
+  /// (directory descent runs DistanceMetric::MinDistToBoxes and the
+  /// box_overlap kernel over a FlatIndexNode); their callers are the
+  /// baseline trees' directory tests and invariant checks, hB split
+  /// posting and TreeValidator.
   bool ContainsBox(const Box& o) const {
-    return kernels::Active().box_contains(lo_.data(), hi_.data(),
-                                          o.lo_.data(), o.hi_.data(),
-                                          lo_.size());
+    return kernels::BoxContainsScalar(lo_.data(), hi_.data(), o.lo_.data(),
+                                      o.hi_.data(), lo_.size());
   }
 
   bool Intersects(const Box& o) const {
-    return kernels::Active().box_intersects(lo_.data(), hi_.data(),
-                                            o.lo_.data(), o.hi_.data(),
-                                            lo_.size());
+    return kernels::BoxIntersectsScalar(lo_.data(), hi_.data(), o.lo_.data(),
+                                        o.hi_.data(), lo_.size());
   }
 
   /// Geometric intersection (may be empty).
@@ -199,6 +196,16 @@ class Box {
   std::vector<float> lo_;
   std::vector<float> hi_;
 };
+
+/// True when every coordinate of `point` lies in [0,1], the normalized
+/// feature space (paper §3.2) that every index structure covers. NaN and
+/// ±inf are outside.
+inline bool InUnitCube(std::span<const float> point) {
+  for (float v : point) {
+    if (!(v >= 0.0f && v <= 1.0f)) return false;
+  }
+  return true;
+}
 
 /// A read-only set of `count` boxes stored dimension-major: box i's bounds
 /// in dimension d are lo[d * stride + i] and hi[d * stride + i], with

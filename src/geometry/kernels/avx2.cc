@@ -340,46 +340,6 @@ void CTMWL2Avx2(const float* q, const float* wf, const float* grid_lo,
   }
 }
 
-// Box predicates: 8 dimensions per iteration. _CMP_LT_OQ / _CMP_GT_OQ are
-// ordered-quiet, so a NaN lane never raises a disjointness / escape bit —
-// identical to the scalar reference's ordered compares. Only the boolean
-// is observable, so testing 8 dims at once matches the scalar early-exit.
-bool BoxIntersectsAvx2(const float* alo, const float* ahi, const float* blo,
-                       const float* bhi, size_t dim) {
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    const __m256 al = _mm256_loadu_ps(alo + d);
-    const __m256 ah = _mm256_loadu_ps(ahi + d);
-    const __m256 bl = _mm256_loadu_ps(blo + d);
-    const __m256 bh = _mm256_loadu_ps(bhi + d);
-    const __m256 disjoint = _mm256_or_ps(_mm256_cmp_ps(bh, al, _CMP_LT_OQ),
-                                         _mm256_cmp_ps(bl, ah, _CMP_GT_OQ));
-    if (_mm256_movemask_ps(disjoint) != 0) return false;
-  }
-  for (; d < dim; ++d) {
-    if (bhi[d] < alo[d] || blo[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
-bool BoxContainsAvx2(const float* alo, const float* ahi, const float* blo,
-                     const float* bhi, size_t dim) {
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    const __m256 al = _mm256_loadu_ps(alo + d);
-    const __m256 ah = _mm256_loadu_ps(ahi + d);
-    const __m256 bl = _mm256_loadu_ps(blo + d);
-    const __m256 bh = _mm256_loadu_ps(bhi + d);
-    const __m256 escapes = _mm256_or_ps(_mm256_cmp_ps(bl, al, _CMP_LT_OQ),
-                                        _mm256_cmp_ps(bh, ah, _CMP_GT_OQ));
-    if (_mm256_movemask_ps(escapes) != 0) return false;
-  }
-  for (; d < dim; ++d) {
-    if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group
 // (four __m256d, one box per double lane), so each dimension's lo/hi loads
 // cover one 64-byte row slice. Each lane replays kernels::AxisGap and the
@@ -472,8 +432,7 @@ const KernelTable& Avx2Table() {
   static const KernelTable table = {
       SimdTier::kAvx2, &L1Avx2,      &L2Avx2,       &LInfAvx2,
       &WL2Avx2,        &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     ScalarTable().ctm_box,       &BoxIntersectsAvx2,
-      &BoxContainsAvx2,
+      &CTMWL2Avx2,     ScalarTable().ctm_box,
       &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
       &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};
   return table;

@@ -396,46 +396,6 @@ bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
   return false;
 }
 
-// Box predicates: 16 dimensions per masked compare; _CMP_LT_OQ/_CMP_GT_OQ
-// never set a mask bit for NaN lanes, matching the scalar reference. The
-// sub-16 tail is scalar (boxes are short; one pass, not a hot loop).
-bool BoxIntersectsAvx512(const float* alo, const float* ahi, const float* blo,
-                         const float* bhi, size_t dim) {
-  size_t d = 0;
-  for (; d + 16 <= dim; d += 16) {
-    const __m512 al = _mm512_loadu_ps(alo + d);
-    const __m512 ah = _mm512_loadu_ps(ahi + d);
-    const __m512 bl = _mm512_loadu_ps(blo + d);
-    const __m512 bh = _mm512_loadu_ps(bhi + d);
-    const __mmask16 disjoint =
-        _mm512_cmp_ps_mask(bh, al, _CMP_LT_OQ) |
-        _mm512_cmp_ps_mask(bl, ah, _CMP_GT_OQ);
-    if (disjoint != 0) return false;
-  }
-  for (; d < dim; ++d) {
-    if (bhi[d] < alo[d] || blo[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
-bool BoxContainsAvx512(const float* alo, const float* ahi, const float* blo,
-                       const float* bhi, size_t dim) {
-  size_t d = 0;
-  for (; d + 16 <= dim; d += 16) {
-    const __m512 al = _mm512_loadu_ps(alo + d);
-    const __m512 ah = _mm512_loadu_ps(ahi + d);
-    const __m512 bl = _mm512_loadu_ps(blo + d);
-    const __m512 bh = _mm512_loadu_ps(bhi + d);
-    const __mmask16 escapes = _mm512_cmp_ps_mask(bl, al, _CMP_LT_OQ) |
-                              _mm512_cmp_ps_mask(bh, ah, _CMP_GT_OQ);
-    if (escapes != 0) return false;
-  }
-  for (; d < dim; ++d) {
-    if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group
 // (two __m512d, one box per double lane), so each dimension's lo/hi loads
 // cover one 64-byte row slice. Same per-lane replay of kernels::AxisGap
@@ -523,8 +483,7 @@ const KernelTable& Avx512Table() {
   static const KernelTable table = {
       SimdTier::kAvx512, &L1Avx512,      &L2Avx512,       &LInfAvx512,
       &WL2Avx512,        &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
-      &CTMWL2Avx512,     &CodeBoxAvx512,  &BoxIntersectsAvx512,
-      &BoxContainsAvx512,
+      &CTMWL2Avx512,     &CodeBoxAvx512,
       &MinDistAvx512<BoxAcc::kSum>, &MinDistAvx512<BoxAcc::kSumSq>,
       &MinDistAvx512<BoxAcc::kMax>, &BoxOverlapAvx512};
   return table;

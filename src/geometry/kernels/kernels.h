@@ -135,17 +135,33 @@ using CodeBoxTFn = bool (*)(const float* lo, const float* hi,
                             size_t dim, const uint8_t* tcodes,
                             size_t nblocks, uint8_t* range);
 
-/// Directory-node box predicates over raw per-dimension bound arrays
-/// (`a` is the node BR, `b` the probe box; closed intervals, `dim`
-/// floats each). box_intersects is Box::Intersects — false iff some
-/// dimension proves disjointness (bhi[d] < alo[d] || blo[d] > ahi[d]);
-/// box_contains is Box::ContainsBox — false iff some dimension proves
-/// b escapes a (blo[d] < alo[d] || bhi[d] > ahi[d]). The SIMD tiers use
-/// ordered-quiet compares, so a NaN bound never proves disjointness or
-/// escape — exactly the scalar loop's ordered-compare behavior — and
-/// results are identical across tiers for every input, NaN included.
-using BoxPredFn = bool (*)(const float* alo, const float* ahi,
-                           const float* blo, const float* bhi, size_t dim);
+/// Single-box predicates over raw per-dimension bound arrays (`a` is the
+/// receiver, `b` the probe box; closed intervals, `dim` floats each), the
+/// loops behind Box::Intersects and Box::ContainsBox and the reference
+/// box_overlap must match for each box. BoxIntersectsScalar is false iff
+/// some dimension proves disjointness (bhi[d] < alo[d] || blo[d] >
+/// ahi[d]); BoxContainsScalar is false iff some dimension proves b
+/// escapes a (blo[d] < alo[d] || bhi[d] > ahi[d]). Ordered compares, so a
+/// NaN bound never proves disjointness or escape. They have no SIMD tier:
+/// the hybrid tree's query path does not call them; their callers are the
+/// baseline trees' directory tests, hB split posting and TreeValidator.
+inline bool BoxIntersectsScalar(const float* alo, const float* ahi,
+                                const float* blo, const float* bhi,
+                                size_t dim) {
+  for (size_t d = 0; d < dim; ++d) {
+    if (bhi[d] < alo[d] || blo[d] > ahi[d]) return false;
+  }
+  return true;
+}
+
+inline bool BoxContainsScalar(const float* alo, const float* ahi,
+                              const float* blo, const float* bhi,
+                              size_t dim) {
+  for (size_t d = 0; d < dim; ++d) {
+    if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
+  }
+  return true;
+}
 
 /// Lane padding of a dimension-major box set (geometry/box.h BoxSetView):
 /// box i's bounds in dimension d sit at lo[d * stride + i] and
@@ -180,20 +196,19 @@ using BoxMinDistFn = void (*)(const float* q, size_t dim, const float* lo,
 /// Query-versus-box-set overlap for the boxes selected by `active` (bit i
 /// of active[i / 64] selects box i; the caller keeps bits at and above n
 /// clear). Writes ceil(n / 64) words of each mask: bit i of `intersects`
-/// is set iff box i is active and box_intersects(qlo, qhi, box i) holds
+/// is set iff box i is active and BoxIntersectsScalar(qlo, qhi, box i) holds
 /// (Box::Intersects with the query as the receiver); bit i of `contains`
-/// iff box i is active and box_contains(qlo, qhi, box i) holds. Lane
+/// iff box i is active and BoxContainsScalar(qlo, qhi, box i) holds. Lane
 /// groups with no active box are skipped.
 using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
                               const float* lo, const float* hi, size_t stride,
                               size_t n, const uint64_t* active,
                               uint64_t* intersects, uint64_t* contains);
 
-/// One tier's kernels, 15 entries: the strided batch distances a page scan
+/// One tier's kernels, 13 entries: the strided batch distances a page scan
 /// refines with (l1, l2, linf, wl2), the fused sidecar masks it filters
 /// with (ctm_l1/l2/linf/wl2), the sidecar box test box search rules a
-/// cold page out with (ctm_box), the single-box predicates behind
-/// Box::Intersects / ContainsBox, and the directory-node MINDISTs and
+/// cold page out with (ctm_box), and the directory-node MINDISTs and
 /// box-set overlap.
 struct KernelTable {
   SimdTier tier;
@@ -206,8 +221,6 @@ struct KernelTable {
   CodeMaskTFn ctm_linf;
   CodeMaskTWeightedFn ctm_wl2;
   CodeBoxTFn ctm_box;
-  BoxPredFn box_intersects;
-  BoxPredFn box_contains;
   BoxMinDistFn mindist_l1;
   BoxMinDistFn mindist_l2;
   BoxMinDistFn mindist_linf;

@@ -104,25 +104,6 @@ void CTMWL2Scalar(const float* q, const float* wf, const float* grid_lo,
            });
 }
 
-// Box predicates: the reference the SIMD tiers must match boolean-for-
-// boolean. Ordered compares mean a NaN bound never satisfies a
-// disjointness / escape test, so NaN boxes intersect and contain.
-bool BoxIntersectsScalar(const float* alo, const float* ahi, const float* blo,
-                         const float* bhi, size_t dim) {
-  for (size_t d = 0; d < dim; ++d) {
-    if (bhi[d] < alo[d] || blo[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
-bool BoxContainsScalar(const float* alo, const float* ahi, const float* blo,
-                       const float* bhi, size_t dim) {
-  for (size_t d = 0; d < dim; ++d) {
-    if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
-  }
-  return true;
-}
-
 // Batch MINDIST over a dimension-major box set: the reference every SIMD
 // tier replays per lane. Dimension-outer order keeps each box's sum in
 // dimension order (the loop over boxes may vectorize; nothing
@@ -185,8 +166,7 @@ const KernelTable& ScalarTable() {
   static const KernelTable table = {
       SimdTier::kScalar, &L1Scalar,      &L2Scalar,       &LInfScalar,
       &WL2Scalar,        &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
-      &CTMWL2Scalar,     &quant::AnyRowMayBeInBox,        &BoxIntersectsScalar,
-      &BoxContainsScalar,
+      &CTMWL2Scalar,     &quant::AnyRowMayBeInBox,
       &MinDistScalar<BoxAcc::kSum>,   &MinDistScalar<BoxAcc::kSumSq>,
       &MinDistScalar<BoxAcc::kMax>,   &BoxOverlapScalar};
   return table;

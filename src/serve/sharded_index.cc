@@ -331,17 +331,16 @@ Status ShardedIndex::RunOnShards(
   return MergeShardStatuses(statuses);
 }
 
-Status ShardedIndex::SearchBox(const Box& query, const ExecOptions& options,
+template <class Search>
+Status ShardedIndex::GatherIds(const ExecOptions& options,
+                               const Search& search,
                                std::vector<uint64_t>* out) const {
-  if (out == nullptr) {
-    return Status::InvalidArgument("SearchBox requires an output vector");
-  }
   out->clear();
   std::vector<std::vector<uint64_t>> per_shard(shards_.size());
   HT_RETURN_NOT_OK(RunOnShards(options, {}, [&](size_t s) -> Status {
     const Shard& shard = *shards_[s];
     std::unique_ptr<SearchScratch> scratch = AcquireScratch();
-    Status st = shard.tree->SearchBoxInto(query, scratch.get(), &per_shard[s]);
+    Status st = search(*shard.tree, scratch.get(), &per_shard[s]);
     ReleaseScratch(std::move(scratch));
     HT_RETURN_NOT_OK(st);
     for (uint64_t& id : per_shard[s]) id = shard.local_to_global[id];
@@ -352,6 +351,20 @@ Status ShardedIndex::SearchBox(const Box& query, const ExecOptions& options,
   return Status::OK();
 }
 
+Status ShardedIndex::SearchBox(const Box& query, const ExecOptions& options,
+                               std::vector<uint64_t>* out) const {
+  if (out == nullptr) {
+    return Status::InvalidArgument("SearchBox requires an output vector");
+  }
+  return GatherIds(
+      options,
+      [&](const HybridTree& tree, SearchScratch* scratch,
+          std::vector<uint64_t>* ids) {
+        return tree.SearchBoxInto(query, scratch, ids);
+      },
+      out);
+}
+
 Status ShardedIndex::SearchRange(std::span<const float> center, double radius,
                                  const DistanceMetric& metric,
                                  const ExecOptions& options,
@@ -359,21 +372,13 @@ Status ShardedIndex::SearchRange(std::span<const float> center, double radius,
   if (out == nullptr) {
     return Status::InvalidArgument("SearchRange requires an output vector");
   }
-  out->clear();
-  std::vector<std::vector<uint64_t>> per_shard(shards_.size());
-  HT_RETURN_NOT_OK(RunOnShards(options, {}, [&](size_t s) -> Status {
-    const Shard& shard = *shards_[s];
-    std::unique_ptr<SearchScratch> scratch = AcquireScratch();
-    Status st = shard.tree->SearchRangeInto(center, radius, metric,
-                                            scratch.get(), &per_shard[s]);
-    ReleaseScratch(std::move(scratch));
-    HT_RETURN_NOT_OK(st);
-    for (uint64_t& id : per_shard[s]) id = shard.local_to_global[id];
-    return Status::OK();
-  }));
-  for (const auto& v : per_shard) out->insert(out->end(), v.begin(), v.end());
-  std::sort(out->begin(), out->end());
-  return Status::OK();
+  return GatherIds(
+      options,
+      [&](const HybridTree& tree, SearchScratch* scratch,
+          std::vector<uint64_t>* ids) {
+        return tree.SearchRangeInto(center, radius, metric, scratch, ids);
+      },
+      out);
 }
 
 Status ShardedIndex::SearchKnn(

@@ -248,6 +248,13 @@ class ShardedIndex {
   Status RunOnShards(const ExecOptions& options, std::span<const size_t> order,
                      const std::function<Status(size_t)>& fn) const;
 
+  /// The box and range scatter: runs search(tree, scratch, ids) on every
+  /// shard with a borrowed scratch, maps the shard's ids to global ones,
+  /// and leaves their union in `*out`, ascending.
+  template <class Search>
+  Status GatherIds(const ExecOptions& options, const Search& search,
+                   std::vector<uint64_t>* out) const;
+
   /// Scratch free-list: scatter tasks borrow a SearchScratch for the
   /// duration of one per-shard search, so steady-state serving stays
   /// allocation-light without tying scratches to pool worker identity.

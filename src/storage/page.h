@@ -62,8 +62,6 @@ class Page {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 
-  void Zero() { std::memset(data_, 0, size_); }
-
   /// Frees the buffer, leaving an empty page (size 0) until reassigned.
   void Release() noexcept {
     Deallocate(std::exchange(data_, nullptr));

@@ -336,9 +336,10 @@ TEST(BatchPathByteIdentity, BoxRangeKnnMatchBruteForceAtEveryTier) {
   }
 }
 
-// Reference implementations for the directory-node box predicates: the
-// plain per-dimension ordered-compare loops every SIMD tier must match
-// boolean-for-boolean (NaN bounds included).
+// Reference implementations for the box predicates: the plain
+// per-dimension ordered-compare loops Box::Intersects / ContainsBox and
+// every tier's box_overlap must match boolean-for-boolean (NaN bounds
+// included).
 bool RefIntersects(const std::vector<float>& alo, const std::vector<float>& ahi,
                    const std::vector<float>& blo,
                    const std::vector<float>& bhi) {
@@ -372,11 +373,10 @@ TEST(KernelDispatch, ActiveIsTheForcedOrTheStartupTable) {
   }
 }
 
-// Box-predicate kernels: every tier must agree with the scalar reference
-// on random near-boundary boxes at every dim 1..40 (sweeping the AVX2
-// 8-lane and AVX-512 16-lane bodies plus every tail length), including
-// shared-edge touching, containment, emptiness, and NaN bounds.
-TEST(BoxKernelSweep, AllTiersMatchScalarReference) {
+// Box::Intersects / ContainsBox must agree with the reference on random
+// near-boundary boxes at every dim 1..40, including shared-edge touching,
+// containment, emptiness, and NaN bounds.
+TEST(BoxPredicateTest, MatchReferenceOnLattice) {
   Rng rng(20260809);
   for (uint32_t dim = 1; dim <= 40; ++dim) {
     for (int rep = 0; rep < 200; ++rep) {
@@ -403,52 +403,29 @@ TEST(BoxKernelSweep, AllTiersMatchScalarReference) {
         blo = alo;
         bhi = ahi;
       }
-      const bool want_int = RefIntersects(alo, ahi, blo, bhi);
-      const bool want_con = RefContains(alo, ahi, blo, bhi);
-      for (const kernels::SimdTier tier : SupportedTiers()) {
-        const kernels::KernelTable& t = kernels::TableForTier(tier);
-        EXPECT_EQ(t.box_intersects(alo.data(), ahi.data(), blo.data(),
-                                   bhi.data(), dim),
-                  want_int)
-            << "tier=" << kernels::TierName(tier) << " dim=" << dim
-            << " rep=" << rep;
-        EXPECT_EQ(t.box_contains(alo.data(), ahi.data(), blo.data(),
-                                 bhi.data(), dim),
-                  want_con)
-            << "tier=" << kernels::TierName(tier) << " dim=" << dim
-            << " rep=" << rep;
-      }
-      // The Box methods dispatch through the active tier; pin each tier
-      // and re-check through the public API.
       const Box a = Box::FromBounds(alo, ahi);
       const Box b = Box::FromBounds(blo, bhi);
-      for (const kernels::SimdTier tier : SupportedTiers()) {
-        ScopedTier forced(tier);
-        EXPECT_EQ(a.Intersects(b), want_int);
-        EXPECT_EQ(a.ContainsBox(b), want_con);
-      }
+      EXPECT_EQ(a.Intersects(b), RefIntersects(alo, ahi, blo, bhi))
+          << "dim=" << dim << " rep=" << rep;
+      EXPECT_EQ(a.ContainsBox(b), RefContains(alo, ahi, blo, bhi))
+          << "dim=" << dim << " rep=" << rep;
     }
   }
 }
 
 // NaN bounds must never prove disjointness (ordered compares): a box with
-// a NaN coordinate intersects and is contained, on every tier.
-TEST(BoxKernelSweep, NanBoundsNeverProveDisjointness) {
+// a NaN coordinate intersects and is contained.
+TEST(BoxPredicateTest, NanBoundsNeverProveDisjointness) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (uint32_t dim : {1u, 7u, 8u, 9u, 16u, 17u, 33u}) {
-    std::vector<float> lo(dim, 0.25f), hi(dim, 0.75f);
     std::vector<float> nlo(dim, 0.25f), nhi(dim, 0.75f);
     nlo[dim - 1] = nan;
     nhi[dim - 1] = nan;
-    for (const kernels::SimdTier tier : SupportedTiers()) {
-      const kernels::KernelTable& t = kernels::TableForTier(tier);
-      EXPECT_TRUE(
-          t.box_intersects(lo.data(), hi.data(), nlo.data(), nhi.data(), dim))
-          << kernels::TierName(tier) << " dim=" << dim;
-      EXPECT_TRUE(
-          t.box_contains(lo.data(), hi.data(), nlo.data(), nhi.data(), dim))
-          << kernels::TierName(tier) << " dim=" << dim;
-    }
+    const Box box = Box::FromBounds(std::vector<float>(dim, 0.25f),
+                                    std::vector<float>(dim, 0.75f));
+    const Box with_nan = Box::FromBounds(nlo, nhi);
+    EXPECT_TRUE(box.Intersects(with_nan)) << "dim=" << dim;
+    EXPECT_TRUE(box.ContainsBox(with_nan)) << "dim=" << dim;
   }
 }
 

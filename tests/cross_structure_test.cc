@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "baselines/x_tree.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "core/node.h"
@@ -107,6 +109,43 @@ INSTANTIATE_TEST_SUITE_P(
     DataAndDims, CrossStructureTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(4u, 8u, 16u)));
+
+/// Every structure covers [0,1]^dim only: a row with a NaN coordinate or
+/// one outside the cube is refused and leaves size() unchanged. A stored
+/// NaN row could come back as a k = 1 answer at distance NaN.
+TEST(CrossStructureTest, EveryStructureRefusesRowsOutsideTheUnitCube) {
+  const uint32_t dim = 2;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> bad = {{nan, 0.5f}, {0.5f, 1.5f}};
+  Rng rng(2025);
+  const Dataset data = GenUniform(40, dim, rng);
+  BuildConfig config;
+  config.page_size = 1024;
+  L2Metric l2;
+  auto check = [&](SpatialIndex* index) {
+    for (const auto& row : bad) {
+      EXPECT_EQ(index->Insert(row, 1000).code(), StatusCode::kInvalidArgument)
+          << index->Name() << " row (" << row[0] << ", " << row[1] << ")";
+      EXPECT_EQ(index->size(), data.size()) << index->Name();
+    }
+    const auto got = index->SearchKnn(data.Row(0), 1, l2).ValueOrDie();
+    ASSERT_EQ(got.size(), 1u) << index->Name();
+    EXPECT_EQ(got[0].first, 0.0) << index->Name();
+  };
+  for (IndexKind kind :
+       {IndexKind::kHybrid, IndexKind::kHybridVam, IndexKind::kHybridNoEls,
+        IndexKind::kSrTree, IndexKind::kHbTree, IndexKind::kKdbTree,
+        IndexKind::kRStarTree, IndexKind::kSeqScan}) {
+    auto b = BuildIndex(kind, data, config).ValueOrDie();
+    check(b.index.get());
+  }
+  MemPagedFile file(config.page_size);
+  auto xtree = XTree::Create(dim, &file).ValueOrDie();
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(xtree->Insert(data.Row(i), i).ok());
+  }
+  check(xtree.get());
+}
 
 /// The access-count ordering that the paper's whole argument rests on must
 /// show up on a high-dimensional workload: the hybrid tree reads fewer

@@ -1,6 +1,5 @@
 // Tests for the search-hot-path primitives: DataPageScan must agree with
-// full deserialization, and ElsCodec::DecodedIntersects must agree with
-// Decode + Intersects on random inputs.
+// full deserialization, and els_detail::GetBits with a bit-by-bit read.
 
 #include <gtest/gtest.h>
 
@@ -41,47 +40,6 @@ TEST(DataPageScanTest, AgreesWithDeserialize) {
       }
     }
   }
-}
-
-TEST(DecodedIntersectsTest, AgreesWithDecodePlusIntersects) {
-  Rng rng(1903);
-  for (int trial = 0; trial < 500; ++trial) {
-    const uint32_t dim = 1 + static_cast<uint32_t>(rng.NextBelow(16));
-    const uint32_t bits = 1 + static_cast<uint32_t>(rng.NextBelow(12));
-    ElsCodec codec(dim, bits);
-    std::vector<float> rlo(dim), rhi(dim), llo(dim), lhi(dim), qlo(dim),
-        qhi(dim);
-    for (uint32_t d = 0; d < dim; ++d) {
-      float a = static_cast<float>(rng.NextDouble());
-      float b = static_cast<float>(rng.NextDouble());
-      rlo[d] = std::min(a, b);
-      rhi[d] = std::max(a, b) + 1e-3f;
-      float c = static_cast<float>(rng.Uniform(rlo[d], rhi[d]));
-      float e = static_cast<float>(rng.Uniform(rlo[d], rhi[d]));
-      llo[d] = std::min(c, e);
-      lhi[d] = std::max(c, e);
-      a = static_cast<float>(rng.Uniform(-0.2, 1.2));
-      b = static_cast<float>(rng.Uniform(-0.2, 1.2));
-      qlo[d] = std::min(a, b);
-      qhi[d] = std::max(a, b);
-    }
-    Box ref = Box::FromBounds(rlo, rhi);
-    Box live = Box::FromBounds(llo, lhi);
-    Box query = Box::FromBounds(qlo, qhi);
-    ElsCode code = codec.Encode(live, ref);
-    const bool slow = query.Intersects(codec.Decode(code, ref));
-    const bool fast = codec.DecodedIntersects(code, ref, query);
-    ASSERT_EQ(fast, slow) << "trial " << trial;
-  }
-}
-
-TEST(DecodedIntersectsTest, EmptyCodeFallsBackToRef) {
-  ElsCodec codec(2, 4);
-  Box ref = Box::FromBounds({0.2f, 0.2f}, {0.8f, 0.8f});
-  Box hit = Box::FromBounds({0.0f, 0.0f}, {0.3f, 0.3f});
-  Box miss = Box::FromBounds({0.9f, 0.9f}, {1.0f, 1.0f});
-  EXPECT_TRUE(codec.DecodedIntersects({}, ref, hit));
-  EXPECT_FALSE(codec.DecodedIntersects({}, ref, miss));
 }
 
 TEST(GetBitsTest, WordExtractionMatchesBitLoop) {
