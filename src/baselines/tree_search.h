@@ -72,9 +72,12 @@ Status ReadPage(BufferPool& pool, uint32_t dim, PageId page, Decode&& decode,
 /// The Nav of the KDB- and hB-trees: one page per node, and a directory
 /// page's kd-tree splits with lsp == rsp. A box enters the left side when
 /// its lo is <= lsp and the right side when its hi is > lsp; range and
-/// k-NN bound a child by the MINDIST to its kd region, clipped from the
-/// parent's. kVisitOnce is the hB-tree, whose posted splits leave one
-/// child under several kd leaves.
+/// k-NN bound a child by the MINDIST to the region of the kd leaf that
+/// reaches it. kVisitOnce is the hB-tree, whose posted splits leave one
+/// child under several kd leaves: no one leaf's region bounds such a
+/// child, so every hB child's own kd regions are clipped from the unit
+/// cube (as GraftChains clips them), where a KDB child's are clipped from
+/// its one parent leaf's.
 template <bool kVisitOnceV>
 class KdNav {
  public:
@@ -87,7 +90,7 @@ class KdNav {
 
   PageId root() const { return root_; }
   uint64_t size() const { return size_; }
-  Box RootRegion() const { return Box::UnitCube(dim_); }
+  const Box& RootRegion() const { return unit_; }
 
   template <class OnRows, class OnDir>
   Status Read(PageId page, OnRows&& on_rows, OnDir&& on_dir) const {
@@ -107,9 +110,9 @@ class KdNav {
   }
 
   template <class Emit>
-  static Status DistChildren(const IndexNode& node, const Box& region,
-                             std::span<const float> center,
-                             const DistanceMetric& metric, Emit&& emit) {
+  Status DistChildren(const IndexNode& node, const Box& region,
+                      std::span<const float> center,
+                      const DistanceMetric& metric, Emit&& emit) const {
     return DistWalk(*node.root, region, center, metric, emit);
   }
 
@@ -127,11 +130,12 @@ class KdNav {
   }
 
   template <class Emit>
-  static Status DistWalk(const KdNode& n, const Box& region,
-                         std::span<const float> center,
-                         const DistanceMetric& metric, Emit& emit) {
+  Status DistWalk(const KdNode& n, const Box& region,
+                  std::span<const float> center, const DistanceMetric& metric,
+                  Emit& emit) const {
     if (n.IsLeaf()) {
-      return emit(metric.MinDistToBox(center, region), n.child, region);
+      return emit(metric.MinDistToBox(center, region), n.child,
+                  kVisitOnce ? unit_ : region);
     }
     HT_RETURN_NOT_OK(
         DistWalk(*n.left, KdLeftBr(region, n), center, metric, emit));
@@ -142,6 +146,7 @@ class KdNav {
   uint32_t dim_;
   PageId root_;
   uint64_t size_;
+  Box unit_ = Box::UnitCube(dim_);
 };
 
 namespace detail {

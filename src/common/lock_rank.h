@@ -21,9 +21,8 @@
 //   rank  capability                      holder
 //   1200  kCacheManager                   CacheManager::mu_
 //   1100  kServerTenantMap                Server::tenants_mu_
-//   1000  kAdmissionTenantMap             AdmissionController::tenants_mu_
-//    900  kAdmissionTenant                AdmissionController::TenantState::mu
-//    800  kServerTenantStats              Server::TenantState::latency_mu / io_mu
+//    900  kAdmissionTenant                AdmissionGate::mu_ (a tenant's gate)
+//    800  kServerTenantStats              Server::TenantState::stats_mu
 //    700  kThreadPool                     ThreadPool::mu_
 //    600  kServeScatter                   ShardedIndex scratch_mu_ / Shard::io_mu,
 //                                         scatter Latch::mu_, SharedTopK::mu_
@@ -38,8 +37,8 @@
 //   * BufferPool::Fetch/Flush hold the pool lock across file I/O
 //     (200 -> 100), pin-tracking (200 -> 50) and the frame table's rare
 //     chunk allocation (200 -> 25).
-//   * Server::Snapshot / ResetMetrics hold tenants_mu_ (shared) while
-//     draining per-tenant metric locks (1100 -> 800).
+//   * Server::Snapshot / ResetMetrics hold tenants_mu_ (shared /
+//     exclusive) while draining each tenant's stats lock (1100 -> 800).
 // Everything else is acquire-release-before-next (no nesting), so any new
 // nesting some future change introduces gets checked against this table.
 // ---------------------------------------------------------------------------
@@ -73,7 +72,6 @@ enum class LockRank : uint32_t {
   kThreadPool = 700,
   kServerTenantStats = 800,
   kAdmissionTenant = 900,
-  kAdmissionTenantMap = 1000,
   kServerTenantMap = 1100,
   kCacheManager = 1200,
 };

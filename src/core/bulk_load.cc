@@ -319,7 +319,7 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
   tree->root_ = level[0].page;
   tree->height_ = level_no;
   tree->count_ = data.size();
-  tree->quant_store_.Invalidate(placeholder);
+  tree->DropPageState(placeholder);
   HT_RETURN_NOT_OK(tree->pool_->Free(placeholder));
   HT_RETURN_NOT_OK(tree->WriteMeta());
   return tree;

@@ -280,10 +280,14 @@ Result<const FlatIndexNode*> HybridTree::ReadFlatNode(
               node, options_.dim, els_enabled() ? &codec_ : nullptr));
 }
 
-void HybridTree::InvalidateCachedNode(PageId id) { node_cache_.Erase(id); }
+void HybridTree::DropPageState(PageId id) {
+  els_sidecar_.erase(id);
+  node_cache_.Erase(id);
+  quant_store_.Invalidate(id);
+}
 
 Status HybridTree::WriteIndexNode(PageId id, IndexNode& node) {
-  InvalidateCachedNode(id);
+  node_cache_.Erase(id);
   if (els_enabled()) EnsureCodes(node.root.get());
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));
   node.Serialize(h.data(), h.size(), els_in_page(), codec_.CodeBytes());
@@ -1309,8 +1313,7 @@ Status HybridTree::Delete(std::span<const float> point, uint64_t id) {
     // reinsert the orphans below.
     DataNode empty;
     HT_RETURN_NOT_OK(WriteDataNode(root_, empty));
-    els_sidecar_.erase(root_);
-    InvalidateCachedNode(root_);
+    DropPageState(root_);
     height_ = 0;
   } else {
     // Shrink the tree while the root is an index node with one child.
@@ -1320,9 +1323,7 @@ Status HybridTree::Delete(std::span<const float> point, uint64_t id) {
       HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(root_));
       if (!node.root->IsLeaf()) break;
       const PageId child = node.root->child;
-      els_sidecar_.erase(root_);
-      InvalidateCachedNode(root_);
-      quant_store_.Invalidate(root_);
+      DropPageState(root_);
       HT_RETURN_NOT_OK(pool_->Free(root_));
       root_ = child;
       --height_;
@@ -1381,9 +1382,7 @@ Result<HybridTree::DeleteOutcome> HybridTree::DeleteRec(
     out.found = true;
     out.orphans = std::move(child.orphans);
     if (child.eliminate_me) {
-      els_sidecar_.erase(kid.leaf->child);
-      InvalidateCachedNode(kid.leaf->child);
-      quant_store_.Invalidate(kid.leaf->child);
+      DropPageState(kid.leaf->child);
       HT_RETURN_NOT_OK(pool_->Free(kid.leaf->child));
       if (kid.leaf == node.root.get()) {
         // Last child gone: eliminate this node too (parent frees the page).

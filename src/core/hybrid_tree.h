@@ -380,9 +380,11 @@ class HybridTree {
   Result<const FlatIndexNode*> ReadFlatNode(
       PageId id, const uint8_t* page_data, size_t page_size) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Drops `id` from the flat-node cache (write paths, before rewriting
-  /// or freeing the page).
-  void InvalidateCachedNode(PageId id) HT_REQUIRES(rw_contract_);
+  /// Drops everything kept in memory for `id`: its ELS blob, its flat node
+  /// and its sidecar. Every path that frees a page, or rewrites an index
+  /// page as a data page, calls it first (WriteIndexNode drops the flat
+  /// node itself).
+  void DropPageState(PageId id) HT_REQUIRES(rw_contract_);
   Status WriteIndexNode(PageId id, IndexNode& node) HT_REQUIRES(rw_contract_);
   Result<NodeKind> PeekKind(PageId id) HT_REQUIRES(rw_contract_);
   Status WriteMeta() HT_REQUIRES(rw_contract_);

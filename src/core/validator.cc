@@ -58,6 +58,17 @@ Status TreeValidator::Validate() {
       }
     }
   }
+  if (opts_.els) {
+    // The same for ELS blobs: one kept for a freed page, or for a page
+    // rewritten as a data page, was never dropped.
+    for (const auto& [id, blob] : tree_->els_sidecar_) {
+      if (!visited_.contains(id) || data_pages_.contains(id)) {
+        return Status::Corruption(PageTag(id) +
+                                  ": ELS blob kept for a page that is not a "
+                                  "live index page");
+      }
+    }
+  }
 
   if (opts_.pins) {
     // Every page the walk touched must have been unpinned again — the

@@ -47,7 +47,8 @@ namespace ht {
 /// to on; tests disable groups to pinpoint a specific failure.
 struct ValidateOptions {
   bool structure = true;  ///< kinds, levels, kd splits, sizes, child ids
-  bool els = true;        ///< code sizes, decoded ⊇ exact live, round-trip
+  bool els = true;        ///< code sizes, decoded ⊇ exact live, round-trip,
+                          ///< no ELS blob outlives its index page
   bool occupancy = true;  ///< capacity, utilization floor, entry counts
   bool pins = true;       ///< buffer pool reports no pinned frames
   bool quant = true;      ///< quantized sidecars match page contents, no
@@ -93,6 +94,8 @@ class TreeValidator {
 
   HybridTree* tree_;
   ValidateOptions opts_;
+  /// Every page reached by the current walk (ELS check: every kept blob
+  /// must belong to one of these that is not a data page).
   std::unordered_set<PageId> visited_;
   /// Data pages seen by the current walk (quant check: every cached
   /// sidecar must belong to one of these).

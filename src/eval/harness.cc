@@ -143,17 +143,25 @@ Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
   // Timing pass: the queries are single-threaded and CPU-bound (all pages
   // are memory-resident), so wall time equals CPU time — and unlike
   // CLOCK_PROCESS_CPUTIME_ID (10 ms jiffies on many VMs) the steady clock
-  // has nanosecond resolution. Repeat the workload until enough time has
-  // accumulated for a stable average.
-  WallTimer timer;
-  size_t reps = 0;
-  do {
+  // has nanosecond resolution. Each repetition of the workload is timed
+  // on its own, at least kMinReps of them and until 0.05 s have passed,
+  // and the median repetition is reported, so one slow repetition does
+  // not move the figure.
+  constexpr size_t kMinReps = 5;
+  std::vector<double> rep_seconds;
+  double elapsed = 0.0;
+  while (rep_seconds.size() < kMinReps ||
+         (elapsed < 0.05 && rep_seconds.size() < 1000)) {
+    WallTimer rep;
     for (size_t q = 0; q < n; ++q) {
       HT_ASSIGN_OR_RETURN(size_t results, run(q, nullptr));
       (void)results;
     }
-    ++reps;
-  } while (timer.Seconds() < 0.05 && reps < 1000);
+    rep_seconds.push_back(rep.Seconds());
+    elapsed += rep_seconds.back();
+  }
+  auto mid = rep_seconds.begin() + rep_seconds.size() / 2;
+  std::nth_element(rep_seconds.begin(), mid, rep_seconds.end());
   costs.avg_accesses =
       static_cast<double>(total_accesses) / static_cast<double>(n);
   costs.avg_physical =
@@ -164,8 +172,7 @@ Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
     window.physical_reads = total_physical;
     costs.hit_rate = window.HitRate();
   }
-  costs.avg_cpu_seconds =
-      timer.Seconds() / (static_cast<double>(reps) * static_cast<double>(n));
+  costs.avg_cpu_seconds = *mid / static_cast<double>(n);
   costs.avg_results =
       static_cast<double>(total_results) / static_cast<double>(n);
   return costs;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace ht {
 
@@ -23,103 +24,74 @@ double BurstOf(const TenantQuota& quota) {
 }  // namespace
 
 void AdmissionTicket::Release() {
-  if (controller_ != nullptr) {
-    controller_->ReleaseSlot(static_cast<AdmissionController::TenantState*>(
-        tenant_));
-    controller_ = nullptr;
-    tenant_ = nullptr;
+  if (gate_ != nullptr) {
+    gate_->ReleaseSlot();
+    gate_ = nullptr;
   }
 }
 
-AdmissionController::AdmissionController(Clock clock)
-    : clock_(clock ? std::move(clock) : Clock(SteadySeconds)) {}
+AdmissionGate::AdmissionGate(Clock clock)
+    : clock_(clock ? std::move(clock) : Clock(SteadySeconds)),
+      last_refill_(clock_()) {}
 
-AdmissionController::~AdmissionController() = default;
-
-void AdmissionController::SetQuota(const std::string& tenant,
-                                   const TenantQuota& quota) {
-  TenantState* state = GetTenant(tenant);
-  MutexLock lock(&state->mu);
-  state->quota = quota;
-  state->tokens = BurstOf(quota);  // bucket starts full
-  state->last_refill = clock_();
+void AdmissionGate::SetQuota(const TenantQuota& quota) {
+  MutexLock lock(&mu_);
+  quota_ = quota;
+  tokens_ = BurstOf(quota);  // bucket starts full
+  last_refill_ = clock_();
 }
 
-AdmissionController::TenantState* AdmissionController::GetTenant(
-    const std::string& tenant) {
-  MutexLock lock(&tenants_mu_);
-  std::unique_ptr<TenantState>& slot = tenants_[tenant];
-  if (slot == nullptr) {
-    slot = std::make_unique<TenantState>();
-    // Uncontended by construction (the pointer has not escaped yet), but
-    // last_refill is guarded, and map-lock(1000) -> tenant-lock(900) is
-    // the documented order anyway.
-    MutexLock init(&slot->mu);
-    slot->last_refill = clock_();
-  }
-  return slot.get();
-}
-
-void AdmissionController::ReleaseSlot(TenantState* state) {
+void AdmissionGate::ReleaseSlot() {
   {
-    MutexLock lock(&state->mu);
-    if (state->in_flight > 0) --state->in_flight;
+    MutexLock lock(&mu_);
+    if (in_flight_ > 0) --in_flight_;
   }
-  state->slot_free.NotifyOne();
+  slot_free_.NotifyOne();
 }
 
-Result<AdmissionTicket> AdmissionController::Admit(const std::string& tenant,
-                                                   double max_wait_seconds) {
-  TenantState* state = GetTenant(tenant);
-  MutexLock lock(&state->mu);
+Result<AdmissionTicket> AdmissionGate::Admit(double max_wait_seconds) {
+  MutexLock lock(&mu_);
 
   // Rate gate first: overload is rejected immediately, not queued.
-  if (state->quota.rate_qps > 0.0) {
+  if (quota_.rate_qps > 0.0) {
     const double now = clock_();
-    const double burst = BurstOf(state->quota);
-    state->tokens =
-        std::min(burst, state->tokens + (now - state->last_refill) *
-                                            state->quota.rate_qps);
-    state->last_refill = now;
-    if (state->tokens < 1.0) {
-      return Status::ResourceExhausted("tenant over admission rate: " +
-                                       tenant);
+    tokens_ = std::min(BurstOf(quota_),
+                       tokens_ + (now - last_refill_) * quota_.rate_qps);
+    last_refill_ = now;
+    if (tokens_ < 1.0) {
+      return Status::ResourceExhausted("tenant over admission rate");
     }
-    state->tokens -= 1.0;
+    tokens_ -= 1.0;
   }
 
+  AdmissionTicket ticket;
+  ticket.knn_epsilon_ = quota_.knn_epsilon;
+  ticket.knn_max_leaf_visits_ = quota_.knn_max_leaf_visits;
   // Concurrency gate: wait (bounded) for an in-flight slot. The wait is
   // the admission queueing delay the ticket reports back to the server.
-  double waited = 0.0;
-  if (state->quota.max_in_flight > 0) {
-    const double cap = max_wait_seconds > 0.0
-                           ? max_wait_seconds
-                           : state->quota.max_queue_seconds;
+  if (quota_.max_in_flight > 0) {
+    const double cap =
+        max_wait_seconds > 0.0 ? max_wait_seconds : quota_.max_queue_seconds;
     const auto wait_start = std::chrono::steady_clock::now();
     const auto wait_deadline =
         wait_start + std::chrono::duration_cast<
                          std::chrono::steady_clock::duration>(
                          std::chrono::duration<double>(std::max(0.0, cap)));
-    while (state->in_flight >= state->quota.max_in_flight) {
-      if (state->slot_free.WaitUntil(lock, wait_deadline) ==
+    while (in_flight_ >= quota_.max_in_flight) {
+      if (slot_free_.WaitUntil(lock, wait_deadline) ==
               std::cv_status::timeout &&
-          state->in_flight >= state->quota.max_in_flight) {
+          in_flight_ >= quota_.max_in_flight) {
         return Status::DeadlineExceeded(
-            "tenant in-flight queue wait exceeded budget: " + tenant);
+            "tenant in-flight queue wait exceeded budget");
       }
     }
-    waited = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           wait_start)
-                 .count();
-    ++state->in_flight;
+    ticket.queue_wait_seconds_ =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wait_start)
+            .count();
+    ++in_flight_;
+    ticket.gate_ = this;
   }
-
-  AdmissionTicket ticket;
-  if (state->quota.max_in_flight > 0) {
-    ticket.controller_ = this;
-    ticket.tenant_ = state;
-  }
-  ticket.queue_wait_seconds_ = waited;
   return ticket;
 }
 

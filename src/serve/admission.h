@@ -13,8 +13,10 @@
 //     "admission queueing delay" the server subtracts from the request's
 //     deadline before fanning out to shards.
 //
-// Every Admit reports how long it queued, and releases its in-flight slot
-// through an RAII ticket so early returns can't leak concurrency.
+// An AdmissionGate is one tenant's front door; the Server keeps one in each
+// record of its tenant table. Every Admit reports how long it queued and
+// the quota's recall tier, and releases its in-flight slot through an RAII
+// ticket so early returns can't leak concurrency.
 //
 // Time is injected (a seconds-valued clock callable) so tests drive the
 // token bucket deterministically; the in-flight wait uses the real
@@ -24,9 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 
 #include "common/macros.h"
 #include "common/result.h"
@@ -60,7 +59,7 @@ struct TenantQuota {
   size_t knn_max_leaf_visits = 0;
 };
 
-class AdmissionController;
+class AdmissionGate;
 
 /// RAII in-flight slot: releases on destruction. Movable, not copyable.
 class AdmissionTicket {
@@ -79,71 +78,61 @@ class AdmissionTicket {
   /// Seconds this admission spent queued for an in-flight slot — the
   /// delay the server must subtract from the request's deadline budget.
   double queue_wait_seconds() const { return queue_wait_seconds_; }
+  /// The quota's recall tier at admission (TenantQuota::knn_*).
+  double knn_epsilon() const { return knn_epsilon_; }
+  size_t knn_max_leaf_visits() const { return knn_max_leaf_visits_; }
 
   void Release();
 
  private:
-  friend class AdmissionController;
+  friend class AdmissionGate;
   void MoveFrom(AdmissionTicket& other) {
-    controller_ = other.controller_;
-    tenant_ = other.tenant_;
+    gate_ = other.gate_;
     queue_wait_seconds_ = other.queue_wait_seconds_;
-    other.controller_ = nullptr;
-    other.tenant_ = nullptr;
+    knn_epsilon_ = other.knn_epsilon_;
+    knn_max_leaf_visits_ = other.knn_max_leaf_visits_;
+    other.gate_ = nullptr;
   }
 
-  AdmissionController* controller_ = nullptr;
-  void* tenant_ = nullptr;  // opaque TenantState*
+  /// The gate whose in-flight slot this ticket holds; null when none.
+  AdmissionGate* gate_ = nullptr;
   double queue_wait_seconds_ = 0.0;
+  double knn_epsilon_ = 0.0;
+  size_t knn_max_leaf_visits_ = 0;
 };
 
-class AdmissionController {
+/// One tenant's token bucket and in-flight count.
+class AdmissionGate {
  public:
   /// Seconds-valued monotonic clock; defaults to steady_clock.
   using Clock = std::function<double()>;
 
-  explicit AdmissionController(Clock clock = {});
-  ~AdmissionController();
-  HT_DISALLOW_COPY_AND_ASSIGN(AdmissionController);
+  /// Starts with the default (unlimited) quota.
+  explicit AdmissionGate(Clock clock = {});
+  HT_DISALLOW_COPY_AND_ASSIGN(AdmissionGate);
 
-  /// Installs (or replaces) `tenant`'s quota. The token bucket starts
-  /// full. Callable anytime; in-flight counts carry over.
-  void SetQuota(const std::string& tenant, const TenantQuota& quota);
+  /// Installs (or replaces) the quota. The token bucket starts full.
+  /// Callable anytime; the in-flight count carries over.
+  void SetQuota(const TenantQuota& quota);
 
-  /// Admits one request for `tenant` or fails with ResourceExhausted (no
-  /// token) / DeadlineExceeded (queued past `max_wait_seconds` for an
-  /// in-flight slot). `max_wait_seconds` is the request's remaining
-  /// deadline budget; <= 0 means "no deadline" and defers to the quota's
-  /// max_queue_seconds. Unknown tenants get the default (unlimited)
-  /// quota. The ticket holds the in-flight slot.
-  Result<AdmissionTicket> Admit(const std::string& tenant,
-                                double max_wait_seconds = 0.0);
+  /// Admits one request or fails with ResourceExhausted (no token) /
+  /// DeadlineExceeded (queued past `max_wait_seconds` for an in-flight
+  /// slot). `max_wait_seconds` is the request's remaining deadline budget;
+  /// <= 0 means "no deadline" and defers to the quota's max_queue_seconds.
+  /// The ticket holds the in-flight slot when the quota bounds it.
+  Result<AdmissionTicket> Admit(double max_wait_seconds = 0.0);
 
  private:
   friend class AdmissionTicket;
+  void ReleaseSlot();
 
-  struct TenantState {
-    Mutex mu{LockRank::kAdmissionTenant, "AdmissionController::TenantState::mu"};
-    CondVar slot_free;
-    TenantQuota quota HT_GUARDED_BY(mu);
-    double tokens HT_GUARDED_BY(mu) = 0.0;
-    double last_refill HT_GUARDED_BY(mu) = 0.0;
-    size_t in_flight HT_GUARDED_BY(mu) = 0;
-  };
-
-  TenantState* GetTenant(const std::string& tenant);
-  void ReleaseSlot(TenantState* state);
-
-  Clock clock_;
-  /// Guards only the map; never held together with a TenantState::mu
-  /// (GetTenant returns a stable pointer, callers lock it afterwards) —
-  /// ranked above it anyway for defense in depth.
-  Mutex tenants_mu_{LockRank::kAdmissionTenantMap,
-                    "AdmissionController::tenants_mu_"};
-  /// Node-based map: TenantState addresses are stable across inserts, so
-  /// tickets and waiters hold plain pointers.
-  std::map<std::string, std::unique_ptr<TenantState>> tenants_
-      HT_GUARDED_BY(tenants_mu_);
+  const Clock clock_;
+  Mutex mu_{LockRank::kAdmissionTenant, "AdmissionGate::mu_"};
+  CondVar slot_free_;
+  TenantQuota quota_ HT_GUARDED_BY(mu_);
+  double tokens_ HT_GUARDED_BY(mu_) = 0.0;
+  double last_refill_ HT_GUARDED_BY(mu_);
+  size_t in_flight_ HT_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace ht

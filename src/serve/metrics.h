@@ -27,16 +27,35 @@
 
 namespace ht {
 
+/// A tenant's request counters, listed once. Each X(name) is a uint64_t
+/// field of TenantMetrics and a relaxed atomic in the server's tenant
+/// record; Server::Snapshot copies and Server::ResetMetrics zeroes every
+/// one of them.
+///   admitted                requests that passed the admission gate
+///   completed, rejected, expired, cancelled, failed
+///                           the request outcomes above
+///   knn_leaf_visits         data pages scanned by the tenant's k-NN
+///                           traversals
+///   knn_early_terminations  shard traversals a recall knob (epsilon /
+///                           leaf-visit budget) cut short of the exact
+///                           search
+#define HT_TENANT_COUNTERS(X) \
+  X(admitted)                 \
+  X(completed)                \
+  X(rejected)                 \
+  X(expired)                  \
+  X(cancelled)                \
+  X(failed)                   \
+  X(knn_leaf_visits)          \
+  X(knn_early_terminations)
+
 /// One tenant's cumulative counters since server start (or ResetMetrics),
 /// plus percentiles over the retained latency window.
 struct TenantMetrics {
   std::string tenant;
-  uint64_t admitted = 0;
-  uint64_t completed = 0;
-  uint64_t rejected = 0;
-  uint64_t expired = 0;
-  uint64_t cancelled = 0;
-  uint64_t failed = 0;
+#define HT_TENANT_METRICS_DECLARE(counter) uint64_t counter = 0;
+  HT_TENANT_COUNTERS(HT_TENANT_METRICS_DECLARE)
+#undef HT_TENANT_METRICS_DECLARE
   /// completed / window_seconds of the enclosing snapshot.
   double qps = 0.0;
   /// Over the tenant's retained completed-latency window (a bounded ring;
@@ -45,11 +64,6 @@ struct TenantMetrics {
   /// I/O attributed to this tenant's requests (scatter-task sums),
   /// including the per-access-class cache hit/miss/eviction counters.
   IoStats io;
-  /// k-NN approximation accounting: data pages scanned by the tenant's
-  /// k-NN traversals, and how many shard traversals a recall knob
-  /// (epsilon / leaf-visit budget) cut short of the exact search.
-  uint64_t knn_leaf_visits = 0;
-  uint64_t knn_early_terminations = 0;
   /// Fraction of this tenant's scanned rows the quantized filter pruned
   /// before a full-precision distance (batch + cursor paths combined;
   /// IoStats::QuantPruneRate over `io`). 0 when nothing was scanned.

@@ -24,16 +24,9 @@ Server::Server(ShardedIndex* index, ServerOptions options)
 }
 
 void Server::SetQuota(const std::string& tenant, const TenantQuota& quota) {
-  admission_.SetQuota(tenant, quota);
-  TenantState* state = GetTenant(tenant);  // pre-create so the snapshot
-                                           // lists quota'd tenants
-  // The recall tier rides on the quota but is read per-request on the
-  // serve path, so it lives in TenantState as relaxed atomics (see the
-  // field comments for the staleness contract).
-  state->default_knn_epsilon.store(quota.knn_epsilon,
-                                   std::memory_order_relaxed);
-  state->default_knn_max_leaf_visits.store(quota.knn_max_leaf_visits,
-                                           std::memory_order_relaxed);
+  // Creating the record here also lists a quota'd tenant in the snapshot
+  // before its first request.
+  GetTenant(tenant)->gate.SetQuota(quota);
 }
 
 Server::TenantState* Server::GetTenant(const std::string& tenant) {
@@ -45,33 +38,10 @@ Server::TenantState* Server::GetTenant(const std::string& tenant) {
   WriterLock lock(&tenants_mu_);
   std::unique_ptr<TenantState>& slot = tenants_[tenant];
   if (slot == nullptr) {
-    slot = std::make_unique<TenantState>();
-    // Uncontended by construction (the pointer has not escaped yet), but
-    // the ring is guarded, and map(1100) -> stats(800) is the documented
-    // nesting anyway.
-    MutexLock init(&slot->latency_mu);
-    slot->latency_ring.assign(std::max<size_t>(1, options_.latency_window),
-                              0.0);
+    slot = std::make_unique<TenantState>(
+        std::max<size_t>(1, options_.latency_window));
   }
   return slot.get();
-}
-
-void Server::RecordOutcome(TenantState* state, const Status& status,
-                           double seconds) {
-  if (status.ok()) {
-    state->completed.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(&state->latency_mu);
-    state->latency_ring[state->latency_next] = seconds;
-    state->latency_next = (state->latency_next + 1) % state->latency_ring.size();
-    state->latency_count =
-        std::min(state->latency_count + 1, state->latency_ring.size());
-  } else if (status.IsCancelled()) {
-    state->cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsDeadlineExceeded()) {
-    state->expired.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    state->failed.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 QueryResult Server::Execute(const Request& request) {
@@ -84,7 +54,7 @@ QueryResult Server::Execute(const Request& request) {
 
   // Admission: reject (rate) or queue briefly (in-flight), bounded by the
   // request's own budget.
-  Result<AdmissionTicket> admit_r = admission_.Admit(request.tenant, budget);
+  Result<AdmissionTicket> admit_r = state->gate.Admit(budget);
   if (!admit_r.ok()) {
     result.status = admit_r.status();
     if (result.status.IsDeadlineExceeded()) {
@@ -105,8 +75,8 @@ QueryResult Server::Execute(const Request& request) {
   // slots), then folds into the tenant's counters after the barrier.
   IoStats request_io;
   exec.request_io = &request_io;
-  // Recall tier: the per-request override wins; otherwise the tenant's
-  // default (exact, unlimited for unconfigured tenants). The k-NN visit
+  // Recall tier: the per-request override wins; otherwise the quota's, as
+  // admitted (exact, unlimited for unconfigured tenants). The k-NN visit
   // accounting lands in a local sink like request_io, then folds into the
   // tenant's counters after the scatter barrier.
   KnnExecStats request_knn;
@@ -115,10 +85,8 @@ QueryResult Server::Execute(const Request& request) {
     exec.knn_epsilon = request.knn_epsilon;
     exec.knn_max_leaf_visits = request.knn_max_leaf_visits;
   } else {
-    exec.knn_epsilon =
-        state->default_knn_epsilon.load(std::memory_order_relaxed);
-    exec.knn_max_leaf_visits =
-        state->default_knn_max_leaf_visits.load(std::memory_order_relaxed);
+    exec.knn_epsilon = ticket.knn_epsilon();
+    exec.knn_max_leaf_visits = ticket.knn_max_leaf_visits();
   }
   if (budget > 0.0) {
     const double remaining =
@@ -158,9 +126,24 @@ QueryResult Server::Execute(const Request& request) {
       break;
   }
   result.seconds = timer.Seconds();
-  RecordOutcome(state, result.status, result.seconds);
+  if (result.status.ok()) {
+    state->completed.fetch_add(1, std::memory_order_relaxed);
+  } else if (result.status.IsCancelled()) {
+    state->cancelled.fetch_add(1, std::memory_order_relaxed);
+  } else if (result.status.IsDeadlineExceeded()) {
+    state->expired.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    state->failed.fetch_add(1, std::memory_order_relaxed);
+  }
   {
-    MutexLock lock(&state->io_mu);
+    MutexLock lock(&state->stats_mu);
+    if (result.status.ok()) {
+      state->latency_ring[state->latency_next] = result.seconds;
+      state->latency_next =
+          (state->latency_next + 1) % state->latency_ring.size();
+      state->latency_count =
+          std::min(state->latency_count + 1, state->latency_ring.size());
+    }
     state->io.Accumulate(request_io);
   }
   state->knn_leaf_visits.fetch_add(request_knn.leaf_visits,
@@ -185,31 +168,22 @@ MetricsSnapshot Server::Snapshot() const {
     for (const auto& [name, state] : tenants_) {
       TenantMetrics t;
       t.tenant = name;
-      t.admitted = state->admitted.load(std::memory_order_relaxed);
-      t.completed = state->completed.load(std::memory_order_relaxed);
-      t.rejected = state->rejected.load(std::memory_order_relaxed);
-      t.expired = state->expired.load(std::memory_order_relaxed);
-      t.cancelled = state->cancelled.load(std::memory_order_relaxed);
-      t.failed = state->failed.load(std::memory_order_relaxed);
+#define HT_TENANT_SNAPSHOT(counter) \
+  t.counter = state->counter.load(std::memory_order_relaxed);
+      HT_TENANT_COUNTERS(HT_TENANT_SNAPSHOT)
+#undef HT_TENANT_SNAPSHOT
       if (snap.window_seconds > 0.0) {
         t.qps = static_cast<double>(t.completed) / snap.window_seconds;
       }
+      std::vector<double> samples;
       {
-        MutexLock ring_lock(&state->latency_mu);
-        std::vector<double> samples(
-            state->latency_ring.begin(),
-            state->latency_ring.begin() +
-                static_cast<ptrdiff_t>(state->latency_count));
-        t.latency = SummarizeLatencies(std::move(samples));
-      }
-      {
-        MutexLock io_lock(&state->io_mu);
+        MutexLock stats_lock(&state->stats_mu);
+        samples.assign(state->latency_ring.begin(),
+                       state->latency_ring.begin() +
+                           static_cast<ptrdiff_t>(state->latency_count));
         t.io = state->io;
       }
-      t.knn_leaf_visits =
-          state->knn_leaf_visits.load(std::memory_order_relaxed);
-      t.knn_early_terminations =
-          state->knn_early_terminations.load(std::memory_order_relaxed);
+      t.latency = SummarizeLatencies(std::move(samples));
       t.quant_prune_rate = t.io.QuantPruneRate();
       snap.tenants.push_back(std::move(t));
     }
@@ -232,20 +206,13 @@ MetricsSnapshot Server::Snapshot() const {
 void Server::ResetMetrics() {
   WriterLock lock(&tenants_mu_);
   for (auto& [name, state] : tenants_) {
-    state->admitted.store(0, std::memory_order_relaxed);
-    state->completed.store(0, std::memory_order_relaxed);
-    state->rejected.store(0, std::memory_order_relaxed);
-    state->expired.store(0, std::memory_order_relaxed);
-    state->cancelled.store(0, std::memory_order_relaxed);
-    state->failed.store(0, std::memory_order_relaxed);
-    state->knn_leaf_visits.store(0, std::memory_order_relaxed);
-    state->knn_early_terminations.store(0, std::memory_order_relaxed);
-    {
-      MutexLock ring_lock(&state->latency_mu);
-      state->latency_next = 0;
-      state->latency_count = 0;
-    }
-    MutexLock io_lock(&state->io_mu);
+#define HT_TENANT_RESET(counter) \
+  state->counter.store(0, std::memory_order_relaxed);
+    HT_TENANT_COUNTERS(HT_TENANT_RESET)
+#undef HT_TENANT_RESET
+    MutexLock stats_lock(&state->stats_mu);
+    state->latency_next = 0;
+    state->latency_count = 0;
     state->io.Reset();
   }
   index_->ResetIo();

@@ -4,8 +4,9 @@
 //
 // Request lifecycle:
 //   1. Arrival stamps the request's wall-clock budget (deadline_seconds).
-//   2. AdmissionController::Admit — token bucket (reject: rate overload)
-//      then bounded in-flight wait (expire: queued past the budget).
+//   2. The tenant's AdmissionGate::Admit — token bucket (reject: rate
+//      overload) then bounded in-flight wait (expire: queued past the
+//      budget). The ticket carries the quota's recall tier.
 //   3. The REMAINING budget — original minus admission queueing delay —
 //      is what goes into the per-shard ExecOptions::deadline_seconds,
 //      so a request that burned its budget in the queue expires instead
@@ -113,7 +114,9 @@ class Server {
   explicit Server(ShardedIndex* index, ServerOptions options = {});
   HT_DISALLOW_COPY_AND_ASSIGN(Server);
 
-  /// Installs `tenant`'s admission quota.
+  /// Installs `tenant`'s admission quota, recall tier included. The
+  /// tenant's counters carry over; its next request is admitted under the
+  /// new quota.
   void SetQuota(const std::string& tenant, const TenantQuota& quota);
 
   /// Runs one request end to end (admission -> scatter-gather -> merge).
@@ -147,55 +150,44 @@ class Server {
   }
 
  private:
+  /// One record of the tenant table: the tenant's admission gate and its
+  /// metrics.
   struct TenantState {
+    explicit TenantState(size_t latency_window)
+        : latency_ring(latency_window, 0.0) {}
+
+    AdmissionGate gate;
     /// Relaxed throughout: independent monotonic counters — snapshots
     /// tolerate torn cross-counter views (each value is itself exact),
     /// and no counter orders any other data.
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> expired{0};
-    std::atomic<uint64_t> cancelled{0};
-    std::atomic<uint64_t> failed{0};
+#define HT_TENANT_STATE_DECLARE(counter) std::atomic<uint64_t> counter{0};
+    HT_TENANT_COUNTERS(HT_TENANT_STATE_DECLARE)
+#undef HT_TENANT_STATE_DECLARE
+    Mutex stats_mu{LockRank::kServerTenantStats,
+                   "Server::TenantState::stats_mu"};
     /// Bounded ring of completed-query latencies (seconds).
-    Mutex latency_mu{LockRank::kServerTenantStats,
-                     "Server::TenantState::latency_mu"};
-    std::vector<double> latency_ring HT_GUARDED_BY(latency_mu);
-    size_t latency_next HT_GUARDED_BY(latency_mu) = 0;
-    size_t latency_count HT_GUARDED_BY(latency_mu) = 0;
+    std::vector<double> latency_ring HT_GUARDED_BY(stats_mu);
+    size_t latency_next HT_GUARDED_BY(stats_mu) = 0;
+    size_t latency_count HT_GUARDED_BY(stats_mu) = 0;
     /// Per-tenant I/O (including the per-access-class cache counters),
     /// accumulated from each request's scatter tasks via
     /// ExecOptions::request_io.
-    Mutex io_mu{LockRank::kServerTenantStats, "Server::TenantState::io_mu"};
-    IoStats io HT_GUARDED_BY(io_mu);
-    /// k-NN approximation accounting (ExecOptions::knn_stats). Relaxed:
-    /// independent monotonic counters, same contract as the outcome
-    /// counters above.
-    std::atomic<uint64_t> knn_leaf_visits{0};
-    std::atomic<uint64_t> knn_early_terminations{0};
-    /// The tenant's default recall tier, copied from TenantQuota by
-    /// SetQuota. Relaxed: independent configuration values read once per
-    /// request — a stale read applies the previous tier to one in-flight
-    /// request, which is indistinguishable from the request having
-    /// arrived before the quota change.
-    std::atomic<double> default_knn_epsilon{0.0};
-    std::atomic<size_t> default_knn_max_leaf_visits{0};
+    IoStats io HT_GUARDED_BY(stats_mu);
   };
 
   TenantState* GetTenant(const std::string& tenant);
-  void RecordOutcome(TenantState* state, const Status& status,
-                     double seconds);
 
   ShardedIndex* index_;
   ServerOptions options_;
-  AdmissionController admission_;
   /// Relaxed: a pure flag with no payload to publish; scatter tasks poll
   /// it and a slightly late observation only delays cancellation.
   std::atomic<bool> cancel_{false};
 
-  /// Tenant map: read-mostly after warmup; states are pointer-stable.
-  /// Held shared across the per-tenant stat locks in Snapshot (the
-  /// map(1100) -> stats(800) nesting in the lock-rank table).
+  /// The tenant table, the only per-tenant registry: read-mostly after
+  /// warmup; records are pointer-stable and never removed, so a ticket
+  /// may point at its record's gate. Held shared across the per-tenant
+  /// stats locks in Snapshot (the map(1100) -> stats(800) nesting in the
+  /// lock-rank table).
   mutable SharedMutex tenants_mu_{LockRank::kServerTenantMap,
                                   "Server::tenants_mu_"};
   std::unordered_map<std::string, std::unique_ptr<TenantState>> tenants_

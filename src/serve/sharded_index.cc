@@ -209,12 +209,8 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
       shard->local_to_global.push_back(parts[s][i]);
       shard->bounds.ExtendToInclude(row);
     }
-    BulkLoadOptions bulk;
-    bulk.fill = shard_options.fill;
-    bulk.threads = shard_options.bulk_threads;
     HT_ASSIGN_OR_RETURN(
-        shard->tree, BulkLoad(tree_options, shard->file.get(), shard_data,
-                              bulk));
+        shard->tree, BulkLoad(tree_options, shard->file.get(), shard_data));
     if (shard_options.cache_manager != nullptr) {
       // Register AFTER the bulk load so the manager's even split (and any
       // later rebalance) applies to serving traffic, not the build.

@@ -132,10 +132,6 @@ struct ShardedIndexOptions {
   /// Number of shards (>= 1).
   size_t shards = 4;
   ShardPartitioner partitioner = ShardPartitioner::kKdRegion;
-  /// Per-shard BulkLoadOptions passthrough: target fill and stage-1
-  /// threads (the parallel loader inside each shard build).
-  double fill = 0.9;
-  size_t bulk_threads = 0;
   /// Backing file per shard; default MemPagedFile. The index owns the
   /// returned files.
   std::function<std::unique_ptr<PagedFile>(size_t shard)> file_factory;

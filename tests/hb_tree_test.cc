@@ -86,6 +86,36 @@ TEST(HbTreeTest, RangeAndKnnMatchBruteForce) {
   }
 }
 
+// A posted split leaves one child under several kd leaves of its parent,
+// so no one leaf's kd region bounds that child's rows: range and k-NN
+// must clip the child's own regions from the unit cube, or they prune
+// rows that are in range.
+TEST(HbTreeTest, RangeAndKnnFindRowsOfAChildUnderSeveralLeaves) {
+  Rng rng(2);
+  Dataset data = GenColhist(3000, 64, rng);
+  data.NormalizeUnitCube();
+  MemPagedFile file(kDefaultPageSize);
+  auto tree = HbTree::Create(64, &file).ValueOrDie();
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(tree->Insert(data.Row(i), i).ok());
+  }
+  ASSERT_TRUE(tree->VerifyParentIndex().ok());
+  L1Metric l1;
+  const double radius = CalibrateRangeRadius(data, l1, 0.002, 20, rng);
+  const auto centers = MakeQueryCenters(data, 100, rng);
+  for (size_t q = 0; q < centers.size(); ++q) {
+    auto got = tree->SearchRange(centers[q], radius, l1).ValueOrDie();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, BruteForceRange(data, centers[q], radius, l1)) << q;
+    const auto got_k = tree->SearchKnn(centers[q], 10, l1).ValueOrDie();
+    const auto want_k = BruteForceKnn(data, centers[q], 10, l1);
+    ASSERT_EQ(got_k.size(), want_k.size()) << q;
+    for (size_t i = 0; i < got_k.size(); ++i) {
+      EXPECT_EQ(got_k[i].first, want_k[i].first) << q << " " << i;
+    }
+  }
+}
+
 TEST(HbTreeTest, DeleteNotSupported) {
   MemPagedFile file(512);
   auto tree = HbTree::Create(2, &file).ValueOrDie();

@@ -25,52 +25,52 @@ namespace ht {
 namespace {
 
 // ---------------------------------------------------------------------
-// AdmissionController
+// AdmissionGate: one tenant's token bucket and in-flight count
 
 TEST(AdmissionTest, TokenBucketRejectsRateOverloadImmediately) {
   double now = 100.0;
-  AdmissionController ctl([&] { return now; });
+  AdmissionGate gate([&] { return now; });
   TenantQuota quota;
   quota.rate_qps = 10.0;
   quota.burst = 2.0;
-  ctl.SetQuota("t", quota);
+  gate.SetQuota(quota);
 
-  EXPECT_TRUE(ctl.Admit("t").ok());  // bucket starts full: 2 tokens
-  EXPECT_TRUE(ctl.Admit("t").ok());
-  auto third = ctl.Admit("t");
+  EXPECT_TRUE(gate.Admit().ok());  // bucket starts full: 2 tokens
+  EXPECT_TRUE(gate.Admit().ok());
+  auto third = gate.Admit();
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
 
   now += 0.11;  // just over one token at 10 qps (0.10 exactly is FP-fragile)
-  EXPECT_TRUE(ctl.Admit("t").ok());
-  auto again = ctl.Admit("t");
+  EXPECT_TRUE(gate.Admit().ok());
+  auto again = gate.Admit();
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(AdmissionTest, UnknownTenantIsUnlimited) {
-  AdmissionController ctl;
+TEST(AdmissionTest, UnconfiguredGateIsUnlimited) {
+  AdmissionGate gate;
   for (int i = 0; i < 100; ++i) {
-    auto r = ctl.Admit("never-configured");
+    auto r = gate.Admit();
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.ValueOrDie().queue_wait_seconds(), 0.0);
   }
 }
 
 TEST(AdmissionTest, InFlightSlotQueuesAndReportsWait) {
-  AdmissionController ctl;
+  AdmissionGate gate;
   TenantQuota quota;
   quota.max_in_flight = 1;
-  ctl.SetQuota("t", quota);
+  gate.SetQuota(quota);
 
-  auto first = ctl.Admit("t");
+  auto first = gate.Admit();
   ASSERT_TRUE(first.ok());
 
   // Second admission must wait until the first ticket releases its slot.
   std::atomic<bool> second_admitted{false};
   double waited = -1.0;
   std::thread blocked([&] {
-    auto second = ctl.Admit("t", /*max_wait_seconds=*/5.0);
+    auto second = gate.Admit(/*max_wait_seconds=*/5.0);
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     waited = second.ValueOrDie().queue_wait_seconds();
     second_admitted.store(true);
@@ -84,14 +84,14 @@ TEST(AdmissionTest, InFlightSlotQueuesAndReportsWait) {
 }
 
 TEST(AdmissionTest, InFlightTimeoutExpiresNotRejects) {
-  AdmissionController ctl;
+  AdmissionGate gate;
   TenantQuota quota;
   quota.max_in_flight = 1;
-  ctl.SetQuota("t", quota);
+  gate.SetQuota(quota);
 
-  auto held = ctl.Admit("t");
+  auto held = gate.Admit();
   ASSERT_TRUE(held.ok());
-  auto timed_out = ctl.Admit("t", /*max_wait_seconds=*/0.02);
+  auto timed_out = gate.Admit(/*max_wait_seconds=*/0.02);
   ASSERT_FALSE(timed_out.ok());
   // Queue timeout is a deadline event, distinct from rate rejection.
   EXPECT_TRUE(timed_out.status().IsDeadlineExceeded())
@@ -99,19 +99,19 @@ TEST(AdmissionTest, InFlightTimeoutExpiresNotRejects) {
 }
 
 TEST(AdmissionTest, TicketReleaseIsIdempotentAndMoveSafe) {
-  AdmissionController ctl;
+  AdmissionGate gate;
   TenantQuota quota;
   quota.max_in_flight = 1;
-  ctl.SetQuota("t", quota);
+  gate.SetQuota(quota);
   {
-    auto a = ctl.Admit("t");
+    auto a = gate.Admit();
     ASSERT_TRUE(a.ok());
     AdmissionTicket moved = std::move(a.ValueOrDie());
     moved.Release();
     moved.Release();  // no double-release of the slot
   }
   // Slot is free again.
-  EXPECT_TRUE(ctl.Admit("t").ok());
+  EXPECT_TRUE(gate.Admit().ok());
 }
 
 // ---------------------------------------------------------------------
@@ -235,6 +235,31 @@ TEST_F(ServerTest, RateOverloadCountsAsRejectedNotExpired) {
   EXPECT_EQ(snap.tenants[0].expired, 0u);   // rejected != expired
 }
 
+// A quota installed on a tenant that already has traffic keeps the
+// tenant's counters and governs its very next request.
+TEST_F(ServerTest, SetQuotaOnABusyTenantKeepsCountersAndAppliesNextRequest) {
+  Server server(index_.get());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(server.Execute(KnnRequest("busy")).status.ok());
+  }
+  TenantQuota quota;
+  quota.rate_qps = 1e-6;  // effectively never refills
+  quota.burst = 1.0;
+  server.SetQuota("busy", quota);
+
+  EXPECT_TRUE(server.Execute(KnnRequest("busy")).status.ok());
+  EXPECT_EQ(server.Execute(KnnRequest("busy")).status.code(),
+            StatusCode::kResourceExhausted);
+
+  MetricsSnapshot snap = server.Snapshot();
+  ASSERT_EQ(snap.tenants.size(), 1u);
+  EXPECT_EQ(snap.tenants[0].admitted, 4u);
+  EXPECT_EQ(snap.tenants[0].completed, 4u);
+  EXPECT_EQ(snap.tenants[0].rejected, 1u);
+  EXPECT_EQ(snap.tenants[0].latency.count, 4u);
+  EXPECT_GT(snap.tenants[0].io.logical_reads, 0u);
+}
+
 TEST_F(ServerTest, TinyDeadlineExpiresAndCounts) {
   ServerOptions options;
   options.default_deadline_seconds = 1e-12;
@@ -251,15 +276,15 @@ TEST_F(ServerTest, QueueConsumedBudgetExpiresBeforeFanOut) {
   // The remaining-budget rule end to end: a deadline-bearing request
   // whose whole budget burns waiting for an in-flight slot must come back
   // DeadlineExceeded (counted as expired) without fanning out. The slot
-  // is held by the controller's own RAII ticket — the wait path is the
-  // same one Execute() takes.
-  AdmissionController ctl;
+  // is held by the gate's own RAII ticket — the wait path is the same one
+  // Execute() takes.
+  AdmissionGate gate;
   TenantQuota quota;
   quota.max_in_flight = 1;
-  ctl.SetQuota("q", quota);
-  auto held = ctl.Admit("q");
+  gate.SetQuota(quota);
+  auto held = gate.Admit();
   ASSERT_TRUE(held.ok());
-  auto starved = ctl.Admit("q", /*max_wait_seconds=*/0.06);
+  auto starved = gate.Admit(/*max_wait_seconds=*/0.06);
   ASSERT_FALSE(starved.ok());
   EXPECT_TRUE(starved.status().IsDeadlineExceeded());
 
