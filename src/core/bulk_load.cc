@@ -12,6 +12,11 @@ namespace ht {
 
 namespace {
 
+/// Leaves are packed to this fraction of a data page's capacity, clamped
+/// to [data_node_min_util, 1]: room for a few inserts before the first
+/// split.
+constexpr double kBulkLeafFill = 0.9;
+
 /// A built subtree: its page, its exact live box, and its tree level.
 struct Built {
   PageId page = kInvalidPageId;
@@ -219,8 +224,8 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
   ExclusiveRole role(&tree->rw_contract_);
 
   const size_t capacity = tree->data_capacity_;
-  const double fill = std::clamp(bulk.fill,
-                                 options.data_node_min_util, 1.0);
+  const double fill =
+      std::clamp(kBulkLeafFill, options.data_node_min_util, 1.0);
   const size_t target_leaf =
       std::max<size_t>(1, static_cast<size_t>(fill * capacity));
 

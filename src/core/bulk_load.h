@@ -2,7 +2,7 @@
 // Bottom-up bulk construction of a hybrid tree from a dataset.
 //
 // Incremental insertion yields ~65-70% data-node fill (each split leaves
-// two half-full nodes); bulk loading packs data nodes to a target fill by
+// two half-full nodes); bulk loading packs data nodes to 90% of capacity by
 // recursive EDA-guided partitioning of the whole dataset, then builds the
 // index levels over spatially contiguous runs. The result is a smaller
 // tree with tighter live regions — the standard practice for initial loads
@@ -20,8 +20,6 @@
 namespace ht {
 
 struct BulkLoadOptions {
-  /// Target data-node fill fraction (clamped to [min_util, 1]).
-  double fill = 0.9;
   /// Worker threads for stage 1 (partitioning and leaf writes); 0 or 1
   /// selects the serial loader. The parallel loader produces a
   /// byte-identical file: partition cuts depend only on the data (never on

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <numeric>
 #include <tuple>
@@ -1786,39 +1785,6 @@ Result<std::optional<std::pair<double, uint64_t>>> HybridTree::NextNeighbor(
         c.early_terminated_ = true;
       }
     }
-  }
-}
-
-void HybridTree::DumpTree() {
-  // Uses the mutating node readers (exact on-disk view, no cache fill), so
-  // it runs under the exclusive role like any other maintenance pass.
-  ExclusiveRole role(&rw_contract_);
-  DumpTreeRec(root_, Box::UnitCube(options_.dim), 0);
-}
-
-void HybridTree::DumpTreeRec(PageId page, const Box& br, int depth) {
-  auto kind = PeekKind(page).ValueOrDie();
-  if (kind == NodeKind::kData) {
-    auto node = ReadDataNode(page).ValueOrDie();
-    std::printf("%*sdata page=%u n=%zu live=%s region=%s\n", depth * 2, "",
-                page, node.entries.size(),
-                node.ComputeLiveBr(options_.dim).ToString().c_str(),
-                br.ToString().c_str());
-    return;
-  }
-  auto node = ReadIndexNode(page).ValueOrDie();
-  std::printf("%*sindex page=%u level=%d children=%zu region=%s\n",
-              depth * 2, "", page, node.level, node.NumChildren(),
-              br.ToString().c_str());
-  std::vector<ChildRef> kids;
-  node.CollectChildren(br, &kids);
-  for (auto& kid : kids) {
-    Box live = els_enabled() ? codec_.Decode(kid.leaf->els, kid.kd_br)
-                             : kid.kd_br;
-    std::printf("%*s-> child=%u kd=%s els=%s\n", depth * 2 + 1, "",
-                kid.leaf->child, kid.kd_br.ToString().c_str(),
-                live.ToString().c_str());
-    DumpTreeRec(kid.leaf->child, Box::UnitCube(options_.dim), depth + 1);
   }
 }
 

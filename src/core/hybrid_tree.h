@@ -331,10 +331,6 @@ class HybridTree {
   /// conservativeness, serialized sizes, entry count). Test support.
   Status CheckInvariants();
 
-  /// Debug: prints the tree structure with kd regions and decoded live
-  /// boxes (test/diagnostic support).
-  void DumpTree();
-
   /// Recomputes every ELS code exactly from the data below it (one DFS).
   /// Called by Open() in kInMemory mode; also usable to re-tighten codes
   /// grown stale by deletions.
@@ -584,9 +580,6 @@ class HybridTree {
   /// analysis sees the exclusive-role requirement).
   Status ComputeStatsKd(const KdNode* n, const Box& nbr, TreeStats* stats,
                         double* data_util_sum) HT_REQUIRES(rw_contract_);
-  /// Recursive body of DumpTree (member for the same reason as ScanAllRec).
-  void DumpTreeRec(PageId page, const Box& br, int depth)
-      HT_REQUIRES(rw_contract_);
   /// No-op unless built with -DHT_DEBUG_VALIDATE=ON, in which case it runs
   /// a full TreeValidator pass (including buffer-pool pin accounting) and
   /// aborts on any violation. Called after every mutating operation.

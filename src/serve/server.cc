@@ -20,6 +20,7 @@ double SteadySeconds() {
 
 Server::Server(ShardedIndex* index, ServerOptions options)
     : index_(index), options_(options) {
+  options_.latency_window = std::max<size_t>(1, options_.latency_window);
   window_start_.store(SteadySeconds(), std::memory_order_relaxed);
 }
 
@@ -37,10 +38,7 @@ Server::TenantState* Server::GetTenant(const std::string& tenant) {
   }
   WriterLock lock(&tenants_mu_);
   std::unique_ptr<TenantState>& slot = tenants_[tenant];
-  if (slot == nullptr) {
-    slot = std::make_unique<TenantState>(
-        std::max<size_t>(1, options_.latency_window));
-  }
+  if (slot == nullptr) slot = std::make_unique<TenantState>();
   return slot.get();
 }
 
@@ -138,11 +136,15 @@ QueryResult Server::Execute(const Request& request) {
   {
     MutexLock lock(&state->stats_mu);
     if (result.status.ok()) {
-      state->latency_ring[state->latency_next] = result.seconds;
-      state->latency_next =
-          (state->latency_next + 1) % state->latency_ring.size();
+      std::vector<double>& ring = state->latency_ring;
+      if (state->latency_next == ring.size()) {
+        ring.push_back(result.seconds);  // still growing to the window
+      } else {
+        ring[state->latency_next] = result.seconds;
+      }
+      state->latency_next = (state->latency_next + 1) % options_.latency_window;
       state->latency_count =
-          std::min(state->latency_count + 1, state->latency_ring.size());
+          std::min(state->latency_count + 1, options_.latency_window);
     }
     state->io.Accumulate(request_io);
   }

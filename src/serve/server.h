@@ -153,9 +153,6 @@ class Server {
   /// One record of the tenant table: the tenant's admission gate and its
   /// metrics.
   struct TenantState {
-    explicit TenantState(size_t latency_window)
-        : latency_ring(latency_window, 0.0) {}
-
     AdmissionGate gate;
     /// Relaxed throughout: independent monotonic counters — snapshots
     /// tolerate torn cross-counter views (each value is itself exact),
@@ -165,7 +162,9 @@ class Server {
 #undef HT_TENANT_STATE_DECLARE
     Mutex stats_mu{LockRank::kServerTenantStats,
                    "Server::TenantState::stats_mu"};
-    /// Bounded ring of completed-query latencies (seconds).
+    /// Ring of completed-query latencies (seconds): grows one sample per
+    /// completed request up to ServerOptions::latency_window, then
+    /// overwrites the oldest. ResetMetrics keeps what it has allocated.
     std::vector<double> latency_ring HT_GUARDED_BY(stats_mu);
     size_t latency_next HT_GUARDED_BY(stats_mu) = 0;
     size_t latency_count HT_GUARDED_BY(stats_mu) = 0;

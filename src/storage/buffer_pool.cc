@@ -19,19 +19,6 @@ size_t ThreadNumber() {
   thread_local const size_t mine = next.fetch_add(1, std::memory_order_relaxed);
   return mine;
 }
-
-/// Calls fn(a.x, b.x) for every counter x of IoStats, scalar and per-class.
-template <typename Fn>
-void ForEachCounterPair(IoStats& a, IoStats& b, Fn fn) {
-#define HT_IO_STATS_PAIR(name) fn(a.name, b.name);
-  HT_IO_STATS_COUNTERS(HT_IO_STATS_PAIR)
-#undef HT_IO_STATS_PAIR
-  for (size_t c = 0; c < kNumAccessClasses; ++c) {
-    fn(a.class_hits[c], b.class_hits[c]);
-    fn(a.class_misses[c], b.class_misses[c]);
-    fn(a.class_evictions[c], b.class_evictions[c]);
-  }
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -589,18 +576,20 @@ void BufferPool::CountScans(const ScanTally& tally) {
 IoStats BufferPool::stats() const {
   IoStats total;
   for (StatStripe& stripe : stripes_) {
-    ForEachCounterPair(total, stripe.io, [](uint64_t& sum, uint64_t& c) {
-      sum += std::atomic_ref<uint64_t>(c).load(std::memory_order_relaxed);
-    });
+    IoStats::ForEachCounterPair(
+        total, stripe.io, [](uint64_t& sum, uint64_t& c) {
+          sum += std::atomic_ref<uint64_t>(c).load(std::memory_order_relaxed);
+        });
   }
   return total;
 }
 
 void BufferPool::ResetStats() {
   for (StatStripe& stripe : stripes_) {
-    ForEachCounterPair(stripe.io, stripe.io, [](uint64_t& c, uint64_t&) {
-      std::atomic_ref<uint64_t>(c).store(0, std::memory_order_relaxed);
-    });
+    IoStats::ForEachCounterPair(
+        stripe.io, stripe.io, [](uint64_t& c, uint64_t&) {
+          std::atomic_ref<uint64_t>(c).store(0, std::memory_order_relaxed);
+        });
   }
 }
 

@@ -188,6 +188,21 @@ struct IoStats {
     }
     return d;
   }
+
+  /// Calls fn(a.x, b.x) for every counter x, scalar and per-class: the
+  /// relaxed atomic loads and resets of the pool's and the files' counters
+  /// walk this one list.
+  template <typename Fn>
+  static void ForEachCounterPair(IoStats& a, IoStats& b, Fn fn) {
+#define HT_IO_STATS_PAIR(name) fn(a.name, b.name);
+    HT_IO_STATS_COUNTERS(HT_IO_STATS_PAIR)
+#undef HT_IO_STATS_PAIR
+    for (size_t c = 0; c < kNumAccessClasses; ++c) {
+      fn(a.class_hits[c], b.class_hits[c]);
+      fn(a.class_misses[c], b.class_misses[c]);
+      fn(a.class_evictions[c], b.class_evictions[c]);
+    }
+  }
 };
 
 /// A search's scan counters (the IoStats fields of the same names), summed

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "common/codec.h"
 
@@ -19,72 +20,55 @@ namespace ht {
 
 IoStats PagedFile::stats() const {
   IoStats s;
-  s.physical_reads = counters_.physical_reads.load(std::memory_order_relaxed);
-  s.writes = counters_.writes.load(std::memory_order_relaxed);
-  s.allocations = counters_.allocations.load(std::memory_order_relaxed);
-  s.frees = counters_.frees.load(std::memory_order_relaxed);
-  s.batch_reads = counters_.batch_reads.load(std::memory_order_relaxed);
-  s.batch_writes = counters_.batch_writes.load(std::memory_order_relaxed);
+  IoStats::ForEachCounterPair(s, io_, [](uint64_t& out, uint64_t& c) {
+    out = std::atomic_ref<uint64_t>(c).load(std::memory_order_relaxed);
+  });
   return s;
 }
 
 void PagedFile::ResetStats() {
-  counters_.physical_reads.store(0, std::memory_order_relaxed);
-  counters_.writes.store(0, std::memory_order_relaxed);
-  counters_.allocations.store(0, std::memory_order_relaxed);
-  counters_.frees.store(0, std::memory_order_relaxed);
-  counters_.batch_reads.store(0, std::memory_order_relaxed);
-  counters_.batch_writes.store(0, std::memory_order_relaxed);
+  IoStats::ForEachCounterPair(io_, io_, [](uint64_t& c, uint64_t&) {
+    std::atomic_ref<uint64_t>(c).store(0, std::memory_order_relaxed);
+  });
 }
 
 namespace {
-/// Shared validation for WriteBatch: every id distinct, every page buffer
-/// present and correctly sized. Runs before any I/O in every backend.
-Status ValidateWriteBatch(std::span<const PageId> ids,
-                          std::span<const Page* const> pages,
-                          size_t page_size) {
+/// The checks every read and write runs on the whole request before any
+/// I/O, so a bad request never leaves a half-filled or half-applied batch:
+/// equal lengths, every buffer present and page-sized, every id allocated.
+/// A write's ids must also be distinct: after offset sorting, which
+/// occurrence landed last would be unspecified. A read fills every
+/// occurrence of a repeated id.
+template <typename PagePtr, typename Allocated>
+Status ValidateRequest(std::span<const PageId> ids,
+                       std::span<PagePtr const> pages, size_t page_size,
+                       Allocated allocated) {
+  constexpr bool kWrite = std::is_const_v<std::remove_pointer_t<PagePtr>>;
   if (ids.size() != pages.size()) {
-    return Status::InvalidArgument("WriteBatch: ids/pages length mismatch");
+    return Status::InvalidArgument("ids/pages length mismatch");
   }
   for (size_t i = 0; i < ids.size(); ++i) {
+    if (!allocated(ids[i])) {
+      return Status::NotFound(std::string(kWrite ? "write" : "read") +
+                              " of unallocated page " +
+                              std::to_string(ids[i]));
+    }
     if (pages[i] == nullptr || pages[i]->size() != page_size) {
       return Status::InvalidArgument("page buffer size mismatch");
     }
   }
-  // O(n log n) duplicate check over a scratch copy; write batches are
-  // bounded by the dirty set, so this never dominates the I/O it guards.
-  std::vector<PageId> sorted(ids.begin(), ids.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return Status::InvalidArgument("WriteBatch: duplicate page id in batch");
+  if (kWrite && ids.size() > 1) {
+    // O(n log n) over a scratch copy; write batches are bounded by the
+    // dirty set, so this never dominates the I/O it guards.
+    std::vector<PageId> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Status::InvalidArgument("duplicate page id in a write batch");
+    }
   }
   return Status::OK();
 }
 }  // namespace
-
-Status PagedFile::ReadBatch(std::span<const PageId> ids,
-                            std::span<Page* const> outs) {
-  if (ids.size() != outs.size()) {
-    return Status::InvalidArgument("ReadBatch: ids/outs length mismatch");
-  }
-  if (ids.empty()) return Status::OK();
-  counters_.batch_reads.fetch_add(1, std::memory_order_relaxed);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    HT_RETURN_NOT_OK(Read(ids[i], outs[i]));
-  }
-  return Status::OK();
-}
-
-Status PagedFile::WriteBatch(std::span<const PageId> ids,
-                             std::span<const Page* const> pages) {
-  HT_RETURN_NOT_OK(ValidateWriteBatch(ids, pages, page_size()));
-  if (ids.empty()) return Status::OK();
-  counters_.batch_writes.fetch_add(1, std::memory_order_relaxed);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    HT_RETURN_NOT_OK(Write(ids[i], *pages[i]));
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------------
 // MemPagedFile
@@ -93,35 +77,21 @@ Status PagedFile::WriteBatch(std::span<const PageId> ids,
 MemPagedFile::MemPagedFile(size_t page_size) : page_size_(page_size) {}
 
 Status MemPagedFile::Read(PageId id, Page* out) {
-  if (id >= pages_.size() || pages_[id] == nullptr) {
-    return Status::NotFound("MemPagedFile: read of unallocated page " +
-                            std::to_string(id));
-  }
-  if (out->size() != page_size_) {
-    return Status::InvalidArgument("page buffer size mismatch");
-  }
-  std::memcpy(out->data(), pages_[id]->data(), page_size_);
-  BumpReads(1);
-  return Status::OK();
+  return ReadPages({&id, 1}, {&out, 1}, /*batch=*/false);
 }
 
 Status MemPagedFile::ReadBatch(std::span<const PageId> ids,
                                std::span<Page* const> outs) {
-  if (ids.size() != outs.size()) {
-    return Status::InvalidArgument("ReadBatch: ids/outs length mismatch");
-  }
+  return ReadPages(ids, outs, /*batch=*/true);
+}
+
+Status MemPagedFile::ReadPages(std::span<const PageId> ids,
+                               std::span<Page* const> outs, bool batch) {
+  HT_RETURN_NOT_OK(ValidateRequest(
+      ids, outs, page_size_, [this](PageId id) { return Allocated(id); }));
   if (ids.empty()) return Status::OK();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= pages_.size() || pages_[ids[i]] == nullptr) {
-      return Status::NotFound("MemPagedFile: batch read of unallocated page " +
-                              std::to_string(ids[i]));
-    }
-    if (outs[i] == nullptr || outs[i]->size() != page_size_) {
-      return Status::InvalidArgument("page buffer size mismatch");
-    }
-  }
-  counters_.batch_reads.fetch_add(1, std::memory_order_relaxed);
-  BumpReads(ids.size());
+  if (batch) Count(&IoStats::batch_reads, 1);
+  Count(&IoStats::physical_reads, ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     std::memcpy(outs[i]->data(), pages_[ids[i]]->data(), page_size_);
   }
@@ -129,30 +99,23 @@ Status MemPagedFile::ReadBatch(std::span<const PageId> ids,
 }
 
 Status MemPagedFile::Write(PageId id, const Page& page) {
-  if (id >= pages_.size() || pages_[id] == nullptr) {
-    return Status::NotFound("MemPagedFile: write of unallocated page " +
-                            std::to_string(id));
-  }
-  if (page.size() != page_size_) {
-    return Status::InvalidArgument("page buffer size mismatch");
-  }
-  std::memcpy(pages_[id]->data(), page.data(), page_size_);
-  counters_.writes.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  const Page* p = &page;
+  return WritePages({&id, 1}, {&p, 1}, /*batch=*/false);
 }
 
 Status MemPagedFile::WriteBatch(std::span<const PageId> ids,
                                 std::span<const Page* const> pages) {
-  HT_RETURN_NOT_OK(ValidateWriteBatch(ids, pages, page_size_));
+  return WritePages(ids, pages, /*batch=*/true);
+}
+
+Status MemPagedFile::WritePages(std::span<const PageId> ids,
+                                std::span<const Page* const> pages,
+                                bool batch) {
+  HT_RETURN_NOT_OK(ValidateRequest(
+      ids, pages, page_size_, [this](PageId id) { return Allocated(id); }));
   if (ids.empty()) return Status::OK();
-  for (PageId id : ids) {
-    if (id >= pages_.size() || pages_[id] == nullptr) {
-      return Status::NotFound("MemPagedFile: batch write of unallocated page " +
-                              std::to_string(id));
-    }
-  }
-  counters_.batch_writes.fetch_add(1, std::memory_order_relaxed);
-  counters_.writes.fetch_add(ids.size(), std::memory_order_relaxed);
+  if (batch) Count(&IoStats::batch_writes, 1);
+  Count(&IoStats::writes, ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     std::memcpy(pages_[ids[i]]->data(), pages[i]->data(), page_size_);
   }
@@ -160,7 +123,7 @@ Status MemPagedFile::WriteBatch(std::span<const PageId> ids,
 }
 
 Result<PageId> MemPagedFile::Allocate() {
-  counters_.allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(&IoStats::allocations, 1);
   if (!free_list_.empty()) {
     PageId id = free_list_.back();
     free_list_.pop_back();
@@ -172,13 +135,13 @@ Result<PageId> MemPagedFile::Allocate() {
 }
 
 Status MemPagedFile::Free(PageId id) {
-  if (id >= pages_.size() || pages_[id] == nullptr) {
+  if (!Allocated(id)) {
     return Status::InvalidArgument("MemPagedFile: double free of page " +
                                    std::to_string(id));
   }
   pages_[id] = nullptr;
   free_list_.push_back(id);
-  counters_.frees.fetch_add(1, std::memory_order_relaxed);
+  Count(&IoStats::frees, 1);
   return Status::OK();
 }
 
@@ -189,6 +152,95 @@ Status MemPagedFile::Free(PageId id) {
 namespace {
 constexpr uint32_t kMagic = 0x48544446;  // "HTDF"
 constexpr size_t kSuperblockSize = 24;   // magic,pagesize,count,freehead + pad
+// Linux caps one vectored call at IOV_MAX (1024) segments.
+constexpr size_t kMaxIov = 1024;
+
+enum class Dir { kRead, kWrite };
+
+/// User page `id` starts one page in: the superblock region comes first.
+uint64_t PageOffset(PageId id, size_t page_size) {
+  return (static_cast<uint64_t>(id) + 1) * page_size;
+}
+
+/// The one transfer loop: every byte a DiskPagedFile moves goes through
+/// this preadv/pwritev call site. POSIX lets a call move fewer bytes than
+/// asked for, or fail with EINTR before moving any; both resume here,
+/// advancing the iovec array in place (the caller's array is consumed). A
+/// read that meets end of file is Corruption: the file ends inside bytes
+/// its superblock says it holds.
+Status Transfer(int fd, Dir dir, uint64_t offset, struct iovec* iov,
+                size_t n) {
+  while (n > 0) {
+    const int iovcnt = static_cast<int>(n);
+    const auto at = static_cast<off_t>(offset);
+    const ssize_t moved = dir == Dir::kRead ? ::preadv(fd, iov, iovcnt, at)
+                                            : ::pwritev(fd, iov, iovcnt, at);
+    if (moved < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(
+          std::string(dir == Dir::kRead ? "preadv" : "pwritev") +
+          " failed: " + std::strerror(errno));
+    }
+    if (moved == 0 && dir == Dir::kWrite) {
+      return Status::IOError("pwritev made no progress");
+    }
+    if (moved == 0) {
+      return Status::Corruption("file ends at byte " + std::to_string(offset) +
+                                ", inside a range it holds (truncated?)");
+    }
+    offset += static_cast<uint64_t>(moved);
+    size_t left = static_cast<size_t>(moved);
+    while (n > 0 && left >= iov->iov_len) {  // segments now fully moved
+      left -= iov->iov_len;
+      ++iov;
+      --n;
+    }
+    if (left > 0) {  // resume inside a partly moved segment
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return Status::OK();
+}
+
+/// One contiguous byte range through the same loop.
+Status Transfer(int fd, Dir dir, uint64_t offset, void* buf, size_t len) {
+  struct iovec v = {buf, len};
+  return Transfer(fd, dir, offset, &v, 1);
+}
+
+/// Moves page ids[i] to or from buf(i). The pages are sorted by file
+/// offset, and each run of adjacent ids goes out as one vectored call of
+/// at most kMaxIov iovecs. A repeated id breaks a run (equal offsets are
+/// not adjacent), so a read fills every occurrence. One page allocates
+/// nothing.
+template <typename Buf>
+Status TransferPages(int fd, Dir dir, size_t page_size,
+                     std::span<const PageId> ids, Buf buf) {
+  if (ids.size() == 1) {
+    return Transfer(fd, dir, PageOffset(ids[0], page_size), buf(0),
+                    page_size);
+  }
+  std::vector<uint32_t> order(ids.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
+  std::vector<struct iovec> iov(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    iov[k] = {buf(order[k]), page_size};
+  }
+  size_t end = 0;
+  for (size_t start = 0; start < order.size(); start = end) {
+    end = start + 1;
+    while (end < order.size() && end - start < kMaxIov &&
+           ids[order[end]] == ids[order[end - 1]] + 1) {
+      ++end;
+    }
+    HT_RETURN_NOT_OK(Transfer(fd, dir, PageOffset(ids[order[start]], page_size),
+                              iov.data() + start, end - start));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 DiskPagedFile::DiskPagedFile(int fd, size_t page_size)
@@ -222,11 +274,12 @@ Result<std::unique_ptr<DiskPagedFile>> DiskPagedFile::Open(
   if (fd < 0) {
     return Status::IOError("open(" + path + "): " + std::strerror(errno));
   }
+  // Read before the file object exists: its destructor rewrites the
+  // superblock, which must not happen to a file that failed to open.
   uint8_t sb[kSuperblockSize];
-  ssize_t n = ::pread(fd, sb, sizeof(sb), 0);
-  if (n != static_cast<ssize_t>(sizeof(sb))) {
+  if (Status st = Transfer(fd, Dir::kRead, 0, sb, sizeof(sb)); !st.ok()) {
     ::close(fd);
-    return Status::Corruption("short superblock in " + path);
+    return Status(st.code(), "superblock of " + path + ": " + st.message());
   }
   Reader r(sb, sizeof(sb));
   uint32_t magic = r.GetU32();
@@ -250,261 +303,70 @@ Status DiskPagedFile::WriteSuperblock() {
   w.PutU32(static_cast<uint32_t>(page_size_));
   w.PutU32(page_count_);
   w.PutU32(free_head_);
-  return WriteRaw(0, sb, sizeof(sb));
-}
-
-// POSIX permits pread/pwrite to transfer fewer bytes than requested (and
-// to fail with EINTR before transferring anything); a short transfer is
-// not an error, so both raw helpers loop until the full range is moved.
-
-Status DiskPagedFile::ReadRaw(uint64_t offset, void* buf, size_t n) {
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  size_t left = n;
-  while (left > 0) {
-    const ssize_t got = ::pread(fd_, p, left, static_cast<off_t>(offset));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pread failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (got == 0) {
-      return Status::IOError("pread hit EOF mid-read (file truncated?)");
-    }
-    p += got;
-    offset += static_cast<uint64_t>(got);
-    left -= static_cast<size_t>(got);
-  }
-  return Status::OK();
-}
-
-Status DiskPagedFile::WriteRaw(uint64_t offset, const void* buf, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  size_t left = n;
-  while (left > 0) {
-    const ssize_t put = ::pwrite(fd_, p, left, static_cast<off_t>(offset));
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pwrite failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (put == 0) {
-      return Status::IOError("pwrite made no progress");
-    }
-    p += put;
-    offset += static_cast<uint64_t>(put);
-    left -= static_cast<size_t>(put);
-  }
-  return Status::OK();
+  return Transfer(fd_, Dir::kWrite, 0, sb, sizeof(sb));
 }
 
 Status DiskPagedFile::Read(PageId id, Page* out) {
-  if (id >= page_count_) {
-    return Status::NotFound("DiskPagedFile: read of unallocated page " +
-                            std::to_string(id));
-  }
-  if (out->size() != page_size_) {
-    return Status::InvalidArgument("page buffer size mismatch");
-  }
-  BumpReads(1);
-  return ReadRaw((static_cast<uint64_t>(id) + 1) * page_size_, out->data(),
-                 page_size_);
+  return ReadPages({&id, 1}, {&out, 1}, /*batch=*/false);
 }
 
 Status DiskPagedFile::ReadBatch(std::span<const PageId> ids,
                                 std::span<Page* const> outs) {
-  if (ids.size() != outs.size()) {
-    return Status::InvalidArgument("ReadBatch: ids/outs length mismatch");
-  }
+  return ReadPages(ids, outs, /*batch=*/true);
+}
+
+Status DiskPagedFile::ReadPages(std::span<const PageId> ids,
+                                std::span<Page* const> outs, bool batch) {
+  HT_RETURN_NOT_OK(ValidateRequest(
+      ids, outs, page_size_, [this](PageId id) { return id < page_count_; }));
   if (ids.empty()) return Status::OK();
-  // Validate the whole batch before any I/O so a bad id cannot leave the
-  // caller with a half-filled batch it believes succeeded.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= page_count_) {
-      return Status::NotFound("DiskPagedFile: batch read of unallocated page " +
-                              std::to_string(ids[i]));
-    }
-    if (outs[i] == nullptr || outs[i]->size() != page_size_) {
-      return Status::InvalidArgument("page buffer size mismatch");
-    }
-  }
-  counters_.batch_reads.fetch_add(1, std::memory_order_relaxed);
-  BumpReads(ids.size());
-
-  // Sort request indices by file offset; runs of strictly adjacent pages
-  // coalesce into one vectored preadv call each. Duplicate ids break a run
-  // (equal offsets are not adjacent), so every occurrence is still filled.
-  std::vector<uint32_t> order(ids.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
-
-  // Linux caps one vectored call at IOV_MAX (1024) segments.
-  constexpr size_t kMaxIov = 1024;
-  std::vector<struct iovec> iov;
-  size_t run_start = 0;
-  while (run_start < order.size()) {
-    size_t run_end = run_start + 1;
-    while (run_end < order.size() &&
-           ids[order[run_end]] == ids[order[run_end - 1]] + 1 &&
-           run_end - run_start < kMaxIov) {
-      ++run_end;
-    }
-    iov.clear();
-    for (size_t i = run_start; i < run_end; ++i) {
-      iov.push_back({outs[order[i]]->data(), page_size_});
-    }
-    uint64_t offset =
-        (static_cast<uint64_t>(ids[order[run_start]]) + 1) * page_size_;
-    // Loop on short transfers / EINTR, advancing through the iovec array.
-    size_t vec_idx = 0;
-    size_t vec_off = 0;  // bytes already filled in iov[vec_idx]
-    while (vec_idx < iov.size()) {
-      struct iovec first = iov[vec_idx];
-      first.iov_base = static_cast<uint8_t*>(first.iov_base) + vec_off;
-      first.iov_len -= vec_off;
-      std::vector<struct iovec> rest;
-      rest.push_back(first);
-      rest.insert(rest.end(), iov.begin() + vec_idx + 1, iov.end());
-      ssize_t got = ::preadv(fd_, rest.data(), static_cast<int>(rest.size()),
-                             static_cast<off_t>(offset));
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("preadv failed: " +
-                               std::string(std::strerror(errno)));
-      }
-      if (got == 0) {
-        return Status::IOError("preadv hit EOF mid-batch (file truncated?)");
-      }
-      offset += static_cast<uint64_t>(got);
-      size_t advanced = static_cast<size_t>(got);
-      while (advanced > 0 && vec_idx < iov.size()) {
-        const size_t remaining = iov[vec_idx].iov_len - vec_off;
-        if (advanced >= remaining) {
-          advanced -= remaining;
-          ++vec_idx;
-          vec_off = 0;
-        } else {
-          vec_off += advanced;
-          advanced = 0;
-        }
-      }
-    }
-    run_start = run_end;
-  }
-  return Status::OK();
+  if (batch) Count(&IoStats::batch_reads, 1);
+  Count(&IoStats::physical_reads, ids.size());
+  return TransferPages(fd_, Dir::kRead, page_size_, ids,
+                       [&](size_t i) -> void* { return outs[i]->data(); });
 }
 
 Status DiskPagedFile::Write(PageId id, const Page& page) {
-  if (id >= page_count_) {
-    return Status::NotFound("DiskPagedFile: write of unallocated page " +
-                            std::to_string(id));
-  }
-  if (page.size() != page_size_) {
-    return Status::InvalidArgument("page buffer size mismatch");
-  }
-  counters_.writes.fetch_add(1, std::memory_order_relaxed);
-  return WriteRaw((static_cast<uint64_t>(id) + 1) * page_size_, page.data(),
-                  page_size_);
+  const Page* p = &page;
+  return WritePages({&id, 1}, {&p, 1}, /*batch=*/false);
 }
 
 Status DiskPagedFile::WriteBatch(std::span<const PageId> ids,
                                  std::span<const Page* const> pages) {
-  // Validate the whole batch before any I/O so a bad id cannot leave the
-  // file with a half-applied batch (the ReadBatch contract, dualized).
-  HT_RETURN_NOT_OK(ValidateWriteBatch(ids, pages, page_size_));
+  return WritePages(ids, pages, /*batch=*/true);
+}
+
+Status DiskPagedFile::WritePages(std::span<const PageId> ids,
+                                 std::span<const Page* const> pages,
+                                 bool batch) {
+  HT_RETURN_NOT_OK(ValidateRequest(
+      ids, pages, page_size_, [this](PageId id) { return id < page_count_; }));
   if (ids.empty()) return Status::OK();
-  for (PageId id : ids) {
-    if (id >= page_count_) {
-      return Status::NotFound("DiskPagedFile: batch write of unallocated page " +
-                              std::to_string(id));
-    }
-  }
-  counters_.batch_writes.fetch_add(1, std::memory_order_relaxed);
-  counters_.writes.fetch_add(ids.size(), std::memory_order_relaxed);
-
-  // Sort request indices by file offset; runs of strictly adjacent pages
-  // coalesce into one vectored pwritev call each. Duplicates were rejected
-  // above, so every run is a strictly increasing offset range.
-  std::vector<uint32_t> order(ids.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t a, uint32_t b) { return ids[a] < ids[b]; });
-
-  // Linux caps one vectored call at IOV_MAX (1024) segments.
-  constexpr size_t kMaxIov = 1024;
-  std::vector<struct iovec> iov;
-  size_t run_start = 0;
-  while (run_start < order.size()) {
-    size_t run_end = run_start + 1;
-    while (run_end < order.size() &&
-           ids[order[run_end]] == ids[order[run_end - 1]] + 1 &&
-           run_end - run_start < kMaxIov) {
-      ++run_end;
-    }
-    iov.clear();
-    for (size_t i = run_start; i < run_end; ++i) {
-      // iovec carries void* even for gather writes; the buffers are never
-      // modified through it.
-      iov.push_back(
-          {const_cast<uint8_t*>(pages[order[i]]->data()), page_size_});
-    }
-    uint64_t offset =
-        (static_cast<uint64_t>(ids[order[run_start]]) + 1) * page_size_;
-    // Loop on short transfers / EINTR, advancing through the iovec array.
-    size_t vec_idx = 0;
-    size_t vec_off = 0;  // bytes already written from iov[vec_idx]
-    while (vec_idx < iov.size()) {
-      struct iovec first = iov[vec_idx];
-      first.iov_base = static_cast<uint8_t*>(first.iov_base) + vec_off;
-      first.iov_len -= vec_off;
-      std::vector<struct iovec> rest;
-      rest.push_back(first);
-      rest.insert(rest.end(), iov.begin() + vec_idx + 1, iov.end());
-      ssize_t put = ::pwritev(fd_, rest.data(), static_cast<int>(rest.size()),
-                              static_cast<off_t>(offset));
-      if (put < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("pwritev failed: " +
-                               std::string(std::strerror(errno)));
-      }
-      if (put == 0) {
-        return Status::IOError("pwritev made no progress");
-      }
-      offset += static_cast<uint64_t>(put);
-      size_t advanced = static_cast<size_t>(put);
-      while (advanced > 0 && vec_idx < iov.size()) {
-        const size_t remaining = iov[vec_idx].iov_len - vec_off;
-        if (advanced >= remaining) {
-          advanced -= remaining;
-          ++vec_idx;
-          vec_off = 0;
-        } else {
-          vec_off += advanced;
-          advanced = 0;
-        }
-      }
-    }
-    run_start = run_end;
-  }
-  return Status::OK();
+  if (batch) Count(&IoStats::batch_writes, 1);
+  Count(&IoStats::writes, ids.size());
+  // iovec carries void* even for gather writes; the buffers are never
+  // modified through it.
+  return TransferPages(fd_, Dir::kWrite, page_size_, ids, [&](size_t i) {
+    return static_cast<void*>(const_cast<uint8_t*>(pages[i]->data()));
+  });
 }
 
 Result<PageId> DiskPagedFile::Allocate() {
-  counters_.allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(&IoStats::allocations, 1);
   if (free_head_ != kInvalidPageId) {
     PageId id = free_head_;
     // The first 4 bytes of a free page link to the next free page.
     uint8_t link[4];
-    HT_RETURN_NOT_OK(
-        ReadRaw((static_cast<uint64_t>(id) + 1) * page_size_, link, 4));
-    Reader r(link, 4);
+    HT_RETURN_NOT_OK(Transfer(fd_, Dir::kRead, PageOffset(id, page_size_),
+                              link, sizeof(link)));
+    Reader r(link, sizeof(link));
     free_head_ = r.GetU32();
     return id;
   }
   PageId id = page_count_++;
   // Extend the file with a zero page so subsequent reads succeed.
   Page zero(page_size_);
-  HT_RETURN_NOT_OK(WriteRaw((static_cast<uint64_t>(id) + 1) * page_size_,
+  HT_RETURN_NOT_OK(Transfer(fd_, Dir::kWrite, PageOffset(id, page_size_),
                             zero.data(), page_size_));
   return id;
 }
@@ -514,12 +376,12 @@ Status DiskPagedFile::Free(PageId id) {
     return Status::InvalidArgument("DiskPagedFile: free of unallocated page");
   }
   uint8_t link[4];
-  Writer w(link, 4);
+  Writer w(link, sizeof(link));
   w.PutU32(free_head_);
-  HT_RETURN_NOT_OK(
-      WriteRaw((static_cast<uint64_t>(id) + 1) * page_size_, link, 4));
+  HT_RETURN_NOT_OK(Transfer(fd_, Dir::kWrite, PageOffset(id, page_size_), link,
+                            sizeof(link)));
   free_head_ = id;
-  counters_.frees.fetch_add(1, std::memory_order_relaxed);
+  Count(&IoStats::frees, 1);
   return Status::OK();
 }
 

@@ -7,6 +7,13 @@
 // matters — the paper's metrics are access counts and normalized ratios, so
 // the benchmarks do not need to pay real disk latency).
 //
+// Each backend moves pages along one path per direction: Read and Write are
+// its ReadBatch and WriteBatch on one page, with the same validation and
+// the same copy (MemPagedFile) or the same vectored-I/O loop
+// (DiskPagedFile, which also moves its superblock and freelist links
+// through that loop). Only the counters differ: a single-page call charges
+// no batch round trip.
+//
 // Free pages are tracked with an intrusive freelist threaded through the
 // first 4 bytes of each free page, so allocation state persists on disk.
 
@@ -32,7 +39,7 @@ namespace ht {
 /// write-back pipelines): Read() and ReadBatch() are safe to call
 /// concurrently from multiple threads, and concurrently with
 /// Write()/WriteBatch() of *other* pages — the disk backend uses
-/// positional pread/preadv/pwritev (no shared file offset) and the memory
+/// positional preadv/pwritev (no shared file offset) and the memory
 /// backend only touches the target pages' bytes. Write()/WriteBatch()
 /// calls touching disjoint page sets may likewise run concurrently (the
 /// parallel bulk loader writes disjoint preallocated ranges from worker
@@ -58,10 +65,8 @@ class PagedFile {
   /// validate the whole batch before issuing I/O, so on error no promise
   /// is made about output contents but the file itself is untouched.
   /// Counts one batch_read plus ids.size() physical reads.
-  /// The default implementation is a loop over Read(); DiskPagedFile
-  /// overrides it with offset-sorted, coalesced preadv calls.
   virtual Status ReadBatch(std::span<const PageId> ids,
-                           std::span<Page* const> outs);
+                           std::span<Page* const> outs) = 0;
 
   /// Writes `page` (size() == page_size()) as page `id`.
   virtual Status Write(PageId id, const Page& page) = 0;
@@ -74,10 +79,8 @@ class PagedFile {
   /// "which occurrence wins" would be unspecified, and no caller has a
   /// legitimate reason to write one page twice in a single batch.
   /// Counts one batch_write plus ids.size() writes.
-  /// The default implementation is a loop over Write(); DiskPagedFile
-  /// overrides it with offset-sorted, coalesced pwritev calls.
   virtual Status WriteBatch(std::span<const PageId> ids,
-                            std::span<const Page* const> pages);
+                            std::span<const Page* const> pages) = 0;
 
   /// Allocates a fresh (or recycled) page id.
   virtual Result<PageId> Allocate() = 0;
@@ -89,32 +92,28 @@ class PagedFile {
   /// Flushes buffered writes to durable storage (no-op for memory backend).
   virtual Status Sync() = 0;
 
-  /// Snapshot of the raw file-level I/O statistics. Counters are relaxed
-  /// atomics so concurrent readers (query threads and the prefetch fills
-  /// they run) can bump them without locks; the snapshot is not a
+  /// Snapshot of the raw file-level I/O statistics. Counters are bumped
+  /// with relaxed atomic adds so concurrent readers (query threads and the
+  /// prefetch fills they run) need no lock; the snapshot is not a
   /// consistent cut across counters, which is fine for accounting.
   virtual IoStats stats() const;
   virtual void ResetStats();
 
  protected:
-  /// Lock-free counters (see stats()). Only the fields a raw file can
-  /// observe are tracked; logical reads and cache behaviour belong to
-  /// BufferPool. All accesses are relaxed: each counter is an independent
-  /// tally, readers tolerate torn cross-counter views, and no counter
-  /// publishes any other data.
-  struct Counters {
-    std::atomic<uint64_t> physical_reads{0};
-    std::atomic<uint64_t> writes{0};
-    std::atomic<uint64_t> allocations{0};
-    std::atomic<uint64_t> frees{0};
-    std::atomic<uint64_t> batch_reads{0};
-    std::atomic<uint64_t> batch_writes{0};
-  };
-  void BumpReads(uint64_t n) {
-    counters_.physical_reads.fetch_add(n, std::memory_order_relaxed);
+  /// Adds `n` to one counter of the file's IoStats. Only the counters a
+  /// raw file can observe move (physical_reads, writes, allocations,
+  /// frees, batch_reads, batch_writes); logical reads and cache behaviour
+  /// belong to BufferPool.
+  void Count(uint64_t IoStats::*counter, uint64_t n) {
+    std::atomic_ref<uint64_t>(io_.*counter)
+        .fetch_add(n, std::memory_order_relaxed);
   }
 
-  Counters counters_;
+ private:
+  /// Touched only through relaxed std::atomic_ref operations: each counter
+  /// is an independent tally, readers tolerate torn cross-counter views,
+  /// and no counter publishes any other data.
+  mutable IoStats io_;
 };
 
 /// In-memory backend.
@@ -127,13 +126,9 @@ class MemPagedFile final : public PagedFile {
     return static_cast<PageId>(pages_.size());
   }
   Status Read(PageId id, Page* out) override;
-  // Nothing to coalesce in memory, but the whole batch is still validated
-  // before the first copy so a bad id cannot leave a half-filled batch.
   Status ReadBatch(std::span<const PageId> ids,
                    std::span<Page* const> outs) override;
   Status Write(PageId id, const Page& page) override;
-  // Same validate-then-copy shape as ReadBatch: a bad id or duplicate
-  // cannot leave a half-applied batch.
   Status WriteBatch(std::span<const PageId> ids,
                     std::span<const Page* const> pages) override;
   Result<PageId> Allocate() override;
@@ -141,6 +136,18 @@ class MemPagedFile final : public PagedFile {
   Status Sync() override { return Status::OK(); }
 
  private:
+  // The read and write paths: validate the whole request, charge it (a
+  // batch round trip only when `batch`), then copy page by page. Nothing
+  // to coalesce in memory, but a bad id still cannot leave a half-filled
+  // or half-applied batch.
+  Status ReadPages(std::span<const PageId> ids, std::span<Page* const> outs,
+                   bool batch);
+  Status WritePages(std::span<const PageId> ids,
+                    std::span<const Page* const> pages, bool batch);
+  bool Allocated(PageId id) const {
+    return id < pages_.size() && pages_[id] != nullptr;
+  }
+
   size_t page_size_;
   std::vector<std::unique_ptr<Page>> pages_;
   std::vector<PageId> free_list_;
@@ -164,13 +171,9 @@ class DiskPagedFile final : public PagedFile {
   size_t page_size() const override { return page_size_; }
   PageId page_count() const override { return page_count_; }
   Status Read(PageId id, Page* out) override;
-  /// Scatter-gather implementation: requests are sorted by file offset,
-  /// adjacent pages are coalesced into single vectored preadv calls.
   Status ReadBatch(std::span<const PageId> ids,
                    std::span<Page* const> outs) override;
   Status Write(PageId id, const Page& page) override;
-  /// Gather-write implementation: requests are sorted by file offset,
-  /// adjacent pages are coalesced into single vectored pwritev calls.
   Status WriteBatch(std::span<const PageId> ids,
                     std::span<const Page* const> pages) override;
   Result<PageId> Allocate() override;
@@ -180,8 +183,14 @@ class DiskPagedFile final : public PagedFile {
  private:
   DiskPagedFile(int fd, size_t page_size);
   Status WriteSuperblock();
-  Status ReadRaw(uint64_t offset, void* buf, size_t n);
-  Status WriteRaw(uint64_t offset, const void* buf, size_t n);
+  // The read and write paths: validate the whole request, charge it (a
+  // batch round trip only when `batch`), then move it through the file's
+  // one transfer loop — pages sorted by file offset, runs of adjacent
+  // pages coalesced into single vectored preadv/pwritev calls.
+  Status ReadPages(std::span<const PageId> ids, std::span<Page* const> outs,
+                   bool batch);
+  Status WritePages(std::span<const PageId> ids,
+                    std::span<const Page* const> pages, bool batch);
 
   int fd_ = -1;
   size_t page_size_ = 0;

@@ -542,6 +542,10 @@ class GatedReadBatchFile final : public PagedFile {
   Status Write(PageId id, const Page& page) override {
     return base_->Write(id, page);
   }
+  Status WriteBatch(std::span<const PageId> ids,
+                    std::span<const Page* const> pages) override {
+    return base_->WriteBatch(ids, pages);
+  }
   Result<PageId> Allocate() override { return base_->Allocate(); }
   Status Free(PageId id) override { return base_->Free(id); }
   Status Sync() override { return base_->Sync(); }

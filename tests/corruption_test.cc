@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
@@ -110,6 +111,79 @@ TEST(CorruptionTest, MetaUnknownElsModeRejected) {
 
 TEST(CorruptionTest, MetaUnknownQuerySizeModelRejected) {
   ExpectOpenRejectsMeta(kMetaQuerySizeModelOffset, {5});
+}
+
+// The meta page's root id and height, after dim and page size.
+constexpr size_t kMetaRootOffset = 17;
+constexpr size_t kMetaHeightOffset = 21;
+
+/// Overwrites the little-endian u32 at `offset` of page `id`.
+void PatchU32(PagedFile& file, PageId id, size_t offset, uint32_t value) {
+  Page p(file.page_size());
+  HT_CHECK_OK(file.Read(id, &p));
+  for (size_t b = 0; b < 4; ++b) {
+    p.data()[offset + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
+  HT_CHECK_OK(file.Write(id, p));
+}
+
+// Delete resets the root to an empty data page when it eliminates the
+// root index node's only child. No split, bulk load or Delete leaves a
+// one-child root index node behind, but a file can hold one and Open
+// accepts it, so the test writes one: the root data page of a flushed
+// tree gets a level-1 parent whose kd tree is a single leaf.
+TEST(CorruptionTest, DeleteUnderAOneChildRootResetsTheRoot) {
+  MemPagedFile file(1024);
+  HybridTreeOptions o;
+  o.dim = 4;
+  o.page_size = 1024;
+  // The data-page fill floor: one row fewer and the page is eliminated.
+  const size_t floor = static_cast<size_t>(
+      o.data_node_min_util *
+      static_cast<double>(DataNode::Capacity(o.dim, o.page_size)));
+  ASSERT_GE(floor, 2u);
+  Rng rng(1803);
+  const Dataset data = GenUniform(floor, o.dim, rng);
+  PageId data_page;
+  {
+    auto tree = HybridTree::Create(o, &file).ValueOrDie();
+    for (size_t i = 0; i < data.size(); ++i) {
+      HT_CHECK_OK(tree->Insert(data.Row(i), i));
+    }
+    HT_CHECK_OK(tree->Flush());
+    ASSERT_EQ(tree->height(), 0u);
+    data_page = tree->root_page();
+  }
+  const PageId index_page = file.Allocate().ValueOrDie();
+  IndexNode index;
+  index.level = 1;
+  index.root = KdNode::MakeLeaf(data_page);
+  Page p(file.page_size());
+  index.Serialize(p.data(), p.size(), /*els_in_page=*/false, 0);
+  HT_CHECK_OK(file.Write(index_page, p));
+  PatchU32(file, 0, kMetaRootOffset, index_page);
+  PatchU32(file, 0, kMetaHeightOffset, 1);
+
+  // Open rebuilds the in-memory ELS codes, the new root's included.
+  auto tree = HybridTree::Open(&file).ValueOrDie();
+  ASSERT_EQ(tree->root_page(), index_page);
+  ASSERT_EQ(tree->height(), 1u);
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+
+  // The child falls below the floor and is eliminated; the root page
+  // becomes an empty data page and the other rows are reinserted into it.
+  ASSERT_TRUE(tree->Delete(data.Row(0), 0).ok());
+  EXPECT_EQ(tree->size(), floor - 1);
+  EXPECT_EQ(tree->height(), 0u);
+  EXPECT_EQ(tree->root_page(), index_page);
+  const Status valid = tree->CheckInvariants();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  std::vector<uint64_t> ids =
+      tree->SearchBox(Box::UnitCube(o.dim)).ValueOrDie();
+  std::sort(ids.begin(), ids.end());
+  std::vector<uint64_t> survivors(floor - 1);
+  std::iota(survivors.begin(), survivors.end(), uint64_t{1});
+  EXPECT_EQ(ids, survivors);
 }
 
 TEST(CorruptionTest, KdChildIndexOutOfRange) {

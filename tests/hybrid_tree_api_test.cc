@@ -1,5 +1,5 @@
-// Tests for the convenience / audit APIs: SearchPoint, CountBox, ScanAll,
-// per-level statistics, and DumpTree smoke.
+// Tests for the convenience / audit APIs: SearchPoint, CountBox, ScanAll
+// and per-level statistics.
 
 #include <gtest/gtest.h>
 

@@ -3,10 +3,13 @@
 #include "storage/paged_file.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/latency_injecting_file.h"
@@ -139,6 +142,35 @@ TEST(DiskPagedFileTest, OpenGarbageFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(DiskPagedFileTest, OpenFileShorterThanSuperblockIsCorruption) {
+  const std::string path = TempPath("short.htf");
+  FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite("HTDF", 1, 4, f);
+  std::fclose(f);
+  auto r = DiskPagedFile::Open(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+}
+
+TEST(DiskPagedFileTest, ReadPastTruncatedEndIsCorruption) {
+  // The superblock says two pages exist, but the file ends inside the
+  // second: reading it is Corruption, never a short page.
+  const std::string path = TempPath("truncated.htf");
+  PageId second;
+  {
+    auto file = DiskPagedFile::Create(path, 256).ValueOrDie();
+    (void)file->Allocate().ValueOrDie();
+    second = file->Allocate().ValueOrDie();
+    ASSERT_TRUE(file->Sync().ok());
+  }
+  ASSERT_EQ(::truncate(path.c_str(), 256 + 256 + 100), 0);
+  auto file = DiskPagedFile::Open(path).ValueOrDie();
+  Page p(256);
+  EXPECT_TRUE(file->Read(0, &p).ok());
+  const Status st = file->Read(second, &p);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
 // --- ReadBatch -------------------------------------------------------------
 
 /// Allocates `n` pages, stamping page i's bytes with (i * 31 + j) % 251.
@@ -252,6 +284,23 @@ TEST(DiskPagedFileTest, ReadBatchCoalescingBoundaries) {
   for (size_t i = 0; i < want.size(); ++i) ExpectStamp(pages[i], stamp[i]);
   EXPECT_EQ(file->stats().batch_reads, 1u);
   EXPECT_EQ(file->stats().physical_reads, want.size());
+}
+
+TEST(DiskPagedFileTest, ReadBatchBeyondIovLimit) {
+  // More adjacent pages than one preadv can carry (IOV_MAX-bounded): the
+  // batch must split internally and still fill every page.
+  auto file = DiskPagedFile::Create(TempPath("riov.htf"), 64).ValueOrDie();
+  const size_t kPages = 1100;  // > the 1024-iovec cap
+  std::vector<PageId> ids = StampPages(*file, kPages);
+  std::vector<Page> pages;
+  std::vector<Page*> outs;
+  for (size_t i = 0; i < kPages; ++i) pages.emplace_back(file->page_size());
+  for (size_t i = 0; i < kPages; ++i) outs.push_back(&pages[i]);
+  file->ResetStats();
+  ASSERT_TRUE(file->ReadBatch(ids, outs).ok());
+  EXPECT_EQ(file->stats().batch_reads, 1u);
+  EXPECT_EQ(file->stats().physical_reads, kPages);
+  for (size_t i = 0; i < kPages; ++i) ExpectStamp(pages[i], i);
 }
 
 TEST(LatencyInjectingFileTest, CountsRoundTripsAndDelegates) {
@@ -444,6 +493,126 @@ TEST(LatencyInjectingFileTest, CountsWriteRoundTrips) {
   EXPECT_EQ(lat.stats().batch_writes, 1u);
   lat.ResetWriteCalls();
   EXPECT_EQ(lat.write_calls(), 0u);
+}
+
+// --- Concurrency -----------------------------------------------------------
+
+/// The overlaps the thread-safety contract promises: four threads Read and
+/// ReadBatch stamped pages while two threads WriteBatch their own disjoint
+/// preallocated ranges (the buffer pool's shared-file-lock reads and the
+/// parallel bulk loader's per-worker writes). Every page read must carry
+/// its exact stamp, every written page must read back its last stamp, and
+/// the relaxed counters must add up.
+template <typename MakeFile>
+void RunConcurrentReadsAndDisjointWrites(MakeFile make) {
+  auto file = make();
+  constexpr size_t kReadPages = 48;
+  constexpr size_t kWriters = 2;
+  constexpr size_t kWritePages = 40;  // per writer, one contiguous range
+  constexpr size_t kReaders = 4;
+  constexpr size_t kRounds = 40;
+  std::vector<PageId> read_ids = StampPages(*file, kReadPages);
+  std::vector<std::vector<PageId>> write_ids(kWriters);
+  for (auto& range : write_ids) {
+    for (size_t k = 0; k < kWritePages; ++k) {
+      range.push_back(file->Allocate().ValueOrDie());
+    }
+  }
+  // Writer w's page k in round r carries stamp write_stamp(w, k, r).
+  const auto write_stamp = [](size_t w, size_t k, size_t r) {
+    return 1000 + (w * kWritePages + k) * 7 + r;
+  };
+  file->ResetStats();
+
+  std::atomic<size_t> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Page> pages;
+      for (size_t i = 0; i < 6; ++i) pages.emplace_back(file->page_size());
+      std::vector<Page*> outs;
+      for (Page& p : pages) outs.push_back(&p);
+      const auto stamped = [](const Page& p, size_t i) {
+        for (size_t j = 0; j < p.size(); ++j) {
+          if (p.data()[j] != static_cast<uint8_t>((i * 31 + j) % 251)) {
+            return false;
+          }
+        }
+        return true;
+      };
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t i = (t * 11 + r * 5) % kReadPages;
+        if (!file->Read(read_ids[i], &pages[0]).ok() ||
+            !stamped(pages[0], i)) {
+          bad_reads.fetch_add(1);
+        }
+        // An adjacent run, a gap, and a repeated id in one batch.
+        const size_t base = (t * 7 + r * 3) % (kReadPages - 4);
+        const std::vector<size_t> picks = {base + 2, base,     base + 1,
+                                           base + 4, base + 1, base + 3};
+        std::vector<PageId> ids;
+        for (size_t pick : picks) ids.push_back(read_ids[pick]);
+        if (!file->ReadBatch(ids, outs).ok()) bad_reads.fetch_add(1);
+        for (size_t q = 0; q < picks.size(); ++q) {
+          if (!stamped(pages[q], picks[q])) bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<Page> pages;
+      for (size_t k = 0; k < kWritePages; ++k) {
+        pages.emplace_back(file->page_size());
+      }
+      std::vector<const Page*> ptrs;
+      for (const Page& p : pages) ptrs.push_back(&p);
+      // Submitted in reverse order, so every batch is offset-sorted.
+      std::vector<PageId> ids(write_ids[w].rbegin(), write_ids[w].rend());
+      for (size_t r = 0; r < kRounds; ++r) {
+        for (size_t q = 0; q < kWritePages; ++q) {
+          const size_t k = kWritePages - 1 - q;
+          for (size_t j = 0; j < pages[q].size(); ++j) {
+            pages[q].data()[j] =
+                static_cast<uint8_t>((write_stamp(w, k, r) * 31 + j) % 251);
+          }
+        }
+        EXPECT_TRUE(file->WriteBatch(ids, ptrs).ok());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  const IoStats s = file->stats();
+  EXPECT_EQ(s.batch_reads, kReaders * kRounds);
+  EXPECT_EQ(s.physical_reads, kReaders * kRounds * 7);
+  EXPECT_EQ(s.batch_writes, kWriters * kRounds);
+  EXPECT_EQ(s.writes, kWriters * kRounds * kWritePages);
+  for (size_t w = 0; w < kWriters; ++w) {
+    for (size_t k = 0; k < kWritePages; ++k) {
+      Page back(file->page_size());
+      ASSERT_TRUE(file->Read(write_ids[w][k], &back).ok());
+      ExpectStamp(back, write_stamp(w, k, kRounds - 1));
+    }
+  }
+  for (size_t i = 0; i < kReadPages; ++i) {
+    Page back(file->page_size());
+    ASSERT_TRUE(file->Read(read_ids[i], &back).ok());
+    ExpectStamp(back, i);
+  }
+}
+
+TEST(MemPagedFileTest, ConcurrentReadsAndDisjointWriteBatches) {
+  RunConcurrentReadsAndDisjointWrites(
+      [] { return std::make_unique<MemPagedFile>(256); });
+}
+
+TEST(DiskPagedFileTest, ConcurrentReadsAndDisjointWriteBatches) {
+  RunConcurrentReadsAndDisjointWrites([] {
+    auto r = DiskPagedFile::Create(TempPath("concurrent.htf"), 256);
+    return std::move(r).ValueOrDie();
+  });
 }
 
 TEST(PagedFileTest, StatsCountOperations) {

@@ -5,9 +5,11 @@
 // distinguishable counters.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "exec/latency.h"
 #include "exec/thread_pool.h"
 #include "geometry/metrics.h"
 #include "serve/admission.h"
@@ -338,6 +341,82 @@ TEST_F(ServerTest, SnapshotCarriesPerShardIoAndLatencies) {
   EXPECT_EQ(snap.TotalCompleted(), 0u);
   EXPECT_EQ(snap.total_io.logical_reads, 0u);
   EXPECT_EQ(snap.tenants[0].latency.count, 0u);
+}
+
+// The latency window holds the last latency_window completed requests:
+// the snapshot summarizes exactly those, and ResetMetrics empties it.
+TEST_F(ServerTest, LatencyWindowSummarizesTheLastCompletedRequests) {
+  ServerOptions options;
+  options.latency_window = 4;
+  Server server(index_.get(), options);
+  std::vector<double> seconds;
+  for (int i = 0; i < 10; ++i) {
+    Request r = KnnRequest("w");
+    // The first six return every row, so they are the slow ones a window
+    // that kept old samples would report.
+    if (i < 6) r.query = Query::MakeKnn(center_, data_.size());
+    const QueryResult res = server.Execute(r);
+    ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+    seconds.push_back(res.seconds);
+  }
+  const auto expect_window = [&](size_t n) {
+    const LatencySummary want =
+        SummarizeLatencies({seconds.end() - static_cast<ptrdiff_t>(n),
+                            seconds.end()});
+    const MetricsSnapshot snap = server.Snapshot();
+    ASSERT_EQ(snap.tenants.size(), 1u);
+    const LatencySummary& got = snap.tenants[0].latency;
+    EXPECT_EQ(got.count, n);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p99, want.p99);
+    EXPECT_EQ(got.max, want.max);
+  };
+  expect_window(4);
+
+  server.ResetMetrics();
+  for (int i = 0; i < 2; ++i) {
+    const QueryResult res = server.Execute(KnnRequest("w"));
+    ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+    seconds.push_back(res.seconds);
+  }
+  expect_window(2);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%zu %zu", &total_pages, &resident_pages) != 2) {
+    resident_pages = 0;
+  }
+  std::fclose(f);
+  return resident_pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A tenant record is small until its tenant sends traffic: the latency
+// ring grows with completed requests, up to the window, instead of being
+// allocated whole (8,192 samples, 64 KiB by default) for every name seen.
+TEST_F(ServerTest, OneRequestPerTenantNameKeepsRecordsSmall) {
+  Server server(index_.get());
+  for (int i = 0; i < 20; ++i) {  // warm the shards' scratch and caches
+    ASSERT_TRUE(server.Execute(KnnRequest("warm")).status.ok());
+  }
+  constexpr size_t kTenants = 2000;
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  for (size_t i = 0; i < kTenants; ++i) {
+    ASSERT_TRUE(
+        server.Execute(KnnRequest("tenant-" + std::to_string(i))).status.ok());
+  }
+  const size_t after = ResidentBytes();
+  EXPECT_EQ(server.Snapshot().tenants.size(), kTenants + 1);
+  const size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, size_t{32} << 20)
+      << "RSS grew " << (grown >> 20) << " MiB for " << kTenants
+      << " one-request tenants";
 }
 
 TEST_F(ServerTest, MultiTenantTrafficIsIsolatedInMetrics) {
