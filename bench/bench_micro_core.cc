@@ -298,16 +298,17 @@ BENCHMARK(BM_SidecarTest)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// The sidecar test a box search makes before it pins a cold data page:
-// one ctm_box call on the page's 8-bit sidecar (HybridTree::BoxRulesOut).
-// The pages are built as BM_SidecarTest's are, from their own draw of the
-// rows: kd leaves of about 49 rows at 16-d, about 12 at 64-d. Each of 64
-// boxes, its side calibrated to perfbench's box selectivity (0.07% on
-// FOURIER 16-d, 0.2% on COLHIST 64-d), tests in shuffled order every page
-// whose grid it overlaps in every dimension, as an admitted child's box
-// does. Reports ns per test, the pages ruled out by one pass (the same at
-// every tier), and the active SIMD tier as the label (HT_SIMD=avx2 runs
-// the scalar reference). Arg: dim.
+// The sidecar test a box search makes before it pins an admitted data
+// page: one ctm_box call on the page's 8-bit sidecar, through
+// quant::RunBoxKernel, writing one survivor bit per row
+// (HybridTree::BoxFilter). The pages are built as BM_SidecarTest's are,
+// from their own draw of the rows: kd leaves of about 49 rows at 16-d,
+// about 12 at 64-d. Each of 64 boxes, its side calibrated to perfbench's
+// box selectivity (0.07% on FOURIER 16-d, 0.2% on COLHIST 64-d), tests in
+// shuffled order every page whose grid it overlaps in every dimension, as
+// an admitted child's box does. Reports ns per test, the pages ruled out
+// and the surviving rows per test of one pass (both the same at every
+// tier), and the active SIMD tier as the label. Arg: dim.
 struct SidecarBoxTests {
   std::vector<Box> boxes;
   std::vector<std::unique_ptr<const QuantizedPage>> pages;
@@ -349,27 +350,43 @@ void BM_SidecarBoxTest(benchmark::State& state) {
   auto& set = cache[state.range(0)];
   if (set == nullptr) set = MakeSidecarBoxTests(dim);
   quant::FilterScratch scratch;
+  std::vector<uint8_t> masks;
+  for (const auto& page : set->pages) {
+    masks.resize(std::max(masks.size(), page->view().blocks));
+  }
+  const auto test = [&](size_t i) {
+    const Box& b = set->boxes[set->tests[i].first];
+    return quant::RunBoxKernel(kernels::Active().ctm_box,
+                               set->tests[i].second->view(), b.lo().data(),
+                               b.hi().data(), &scratch, masks.data());
+  };
   uint64_t ruled_out = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     ruled_out = 0;
-    for (const auto& [box, page] : set->tests) {
-      const Box& b = set->boxes[box];
-      if (!quant::RunBoxKernel(kernels::Active().ctm_box, page->view(),
-                               b.lo().data(), b.hi().data(), &scratch)) {
-        ++ruled_out;
-      }
+    for (size_t i = 0; i < set->tests.size(); ++i) {
+      if (!test(i)) ++ruled_out;
     }
-    benchmark::DoNotOptimize(ruled_out);
+    benchmark::DoNotOptimize(masks.data());
   }
   const double ns = std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count();
+  // The surviving rows, counted in one more pass outside the timing.
+  uint64_t survivors = 0;
+  for (size_t i = 0; i < set->tests.size(); ++i) {
+    test(i);
+    for (size_t m = 0; m < set->tests[i].second->view().blocks; ++m) {
+      survivors += static_cast<uint64_t>(std::popcount(masks[m]));
+    }
+  }
   const double tests = static_cast<double>(set->tests.size());
   state.counters["ns_per_test"] =
       ns / (tests * static_cast<double>(state.iterations()));
   state.counters["tests"] = tests;
   state.counters["ruled_out"] = static_cast<double>(ruled_out);
+  state.counters["survivors_per_test"] =
+      static_cast<double>(survivors) / tests;
   state.SetLabel(kernels::TierName(kernels::ActiveTier()));
 }
 BENCHMARK(BM_SidecarBoxTest)->Arg(16)->Arg(64);

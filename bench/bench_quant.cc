@@ -13,7 +13,7 @@
 // The filter columns report, over one measured round, how many scanned
 // points the code-level lower bound pruned before any exact distance was
 // computed (IoStats::scan_points / quant_refined / quant_pruned). Each
-// pass is timed on the thread's CPU clock (CLOCK_THREAD_CPUTIME_ID), so
+// pass is timed on the thread's CPU clock (CpuTimer), so
 // time the thread spends preempted on a shared host is not charged to it;
 // each config's QPS is the median, with its quartiles, of 11 interleaved
 // rounds, and a speedup is a ratio of medians.
@@ -36,11 +36,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/timing.h"
 #include "core/bulk_load.h"
 #include "core/hybrid_tree.h"
 #include "geometry/kernels/kernels.h"
@@ -72,14 +72,6 @@ struct Config {
   kernels::SimdTier tier;
   bool quant;
 };
-
-/// Seconds of CPU time the calling thread has used.
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         1e-9 * static_cast<double>(ts.tv_nsec);
-}
 
 /// One config's per-round QPS: median and quartiles (linear interpolation
 /// between order statistics).
@@ -246,9 +238,9 @@ int main(int argc, char** argv) {
   // pass. The filter counters are deterministic per round (stats window =
   // one round's queries), so the last round's snapshot is as good as any.
   const auto pass_qps = [&](const auto& one_query) {
-    const double t0 = ThreadCpuSeconds();
+    const CpuTimer timer;
     for (size_t q = 0; q < centers.size(); ++q) one_query(q);
-    return static_cast<double>(centers.size()) / (ThreadCpuSeconds() - t0);
+    return static_cast<double>(centers.size()) / timer.Seconds();
   };
   for (int r = 0; r < kRounds; ++r) {
     for (size_t c = 0; c < n_configs; ++c) {

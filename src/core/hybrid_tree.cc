@@ -836,10 +836,13 @@ Status HybridTree::SearchBoxInto(const Box& query, SearchScratch* scratch,
   if (scratch == nullptr) scratch = &local;
   ChargeScansOnReturn charge(pool_.get(), &scratch->tally);
   scratch->descents.clear();
-  return SearchBoxRec(root_, query, /*contained=*/false, scratch, out);
+  scratch->carried.clear();
+  return SearchBoxRec(root_, {}, query, /*contained=*/false, scratch, out);
 }
 
-Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
+Status HybridTree::SearchBoxRec(PageId page,
+                                std::span<const uint32_t> survivors,
+                                const Box& query, bool contained,
                                 SearchScratch* scratch,
                                 std::vector<uint64_t>* out) const {
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
@@ -852,10 +855,26 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
       // Scan-level pruning: an ancestor's live box was fully inside the
       // query, so every entry qualifies — collect ids without per-point
       // containment tests.
+      scratch->tally.AddScan(n, n, /*filtered=*/false);
       for (size_t i = 0; i < n; ++i) out->push_back(scan.id(i));
       return Status::OK();
     }
-    for (size_t i = 0; i < n; ++i) {
+    // A page filtered at admission arrives with its survivors (never
+    // empty); otherwise the pin builds the sidecar and filters here.
+    if (survivors.empty()) {
+      if (BoxFilter(page, &scan, query, scratch)) {
+        survivors = scratch->survivors;
+      } else {
+        scratch->tally.AddScan(n, n, /*filtered=*/false);
+        for (size_t i = 0; i < n; ++i) {
+          if (query.ContainsPoint(scan.vec(i))) out->push_back(scan.id(i));
+        }
+        return Status::OK();
+      }
+    }
+    // A pruned row's codes leave the box's code range, so the row is not
+    // in the box; survivors ascend, so the ids keep the full scan's order.
+    for (const uint32_t i : survivors) {
       if (query.ContainsPoint(scan.vec(i))) out->push_back(scan.id(i));
     }
     return Status::OK();
@@ -865,7 +884,9 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
   h.Release();
 
   auto& descents = scratch->descents;
+  auto& carried = scratch->carried;
   const size_t first = descents.size();
+  const size_t carried_first = carried.size();
   const size_t n = node->num_children();
   if (contained) {
     for (size_t i = 0; i < n; ++i) {
@@ -888,43 +909,32 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
     kernels::Active().box_overlap(query.lo().data(), query.hi().data(),
                                   live.dim, live.lo, live.hi, live.stride, n,
                                   reached, intersects, contains);
-    // A child the sidecar rules out is decided here, at admission, so it
-    // never enters the prefetch batch.
+    // Every admitted child that is not contained is filtered from its
+    // sidecar here, at admission, as a range descent's is (CarryRows).
     const uint64_t* admitted = els_enabled() ? intersects : reached;
     for (size_t w = 0; w < words; ++w) {
       for (uint64_t m = admitted[w]; m != 0; m &= m - 1) {
         const size_t bit = static_cast<size_t>(std::countr_zero(m));
-        const PageId child = node->child(w * 64 + bit);
-        const bool inside = ((contains[w] >> bit) & 1) != 0;
-        if (!inside && BoxRulesOut(child, query, scratch)) continue;
-        descents.push_back(SearchScratch::Descent{child, inside});
+        SearchScratch::Descent d{node->child(w * 64 + bit),
+                                 ((contains[w] >> bit) & 1) != 0};
+        if (d.contained ||
+            CarryRows(BoxFilter(d.page, nullptr, query, scratch), &d,
+                      scratch)) {
+          descents.push_back(d);
+        }
       }
     }
   }
   PrefetchDescents(first, scratch);
   Status st;
   for (size_t i = first; st.ok() && i < descents.size(); ++i) {
-    const SearchScratch::Descent c = descents[i];
-    st = SearchBoxRec(c.page, query, c.contained, scratch, out);
+    const SearchScratch::Descent d = descents[i];
+    st = SearchBoxRec(d.page, CarriedRows(d, *scratch), query, d.contained,
+                      scratch, out);
   }
   descents.resize(first);
+  carried.resize(carried_first);
   return st;
-}
-
-bool HybridTree::BoxRulesOut(PageId page, const Box& query,
-                             SearchScratch* scratch) const {
-  // Residency first: on a warm pool it is the only probe.
-  if (!options_.quant_sidecars || pool_->Cached(page)) return false;
-  const QuantizedPage* qp = quant_store_.Lookup(page);
-  if (qp == nullptr) return false;
-  const float* lo = query.lo().data();
-  const float* hi = query.hi().data();
-  if (quant::RunBoxKernel(kernels::Active().ctm_box, qp->view(), lo, hi,
-                          &scratch->quant)) {
-    return false;
-  }
-  ++scratch->tally.quant_skipped_pages;
-  return true;
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchPoint(
@@ -1012,51 +1022,46 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   return SearchRangeRec(root_, {}, center, radius, metric, scratch, out);
 }
 
-bool HybridTree::SidecarsServe(const DistanceMetric& metric) const {
+bool HybridTree::SidecarsServe() const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
   // would save. So a scalar-tier scan (no SIMD on this host, or
   // HT_SIMD=scalar) runs exactly the pre-sidecar hot path and builds
-  // nothing. A metric with no code-space machinery (SupportsCodeFilter
-  // false, e.g. the QuadraticForm fallback) takes the same exit BEFORE the
-  // sidecar lookup: building codes it can never filter with would only
-  // fill QuantStore with useless pages.
-  return options_.quant_sidecars && metric.SupportsCodeFilter() &&
+  // nothing.
+  return options_.quant_sidecars &&
          kernels::ActiveTier() != kernels::SimdTier::kScalar;
 }
 
-bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
-                             std::span<const float> center,
-                             const DistanceMetric& metric, double bound,
-                             SearchScratch* scratch) const {
-  if (!SidecarsServe(metric)) return false;
+bool HybridTree::SidecarsServe(const DistanceMetric& metric) const {
+  // A metric with no code-space machinery (SupportsCodeFilter false, e.g.
+  // the QuadraticForm fallback) takes the scalar tier's exit BEFORE the
+  // sidecar lookup: building codes it can never filter with would only
+  // fill QuantStore with useless pages.
+  return metric.SupportsCodeFilter() && SidecarsServe();
+}
+
+template <typename MaskStep>
+bool HybridTree::FilterRows(PageId page, const DataPageScan* pinned,
+                            SearchScratch* scratch,
+                            const MaskStep& mask_step) const {
   // After the pin the sidecar is built on the page's first scan even when
   // this scan cannot filter (an infinite bound: the k-NN heap is not yet
-  // full), so that later visits can rule the page out before the pin.
+  // full), so that later visits can filter the page before the pin.
   const QuantizedPage* qp = quant_store_.Lookup(page);
-  if (qp == nullptr && pinned != nullptr) {
+  if (qp == nullptr && pinned != nullptr && pinned->block() != nullptr) {
     qp = quant_store_.GetOrBuild(page, pinned->block(), pinned->stride_floats(),
                                  pinned->count(), options_.dim);
   }
-  // Code filtering is pointless when the bound prunes nothing (k-NN heap
-  // not yet full): every row would survive. The fused mask kernels decide
-  // survival in-register and hand back one bit per row — on a 99%-pruned
-  // scan the decode below touches one mostly-zero byte per 8 rows. Every
-  // metric with SupportsCodeFilter() has a mask kernel; one without would
-  // simply scan unfiltered.
-  if (qp == nullptr || bound >= std::numeric_limits<double>::max()) {
-    return false;
-  }
+  if (qp == nullptr) return false;
   const quant::PageCodesView view = qp->view();
   const size_t n = view.count;
   const size_t nmask = view.blocks;
   if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (!metric.CodeFilterMasks(center, view, bound, &scratch->quant,
-                              scratch->masks.data())) {
-    return false;
-  }
+  if (!mask_step(view, scratch->masks.data())) return false;
   // Survivors in ascending row order, so refinement replays the exact
-  // per-row decision sequence of the unfiltered scan.
+  // per-row decision sequence of the unfiltered scan. The mask kernels
+  // decide survival in-register and hand back one bit per row — on a
+  // 99%-pruned scan this touches one mostly-zero byte per 8 rows.
   auto& surv = scratch->survivors;
   surv.clear();
   for (size_t b = 0; b < nmask; ++b) {
@@ -1070,6 +1075,54 @@ bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
   scratch->tally.AddScan(n, surv.size(), /*filtered=*/true);
   if (pinned == nullptr && surv.empty()) ++scratch->tally.quant_skipped_pages;
   return true;
+}
+
+bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
+                             std::span<const float> center,
+                             const DistanceMetric& metric, double bound,
+                             SearchScratch* scratch) const {
+  if (!SidecarsServe(metric)) return false;
+  // Code filtering is pointless when the bound prunes nothing (k-NN heap
+  // not yet full): every row would survive. Every metric with
+  // SupportsCodeFilter() has a mask kernel; one without would simply scan
+  // unfiltered.
+  return FilterRows(
+      page, pinned, scratch,
+      [&](const quant::PageCodesView& view, uint8_t* masks) {
+        return bound < std::numeric_limits<double>::max() &&
+               metric.CodeFilterMasks(center, view, bound, &scratch->quant,
+                                      masks);
+      });
+}
+
+bool HybridTree::BoxFilter(PageId page, const DataPageScan* pinned,
+                           const Box& query, SearchScratch* scratch) const {
+  if (!SidecarsServe()) return false;
+  return FilterRows(page, pinned, scratch,
+                    [&](const quant::PageCodesView& view, uint8_t* masks) {
+                      quant::RunBoxKernel(kernels::Active().ctm_box, view,
+                                          query.lo().data(), query.hi().data(),
+                                          &scratch->quant, masks);
+                      return true;
+                    });
+}
+
+bool HybridTree::CarryRows(bool filtered, SearchScratch::Descent* d,
+                           SearchScratch* scratch) {
+  if (!filtered) return true;
+  const auto& surv = scratch->survivors;
+  if (surv.empty()) return false;
+  auto& carried = scratch->carried;
+  d->rows_begin = static_cast<uint32_t>(carried.size());
+  d->rows_count = static_cast<uint32_t>(surv.size());
+  carried.insert(carried.end(), surv.begin(), surv.end());
+  return true;
+}
+
+std::span<const uint32_t> HybridTree::CarriedRows(
+    const SearchScratch::Descent& d, const SearchScratch& scratch) {
+  return std::span<const uint32_t>(scratch.carried)
+      .subspan(d.rows_begin, d.rows_count);
 }
 
 bool HybridTree::RuledOutAhead(PageId page, std::span<const float> center,
@@ -1210,22 +1263,18 @@ Status HybridTree::SearchRangeRec(PageId page,
   for (size_t i = 0; i < node->num_children(); ++i) {
     if (dist[i] > radius) continue;
     SearchScratch::Descent d{node->child(i), false};
-    if (QuantFilter(d.page, nullptr, center, metric, radius, scratch)) {
-      const auto& surv = scratch->survivors;
-      if (surv.empty()) continue;
-      d.rows_begin = static_cast<uint32_t>(carried.size());
-      d.rows_count = static_cast<uint32_t>(surv.size());
-      carried.insert(carried.end(), surv.begin(), surv.end());
+    if (CarryRows(QuantFilter(d.page, nullptr, center, metric, radius,
+                              scratch),
+                  &d, scratch)) {
+      descents.push_back(d);
     }
-    descents.push_back(d);
   }
   PrefetchDescents(first, scratch);
   Status st;
   for (size_t i = first; st.ok() && i < descents.size(); ++i) {
     const SearchScratch::Descent d = descents[i];
-    std::span<const uint32_t> rows(carried);
-    rows = rows.subspan(d.rows_begin, d.rows_count);
-    st = SearchRangeRec(d.page, rows, center, radius, metric, scratch, out);
+    st = SearchRangeRec(d.page, CarriedRows(d, *scratch), center, radius,
+                        metric, scratch, out);
   }
   descents.resize(first);
   carried.resize(carried_first);

@@ -460,17 +460,12 @@ class HybridTree {
   // buffers need no base markers; only scratch->descents nests. The
   // recursive bodies are members, not lambdas, so the analysis sees the
   // shared-role requirement.
-  Status SearchBoxRec(PageId page, const Box& query, bool contained,
+  /// `survivors` is the page's row filter from admission (see
+  /// SearchScratch::Descent); empty when the page was not filtered, and
+  /// always empty for a `contained` page, which is never filtered.
+  Status SearchBoxRec(PageId page, std::span<const uint32_t> survivors,
+                      const Box& query, bool contained,
                       SearchScratch* scratch, std::vector<uint64_t>* out) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  /// Box half of the filter-before-fetch rule, run when a descent that is
-  /// not `contained` admits `page`: true when the page is not resident,
-  /// has a sidecar, and no row's codes lie in the box's code range
-  /// (kernels.h ctm_box). The page is then tallied as skipped in
-  /// scratch->tally and never fetched. Resident pages keep the exact
-  /// scan, which stops about as early as the code test, and the fetch it
-  /// would save is a lock-free hit. Never builds a sidecar.
-  bool BoxRulesOut(PageId page, const Box& query, SearchScratch* scratch) const
       HT_REQUIRES_SHARED(rw_contract_);
   /// `survivors` is the page's row filter from admission (see
   /// SearchScratch::Descent); empty when the page was not filtered.
@@ -531,29 +526,56 @@ class HybridTree {
   /// scan counters: its callers charge the scratch's tally on return.
   Result<std::optional<std::pair<double, uint64_t>>> NextNeighbor(
       KnnCursor* cursor) const HT_REQUIRES_SHARED(rw_contract_);
-  /// Whether metric scans use sidecars at all: they are on, the metric has
+  /// Whether page scans use sidecars at all: they are on and the dispatch
+  /// tier is SIMD (at the scalar tier the code pass costs more than the
+  /// early-abandoning exact scan it would save). A metric scan also needs
   /// a code-space bound (DistanceMetric::SupportsCodeFilter; building
-  /// codes it can never filter with would only fill QuantStore), and the
-  /// dispatch tier is SIMD (at the scalar tier the code pass costs more
-  /// than the early-abandoning exact scan it would save).
+  /// codes it can never filter with would only fill QuantStore).
+  bool SidecarsServe() const;
   bool SidecarsServe(const DistanceMetric& metric) const;
-  /// The sidecar filter of every metric page scan, run at most once per
-  /// page visit. Before the pin (`pinned` null) it uses the page's cached
+  /// The sidecar filter of every page scan (range, k-NN and box), run at
+  /// most once per page visit, with the kernel call in `mask_step(view,
+  /// masks)`: it writes one survivor bit per row of the page's sidecar
+  /// `view` into `masks` and returns true, or returns false when it cannot
+  /// filter. Before the pin (`pinned` null) it uses the page's cached
   /// sidecar, if any, and never builds one: a sidecar exists only for a
   /// live data page with exactly those rows (invalidated on every rewrite
   /// and free), so finding one also says the page is a data page. After
   /// the pin it builds the sidecar on first use. When it filters, it
-  /// collects the rows whose code lower bound does not exceed `bound`
-  /// (ascending) into scratch->survivors, adds the page's scan counters
-  /// to scratch->tally (charged to the pool when the search returns) and
-  /// returns true; a filter before the pin that leaves no row also tallies
-  /// a skipped page, and the caller must not fetch it.
-  /// Returns false and tallies nothing when there is no sidecar to use,
+  /// collects the surviving rows (ascending) into scratch->survivors, adds
+  /// the page's scan counters to scratch->tally (charged to the pool when
+  /// the search returns) and returns true; a filter before the pin that
+  /// leaves no row also tallies a skipped page, and the caller must not
+  /// fetch it. Returns false and tallies nothing when there is no sidecar
+  /// to use or `mask_step` declines.
+  template <typename MaskStep>
+  bool FilterRows(PageId page, const DataPageScan* pinned,
+                  SearchScratch* scratch, const MaskStep& mask_step) const
+      HT_REQUIRES_SHARED(rw_contract_);
+  /// FilterRows for a metric scan: the rows whose code lower bound does
+  /// not exceed `bound`. Declines when sidecars do not serve the metric,
   /// the bound prunes nothing (+inf) or the metric has no mask kernel.
   bool QuantFilter(PageId page, const DataPageScan* pinned,
                    std::span<const float> center, const DistanceMetric& metric,
                    double bound, SearchScratch* scratch) const
       HT_REQUIRES_SHARED(rw_contract_);
+  /// FilterRows for a box scan that is not `contained`: the rows whose
+  /// codes lie in the box's code range in every dimension (kernels.h
+  /// ctm_box). Declines when sidecars do not serve (off, or the scalar
+  /// tier). Resident or not, an admitted page is tested before the pin.
+  bool BoxFilter(PageId page, const DataPageScan* pinned, const Box& query,
+                 SearchScratch* scratch) const
+      HT_REQUIRES_SHARED(rw_contract_);
+  /// The admission step of the range and box descents, after the child
+  /// `d` was filtered (`filtered`, the FilterRows verdict, with its
+  /// survivors in scratch->survivors): false when no row survived, so the
+  /// child is skipped (and never enters the prefetch batch); otherwise
+  /// true, with a filtered child's survivors appended to scratch->carried
+  /// and recorded in `d` for its scan (CarriedRows).
+  static bool CarryRows(bool filtered, SearchScratch::Descent* d,
+                        SearchScratch* scratch);
+  static std::span<const uint32_t> CarriedRows(const SearchScratch::Descent& d,
+                                               const SearchScratch& scratch);
   /// Prefetch lookahead of the k-NN engine: true when `page` has a sidecar
   /// and no row survives its code filter at `bound`. The bound only
   /// shrinks, so QuantFilter will rule the page out when it is popped,

@@ -88,17 +88,16 @@ struct HybridTreeOptions {
   CachePolicy cache_policy = CachePolicy::kSlru;
 
   /// Enables the per-data-page 8-bit quantized filter-then-refine scan
-  /// path for range and (bounded) k-NN queries: a sound lower bound on
-  /// each point's distance is computed from cached uint8 codes and only
-  /// the survivors get an exact distance. The filter runs before the page
-  /// is pinned, so a page with no survivor is never fetched; box search
-  /// rules out pages that are not resident by a code-range test. Results
-  /// and pages visited (IoStats::PagesVisited) are identical either way —
-  /// the lower bound never prunes a true hit, and refinement replays the
-  /// exact kernel arithmetic. Sidecars are built lazily on a page's first
-  /// pinned scan and invalidated on page writes; turning this off only
-  /// stops filtering (cached sidecars are kept). Runtime-only: not
-  /// persisted by Flush()/Open().
+  /// path for range, (bounded) k-NN and box queries: a sound lower bound
+  /// on each point's distance (box: a code-range test) is computed from
+  /// cached uint8 codes and only the survivors get an exact test. The
+  /// filter runs before the page is pinned, so a page with no survivor is
+  /// never fetched. Results and pages visited (IoStats::PagesVisited) are
+  /// identical either way — the lower bound never prunes a true hit, and
+  /// refinement replays the exact kernel arithmetic. Sidecars are built
+  /// lazily on a page's first pinned scan and invalidated on page writes;
+  /// turning this off only stops filtering (cached sidecars are kept).
+  /// Runtime-only: not persisted by Flush()/Open().
   bool quant_sidecars = true;
 
   /// Frontier-driven prefetch depth for the cold-cache I/O pipeline: on

@@ -56,9 +56,10 @@ class SearchScratch {
   /// prefetched as a batch, then descended in that order (so results are
   /// byte-identical with prefetch on or off). `contained` carries the box
   /// search's scan-level-pruning flag; the other descents leave it false.
-  /// A range descent into a data page filtered from its sidecar at
+  /// A range or box descent into a data page filtered from its sidecar at
   /// admission carries its rows_count surviving rows from
-  /// carried[rows_begin]; none means the page was not filtered yet.
+  /// carried[rows_begin]; none means the page was not filtered yet (or,
+  /// for a box descent, is `contained`).
   struct Descent {
     PageId page;
     bool contained;
@@ -80,7 +81,7 @@ class SearchScratch {
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample
   std::vector<uint8_t> masks;         // fused-filter survivor bits
   std::vector<uint32_t> survivors;    // rows passing the code filter
-  std::vector<uint32_t> carried;      // range survivors (base-marked)
+  std::vector<uint32_t> carried;      // range/box survivors (base-marked)
   quant::FilterScratch quant;         // per-(query,page) filter prep
   ScanTally tally;  // scan counters, charged when the search returns
 };

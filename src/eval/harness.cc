@@ -140,19 +140,18 @@ Result<QueryCosts> RunWorkload(SpatialIndex* index, size_t n, RunOne run) {
     total_physical += io.physical_reads;
     total_results += results;
   }
-  // Timing pass: the queries are single-threaded and CPU-bound (all pages
-  // are memory-resident), so wall time equals CPU time — and unlike
-  // CLOCK_PROCESS_CPUTIME_ID (10 ms jiffies on many VMs) the steady clock
-  // has nanosecond resolution. Each repetition of the workload is timed
-  // on its own, at least kMinReps of them and until 0.05 s have passed,
-  // and the median repetition is reported, so one slow repetition does
-  // not move the figure.
+  // Timing pass: the queries run on this thread, so each repetition of
+  // the workload is timed on its own with the thread's CPU clock
+  // (CpuTimer), which does not charge the time the thread spends
+  // preempted. At least kMinReps repetitions run, and more until 0.05 s
+  // of CPU time have passed; the median repetition is reported, so one
+  // slow repetition does not move the figure.
   constexpr size_t kMinReps = 5;
   std::vector<double> rep_seconds;
   double elapsed = 0.0;
   while (rep_seconds.size() < kMinReps ||
          (elapsed < 0.05 && rep_seconds.size() < 1000)) {
-    WallTimer rep;
+    const CpuTimer rep;
     for (size_t q = 0; q < n; ++q) {
       HT_ASSIGN_OR_RETURN(size_t results, run(q, nullptr));
       (void)results;

@@ -65,8 +65,8 @@ struct QueryCosts {
   double avg_accesses = 0.0;    // pages visited per query (PagesVisited)
   double avg_physical = 0.0;    // physical (pool-miss) reads per query
   double hit_rate = 0.0;        // buffer-pool hit rate over the workload
-  double avg_cpu_seconds = 0.0; // steady-clock time per query, median
-                                // repetition of the workload
+  double avg_cpu_seconds = 0.0; // thread CPU time per query (CpuTimer),
+                                // median repetition of the workload
   double avg_results = 0.0;
   size_t queries = 0;
   /// Every answer of the workload folded in query order: the ids sorted,

@@ -340,6 +340,141 @@ void CTMWL2Avx2(const float* q, const float* wf, const float* grid_lo,
   }
 }
 
+// --- Sidecar box test (kernels.h ctm_box) -----------------------------------
+//
+// The AVX-512 kernel's four steps (see avx512.cc) at half the width. The
+// grid pass compares eight bounds with the grid per float compare. The
+// code range runs four dimensions per __m256d with QuantizeLo's double
+// operations (widen, subtract, divide by the width, times 256, floor,
+// clamp; no reciprocal, no FMA) in the lanes where the box cuts the grid,
+// and QuantizeLo's clamped cell without a division elsewhere, so a group
+// the box does not cut divides nothing. The spread writes each
+// dimension's range over its kTBlock lanes, and the test compares 32 code
+// bytes — four dimensions of a block's eight rows — per unsigned byte
+// compare: c lies in [cl, ch] iff max(c, cl) == c and min(c, ch) == c.
+// Dimension tails are masked loads and stores (a masked-off lane reads
+// 0), so no byte past `dim` is read or written, and no reference function
+// is compiled into this -mavx2 file (see the note above Avx2Table).
+
+/// All-ones in the first min(n, 8) 32-bit lanes.
+inline __m256i FirstLanes32x8(size_t n) {
+  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(n < 8 ? n : 8)), idx);
+}
+
+/// All-ones in the first min(n, 4) 64-bit lanes.
+inline __m256i FirstLanes64x4(size_t n) {
+  const __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(n < 4 ? n : 4)), idx);
+}
+
+/// QuantizeLo(v, gl, gh, 8) of four lanes, as integral doubles, for lanes
+/// where the box cuts a grid of nonzero width; the caller blends the rest.
+inline __m256d QuantizeLo4(__m256d v, __m256d gl, __m256d gh) {
+  const __m256d frac = _mm256_div_pd(_mm256_sub_pd(v, gl),
+                                     _mm256_sub_pd(gh, gl));
+  const __m256d cell = _mm256_floor_pd(
+      _mm256_mul_pd(frac, _mm256_set1_pd(quant::kSidecarCells)));
+  return _mm256_min_pd(_mm256_max_pd(cell, _mm256_setzero_pd()),
+                       _mm256_set1_pd(quant::kSidecarCells - 1));
+}
+
+/// Four integral doubles in [0, 255], each spread over 8 bytes of its
+/// 64-bit lane.
+inline __m256i Spread4(__m256d cells) {
+  const __m128i c32 = _mm256_cvttpd_epi32(cells);  // four int32 lanes
+  const __m128i lo = _mm_shuffle_epi8(
+      c32, _mm_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4));
+  const __m128i hi = _mm_shuffle_epi8(
+      c32, _mm_setr_epi8(8, 8, 8, 8, 8, 8, 8, 8, 12, 12, 12, 12, 12, 12, 12,
+                         12));
+  return _mm256_set_m128i(hi, lo);
+}
+
+bool CodeBoxAvx2(const float* lo, const float* hi, const float* grid_lo,
+                 const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                 size_t nblocks, uint8_t* range, uint8_t* masks) {
+  const auto none = [&] {
+    for (size_t b = 0; b < nblocks; ++b) masks[b] = 0;
+    return false;
+  };
+  for (size_t d = 0; d < dim; d += 8) {
+    const __m256i k = FirstLanes32x8(dim - d);
+    // Ordered compares, so a NaN bound never rules out, and lanes past
+    // `dim` (all 0) never do.
+    const __m256 l = _mm256_maskload_ps(lo + d, k);
+    const __m256 h = _mm256_maskload_ps(hi + d, k);
+    const __m256 gl = _mm256_maskload_ps(grid_lo + d, k);
+    const __m256 gh = _mm256_maskload_ps(grid_hi + d, k);
+    const __m256 out = _mm256_or_ps(_mm256_cmp_ps(l, gh, _CMP_GT_OQ),
+                                    _mm256_cmp_ps(h, gl, _CMP_LT_OQ));
+    if (_mm256_movemask_ps(out) != 0) return none();
+  }
+  uint8_t* range_lo = range;
+  uint8_t* range_hi = range + dim * kTBlock;
+  const __m256d last_cell = _mm256_set1_pd(quant::kSidecarCells - 1);
+  for (size_t d = 0; d < dim; d += 4) {
+    const __m128i k = _mm256_castsi256_si128(FirstLanes32x8(dim - d));
+    const __m256d l = _mm256_cvtps_pd(_mm_maskload_ps(lo + d, k));
+    const __m256d h = _mm256_cvtps_pd(_mm_maskload_ps(hi + d, k));
+    const __m256d gl = _mm256_cvtps_pd(_mm_maskload_ps(grid_lo + d, k));
+    const __m256d gh = _mm256_cvtps_pd(_mm_maskload_ps(grid_hi + d, k));
+    // Lanes past `dim` read 0 everywhere: zero width, so cell 0 on both
+    // sides.
+    const __m256d wide = _mm256_cmp_pd(gh, gl, _CMP_GT_OQ);
+    const __m256d lo_cut = _mm256_and_pd(wide, _mm256_cmp_pd(l, gl, _CMP_GT_OQ));
+    const __m256d hi_cut = _mm256_and_pd(wide, _mm256_cmp_pd(h, gh, _CMP_LT_OQ));
+    const __m256d hi_top =
+        _mm256_or_pd(wide, _mm256_cmp_pd(h, h, _CMP_UNORD_Q));
+    __m256d clo = _mm256_setzero_pd();
+    __m256d chi = _mm256_and_pd(hi_top, last_cell);
+    if (_mm256_movemask_pd(lo_cut) != 0) {
+      clo = _mm256_and_pd(lo_cut, QuantizeLo4(l, gl, gh));
+    }
+    if (_mm256_movemask_pd(hi_cut) != 0) {
+      chi = _mm256_blendv_pd(chi, QuantizeLo4(h, gl, gh), hi_cut);
+    }
+    if (_mm256_movemask_pd(_mm256_cmp_pd(clo, chi, _CMP_GT_OQ)) != 0) {
+      return none();
+    }
+    const __m256i k64 = FirstLanes64x4(dim - d);
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(range_lo + d * kTBlock),
+                           k64, Spread4(clo));
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(range_hi + d * kTBlock),
+                           k64, Spread4(chi));
+  }
+  const size_t bytes = dim * kTBlock;  // one block
+  unsigned any = 0;
+  for (size_t b = 0; b < nblocks; ++b) {
+    const uint8_t* tcb = tcodes + b * bytes;
+    uint32_t out = 0;  // bit lane: that row left the range somewhere
+    for (size_t off = 0; off < bytes && (out & 0xff) != 0xff; off += 32) {
+      // A block is a whole number of 8-byte dimensions: the tail is 1-3
+      // 64-bit lanes.
+      const __m256i k = FirstLanes64x4((bytes - off) / kTBlock);
+      const auto load = [&k](const uint8_t* p) {
+        return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p),
+                                     k);
+      };
+      const __m256i c = load(tcb + off);
+      const __m256i in =
+          _mm256_and_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(c, load(range_lo + off)), c),
+                           _mm256_cmpeq_epi8(_mm256_min_epu8(c, load(range_hi + off)), c));
+      // Byte j of the mask is dimension off / 8 + j / 8's row j % 8; fold
+      // the four dimensions onto the rows.
+      uint32_t x = ~static_cast<uint32_t>(_mm256_movemask_epi8(in));
+      x |= x >> 16;
+      x |= x >> 8;
+      out |= x;
+    }
+    masks[b] = static_cast<uint8_t>(~out);
+    any |= masks[b];
+  }
+  return any != 0;
+}
+
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group
 // (four __m256d, one box per double lane), so each dimension's lo/hi loads
 // cover one 64-byte row slice. Each lane replays kernels::AxisGap and the
@@ -424,15 +559,16 @@ void BoxOverlapAvx2(const float* qlo, const float* qhi, size_t dim,
 
 }  // namespace
 
-// The box test has no AVX2 kernel: this tier takes the scalar reference
-// (quant::AnyRowMayBeInBox) from the scalar table, whose copy is compiled
-// without -mavx2 — taking its address here would emit an AVX2 copy of the
-// inline function that the linker could pick for every tier.
+// No kernel in this file may call or take the address of an inline
+// reference function (quant::RowsMayBeInBox, BoxCodeRange, QuantizeLo):
+// that would emit an AVX2 copy of it that the linker could pick for every
+// tier. The box kernel handles its dimension tails with masked loads and
+// stores instead.
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
       SimdTier::kAvx2, &L1Avx2,      &L2Avx2,       &LInfAvx2,
       &WL2Avx2,        &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     ScalarTable().ctm_box,
+      &CTMWL2Avx2,     &CodeBoxAvx2,
       &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
       &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};
   return table;

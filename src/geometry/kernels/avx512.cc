@@ -299,16 +299,22 @@ void CTMWL2Avx512(const float* q, const float* wf, const float* grid_lo,
 
 // --- Sidecar box test (kernels.h ctm_box) -----------------------------------
 //
-// Three steps. The code range runs eight dimensions per __m512d and
-// replays quant::BoxCodeRange lane for lane: its float compares for a
-// bound beyond the grid, a NaN bound and a zero-width grid, and
-// QuantizeLo's double operations (widen, subtract, divide by the width,
-// times 256, floor, clamp) with no reciprocal and no FMA, so every lane's
-// cell is the reference's. The spread copies each dimension's range over
-// its kTBlock lanes into `range`, so that the test compares 64 code
-// bytes — eight dimensions of a block's eight rows — per unsigned byte
-// compare, against the matching 64 range bytes. A block whose rows are
-// all out stops early; the first block with a live row answers true.
+// Four steps. The grid pass compares every bound with the grid, sixteen
+// floats per compare: a bound beyond it rules out every row before any
+// division. The code range then runs eight dimensions per __m512d and
+// replays quant::BoxCodeRange lane for lane: a lane where the box cuts the
+// grid (lo above grid_lo, or hi below grid_hi, on a grid of nonzero width)
+// gets QuantizeLo's double operations (widen, subtract, divide by the
+// width, times 256, floor, clamp) with no reciprocal and no FMA; every
+// other lane takes the cell QuantizeLo gives it without the division — 0
+// for a lo at or below grid_lo, a NaN lo or a zero-width grid, 255 for a
+// hi at or above grid_hi or a NaN hi, and 0 for any other hi on a
+// zero-width grid — so an eight-dimension group the box does not cut
+// divides nothing. The spread copies each dimension's range over its
+// kTBlock lanes into `range`, so that the test compares 64 code bytes —
+// eight dimensions of a block's eight rows — per unsigned byte compare,
+// against the matching 64 range bytes, and folds the out-of-range bits
+// onto the block's rows. A block whose rows are all out stops early.
 // Dimension tails are masked loads and stores, so no lane past `dim` is
 // read or written.
 
@@ -317,15 +323,18 @@ inline __mmask8 FirstLanes8(size_t n) {
   return n >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << n) - 1);
 }
 
-/// QuantizeLo(v, grid_lo, grid_hi, 8) in the lanes of `k`, as integral
-/// doubles; 0 in the other lanes and on a zero-width grid dimension
-/// (hi <= lo, the reference's float compare).
-inline __m512d QuantizeLo8(__mmask8 k, __m256 v, __m256 gl, __m256 gh) {
-  k &= static_cast<__mmask8>(~_mm256_cmp_ps_mask(gh, gl, _CMP_LE_OQ));
+/// The first min(n, 16) of sixteen lanes.
+inline __mmask16 FirstLanes16(size_t n) {
+  return n >= 16 ? __mmask16{0xffff} : static_cast<__mmask16>((1u << n) - 1);
+}
+
+/// QuantizeLo(v, gl, gh, 8) in the lanes of `cut`, as integral doubles (0
+/// in the other lanes), for lanes whose grid has nonzero width.
+inline __m512d QuantizeLo8(__mmask8 cut, __m256 v, __m256 gl, __m256 gh) {
   const __m512d lo = _mm512_cvtps_pd(gl);
   const __m512d w = _mm512_sub_pd(_mm512_cvtps_pd(gh), lo);
   const __m512d frac =
-      _mm512_maskz_div_pd(k, _mm512_sub_pd(_mm512_cvtps_pd(v), lo), w);
+      _mm512_maskz_div_pd(cut, _mm512_sub_pd(_mm512_cvtps_pd(v), lo), w);
   const __m512d cell = _mm512_roundscale_pd(
       _mm512_mul_pd(frac, _mm512_set1_pd(quant::kSidecarCells)),
       _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
@@ -345,33 +354,49 @@ inline __m512i Spread8(__m512d cells) {
 
 bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
                    const float* grid_hi, size_t dim, const uint8_t* tcodes,
-                   size_t nblocks, uint8_t* range) {
+                   size_t nblocks, uint8_t* range, uint8_t* masks) {
+  const auto none = [&] {
+    for (size_t b = 0; b < nblocks; ++b) masks[b] = 0;
+    return false;
+  };
+  for (size_t d = 0; d < dim; d += 16) {
+    const __mmask16 k = FirstLanes16(dim - d);
+    // Ordered compares, so a NaN bound never rules out, and lanes past
+    // `dim` (all 0) never do.
+    const __m512 l = _mm512_maskz_loadu_ps(k, lo + d);
+    const __m512 h = _mm512_maskz_loadu_ps(k, hi + d);
+    const __m512 gl = _mm512_maskz_loadu_ps(k, grid_lo + d);
+    const __m512 gh = _mm512_maskz_loadu_ps(k, grid_hi + d);
+    if ((_mm512_cmp_ps_mask(l, gh, _CMP_GT_OQ) |
+         _mm512_cmp_ps_mask(h, gl, _CMP_LT_OQ)) != 0) {
+      return none();
+    }
+  }
   uint8_t* range_lo = range;
   uint8_t* range_hi = range + dim * kTBlock;
+  const __m512d last_cell = _mm512_set1_pd(quant::kSidecarCells - 1);
   for (size_t d = 0; d < dim; d += 8) {
     const __mmask8 k = FirstLanes8(dim - d);
     const __m256 l = _mm256_maskz_loadu_ps(k, lo + d);
     const __m256 h = _mm256_maskz_loadu_ps(k, hi + d);
     const __m256 gl = _mm256_maskz_loadu_ps(k, grid_lo + d);
     const __m256 gh = _mm256_maskz_loadu_ps(k, grid_hi + d);
-    // A bound beyond the grid rules out every row; ordered compares, so a
-    // NaN bound never does, and lanes past `dim` (all 0) never do.
-    if ((_mm256_cmp_ps_mask(l, gh, _CMP_GT_OQ) |
-         _mm256_cmp_ps_mask(h, gl, _CMP_LT_OQ)) != 0) {
-      return false;
+    const __mmask8 wide = _mm256_mask_cmp_ps_mask(k, gh, gl, _CMP_GT_OQ);
+    const __mmask8 lo_cut = _mm256_mask_cmp_ps_mask(wide, l, gl, _CMP_GT_OQ);
+    const __mmask8 hi_cut = _mm256_mask_cmp_ps_mask(wide, h, gh, _CMP_LT_OQ);
+    const __mmask8 hi_top = wide | _mm256_mask_cmp_ps_mask(k, h, h, _CMP_UNORD_Q);
+    __m512d clo = _mm512_setzero_pd();
+    __m512d chi = _mm512_maskz_mov_pd(hi_top, last_cell);
+    if (lo_cut != 0) clo = QuantizeLo8(lo_cut, l, gl, gh);
+    if (hi_cut != 0) {
+      chi = _mm512_mask_mov_pd(chi, hi_cut, QuantizeLo8(hi_cut, h, gl, gh));
     }
-    // A NaN bound puts no limit on its side: cell 0 below, 255 above.
-    const __mmask8 lo_set = _mm256_mask_cmp_ps_mask(k, l, l, _CMP_ORD_Q);
-    const __mmask8 hi_nan = _mm256_mask_cmp_ps_mask(k, h, h, _CMP_UNORD_Q);
-    const __m512d clo = QuantizeLo8(lo_set, l, gl, gh);
-    const __m512d chi = _mm512_mask_mov_pd(
-        QuantizeLo8(k & static_cast<__mmask8>(~hi_nan), h, gl, gh), hi_nan,
-        _mm512_set1_pd(quant::kSidecarCells - 1));
-    if (_mm512_cmp_pd_mask(clo, chi, _CMP_GT_OQ) != 0) return false;
+    if (_mm512_cmp_pd_mask(clo, chi, _CMP_GT_OQ) != 0) return none();
     _mm512_mask_storeu_epi64(range_lo + d * kTBlock, k, Spread8(clo));
     _mm512_mask_storeu_epi64(range_hi + d * kTBlock, k, Spread8(chi));
   }
   const size_t bytes = dim * kTBlock;  // one block
+  unsigned any = 0;
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t* tcb = tcodes + b * bytes;
     uint64_t out = 0;  // bit lane: that row left the range somewhere
@@ -382,8 +407,8 @@ bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
       const __m512i c = _mm512_maskz_loadu_epi8(k, tcb + off);
       const __m512i cl = _mm512_maskz_loadu_epi8(k, range_lo + off);
       const __m512i ch = _mm512_maskz_loadu_epi8(k, range_hi + off);
-      // Byte j of the mask is dimension off / 8 + j's eight rows; fold the
-      // eight dimensions onto the rows.
+      // Byte j of the mask is dimension off / 8 + j / 8's row j % 8; fold
+      // the eight dimensions onto the rows.
       uint64_t x =
           _mm512_cmplt_epu8_mask(c, cl) | _mm512_cmpgt_epu8_mask(c, ch);
       x |= x >> 32;
@@ -391,9 +416,10 @@ bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
       x |= x >> 8;
       out |= x;
     }
-    if ((out & 0xff) != 0xff) return true;
+    masks[b] = static_cast<uint8_t>(~out);
+    any |= masks[b];
   }
-  return false;
+  return any != 0;
 }
 
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group

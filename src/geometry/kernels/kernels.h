@@ -27,7 +27,8 @@
 // value, so a lane may only go dead early). Tails (n % lanes) of the
 // strided distance kernels fall back to the shared scalar row routines,
 // and dimension tails of the AVX-512 filter prep to quant::PrepareFilter.
-// The sidecar box test returns one verdict per page, equal at every tier.
+// The sidecar box test returns one row mask byte per block, equal at
+// every tier.
 
 #pragma once
 
@@ -118,22 +119,28 @@ using CodeMaskTWeightedFn = void (*)(const float* q, const float* wf,
 
 /// Sidecar box test: one call tests one page sidecar (its grid and
 /// `nblocks` blocks of transposed codes, as above) against the closed box
-/// [lo, hi], all over `dim` dimensions. Returns true iff some row's codes
-/// lie inside the box's code range in every dimension — the range
+/// [lo, hi], all over `dim` dimensions, and writes masks[b] for every
+/// block: bit `lane` is set iff the codes of row b * kTBlock + lane lie
+/// inside the box's code range in every dimension — the range
 /// quant::BoxCodeRange computes, [QuantizeLo(lo_d), QuantizeLo(hi_d)] on
 /// the grid, with a bound beyond the grid ruling out every row and a NaN
-/// bound putting no limit on its side. `range` is a caller buffer of
-/// 2 * dim * kTBlock bytes for the range. The verdict is the scalar
-/// reference's (quant::AnyRowMayBeInBox, the scalar and AVX2 entry) for
-/// every input: AVX-512 computes the range eight dimensions per double
-/// vector with the reference's operations and float compares (no
-/// reciprocal, no FMA), spreads each dimension's range over its
-/// kTBlock lanes in `range`, and tests 64 code bytes per compare. A
-/// padding lane repeats the last row, so a live lane is some real row.
+/// bound putting no limit on its side. Returns true iff some bit is set.
+/// `range` is a caller buffer of 2 * dim * kTBlock bytes for the range.
+/// Every mask byte is the scalar reference's (quant::RowsMayBeInBox) for
+/// every input. The SIMD tiers first compare every bound with the grid
+/// and return before any division; then they compute the range (eight
+/// dimensions per double vector on AVX-512, four on AVX2) with the
+/// reference's operations (no reciprocal, no FMA), dividing only where
+/// the box cuts the grid — QuantizeLo of a bound at or below grid_lo is
+/// cell 0 and at or above grid_hi the last cell, and a zero-width grid
+/// dimension stays 0 — spread each dimension's range over its kTBlock
+/// lanes in `range`, and test 64 (AVX-512) or 32 (AVX2) code bytes per
+/// unsigned byte compare. Bits of padding lanes copy the last row's; the
+/// caller clears them (quant::ClearPaddingBits).
 using CodeBoxTFn = bool (*)(const float* lo, const float* hi,
                             const float* grid_lo, const float* grid_hi,
                             size_t dim, const uint8_t* tcodes,
-                            size_t nblocks, uint8_t* range);
+                            size_t nblocks, uint8_t* range, uint8_t* masks);
 
 /// Single-box predicates over raw per-dimension bound arrays (`a` is the
 /// receiver, `b` the probe box; closed intervals, `dim` floats each), the
@@ -207,9 +214,9 @@ using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
 
 /// One tier's kernels, 13 entries: the strided batch distances a page scan
 /// refines with (l1, l2, linf, wl2), the fused sidecar masks it filters
-/// with (ctm_l1/l2/linf/wl2), the sidecar box test box search rules a
-/// cold page out with (ctm_box), and the directory-node MINDISTs and
-/// box-set overlap.
+/// with (ctm_l1/l2/linf/wl2), the sidecar box masks box search filters an
+/// admitted page's rows with (ctm_box), and the directory-node MINDISTs
+/// and box-set overlap.
 struct KernelTable {
   SimdTier tier;
   BatchBoundFn l1;

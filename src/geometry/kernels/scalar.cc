@@ -166,7 +166,7 @@ const KernelTable& ScalarTable() {
   static const KernelTable table = {
       SimdTier::kScalar, &L1Scalar,      &L2Scalar,       &LInfScalar,
       &WL2Scalar,        &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
-      &CTMWL2Scalar,     &quant::AnyRowMayBeInBox,
+      &CTMWL2Scalar,     &quant::RowsMayBeInBox,
       &MinDistScalar<BoxAcc::kSum>,   &MinDistScalar<BoxAcc::kSumSq>,
       &MinDistScalar<BoxAcc::kMax>,   &BoxOverlapScalar};
   return table;

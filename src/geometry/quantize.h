@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -123,7 +124,8 @@ struct FilterScratch {
   /// scale, dim floats each, written by every sidecar test.
   std::vector<float> prep;
   /// The box kernels' code range (kernels.h CodeBoxTFn): 2 * dim *
-  /// kTBlock bytes, written by every box test.
+  /// kTBlock bytes, written by every box test (the reference uses its
+  /// first 2 * dim).
   std::vector<uint8_t> range;
 };
 
@@ -204,12 +206,15 @@ bool RunMaskKernel(Kernel kernel, const float* q, const PageCodesView& page,
 // QuantizeLo(lo_d) <= c_d <= QuantizeLo(hi_d): a row whose code leaves that
 // range in any dimension cannot be in the box. No padding is needed. A
 // faster formula than QuantizeLo would have to widen the range by one cell
-// on each side; the AVX-512 box kernel (kernels.h ctm_box) instead replays
-// QuantizeLo's operations lane for lane, so its range is this one. The
-// grid is the rows' exact min/max, so a bound beyond the grid rules out
-// every row outright; on a zero-width grid dimension (every code 0) that
-// check is the whole test. A NaN bound puts no limit on its side, as in
-// Box::ContainsPoint; ±inf clamps to the first or last cell.
+// on each side; the SIMD box kernels (kernels.h ctm_box) instead replay
+// QuantizeLo's operations lane for lane where the box cuts the grid, and
+// use its clamped cells elsewhere, so their range is this one. The grid is
+// the rows' exact min/max, so a bound beyond the grid rules out every row
+// outright; on a zero-width grid dimension (every code 0) that check is
+// the whole test. A NaN bound puts no limit on its side, as in
+// Box::ContainsPoint; ±inf clamps to the first or last cell. The test
+// yields one survivor bit per row, in the mask layout of the metric
+// filter above, so a box scan refines only the surviving rows.
 
 /// Fills the code range [code_lo[d], code_hi[d]] a row of a page with grid
 /// [grid_lo, grid_hi] must lie in, in every dimension, to be inside the box
@@ -237,22 +242,25 @@ inline bool BoxCodeRange(const float* lo, const float* hi,
 }
 
 /// The scalar reference of the sidecar box test (kernels.h ctm_box), and
-/// the scalar and AVX2 tiers' entry: true when some row of the sidecar may
-/// lie in the closed box [lo, hi]; false only when no row can (every
-/// row's codes leave the BoxCodeRange). A plain loop over the blocks, with
-/// the range in range[0, dim) and range[dim, 2 * dim); a padding lane
-/// repeats the last row, so a live lane is always some real row.
-inline bool AnyRowMayBeInBox(const float* lo, const float* hi,
-                             const float* grid_lo, const float* grid_hi,
-                             size_t dim, const uint8_t* tcodes,
-                             size_t nblocks, uint8_t* range) {
+/// the scalar tier's entry: writes masks[b] for each of the `nblocks`
+/// blocks, bit `lane` set iff row b * kTBlock + lane has its codes inside
+/// the BoxCodeRange in every dimension (every mask 0 when the range is
+/// empty), and returns true iff some bit is set. A plain loop over the
+/// blocks, with the range in range[0, dim) and range[dim, 2 * dim); a
+/// block stops at the dimension that leaves it no live row.
+inline bool RowsMayBeInBox(const float* lo, const float* hi,
+                           const float* grid_lo, const float* grid_hi,
+                           size_t dim, const uint8_t* tcodes, size_t nblocks,
+                           uint8_t* range, uint8_t* masks) {
   uint8_t* clo = range;
   uint8_t* chi = range + dim;
   if (!BoxCodeRange(lo, hi, grid_lo, grid_hi, static_cast<uint32_t>(dim), clo,
                     chi)) {
+    std::fill(masks, masks + nblocks, uint8_t{0});
     return false;
   }
   constexpr size_t kLanes = kernels::kTBlock;
+  unsigned any = 0;
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t* block = tcodes + b * dim * kLanes;
     unsigned live = (1u << kLanes) - 1;
@@ -262,20 +270,26 @@ inline bool AnyRowMayBeInBox(const float* lo, const float* hi,
         if (c < clo[d] || c > chi[d]) live &= ~(1u << lane);
       }
     }
-    if (live != 0) return true;
+    masks[b] = static_cast<uint8_t>(live);
+    any |= live;
   }
-  return false;
+  return any != 0;
 }
 
 /// One sidecar box test: runs a tier's box kernel (`kernel`, kernels.h
 /// ctm_box) over `page` for the box [lo, hi], with the range buffer in
-/// `s`. True when some row of the page may lie in the box.
+/// `s`, into `masks` (page.blocks bytes), then clears the padding bits.
+/// True when some row of the page may lie in the box. A padding lane
+/// repeats the last row, so clearing its bit never changes the verdict.
 inline bool RunBoxKernel(kernels::CodeBoxTFn kernel, const PageCodesView& page,
-                         const float* lo, const float* hi, FilterScratch* s) {
+                         const float* lo, const float* hi, FilterScratch* s,
+                         uint8_t* masks) {
   const size_t need = 2 * size_t{page.dim} * kernels::kTBlock;
   if (s->range.size() < need) s->range.resize(need);
-  return kernel(lo, hi, page.grid_lo, page.grid_hi, page.dim, page.tcodes,
-                page.blocks, s->range.data());
+  const bool any = kernel(lo, hi, page.grid_lo, page.grid_hi, page.dim,
+                          page.tcodes, page.blocks, s->range.data(), masks);
+  ClearPaddingBits(page, masks);
+  return any;
 }
 
 }  // namespace ht::quant

@@ -479,8 +479,9 @@ TEST(CorruptionTest, NonFiniteRowKeepsFiniteRowsOfItsPageFindable) {
     HT_CHECK_OK(f.file.Write(id, p));
   }
   ASSERT_EQ(targets.size(), 2u);
-  // A pool far smaller than the tree, so box search also meets pages that
-  // are not resident (the ones it would rule out from a sidecar).
+  // A pool far smaller than the tree, so the searches meet pages that are
+  // not resident as well as resident ones, and filter both from their
+  // sidecars once the first pass has built them.
   auto tree = HybridTree::Open(&f.file, /*buffer_pool_pages=*/8).ValueOrDie();
   // Both poisoned rows are live rows of the reopened tree.
   size_t nan_rows = 0, inf_rows = 0;

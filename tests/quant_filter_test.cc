@@ -36,6 +36,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -384,9 +385,11 @@ TEST(QuantSoundness, SinglePointPage) {
 // --- box code range --------------------------------------------------------
 
 /// The box filter's contract on one page: every row Box::ContainsPoint
-/// accepts has its codes inside the BoxCodeRange in every dimension,
-/// AnyRowMayBeInBox is exactly "some row's codes lie in that range", and
-/// every supported tier's ctm_box gives AnyRowMayBeInBox's verdict.
+/// accepts has its codes inside the BoxCodeRange in every dimension;
+/// RowsMayBeInBox sets exactly the bits of the rows whose codes lie in that
+/// range, leaves the padding bits clear once RunBoxKernel has run, and
+/// returns whether some bit is set; and every supported tier's ctm_box
+/// writes the reference's masks byte for byte and returns the same.
 /// Returns whether the page was ruled out.
 bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
                     const std::vector<float>& hi) {
@@ -400,9 +403,8 @@ bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
   uint8_t* cl = clo.data();
   uint8_t* ch = chi.data();
   const bool ok = quant::BoxCodeRange(l, h, v.grid_lo, v.grid_hi, dim, cl, ch);
-  bool any_inside = false;
-  bool any_codes_in_range = false;
   constexpr size_t kLanes = kernels::kTBlock;
+  std::vector<uint8_t> want(v.blocks, 0);
   for (size_t i = 0; i < b.count; ++i) {
     const uint8_t* tcb = v.tcodes + (i / kLanes) * dim * kLanes + i % kLanes;
     bool in_range = ok;
@@ -410,37 +412,46 @@ bool CheckBoxFilter(const TestBlock& b, const std::vector<float>& lo,
       const uint8_t c = tcb[d * kLanes];
       in_range = c >= clo[d] && c <= chi[d];
     }
-    any_codes_in_range = any_codes_in_range || in_range;
+    if (in_range) want[i / kLanes] |= static_cast<uint8_t>(1u << (i % kLanes));
     const std::span<const float> row(b.data.data() + i * b.stride(), b.dim);
     if (box.ContainsPoint(row)) {
-      any_inside = true;
       EXPECT_TRUE(in_range) << "row " << i << " in " << box.ToString();
     }
   }
+  const bool any = std::any_of(want.begin(), want.end(),
+                               [](uint8_t m) { return m != 0; });
+  const std::string where = "dim " + std::to_string(dim) + " count " +
+                            std::to_string(b.count) + " box " +
+                            box.ToString();
+  // Mask bytes the kernel did not write read as 0x5a, range bytes as 0xa5.
   quant::FilterScratch scratch;
-  const bool may =
-      quant::RunBoxKernel(&quant::AnyRowMayBeInBox, v, l, h, &scratch);
-  EXPECT_EQ(may, any_codes_in_range);
-  if (any_inside) {
-    EXPECT_TRUE(may);
-  }
+  std::vector<uint8_t> ref(v.blocks, 0x5a);
+  EXPECT_EQ(quant::RunBoxKernel(&quant::RowsMayBeInBox, v, l, h, &scratch,
+                                ref.data()),
+            any)
+      << where;
+  EXPECT_EQ(ref, want) << where;
   for (const kernels::SimdTier tier : SupportedTiers()) {
-    // Range bytes the kernel did not write read as 0xa5.
     quant::FilterScratch poisoned;
     poisoned.range.assign(2 * dim * kLanes, 0xa5);
+    std::vector<uint8_t> masks(v.blocks, 0x5a);
     EXPECT_EQ(quant::RunBoxKernel(kernels::TableForTier(tier).ctm_box, v, l,
-                                  h, &poisoned),
-              may)
-        << kernels::TierName(tier) << " dim " << dim << " count " << b.count
-        << " box " << box.ToString();
+                                  h, &poisoned, masks.data()),
+              any)
+        << kernels::TierName(tier) << ", " << where;
+    EXPECT_EQ(masks, ref) << kernels::TierName(tier) << ", " << where;
   }
-  return !may;
+  return !any;
 }
 
 TEST(QuantBoxFilter, CodeRangeIsSoundOnRandomPagesAndBoxes) {
+  const float kInf = std::numeric_limits<float>::infinity();
   Rng rng(7321);
   size_t ruled_out = 0, boxes = 0;
-  for (uint32_t dim = 1; dim <= 64; dim += (dim < 8 ? 1 : 7)) {
+  std::vector<uint32_t> dims(40);
+  std::iota(dims.begin(), dims.end(), 1u);
+  dims.push_back(64);
+  for (const uint32_t dim : dims) {
     for (int rep = 0; rep < 6; ++rep) {
       const size_t count = 1 + static_cast<size_t>(rng.NextDouble() * 70);
       TestBlock b = MakeBlock(dim, count);
@@ -457,12 +468,14 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnRandomPagesAndBoxes) {
         std::vector<float> lo(dim), hi(dim);
         const size_t anchor = static_cast<size_t>(rng.NextDouble() * count);
         for (uint32_t d = 0; d < dim; ++d) {
-          // Boxes around a stored row (hits) and random ones (mostly not).
+          // Boxes around a stored row (hits) and random ones (mostly not);
+          // every fourth box is open below and every fourth open above, so
+          // that a dimension group is cut on one side only.
           const double u = rng.NextDouble();
           const float c = q % 2 == 0 ? b.row(anchor)[d] : static_cast<float>(u);
           const float half = static_cast<float>(rng.NextDouble() * 0.4);
-          lo[d] = c - half;
-          hi[d] = c + half;
+          lo[d] = q % 4 == 2 ? -kInf : c - half;
+          hi[d] = q % 4 == 3 ? kInf : c + half;
         }
         ruled_out += CheckBoxFilter(b, lo, hi) ? 1 : 0;
         ++boxes;
@@ -521,6 +534,28 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
     CheckBoxFilter(b, with(row3, -kInf), with(row3, kInf));
     CheckBoxFilter(b, all, all);
     CheckBoxFilter(b, none, none);
+    // Open on one side: every dimension group is cut on the other only.
+    CheckBoxFilter(b, none, row3);
+    CheckBoxFilter(b, row3, all);
+    CheckBoxFilter(b, glo, row0);
+    CheckBoxFilter(b, row0, ghi);
+    // A NaN hi on the zero-width dimensions (d % 4 == 0) lifts their
+    // range to the last cell; any other hi there keeps it at cell 0.
+    std::vector<float> nan_flat_hi = row3;
+    for (uint32_t d = 0; d < dim; d += 4) nan_flat_hi[d] = kNaN;
+    CheckBoxFilter(b, none, nan_flat_hi);
+    CheckBoxFilter(b, glo, nan_flat_hi);
+    // Bounds on cell boundaries: k / 256 of the way across the grid.
+    for (const int k : {1, 64, 128, 191, 255}) {
+      std::vector<float> edge(dim);
+      for (uint32_t d = 0; d < dim; ++d) {
+        edge[d] = static_cast<float>(glo[d] + (static_cast<double>(ghi[d]) -
+                                               glo[d]) * k / 256.0);
+      }
+      CheckBoxFilter(b, edge, ghi);
+      CheckBoxFilter(b, glo, edge);
+      CheckBoxFilter(b, edge, edge);
+    }
     // Bounds one ulp past the grid rule out every row.
     std::vector<float> above(dim), below_grid(dim);
     for (uint32_t d = 0; d < dim; ++d) {
@@ -529,6 +564,13 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
     }
     EXPECT_TRUE(CheckBoxFilter(b, above, all));
     EXPECT_TRUE(CheckBoxFilter(b, none, below_grid));
+    // So does a bound beyond the grid in the last dimension only.
+    std::vector<float> last_above = glo, last_below = ghi;
+    last_above[dim - 1] = above[dim - 1];
+    last_below[dim - 1] = below_grid[dim - 1];
+    EXPECT_TRUE(CheckBoxFilter(b, last_above, all));
+    EXPECT_TRUE(CheckBoxFilter(b, none, last_below));
+    EXPECT_FALSE(CheckBoxFilter(b, glo, ghi));
     // Every row equal: the grid is zero-width in every dimension.
     TestBlock flat = MakeBlock(dim, 9);
     for (size_t i = 0; i < flat.count; ++i) {
@@ -538,6 +580,37 @@ TEST(QuantBoxFilter, CodeRangeIsSoundOnAdversarialPagesAndBoxes) {
     EXPECT_FALSE(CheckBoxFilter(flat, at, at));
     EXPECT_TRUE(CheckBoxFilter(flat, below, below));
     EXPECT_FALSE(CheckBoxFilter(flat, below, at));
+    EXPECT_FALSE(CheckBoxFilter(flat, at, std::vector<float>(dim, kNaN)));
+  }
+}
+
+// Signed zeros against a +0.0 grid edge: a -0.0 lo on a grid that starts
+// at +0.0 and a -0.0 hi on one that ends at +0.0 do not cut the grid, and
+// QuantizeLo gives them the first and the last cell.
+TEST(QuantBoxFilter, SignedZeroBoundsOnAZeroGridEdge) {
+  for (uint32_t dim : {2u, 9u, 33u}) {
+    const size_t count = 13;
+    TestBlock b = MakeBlock(dim, count);
+    for (size_t i = 0; i < count; ++i) {
+      for (uint32_t d = 0; d < dim; ++d) {
+        const float u = static_cast<float>(i) / static_cast<float>(count - 1);
+        b.row(i)[d] = d % 2 == 0 ? u : u - 1.0f;  // [0, 1] or [-1, 0]
+      }
+    }
+    const auto qp = QuantizedPage::Build(b.block(), b.stride(), count, dim);
+    std::vector<float> lo(dim), hi(dim);
+    for (uint32_t d = 0; d < dim; ++d) {
+      const bool up = d % 2 == 0;
+      ASSERT_EQ(std::bit_cast<uint32_t>(up ? qp->view().grid_lo[d]
+                                           : qp->view().grid_hi[d]),
+                0u)
+          << "grid edge of dimension " << d << " is not +0.0";
+      lo[d] = up ? -0.0f : -0.5f;
+      hi[d] = up ? 0.5f : -0.0f;
+    }
+    EXPECT_FALSE(CheckBoxFilter(b, lo, hi));
+    const std::vector<float> zeros(dim, -0.0f);
+    CheckBoxFilter(b, zeros, zeros);
   }
 }
 
@@ -952,7 +1025,8 @@ TEST(QuantByteIdentity, FilteredResultsMatchBruteForceAtEveryTier) {
           }
         }
       }
-      // Box results are untouched by the filter but sweep the same trees.
+      // Box answers must not move either: the box filter reads the
+      // sidecars these scans built.
       std::vector<float> lo(dim), hi(dim);
       for (uint32_t d = 0; d < dim; ++d) {
         lo[d] = center[d] - 0.3f;
@@ -972,8 +1046,9 @@ TEST(QuantByteIdentity, FilteredResultsMatchBruteForceAtEveryTier) {
 
 // --- filter before fetch through the tree ----------------------------------
 
-// Box search rules out a page from its sidecar only when the page is not
-// resident, so the trees get a pool far smaller than themselves.
+// Box search filters every admitted page from its sidecar, resident or
+// not; these trees get a pool far smaller than themselves, so the filter
+// also meets pages that are not resident.
 TEST(QuantBoxFilter, SmallPoolBoxAnswersMatchBruteForceAtEveryTier) {
   const uint32_t dim = 16;
   Rng rng(5150);
@@ -1025,6 +1100,62 @@ TEST(QuantBoxFilter, SmallPoolBoxAnswersMatchBruteForceAtEveryTier) {
   EXPECT_EQ(off->CachedQuantPages(), 0u);
 }
 
+// Box search filters every admitted page before the pin, resident or
+// not, and builds a page's sidecar on its first pin. Trees with an
+// unbounded pool that have run only box queries (no metric scan built a
+// sidecar) answer a second pass with every page resident, and at a SIMD
+// tier rule pages out all the same, visiting per query exactly the pages
+// the tree without sidecars fetches. At the scalar tier no sidecar is
+// built and nothing is ruled out.
+TEST(QuantBoxFilter, WarmPoolBoxSearchRulesResidentPagesOut) {
+  const uint32_t dim = 16;
+  Rng rng(5252);
+  Dataset data = GenFourier(3000, dim, rng);
+  const double side = CalibrateBoxSide(data, 0.01, 10, rng);
+  std::vector<Box> boxes;
+  for (const auto& c : MakeQueryCenters(data, 24, rng)) {
+    boxes.push_back(MakeBoxQuery(c, side));
+  }
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    ScopedTier forced(tier);
+    MemPagedFile f_on(4096), f_off(4096);
+    auto on = BuildTree(data, dim, /*quant=*/true, &f_on);
+    auto off = BuildTree(data, dim, /*quant=*/false, &f_off);
+    for (int pass = 0; pass < 2; ++pass) {
+      uint64_t skipped = 0, pruned = 0;
+      for (size_t q = 0; q < boxes.size(); ++q) {
+        const std::string where = std::string("tier ") +
+                                  kernels::TierName(tier) + ", pass " +
+                                  std::to_string(pass) + ", box " +
+                                  std::to_string(q);
+        const auto want = BruteForceBox(data, boxes[q]);
+        on->pool().ResetStats();
+        off->pool().ResetStats();
+        EXPECT_EQ(Sorted(on->SearchBox(boxes[q]).ValueOrDie()), want) << where;
+        EXPECT_EQ(Sorted(off->SearchBox(boxes[q]).ValueOrDie()), want)
+            << where;
+        const IoStats s_on = on->pool().stats();
+        const IoStats s_off = off->pool().stats();
+        EXPECT_EQ(s_on.physical_reads, 0u) << where << ": a page not resident";
+        EXPECT_EQ(s_on.PagesVisited(), s_off.logical_reads) << where;
+        EXPECT_EQ(s_on.scan_points, s_off.scan_points) << where;
+        skipped += s_on.quant_skipped_pages;
+        pruned += s_on.quant_pruned;
+      }
+      if (tier == kernels::SimdTier::kScalar) {
+        EXPECT_EQ(skipped, 0u);
+        EXPECT_EQ(pruned, 0u);
+        EXPECT_EQ(on->CachedQuantPages(), 0u);
+      } else if (pass == 1) {
+        EXPECT_GT(skipped, 0u)
+            << kernels::TierName(tier) << ": no resident page ruled out";
+        EXPECT_GT(pruned, 0u) << kernels::TierName(tier);
+      }
+    }
+    EXPECT_EQ(off->CachedQuantPages(), 0u);
+  }
+}
+
 /// Brute-force answers over a set of (id, row) entries that changes
 /// between queries.
 class LiveRows {
@@ -1065,12 +1196,11 @@ class LiveRows {
 };
 
 // Searches trust that a sidecar belongs to a live data page with exactly
-// those rows: k-NN and range filter before the pin, and box search rules
-// out pages that are not resident. A random Insert / InsertBatch / Delete
-// sequence (delete bursts underflow pages, so pages are freed and their
-// ids reused) on a small-pool tree checks every answer against brute force
-// between mutations; a write path that forgot to invalidate a sidecar
-// answers from stale codes and fails here.
+// those rows: k-NN, range and box search filter before the pin. A random
+// Insert / InsertBatch / Delete sequence (delete bursts underflow pages,
+// so pages are freed and their ids reused) on a small-pool tree checks
+// every answer against brute force between mutations; a write path that
+// forgot to invalidate a sidecar answers from stale codes and fails here.
 TEST(QuantStaleSidecar, MutationsNeverAnswerFromAStaleSidecar) {
   // Runs at the startup tier, so an HT_SIMD run covers its own tier.
   if (kernels::ActiveTier() == kernels::SimdTier::kScalar) {
@@ -1382,7 +1512,8 @@ TEST(QuantAccounting, EachCallAndPullChargesThePoolAndItsSinkAlike) {
   Rng rng(2121);
   Dataset data = GenFourier(3000, dim, rng);
   MemPagedFile f_on(2048), f_off(2048);
-  // A pool far smaller than the tree, so box search rules pages out too.
+  // A pool far smaller than the tree, so the searches also meet pages
+  // that are not resident.
   auto on = BuildTree(data, dim, /*quant=*/true, &f_on, /*pool_pages=*/24);
   auto off = BuildTree(data, dim, /*quant=*/false, &f_off, /*pool_pages=*/24);
   const auto centers = MakeQueryCenters(data, 12, rng);

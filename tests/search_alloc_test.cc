@@ -6,7 +6,9 @@
 // and a k-NN cursor on the same scratch performs zero heap allocations:
 // all traversal state lives in the scratch and the caller's output
 // vectors, the buffer pool is warm, the node cache hits, and Status OK /
-// batch kernels never allocate.
+// batch kernels never allocate. At a SIMD tier the box and range queries
+// filter their admitted pages from the sidecars and carry the survivors
+// to the scan in the scratch.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
+#include "geometry/kernels/kernels.h"
 #include "geometry/metrics.h"
 
 namespace {
@@ -96,6 +99,17 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
     }
     boxes.push_back(Box::FromBounds(lo, hi));
   }
+  // Boxes around stored rows: each holds a hit, so its pages have
+  // survivors.
+  for (int q = 0; q < kQueries; ++q) {
+    const auto row = data.Row(static_cast<size_t>(q) * 499);
+    std::vector<float> lo(row.begin(), row.end()), hi = lo;
+    for (uint32_t d = 0; d < dim; ++d) {
+      lo[d] -= 0.05f;
+      hi[d] += 0.05f;
+    }
+    boxes.push_back(Box::FromBounds(lo, hi));
+  }
 
   L2Metric l2;
   // No batch MINDIST kernel: takes the default MinDistToBoxes gather.
@@ -105,8 +119,10 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
   std::vector<std::pair<double, uint64_t>> neighbors;
 
   auto run_all = [&]() {
+    for (const Box& box : boxes) {
+      ASSERT_TRUE(tree->SearchBoxInto(box, &scratch, &ids).ok());
+    }
     for (int q = 0; q < kQueries; ++q) {
-      ASSERT_TRUE(tree->SearchBoxInto(boxes[q], &scratch, &ids).ok());
       ASSERT_TRUE(
           tree->SearchRangeInto(centers[q], 0.8, l2, &scratch, &ids).ok());
       ASSERT_TRUE(
@@ -130,6 +146,14 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
   // scratch buffers and the output vectors.
   run_all();
   run_all();
+  // The box queries the measured pass repeats carry survivors.
+  if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
+    tree->pool().ResetStats();
+    for (const Box& box : boxes) {
+      ASSERT_TRUE(tree->SearchBoxInto(box, &scratch, &ids).ok());
+    }
+    EXPECT_GT(tree->pool().stats().quant_refined, 0u);
+  }
 
   const size_t before = g_allocations.load(std::memory_order_relaxed);
   run_all();
