@@ -1,18 +1,19 @@
 // Micro-benchmarks of core primitives: distance metrics, box operations,
-// the sidecar test, node (de)serialization, buffer-pool access, and
-// end-to-end hybrid-tree insert/search throughput at 64-d.
+// the sidecar test, the bounded page scan, node (de)serialization,
+// buffer-pool access, and end-to-end hybrid-tree insert/search throughput
+// at 64-d.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/timing.h"
 #include "core/hybrid_tree.h"
 #include "data/generators.h"
 #include "data/workload.h"
@@ -128,10 +129,10 @@ BENCHMARK(BM_MinDistToBoxes)
 // the widest dimension, and the leaves' sidecars are built in shuffled
 // order, so leaves near in space are not near in memory. Each query (64
 // data points) tests, in shuffled order, every leaf whose grid MINDIST is
-// within its true 10-NN distance, at that distance. Reports ns per test,
-// the survivors of one pass over all queries (the same at every tier), and
-// the active SIMD tier as the label (HT_SIMD picks another).
-// Args: {dim, metric: 0 = L2, 1 = L1}.
+// within its true 10-NN distance, at that distance. Reports ns per test
+// (thread CPU time), the survivors of one pass over all queries (the same
+// at every tier), and the active SIMD tier as the label (HT_SIMD picks
+// another). Args: {dim, metric: 0 = L2, 1 = L1}.
 struct SidecarTests {
   std::vector<std::vector<float>> queries;
   std::vector<std::unique_ptr<const QuantizedPage>> pages;
@@ -185,18 +186,20 @@ Dataset SidecarRows(uint32_t dim, Rng& rng) {
   return dim == 16 ? GenFourier(kRows, dim, rng) : GenColhist(kRows, dim, rng);
 }
 
-/// One sidecar per kd leaf of `data` (at most one 4 KiB data page's rows),
-/// built in shuffled order so that leaves near in space are not near in
-/// memory; indexed by leaf.
-std::vector<std::unique_ptr<const QuantizedPage>> MakeLeafSidecars(
-    const Dataset& data, Rng& rng) {
+/// One page per kd leaf of `data` (at most one 4 KiB data page's rows),
+/// made by `make` from the leaf's rows in DataPageScan's layout (stride
+/// dim + 2) and its row count, in shuffled order so that leaves near in
+/// space are not near in memory; indexed by leaf.
+template <typename Make>
+auto MakeLeafPages(const Dataset& data, Rng& rng, const Make& make) {
   const uint32_t dim = data.dim();
   std::vector<uint32_t> order(data.size());
   std::iota(order.begin(), order.end(), 0u);
   std::vector<std::pair<size_t, size_t>> leaves;
   SplitKdLeaves(data, &order, 0, order.size(), DataNode::Capacity(dim, 4096),
                 &leaves);
-  std::vector<std::unique_ptr<const QuantizedPage>> pages(leaves.size());
+  std::vector<decltype(make(std::vector<float>{}, size_t{0}))> pages(
+      leaves.size());
   std::vector<size_t> build(leaves.size());
   std::iota(build.begin(), build.end(), size_t{0});
   for (size_t i = build.size(); i > 1; --i) {
@@ -211,15 +214,43 @@ std::vector<std::unique_ptr<const QuantizedPage>> MakeLeafSidecars(
       const auto row = data.Row(order[i]);
       std::copy(row.begin(), row.end(), block.begin() + (i - begin) * stride);
     }
-    pages[leaf] = QuantizedPage::Build(block.data(), stride, end - begin, dim);
+    pages[leaf] = make(block, end - begin);
   }
   return pages;
+}
+
+/// One sidecar per kd leaf of `data` (MakeLeafPages).
+std::vector<std::unique_ptr<const QuantizedPage>> MakeLeafSidecars(
+    const Dataset& data, Rng& rng) {
+  const uint32_t dim = data.dim();
+  return MakeLeafPages(data, rng,
+                       [dim](const std::vector<float>& block, size_t rows) {
+                         return std::unique_ptr<const QuantizedPage>(
+                             QuantizedPage::Build(block.data(), dim + 2, rows,
+                                                  dim));
+                       });
+}
+
+/// The true 10-NN distance of every query over `data`, under `metric`.
+std::vector<double> TenthNeighborDistances(
+    const Dataset& data, const std::vector<std::vector<float>>& queries,
+    const DistanceMetric& metric) {
+  constexpr size_t kK = 10;
+  std::vector<double> bounds;
+  std::vector<double> dist(data.size());
+  for (const auto& c : queries) {
+    for (size_t i = 0; i < dist.size(); ++i) {
+      dist[i] = metric.Distance(c, data.Row(i));
+    }
+    std::nth_element(dist.begin(), dist.begin() + (kK - 1), dist.end());
+    bounds.push_back(dist[kK - 1]);
+  }
+  return bounds;
 }
 
 std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
                                                const DistanceMetric& metric) {
   constexpr size_t kQueries = 64;
-  constexpr size_t kK = 10;
   Rng rng(9100 + dim);
   const Dataset data = SidecarRows(dim, rng);
 
@@ -230,21 +261,16 @@ std::unique_ptr<SidecarTests> MakeSidecarTests(uint32_t dim,
   }
 
   out->queries = MakeQueryCenters(data, kQueries, rng);
-  std::vector<double> dist(data.size());
+  const std::vector<double> bounds =
+      TenthNeighborDistances(data, out->queries, metric);
   for (size_t q = 0; q < out->queries.size(); ++q) {
-    const auto& c = out->queries[q];
-    for (size_t i = 0; i < dist.size(); ++i) {
-      dist[i] = metric.Distance(c, data.Row(i));
-    }
-    std::nth_element(dist.begin(), dist.begin() + (kK - 1), dist.end());
-    const double bound = dist[kK - 1];
     for (const auto& page : out->pages) {
       const quant::PageCodesView v = page->view();
       const Box grid = Box::FromBounds(
           std::vector<float>(v.grid_lo, v.grid_lo + dim),
           std::vector<float>(v.grid_hi, v.grid_hi + dim));
-      if (metric.MinDistToBox(c, grid) <= bound) {
-        out->tests.push_back({q, page.get(), bound});
+      if (metric.MinDistToBox(out->queries[q], grid) <= bounds[q]) {
+        out->tests.push_back({q, page.get(), bounds[q]});
       }
     }
   }
@@ -268,7 +294,7 @@ void BM_SidecarTest(benchmark::State& state) {
   quant::FilterScratch scratch;
   std::vector<uint8_t> masks(set->max_blocks);
   uint64_t survivors = 0;
-  const auto start = std::chrono::steady_clock::now();
+  const CpuTimer timer;
   for (auto _ : state) {
     survivors = 0;
     for (const SidecarTests::Test& t : set->tests) {
@@ -281,9 +307,7 @@ void BM_SidecarTest(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(survivors);
   }
-  const double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  const double ns = 1e9 * timer.Seconds();
   const double tests = static_cast<double>(set->tests.size());
   state.counters["ns_per_test"] =
       ns / (tests * static_cast<double>(state.iterations()));
@@ -306,9 +330,9 @@ BENCHMARK(BM_SidecarTest)
 // about 12 at 64-d. Each of 64 boxes, its side calibrated to perfbench's
 // box selectivity (0.07% on FOURIER 16-d, 0.2% on COLHIST 64-d), tests in
 // shuffled order every page whose grid it overlaps in every dimension, as
-// an admitted child's box does. Reports ns per test, the pages ruled out
-// and the surviving rows per test of one pass (both the same at every
-// tier), and the active SIMD tier as the label. Arg: dim.
+// an admitted child's box does. Reports ns per test (thread CPU time), the
+// pages ruled out and the surviving rows per test of one pass (both the
+// same at every tier), and the active SIMD tier as the label. Arg: dim.
 struct SidecarBoxTests {
   std::vector<Box> boxes;
   std::vector<std::unique_ptr<const QuantizedPage>> pages;
@@ -361,7 +385,7 @@ void BM_SidecarBoxTest(benchmark::State& state) {
                                b.hi().data(), &scratch, masks.data());
   };
   uint64_t ruled_out = 0;
-  const auto start = std::chrono::steady_clock::now();
+  const CpuTimer timer;
   for (auto _ : state) {
     ruled_out = 0;
     for (size_t i = 0; i < set->tests.size(); ++i) {
@@ -369,9 +393,7 @@ void BM_SidecarBoxTest(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(masks.data());
   }
-  const double ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  const double ns = 1e9 * timer.Seconds();
   // The surviving rows, counted in one more pass outside the timing.
   uint64_t survivors = 0;
   for (size_t i = 0; i < set->tests.size(); ++i) {
@@ -390,6 +412,112 @@ void BM_SidecarBoxTest(benchmark::State& state) {
   state.SetLabel(kernels::TierName(kernels::ActiveTier()));
 }
 BENCHMARK(BM_SidecarBoxTest)->Arg(16)->Arg(64);
+
+// The bounded page scan a k-NN refines a dense page with:
+// BatchDistanceWithBound over one data page's rows at the running bound,
+// at the active SIMD tier. The pages are the kd leaves of
+// BM_SidecarTest's rows (at most one 4 KiB data page's rows each, in
+// DataPageScan's layout), and each of 64 queries scans, in shuffled
+// order, every page whose MINDIST is within its true 10-NN distance, at
+// that distance. Reports ns per scan (thread CPU time), rows per scan,
+// the rows within the bound of one pass (the same at every tier), and the
+// metric and tier as the label.
+// Args: {dim, metric: 0 = L1, 1 = L2, 2 = LInf, 3 = WeightedL2}.
+struct BatchScans {
+  std::unique_ptr<DistanceMetric> metric;
+  std::vector<std::vector<float>> queries;
+  std::vector<std::pair<std::vector<float>, size_t>> pages;  // rows, count
+  struct Scan {
+    size_t query;
+    size_t page;
+    double bound;
+  };
+  std::vector<Scan> scans;
+  size_t rows = 0;  // over all scans
+};
+
+std::unique_ptr<DistanceMetric> MakeKernelMetric(int64_t which,
+                                                 uint32_t dim) {
+  switch (which) {
+    case 0:
+      return std::make_unique<L1Metric>();
+    case 1:
+      return std::make_unique<L2Metric>();
+    case 2:
+      return std::make_unique<LInfMetric>();
+    default: {
+      std::vector<double> w(dim);
+      for (uint32_t d = 0; d < dim; ++d) w[d] = 0.5 + 0.25 * (d % 4);
+      return std::make_unique<WeightedL2Metric>(std::move(w));
+    }
+  }
+}
+
+std::unique_ptr<BatchScans> MakeBatchScans(uint32_t dim, int64_t which) {
+  constexpr size_t kQueries = 64;
+  Rng rng(9500 + dim);
+  const Dataset data = SidecarRows(dim, rng);
+  auto out = std::make_unique<BatchScans>();
+  out->metric = MakeKernelMetric(which, dim);
+  out->pages = MakeLeafPages(
+      data, rng, [](const std::vector<float>& block, size_t rows) {
+        return std::make_pair(block, rows);
+      });
+  std::vector<Box> grids;
+  for (const auto& [block, rows] : out->pages) {
+    Box grid = Box::Empty(dim);
+    for (size_t i = 0; i < rows; ++i) {
+      grid.ExtendToInclude(std::span<const float>(&block[i * (dim + 2)], dim));
+    }
+    grids.push_back(std::move(grid));
+  }
+  out->queries = MakeQueryCenters(data, kQueries, rng);
+  const std::vector<double> bounds =
+      TenthNeighborDistances(data, out->queries, *out->metric);
+  for (size_t q = 0; q < out->queries.size(); ++q) {
+    for (size_t p = 0; p < grids.size(); ++p) {
+      if (out->metric->MinDistToBox(out->queries[q], grids[p]) <= bounds[q]) {
+        out->scans.push_back({q, p, bounds[q]});
+        out->rows += out->pages[p].second;
+      }
+    }
+  }
+  for (size_t i = out->scans.size(); i > 1; --i) {
+    std::swap(out->scans[i - 1], out->scans[rng.NextBelow(i)]);
+  }
+  return out;
+}
+
+void BM_BatchDistance(benchmark::State& state) {
+  const auto dim = static_cast<uint32_t>(state.range(0));
+  static std::map<std::pair<int64_t, int64_t>, std::unique_ptr<BatchScans>>
+      cache;
+  auto& set = cache[{state.range(0), state.range(1)}];
+  if (set == nullptr) set = MakeBatchScans(dim, state.range(1));
+  std::vector<double> out(DataNode::Capacity(dim, 4096));
+  uint64_t within = 0;
+  const CpuTimer timer;
+  for (auto _ : state) {
+    within = 0;
+    for (const BatchScans::Scan& s : set->scans) {
+      const auto& [block, rows] = set->pages[s.page];
+      set->metric->BatchDistanceWithBound(set->queries[s.query], block.data(),
+                                          dim + 2, rows, s.bound, out.data());
+      for (size_t i = 0; i < rows; ++i) within += out[i] <= s.bound ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(within);
+  }
+  const double ns = 1e9 * timer.Seconds();
+  const double scans = static_cast<double>(set->scans.size());
+  state.counters["ns_per_scan"] =
+      ns / (scans * static_cast<double>(state.iterations()));
+  state.counters["rows_per_scan"] = static_cast<double>(set->rows) / scans;
+  state.counters["within"] = static_cast<double>(within);
+  state.SetLabel(set->metric->Name() + " " +
+                 kernels::TierName(kernels::ActiveTier()));
+}
+BENCHMARK(BM_BatchDistance)
+    ->ArgsProduct({{16, 64}, {0, 1, 2, 3}});
 
 void BM_DataNodeSerialize(benchmark::State& state) {
   const uint32_t dim = static_cast<uint32_t>(state.range(0));

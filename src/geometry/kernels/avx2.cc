@@ -10,18 +10,42 @@
 // what keeps outputs bit-identical to the scalar tier (batch_kernel_test
 // sweeps this per tier). Dead lanes keep accumulating (harmless: finite
 // float inputs cannot overflow a double sum) and are blended to +infinity
-// at the end.
+// at the end. Each family is one template over the accumulation (kernels.h
+// Acc), and every accumulation is Step4, row_ref.h Step in four lanes.
+//
+// No function of this file calls an inline function of a header or takes
+// its address: that would emit a copy built with -mavx2 that the linker
+// could pick for every tier (kernels.h). Scalar work goes to scalar.cc —
+// the rows after the last group of four to the scalar tier's kernel, the
+// abandon threshold to AbandonSquare, the mask prep to
+// quant::PrepareFilter — and dimension tails are masked loads and stores.
 
 #ifdef HT_KERNELS_AVX2
 
 #include <immintrin.h>
 
-#include "geometry/kernels/row_ref.h"
 #include "geometry/kernels/tables.h"
 #include "geometry/quantize.h"
 
 namespace ht::kernels {
 namespace {
+
+/// Accumulation kAcc's step over four double lanes (row_ref.h Step): `x`
+/// is already a magnitude for kSum and kMax, and w[d] is the weight.
+template <Acc kAcc, typename W = double>
+inline __m256d Step4(__m256d s, __m256d x, const W* w = nullptr,
+                     size_t d = 0) {
+  if constexpr (kAcc == kSum) {
+    return _mm256_add_pd(s, x);
+  } else if constexpr (kAcc == kSumSq) {
+    return _mm256_add_pd(s, _mm256_mul_pd(x, x));
+  } else if constexpr (kAcc == kMax) {
+    return _mm256_max_pd(x, s);  // x > s ? x : s, as the scalar
+  } else {
+    const __m256d wd = _mm256_set1_pd(static_cast<double>(w[d]));
+    return _mm256_add_pd(s, _mm256_mul_pd(_mm256_mul_pd(wd, x), x));
+  }
+}
 
 /// Element d of four strided rows, widened to double lanes.
 inline __m256d Load4(const float* r0, const float* r1, const float* r2,
@@ -31,12 +55,14 @@ inline __m256d Load4(const float* r0, const float* r1, const float* r2,
 
 constexpr int kAllLanes = 0xf;
 
-void L1Avx2(const float* q, size_t dim, const float* pts, size_t stride,
-            size_t n, double bound, double* out) {
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+template <Acc kAcc>
+void BatchAvx2(const float* q, const double* w, size_t dim, const float* pts,
+               size_t stride, size_t n, double bound, double* out) {
+  double limit = bound;
+  if constexpr (IsSquared(kAcc)) limit = AbandonSquare(bound);
+  const __m256d vlimit = _mm256_set1_pd(limit);
+  const __m256d vinf = _mm256_set1_pd(kInf);
+  const __m256d sign = _mm256_set1_pd(-0.0);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const float* r0 = pts + i * stride;
@@ -45,153 +71,51 @@ void L1Avx2(const float* q, size_t dim, const float* pts, size_t stride,
     const float* r3 = r2 + stride;
     __m256d s = _mm256_setzero_pd();
     __m256d dead = _mm256_setzero_pd();
-    bool all_dead = false;
     size_t d = 0;
     while (d < dim) {
       const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
       for (; d < end; ++d) {
         const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-        const __m256d diff = _mm256_sub_pd(qd, Load4(r0, r1, r2, r3, d));
-        s = _mm256_add_pd(s, _mm256_and_pd(diff, kAbsMask));
+        __m256d x = _mm256_sub_pd(qd, Load4(r0, r1, r2, r3, d));
+        if constexpr (kAcc == kSum || kAcc == kMax) {
+          x = _mm256_andnot_pd(sign, x);
+        }
+        s = Step4<kAcc>(s, x, w, d);
       }
       if (end < dim) {
-        dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vbound, _CMP_GT_OQ));
-        if (_mm256_movemask_pd(dead) == kAllLanes) {
-          all_dead = true;
-          break;
-        }
+        dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vlimit, _CMP_GT_OQ));
+        if (_mm256_movemask_pd(dead) == kAllLanes) break;
       }
     }
-    _mm256_storeu_pd(out + i,
-                     all_dead ? vinf : _mm256_blendv_pd(s, vinf, dead));
-  }
-  for (; i < n; ++i) out[i] = detail::RowL1(q, dim, pts + i * stride, bound);
-}
-
-void L2Avx2(const float* q, size_t dim, const float* pts, size_t stride,
-            size_t n, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m256d vb2 = _mm256_set1_pd(b2);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float* r0 = pts + i * stride;
-    const float* r1 = r0 + stride;
-    const float* r2 = r1 + stride;
-    const float* r3 = r2 + stride;
-    __m256d s = _mm256_setzero_pd();
-    __m256d dead = _mm256_setzero_pd();
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-        const __m256d diff = _mm256_sub_pd(qd, Load4(r0, r1, r2, r3, d));
-        s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
-      }
-      if (end < dim) {
-        dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vb2, _CMP_GT_OQ));
-        if (_mm256_movemask_pd(dead) == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
+    if (d < dim) {  // every lane abandoned
+      s = vinf;
+    } else {
+      if constexpr (IsSquared(kAcc)) s = _mm256_sqrt_pd(s);
+      s = _mm256_blendv_pd(s, vinf, dead);
     }
-    _mm256_storeu_pd(
-        out + i,
-        all_dead ? vinf : _mm256_blendv_pd(_mm256_sqrt_pd(s), vinf, dead));
+    _mm256_storeu_pd(out + i, s);
   }
-  for (; i < n; ++i) out[i] = detail::RowL2(q, dim, pts + i * stride, b2);
+  if (i < n) {
+    ScalarTable().batch[kAcc](q, w, dim, pts + i * stride, stride, n - i,
+                              bound, out + i);
+  }
 }
 
-void LInfAvx2(const float* q, size_t dim, const float* pts, size_t stride,
-              size_t n, double bound, double* out) {
-  const __m256d vbound = _mm256_set1_pd(bound);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float* r0 = pts + i * stride;
-    const float* r1 = r0 + stride;
-    const float* r2 = r1 + stride;
-    const float* r3 = r2 + stride;
-    __m256d m = _mm256_setzero_pd();
-    __m256d dead = _mm256_setzero_pd();
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-        const __m256d diff = _mm256_sub_pd(qd, Load4(r0, r1, r2, r3, d));
-        m = _mm256_max_pd(m, _mm256_and_pd(diff, kAbsMask));
-      }
-      if (end < dim) {
-        dead = _mm256_or_pd(dead, _mm256_cmp_pd(m, vbound, _CMP_GT_OQ));
-        if (_mm256_movemask_pd(dead) == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm256_storeu_pd(out + i,
-                     all_dead ? vinf : _mm256_blendv_pd(m, vinf, dead));
-  }
-  for (; i < n; ++i) out[i] = detail::RowLInf(q, dim, pts + i * stride, bound);
-}
-
-void WL2Avx2(const float* q, const double* w, size_t dim, const float* pts,
-             size_t stride, size_t n, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m256d vb2 = _mm256_set1_pd(b2);
-  const __m256d vinf = _mm256_set1_pd(detail::kInf);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float* r0 = pts + i * stride;
-    const float* r1 = r0 + stride;
-    const float* r2 = r1 + stride;
-    const float* r3 = r2 + stride;
-    __m256d s = _mm256_setzero_pd();
-    __m256d dead = _mm256_setzero_pd();
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
-        const __m256d wd = _mm256_set1_pd(w[d]);
-        const __m256d diff = _mm256_sub_pd(qd, Load4(r0, r1, r2, r3, d));
-        // Scalar association: s += (w[d] * diff) * diff.
-        s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_mul_pd(wd, diff), diff));
-      }
-      if (end < dim) {
-        dead = _mm256_or_pd(dead, _mm256_cmp_pd(s, vb2, _CMP_GT_OQ));
-        if (_mm256_movemask_pd(dead) == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm256_storeu_pd(
-        out + i,
-        all_dead ? vinf : _mm256_blendv_pd(_mm256_sqrt_pd(s), vinf, dead));
-  }
-  for (; i < n; ++i) out[i] = detail::RowWL2(q, w, dim, pts + i * stride, b2);
-}
-
-// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
+// --- Fused mask-filter kernels (kernels.h ctm) -----------------------------
 //
-// The prep is the reference quant::PrepareFilter, compiled here (no FMA
-// contraction), so its floats are the scalar tier's by construction.
-// Then one contiguous 8-byte code load covers dimension d of all 8 rows
-// of a block. Gap math is in float (bitwise the scalar CodeGap, modulo
-// -0.0 vs +0.0), squares and sums in double lanes in dimension order —
-// exactly RowCodeTRaw*'s sequence. Each block is two 4-lane halves, two
-// independent chains, compared against the precomputed threshold
-// in-register; movemask collapses the block to one survivor byte. IEEE <=
-// treats -0.0 == +0.0, so masks are bitwise identical across tiers.
+// The prep is the reference quant::PrepareFilter (scalar.cc), so its
+// floats are the scalar tier's by construction. Then one contiguous 8-byte
+// code load covers dimension d of all 8 rows of a block. Gap math is in
+// float (bitwise the scalar CodeGap, modulo -0.0 vs +0.0), and the
+// accumulation in double lanes in dimension order — exactly RowCodeTRaw's
+// sequence — except kMax, which runs in float (widening is exact and
+// monotone). Each block is two 4-lane halves, two independent chains,
+// compared against the precomputed threshold in-register at every
+// checkpoint; movemask collapses the block to one survivor byte, and a
+// block whose lanes all exceed the threshold stops there (the
+// accumulators are monotone, so its 0 mask is what full accumulation
+// gives). IEEE <= treats -0.0 == +0.0, so masks are bitwise identical
+// across tiers.
 
 /// Gaps for the 8 rows of one transposed block at dimension d.
 inline __m256 GapT8(const float* above, const float* below,
@@ -219,10 +143,12 @@ inline uint8_t MaskFromHalves(__m256d lo, __m256d hi, __m256d t) {
   return static_cast<uint8_t>(mlo | (mhi << 4));
 }
 
-void CTML1Avx2(const float* q, const float* grid_lo, const float* grid_hi,
-               size_t dim, const uint8_t* tcodes, size_t nblocks,
-               double threshold, float* prep, uint8_t* masks) {
-  quant::PrepareFilter(q, grid_lo, grid_hi, 0, dim, prep);
+template <Acc kAcc>
+void MaskAvx2(const float* q, const float* wf, const float* grid_lo,
+              const float* grid_hi, size_t dim, const uint8_t* tcodes,
+              size_t nblocks, double threshold, float* prep,
+              uint8_t* masks) {
+  quant::PrepareFilter(q, grid_lo, grid_hi, dim, prep);
   const float* above = prep;
   const float* below = prep + dim;
   const float* scale = prep + 2 * dim;
@@ -231,112 +157,29 @@ void CTML1Avx2(const float* q, const float* grid_lo, const float* grid_hi,
     const uint8_t* tcb = tcodes + b * dim * kTBlock;
     __m256d lo = _mm256_setzero_pd();
     __m256d hi = _mm256_setzero_pd();
-    uint8_t m = 0;
-    size_t d = 0;
-    // Abandon the block once every lane exceeds the threshold: the sums
-    // are monotone non-decreasing, so an early 0 mask is bitwise what
-    // full accumulation would produce.
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256 g = GapT8(above, below, scale, tcb, d);
-        lo = _mm256_add_pd(lo, LowPd(g));
-        hi = _mm256_add_pd(hi, HighPd(g));
-      }
-      m = MaskFromHalves(lo, hi, t);
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
-  }
-}
-
-void CTML2Avx2(const float* q, const float* grid_lo, const float* grid_hi,
-               size_t dim, const uint8_t* tcodes, size_t nblocks,
-               double threshold, float* prep, uint8_t* masks) {
-  quant::PrepareFilter(q, grid_lo, grid_hi, 0, dim, prep);
-  const float* above = prep;
-  const float* below = prep + dim;
-  const float* scale = prep + 2 * dim;
-  const __m256d t = _mm256_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    uint8_t m = 0;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256 g = GapT8(above, below, scale, tcb, d);
-        // Widen BEFORE squaring: the scalar reference squares in double.
-        const __m256d gl = LowPd(g);
-        const __m256d gh = HighPd(g);
-        lo = _mm256_add_pd(lo, _mm256_mul_pd(gl, gl));
-        hi = _mm256_add_pd(hi, _mm256_mul_pd(gh, gh));
-      }
-      m = MaskFromHalves(lo, hi, t);
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
-  }
-}
-
-void CTMLInfAvx2(const float* q, const float* grid_lo, const float* grid_hi,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, float* prep, uint8_t* masks) {
-  quant::PrepareFilter(q, grid_lo, grid_hi, 0, dim, prep);
-  const float* above = prep;
-  const float* below = prep + dim;
-  const float* scale = prep + 2 * dim;
-  const __m256d t = _mm256_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256 m = _mm256_setzero_ps();
+    __m256 m = _mm256_setzero_ps();  // kMax: the running max, in float
     uint8_t alive = 0;
     size_t d = 0;
     while (d < dim) {
       const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
       for (; d < end; ++d) {
-        m = _mm256_max_ps(m, GapT8(above, below, scale, tcb, d));
+        const __m256 g = GapT8(above, below, scale, tcb, d);
+        if constexpr (kAcc == kMax) {
+          m = _mm256_max_ps(g, m);
+        } else {
+          // Widen BEFORE squaring: the scalar reference squares in double.
+          lo = Step4<kAcc>(lo, LowPd(g), wf, d);
+          hi = Step4<kAcc>(hi, HighPd(g), wf, d);
+        }
       }
-      // No -0.0 canonicalization needed here: the compare treats -0 == +0.
-      alive = MaskFromHalves(LowPd(m), HighPd(m), t);
+      if constexpr (kAcc == kMax) {
+        lo = LowPd(m);
+        hi = HighPd(m);
+      }
+      alive = MaskFromHalves(lo, hi, t);
       if (alive == 0) break;
     }
-    masks[b] = d == dim ? alive : 0;
-  }
-}
-
-void CTMWL2Avx2(const float* q, const float* wf, const float* grid_lo,
-                const float* grid_hi, size_t dim, const uint8_t* tcodes,
-                size_t nblocks, double threshold, float* prep,
-                uint8_t* masks) {
-  quant::PrepareFilter(q, grid_lo, grid_hi, 0, dim, prep);
-  const float* above = prep;
-  const float* below = prep + dim;
-  const float* scale = prep + 2 * dim;
-  const __m256d t = _mm256_set1_pd(threshold);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const uint8_t* tcb = tcodes + b * dim * kTBlock;
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    uint8_t m = 0;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m256 g = GapT8(above, below, scale, tcb, d);
-        const __m256d wd = _mm256_set1_pd(static_cast<double>(wf[d]));
-        const __m256d gl = LowPd(g);
-        const __m256d gh = HighPd(g);
-        // Scalar association: s += ((double)wf[d] * g) * g.
-        lo = _mm256_add_pd(lo, _mm256_mul_pd(_mm256_mul_pd(wd, gl), gl));
-        hi = _mm256_add_pd(hi, _mm256_mul_pd(_mm256_mul_pd(wd, gh), gh));
-      }
-      m = MaskFromHalves(lo, hi, t);
-      if (m == 0) break;
-    }
-    masks[b] = d == dim ? m : 0;
+    masks[b] = alive;
   }
 }
 
@@ -354,7 +197,7 @@ void CTMWL2Avx2(const float* q, const float* wf, const float* grid_lo,
 // compare: c lies in [cl, ch] iff max(c, cl) == c and min(c, ch) == c.
 // Dimension tails are masked loads and stores (a masked-off lane reads
 // 0), so no byte past `dim` is read or written, and no reference function
-// is compiled into this -mavx2 file (see the note above Avx2Table).
+// is compiled into this -mavx2 file.
 
 /// All-ones in the first min(n, 8) 32-bit lanes.
 inline __m256i FirstLanes32x8(size_t n) {
@@ -478,8 +321,7 @@ bool CodeBoxAvx2(const float* lo, const float* hi, const float* grid_lo,
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group
 // (four __m256d, one box per double lane), so each dimension's lo/hi loads
 // cover one 64-byte row slice. Each lane replays kernels::AxisGap and the
-// metric's accumulation in dimension order with separate mul/add.
-enum class BoxAcc { kSum, kSumSq, kMax };
+// accumulation's Step in dimension order with separate mul/add.
 
 /// AxisGap of four boxes (four consecutive floats of a dimension row),
 /// widened to double lanes: lo - q where q < lo, else q - hi where q > hi,
@@ -493,7 +335,7 @@ inline __m256d Gap4(__m256d qd, const float* lo, const float* hi) {
                           _mm256_cmp_pd(qd, l, _CMP_LT_OQ));
 }
 
-template <BoxAcc kAcc>
+template <Acc kAcc>
 void MinDistAvx2(const float* q, size_t dim, const float* lo, const float* hi,
                  size_t stride, size_t n, double* out) {
   for (size_t i = 0; i < n; i += kBoxLanes) {
@@ -504,18 +346,11 @@ void MinDistAvx2(const float* q, size_t dim, const float* lo, const float* hi,
       const float* l = lo + d * stride + i;
       const float* h = hi + d * stride + i;
       for (size_t k = 0; k < 4; ++k) {
-        const __m256d g = Gap4(qd, l + 4 * k, h + 4 * k);
-        if constexpr (kAcc == BoxAcc::kSum) {
-          s[k] = _mm256_add_pd(s[k], g);
-        } else if constexpr (kAcc == BoxAcc::kSumSq) {
-          s[k] = _mm256_add_pd(s[k], _mm256_mul_pd(g, g));
-        } else {
-          s[k] = _mm256_max_pd(g, s[k]);  // g > s ? g : s, as the scalar
-        }
+        s[k] = Step4<kAcc>(s[k], Gap4(qd, l + 4 * k, h + 4 * k));
       }
     }
     for (size_t k = 0; k < 4; ++k) {
-      if constexpr (kAcc == BoxAcc::kSumSq) s[k] = _mm256_sqrt_pd(s[k]);
+      if constexpr (IsSquared(kAcc)) s[k] = _mm256_sqrt_pd(s[k]);
       _mm256_storeu_pd(out + i + 4 * k, s[k]);
     }
   }
@@ -559,18 +394,16 @@ void BoxOverlapAvx2(const float* qlo, const float* qhi, size_t dim,
 
 }  // namespace
 
-// No kernel in this file may call or take the address of an inline
-// reference function (quant::RowsMayBeInBox, BoxCodeRange, QuantizeLo):
-// that would emit an AVX2 copy of it that the linker could pick for every
-// tier. The box kernel handles its dimension tails with masked loads and
-// stores instead.
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      SimdTier::kAvx2, &L1Avx2,      &L2Avx2,       &LInfAvx2,
-      &WL2Avx2,        &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     &CodeBoxAvx2,
-      &MinDistAvx2<BoxAcc::kSum>,   &MinDistAvx2<BoxAcc::kSumSq>,
-      &MinDistAvx2<BoxAcc::kMax>,   &BoxOverlapAvx2};
+      SimdTier::kAvx2,
+      {&BatchAvx2<kSum>, &BatchAvx2<kSumSq>, &BatchAvx2<kMax>,
+       &BatchAvx2<kWeightedSumSq>},
+      {&MaskAvx2<kSum>, &MaskAvx2<kSumSq>, &MaskAvx2<kMax>,
+       &MaskAvx2<kWeightedSumSq>},
+      &CodeBoxAvx2,
+      {&MinDistAvx2<kSum>, &MinDistAvx2<kSumSq>, &MinDistAvx2<kMax>},
+      &BoxOverlapAvx2};
   return table;
 }
 

@@ -4,19 +4,39 @@
 // as the AVX2 tier (see avx2.cc): per-lane replay of the scalar
 // accumulation, separate mul/add (no FMA contraction of intrinsics),
 // checkpoints every kAbandonBlock dims, lanes go dead only strictly before
-// the final block. Requires avx512f+bw+dq+vl at runtime (dispatch.cc
-// checks CPUID); compiled only when the toolchain supports the flags.
+// the final block; one template per family over the accumulation, every
+// accumulation Step8 (row_ref.h Step in eight lanes); and, as there, no
+// call to an inline function of a header: scalar work goes to scalar.cc,
+// dimension tails are masked lanes. Requires avx512f+bw+dq+vl at runtime
+// (dispatch.cc checks CPUID); compiled only when the toolchain supports
+// the flags.
 
 #ifdef HT_KERNELS_AVX512
 
 #include <immintrin.h>
 
-#include "geometry/kernels/row_ref.h"
 #include "geometry/kernels/tables.h"
 #include "geometry/quantize.h"
 
 namespace ht::kernels {
 namespace {
+
+/// Accumulation kAcc's step over eight double lanes (row_ref.h Step): `x`
+/// is already a magnitude for kSum and kMax, and w[d] is the weight.
+template <Acc kAcc, typename W = double>
+inline __m512d Step8(__m512d s, __m512d x, const W* w = nullptr,
+                     size_t d = 0) {
+  if constexpr (kAcc == kSum) {
+    return _mm512_add_pd(s, x);
+  } else if constexpr (kAcc == kSumSq) {
+    return _mm512_add_pd(s, _mm512_mul_pd(x, x));
+  } else if constexpr (kAcc == kMax) {
+    return _mm512_max_pd(x, s);  // x > s ? x : s, as the scalar
+  } else {
+    const __m512d wd = _mm512_set1_pd(static_cast<double>(w[d]));
+    return _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, x), x));
+  }
+}
 
 /// Element d of eight rows starting at `base` (stride floats apart),
 /// widened to double lanes.
@@ -31,150 +51,59 @@ inline __m512d Load8(const float* base, size_t stride, size_t d) {
 
 constexpr __mmask8 kAllLanes = 0xff;
 
-void L1Avx512(const float* q, size_t dim, const float* pts, size_t stride,
-              size_t n, double bound, double* out) {
-  const __m512d vbound = _mm512_set1_pd(bound);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
+template <Acc kAcc>
+void BatchAvx512(const float* q, const double* w, size_t dim,
+                 const float* pts, size_t stride, size_t n, double bound,
+                 double* out) {
+  double limit = bound;
+  if constexpr (IsSquared(kAcc)) limit = AbandonSquare(bound);
+  const __m512d vlimit = _mm512_set1_pd(limit);
+  const __m512d vinf = _mm512_set1_pd(kInf);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const float* base = pts + i * stride;
     __m512d s = _mm512_setzero_pd();
     __mmask8 dead = 0;
-    bool all_dead = false;
     size_t d = 0;
     while (d < dim) {
       const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
       for (; d < end; ++d) {
         const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, Load8(base, stride, d));
-        s = _mm512_add_pd(s, _mm512_abs_pd(diff));
+        __m512d x = _mm512_sub_pd(qd, Load8(base, stride, d));
+        if constexpr (kAcc == kSum || kAcc == kMax) x = _mm512_abs_pd(x);
+        s = Step8<kAcc>(s, x, w, d);
       }
       if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vbound, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
+        dead |= _mm512_cmp_pd_mask(s, vlimit, _CMP_GT_OQ);
+        if (dead == kAllLanes) break;
       }
     }
-    _mm512_storeu_pd(out + i,
-                     all_dead ? vinf : _mm512_mask_blend_pd(dead, s, vinf));
-  }
-  for (; i < n; ++i) out[i] = detail::RowL1(q, dim, pts + i * stride, bound);
-}
-
-void L2Avx512(const float* q, size_t dim, const float* pts, size_t stride,
-              size_t n, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m512d vb2 = _mm512_set1_pd(b2);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float* base = pts + i * stride;
-    __m512d s = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, Load8(base, stride, d));
-        s = _mm512_add_pd(s, _mm512_mul_pd(diff, diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vb2, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
+    if (d < dim) {  // every lane abandoned
+      s = vinf;
+    } else {
+      if constexpr (IsSquared(kAcc)) s = _mm512_sqrt_pd(s);
+      s = _mm512_mask_blend_pd(dead, s, vinf);
     }
-    _mm512_storeu_pd(
-        out + i,
-        all_dead ? vinf : _mm512_mask_blend_pd(dead, _mm512_sqrt_pd(s), vinf));
+    _mm512_storeu_pd(out + i, s);
   }
-  for (; i < n; ++i) out[i] = detail::RowL2(q, dim, pts + i * stride, b2);
+  if (i < n) {
+    ScalarTable().batch[kAcc](q, w, dim, pts + i * stride, stride, n - i,
+                              bound, out + i);
+  }
 }
 
-void LInfAvx512(const float* q, size_t dim, const float* pts, size_t stride,
-                size_t n, double bound, double* out) {
-  const __m512d vbound = _mm512_set1_pd(bound);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float* base = pts + i * stride;
-    __m512d m = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d diff = _mm512_sub_pd(qd, Load8(base, stride, d));
-        m = _mm512_max_pd(m, _mm512_abs_pd(diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(m, vbound, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(out + i,
-                     all_dead ? vinf : _mm512_mask_blend_pd(dead, m, vinf));
-  }
-  for (; i < n; ++i) out[i] = detail::RowLInf(q, dim, pts + i * stride, bound);
-}
-
-void WL2Avx512(const float* q, const double* w, size_t dim, const float* pts,
-               size_t stride, size_t n, double bound, double* out) {
-  const double b2 = AbandonSquare(bound);
-  const __m512d vb2 = _mm512_set1_pd(b2);
-  const __m512d vinf = _mm512_set1_pd(detail::kInf);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float* base = pts + i * stride;
-    __m512d s = _mm512_setzero_pd();
-    __mmask8 dead = 0;
-    bool all_dead = false;
-    size_t d = 0;
-    while (d < dim) {
-      const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
-      for (; d < end; ++d) {
-        const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
-        const __m512d wd = _mm512_set1_pd(w[d]);
-        const __m512d diff = _mm512_sub_pd(qd, Load8(base, stride, d));
-        // Scalar association: s += (w[d] * diff) * diff.
-        s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, diff), diff));
-      }
-      if (end < dim) {
-        dead |= _mm512_cmp_pd_mask(s, vb2, _CMP_GT_OQ);
-        if (dead == kAllLanes) {
-          all_dead = true;
-          break;
-        }
-      }
-    }
-    _mm512_storeu_pd(
-        out + i,
-        all_dead ? vinf : _mm512_mask_blend_pd(dead, _mm512_sqrt_pd(s), vinf));
-  }
-  for (; i < n; ++i) out[i] = detail::RowWL2(q, w, dim, pts + i * stride, b2);
-}
-
-// --- Fused mask-filter kernels (kernels.h ctm_*) ---------------------------
+// --- Fused mask-filter kernels (kernels.h ctm) -----------------------------
 //
 // The prep runs eight dimensions per __m512d: quant::PrepareFilter's
 // double operations, lane for lane, rounded to float by the same
-// conversion. Then one __m512d covers a whole 8-row block: each dimension
-// is one 8-byte code load and widen, and one _mm512_cmp_pd_mask against
-// the precomputed threshold collapses the block straight to its survivor
-// byte. Gap math and accumulation replay RowCodeTRaw*'s order exactly;
-// IEEE <= treats -0.0 == +0.0, so no canonicalization is needed and masks
-// stay bitwise identical across tiers.
+// conversion, with the dimension tail in masked lanes. Then one __m512d
+// covers a whole 8-row block: each dimension is one 8-byte code load and
+// widen, and one _mm512_cmp_pd_mask against the precomputed threshold
+// collapses the block straight to its survivor byte. Gap math and
+// accumulation replay RowCodeTRaw's order exactly (kMax in float, which
+// widening keeps exact); IEEE <= treats -0.0 == +0.0, so no
+// canonicalization is needed and masks stay bitwise identical across
+// tiers.
 //
 // A block is abandoned once EVERY lane's accumulator exceeds the
 // threshold: the sums are monotone non-decreasing (each step adds a
@@ -183,28 +112,33 @@ void WL2Avx512(const float* q, const double* w, size_t dim, const float* pts,
 // produce. With pages spatially clustered, most blocks of a 99%-pruned
 // scan die within the first checkpoint.
 
-/// quant::PrepareFilter over [0, dim), eight dimensions per __m512d, with
-/// the reference for the dimension tail.
+/// The first min(n, 8) of eight lanes.
+inline __mmask8 FirstLanes8(size_t n) {
+  return n >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << n) - 1);
+}
+
+/// quant::PrepareFilter over [0, dim), eight dimensions per __m512d; the
+/// lanes past `dim` read 0 and are not stored.
 void PrepAvx512(const float* q, const float* grid_lo, const float* grid_hi,
                 size_t dim, float* prep) {
   const __m512d cells = _mm512_set1_pd(quant::kSidecarCells);
   const __m512d cell_pad = _mm512_set1_pd(quant::kCellPad);
   const __m512d query_pad = _mm512_set1_pd(quant::kQueryPad);
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    const __m512d lo = _mm512_cvtps_pd(_mm256_loadu_ps(grid_lo + d));
-    const __m512d hi = _mm512_cvtps_pd(_mm256_loadu_ps(grid_hi + d));
+  for (size_t d = 0; d < dim; d += 8) {
+    const __mmask8 k = FirstLanes8(dim - d);
+    const __m512d lo = _mm512_cvtps_pd(_mm256_maskz_loadu_ps(k, grid_lo + d));
+    const __m512d hi = _mm512_cvtps_pd(_mm256_maskz_loadu_ps(k, grid_hi + d));
     const __m512d w = _mm512_div_pd(_mm512_sub_pd(hi, lo), cells);
     const __m512d t =
-        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(q + d)), lo);
+        _mm512_sub_pd(_mm512_cvtps_pd(_mm256_maskz_loadu_ps(k, q + d)), lo);
     const __m512d pad = _mm512_add_pd(
         _mm512_mul_pd(cell_pad, w), _mm512_mul_pd(query_pad, _mm512_abs_pd(t)));
-    _mm256_storeu_ps(prep + d, _mm512_cvtpd_ps(_mm512_add_pd(t, pad)));
-    _mm256_storeu_ps(prep + dim + d,
-                     _mm512_cvtpd_ps(_mm512_sub_pd(_mm512_sub_pd(t, w), pad)));
-    _mm256_storeu_ps(prep + 2 * dim + d, _mm512_cvtpd_ps(w));
+    _mm256_mask_storeu_ps(prep + d, k, _mm512_cvtpd_ps(_mm512_add_pd(t, pad)));
+    _mm256_mask_storeu_ps(
+        prep + dim + d, k,
+        _mm512_cvtpd_ps(_mm512_sub_pd(_mm512_sub_pd(t, w), pad)));
+    _mm256_mask_storeu_ps(prep + 2 * dim + d, k, _mm512_cvtpd_ps(w));
   }
-  quant::PrepareFilter(q, grid_lo, grid_hi, d, dim, prep);
 }
 
 /// Gaps for the 8 rows of one transposed block at dimension d.
@@ -219,15 +153,12 @@ inline __m256 GapCT8(const float* above, const float* below,
   return _mm256_max_ps(_mm256_setzero_ps(), _mm256_max_ps(g1, g2));
 }
 
-enum class CodeAcc { kSum, kSumSq, kWeightedSumSq, kMax };
-
-/// The four ctm_* kernels: the prep, then one block per pass (see above).
-/// `wf` is read by kWeightedSumSq only.
-template <CodeAcc kAcc>
-void MaskBlocksAvx512(const float* q, const float* wf, const float* grid_lo,
-                      const float* grid_hi, size_t dim, const uint8_t* tcodes,
-                      size_t nblocks, double threshold, float* prep,
-                      uint8_t* masks) {
+/// The prep, then one block per pass (see above).
+template <Acc kAcc>
+void MaskAvx512(const float* q, const float* wf, const float* grid_lo,
+                const float* grid_hi, size_t dim, const uint8_t* tcodes,
+                size_t nblocks, double threshold, float* prep,
+                uint8_t* masks) {
   PrepAvx512(q, grid_lo, grid_hi, dim, prep);
   const float* above = prep;
   const float* below = prep + dim;
@@ -243,58 +174,19 @@ void MaskBlocksAvx512(const float* q, const float* wf, const float* grid_lo,
       const size_t end = d + kAbandonBlock < dim ? d + kAbandonBlock : dim;
       for (; d < end; ++d) {
         const __m256 g8 = GapCT8(above, below, scale, tcb, d);
-        if constexpr (kAcc == CodeAcc::kMax) {
-          m = _mm256_max_ps(m, g8);
+        if constexpr (kAcc == kMax) {
+          m = _mm256_max_ps(g8, m);
         } else {
           // Widen BEFORE squaring: the scalar reference squares in double.
-          const __m512d g = _mm512_cvtps_pd(g8);
-          if constexpr (kAcc == CodeAcc::kSum) {
-            s = _mm512_add_pd(s, g);
-          } else if constexpr (kAcc == CodeAcc::kSumSq) {
-            s = _mm512_add_pd(s, _mm512_mul_pd(g, g));
-          } else {
-            // Scalar association: s += ((double)wf[d] * g) * g.
-            const __m512d wd = _mm512_set1_pd(static_cast<double>(wf[d]));
-            s = _mm512_add_pd(s, _mm512_mul_pd(_mm512_mul_pd(wd, g), g));
-          }
+          s = Step8<kAcc>(s, _mm512_cvtps_pd(g8), wf, d);
         }
       }
-      if constexpr (kAcc == CodeAcc::kMax) s = _mm512_cvtps_pd(m);
+      if constexpr (kAcc == kMax) s = _mm512_cvtps_pd(m);
       alive = _mm512_cmp_pd_mask(s, t, _CMP_LE_OQ);
       if (alive == 0) break;
     }
     masks[b] = alive;
   }
-}
-
-void CTML1Avx512(const float* q, const float* grid_lo, const float* grid_hi,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, float* prep, uint8_t* masks) {
-  MaskBlocksAvx512<CodeAcc::kSum>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
-                                 nblocks, threshold, prep, masks);
-}
-
-void CTML2Avx512(const float* q, const float* grid_lo, const float* grid_hi,
-                 size_t dim, const uint8_t* tcodes, size_t nblocks,
-                 double threshold, float* prep, uint8_t* masks) {
-  MaskBlocksAvx512<CodeAcc::kSumSq>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
-                                   nblocks, threshold, prep, masks);
-}
-
-void CTMLInfAvx512(const float* q, const float* grid_lo, const float* grid_hi,
-                   size_t dim, const uint8_t* tcodes, size_t nblocks,
-                   double threshold, float* prep, uint8_t* masks) {
-  MaskBlocksAvx512<CodeAcc::kMax>(q, nullptr, grid_lo, grid_hi, dim, tcodes,
-                                 nblocks, threshold, prep, masks);
-}
-
-void CTMWL2Avx512(const float* q, const float* wf, const float* grid_lo,
-                  const float* grid_hi, size_t dim, const uint8_t* tcodes,
-                  size_t nblocks, double threshold, float* prep,
-                  uint8_t* masks) {
-  MaskBlocksAvx512<CodeAcc::kWeightedSumSq>(q, wf, grid_lo, grid_hi, dim,
-                                           tcodes, nblocks, threshold, prep,
-                                           masks);
 }
 
 // --- Sidecar box test (kernels.h ctm_box) -----------------------------------
@@ -317,11 +209,6 @@ void CTMWL2Avx512(const float* q, const float* wf, const float* grid_lo,
 // onto the block's rows. A block whose rows are all out stops early.
 // Dimension tails are masked loads and stores, so no lane past `dim` is
 // read or written.
-
-/// The first min(n, 8) of eight lanes.
-inline __mmask8 FirstLanes8(size_t n) {
-  return n >= 8 ? __mmask8{0xff} : static_cast<__mmask8>((1u << n) - 1);
-}
 
 /// The first min(n, 16) of sixteen lanes.
 inline __mmask16 FirstLanes16(size_t n) {
@@ -425,8 +312,7 @@ bool CodeBoxAvx512(const float* lo, const float* hi, const float* grid_lo,
 // Batch MINDIST over a dimension-major box set: sixteen boxes per group
 // (two __m512d, one box per double lane), so each dimension's lo/hi loads
 // cover one 64-byte row slice. Same per-lane replay of kernels::AxisGap
-// and the metric's dimension-order accumulation as the AVX2 tier.
-enum class BoxAcc { kSum, kSumSq, kMax };
+// and the accumulation's Step in dimension order as the AVX2 tier.
 
 /// AxisGap of eight boxes, widened to double lanes: the masked subtracts
 /// write q - hi where q > hi, then lo - q where q < lo (lo wins, as in the
@@ -440,7 +326,7 @@ inline __m512d Gap8(__m512d qd, const float* lo, const float* hi) {
                             qd);
 }
 
-template <BoxAcc kAcc>
+template <Acc kAcc>
 void MinDistAvx512(const float* q, size_t dim, const float* lo,
                    const float* hi, size_t stride, size_t n, double* out) {
   for (size_t i = 0; i < n; i += kBoxLanes) {
@@ -450,20 +336,10 @@ void MinDistAvx512(const float* q, size_t dim, const float* lo,
       const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
       const float* l = lo + d * stride + i;
       const float* h = hi + d * stride + i;
-      const __m512d g0 = Gap8(qd, l, h);
-      const __m512d g1 = Gap8(qd, l + 8, h + 8);
-      if constexpr (kAcc == BoxAcc::kSum) {
-        s0 = _mm512_add_pd(s0, g0);
-        s1 = _mm512_add_pd(s1, g1);
-      } else if constexpr (kAcc == BoxAcc::kSumSq) {
-        s0 = _mm512_add_pd(s0, _mm512_mul_pd(g0, g0));
-        s1 = _mm512_add_pd(s1, _mm512_mul_pd(g1, g1));
-      } else {
-        s0 = _mm512_max_pd(g0, s0);  // g > s ? g : s, as the scalar
-        s1 = _mm512_max_pd(g1, s1);
-      }
+      s0 = Step8<kAcc>(s0, Gap8(qd, l, h));
+      s1 = Step8<kAcc>(s1, Gap8(qd, l + 8, h + 8));
     }
-    if constexpr (kAcc == BoxAcc::kSumSq) {
+    if constexpr (IsSquared(kAcc)) {
       s0 = _mm512_sqrt_pd(s0);
       s1 = _mm512_sqrt_pd(s1);
     }
@@ -507,11 +383,14 @@ void BoxOverlapAvx512(const float* qlo, const float* qhi, size_t dim,
 
 const KernelTable& Avx512Table() {
   static const KernelTable table = {
-      SimdTier::kAvx512, &L1Avx512,      &L2Avx512,       &LInfAvx512,
-      &WL2Avx512,        &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
-      &CTMWL2Avx512,     &CodeBoxAvx512,
-      &MinDistAvx512<BoxAcc::kSum>, &MinDistAvx512<BoxAcc::kSumSq>,
-      &MinDistAvx512<BoxAcc::kMax>, &BoxOverlapAvx512};
+      SimdTier::kAvx512,
+      {&BatchAvx512<kSum>, &BatchAvx512<kSumSq>, &BatchAvx512<kMax>,
+       &BatchAvx512<kWeightedSumSq>},
+      {&MaskAvx512<kSum>, &MaskAvx512<kSumSq>, &MaskAvx512<kMax>,
+       &MaskAvx512<kWeightedSumSq>},
+      &CodeBoxAvx512,
+      {&MinDistAvx512<kSum>, &MinDistAvx512<kSumSq>, &MinDistAvx512<kMax>},
+      &BoxOverlapAvx512};
   return table;
 }
 

@@ -13,6 +13,12 @@
 // tests and benches. Active() is then one relaxed load of the chosen
 // table's address.
 //
+// One template per kernel family and tier. The four metrics differ only
+// in their per-dimension accumulation (Acc), so each tier writes its
+// batch-distance, mask and MINDIST loops once, as a template over Acc,
+// and instantiates it straight into its table; row_ref.h holds the scalar
+// references the other tiers replay.
+//
 // Bit-identity contract. Every tier must produce outputs bit-identical to
 // the scalar reference: distances for every row within the bound, survivor
 // masks for every row, MINDISTs and box predicates for every box. The SIMD
@@ -24,11 +30,20 @@
 // intrinsics), same every-kAbandonBlock checkpoint schedule, and
 // abandonment only at checkpoints strictly before the final block (the
 // scalar loop's break on the final checkpoint still emits the finished
-// value, so a lane may only go dead early). Tails (n % lanes) of the
-// strided distance kernels fall back to the shared scalar row routines,
-// and dimension tails of the AVX-512 filter prep to quant::PrepareFilter.
-// The sidecar box test returns one row mask byte per block, equal at
-// every tier.
+// value, so a lane may only go dead early). The rows left over after the
+// last whole row group of a batch-distance kernel go to the scalar tier's
+// kernel, and the dimension tails of the AVX-512 filter prep are masked
+// lanes. The sidecar box test returns one row mask byte per block, equal
+// at every tier.
+//
+// No weak symbols in the SIMD objects. A SIMD translation unit that calls
+// an inline function of a header (a reference row, quant::PrepareFilter,
+// a std:: template) may emit its own copy, built with that tier's flags,
+// and the linker may then pick that copy for every tier. So the SIMD
+// files call no such function: their scalar work goes through the
+// functions defined in scalar.cc (AbandonSquare, quant::PrepareFilter,
+// ScalarTable). CI checks a Debug build's avx2.cc.o and avx512.cc.o for
+// weak symbols.
 
 #pragma once
 
@@ -38,6 +53,9 @@
 #include <limits>
 
 namespace ht::kernels {
+
+/// The output of an abandoned row, and the bound that abandons none.
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Early-abandon checkpoint interval: partial sums are tested against the
 /// bound only every kAbandonBlock dimensions so the accumulation loop stays
@@ -52,9 +70,21 @@ inline constexpr size_t kAbandonBlock = 8;
 /// rounded, so a few ulps of slack over bound^2 make the implication hold
 /// under rounding; without the slack a row with distance == bound could be
 /// wrongly abandoned. +infinity (never abandon) for unbounded inputs.
-inline double AbandonSquare(double bound) {
-  const double b2 = bound * bound;
-  return b2 + 8.0 * std::numeric_limits<double>::epsilon() * b2;
+/// Defined in scalar.cc, the one copy every tier calls.
+double AbandonSquare(double bound);
+
+/// The per-dimension accumulation of a kernel metric, one kernel of each
+/// family per value (the index into KernelTable's arrays). With x_d the
+/// dimension's term — q_d - r_d for a batch distance, a code gap for a
+/// mask, an AxisGap for a MINDIST — the accumulator is sum |x_d| (kSum,
+/// L1), sum x_d * x_d (kSumSq, L2), the running max of |x_d| replaced only
+/// by a strictly greater term (kMax, LInf), or sum (w_d * x_d) * x_d
+/// (kWeightedSumSq, WeightedL2), each in dimension order. The distance of
+/// the squares is the sqrt of the accumulator.
+enum Acc : uint8_t { kSum, kSumSq, kMax, kWeightedSumSq };
+
+constexpr bool IsSquared(Acc acc) {
+  return acc == kSumSq || acc == kWeightedSumSq;
 }
 
 enum class SimdTier : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -62,16 +92,12 @@ enum class SimdTier : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 const char* TierName(SimdTier tier);
 
 /// Bounded batch distance over a row-major float block (the signature of
-/// DistanceMetric::BatchDistanceWithBound, minus the span). Passing
-/// bound = +infinity never abandons: out[i] is exact for every row.
-using BatchBoundFn = void (*)(const float* q, size_t dim, const float* pts,
-                              size_t stride, size_t n, double bound,
-                              double* out);
-/// WeightedL2 variant; `w` is the metric's per-dimension weight vector.
-using BatchBoundWeightedFn = void (*)(const float* q, const double* w,
-                                      size_t dim, const float* pts,
-                                      size_t stride, size_t n, double bound,
-                                      double* out);
+/// DistanceMetric::BatchDistanceWithBound, minus the span; `w` is
+/// WeightedL2's per-dimension weights, read by kWeightedSumSq only).
+/// Passing bound = +infinity never abandons: out[i] is exact for every row.
+using BatchBoundFn = void (*)(const float* q, const double* w, size_t dim,
+                              const float* pts, size_t stride, size_t n,
+                              double bound, double* out);
 
 /// Block-transposed code layout of a page sidecar (storage/quant_store.h):
 /// kTBlock rows per block, dimension-major within a block, so dimension d
@@ -84,7 +110,8 @@ inline constexpr size_t kTBlock = 8;
 /// Fused mask-filter kernels: one call tests one page sidecar against one
 /// query. Inputs are the query `q`, the page's grid [grid_lo, grid_hi]
 /// and its `nblocks` whole blocks of transposed codes, all over `dim`
-/// dimensions (`wf`: WeightedL2's weights as floats).
+/// dimensions (`wf`: WeightedL2's weights as floats, read by
+/// kWeightedSumSq only).
 ///
 /// Prep. The kernel first prepares the (query, page) pair in `prep`, a
 /// caller buffer of 3 * dim floats: above_d at prep[d], below_d at
@@ -92,30 +119,24 @@ inline constexpr size_t kTBlock = 8;
 /// values are quant::PrepareFilter's, bit for bit: the scalar and AVX2
 /// tiers call that reference; AVX-512 computes eight dimensions per
 /// vector with the same double operations in the same order and no FMA,
-/// and its dimension tail calls the reference.
+/// its dimension tail in masked lanes.
 ///
 /// Masks. Each lane then accumulates its row's per-dimension code gaps
-/// (row_ref.h CodeGap) in dimension order — float gaps widened to double,
-/// summed (L1), squared and summed (L2; weighted by wf for WeightedL2) or
-/// maxed (LInf) — and compares the raw accumulator, before any slack or
-/// sqrt (see quant::FilterThreshold), against `threshold`: bit `lane` of
-/// masks[b] is set iff row b * kTBlock + lane may be within the bound.
-/// The SIMD tiers may abandon a block at a checkpoint once every lane
-/// exceeds the threshold (the accumulators are monotone, so the zero mask
-/// is what full accumulation gives). Lanes replay the scalar order and
-/// IEEE compares treat -0.0 == +0.0, so every mask byte is bitwise
-/// identical across tiers. Bits of padding lanes copy the last row's; the
-/// caller clears them (quant::ClearPaddingBits).
-using CodeMaskTFn = void (*)(const float* q, const float* grid_lo,
-                             const float* grid_hi, size_t dim,
-                             const uint8_t* tcodes, size_t nblocks,
-                             double threshold, float* prep, uint8_t* masks);
-using CodeMaskTWeightedFn = void (*)(const float* q, const float* wf,
-                                     const float* grid_lo,
-                                     const float* grid_hi, size_t dim,
-                                     const uint8_t* tcodes, size_t nblocks,
-                                     double threshold, float* prep,
-                                     uint8_t* masks);
+/// (row_ref.h CodeGap) in dimension order — float gaps widened to double and
+/// accumulated as Acc says (the max may run in float: widening is exact and
+/// monotone) — and compares the raw accumulator, before any slack or sqrt (see
+/// quant::FilterThreshold), against `threshold`: bit `lane` of masks[b] is set
+/// iff row b * kTBlock + lane may be within the bound. The SIMD tiers may
+/// abandon a block at a checkpoint once every lane exceeds the threshold (the
+/// accumulators are monotone, so the zero mask is what full accumulation
+/// gives). Lanes replay the scalar order and IEEE compares treat -0.0 == +0.0,
+/// so every mask byte is bitwise identical across tiers. Bits of padding lanes
+/// copy the last row's; the caller clears them (quant::ClearPaddingBits).
+using CodeMaskTFn = void (*)(const float* q, const float* wf,
+                             const float* grid_lo, const float* grid_hi,
+                             size_t dim, const uint8_t* tcodes,
+                             size_t nblocks, double threshold, float* prep,
+                             uint8_t* masks);
 
 /// Sidecar box test: one call tests one page sidecar (its grid and
 /// `nblocks` blocks of transposed codes, as above) against the closed box
@@ -192,10 +213,10 @@ inline double AxisGap(double q, double lo, double hi) {
 /// Batch MINDIST over a dimension-major box set: out[i] is bit-identical
 /// to the metric's MinDistToBox(q, box i) for i < n. One box per double
 /// lane: each lane widens its float bounds to double, selects the gap with
-/// AxisGap's ordered compares and accumulates in dimension order, with no
-/// FMA (L1: sum of gaps; L2: sqrt of the sum of squared gaps; LInf: the
-/// running `gap > max` replacement). Kernels process whole lane groups, so
-/// they may also write out[n .. stride); callers size `out` to stride.
+/// AxisGap's ordered compares and accumulates it in dimension order as Acc
+/// says (kSum, kSumSq or kMax), with no FMA. Kernels process whole lane
+/// groups, so they may also write out[n .. stride); callers size `out` to
+/// stride.
 using BoxMinDistFn = void (*)(const float* q, size_t dim, const float* lo,
                               const float* hi, size_t stride, size_t n,
                               double* out);
@@ -212,25 +233,17 @@ using BoxOverlapFn = void (*)(const float* qlo, const float* qhi, size_t dim,
                               size_t n, const uint64_t* active,
                               uint64_t* intersects, uint64_t* contains);
 
-/// One tier's kernels, 13 entries: the strided batch distances a page scan
-/// refines with (l1, l2, linf, wl2), the fused sidecar masks it filters
-/// with (ctm_l1/l2/linf/wl2), the sidecar box masks box search filters an
-/// admitted page's rows with (ctm_box), and the directory-node MINDISTs
-/// and box-set overlap.
+/// One tier's kernels, 13 entries, the arrays indexed by Acc: the strided
+/// batch distances a page scan refines with (batch), the fused sidecar
+/// masks it filters with (ctm), the sidecar box masks box search filters
+/// an admitted page's rows with (ctm_box), and the directory-node MINDISTs
+/// (mindist: no WeightedL2 entry) and box-set overlap.
 struct KernelTable {
   SimdTier tier;
-  BatchBoundFn l1;
-  BatchBoundFn l2;
-  BatchBoundFn linf;
-  BatchBoundWeightedFn wl2;
-  CodeMaskTFn ctm_l1;
-  CodeMaskTFn ctm_l2;
-  CodeMaskTFn ctm_linf;
-  CodeMaskTWeightedFn ctm_wl2;
+  BatchBoundFn batch[4];
+  CodeMaskTFn ctm[4];
   CodeBoxTFn ctm_box;
-  BoxMinDistFn mindist_l1;
-  BoxMinDistFn mindist_l2;
-  BoxMinDistFn mindist_linf;
+  BoxMinDistFn mindist[3];
   BoxOverlapFn box_overlap;
 };
 

@@ -1,7 +1,8 @@
 // Copyright 2026 The HybridTree Authors.
-// Internal: per-tier kernel table accessors, linked by dispatch.cc. The
-// SIMD tables exist only when CMake found the compiler flags (the
-// HT_KERNELS_* definitions are target-wide on ht_geometry).
+// Internal: per-tier kernel table accessors, linked by dispatch.cc; the
+// SIMD tiers also call the scalar table's batch kernels for their tail
+// rows. The SIMD tables exist only when CMake found the compiler flags
+// (the HT_KERNELS_* definitions are target-wide on ht_geometry).
 
 #pragma once
 

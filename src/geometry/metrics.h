@@ -22,6 +22,7 @@
 #include "common/macros.h"
 #include "geometry/box.h"
 #include "geometry/kernels/kernels.h"
+#include "geometry/kernels/row_ref.h"
 #include "geometry/quantize.h"
 
 namespace ht {
@@ -45,7 +46,7 @@ class DistanceMetric {
   /// for i < boxes.count. `out` must hold boxes.stride doubles; kernels
   /// may fill the padding lanes. The default gathers each box into a
   /// per-thread scratch Box, so every metric works without a kernel; L1,
-  /// L2 and LInf override it with one SIMD kernel call.
+  /// L2 and LInf make one SIMD kernel call instead (KernelMetric).
   virtual void MinDistToBoxes(std::span<const float> q,
                               const BoxSetView& boxes, double* out) const {
     thread_local Box box;
@@ -123,8 +124,8 @@ class DistanceMetric {
   /// True when the metric implements CodeFilterMasks. The default matches
   /// the base-class fallback above: no code-space bound exists, so
   /// QuantFilter must not even BUILD the 8-bit sidecar — it would only
-  /// cache pages the metric can never filter with. The kernel-backed
-  /// metrics override this to true.
+  /// cache pages the metric can never filter with. The kernel metrics
+  /// (KernelMetric) override this to true.
   virtual bool SupportsCodeFilter() const { return false; }
 
   virtual std::string Name() const = 0;
@@ -140,12 +141,6 @@ inline double EuclideanDistance(std::span<const float> a,
   }
   return std::sqrt(s);
 }
-
-// The early-abandon checkpoint constants moved to geometry/kernels/kernels.h
-// (the dispatch tiers replicate the same schedule); aliased here for the
-// existing metric_detail:: spellings.
-using kernels::AbandonSquare;
-using kernels::kAbandonBlock;
 
 /// Per-dimension gap between q[d] and the interval [lo,hi]; 0 if inside.
 /// Defined next to the batch MINDIST kernels, which replay it per lane.
@@ -191,133 +186,89 @@ class LpMetric : public DistanceMetric {
   double p_;
 };
 
-/// Manhattan distance — the metric the paper uses for its distance-based
-/// query experiments (Figure 7(c),(d), following [18]).
-class L1Metric final : public DistanceMetric {
+/// The shared implementation of the metrics the SIMD kernels serve, one
+/// per accumulation (kernels.h Acc): Distance is the scalar reference row
+/// with nothing abandoned, MinDistToBox the scalar MINDIST reference row
+/// on one box, and the batch distance, sidecar mask and batch MINDIST run
+/// the active tier's kernel for kAcc, so each equals its kernel by
+/// construction. WeightedL2 has no MINDIST kernel: its MinDistToBoxes is
+/// the default.
+template <kernels::Acc kAcc>
+class KernelMetric : public DistanceMetric {
  public:
   double Distance(std::span<const float> a,
                   std::span<const float> b) const override {
-    double s = 0.0;
-    for (size_t d = 0; d < a.size(); ++d) {
-      s += std::fabs(static_cast<double>(a[d]) - b[d]);
-    }
-    return s;
+    return kernels::detail::Row<kAcc>(a.data(), w_.data(), a.size(),
+                                      b.data(), kernels::kInf);
   }
   double MinDistToBox(std::span<const float> q,
                       const Box& box) const override {
-    double s = 0.0;
-    for (uint32_t d = 0; d < box.dim(); ++d) {
-      s += metric_detail::AxisGap(q[d], box.lo(d), box.hi(d));
-    }
-    return s;
+    return kernels::detail::MinDistRow<kAcc>(q.data(), w_.data(), box.dim(),
+                                             box.lo().data(), box.hi().data(),
+                                             1);
   }
   void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
                       double* out) const override {
-    kernels::Active().mindist_l1(q.data(), boxes.dim, boxes.lo, boxes.hi,
-                                 boxes.stride, boxes.count, out);
+    if constexpr (kAcc == kernels::kWeightedSumSq) {
+      DistanceMetric::MinDistToBoxes(q, boxes, out);
+    } else {
+      kernels::Active().mindist[kAcc](q.data(), boxes.dim, boxes.lo, boxes.hi,
+                                      boxes.stride, boxes.count, out);
+    }
   }
+  // The accumulators are monotone, so abandoning a row at a checkpoint
+  // where it exceeds the bound (its square, for the squares) is exact.
+  void BatchDistanceWithBound(std::span<const float> q, const float* pts,
+                              size_t stride, size_t n, double bound,
+                              double* out) const override {
+    kernels::Active().batch[kAcc](q.data(), w_.data(), q.size(), pts, stride,
+                                  n, bound, out);
+  }
+  bool CodeFilterMasks(std::span<const float> q,
+                       const quant::PageCodesView& page, double bound,
+                       quant::FilterScratch* scratch,
+                       uint8_t* masks) const override {
+    return quant::RunMaskKernel(
+        kernels::Active().ctm[kAcc], q.data(), wf_.data(), page,
+        quant::FilterThreshold(bound, kernels::IsSquared(kAcc)), scratch,
+        masks);
+  }
+  bool SupportsCodeFilter() const override { return true; }
+
+ protected:
+  /// WeightedL2's weights, and the same rounded to float for the mask
+  /// kernel; empty for the other metrics.
+  std::vector<double> w_;
+  std::vector<float> wf_;
+};
+
+/// Manhattan distance — the metric the paper uses for its distance-based
+/// query experiments (Figure 7(c),(d), following [18]).
+class L1Metric final : public KernelMetric<kernels::kSum> {
+ public:
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
                          double radius) const override {
     // ||x||_1 >= ||x||_2, so the Euclidean gap lower-bounds the L1 gap.
     return std::max(0.0, metric_detail::EuclideanDistance(q, center) - radius);
   }
-  // Batch kernels dispatch to the active SIMD tier (scalar / AVX2 /
-  // AVX-512; see geometry/kernels/kernels.h).
-  void BatchDistanceWithBound(std::span<const float> q, const float* pts,
-                              size_t stride, size_t n, double bound,
-                              double* out) const override {
-    // L1 accumulates the distance itself, so the partial sum compares
-    // against the bound directly (monotone: abandoning is exact).
-    kernels::Active().l1(q.data(), q.size(), pts, stride, n, bound, out);
-  }
-  bool CodeFilterMasks(std::span<const float> q,
-                       const quant::PageCodesView& page, double bound,
-                       quant::FilterScratch* scratch,
-                       uint8_t* masks) const override {
-    return quant::RunMaskKernel(
-        kernels::Active().ctm_l1, q.data(), page,
-        quant::FilterThreshold(bound, /*squared=*/false), scratch, masks);
-  }
-  bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L1"; }
 };
 
 /// Euclidean distance.
-class L2Metric final : public DistanceMetric {
+class L2Metric final : public KernelMetric<kernels::kSumSq> {
  public:
-  double Distance(std::span<const float> a,
-                  std::span<const float> b) const override {
-    double s = 0.0;
-    for (size_t d = 0; d < a.size(); ++d) {
-      double diff = static_cast<double>(a[d]) - b[d];
-      s += diff * diff;
-    }
-    return std::sqrt(s);
-  }
-  double MinDistToBox(std::span<const float> q,
-                      const Box& box) const override {
-    double s = 0.0;
-    for (uint32_t d = 0; d < box.dim(); ++d) {
-      double g = metric_detail::AxisGap(q[d], box.lo(d), box.hi(d));
-      s += g * g;
-    }
-    return std::sqrt(s);
-  }
-  void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
-                      double* out) const override {
-    kernels::Active().mindist_l2(q.data(), boxes.dim, boxes.lo, boxes.hi,
-                                 boxes.stride, boxes.count, out);
-  }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
                          double radius) const override {
     return std::max(0.0, metric_detail::EuclideanDistance(q, center) - radius);
   }
-  // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistanceWithBound(std::span<const float> q, const float* pts,
-                              size_t stride, size_t n, double bound,
-                              double* out) const override {
-    kernels::Active().l2(q.data(), q.size(), pts, stride, n, bound, out);
-  }
-  bool CodeFilterMasks(std::span<const float> q,
-                       const quant::PageCodesView& page, double bound,
-                       quant::FilterScratch* scratch,
-                       uint8_t* masks) const override {
-    return quant::RunMaskKernel(
-        kernels::Active().ctm_l2, q.data(), page,
-        quant::FilterThreshold(bound, /*squared=*/true), scratch, masks);
-  }
-  bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L2"; }
 };
 
 /// Chebyshev distance.
-class LInfMetric final : public DistanceMetric {
+class LInfMetric final : public KernelMetric<kernels::kMax> {
  public:
-  double Distance(std::span<const float> a,
-                  std::span<const float> b) const override {
-    double m = 0.0;
-    for (size_t d = 0; d < a.size(); ++d) {
-      double diff = std::fabs(static_cast<double>(a[d]) - b[d]);
-      if (diff > m) m = diff;
-    }
-    return m;
-  }
-  double MinDistToBox(std::span<const float> q,
-                      const Box& box) const override {
-    double m = 0.0;
-    for (uint32_t d = 0; d < box.dim(); ++d) {
-      double g = metric_detail::AxisGap(q[d], box.lo(d), box.hi(d));
-      if (g > m) m = g;
-    }
-    return m;
-  }
-  void MinDistToBoxes(std::span<const float> q, const BoxSetView& boxes,
-                      double* out) const override {
-    kernels::Active().mindist_linf(q.data(), boxes.dim, boxes.lo, boxes.hi,
-                                   boxes.stride, boxes.count, out);
-  }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
                          double radius) const override {
@@ -326,23 +277,6 @@ class LInfMetric final : public DistanceMetric {
     return std::max(0.0, (d2 - radius) /
                              std::sqrt(static_cast<double>(q.size())));
   }
-  // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistanceWithBound(std::span<const float> q, const float* pts,
-                              size_t stride, size_t n, double bound,
-                              double* out) const override {
-    // The running max is the distance so far; exceeding the bound once is
-    // final (max is monotone), so abandoning is exact.
-    kernels::Active().linf(q.data(), q.size(), pts, stride, n, bound, out);
-  }
-  bool CodeFilterMasks(std::span<const float> q,
-                       const quant::PageCodesView& page, double bound,
-                       quant::FilterScratch* scratch,
-                       uint8_t* masks) const override {
-    return quant::RunMaskKernel(
-        kernels::Active().ctm_linf, q.data(), page,
-        quant::FilterThreshold(bound, /*squared=*/false), scratch, masks);
-  }
-  bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "Linf"; }
 };
 
@@ -350,36 +284,19 @@ class LInfMetric final : public DistanceMetric {
 /// The relevance-feedback example re-weights dimensions between iterations
 /// of the same query — the arbitrary-distance-function capability the paper
 /// highlights over distance-based indexes (SS-tree, M-tree).
-class WeightedL2Metric final : public DistanceMetric {
+class WeightedL2Metric final : public KernelMetric<kernels::kWeightedSumSq> {
  public:
-  explicit WeightedL2Metric(std::vector<double> weights)
-      : w_(std::move(weights)), wf_(w_.begin(), w_.end()) {
+  explicit WeightedL2Metric(std::vector<double> weights) {
     double min_w = std::numeric_limits<double>::max();
-    for (double w : w_) {
+    for (double w : weights) {
       HT_CHECK(w >= 0.0);
       min_w = std::min(min_w, w);
     }
     sqrt_min_w_ = std::sqrt(min_w);
+    w_ = std::move(weights);
+    wf_.assign(w_.begin(), w_.end());
   }
 
-  double Distance(std::span<const float> a,
-                  std::span<const float> b) const override {
-    double s = 0.0;
-    for (size_t d = 0; d < a.size(); ++d) {
-      double diff = static_cast<double>(a[d]) - b[d];
-      s += w_[d] * diff * diff;
-    }
-    return std::sqrt(s);
-  }
-  double MinDistToBox(std::span<const float> q,
-                      const Box& box) const override {
-    double s = 0.0;
-    for (uint32_t d = 0; d < box.dim(); ++d) {
-      double g = metric_detail::AxisGap(q[d], box.lo(d), box.hi(d));
-      s += w_[d] * g * g;
-    }
-    return std::sqrt(s);
-  }
   double MinDistToSphere(std::span<const float> q,
                          std::span<const float> center,
                          double radius) const override {
@@ -388,30 +305,11 @@ class WeightedL2Metric final : public DistanceMetric {
     const double d2 = metric_detail::EuclideanDistance(q, center);
     return sqrt_min_w_ * std::max(0.0, d2 - radius);
   }
-  // See L1Metric: batch kernels dispatch to the active SIMD tier.
-  void BatchDistanceWithBound(std::span<const float> q, const float* pts,
-                              size_t stride, size_t n, double bound,
-                              double* out) const override {
-    kernels::Active().wl2(q.data(), w_.data(), q.size(), pts, stride, n,
-                          bound, out);
-  }
-  bool CodeFilterMasks(std::span<const float> q,
-                       const quant::PageCodesView& page, double bound,
-                       quant::FilterScratch* scratch,
-                       uint8_t* masks) const override {
-    return quant::RunMaskKernel(
-        kernels::Active().ctm_wl2, q.data(), page,
-        quant::FilterThreshold(bound, /*squared=*/true), scratch, masks,
-        wf_.data());
-  }
-  bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "WeightedL2"; }
 
   const std::vector<double>& weights() const { return w_; }
 
  private:
-  std::vector<double> w_;
-  std::vector<float> wf_;  // w_ rounded to float, for the mask kernel
   double sqrt_min_w_ = 0.0;
 };
 

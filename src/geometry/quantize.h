@@ -85,7 +85,7 @@ inline uint32_t QuantizeHi(float v, float lo, float hi, uint32_t bits) {
 // grid would not be finite and the gaps would be NaN.
 //
 // The filter only ever asks "may this row be within the bound?", and the
-// fused mask kernels answer it (kernels.h ctm_*): every lane replays one
+// fused mask kernels answer it (kernels.h ctm): every lane replays one
 // accumulation order at every SIMD tier, so the survivor masks — the only
 // output of the filter — are bitwise identical across tiers, and so are
 // the refined distances callers emit.
@@ -129,30 +129,19 @@ struct FilterScratch {
   std::vector<uint8_t> range;
 };
 
-/// The reference prep of one (query, page-grid) pair, for dimensions
-/// [from, dim): above_d, below_d and the cell width w_d of the formula
-/// above, rounded to float, into prep[d], prep[dim + d] and
-/// prep[2 * dim + d]. O(dim); the kernels then amortize it over every row
-/// of the page. Every mask kernel fills `prep` itself (kernels.h
-/// CodeMaskTFn): the scalar and AVX2 tiers and the AVX-512 dimension tail
-/// call this, and the AVX-512 vector prep replays it per lane — the same
-/// double operations in the same order, with no FMA — so the floats are
-/// bit-identical at every tier.
-inline void PrepareFilter(const float* q, const float* grid_lo,
-                          const float* grid_hi, size_t from, size_t dim,
-                          float* prep) {
-  for (size_t d = from; d < dim; ++d) {
-    const double lo = grid_lo[d];
-    const double w = (static_cast<double>(grid_hi[d]) - lo) / kSidecarCells;
-    const double t = static_cast<double>(q[d]) - lo;
-    const double pad = kCellPad * w + kQueryPad * std::fabs(t);
-    prep[d] = static_cast<float>(t + pad);
-    prep[dim + d] = static_cast<float>(t - w - pad);
-    prep[2 * dim + d] = static_cast<float>(w);
-  }
-}
+/// The reference prep of one (query, page-grid) pair: above_d, below_d
+/// and the cell width w_d of the formula above, rounded to float, into
+/// prep[d], prep[dim + d] and prep[2 * dim + d]. O(dim); the kernels then
+/// amortize it over every row of the page. Every mask kernel fills `prep`
+/// itself (kernels.h CodeMaskTFn): the scalar and AVX2 tiers call this,
+/// and the AVX-512 vector prep replays it per lane — the same double
+/// operations in the same order, with no FMA — so the floats are
+/// bit-identical at every tier. Defined in kernels/scalar.cc, so every
+/// tier runs the one copy built without SIMD flags.
+void PrepareFilter(const float* q, const float* grid_lo, const float* grid_hi,
+                   size_t dim, float* prep);
 
-/// Survivor threshold for the fused mask kernels (kernels.h ctm_*), which
+/// Survivor threshold for the fused mask kernels (kernels.h ctm), which
 /// compare each row's RAW accumulator — the value before the final
 /// (1 - kLbSlack) multiply, and before the sqrt for the squared metrics —
 /// against a single precomputed double. Chosen so that the mask rule keeps
@@ -181,17 +170,17 @@ inline void ClearPaddingBits(const PageCodesView& page, uint8_t* masks) {
   }
 }
 
-/// One sidecar test: runs a tier's mask kernel (`kernel`, kernels.h
-/// ctm_*) over `page` for query `q` against `threshold`, with the prep in
-/// `s`, then clears the padding bits. `weights` is the weighted kernel's
-/// float weights, passed right after `q`; the other kernels take none.
-/// Returns true, the CodeFilterMasks contract for a metric with a kernel.
-template <typename Kernel, typename... Weights>
-bool RunMaskKernel(Kernel kernel, const float* q, const PageCodesView& page,
-                   double threshold, FilterScratch* s, uint8_t* masks,
-                   const Weights*... weights) {
+/// One sidecar test: runs a tier's mask kernel (`kernel`, kernels.h ctm)
+/// over `page` for query `q` (and WeightedL2's float weights `wf`)
+/// against `threshold`, with the prep in `s`, then clears the padding
+/// bits. Returns true, the CodeFilterMasks contract for a metric with a
+/// kernel.
+inline bool RunMaskKernel(kernels::CodeMaskTFn kernel, const float* q,
+                          const float* wf, const PageCodesView& page,
+                          double threshold, FilterScratch* s,
+                          uint8_t* masks) {
   if (s->prep.size() < 3 * size_t{page.dim}) s->prep.resize(3 * page.dim);
-  kernel(q, weights..., page.grid_lo, page.grid_hi, page.dim, page.tcodes,
+  kernel(q, wf, page.grid_lo, page.grid_hi, page.dim, page.tcodes,
          page.blocks, threshold, s->prep.data(), masks);
   ClearPaddingBits(page, masks);
   return true;

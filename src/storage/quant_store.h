@@ -3,7 +3,7 @@
 // path. Each sidecar stores, for every point on a data page, one uint8 code
 // per dimension relative to the page's live bounding region (min/max over
 // the page's points per dimension), laid out block-transposed for the
-// fused mask kernels (kernels.h ctm_*), grid and codes together in one
+// fused mask kernels (kernels.h ctm), grid and codes together in one
 // 64-byte-aligned allocation per page. A scan first asks those kernels
 // which points may be within its bound (geometry/quantize.h) and refines
 // only the survivors with exact distances — results stay byte-identical to

@@ -216,7 +216,11 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<KernelCase> cases;
       for (int m = 0; m < 6; ++m) {
         for (int ds = 0; ds < 3; ++ds) {
-          for (uint32_t dim : {8u, 16u, 32u}) {
+          // Off the kAbandonBlock grid too (a final partial block), and
+          // 64-d. GenFourier makes even dims below 64, GenColhist 4 and up.
+          for (uint32_t dim : {1u, 5u, 6u, 8u, 13u, 14u, 16u, 32u, 64u}) {
+            if (ds == 0 && (dim % 2 != 0 || dim >= 64)) continue;
+            if (ds == 1 && dim < 4) continue;
             cases.push_back({m, ds, dim});
           }
         }
@@ -355,6 +359,40 @@ bool RefContains(const std::vector<float>& alo, const std::vector<float>& ahi,
     if (blo[d] < alo[d] || bhi[d] > ahi[d]) return false;
   }
   return true;
+}
+
+// LInf replaces its running max only by a strictly greater term, so a NaN
+// coordinate never becomes the max and never resets it: every tier's batch
+// kernel replays that replacement and equals Distance bit for bit. Rows
+// fall off in |q - r| with the dimension, so a max reset by the NaN would
+// show; one vector group and a tail at either SIMD width.
+TEST(BatchKernelNan, LInfSkipsANanCoordinateAtEveryTier) {
+  constexpr uint32_t kDim = 13;
+  constexpr size_t kRows = 11;
+  const LInfMetric linf;
+  const std::vector<float> q(kDim, 0.0f);
+  std::vector<float> rows(kRows * kDim);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (uint32_t d = 0; d < kDim; ++d) {
+      rows[i * kDim + d] = 1.0f - 0.05f * static_cast<float>(d);
+    }
+    rows[i * kDim + 1 + i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  for (const kernels::SimdTier tier : SupportedTiers()) {
+    ScopedTier forced(tier);
+    std::vector<double> out(kRows, -1.0);
+    linf.BatchDistanceWithBound(q, rows.data(), kDim, kRows,
+                                std::numeric_limits<double>::infinity(),
+                                out.data());
+    for (size_t i = 0; i < kRows; ++i) {
+      const double want =
+          linf.Distance(q, std::span<const float>(&rows[i * kDim], kDim));
+      EXPECT_EQ(want, 1.0) << "row " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(out[i]), std::bit_cast<uint64_t>(want))
+          << "tier " << kernels::TierName(tier) << " row " << i << " got "
+          << out[i];
+    }
+  }
 }
 
 TEST(KernelDispatch, ActiveIsTheForcedOrTheStartupTable) {
@@ -557,11 +595,9 @@ TEST(BoxSetKernelSweep, MinDistMatchesMinDistToBoxBitwise) {
           }
           for (const kernels::SimdTier tier : SupportedTiers()) {
             const kernels::KernelTable& t = kernels::TableForTier(tier);
-            const kernels::BoxMinDistFn fn[] = {t.mindist_l1, t.mindist_l2,
-                                                t.mindist_linf};
             std::vector<double> got(boxes.stride + 8, kGuard);
-            fn[m](q.data(), dim, boxes.lo.data(), boxes.hi.data(),
-                  boxes.stride, n, got.data());
+            t.mindist[m](q.data(), dim, boxes.lo.data(), boxes.hi.data(),
+                         boxes.stride, n, got.data());
             std::vector<double> via(boxes.stride + 8, kGuard);
             {
               ScopedTier forced(tier);

@@ -176,14 +176,15 @@ TestBlock MakeBlock(uint32_t dim, size_t count) {
 }
 
 /// Raw accumulators of every row of `v` under metric `which` (MakeMetric
-/// numbering; `wf` holds WeightedL2's float weights): the scalar mask
-/// reference (row_ref.h RowCodeTRaw*) over the reference prep — the value
-/// the mask kernels compare against their threshold.
+/// numbering, which is kernels::Acc's; `wf` holds WeightedL2's float
+/// weights): the scalar mask reference (row_ref.h RowCodeTRaw) over the
+/// reference prep — the value the mask kernels compare against their
+/// threshold.
 std::vector<double> RawAccumulators(const quant::PageCodesView& v, int which,
                                     std::span<const float> q,
                                     const float* wf) {
   std::vector<float> prep(3 * v.dim);
-  quant::PrepareFilter(q.data(), v.grid_lo, v.grid_hi, 0, v.dim, prep.data());
+  quant::PrepareFilter(q.data(), v.grid_lo, v.grid_hi, v.dim, prep.data());
   const float* a = prep.data();
   const float* b = a + v.dim;
   const float* sc = b + v.dim;
@@ -193,18 +194,21 @@ std::vector<double> RawAccumulators(const quant::PageCodesView& v, int which,
     const uint8_t* tcb = v.tcodes + (i / kLanes) * v.dim * kLanes;
     const size_t lane = i % kLanes;
     switch (which) {
-      case 0:
-        raw[i] = kernels::detail::RowCodeTRawL1(a, b, sc, v.dim, tcb, lane);
+      case kernels::kSum:
+        raw[i] = kernels::detail::RowCodeTRaw<kernels::kSum>(a, b, sc, wf,
+                                                             v.dim, tcb, lane);
         break;
-      case 1:
-        raw[i] = kernels::detail::RowCodeTRawL2(a, b, sc, v.dim, tcb, lane);
+      case kernels::kSumSq:
+        raw[i] = kernels::detail::RowCodeTRaw<kernels::kSumSq>(
+            a, b, sc, wf, v.dim, tcb, lane);
         break;
-      case 2:
-        raw[i] = kernels::detail::RowCodeTRawLInf(a, b, sc, v.dim, tcb, lane);
+      case kernels::kMax:
+        raw[i] = kernels::detail::RowCodeTRaw<kernels::kMax>(a, b, sc, wf,
+                                                             v.dim, tcb, lane);
         break;
       default:
-        raw[i] =
-            kernels::detail::RowCodeTRawWL2(a, b, sc, wf, v.dim, tcb, lane);
+        raw[i] = kernels::detail::RowCodeTRaw<kernels::kWeightedSumSq>(
+            a, b, sc, wf, v.dim, tcb, lane);
         break;
     }
   }
@@ -242,15 +246,8 @@ void TierMasks(const kernels::KernelTable& table, int which,
                std::span<const float> q, const float* wf,
                const quant::PageCodesView& v, double threshold, float* prep,
                uint8_t* masks) {
-  const kernels::CodeMaskTFn fns[] = {table.ctm_l1, table.ctm_l2,
-                                      table.ctm_linf};
-  if (which == 3) {
-    table.ctm_wl2(q.data(), wf, v.grid_lo, v.grid_hi, v.dim, v.tcodes,
-                  v.blocks, threshold, prep, masks);
-  } else {
-    fns[which](q.data(), v.grid_lo, v.grid_hi, v.dim, v.tcodes, v.blocks,
-               threshold, prep, masks);
-  }
+  table.ctm[which](q.data(), wf, v.grid_lo, v.grid_hi, v.dim, v.tcodes,
+                   v.blocks, threshold, prep, masks);
 }
 
 bool MaskBit(const std::vector<uint8_t>& masks, size_t row) {
@@ -812,7 +809,7 @@ TEST(QuantMask, EveryTiersPrepIsBitIdenticalToTheReference) {
     const std::vector<float> wf(dim, 0.5f);
     for (const auto& q : queries) {
       std::vector<float> ref(3 * dim);
-      quant::PrepareFilter(q.data(), v.grid_lo, v.grid_hi, 0, dim, ref.data());
+      quant::PrepareFilter(q.data(), v.grid_lo, v.grid_hi, dim, ref.data());
       for (const kernels::SimdTier tier : SupportedTiers()) {
         for (int m = 0; m < 4; ++m) {
           std::vector<float> prep(3 * dim, -1.0f);
