@@ -160,7 +160,7 @@ Result<std::unique_ptr<HybridTree>> HybridTree::Open(PagedFile* file,
   tree->root_ = root;
   tree->height_ = height;
   tree->count_ = count;
-  if (options.els_mode == ElsMode::kInMemory && options.els_bits > 0) {
+  if (tree->els_in_memory()) {
     // The sidecar is not persisted; rebuild exact codes with one DFS.
     HT_RETURN_NOT_OK(tree->RebuildEls());
   }
@@ -233,11 +233,17 @@ Status HybridTree::WriteDataNode(PageId id, const DataNode& node) {
 
 Result<IndexNode> HybridTree::ReadIndexNode(PageId id) {
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));
+  return DecodeIndexNode(id, h.data(), h.size());
+}
+
+Result<IndexNode> HybridTree::DecodeIndexNode(PageId id,
+                                              const uint8_t* page_data,
+                                              size_t page_size) const {
   HT_ASSIGN_OR_RETURN(
       IndexNode node,
-      IndexNode::Deserialize(h.data(), h.size(), els_in_page(),
+      IndexNode::Deserialize(page_data, page_size, els_in_page(),
                              codec_.CodeBytes(), options_.dim));
-  if (options_.els_mode == ElsMode::kInMemory && options_.els_bits > 0) {
+  if (els_in_memory()) {
     auto it = els_sidecar_.find(id);
     if (it != els_sidecar_.end()) {
       node.AttachElsBlob(it->second, codec_.CodeBytes());
@@ -259,16 +265,8 @@ void HybridTree::EnsureCodes(KdNode* n) {
 Result<const FlatIndexNode*> HybridTree::ReadFlatNode(
     PageId id, const uint8_t* page_data, size_t page_size) const {
   if (const FlatIndexNode* node = node_cache_.Get(id)) return node;
-  HT_ASSIGN_OR_RETURN(
-      IndexNode node,
-      IndexNode::Deserialize(page_data, page_size, els_in_page(),
-                             codec_.CodeBytes(), options_.dim));
-  if (options_.els_mode == ElsMode::kInMemory && options_.els_bits > 0) {
-    auto sit = els_sidecar_.find(id);
-    if (sit != els_sidecar_.end()) {
-      node.AttachElsBlob(sit->second, codec_.CodeBytes());
-    }
-  }
+  HT_ASSIGN_OR_RETURN(IndexNode node,
+                      DecodeIndexNode(id, page_data, page_size));
   // Each leaf's live box is decoded once here, against its node-local kd
   // region; the parsed kd tree itself is dropped. Two readers may race to
   // flatten the same page; the first to publish wins and the other's copy
@@ -291,7 +289,7 @@ Status HybridTree::WriteIndexNode(PageId id, IndexNode& node) {
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));
   node.Serialize(h.data(), h.size(), els_in_page(), codec_.CodeBytes());
   h.MarkDirty();
-  if (options_.els_mode == ElsMode::kInMemory && options_.els_bits > 0) {
+  if (els_in_memory()) {
     els_sidecar_[id] = node.ExtractElsBlob(codec_.CodeBytes());
   }
   return Status::OK();
@@ -326,20 +324,9 @@ Status HybridTree::Insert(std::span<const float> point, uint64_t id) {
 
 Status HybridTree::GrowRoot(const SplitResult& s) {
   // Grow the tree: a new root whose kd-tree is a single split.
-  const Box cube = Box::UnitCube(options_.dim);
   IndexNode new_root;
   new_root.level = static_cast<uint8_t>(height_ + 1);
-  Box left_br = cube;
-  if (s.lsp < left_br.hi(s.dim)) left_br.set_hi(s.dim, s.lsp);
-  Box right_br = cube;
-  if (s.rsp > right_br.lo(s.dim)) right_br.set_lo(s.dim, s.rsp);
-  auto lleaf = KdNode::MakeLeaf(
-      root_, els_enabled() ? codec_.Encode(s.left_live, left_br) : ElsCode{});
-  auto rleaf = KdNode::MakeLeaf(
-      s.right_page,
-      els_enabled() ? codec_.Encode(s.right_live, right_br) : ElsCode{});
-  new_root.root = KdNode::MakeInternal(s.dim, s.lsp, s.rsp, std::move(lleaf),
-                                       std::move(rleaf));
+  new_root.root = SplitKdNode(s, root_, Box::UnitCube(options_.dim));
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->New());
   const PageId new_root_page = h.id();
   h.Release();
@@ -347,6 +334,19 @@ Status HybridTree::GrowRoot(const SplitResult& s) {
   root_ = new_root_page;
   ++height_;
   return Status::OK();
+}
+
+std::unique_ptr<KdNode> HybridTree::SplitKdNode(const SplitResult& s,
+                                                PageId left_page,
+                                                const Box& region) const {
+  auto n = KdNode::MakeInternal(s.dim, s.lsp, s.rsp,
+                                KdNode::MakeLeaf(left_page),
+                                KdNode::MakeLeaf(s.right_page));
+  if (els_enabled()) {
+    n->left->els = codec_.Encode(s.left_live, KdLeftBr(region, *n));
+    n->right->els = codec_.Encode(s.right_live, KdRightBr(region, *n));
+  }
+  return n;
 }
 
 Status HybridTree::InsertBatch(std::span<const float> points,
@@ -475,7 +475,6 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
       // differs from the captured one only if a widening came after the
       // capture (a child split replaces its own leaf and moves no other).
       if (captured_at[b] != widened) targets[b].kd_br = kd_br_of(leaf);
-      const Box& target_br = targets[b].kd_br;
       const PageId child_page = leaf->child;
       // Children interpret their own kd trees relative to the unit cube:
       // every page's ELS reference regions are node-local (see the class
@@ -486,27 +485,7 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
                          std::move(buckets[b])));
       if (cs.split.split) {
         // Replace the kd leaf by an internal node over the two halves.
-        Box left_br = target_br;
-        if (cs.split.lsp < left_br.hi(cs.split.dim)) {
-          left_br.set_hi(cs.split.dim, cs.split.lsp);
-        }
-        Box right_br = target_br;
-        if (cs.split.rsp > right_br.lo(cs.split.dim)) {
-          right_br.set_lo(cs.split.dim, cs.split.rsp);
-        }
-        leaf->left = KdNode::MakeLeaf(
-            child_page,
-            els_enabled() ? codec_.Encode(cs.split.left_live, left_br)
-                          : ElsCode{});
-        leaf->right = KdNode::MakeLeaf(
-            cs.split.right_page,
-            els_enabled() ? codec_.Encode(cs.split.right_live, right_br)
-                          : ElsCode{});
-        leaf->split_dim = cs.split.dim;
-        leaf->lsp = cs.split.lsp;
-        leaf->rsp = cs.split.rsp;
-        leaf->child = kInvalidPageId;
-        leaf->els.clear();
+        *leaf = std::move(*SplitKdNode(cs.split, child_page, targets[b].kd_br));
         dirtied = true;
       }
       bounced.insert(bounced.end(), cs.leftovers.begin(), cs.leftovers.end());
@@ -688,23 +667,16 @@ std::unique_ptr<KdNode> HybridTree::BuildKdTree(std::vector<ChildItem> items,
                                    options_.split_policy,
                                    options_.query_size_model,
                                    options_.expected_query_side);
-  Box left_region = region;
-  if (is.parts.lsp < left_region.hi(is.dim)) {
-    left_region.set_hi(is.dim, is.parts.lsp);
-  }
-  Box right_region = region;
-  if (is.parts.rsp > right_region.lo(is.dim)) {
-    right_region.set_lo(is.dim, is.parts.rsp);
-  }
+  auto n = KdNode::MakeInternal(is.dim, is.parts.lsp, is.parts.rsp, nullptr,
+                                nullptr);
   std::vector<ChildItem> left_items, right_items;
   left_items.reserve(is.parts.left.size());
   right_items.reserve(is.parts.right.size());
   for (uint32_t i : is.parts.left) left_items.push_back(std::move(items[i]));
   for (uint32_t i : is.parts.right) right_items.push_back(std::move(items[i]));
-  auto l = BuildKdTree(std::move(left_items), left_region);
-  auto r = BuildKdTree(std::move(right_items), right_region);
-  return KdNode::MakeInternal(is.dim, is.parts.lsp, is.parts.rsp, std::move(l),
-                              std::move(r));
+  n->left = BuildKdTree(std::move(left_items), KdLeftBr(region, *n));
+  n->right = BuildKdTree(std::move(right_items), KdRightBr(region, *n));
+  return n;
 }
 
 Result<HybridTree::SplitResult> HybridTree::SplitIndexNode(PageId page,
@@ -808,15 +780,203 @@ uint64_t* MaskWords(std::vector<uint64_t>* buf, size_t words) {
 
 }  // namespace
 
-void HybridTree::PrefetchDescents(size_t first, SearchScratch* scratch) const {
+const QuantizedPage* HybridTree::MaskRows(PageId page,
+                                          const DataPageScan* pinned,
+                                          const RowFilter& filter,
+                                          SearchScratch* scratch) const {
+  // A metric with no code-space machinery (SupportsCodeFilter false, e.g.
+  // the QuadraticForm fallback) exits BEFORE the sidecar lookup, and at
+  // the scalar dispatch tier every scan does (the scalar code pass costs
+  // more per row than the early-abandoning exact scan it would save), so
+  // such a scan runs exactly the pre-sidecar hot path and builds nothing.
+  if (filter.box == nullptr &&
+      (filter.metric == nullptr || !filter.metric->SupportsCodeFilter())) {
+    return nullptr;
+  }
+  if (!options_.quant_sidecars ||
+      kernels::ActiveTier() == kernels::SimdTier::kScalar) {
+    return nullptr;
+  }
+  // After the pin the sidecar is built on the page's first scan even when
+  // this scan cannot filter (an infinite bound: the k-NN heap is not yet
+  // full), so that later visits can filter the page before the pin.
+  const QuantizedPage* qp = quant_store_.Lookup(page);
+  if (qp == nullptr && pinned != nullptr && pinned->block() != nullptr) {
+    qp = quant_store_.GetOrBuild(page, pinned->block(), pinned->stride_floats(),
+                                 pinned->count(), options_.dim);
+  }
+  if (qp == nullptr) return nullptr;
+  const quant::PageCodesView view = qp->view();
+  if (scratch->masks.size() < view.blocks) scratch->masks.resize(view.blocks);
+  uint8_t* masks = scratch->masks.data();
+  if (filter.box != nullptr) {
+    quant::RunBoxKernel(kernels::Active().ctm_box, view,
+                        filter.box->lo().data(), filter.box->hi().data(),
+                        &scratch->quant, masks);
+    return qp;
+  }
+  // Code filtering is pointless when the bound prunes nothing (k-NN heap
+  // not yet full): every row would survive. Every metric with
+  // SupportsCodeFilter() has a mask kernel; one without would simply scan
+  // unfiltered.
+  const bool masked =
+      filter.bound < std::numeric_limits<double>::max() &&
+      filter.metric->CodeFilterMasks(filter.center, view, filter.bound,
+                                     &scratch->quant, masks);
+  return masked ? qp : nullptr;
+}
+
+bool HybridTree::FilterRows(PageId page, const DataPageScan* pinned,
+                            const RowFilter& filter,
+                            SearchScratch* scratch) const {
+  const QuantizedPage* qp = MaskRows(page, pinned, filter, scratch);
+  if (qp == nullptr) return false;
+  const quant::PageCodesView view = qp->view();
+  // Survivors in ascending row order, so refinement replays the exact
+  // per-row decision sequence of the unfiltered scan. The mask kernels
+  // decide survival in-register and hand back one bit per row — on a
+  // 99%-pruned scan this touches one mostly-zero byte per 8 rows.
+  auto& surv = scratch->survivors;
+  surv.clear();
+  for (size_t b = 0; b < view.blocks; ++b) {
+    unsigned m = scratch->masks[b];
+    while (m != 0) {
+      surv.push_back(static_cast<uint32_t>(
+          b * kernels::kTBlock + static_cast<size_t>(std::countr_zero(m))));
+      m &= m - 1;
+    }
+  }
+  scratch->tally.AddScan(view.count, surv.size(), /*filtered=*/true);
+  if (pinned == nullptr && surv.empty()) ++scratch->tally.quant_skipped_pages;
+  return true;
+}
+
+bool HybridTree::RuledOutAhead(PageId page, const RowFilter& filter,
+                               SearchScratch* scratch) const {
+  const QuantizedPage* qp = MaskRows(page, nullptr, filter, scratch);
+  if (qp == nullptr) return false;
+  const uint8_t* masks = scratch->masks.data();
+  return std::all_of(masks, masks + qp->view().blocks,
+                     [](uint8_t m) { return m == 0; });
+}
+
+template <typename Scan, typename BeforePin>
+Result<const FlatIndexNode*> HybridTree::VisitPage(
+    PageId page, const RowFilter& filter, SearchScratch* scratch,
+    const Scan& scan, const BeforePin& before_pin) const {
+  bool filtered = FilterRows(page, nullptr, filter, scratch);
+  if (filtered && scratch->survivors.empty()) return nullptr;
+  before_pin();
+  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
+  if (PeekNodeKind(h.data()) != NodeKind::kData) {
+    return ReadFlatNode(page, h.data(), h.size());
+  }
+  DataPageScan rows(h.data(), h.size(), options_.dim);
+  if (!rows.ok()) return Status::Corruption("expected data node page");
+  // A page filtered before the pin arrives with its survivors (never
+  // empty), so it is not filtered twice.
+  if (!filtered) filtered = FilterRows(page, &rows, filter, scratch);
+  scan(rows, filtered ? &scratch->survivors : nullptr);
+  return nullptr;
+}
+
+template <typename Emit>
+void HybridTree::ScanDataPage(const DataPageScan& rows,
+                              const std::vector<uint32_t>* survivors,
+                              std::span<const float> center,
+                              const DistanceMetric& metric, double bound,
+                              SearchScratch* scratch, const Emit& emit_any) {
+  // A NaN distance (a NaN coordinate, say) compares false against every
+  // threshold: a k-NN heap that is not yet full would admit the row, and
+  // `d > bound` would not drop it. Such a row is never an answer, so it is
+  // skipped here, where every metric scan emits; only emitted rows pay the
+  // test.
+  const auto emit = [&emit_any](double d, uint64_t id) {
+    if (!std::isnan(d)) emit_any(d, id);
+  };
+  const size_t n = rows.count();
+  if (survivors == nullptr) scratch->tally.AddScan(n, n, /*filtered=*/false);
+  const float* blk = rows.block();
+  if (blk == nullptr) {
+    // Big-endian host: no in-place float block for the kernels or the
+    // sidecar (so no filter), and every row gets a plain exact distance.
+    for (size_t i = 0; i < n; ++i) {
+      emit(metric.Distance(center, rows.vec(i)), rows.id(i));
+    }
+    return;
+  }
+  // A pruned row has a code lower bound above `bound`, hence a true
+  // distance above it: emitting it could not have changed any caller's
+  // decision. Survivors are refined in ascending row order, so the emits
+  // replay the unfiltered scan's decision sequence exactly.
+  if (survivors != nullptr && survivors->size() * 4 <= n) {
+    // Sparse survivors: per-row exact distances (Distance() accumulates
+    // exactly like an unabandoned kernel row).
+    for (const uint32_t i : *survivors) {
+      emit(metric.Distance(center, rows.vec(i)), rows.id(i));
+    }
+    return;
+  }
+  // Dense survivors, or no filter: one bounded batch pass over the page
+  // (cheaper than many strided per-row calls). Rows whose partial sum
+  // exceeds `bound` are abandoned with an output above it.
+  if (scratch->dist.size() < n) scratch->dist.resize(n);
+  metric.BatchDistanceWithBound(center, blk, rows.stride_floats(), n, bound,
+                                scratch->dist.data());
+  const double* dist = scratch->dist.data();
+  if (survivors != nullptr) {
+    for (const uint32_t i : *survivors) emit(dist[i], rows.id(i));
+  } else {
+    for (size_t i = 0; i < n; ++i) emit(dist[i], rows.id(i));
+  }
+}
+
+template <typename Admit, typename Scan>
+Status HybridTree::Descend(SearchScratch::Descent d, const RowFilter& filter,
+                           SearchScratch* scratch, const Admit& admit,
+                           const Scan& scan) const {
+  // Every row below a contained page qualifies: it is never filtered, and
+  // as an index node it admits every child, contained.
+  const RowFilter none{};
+  const auto scan_page = [&](const DataPageScan& rows,
+                             const std::vector<uint32_t>* survivors) {
+    scan(rows, survivors, d.contained);
+  };
+  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
+                      VisitPage(d.page, d.contained ? none : filter, scratch,
+                                scan_page, [] {}));
+  if (node == nullptr) return Status::OK();
+  auto& descents = scratch->descents;
+  const size_t first = descents.size();
+  if (d.contained) {
+    for (size_t i = 0; i < node->num_children(); ++i) {
+      descents.push_back(SearchScratch::Descent{node->child(i), true});
+    }
+  } else {
+    admit(*node);
+  }
+  PrefetchDescents(first, filter, scratch);
+  Status st;
+  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
+    st = Descend(descents[i], filter, scratch, admit, scan);
+  }
+  descents.resize(first);
+  return st;
+}
+
+void HybridTree::PrefetchDescents(size_t first, const RowFilter& filter,
+                                  SearchScratch* scratch) const {
   const auto& descents = scratch->descents;
   if (options_.prefetch_depth == 0 || descents.size() - first <= 1) return;
   auto& ids = scratch->prefetch_ids;
   ids.clear();
   for (size_t i = first; i < descents.size(); ++i) {
-    ids.push_back(descents[i].page);
+    const SearchScratch::Descent& d = descents[i];
+    if (d.contained || !RuledOutAhead(d.page, filter, scratch)) {
+      ids.push_back(d.page);
+    }
   }
-  pool_->Prefetch(ids);
+  if (ids.size() > 1) pool_->Prefetch(ids);
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchBox(const Box& query) const {
@@ -836,105 +996,58 @@ Status HybridTree::SearchBoxInto(const Box& query, SearchScratch* scratch,
   if (scratch == nullptr) scratch = &local;
   ChargeScansOnReturn charge(pool_.get(), &scratch->tally);
   scratch->descents.clear();
-  scratch->carried.clear();
-  return SearchBoxRec(root_, {}, query, /*contained=*/false, scratch, out);
-}
-
-Status HybridTree::SearchBoxRec(PageId page,
-                                std::span<const uint32_t> survivors,
-                                const Box& query, bool contained,
-                                SearchScratch* scratch,
-                                std::vector<uint64_t>* out) const {
-  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  const NodeKind kind = PeekNodeKind(h.data());
-  if (kind == NodeKind::kData) {
-    DataPageScan scan(h.data(), h.size(), options_.dim);
-    if (!scan.ok()) return Status::Corruption("expected data node page");
-    const size_t n = scan.count();
-    if (contained) {
-      // Scan-level pruning: an ancestor's live box was fully inside the
-      // query, so every entry qualifies — collect ids without per-point
-      // containment tests.
-      scratch->tally.AddScan(n, n, /*filtered=*/false);
-      for (size_t i = 0; i < n; ++i) out->push_back(scan.id(i));
-      return Status::OK();
-    }
-    // A page filtered at admission arrives with its survivors (never
-    // empty); otherwise the pin builds the sidecar and filters here.
-    if (survivors.empty()) {
-      if (BoxFilter(page, &scan, query, scratch)) {
-        survivors = scratch->survivors;
-      } else {
-        scratch->tally.AddScan(n, n, /*filtered=*/false);
-        for (size_t i = 0; i < n; ++i) {
-          if (query.ContainsPoint(scan.vec(i))) out->push_back(scan.id(i));
-        }
-        return Status::OK();
-      }
-    }
-    // A pruned row's codes leave the box's code range, so the row is not
-    // in the box; survivors ascend, so the ids keep the full scan's order.
-    for (const uint32_t i : survivors) {
-      if (query.ContainsPoint(scan.vec(i))) out->push_back(scan.id(i));
-    }
-    return Status::OK();
-  }
-  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                      ReadFlatNode(page, h.data(), h.size()));
-  h.Release();
-
-  auto& descents = scratch->descents;
-  auto& carried = scratch->carried;
-  const size_t first = descents.size();
-  const size_t carried_first = carried.size();
-  const size_t n = node->num_children();
-  if (contained) {
-    for (size_t i = 0; i < n; ++i) {
-      descents.push_back(SearchScratch::Descent{node->child(i), true});
-    }
-  } else {
-    // Intra-node search is 1-d interval tests on the kd array (the paper's
-    // CPU advantage); the §3.4 two-step check then reads each reached
-    // leaf's verdict from one overlap pass over the reached live boxes.
-    // A live box is the decoded ELS box (ELS on) or the kd region (ELS
-    // off); either way all data below lies inside it, so containment lets
-    // the whole subtree skip per-point tests, and with ELS off every
-    // reached leaf intersects the query already.
+  // Intra-node search is 1-d interval tests on the kd array (the paper's
+  // CPU advantage); the §3.4 two-step check then reads each reached leaf's
+  // verdict from one overlap pass over the reached live boxes. A live box
+  // is the decoded ELS box (ELS on) or the kd region (ELS off); either way
+  // all data below lies inside it, so containment lets the whole subtree
+  // skip per-point tests, and with ELS off every reached leaf intersects
+  // the query already.
+  const auto admit = [&](const FlatIndexNode& node) {
+    const size_t n = node.num_children();
     const size_t words = (n + 63) / 64;
     uint64_t* reached = MaskWords(&scratch->reached, words);
     uint64_t* intersects = MaskWords(&scratch->intersects, words);
     uint64_t* contains = MaskWords(&scratch->contains, words);
-    node->RouteBox(query, reached);
-    const BoxSetView live = node->live_boxes();
+    node.RouteBox(query, reached);
+    const BoxSetView live = node.live_boxes();
     kernels::Active().box_overlap(query.lo().data(), query.hi().data(),
                                   live.dim, live.lo, live.hi, live.stride, n,
                                   reached, intersects, contains);
-    // Every admitted child that is not contained is filtered from its
-    // sidecar here, at admission, as a range descent's is (CarryRows).
     const uint64_t* admitted = els_enabled() ? intersects : reached;
     for (size_t w = 0; w < words; ++w) {
       for (uint64_t m = admitted[w]; m != 0; m &= m - 1) {
         const size_t bit = static_cast<size_t>(std::countr_zero(m));
-        SearchScratch::Descent d{node->child(w * 64 + bit),
-                                 ((contains[w] >> bit) & 1) != 0};
-        if (d.contained ||
-            CarryRows(BoxFilter(d.page, nullptr, query, scratch), &d,
-                      scratch)) {
-          descents.push_back(d);
-        }
+        scratch->descents.push_back(SearchScratch::Descent{
+            node.child(w * 64 + bit), ((contains[w] >> bit) & 1) != 0});
       }
     }
-  }
-  PrefetchDescents(first, scratch);
-  Status st;
-  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
-    const SearchScratch::Descent d = descents[i];
-    st = SearchBoxRec(d.page, CarriedRows(d, *scratch), query, d.contained,
-                      scratch, out);
-  }
-  descents.resize(first);
-  carried.resize(carried_first);
-  return st;
+  };
+  const auto scan = [&](const DataPageScan& rows,
+                        const std::vector<uint32_t>* survivors,
+                        bool contained) {
+    if (survivors != nullptr) {
+      // A pruned row's codes leave the box's code range, so the row is
+      // not in the box; survivors ascend, so the ids keep the full scan's
+      // order.
+      for (const uint32_t i : *survivors) {
+        if (query.ContainsPoint(rows.vec(i))) out->push_back(rows.id(i));
+      }
+      return;
+    }
+    // Scan-level pruning: below a contained page every entry qualifies,
+    // so its ids are collected without per-point containment tests.
+    const size_t n = rows.count();
+    scratch->tally.AddScan(n, n, /*filtered=*/false);
+    for (size_t i = 0; i < n; ++i) {
+      if (contained || query.ContainsPoint(rows.vec(i))) {
+        out->push_back(rows.id(i));
+      }
+    }
+  };
+  const RowFilter filter{.box = &query};
+  return Descend(SearchScratch::Descent{root_, false}, filter, scratch, admit,
+                 scan);
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchPoint(
@@ -958,41 +1071,17 @@ Status HybridTree::ScanAll(
   // query working set survives (see storage/buffer_pool.h).
   AccessClassScope ac(AccessClass::kScan);
   SearchScratch scratch;
-  return ScanAllRec(root_, visit, &scratch);
-}
-
-Status HybridTree::ScanAllRec(
-    PageId page,
-    const std::function<void(uint64_t, std::span<const float>)>& visit,
-    SearchScratch* scratch) const {
-  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  const NodeKind kind = PeekNodeKind(h.data());
-  if (kind == NodeKind::kData) {
-    DataPageScan scan(h.data(), h.size(), options_.dim);
-    if (!scan.ok()) return Status::Corruption("expected data node page");
-    for (size_t i = 0; i < scan.count(); ++i) {
-      visit(scan.id(i), scan.vec(i));
-    }
-    return Status::OK();
-  }
-  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                      ReadFlatNode(page, h.data(), h.size()));
-  h.Release();
-  // An index node commits to visiting every child, so the whole fanout is
-  // one prefetch batch (bulk-loaded trees allocate children contiguously,
-  // so this coalesces into sequential vectored reads).
-  auto& descents = scratch->descents;
-  const size_t first = descents.size();
-  for (size_t i = 0; i < node->num_children(); ++i) {
-    descents.push_back(SearchScratch::Descent{node->child(i), false});
-  }
-  PrefetchDescents(first, scratch);
-  Status st;
-  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
-    st = ScanAllRec(descents[i].page, visit, scratch);
-  }
-  descents.resize(first);
-  return st;
+  // A sweep is a descent whose every page is contained: nothing is
+  // filtered or tallied, and each index node's whole fanout is one
+  // prefetch batch (bulk-loaded trees allocate children contiguously, so
+  // it coalesces into sequential vectored reads).
+  const auto scan = [&](const DataPageScan& rows,
+                        const std::vector<uint32_t>* /*survivors*/,
+                        bool /*contained*/) {
+    for (size_t i = 0; i < rows.count(); ++i) visit(rows.id(i), rows.vec(i));
+  };
+  return Descend(SearchScratch::Descent{root_, true}, RowFilter{}, &scratch,
+                 [](const FlatIndexNode&) {}, scan);
 }
 
 Result<std::vector<uint64_t>> HybridTree::SearchRange(
@@ -1018,267 +1107,27 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   if (scratch == nullptr) scratch = &local;
   ChargeScansOnReturn charge(pool_.get(), &scratch->tally);
   scratch->descents.clear();
-  scratch->carried.clear();
-  return SearchRangeRec(root_, {}, center, radius, metric, scratch, out);
-}
-
-bool HybridTree::SidecarsServe() const {
-  // At the scalar dispatch tier the sidecars are pure overhead: the scalar
-  // code pass costs more per row than the early-abandoning exact scan it
-  // would save. So a scalar-tier scan (no SIMD on this host, or
-  // HT_SIMD=scalar) runs exactly the pre-sidecar hot path and builds
-  // nothing.
-  return options_.quant_sidecars &&
-         kernels::ActiveTier() != kernels::SimdTier::kScalar;
-}
-
-bool HybridTree::SidecarsServe(const DistanceMetric& metric) const {
-  // A metric with no code-space machinery (SupportsCodeFilter false, e.g.
-  // the QuadraticForm fallback) takes the scalar tier's exit BEFORE the
-  // sidecar lookup: building codes it can never filter with would only
-  // fill QuantStore with useless pages.
-  return metric.SupportsCodeFilter() && SidecarsServe();
-}
-
-template <typename MaskStep>
-bool HybridTree::FilterRows(PageId page, const DataPageScan* pinned,
-                            SearchScratch* scratch,
-                            const MaskStep& mask_step) const {
-  // After the pin the sidecar is built on the page's first scan even when
-  // this scan cannot filter (an infinite bound: the k-NN heap is not yet
-  // full), so that later visits can filter the page before the pin.
-  const QuantizedPage* qp = quant_store_.Lookup(page);
-  if (qp == nullptr && pinned != nullptr && pinned->block() != nullptr) {
-    qp = quant_store_.GetOrBuild(page, pinned->block(), pinned->stride_floats(),
-                                 pinned->count(), options_.dim);
-  }
-  if (qp == nullptr) return false;
-  const quant::PageCodesView view = qp->view();
-  const size_t n = view.count;
-  const size_t nmask = view.blocks;
-  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (!mask_step(view, scratch->masks.data())) return false;
-  // Survivors in ascending row order, so refinement replays the exact
-  // per-row decision sequence of the unfiltered scan. The mask kernels
-  // decide survival in-register and hand back one bit per row — on a
-  // 99%-pruned scan this touches one mostly-zero byte per 8 rows.
-  auto& surv = scratch->survivors;
-  surv.clear();
-  for (size_t b = 0; b < nmask; ++b) {
-    unsigned m = scratch->masks[b];
-    while (m != 0) {
-      surv.push_back(static_cast<uint32_t>(
-          b * kernels::kTBlock + static_cast<size_t>(std::countr_zero(m))));
-      m &= m - 1;
-    }
-  }
-  scratch->tally.AddScan(n, surv.size(), /*filtered=*/true);
-  if (pinned == nullptr && surv.empty()) ++scratch->tally.quant_skipped_pages;
-  return true;
-}
-
-bool HybridTree::QuantFilter(PageId page, const DataPageScan* pinned,
-                             std::span<const float> center,
-                             const DistanceMetric& metric, double bound,
-                             SearchScratch* scratch) const {
-  if (!SidecarsServe(metric)) return false;
-  // Code filtering is pointless when the bound prunes nothing (k-NN heap
-  // not yet full): every row would survive. Every metric with
-  // SupportsCodeFilter() has a mask kernel; one without would simply scan
-  // unfiltered.
-  return FilterRows(
-      page, pinned, scratch,
-      [&](const quant::PageCodesView& view, uint8_t* masks) {
-        return bound < std::numeric_limits<double>::max() &&
-               metric.CodeFilterMasks(center, view, bound, &scratch->quant,
-                                      masks);
-      });
-}
-
-bool HybridTree::BoxFilter(PageId page, const DataPageScan* pinned,
-                           const Box& query, SearchScratch* scratch) const {
-  if (!SidecarsServe()) return false;
-  return FilterRows(page, pinned, scratch,
-                    [&](const quant::PageCodesView& view, uint8_t* masks) {
-                      quant::RunBoxKernel(kernels::Active().ctm_box, view,
-                                          query.lo().data(), query.hi().data(),
-                                          &scratch->quant, masks);
-                      return true;
-                    });
-}
-
-bool HybridTree::CarryRows(bool filtered, SearchScratch::Descent* d,
-                           SearchScratch* scratch) {
-  if (!filtered) return true;
-  const auto& surv = scratch->survivors;
-  if (surv.empty()) return false;
-  auto& carried = scratch->carried;
-  d->rows_begin = static_cast<uint32_t>(carried.size());
-  d->rows_count = static_cast<uint32_t>(surv.size());
-  carried.insert(carried.end(), surv.begin(), surv.end());
-  return true;
-}
-
-std::span<const uint32_t> HybridTree::CarriedRows(
-    const SearchScratch::Descent& d, const SearchScratch& scratch) {
-  return std::span<const uint32_t>(scratch.carried)
-      .subspan(d.rows_begin, d.rows_count);
-}
-
-bool HybridTree::RuledOutAhead(PageId page, std::span<const float> center,
-                               const DistanceMetric& metric, double bound,
-                               SearchScratch* scratch) const {
-  if (!SidecarsServe(metric) || bound >= std::numeric_limits<double>::max()) {
-    return false;
-  }
-  const QuantizedPage* qp = quant_store_.Lookup(page);
-  if (qp == nullptr) return false;
-  const quant::PageCodesView view = qp->view();
-  const size_t nmask = view.blocks;
-  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  uint8_t* masks = scratch->masks.data();
-  if (!metric.CodeFilterMasks(center, view, bound, &scratch->quant, masks)) {
-    return false;
-  }
-  return std::all_of(masks, masks + nmask, [](uint8_t m) { return m == 0; });
-}
-
-template <typename Emit>
-Status HybridTree::ScanDataPage(PageId page, const uint8_t* data, size_t size,
-                                std::span<const uint32_t> survivors,
-                                std::span<const float> center,
-                                const DistanceMetric& metric, double bound,
-                                SearchScratch* scratch,
-                                const Emit& emit_any) const {
-  // A NaN distance (a NaN coordinate, say) compares false against every
-  // threshold: a k-NN heap that is not yet full would admit the row, and
-  // `d > bound` would not drop it. Such a row is never an answer, so it is
-  // skipped here, where every metric scan emits; only emitted rows pay the
-  // test.
-  const auto emit = [&emit_any](double d, uint64_t id) {
-    if (!std::isnan(d)) emit_any(d, id);
-  };
-  DataPageScan scan(data, size, options_.dim);
-  if (!scan.ok()) return Status::Corruption("expected data node page");
-  const size_t n = scan.count();
-  const float* blk = scan.block();
-  if (blk == nullptr) {
-    // Big-endian host: no in-place float block for the kernels or the
-    // sidecar, so every row gets a plain exact distance.
-    scratch->tally.AddScan(n, n, /*filtered=*/false);
-    for (size_t i = 0; i < n; ++i) {
-      emit(metric.Distance(center, scan.vec(i)), scan.id(i));
-    }
-    return Status::OK();
-  }
-  const size_t stride = scan.stride_floats();
-  // A page filtered before the pin arrives with its survivors (never
-  // empty: a page with none is not fetched), so it is not filtered again.
-  bool filtered = !survivors.empty();
-  if (!filtered) {
-    filtered = QuantFilter(page, &scan, center, metric, bound, scratch);
-    if (filtered) {
-      survivors = scratch->survivors;
-    } else {
-      scratch->tally.AddScan(n, n, /*filtered=*/false);
-    }
-  }
-  // A pruned row has a code lower bound above `bound`, hence a true
-  // distance above it: emitting it could not have changed any caller's
-  // decision. Survivors are refined in ascending row order, so the emits
-  // replay the unfiltered scan's decision sequence exactly.
-  if (filtered && survivors.size() * 4 <= n) {
-    // Sparse survivors: per-row exact distances (Distance() accumulates
-    // exactly like an unabandoned kernel row).
-    for (const uint32_t i : survivors) {
-      emit(metric.Distance(center, scan.vec(i)), scan.id(i));
-    }
-    return Status::OK();
-  }
-  // Dense survivors, or no filter: one bounded batch pass over the page
-  // (cheaper than many strided per-row calls). Rows whose partial sum
-  // exceeds `bound` are abandoned with an output above it.
-  if (scratch->dist.size() < n) scratch->dist.resize(n);
-  metric.BatchDistanceWithBound(center, blk, stride, n, bound,
-                                scratch->dist.data());
-  const double* dist = scratch->dist.data();
-  if (filtered) {
-    for (const uint32_t i : survivors) emit(dist[i], scan.id(i));
-  } else {
-    for (size_t i = 0; i < n; ++i) emit(dist[i], scan.id(i));
-  }
-  return Status::OK();
-}
-
-template <typename Emit, typename BeforePin>
-Result<const FlatIndexNode*> HybridTree::VisitPage(
-    PageId page, std::span<const float> center, const DistanceMetric& metric,
-    double bound, SearchScratch* scratch, const Emit& emit,
-    const BeforePin& before_pin) const {
-  std::span<const uint32_t> survivors;
-  if (QuantFilter(page, nullptr, center, metric, bound, scratch)) {
-    if (scratch->survivors.empty()) return nullptr;
-    survivors = scratch->survivors;
-  }
-  before_pin();
-  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  if (PeekNodeKind(h.data()) == NodeKind::kData) {
-    HT_RETURN_NOT_OK(ScanDataPage(page, h.data(), h.size(), survivors, center,
-                                  metric, bound, scratch, emit));
-    return nullptr;
-  }
-  return ReadFlatNode(page, h.data(), h.size());
-}
-
-Status HybridTree::SearchRangeRec(PageId page,
-                                  std::span<const uint32_t> survivors,
-                                  std::span<const float> center,
-                                  double radius, const DistanceMetric& metric,
-                                  SearchScratch* scratch,
-                                  std::vector<uint64_t>* out) const {
-  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  const NodeKind kind = PeekNodeKind(h.data());
-  if (kind == NodeKind::kData) {
-    const auto emit = [&](double d, uint64_t id) {
-      if (d <= radius) out->push_back(id);
-    };
-    return ScanDataPage(page, h.data(), h.size(), survivors, center, metric,
-                        radius, scratch, emit);
-  }
-  HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                      ReadFlatNode(page, h.data(), h.size()));
-  h.Release();
-
   // Pruning happens at the children's live boxes (MINDIST > radius), all
-  // scored by one batch call. The radius is fixed, so a child data page is
-  // filtered from its sidecar here, at admission: one with no surviving
-  // row never enters the prefetch batch, and the survivors of the others
-  // ride along in scratch->carried to their scan.
-  const double* dist =
-      ChildMinDists(*node, center, metric, &scratch->child_dist);
-  auto& descents = scratch->descents;
-  auto& carried = scratch->carried;
-  const size_t first = descents.size();
-  const size_t carried_first = carried.size();
-  for (size_t i = 0; i < node->num_children(); ++i) {
-    if (dist[i] > radius) continue;
-    SearchScratch::Descent d{node->child(i), false};
-    if (CarryRows(QuantFilter(d.page, nullptr, center, metric, radius,
-                              scratch),
-                  &d, scratch)) {
-      descents.push_back(d);
+  // scored by one batch call; the fixed radius is the filter's bound.
+  const auto admit = [&](const FlatIndexNode& node) {
+    const double* dist =
+        ChildMinDists(node, center, metric, &scratch->child_dist);
+    for (size_t i = 0; i < node.num_children(); ++i) {
+      if (dist[i] > radius) continue;
+      scratch->descents.push_back(SearchScratch::Descent{node.child(i), false});
     }
-  }
-  PrefetchDescents(first, scratch);
-  Status st;
-  for (size_t i = first; st.ok() && i < descents.size(); ++i) {
-    const SearchScratch::Descent d = descents[i];
-    st = SearchRangeRec(d.page, CarriedRows(d, *scratch), center, radius,
-                        metric, scratch, out);
-  }
-  descents.resize(first);
-  carried.resize(carried_first);
-  return st;
+  };
+  const auto emit = [&](double d, uint64_t id) {
+    if (d <= radius) out->push_back(id);
+  };
+  const auto scan = [&](const DataPageScan& rows,
+                        const std::vector<uint32_t>* survivors,
+                        bool /*contained*/) {
+    ScanDataPage(rows, survivors, center, metric, radius, scratch, emit);
+  };
+  const RowFilter filter{.metric = &metric, .center = center, .bound = radius};
+  return Descend(SearchScratch::Descent{root_, false}, filter, scratch, admit,
+                 scan);
 }
 
 Result<std::vector<std::pair<double, uint64_t>>> HybridTree::SearchKnn(
@@ -1779,8 +1628,13 @@ Result<std::optional<std::pair<double, uint64_t>>> HybridTree::NextNeighbor(
     // skips or reports above it could never have been yielded within the
     // declared limit.
     const double bound = c.ScanBound();
+    const RowFilter filter{.metric = &metric, .center = center, .bound = bound};
     const auto emit = [&c, bound](double d, uint64_t id) {
       c.Offer(d, id, bound);
+    };
+    const auto scan = [&](const DataPageScan& rows,
+                          const std::vector<uint32_t>* survivors) {
+      ScanDataPage(rows, survivors, center, metric, bound, scratch, emit);
     };
     const auto prefetch = [&] {
       if (prefetch_depth == 0 || pool_->Cached(item.page)) return;
@@ -1803,7 +1657,7 @@ Result<std::optional<std::pair<double, uint64_t>>> HybridTree::NextNeighbor(
                                top.end(), frontier_lt);
         for (const auto& r : top) {
           if (r.dist * prune_factor <= eb &&
-              !RuledOutAhead(r.page, center, metric, bound, scratch)) {
+              !RuledOutAhead(r.page, filter, scratch)) {
             ids.push_back(r.page);
           }
         }
@@ -1811,8 +1665,7 @@ Result<std::optional<std::pair<double, uint64_t>>> HybridTree::NextNeighbor(
       pool_->Prefetch(ids);
     };
     HT_ASSIGN_OR_RETURN(const FlatIndexNode* node,
-                        VisitPage(item.page, center, metric, bound, scratch,
-                                  emit, prefetch));
+                        VisitPage(item.page, filter, scratch, scan, prefetch));
     if (node == nullptr) {
       ++c.leaf_visits_;
       continue;

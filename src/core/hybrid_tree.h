@@ -352,6 +352,9 @@ class HybridTree {
   bool els_in_page() const {
     return options_.els_mode == ElsMode::kInPage && options_.els_bits > 0;
   }
+  bool els_in_memory() const {
+    return options_.els_mode == ElsMode::kInMemory && options_.els_bits > 0;
+  }
 
   // --- node I/O -----------------------------------------------------------
   // The HT_REQUIRES/HT_REQUIRES_SHARED(rw_contract_) annotations below make
@@ -365,6 +368,11 @@ class HybridTree {
   Status WriteDataNode(PageId id, const DataNode& node)
       HT_REQUIRES(rw_contract_);
   Result<IndexNode> ReadIndexNode(PageId id) HT_REQUIRES(rw_contract_);
+  /// The index-node decode both readers share: deserializes `page_data`
+  /// and attaches the page's in-memory ELS blob, if any.
+  Result<IndexNode> DecodeIndexNode(PageId id, const uint8_t* page_data,
+                                    size_t page_size) const
+      HT_REQUIRES_SHARED(rw_contract_);
   /// Read-path variant: returns the page's flat view (core/node.h
   /// FlatIndexNode: child ids, dimension-major live boxes, preorder kd
   /// array) from the in-memory cache, deserializing and flattening
@@ -397,6 +405,10 @@ class HybridTree {
   };
   /// Installs a new root above the old one after a root-level split.
   Status GrowRoot(const SplitResult& s) HT_REQUIRES(rw_contract_);
+  /// The split `s` of the kd region `region` as a kd node over two leaves,
+  /// `left_page` and s.right_page, each coded against its side of `region`.
+  std::unique_ptr<KdNode> SplitKdNode(const SplitResult& s, PageId left_page,
+                                      const Box& region) const;
   /// One InsertBatch recursion step: inserts the batch rows indexed by
   /// `idxs` into the subtree at `page`. On a split of `page`, the rows
   /// not yet placed come back in `leftovers` for the caller to re-route
@@ -451,73 +463,78 @@ class HybridTree {
 
   // --- search -------------------------------------------------------------
   // Const and re-entrant: all traversal state lives in the per-query
-  // scratch and locals, never on the tree object. `contained` marks that
-  // an ancestor's live box was fully inside the query, so every point
-  // below qualifies without per-point tests (scan-level pruning). Each
-  // visited index node is scored with one batch call over its flat view
-  // (MINDIST for range and k-NN, the box route plus one overlap pass for
-  // box), finished before any child is descended, so the per-node batch
-  // buffers need no base markers; only scratch->descents nests. The
-  // recursive bodies are members, not lambdas, so the analysis sees the
-  // shared-role requirement.
-  /// `survivors` is the page's row filter from admission (see
-  /// SearchScratch::Descent); empty when the page was not filtered, and
-  /// always empty for a `contained` page, which is never filtered.
-  Status SearchBoxRec(PageId page, std::span<const uint32_t> survivors,
-                      const Box& query, bool contained,
-                      SearchScratch* scratch, std::vector<uint64_t>* out) const
+  // scratch and locals, never on the tree object. Every search reads a page
+  // through one visit (VisitPage): the sidecar filter before the pin, the
+  // pin, then the data-page scan or the index page's flat view. Box, range
+  // and ScanAll walk depth first (Descend); the k-NN engine best first
+  // (NextNeighbor). Each visited index node is scored with one batch call
+  // over its flat view (MINDIST for range and k-NN, the box route plus one
+  // overlap pass for box), finished before any child is descended, so the
+  // per-node batch buffers need no base markers; only scratch->descents
+  // nests. The query-kind steps are lambdas that touch no tree cache, so
+  // they need no role; the members that do declare the shared role.
+
+  /// The sidecar test a search runs on a data page's rows: a box scan's
+  /// (`box`: the rows whose codes lie in the box's code range in every
+  /// dimension, kernels.h ctm_box), a metric scan's (`metric`: the rows
+  /// whose code lower bound from `center` does not exceed `bound`), or none
+  /// (both null: ScanAll, and every `contained` page).
+  struct RowFilter {
+    const Box* box = nullptr;
+    const DistanceMetric* metric = nullptr;
+    std::span<const float> center = {};
+    double bound = 0.0;
+  };
+  /// The one page visit of every search, filter before fetch: FilterRows
+  /// from the page's cached sidecar first, and a data page with no
+  /// surviving row is never pinned. Otherwise runs `before_pin()` (the k-NN
+  /// engine's prefetch lookahead) and pins the page. A data page not yet
+  /// filtered is filtered then (its sidecar built on first use), and
+  /// `scan(rows, survivors)` gets its rows and the filter's survivors
+  /// (scratch->survivors, ascending), or null when it was not filtered.
+  /// Returns the flat node of an index page, or nullptr for a data page,
+  /// scanned or ruled out.
+  template <typename Scan, typename BeforePin>
+  Result<const FlatIndexNode*> VisitPage(PageId page, const RowFilter& filter,
+                                         SearchScratch* scratch,
+                                         const Scan& scan,
+                                         const BeforePin& before_pin) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// `survivors` is the page's row filter from admission (see
-  /// SearchScratch::Descent); empty when the page was not filtered.
-  Status SearchRangeRec(PageId page, std::span<const uint32_t> survivors,
-                        std::span<const float> center, double radius,
-                        const DistanceMetric& metric, SearchScratch* scratch,
-                        std::vector<uint64_t>* out) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  Status ScanAllRec(
-      PageId page,
-      const std::function<void(uint64_t, std::span<const float>)>& fn,
-      SearchScratch* scratch) const HT_REQUIRES_SHARED(rw_contract_);
-  /// The prefetch step of the depth-first traversals (box, range,
-  /// ScanAll): once a node's admitted children are appended to
-  /// scratch->descents from `first` on, in leaf order, they are
-  /// prefetched as one batch. The caller then descends them in that order
-  /// and truncates back to `first`, so results are byte-identical with
-  /// prefetch on or off.
-  void PrefetchDescents(size_t first, SearchScratch* scratch) const;
-  /// The data-page distance scan both metric traversals share (range and
-  /// the k-NN engine): QuantFilter unless `survivors` already holds the
-  /// page's filter result, then either a sparse per-row exact refine of
-  /// the survivors or one bounded batch pass over the page. Calls
-  /// emit(distance, id) in ascending row order. A row whose distance
+  /// The depth-first descent of box, range and ScanAll: visits `d`'s page
+  /// with `filter` (none for a `contained` page) and scans a data page with
+  /// scan(rows, survivors, d.contained). At an index node it appends the
+  /// children to descend to scratch->descents in leaf order — below a
+  /// contained node every child, contained; otherwise those `admit(node)`
+  /// appends — prefetches them (PrefetchDescents), descends them in that
+  /// order and truncates back, so results are byte-identical with prefetch
+  /// on or off.
+  template <typename Admit, typename Scan>
+  Status Descend(SearchScratch::Descent d, const RowFilter& filter,
+                 SearchScratch* scratch, const Admit& admit,
+                 const Scan& scan) const HT_REQUIRES_SHARED(rw_contract_);
+  /// The prefetch step of Descend: the children appended to
+  /// scratch->descents from `first` on that RuledOutAhead does not rule out
+  /// (a contained child never is) are prefetched as one batch, when there
+  /// are at least two. So the batch holds exactly the pages the descent
+  /// will pin.
+  void PrefetchDescents(size_t first, const RowFilter& filter,
+                        SearchScratch* scratch) const;
+  /// The data-page distance scan of range and the k-NN engine, on the rows
+  /// of a pinned page that VisitPage filtered into `survivors` (null: not
+  /// filtered, so every row, tallied here): either a sparse per-row exact
+  /// refine of the survivors or one bounded batch pass over the page.
+  /// Calls emit(distance, id) in ascending row order. A row whose distance
   /// exceeds `bound` may be skipped or reported with any value above
   /// `bound`, so `emit` must only compare against thresholds at or under
   /// it; a row whose distance is NaN is never emitted; every other row
   /// gets its exact distance. A template over the emit callable so the
   /// hot path stays allocation-free.
   template <typename Emit>
-  Status ScanDataPage(PageId page, const uint8_t* data, size_t size,
-                      std::span<const uint32_t> survivors,
-                      std::span<const float> center,
-                      const DistanceMetric& metric, double bound,
-                      SearchScratch* scratch, const Emit& emit) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  /// One page visit of the k-NN engine (NextNeighbor), filter before
-  /// fetch: QuantFilter from the page's sidecar first; a data page with no
-  /// surviving row is never pinned. Otherwise runs `before_pin()` (the
-  /// frontier prefetch lookahead), pins the page and scans it
-  /// (ScanDataPage, with the survivors already found). Returns the flat
-  /// node of an index page, or nullptr for a data page, scanned or ruled
-  /// out; both count as a leaf visit. `bound` is the caller's one snapshot
-  /// for this page, used by the filter and the refine alike.
-  template <typename Emit, typename BeforePin>
-  Result<const FlatIndexNode*> VisitPage(PageId page,
-                                         std::span<const float> center,
-                                         const DistanceMetric& metric,
-                                         double bound, SearchScratch* scratch,
-                                         const Emit& emit,
-                                         const BeforePin& before_pin) const
-      HT_REQUIRES_SHARED(rw_contract_);
+  static void ScanDataPage(const DataPageScan& rows,
+                           const std::vector<uint32_t>* survivors,
+                           std::span<const float> center,
+                           const DistanceMetric& metric, double bound,
+                           SearchScratch* scratch, const Emit& emit);
   /// The k-NN engine (KnnCursor::Next, and the drain of the batch
   /// SearchKnnBoundedInto): best-first over `cursor`'s frontier, expanding
   /// the nearest pending page before it yields an entry at an equal or
@@ -526,66 +543,42 @@ class HybridTree {
   /// scan counters: its callers charge the scratch's tally on return.
   Result<std::optional<std::pair<double, uint64_t>>> NextNeighbor(
       KnnCursor* cursor) const HT_REQUIRES_SHARED(rw_contract_);
-  /// Whether page scans use sidecars at all: they are on and the dispatch
-  /// tier is SIMD (at the scalar tier the code pass costs more than the
-  /// early-abandoning exact scan it would save). A metric scan also needs
-  /// a code-space bound (DistanceMetric::SupportsCodeFilter; building
-  /// codes it can never filter with would only fill QuantStore).
-  bool SidecarsServe() const;
-  bool SidecarsServe(const DistanceMetric& metric) const;
-  /// The sidecar filter of every page scan (range, k-NN and box), run at
-  /// most once per page visit, with the kernel call in `mask_step(view,
-  /// masks)`: it writes one survivor bit per row of the page's sidecar
-  /// `view` into `masks` and returns true, or returns false when it cannot
-  /// filter. Before the pin (`pinned` null) it uses the page's cached
-  /// sidecar, if any, and never builds one: a sidecar exists only for a
-  /// live data page with exactly those rows (invalidated on every rewrite
-  /// and free), so finding one also says the page is a data page. After
-  /// the pin it builds the sidecar on first use. When it filters, it
-  /// collects the surviving rows (ascending) into scratch->survivors, adds
-  /// the page's scan counters to scratch->tally (charged to the pool when
-  /// the search returns) and returns true; a filter before the pin that
-  /// leaves no row also tallies a skipped page, and the caller must not
-  /// fetch it. Returns false and tallies nothing when there is no sidecar
-  /// to use or `mask_step` declines.
-  template <typename MaskStep>
+  /// The sidecar filter of every page visit, run at most once per visit:
+  /// MaskRows, then the surviving rows (ascending) into scratch->survivors,
+  /// and the page's scan counters added to scratch->tally (charged to the
+  /// pool when the search returns); returns true. A filter before the pin
+  /// (`pinned` null) that leaves no row also tallies a skipped page, and
+  /// the caller must not fetch it. Returns false and tallies nothing when
+  /// MaskRows cannot filter.
   bool FilterRows(PageId page, const DataPageScan* pinned,
-                  SearchScratch* scratch, const MaskStep& mask_step) const
+                  const RowFilter& filter, SearchScratch* scratch) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// FilterRows for a metric scan: the rows whose code lower bound does
-  /// not exceed `bound`. Declines when sidecars do not serve the metric,
-  /// the bound prunes nothing (+inf) or the metric has no mask kernel.
-  bool QuantFilter(PageId page, const DataPageScan* pinned,
-                   std::span<const float> center, const DistanceMetric& metric,
-                   double bound, SearchScratch* scratch) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  /// FilterRows for a box scan that is not `contained`: the rows whose
-  /// codes lie in the box's code range in every dimension (kernels.h
-  /// ctm_box). Declines when sidecars do not serve (off, or the scalar
-  /// tier). Resident or not, an admitted page is tested before the pin.
-  bool BoxFilter(PageId page, const DataPageScan* pinned, const Box& query,
-                 SearchScratch* scratch) const
-      HT_REQUIRES_SHARED(rw_contract_);
-  /// The admission step of the range and box descents, after the child
-  /// `d` was filtered (`filtered`, the FilterRows verdict, with its
-  /// survivors in scratch->survivors): false when no row survived, so the
-  /// child is skipped (and never enters the prefetch batch); otherwise
-  /// true, with a filtered child's survivors appended to scratch->carried
-  /// and recorded in `d` for its scan (CarriedRows).
-  static bool CarryRows(bool filtered, SearchScratch::Descent* d,
-                        SearchScratch* scratch);
-  static std::span<const uint32_t> CarriedRows(const SearchScratch::Descent& d,
-                                               const SearchScratch& scratch);
-  /// Prefetch lookahead of the k-NN engine: true when `page` has a sidecar
-  /// and no row survives its code filter at `bound`. The bound only
-  /// shrinks, so QuantFilter will rule the page out when it is popped,
-  /// and a prefetch batch must leave it out. A prediction for the I/O
-  /// schedule: it charges nothing and decides nothing about the visit.
-  /// Called from the prefetch lambda, which the thread-safety analysis
-  /// sees as a separate function, so it declares no role.
-  bool RuledOutAhead(PageId page, std::span<const float> center,
-                     const DistanceMetric& metric, double bound,
+  /// The one prefetch prediction (the k-NN lookahead and PrefetchDescents):
+  /// true when `page`'s cached sidecar leaves no row, so FilterRows would
+  /// rule it out before the pin (for the k-NN engine at a later visit too:
+  /// its bound only shrinks). The MaskRows step of FilterRows, run on the
+  /// cached sidecar; it charges nothing, decides nothing about the visit
+  /// and leaves scratch->survivors alone. Called from the prefetch lambda,
+  /// which the thread-safety analysis sees as a separate function, so it
+  /// declares no role.
+  bool RuledOutAhead(PageId page, const RowFilter& filter,
                      SearchScratch* scratch) const;
+  /// The mask step of FilterRows and RuledOutAhead: writes one survivor bit
+  /// per row of `page`'s sidecar into scratch->masks and returns the
+  /// sidecar, or returns nullptr when it cannot filter. Before the pin
+  /// (`pinned` null) it uses the page's cached sidecar, if any, and never
+  /// builds one: a sidecar exists only for a live data page with exactly
+  /// those rows (invalidated on every rewrite and free), so finding one
+  /// also says the page is a data page. After the pin it builds the
+  /// sidecar on first use. It cannot filter when the filter is none, when
+  /// sidecars do not serve it (off, or the scalar tier, where the code pass
+  /// costs more than the early-abandoning exact scan it would save; or a
+  /// metric with no code-space bound, DistanceMetric::SupportsCodeFilter,
+  /// whose codes would only fill QuantStore), when there is no sidecar, or
+  /// when a metric's bound prunes nothing (+inf) or it has no mask kernel.
+  const QuantizedPage* MaskRows(PageId page, const DataPageScan* pinned,
+                                const RowFilter& filter,
+                                SearchScratch* scratch) const;
 
   // --- maintenance --------------------------------------------------------
   /// DFS recomputing ELS codes; returns this subtree's exact live box.

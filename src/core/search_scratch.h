@@ -7,10 +7,12 @@
 // materialized entries, both vector-backed binary min-heaps whose backing
 // stores survive across queries, the self-bound heap and the query
 // center), the per-index-node batch outputs (child MINDISTs, box-route and
-// overlap bit masks), and the scan counters a search tallies per page
-// until it returns (ScanTally). Buffers are cleared — never shrunk — at
-// the start of each search, so after one warm-up query the steady-state
-// search loop performs no heap allocation (verified by search_alloc_test).
+// overlap bit masks), the depth-first descent list, the sidecar filter's
+// masks and the survivors of the page being visited, and the scan counters
+// a search tallies per page until it returns (ScanTally). Buffers are
+// cleared — never shrunk — at the start of each search, so after one
+// warm-up query the steady-state search loop performs no heap allocation
+// (verified by search_alloc_test).
 //
 // Ownership rules:
 //  * One scratch serves one query at a time. It may be reused freely
@@ -54,17 +56,12 @@ class SearchScratch {
   /// One child page a box/range/ScanAll descent has committed to
   /// visiting: collected from the node's batch verdicts in leaf order,
   /// prefetched as a batch, then descended in that order (so results are
-  /// byte-identical with prefetch on or off). `contained` carries the box
-  /// search's scan-level-pruning flag; the other descents leave it false.
-  /// A range or box descent into a data page filtered from its sidecar at
-  /// admission carries its rows_count surviving rows from
-  /// carried[rows_begin]; none means the page was not filtered yet (or,
-  /// for a box descent, is `contained`).
+  /// byte-identical with prefetch on or off). `contained` marks that every
+  /// row below the page qualifies (a box search's scan-level pruning, and
+  /// every page of ScanAll), so the page is never filtered.
   struct Descent {
     PageId page;
     bool contained;
-    uint32_t rows_begin = 0;
-    uint32_t rows_count = 0;
   };
 
   std::vector<double> dist;       // batch-kernel outputs, one per page row
@@ -80,8 +77,7 @@ class SearchScratch {
   std::vector<PageId> prefetch_ids;   // batch under construction
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample
   std::vector<uint8_t> masks;         // fused-filter survivor bits
-  std::vector<uint32_t> survivors;    // rows passing the code filter
-  std::vector<uint32_t> carried;      // range/box survivors (base-marked)
+  std::vector<uint32_t> survivors;    // the visited page's filter result
   quant::FilterScratch quant;         // per-(query,page) filter prep
   ScanTally tally;  // scan counters, charged when the search returns
 };

@@ -122,9 +122,9 @@ class DistanceMetric {
   }
 
   /// True when the metric implements CodeFilterMasks. The default matches
-  /// the base-class fallback above: no code-space bound exists, so
-  /// QuantFilter must not even BUILD the 8-bit sidecar — it would only
-  /// cache pages the metric can never filter with. The kernel metrics
+  /// the base-class fallback above: no code-space bound exists, so the
+  /// tree's sidecar filter must not even BUILD the 8-bit sidecar — it
+  /// would only cache pages the metric can never filter with. The kernel metrics
   /// (KernelMetric) override this to true.
   virtual bool SupportsCodeFilter() const { return false; }
 

@@ -1,9 +1,9 @@
 // Integration tests for the prefetching I/O pipeline (core + storage +
 // serve): prefetch is a pure I/O-scheduling optimisation, so every query
-// must return byte-identical results — and identical logical-read counts —
-// at any prefetch depth, while the number of blocking read round trips
-// drops, and no batch may request a page the search rules out from its
-// sidecar. Runs clean under ThreadSanitizer (the CI tsan job executes this
+// must return byte-identical results — and identical logical-read and scan
+// counts — at any prefetch depth, while the number of blocking read round
+// trips drops, and no batch may request a page the search rules out from
+// its sidecar. Runs clean under ThreadSanitizer (the CI tsan job executes this
 // binary).
 
 #include <gtest/gtest.h>
@@ -39,12 +39,17 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "prefetch_test_" + name;
 }
 
-/// Per-depth answers for one pass of cold box + range + kNN queries.
+/// Per-depth answers for one pass of cold box + range + kNN queries, and
+/// the pass's page and scan counters.
 struct Answers {
   std::vector<std::vector<uint64_t>> box;
   std::vector<std::vector<uint64_t>> range;
   std::vector<std::vector<std::pair<double, uint64_t>>> knn;
   uint64_t logical_reads = 0;
+  uint64_t scan_points = 0;
+  uint64_t quant_refined = 0;
+  uint64_t quant_pruned = 0;
+  uint64_t quant_skipped_pages = 0;
 };
 
 /// FOURIER tree persisted into a MemPagedFile; every test reopens those
@@ -93,7 +98,12 @@ class PrefetchIntegrationTest : public ::testing::Test {
           tree->SearchKnnInto(centers_[i], kK, metric_, &scratch, &nn).ok());
       a.knn.push_back(nn);
     }
-    a.logical_reads = tree->pool().stats().logical_reads;
+    const IoStats s = tree->pool().stats();
+    a.logical_reads = s.logical_reads;
+    a.scan_points = s.scan_points;
+    a.quant_refined = s.quant_refined;
+    a.quant_pruned = s.quant_pruned;
+    a.quant_skipped_pages = s.quant_skipped_pages;
     return a;
   }
 
@@ -127,14 +137,21 @@ TEST_F(PrefetchIntegrationTest, ColdQueriesByteIdenticalAcrossDepths) {
     }
     // Prefetch counts no logical reads, and a page is ruled out from its
     // sidecar alike at every depth: the pages a query pins are invariant
-    // under the pipeline.
+    // under the pipeline. The prediction that builds a batch charges no
+    // scan counter, and each visited page is tallied once.
     EXPECT_EQ(got.logical_reads, base.logical_reads) << "depth " << depth;
+    EXPECT_EQ(got.scan_points, base.scan_points) << "depth " << depth;
+    EXPECT_EQ(got.quant_refined, base.quant_refined) << "depth " << depth;
+    EXPECT_EQ(got.quant_pruned, base.quant_pruned) << "depth " << depth;
+    EXPECT_EQ(got.quant_skipped_pages, base.quant_skipped_pages)
+        << "depth " << depth;
   }
 }
 
-// Box and range decide at admission which child pages their sidecars rule
-// out, so a prefetch batch never requests a page the search then skips:
-// with a pool that holds a whole query, every prefetched page is pinned.
+// A box or range batch leaves out every child its sidecar predicts ruled
+// out (RuledOutAhead, the visit's own mask step on the cached sidecar), so
+// a prefetch batch never requests a page the visit then skips: with a pool
+// that holds a whole query, every prefetched page is pinned.
 TEST_F(PrefetchIntegrationTest, PrefetchRequestsNoRuledOutPage) {
   auto tree = HybridTree::Open(file_.get(), file_->page_count()).ValueOrDie();
   tree->SetPrefetchDepth(8);

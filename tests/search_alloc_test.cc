@@ -6,9 +6,9 @@
 // and a k-NN cursor on the same scratch performs zero heap allocations:
 // all traversal state lives in the scratch and the caller's output
 // vectors, the buffer pool is warm, the node cache hits, and Status OK /
-// batch kernels never allocate. At a SIMD tier the box and range queries
-// filter their admitted pages from the sidecars and carry the survivors
-// to the scan in the scratch.
+// batch kernels never allocate. At a SIMD tier every search filters each
+// data page it visits from the page's sidecar and hands the survivors to
+// that page's scan in the scratch; at the scalar tier nothing is filtered.
 
 #include <gtest/gtest.h>
 
@@ -146,7 +146,8 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
   // scratch buffers and the output vectors.
   run_all();
   run_all();
-  // The box queries the measured pass repeats carry survivors.
+  // The box queries the measured pass repeats filter pages and refine
+  // their survivors.
   if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
     tree->pool().ResetStats();
     for (const Box& box : boxes) {
